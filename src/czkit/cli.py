@@ -7,20 +7,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import CzkitError
 
 MAX_POINTS = 4096
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("CZKIT_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _load_space(path, allow_large=False):
@@ -249,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -37,10 +37,6 @@ class NonFiniteKernelValue(CzkitError):
     pass
 
 
-class NoConvergence(CzkitError):
-    pass
-
-
 class ClassificationMissing(CzkitError):
     pass
 
@@ -54,10 +50,6 @@ class NonTransitEntry(CzkitError):
 
 
 class MultipleParents(CzkitError):
-    pass
-
-
-class NoTransitAncestor(CzkitError):
     pass
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -13,16 +12,13 @@ from .certify import CertificateReport, alpha_param, certify
 from .errors import CalibrationExhausted, UnknownExample
 from .examples import generate_example
 from .kernels import KernelSpec, bergman_kernel, check_d_domination, \
-    check_T1, constant_kernel, power_kernel
-from .lattice import build_lattice, classify_good_bad, \
-    classify_terminal_transit, estimate_bad_probability, scale_gap, \
-    verify_lattice_properties
+    constant_kernel, power_kernel
+from .lattice import build_lattice, classify_terminal_transit, \
+    estimate_bad_probability, scale_gap, verify_lattice_properties
 from .projections import decompose, properties_check
 from .space import MetricMeasureSpace, check_ahlfors_regularity, \
     check_growth_condition, default_radii, verify_omega_capture, \
     verify_quasi_metric
-
-MAX_POINTS = 4096
 
 
 @dataclass

@@ -203,9 +203,16 @@ def test_far_pairs_all_satisfy_long_range_bound():
         checked = 0
         for half_index, half in enumerate(split.halves):
             mexp = kern.m + kern.tau
-            for rec in half.buckets["sigma2"]:
+            for rec, value in zip(half.buckets["sigma2"],
+                                  half.values["sigma2"]):
                 if not rec.get("far_ok", True):
                     continue
+                # the pair value straight from its definition
+                dense_q = half.fine_dec.component_vector(rec["q"])
+                dense_r = half.coarse_dec.component_vector(rec["r"])
+                exact = space.inner(half.op @ (dense_r * space.mu),
+                                    dense_q)
+                assert value == pytest.approx(exact, rel=1e-9, abs=1e-15)
                 q = half.fine_lat.cubes[rec["q"]]
                 r = half.coarse_lat.cubes[rec["r"]]
                 dq = math.sqrt(half.fine_dec.component_norm_sq(rec["q"])) \
@@ -218,7 +225,7 @@ def test_far_pairs_all_satisfy_long_range_bound():
                          / d_big ** mexp *
                          math.sqrt(half.fine_lat.cube_mu(q) *
                                    half.coarse_lat.cube_mu(r)) * dq * dr)
-                assert abs(rec["value"]) <= bound * (1 + 1e-9) + 1e-15
+                assert abs(value) <= bound * (1 + 1e-9) + 1e-15
                 checked += 1
         assert checked > 0
 
@@ -550,3 +557,18 @@ def test_certify_line_example_full(line_setup):
                         "empirical_norm", "verdict"}
     for lem in doc["lemmas"]:
         assert set(lem) >= {"name", "ref", "measured", "bound", "pass"}
+
+
+def test_terminal_bound_covers_fine_cubes_outside_the_holding_child():
+    # the holding child is picked by point count; on this lattice pair a
+    # terminal pair's fine cube keeps its mu-mass in other children of the
+    # coarse cube, which the kernel sup and the mass must still cover
+    space, info = generate_example("bergman_disc_model", n_ring=64,
+                                   n_cluster=8, n_boundary=32)
+    kern = bergman_kernel(space, m=info["m"], tau=info["tau"])
+    rep = certify(kern, space, s_param=1, seeds=(2476693647, 1295026582),
+                  master_seed=3813294786)
+    terminal = [c for c in rep.lemmas if c.name.endswith("sigma3_terminal")]
+    assert terminal and all(c.passed for c in terminal)
+    assert rep.counts["sigma3_term_pairs"] > 0
+    assert rep.verdict
