@@ -48,14 +48,12 @@ class LemmaCheck:
     bound: float
     passed: bool
     ref: str = ""
-    info: dict = field(default_factory=dict)
 
 
-def _lemma(name: str, measured: float, bound: float, ref: str,
-           **info) -> LemmaCheck:
+def _lemma(name: str, measured: float, bound: float, ref: str) -> LemmaCheck:
     """A lemma check that passes when measured <= bound up to rounding."""
     return LemmaCheck(name, measured, bound,
-                      measured <= bound * (1 + 1e-9) + 1e-15, ref, info)
+                      measured <= bound * (1 + 1e-9) + 1e-15, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +224,7 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
         half.geo = {
             "sigma1": _diagonal_geometry(space, half, abs_op),
             "sigma2": _far_geometry(kernel, space, half, abs_op),
-            "sigma3_term": _terminal_geometry(kernel, space, half, abs_op),
+            "sigma3_term": _terminal_geometry(space, half, abs_op),
             "sigma3_tran": _transit_geometry(kernel, space, half, abs_op,
                                              alpha)}
         halves.append(half)
@@ -554,11 +552,11 @@ def block_matrix_spectral(entries, kappa: float, tau: float) -> float:
 # short range: terminal part
 
 
-def _terminal_geometry(kernel, space, half: HalfData, abs_op) -> dict:
+def _terminal_geometry(space, half: HalfData, abs_op) -> dict:
     """Groups of terminal pairs sharing the coarse cube R and its holding
-    child, and the weight k_sup sqrt(mu(U) mu(R)) of each group, where U is
-    the child together with every fine cube of the group and k_sup the
-    kernel sup over the rows of U."""
+    child, the weight k_sup sqrt(mu(U) mu(R)) of each group, where U is the
+    child together with every fine cube of the group and k_sup the kernel
+    sup over the rows of U, and the regime constant."""
     coarse_lat = half.coarse_lat
     records = half.buckets["sigma3_term"]
     row_sup = abs_op.max(axis=1)
@@ -566,31 +564,24 @@ def _terminal_geometry(kernel, space, half: HalfData, abs_op) -> dict:
     for p, rec in enumerate(records):
         groups.setdefault((rec["r"], rec["rq"]), []).append(p)
     group_of = np.zeros(len(records), dtype=int)
-    r_rows, weights, fits, const = [], [], [], {}
-    occupied = np.zeros(space.n_points, dtype=int)
+    r_rows, weights, const = [], [], {}
     for gi, ((r_id, rq_id), pairs) in enumerate(groups.items()):
         group_of[pairs] = gi
-        r_cube = coarse_lat.cubes[r_id]
         # the fine cubes need not sit inside the holding child, so the
         # sup and the mass run over their union with it
         members = np.unique(np.concatenate(
             [coarse_lat.cubes[rq_id].members] +
             [half.fine_lat.cubes[records[p]["q"]].members for p in pairs]))
-        occupied[members] += 1
         k_sup = float(row_sup[members].max())
-        mass_r = coarse_lat.cube_mu(r_cube)
+        mass_r = coarse_lat.cube_mu(coarse_lat.cubes[r_id])
         w = k_sup * math.sqrt(space.mu_mass(members) * mass_r)
         r_rows.append(half.coarse_rows.row[r_id])
         weights.append(w)
         const.setdefault(r_id, []).append(w)
-        fits.append({"r": r_id, "child": rq_id,
-                     "kernel_fit": k_sup * r_cube.size ** kernel.m,
-                     "growth_fit": mass_r / r_cube.size ** kernel.m})
     c_total = max((math.sqrt(len(ws)) * max(ws) for ws in const.values()),
                   default=0.0)
     return {"group": group_of, "r_row": np.array(r_rows, dtype=int),
-            "weight": np.array(weights), "constant": c_total, "fits": fits,
-            "children_disjoint": not (occupied > 1).any()}
+            "weight": np.array(weights), "constant": c_total}
 
 
 def short_range_terminal_bound(kernel: KernelSpec, space: MetricMeasureSpace,
@@ -611,10 +602,7 @@ def short_range_terminal_bound(kernel: KernelSpec, space: MetricMeasureSpace,
     dg = np.sqrt(half.coarse.norm_sq[geo["r_row"]])
     bound = float((geo["weight"] * dg * v).sum())
     return _lemma(prefix + "sigma3_terminal", measured, bound,
-                  "short_range_terminal", constant=geo["constant"],
-                  groups=geo["weight"].size,
-                  children_disjoint=geo["children_disjoint"],
-                  fits=geo["fits"])
+                  "short_range_terminal")
 
 
 # ---------------------------------------------------------------------------
@@ -640,15 +628,15 @@ def _ascent_chain(space, coarse_lat, rq: Cube, x_center: int):
 def _transit_geometry(kernel, space, half: HalfData, abs_op,
                       alpha: float) -> dict:
     """Per-pair coefficients of the three short range transit estimates,
-    and the hypothesis violations, which depend on the lattices only."""
+    the extension and block part of the regime constant, and the hypothesis
+    violations, which depend on the lattices only."""
     records = half.buckets["sigma3_tran"]
     mu = space.mu
     fine_lat, coarse_lat = half.fine_lat, half.coarse_lat
     kappa, tau = coarse_lat.kappa, kernel.tau
     per_pair = []     # far coefficient, extension coefficient, chain, block t
     other_pair, other_piece = [], []
-    violations, strict, ext_consts, entries = [], [], [], []
-    smooth_violations = 0
+    violations, ext_consts, entries = [], [], []
 
     for p, rec in enumerate(records):
         q = fine_lat.cubes[rec["q"]]
@@ -672,10 +660,9 @@ def _transit_geometry(kernel, space, half: HalfData, abs_op,
                                    coarse_lat.cube_mu(r),
                                    space.set_dist(q.members, r.members))
         else:
-            msg = (f"pair ({rec['q']},{rec['r']}): distance to the coarse "
-                   f"remainder {d_out:.3g} under {threshold:.3g}")
-            violations.append(msg)
-            strict.append(msg)
+            violations.append(
+                f"pair ({rec['q']},{rec['r']}): distance to the coarse "
+                f"remainder {d_out:.3g} under {threshold:.3g}")
             if outside.size:
                 # the separation hypothesis failed, so the kernel-decay bound
                 # is not available; use the always-valid rectangular sup bound
@@ -695,16 +682,12 @@ def _transit_geometry(kernel, space, half: HalfData, abs_op,
                         f"ascent level {parent.id}: distance under "
                         "goodness bound")
             nearest = min((d for _, _, d in ascent), default=math.inf)
-            if r_q_reach > kernel.delta_CZ * nearest:
-                smooth_violations += 1
-                chain_ok = False
+            chain_ok = r_q_reach <= kernel.delta_CZ * nearest
         if not chain_ok:
             # the center sits outside its coarse child, or the smoothness
             # regime fails: use the exact value of the extension pairing
-            msg = (f"pair ({rec['q']},{rec['r']}): extension estimate fell "
-                   "back to the exact pairing")
-            violations.append(msg)
-            strict.append(msg)
+            violations.append(f"pair ({rec['q']},{rec['r']}): extension "
+                              "estimate fell back to the exact pairing")
         ext = kernel.C_CZ * r_q_reach ** tau * ascent_sum
         if mass_q > 0 and mass_rq > 0:
             # extension entry over block entry; the masses cancel
@@ -728,36 +711,34 @@ def _transit_geometry(kernel, space, half: HalfData, abs_op,
     straddle = np.array([parents[(e[0], e[2])] > 1 for e in entries],
                         dtype=bool)
     clean = [e for e, s in zip(entries, straddle) if not s]
+    explicit = 1.0 / (1.0 - kappa ** (tau / 2.0))
     block_coef = fitted = 0.0
     if clean:
         # only the fitted series of the block lemma is lattice-only
         fitted = block_matrix_bound(clean, {}, {}, kappa, tau)[2]
-        block_coef = 1.0 / (1.0 - kappa ** (tau / 2.0))
+        block_coef = explicit
     if straddle.any():
         # fine cubes meeting two coarse cubes at the same gap fall outside
         # the one-chain structure; cover them with the plain entry series
         c_str = float(block_t[straddle].sum())
         block_coef += c_str
         fitted += c_str
-        msg = (f"{int(straddle.sum())} short range pairs straddle coarse "
-               "cubes and use the entrywise series")
-        violations.append(msg)
-        strict.append(msg)
+        violations.append(f"{int(straddle.sum())} short range pairs "
+                          "straddle coarse cubes and use the entrywise series")
 
     return {"far_coef": far_coef, "ext_coef": ext_coef, "chain": chain > 0,
             "other_pair": np.array(other_pair, dtype=int),
             "other_piece": np.array(other_piece, dtype=int),
             "on_cube": on_cube, "on_mass": on_cube.sum(axis=1),
             "cube_col": cube_col.reshape(-1, 2),
-            "block_t": block_t, "block_coef": block_coef, "fitted": fitted,
-            "extension_constant": max(ext_consts, default=0.0),
-            "smooth_violations": smooth_violations,
-            "violations": violations, "strict": strict[0] if strict else None}
+            "block_t": block_t, "block_coef": block_coef,
+            "constant": max(ext_consts, default=0.0) * max(fitted, explicit),
+            "violations": violations}
 
 
 def short_range_transit_bound(kernel: KernelSpec, space: MetricMeasureSpace,
                               split: SigmaSplit, half_index: int,
-                              alpha: float, r_gap: int, strict: bool = True):
+                              alpha: float, r_gap: int):
     """The three estimates of the short range transit sum.
 
     (a) interaction with the coarse component outside the holding child,
@@ -768,8 +749,6 @@ def short_range_transit_bound(kernel: KernelSpec, space: MetricMeasureSpace,
     half = split.halves[half_index]
     prefix = "" if half_index == 0 else "sym_"
     geo = half.geo["sigma3_tran"]
-    if strict and geo["strict"] is not None:
-        raise HypothesisViolated(geo["strict"])
     q, r = half.rows["sigma3_tran"]
     fine, coarse = half.fine, half.coarse
     fine_t = fine.phi @ half.op           # row Q is op^T Delta_Q mu
@@ -811,17 +790,11 @@ def short_range_transit_bound(kernel: KernelSpec, space: MetricMeasureSpace,
         _lemma(prefix + "sigma3_transit_far", meas_far, bound_far,
                "short_range_transit_far"),
         _lemma(prefix + "sigma3_transit_extension", meas_ext, bound_ext,
-               "short_range_transit_extension",
-               smoothness_regime_violations=geo["smooth_violations"]),
+               "short_range_transit_extension"),
         _lemma(prefix + "sigma3_transit_block", lhs_c, rhs_c,
-               "short_range_transit_block", fitted_series=geo["fitted"]),
+               "short_range_transit_block"),
     ]
-    info = {
-        "extension_constant": geo["extension_constant"],
-        "block_fitted": geo["fitted"],
-        "hypothesis_violations": list(geo["violations"]),
-    }
-    return checks, info
+    return checks, {"hypothesis_violations": list(geo["violations"])}
 
 
 # ---------------------------------------------------------------------------
@@ -1086,32 +1059,41 @@ def _diagonal_geometry(space, half: HalfData, abs_op) -> dict:
             "w_rect": np.array(w_rect), "w_raw": np.array(w_raw)}
 
 
-def diagonal_bound(kernel: KernelSpec, space: MetricMeasureSpace,
-                   split: SigmaSplit, half_index: int, t1_A: float):
-    """Per-pair son splitting of the diagonal sum: terminal or leaf sons go
-    through the kernel sup, transit son pairs through the testing constant."""
-    half = split.halves[half_index]
-    prefix = "" if half_index == 0 else "sym_"
+def _diagonal_weights(half: HalfData, t1_A: float) -> np.ndarray:
+    """Son-pair weights: terminal or leaf sons go through the kernel sup,
+    transit son pairs through the testing constant."""
     geo = half.geo["sigma1"]
     sqrt_a = math.sqrt(t1_A)
     w_rect = geo["w_rect"]
-    w = np.where(np.isnan(geo["w_raw"]),
-                 np.where(w_rect > 0, np.minimum(sqrt_a, w_rect), sqrt_a),
-                 geo["w_raw"])
+    return np.where(np.isnan(geo["w_raw"]),
+                    np.where(w_rect > 0, np.minimum(sqrt_a, w_rect), sqrt_a),
+                    geo["w_raw"])
+
+
+def _diagonal_constant(half: HalfData, t1_A: float) -> float:
+    """Worst son-pair weight times the root of the son-pair count, over the
+    pairs, times the root of each side's cube multiplicity."""
+    w = _diagonal_weights(half, t1_A)
+    if not w.size:
+        return 0.0
+    starts = half.geo["sigma1"]["starts"]
+    m_f, m_c = (int(np.bincount(rows).max()) for rows in half.rows["sigma1"])
+    sons = np.diff(np.append(starts, w.size))
+    worst = np.maximum.reduceat(w, starts)
+    return float((worst * np.sqrt(sons)).max()) * math.sqrt(m_f * m_c)
+
+
+def diagonal_bound(kernel: KernelSpec, space: MetricMeasureSpace,
+                   split: SigmaSplit, half_index: int, t1_A: float):
+    """Per-pair son splitting of the diagonal sum."""
+    half = split.halves[half_index]
+    prefix = "" if half_index == 0 else "sym_"
+    geo = half.geo["sigma1"]
     measured = abs(float(half.values["sigma1"].sum()))
-    bound = float((w * half.fine.piece_norm[geo["f_piece"]] *
+    bound = float((_diagonal_weights(half, t1_A) *
+                   half.fine.piece_norm[geo["f_piece"]] *
                    half.coarse.piece_norm[geo["c_piece"]]).sum())
-    # how often one cube appears among the pairs, per side
-    m_f, m_c = (int(np.bincount(rows).max()) if rows.size else 0
-                for rows in half.rows["sigma1"])
-    constant = 0.0
-    if w.size:
-        sons = np.diff(np.append(geo["starts"], w.size))
-        worst = np.maximum.reduceat(w, geo["starts"])
-        constant = float((worst * np.sqrt(sons)).max()) * math.sqrt(m_f * m_c)
-    return _lemma(prefix + "sigma1_diagonal", measured, bound, "diagonal",
-                  constant=constant, pairs=len(half.buckets["sigma1"]),
-                  multiplicity_fine=m_f, multiplicity_coarse=m_c)
+    return _lemma(prefix + "sigma1_diagonal", measured, bound, "diagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -1200,19 +1182,18 @@ def _sigma2_probe_check(half: HalfData, prefix: str):
     meas = float(np.abs(half.values["sigma2"][far]).sum())
     bound = float((geo["coef"] * np.sqrt(half.fine.norm_sq[q]) *
                    np.sqrt(half.coarse.norm_sq[r]))[far].sum())
-    return _lemma(prefix + "sigma2_far", meas, bound, "long_range",
-                  near_pairs_skipped=int((~far).sum()))
+    return _lemma(prefix + "sigma2_far", meas, bound, "long_range")
 
 
 def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
             delta_bad: float = 0.25, s_param: int = 2, seeds=(1, 2),
-            n_probes: int = 3, lambda_bmo: float = 3.0, k_bmo: float = 2.0,
-            master_seed: int = 0, tol: float = 1e-8) -> CertificateReport:
+            n_probes: int = 3, master_seed: int = 0) -> CertificateReport:
     """Run the full certification pipeline and compare the assembled bound
     with the power-iteration operator norm.
 
-    The pair geometry of the lattice pair is built once; each probe then
-    costs two decompositions and array arithmetic on that geometry."""
+    Every constant depends on the lattice pair only, so it is computed once
+    from the pair geometry; each probe then costs two decompositions and the
+    lemma checks, array arithmetic on that geometry."""
     from .kernels import check_T1, operator_norm
     from .lattice import build_lattice, classify_all_good_bad, \
         classify_terminal_transit, scale_gap
@@ -1229,10 +1210,8 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
     classify_all_good_bad(lat1, lat2, alpha, delta_bad, s_param)
     classify_all_good_bad(lat2, lat1, alpha, delta_bad, s_param)
 
-    a_t1 = max(check_T1(kernel, space, lat1, lambda_bmo=lambda_bmo).A,
-               check_T1(kernel, space, lat2, lambda_bmo=lambda_bmo).A)
-    empirical, converged = operator_norm(kernel, space, tol=tol,
-                                         seed=master_seed)
+    a_t1 = max(check_T1(kernel, space, lat1).A, check_T1(kernel, space, lat2).A)
+    empirical, converged = operator_norm(kernel, space, seed=master_seed)
     if not converged:
         notes.append("power iteration hit the iteration cap")
 
@@ -1241,14 +1220,45 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
     probes_g = _probe_functions(space, lat2, n_probes, rng)
     geometry = pair_geometry(kernel, space, lat1, lat2, r_gap, alpha)
 
-    lemmas = []
     constants = {"A": a_t1, "C_CZ": kernel.C_CZ, "tau": tau, "m": m,
                  "kappa": kappa, "alpha": alpha, "r": r_gap, "S": s_param,
                  "delta_bad": delta_bad}
     c_parts = {"lambda": 2.0 * math.sqrt(a_t1)}
     counts = {}
-    worst_regroup = 0.0
+    identity = []          # paraproduct identity of probe 0, per half
+    for half, coarse_fn, prefix in zip(geometry, (probes_g[0], probes_f[0]),
+                                       ("", "sym_")):
+        far_geo = half.geo["sigma2"]
+        n_near = int((~far_geo["far"]).sum())
+        violations = len(half.geo["sigma3_tran"]["violations"])
+        counts.update({prefix + regime + "_pairs": len(recs)
+                       for regime, recs in half.buckets.items()})
+        counts[prefix + "sigma2_fallback_pairs"] = n_near
+        counts[prefix + "sigma3_violations"] = violations
+        if n_near:
+            notes.append(f"{prefix or 'primary '}half: {n_near} long "
+                         "range pairs needed the sup fallback")
+        c_parts[prefix + "sigma1"] = _diagonal_constant(half, a_t1)
+        c_parts[prefix + "sigma2"] = far_geo["c_far"] + far_geo["c_near"]
+        c_parts[prefix + "sigma3_term"] = half.geo["sigma3_term"]["constant"]
+        c_parts[prefix + "sigma3_tran"] = (far_geo["c_far"] +
+                                           half.geo["sigma3_tran"]["constant"])
+        if violations:
+            notes.append(f"{prefix or 'primary '}half: {violations} short "
+                         "range pairs broke the goodness distance bound")
+        # paraproduct constant from the residual symbol op @ mu
+        _, a_r, p_info = paraproduct_apply(
+            half.op @ space.mu, coarse_fn, half.fine_lat, half.coarse_lat,
+            r_gap)
+        carl = carleson_embedding_check(a_r, half.coarse_lat)
+        c_parts[prefix + "paraproduct"] = 2.0 * math.sqrt(carl["fitted"])
+        identity.append(LemmaCheck(
+            prefix + "paraproduct_identity", p_info["identity_error"],
+            1e-10, p_info["identity_error"] <= 1e-10, ref="paraproduct"))
 
+    # probe 0 reports every lemma check, later probes only the failed ones
+    lemmas = []
+    worst_regroup = 0.0
     for pi, (f, g) in enumerate(zip(probes_f, probes_g)):
         dec_f = decompose(lat1, f)
         dec_g = decompose(lat2, g)
@@ -1256,47 +1266,16 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
                                geometry)
         worst_regroup = max(worst_regroup, split.regroup_error)
         for hi, prefix in ((0, ""), (1, "sym_")):
-            half = split.halves[hi]
             diag = diagonal_bound(kernel, space, split, hi, a_t1)
             term = short_range_terminal_bound(kernel, space, split, hi)
-            tran_checks, tran_info = short_range_transit_bound(
-                kernel, space, split, hi, alpha, r_gap, strict=False)
-            far = _sigma2_probe_check(half, prefix)
+            tran_checks, _ = short_range_transit_bound(
+                kernel, space, split, hi, alpha, r_gap)
+            far = _sigma2_probe_check(split.halves[hi], prefix)
             checks = [diag, term, far] + tran_checks
             if pi > 0:
                 lemmas.extend(chk for chk in checks if not chk.passed)
-                continue
-            lemmas.extend(checks)
-            far_geo = half.geo["sigma2"]
-            n_near = int((~far_geo["far"]).sum())
-            violations = len(tran_info["hypothesis_violations"])
-            counts.update({prefix + regime + "_pairs": len(recs)
-                           for regime, recs in half.buckets.items()})
-            counts[prefix + "sigma2_fallback_pairs"] = n_near
-            counts[prefix + "sigma3_violations"] = violations
-            if n_near:
-                notes.append(f"{prefix or 'primary '}half: {n_near} long "
-                             "range pairs needed the sup fallback")
-            c_parts[prefix + "sigma1"] = diag.info["constant"]
-            c_parts[prefix + "sigma2"] = far_geo["c_far"] + far_geo["c_near"]
-            c_parts[prefix + "sigma3_term"] = term.info["constant"]
-            ext_c = tran_info["extension_constant"]
-            c_parts[prefix + "sigma3_tran"] = (
-                far_geo["c_far"] + ext_c * max(tran_info["block_fitted"],
-                                               1.0 / (1.0 - kappa ** (tau / 2))))
-            if violations:
-                notes.append(f"{prefix or 'primary '}half: {violations} short "
-                             "range pairs broke the goodness distance bound")
-            # paraproduct constant from the residual symbol op @ mu
-            targets = paraproduct_targets(half.fine_lat, half.coarse_lat, r_gap)
-            _, a_r, p_info = paraproduct_apply(
-                half.op @ space.mu, half.coarse_fn, half.fine_lat,
-                half.coarse_lat, r_gap, targets)
-            carl = carleson_embedding_check(a_r, half.coarse_lat)
-            c_parts[prefix + "paraproduct"] = 2.0 * math.sqrt(carl["fitted"])
-            lemmas.append(LemmaCheck(
-                prefix + "paraproduct_identity", p_info["identity_error"],
-                1e-10, p_info["identity_error"] <= 1e-10, ref="paraproduct"))
+            else:
+                lemmas.extend(checks + [identity[hi]])
 
     lemmas.append(LemmaCheck("sigma_regrouping", worst_regroup, 1e-9,
                              worst_regroup <= 1e-9, ref="splitting"))

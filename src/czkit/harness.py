@@ -32,12 +32,9 @@ class Scenario:
     kappa: float = 0.5
     delta_bad: float = 0.25
     s_param: int | None = 2          # None requests calibration
-    lambda_bmo: float = 3.0
-    k_bmo: float = 2.0
     ensemble: int = 100
     seeds: tuple = (1, 2)
     master_seed: int = 0
-    tol: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 < self.kappa < 1.0:
@@ -206,15 +203,13 @@ def run(scenario: Scenario) -> RunReport:
 
     t0 = time.perf_counter()
     if scenario.kernel.dominated_by_d:
-        dom = check_d_domination(scenario.kernel, space, lattice=lat)
+        dom = check_d_domination(scenario.kernel, space)
         stages["domination"] = {"passed": dom.passed,
                                 "worst_ratio": dom.worst_ratio}
         ok &= dom.passed
     cert = certify(scenario.kernel, space, kappa=scenario.kappa,
                    delta_bad=scenario.delta_bad, s_param=s_param,
-                   seeds=scenario.seeds, lambda_bmo=scenario.lambda_bmo,
-                   k_bmo=scenario.k_bmo, master_seed=scenario.master_seed,
-                   tol=scenario.tol)
+                   seeds=scenario.seeds, master_seed=scenario.master_seed)
     stages["certificate"] = {"verdict": cert.verdict,
                              "certified_total": cert.certified_total,
                              "empirical_norm": cert.empirical_norm}

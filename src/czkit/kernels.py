@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteKernelValue, OmegaIsWholeSpace
+from .errors import NonFiniteKernelValue
 from .space import MetricMeasureSpace, dilate, dist_to_complement_all
 
 
@@ -183,17 +183,15 @@ class DominationReport:
     pairwise_ok: bool
     worst_pair: tuple | None
     worst_ratio: float
-    terminal_fit: float        # fitted C in |k| <= C / s(parent)^m on terminal cubes
 
     @property
     def passed(self) -> bool:
         return self.pairwise_ok
 
 
-def check_d_domination(kernel: KernelSpec, space: MetricMeasureSpace,
-                       lattice=None) -> DominationReport:
-    """Verify |k(x,y)| <= 1 / max(d(x)^m, d(y)^m) pairwise; on terminal cubes
-    also fit the scale-corrected constant of the parent-in-omega bound."""
+def check_d_domination(kernel: KernelSpec,
+                       space: MetricMeasureSpace) -> DominationReport:
+    """Verify |k(x,y)| <= 1 / max(d(x)^m, d(y)^m) pairwise."""
     d = dist_to_complement_all(space)       # raises OmegaIsWholeSpace
     m = kernel.m
     dm = np.maximum(d[:, None], d[None, :]) ** m
@@ -208,17 +206,7 @@ def check_d_domination(kernel: KernelSpec, space: MetricMeasureSpace,
         i, j = np.unravel_index(np.argmax(excess), excess.shape)
         worst = (int(i), int(j))
         ratio = float(k[i, j] / bound[i, j]) if bound[i, j] > 0 else math.inf
-
-    term_fit = 0.0
-    if lattice is not None:
-        for cube in lattice.cubes.values():
-            if cube.terminal and cube.parent is not None:
-                parent = lattice.cubes[cube.parent]
-                if not space.omega[parent.members].all():
-                    continue    # terminal via zero mass; no omega geometry
-                sub = k[np.ix_(cube.members, cube.members)]
-                term_fit = max(term_fit, float(sub.max()) * parent.size ** m)
-    return DominationReport(ok, worst, ratio, term_fit)
+    return DominationReport(ok, worst, ratio)
 
 
 @dataclass

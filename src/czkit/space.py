@@ -74,7 +74,7 @@ class MetricMeasureSpace:
         idx = np.asarray(idx)
         if idx.size <= 1:
             return 0.0
-        return float(self.rho[np.ix_(idx, idx)].max())
+        return float(self.rho[idx][:, idx].max())
 
     def set_dist(self, idx_a, idx_b) -> float:
         """min over pairs of rho; inf when either set is empty."""
@@ -82,7 +82,7 @@ class MetricMeasureSpace:
         b = np.asarray(idx_b)
         if a.size == 0 or b.size == 0:
             return INF_DISTANCE
-        return float(self.rho[np.ix_(a, b)].min())
+        return float(self.rho[a][:, b].min())
 
 
 @dataclass

@@ -33,6 +33,24 @@ def test_asymmetric_rho_rejected():
     assert rep.worst_triple is not None
 
 
+def test_set_dist_and_diam_brute_force():
+    rng = np.random.default_rng(11)
+    coords = rng.random((12, 2))
+    rho = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
+    space = MetricMeasureSpace(rho=rho, nu=np.ones(12), mu=np.full(12, 1 / 12),
+                               omega=np.zeros(12, dtype=bool))
+    for _ in range(50):
+        a = rng.choice(12, size=rng.integers(1, 8), replace=False)
+        b = rng.choice(12, size=rng.integers(1, 8), replace=False)
+        assert space.set_dist(a, b) == min(rho[i, j] for i in a for j in b)
+        assert space.set_diam(a) == max(rho[i, j] for i in a for j in a)
+    empty = np.array([], dtype=int)
+    assert space.set_dist(empty, [3]) == INF_DISTANCE
+    assert space.set_dist([3], empty) == INF_DISTANCE
+    assert space.set_diam([5]) == 0.0
+    assert space.set_diam(empty) == 0.0
+
+
 def test_random_euclidean_cloud_brute_force():
     rng = np.random.default_rng(7)
     coords = rng.random((10, 2))
