@@ -13,8 +13,9 @@ from .errors import CalibrationExhausted, UnknownExample
 from .examples import generate_example
 from .kernels import KernelSpec, bergman_kernel, check_d_domination, \
     constant_kernel, power_kernel
-from .lattice import build_lattice, classify_terminal_transit, \
-    estimate_bad_probability, scale_gap, verify_lattice_properties
+from .lattice import bad_fraction, build_lattice, \
+    classify_terminal_transit, ensemble_gaps, scale_gap, \
+    verify_lattice_properties
 from .projections import decompose, properties_check
 from .space import MetricMeasureSpace, check_ahlfors_regularity, \
     check_growth_condition, default_radii, verify_omega_capture, \
@@ -87,35 +88,27 @@ def calibrate_S(space: MetricMeasureSpace, kappa: float, alpha: float,
     lat = build_lattice(space, kappa, seed=seed)
     depth = lat.k_max - lat.k_min
     target = delta_bad ** 2
-    probe_ids = []
-    for k in lat.generations():
-        mid = lat.by_gen[k]
-        if mid and lat.k_min < k:
-            probe_ids.append(mid[len(mid) // 2])
-    probe_ids = probe_ids[:3]
+    probes = [lat.cubes[ids[len(ids) // 2]] for k, ids in lat.by_gen.items()
+              if ids and k > lat.k_min][:3]
+    if max_s < 1 or scale_gap(kappa, delta_bad, 1) >= depth:
+        raise CalibrationExhausted(
+            f"lattice depth {depth} admits no separation exponent")
+    gaps = ensemble_gaps(probes, space, kappa, alpha, ensemble,
+                         master_seed=seed)
     trace = []
-    best = None
     s = 1
     while s <= max_s:
         r = scale_gap(kappa, delta_bad, s)
         if r >= depth:
             break
-        worst_p, worst_err = 0.0, 0.0
-        for cid in probe_ids:
-            cube = lat.cubes[cid]
-            p, err, _ = estimate_bad_probability(
-                cube.members, cube.generation, space, kappa, alpha,
-                delta_bad, s, ensemble, master_seed=seed)
-            if p > worst_p:
-                worst_p, worst_err = p, err
+        # the worst probe; with no bad draw at all it reads (0, 0)
+        bad = int((gaps >= r).sum(axis=0).max(initial=0))
+        worst_p, worst_err = bad_fraction(bad, ensemble) if bad else (0.0, 0.0)
         trace.append((s, worst_p, worst_err))
         best = CalibrationResult(s, worst_p, worst_err, False, trace)
         if worst_p <= target:
             return best
         s *= 2
-    if best is None:
-        raise CalibrationExhausted(
-            f"lattice depth {depth} admits no separation exponent")
     best.exhausted = True
     return best
 

@@ -3,8 +3,9 @@
 Construction is a greedy net hierarchy: at each generation a maximal
 separated net is chosen in seeded random order, every point joins its
 nearest net center, and each generation's regions attach to the region of
-their center one generation up.  Effective member sets are rebuilt bottom-up
-as unions of children, which makes nesting exact by construction.
+their center one generation up.  Effective labels are rebuilt bottom-up,
+each coarser label the parent region of the finer one, which makes nesting
+exact by construction.
 """
 
 from __future__ import annotations
@@ -110,14 +111,13 @@ def build_lattice(space: MetricMeasureSpace, kappa: float, seed: int = 0,
         order = rng.permutation(n)
         selected = []
         mindist = np.full(n, np.inf)
-        for p in order:
+        for p in order.tolist():
             if mindist[p] >= scale:
-                selected.append(int(p))
+                selected.append(p)
                 np.minimum(mindist, rho[p], out=mindist)
         selected.sort()                      # ties in argmin -> lowest id
         centers = np.array(selected)
-        dist = rho[np.ix_(np.arange(n), centers)]
-        raw_label[k] = np.argmin(dist, axis=1)
+        raw_label[k] = np.argmin(rho[:, centers], axis=1)
         centers_by_gen[k] = centers
 
     if len(centers_by_gen[k_min]) != 1:
@@ -125,66 +125,39 @@ def build_lattice(space: MetricMeasureSpace, kappa: float, seed: int = 0,
         centers_by_gen[k_min] = centers_by_gen[k_min][:1]
         raw_label[k_min] = np.zeros(n, dtype=int)
 
-    # region tree: a region at generation k attaches to the raw region of its
-    # center one generation up
-    next_id = 0
+    # Cube ids number the regions generation by generation.  A region
+    # attaches to the raw region of its center one generation up; effective
+    # labels run bottom-up from the nearest-center cells, a coarser label
+    # being the parent region of the finer one, which makes nesting exact.
+    # Regions no finest cell chains into get no cube.
+    gens = range(k_min, k_max + 1)
+    offset = dict(zip(gens, np.cumsum([0] + [len(centers_by_gen[k])
+                                             for k in gens])))
+    labels = {k_max: raw_label[k_max] + offset[k_max]}
+    for k in range(k_max, k_min, -1):
+        parent_id = raw_label[k - 1][centers_by_gen[k]] + offset[k - 1]
+        labels[k - 1] = parent_id[labels[k] - offset[k]]
+
     cubes = {}
     by_gen = {}
-    region_cube_id = {}   # (k, region index) -> cube id
-    for k in range(k_min, k_max + 1):
-        by_gen[k] = []
-        for ridx, center in enumerate(centers_by_gen[k]):
-            cid = next_id
-            next_id += 1
-            parent = None
-            if k > k_min:
-                parent = region_cube_id[(k - 1, int(raw_label[k - 1][center]))]
-            cube = Cube(id=cid, generation=k, members=np.array([], dtype=int),
-                        center=int(center), parent=parent, size=kappa ** k)
-            cubes[cid] = cube
-            region_cube_id[(k, ridx)] = cid
-            by_gen[k].append(cid)
+    for k in gens:
+        order = np.argsort(labels[k], kind="stable")   # sorted members
+        ids, starts = np.unique(labels[k][order], return_index=True)
+        by_gen[k] = ids.tolist()
+        bounds = starts.tolist() + [n]
+        centers = centers_by_gen[k][ids - offset[k]].tolist()
+        parents = labels[k - 1][order[starts]].tolist() if k > k_min \
+            else [None] * len(ids)
+        for cid, a, b, center, parent in zip(by_gen[k], bounds, bounds[1:],
+                                             centers, parents):
+            cubes[cid] = Cube(id=cid, generation=k, members=order[a:b],
+                              center=center, parent=parent, size=kappa ** k)
             if parent is not None:
                 cubes[parent].children.append(cid)
 
-    # bottom-up effective membership: finest = nearest-center cells,
-    # coarser = union of children
-    member_lists = {cid: [] for cid in cubes}
-    finest_labels = raw_label[k_max]
-    for p in range(n):
-        cid = region_cube_id[(k_max, int(finest_labels[p]))]
-        member_lists[cid].append(p)
-    for k in range(k_max, k_min - 1, -1):
-        for cid in by_gen[k]:
-            cubes[cid].members = np.array(sorted(member_lists[cid]), dtype=int)
-            parent = cubes[cid].parent
-            if parent is not None:
-                member_lists[parent].extend(member_lists[cid])
-
-    # drop empty cubes (regions no finest cell chained into)
-    for k in range(k_min, k_max + 1):
-        alive = []
-        for cid in by_gen[k]:
-            cube = cubes[cid]
-            if cube.members.size == 0:
-                if cube.parent is not None:
-                    cubes[cube.parent].children.remove(cid)
-                del cubes[cid]
-            else:
-                alive.append(cid)
-        by_gen[k] = alive
-
-    labels = {}
-    for k in range(k_min, k_max + 1):
-        lab = np.full(n, -1, dtype=int)
-        for cid in by_gen[k]:
-            lab[cubes[cid].members] = cid
-        labels[k] = lab
-
-    root_id = by_gen[k_min][0]
     return DyadicLattice(space=space, kappa=kappa, seed=seed, k_min=k_min,
                          k_max=k_max, cubes=cubes, by_gen=by_gen,
-                         labels=labels, root_id=root_id)
+                         labels=labels, root_id=by_gen[k_min][0])
 
 
 # ---------------------------------------------------------------------------
@@ -242,33 +215,31 @@ def verify_lattice_properties(lat: DyadicLattice, eta: float = 1.0,
                 unique_ancestor_ok = False
                 failures.append(("unique_ancestor", cid, None))
 
-    c_diam = 0.0
-    a0 = math.inf
-    for cube in lat.cubes.values():
-        d = space.set_diam(cube.members)
-        c_diam = max(c_diam, d / cube.size)
-        outside = np.setdiff1d(np.arange(n), cube.members, assume_unique=False)
-        if outside.size:
-            r_in = float(space.rho[cube.center, outside].min())
-        else:
-            r_in = max(space.diam(), space.resolution_h)
-        a0 = min(a0, r_in / cube.size)
-
-    # (vi): nu{x in Q : dist(x, X \ Q) <= t * s(Q)} <= C t^eta nu(Q)
+    # (vi): nu{x in Q : dist(x, X \ Q) <= t * s(Q)} <= C t^eta nu(Q).
+    # The complement of a cube is read off the labels of its generation.
     if ts is None:
         ts = [lat.kappa, lat.kappa ** 2, lat.kappa ** 3]
-    c_boundary = 0.0
-    for cube in lat.cubes.values():
-        outside = np.setdiff1d(np.arange(n), cube.members)
-        if outside.size == 0 or cube.members.size == 0:
-            continue
-        dist_out = space.rho[np.ix_(cube.members, outside)].min(axis=1)
-        nu_q = space.nu[cube.members].sum()
-        if nu_q <= 0:
-            continue
-        for t in ts:
-            layer = space.nu[cube.members[dist_out <= t * cube.size]].sum()
-            c_boundary = max(c_boundary, layer / (t ** eta * nu_q))
+    c_diam, a0, c_boundary = 0.0, math.inf, 0.0
+    for k in lat.generations():
+        lab = lat.labels[k]
+        # distance from each point to the complement of its cube
+        d_out = np.where(lab[:, None] == lab[None, :], np.inf,
+                         space.rho).min(axis=1)
+        for cid in lat.by_gen[k]:
+            cube = lat.cubes[cid]
+            c_diam = max(c_diam, space.set_diam(cube.members) / cube.size)
+            if cube.members.size == n:
+                a0 = min(a0, max(space.diam(), space.resolution_h) / cube.size)
+                continue
+            a0 = min(a0, float(space.rho[cube.center, lab != cid].min())
+                     / cube.size)
+            nu_q = space.nu[cube.members].sum()
+            if nu_q <= 0:
+                continue
+            dist_out = d_out[cube.members]
+            for t in ts:
+                layer = space.nu[cube.members[dist_out <= t * cube.size]].sum()
+                c_boundary = max(c_boundary, layer / (t ** eta * nu_q))
 
     return LatticePropertyReport(partition_ok, nesting_ok, unique_ancestor_ok,
                                  c_diam, float(a0), c_boundary, eta, failures)
@@ -356,6 +327,25 @@ def scale_gap(kappa: float, delta_bad: float, s_param: int) -> int:
     return r
 
 
+def _coarsest_hit(dist_q: np.ndarray, sq: float, k_last: int,
+                  other: DyadicLattice, alpha: float, skeletons: dict):
+    """Coarsest generation k <= k_last of ``other`` with a cube R such that
+    dist(Q, sk R) < s(Q)^alpha s(R)^(1-alpha), and R as the witness;
+    ``dist_q`` holds the distance from Q to every point.  (None, None) when
+    no generation qualifies."""
+    for k in other.generations():
+        if k > k_last:
+            break
+        if k not in skeletons:
+            continue
+        pts, owners = skeletons[k]
+        threshold = sq ** alpha * other.scale(k) ** (1 - alpha)
+        d = dist_q[pts]
+        if (d < threshold).any():
+            return k, int(owners[np.argmin(d)])
+    return None, None
+
+
 def classify_good_bad(cube: Cube, other: DyadicLattice, alpha: float,
                       delta_bad: float, s_param: int,
                       skeletons: dict | None = None):
@@ -367,24 +357,10 @@ def classify_good_bad(cube: Cube, other: DyadicLattice, alpha: float,
     r_gap = scale_gap(other.kappa, delta_bad, s_param)
     if skeletons is None:
         skeletons = skeleton_by_generation(other)
-    space = other.space
-    sq = cube.size
-    for k in other.generations():
-        if k > cube.generation - r_gap:
-            continue
-        if k not in skeletons:
-            continue
-        pts, owners = skeletons[k]
-        if pts.size == 0:
-            continue
-        sr = other.scale(k)
-        threshold = sq ** alpha * sr ** (1 - alpha)
-        d = space.rho[np.ix_(cube.members, pts)].min(axis=0)
-        hits = d < threshold
-        if hits.any():
-            witness = int(owners[np.argmin(d)])
-            return False, witness
-    return True, None
+    dist_q = other.space.rho[cube.members].min(axis=0)
+    k, witness = _coarsest_hit(dist_q, cube.size, cube.generation - r_gap,
+                               other, alpha, skeletons)
+    return k is None, witness
 
 
 def classify_all_good_bad(lat: DyadicLattice, other: DyadicLattice,
@@ -397,6 +373,36 @@ def classify_all_good_bad(lat: DyadicLattice, other: DyadicLattice,
         cube.good = good
 
 
+def ensemble_gaps(probes: list, space: MetricMeasureSpace, kappa: float,
+                  alpha: float, ensemble_size: int,
+                  master_seed: int = 0) -> np.ndarray:
+    """Generation gaps of probe cubes against a seeded random ensemble.
+
+    Entry (i, j) is gen(Q) - k for the coarsest generation k < gen(Q) at
+    which probe Q = ``probes[j]`` comes close to the skeleton of a cube of
+    lattice i (see ``classify_good_bad``), 0 when none does.  Q is bad at
+    separation S iff its gap is at least ``scale_gap(kappa, delta_bad, S)``,
+    so one pass answers every S.  Lattice i has seed
+    ``hash((master_seed, i)) % 2**32`` and is dropped once scored."""
+    dists = [space.rho[q.members].min(axis=0) for q in probes]
+    gaps = np.zeros((ensemble_size, len(probes)), dtype=int)
+    for i in range(ensemble_size):
+        lat2 = build_lattice(space, kappa, seed=hash((master_seed, i)) % 2**32)
+        skel = skeleton_by_generation(lat2)
+        for j, (q, dist_q) in enumerate(zip(probes, dists)):
+            k, _ = _coarsest_hit(dist_q, q.size, q.generation - 1, lat2,
+                                 alpha, skel)
+            if k is not None:
+                gaps[i, j] = q.generation - k
+    return gaps
+
+
+def bad_fraction(bad: int, ensemble_size: int):
+    """(p_hat, stderr) of ``bad`` bad draws out of ``ensemble_size``."""
+    p_hat = bad / ensemble_size
+    return p_hat, math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / ensemble_size)
+
+
 def estimate_bad_probability(cube_members: np.ndarray, cube_generation: int,
                              space: MetricMeasureSpace, kappa: float,
                              alpha: float, delta_bad: float, s_param: int,
@@ -407,15 +413,10 @@ def estimate_bad_probability(cube_members: np.ndarray, cube_generation: int,
     probe = Cube(id=-1, generation=cube_generation, members=cube_members,
                  center=int(cube_members[0]), parent=None,
                  size=kappa ** cube_generation)
-    bad = 0
-    for i in range(ensemble_size):
-        lat2 = build_lattice(space, kappa, seed=hash((master_seed, i)) % 2**32)
-        good, _ = classify_good_bad(probe, lat2, alpha, delta_bad, s_param)
-        if not good:
-            bad += 1
-    p_hat = bad / ensemble_size
-    stderr = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / ensemble_size)
-    return p_hat, stderr, ensemble_size < 100
+    gaps = ensemble_gaps([probe], space, kappa, alpha, ensemble_size,
+                         master_seed)
+    bad = int((gaps >= scale_gap(kappa, delta_bad, s_param)).sum())
+    return (*bad_fraction(bad, ensemble_size), ensemble_size < 100)
 
 
 # ---------------------------------------------------------------------------

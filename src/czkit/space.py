@@ -288,6 +288,11 @@ def space_from_json(doc: dict) -> MetricMeasureSpace:
         coords = None
     else:
         raise ValueError(f"unknown metric type {metric['type']!r}")
+    zero = np.argwhere((rho == 0) & ~np.eye(len(rho), dtype=bool))
+    if zero.size:
+        i, j = zero[0]
+        raise ValueError(f"points {points[i]!r} and {points[j]!r} are distinct "
+                         "but at distance 0")
     index = {p: i for i, p in enumerate(points)}
     omega = np.zeros(len(points), dtype=bool)
     for p in doc.get("omega", []):

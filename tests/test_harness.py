@@ -97,6 +97,42 @@ def test_calibrate_deterministic():
                                                  r2.stderr)
 
 
+def test_calibrate_golden_trace():
+    # measured on the per-probe, per-S Monte Carlo this calibration replaced
+    from czkit.examples import generate_example
+    space, _ = generate_example("uniform_grid", n=9)
+    res = calibrate_S(space, 0.5, alpha=0.1, delta_bad=0.7, ensemble=100,
+                      seed=0)
+    assert res.trace == [(1, 1.0, 1e-07), (2, 1.0, 1e-07),
+                         (4, 0.76, 0.04270831300812525)]
+    assert (res.s_param, res.exhausted) == (4, True)
+
+
+@pytest.mark.parametrize("name,params,alpha,delta_bad,candidates", [
+    ("bergman_disc_model", {"n_ring": 64, "n_cluster": 8, "n_boundary": 32},
+     0.25, 0.25, 1),
+    ("uniform_grid", {"n": 9}, 0.1, 0.7, 3),
+])
+def test_calibrate_builds_one_ensemble(monkeypatch, name, params, alpha,
+                                       delta_bad, candidates):
+    from czkit import harness, lattice
+    from czkit.examples import generate_example
+    space, _ = generate_example(name, **params)
+    builds = []
+
+    def counting_build(*args, **kwargs):
+        builds.append(kwargs.get("seed"))
+        return build(*args, **kwargs)
+
+    build = lattice.build_lattice
+    monkeypatch.setattr(lattice, "build_lattice", counting_build)
+    monkeypatch.setattr(harness, "build_lattice", counting_build)
+    res = calibrate_S(space, 0.5, alpha, delta_bad, ensemble=100, seed=0)
+    # one base lattice, then one ensemble for every probe and every S
+    assert len(res.trace) == candidates
+    assert len(builds) == 101
+
+
 # ---------------------------------------------------------------------------
 # pipeline runs and reports
 
@@ -207,6 +243,19 @@ def test_cli_montecarlo(grid_file, tmp_path):
     doc = json.loads(out.read_text())
     assert {"p_hat", "stderr", "target"} <= set(doc)
     assert code in (0, 1)
+
+
+@pytest.mark.parametrize("command", ["verify-space", "build-lattice",
+                                     "montecarlo"])
+def test_cli_duplicate_points_are_input_error(command, tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({
+        "points": ["a", "b", "c", "d"],
+        "metric": {"type": "euclidean",
+                   "coords": [[0, 0], [1, 0], [1, 0], [2, 0]]},
+        "nu": [1, 1, 1, 1], "mu": [0.25] * 4}))
+    assert cli.main([command, "--space", str(path)]) == 2
+    assert "'b' and 'c'" in capsys.readouterr().err
 
 
 def test_cli_missing_file_is_input_error(tmp_path):

@@ -1,5 +1,10 @@
 """Dyadic lattice construction, skeletons and good/bad classification."""
 
+import hashlib
+import itertools
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +12,8 @@ from czkit.errors import DegenerateScale, LeafCube, RootTerminal
 from czkit.examples import generate_example
 from czkit.lattice import (build_lattice, classify_all_good_bad,
                            classify_good_bad, classify_terminal_transit,
-                           estimate_bad_probability, lattice_from_json,
+                           ensemble_gaps, estimate_bad_probability,
+                           lattice_from_json,
                            lattice_to_json, scale_gap, skeleton,
                            skeleton_by_generation, verify_lattice_properties)
 from czkit.space import MetricMeasureSpace
@@ -64,6 +70,49 @@ def test_build_deterministic_given_seed():
         assert (a.labels[k] == b.labels[k]).all()
 
 
+# sha256 of json.dumps(lattice_to_json(lat), sort_keys=True), captured from
+# the point-by-point membership construction this one replaced
+GOLDEN_LATTICES = {
+    ("bergman_disc_model", 1):
+        "b0fe07426678f2c0bfe557586dd3e3a61d6c43328d0c2a4dc7d8adeb7246bfde",
+    ("bergman_disc_model", 2):
+        "49fb6c0c87a6e55b397a83d09dfd3f9854be0a6933f29c999cc5f67230b0277e",
+    ("bergman_disc_model", 2476693647):
+        "8eb62d69140f21bbf8c2d4f692a105047e647c10211191573e9803aebaa2c6a7",
+    ("cantor_measure", 1):
+        "6cc03ea8a0631fd8175ec5022cfa65583386199a27b7dda7735c89a2a85b7485",
+    ("cantor_measure", 2):
+        "2ce8ee7a7405ca151d7e79c577a61c13f5c93d2fd339d251a5739e305899957c",
+    ("cantor_measure", 2476693647):
+        "653157892282cff0aae8612bf981379a94de16234dbf93b68eec7e5c42ac60d5",
+    ("line_in_plane", 1):
+        "caa31cdf2b635d09f17b801f1142c31698cb7a0fef2b3b05358a8effd08b1e73",
+    ("line_in_plane", 2):
+        "f05ee4cb891d5289010be3c9b91ec11f3b170caaab611d4fc015a08cfd7197cb",
+    ("line_in_plane", 2476693647):
+        "79e9dc628ce6ac91ca2dbd571efe06eddf537176e1cd4b6bb325af6f34325c8f",
+}
+GOLDEN_PARAMS = {
+    "bergman_disc_model": {"n_ring": 64, "n_cluster": 8, "n_boundary": 32},
+    "cantor_measure": {"level": 6},
+    "line_in_plane": {"n": 13},
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_LATTICES))
+def test_golden_lattice_fingerprint(name, seed):
+    space, info = generate_example(name, **GOLDEN_PARAMS[name])
+    lat = build_lattice(space, info["kappa"], seed=seed)
+    doc = json.dumps(lattice_to_json(lat), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == \
+        GOLDEN_LATTICES[(name, seed)]
+    for k in lat.generations():
+        for cid in lat.by_gen[k]:
+            assert (lat.labels[k][lat.cubes[cid].members] == cid).all()
+        assert sum(lat.cubes[c].members.size for c in lat.by_gen[k]) == \
+            space.n_points
+
+
 # ---------------------------------------------------------------------------
 # property verification
 
@@ -80,6 +129,30 @@ def test_partition_and_nesting_on_grid():
         for cid in lat.by_gen[k]:
             seen[lat.cubes[cid].members] += 1
         assert (seen == 1).all()
+
+
+@pytest.mark.parametrize("space", [grid_space(6),
+                                   generate_example("cantor_measure")[0]])
+def test_property_constants_match_per_cube_brute_force(space):
+    lat = build_lattice(space, kappa=0.5, seed=3)
+    rep = verify_lattice_properties(lat)
+    n = space.n_points
+    ts = [0.5, 0.25, 0.125]
+    c_diam, a0, c_boundary = 0.0, math.inf, 0.0
+    for cube in lat.cubes.values():
+        c_diam = max(c_diam, space.set_diam(cube.members) / cube.size)
+        outside = np.setdiff1d(np.arange(n), cube.members)
+        if outside.size == 0:
+            a0 = min(a0, max(space.diam(), space.resolution_h) / cube.size)
+            continue
+        a0 = min(a0, float(space.rho[cube.center, outside].min()) / cube.size)
+        dist_out = space.rho[np.ix_(cube.members, outside)].min(axis=1)
+        nu_q = space.nu[cube.members].sum()
+        for t in ts:
+            layer = space.nu[cube.members[dist_out <= t * cube.size]].sum()
+            c_boundary = max(c_boundary, layer / (t * nu_q))
+    assert (rep.c_diam, rep.a0, rep.c_boundary) == (c_diam, a0, c_boundary)
+    assert c_boundary > 0
 
 
 def test_hand_built_overlap_detected():
@@ -284,6 +357,26 @@ def test_bad_probability_small_ensemble_flag(line_lattice):
         cube.members, cube.generation, space, 0.5, ALPHA_11, 0.25,
         s_param=1, ensemble_size=1)
     assert low
+
+
+@pytest.mark.parametrize("name", ["uniform_grid", "line_in_plane"])
+def test_ensemble_gaps_agree_with_classify_good_bad(name):
+    space, _ = generate_example(name)
+    base = build_lattice(space, kappa=0.5, seed=0)
+    rng = np.random.default_rng(4)
+    ids = [cid for cid in base.cubes if base.cubes[cid].generation > base.k_min]
+    probes = [base.cubes[cid] for cid in rng.choice(ids, 6, replace=False)]
+    gaps = ensemble_gaps(probes, space, 0.5, 0.1, 5, master_seed=9)
+    outcomes = set()
+    for i in range(5):
+        lat2 = build_lattice(space, 0.5, seed=hash((9, i)) % 2**32)
+        for j, cube in enumerate(probes):
+            for delta, s_param in itertools.product((0.25, 0.7), (1, 2, 4)):
+                bad = gaps[i, j] >= scale_gap(0.5, delta, s_param)
+                good, _ = classify_good_bad(cube, lat2, 0.1, delta, s_param)
+                assert bad == (not good)
+                outcomes.add(bool(bad))
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
