@@ -164,17 +164,15 @@ def check_size_and_smoothness(kernel: KernelSpec,
 
     c_smooth = 0.0
     m, tau, delta = kernel.m, kernel.tau, kernel.delta_CZ
+    rho_tau, positive = rho ** tau, rho > 0
     for y in range(n):
         # triples (x, x', y): |k(x,y)-k(x',y)| <= C rho(x,x')^tau / rho(x,y)^(tau+m)
-        col = k[:, y]
-        ry = rho[:, y]
-        valid_x = ry > 0
+        col, ry = k[:, y], rho[:, y, None]
         diff = np.abs(col[:, None] - col[None, :])       # (x, x')
-        admissible = (rho <= delta * ry[:, None]) & valid_x[:, None] & (rho > 0)
+        admissible = (rho <= delta * ry) & (ry > 0) & positive
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = diff * ry[:, None] ** (tau + m) / rho ** tau
-        ratio = np.where(admissible, ratio, 0.0)
-        c_smooth = max(c_smooth, float(ratio.max()) if ratio.size else 0.0)
+            ratio = diff * ry ** (tau + m) / rho_tau
+        c_smooth = max(c_smooth, float(ratio.max(where=admissible, initial=0.0)))
     return SizeSmoothnessReport(c_size, c_smooth, kernel.C_CZ)
 
 

@@ -63,9 +63,6 @@ class DyadicLattice:
     def transit_ids(self):
         return [cid for cid, c in self.cubes.items() if c.terminal is False]
 
-    def scale(self, k: int) -> float:
-        return self.kappa ** k
-
 
 def _default_k_range(space: MetricMeasureSpace, kappa: float):
     diam = space.diam()
@@ -82,9 +79,18 @@ def _default_k_range(space: MetricMeasureSpace, kappa: float):
     return k_min, k_max
 
 
-def build_lattice(space: MetricMeasureSpace, kappa: float, seed: int = 0,
-                  k_range: tuple | None = None) -> DyadicLattice:
-    """Greedy net-based lattice construction (properties (i)-(v) by design)."""
+def _nearest_other(space: MetricMeasureSpace) -> np.ndarray:
+    """min over y != x of min(rho(x, y), rho(y, x)), for every point x."""
+    off = space.rho + np.diag(np.full(space.n_points, np.inf))
+    return np.minimum(off.min(axis=0), off.min(axis=1))
+
+
+def _draw_nets(space: MetricMeasureSpace, kappa: float, seed: int,
+               k_range: tuple | None, nearest: np.ndarray):
+    """Seeded nets and labels of ``build_lattice``, without cubes: (k_min,
+    k_max, labels, centers, offset), labels[k] the cube id of each point at
+    generation k, centers[k] its net, offset[k] the id of its first region;
+    ``nearest`` is ``_nearest_other(space)``."""
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie in (0,1)")
     n = space.n_points
@@ -103,15 +109,18 @@ def build_lattice(space: MetricMeasureSpace, kappa: float, seed: int = 0,
 
     rng = np.random.default_rng(seed)
 
-    # per-generation nets and nearest-center labels (raw regions)
+    # Per-generation nets and nearest-center labels (raw regions).  A point
+    # one scale or more from every other point is always selected and blocks
+    # no other point, so the greedy pass visits only the rest, in order.
     centers_by_gen = {}
     raw_label = {}     # generation -> (N,) index into centers list
     for k in range(k_min, k_max + 1):
         scale = kappa ** k
         order = rng.permutation(n)
-        selected = []
+        isolated = nearest >= scale
+        selected = np.flatnonzero(isolated).tolist()
         mindist = np.full(n, np.inf)
-        for p in order.tolist():
+        for p in order[~isolated[order]].tolist():
             if mindist[p] >= scale:
                 selected.append(p)
                 np.minimum(mindist, rho[p], out=mindist)
@@ -129,7 +138,6 @@ def build_lattice(space: MetricMeasureSpace, kappa: float, seed: int = 0,
     # attaches to the raw region of its center one generation up; effective
     # labels run bottom-up from the nearest-center cells, a coarser label
     # being the parent region of the finer one, which makes nesting exact.
-    # Regions no finest cell chains into get no cube.
     gens = range(k_min, k_max + 1)
     offset = dict(zip(gens, np.cumsum([0] + [len(centers_by_gen[k])
                                              for k in gens])))
@@ -137,14 +145,23 @@ def build_lattice(space: MetricMeasureSpace, kappa: float, seed: int = 0,
     for k in range(k_max, k_min, -1):
         parent_id = raw_label[k - 1][centers_by_gen[k]] + offset[k - 1]
         labels[k - 1] = parent_id[labels[k] - offset[k]]
+    return k_min, k_max, labels, centers_by_gen, offset
 
+
+def build_lattice(space: MetricMeasureSpace, kappa: float, seed: int = 0,
+                  k_range: tuple | None = None) -> DyadicLattice:
+    """Greedy net-based lattice construction (properties (i)-(v) by design):
+    one ``Cube`` per region of ``_draw_nets`` that some finest cell chains
+    into."""
+    k_min, k_max, labels, centers_by_gen, offset = _draw_nets(
+        space, kappa, seed, k_range, _nearest_other(space))
     cubes = {}
     by_gen = {}
-    for k in gens:
+    for k in range(k_min, k_max + 1):
         order = np.argsort(labels[k], kind="stable")   # sorted members
         ids, starts = np.unique(labels[k][order], return_index=True)
         by_gen[k] = ids.tolist()
-        bounds = starts.tolist() + [n]
+        bounds = starts.tolist() + [space.n_points]
         centers = centers_by_gen[k][ids - offset[k]].tolist()
         parents = labels[k - 1][order[starts]].tolist() if k > k_min \
             else [None] * len(ids)
@@ -254,37 +271,30 @@ def skeleton(lat: DyadicLattice, cube: Cube) -> np.ndarray:
     leaving that child."""
     if cube.is_leaf:
         raise LeafCube(f"cube {cube.id} has no children")
-    space = lat.space
-    h = space.resolution_h
-    pts = []
-    n = space.n_points
-    for cid in cube.children:
-        child = lat.cubes[cid]
-        outside = np.setdiff1d(np.arange(n), child.members)
-        if outside.size == 0:
-            continue
-        d = space.rho[np.ix_(child.members, outside)].min(axis=1)
-        pts.extend(child.members[d <= h].tolist())
-    return np.array(sorted(set(pts)), dtype=int)
+    pts, owners = skeleton_by_generation(lat)[cube.generation]
+    return pts[owners == cube.id]
+
+
+def _near_pairs(space: MetricMeasureSpace):
+    """Ordered pairs (i, j), i != j, with rho(i, j) <= resolution_h."""
+    return np.nonzero((space.rho <= space.resolution_h)
+                      & ~np.eye(space.n_points, dtype=bool))
+
+
+def _skeletons(labels: dict, near) -> dict:
+    i, j = near
+    leave = {k: np.flatnonzero(np.bincount(i[labels[k + 1][i]
+                                               != labels[k + 1][j]]))
+             for k in labels if k + 1 in labels}
+    return {k: (pts, labels[k][pts]) for k, pts in leave.items()}
 
 
 def skeleton_by_generation(lat: DyadicLattice) -> dict:
     """generation k -> (points, cube_ids): skeleton points of all cubes at
-    generation k together with the id of the cube they belong to."""
-    space = lat.space
-    h = space.resolution_h
-    out = {}
-    for k in lat.generations():
-        if k == lat.k_max:
-            continue
-        child_lab = lat.labels[k + 1]
-        # point leaves its generation-(k+1) cube within one resolution step
-        same = child_lab[:, None] == child_lab[None, :]
-        d_other = np.where(same, np.inf, space.rho).min(axis=1)
-        mask = d_other <= h
-        pts = np.flatnonzero(mask)
-        out[k] = (pts, lat.labels[k][pts])
-    return out
+    generation k together with the id of the cube they belong to, read off
+    the near pairs (within one resolution step) whose generation-(k+1)
+    labels differ."""
+    return _skeletons(lat.labels, _near_pairs(lat.space))
 
 
 def classify_terminal_transit(lat: DyadicLattice, m: float | None = None,
@@ -327,19 +337,17 @@ def scale_gap(kappa: float, delta_bad: float, s_param: int) -> int:
     return r
 
 
-def _coarsest_hit(dist_q: np.ndarray, sq: float, k_last: int,
-                  other: DyadicLattice, alpha: float, skeletons: dict):
-    """Coarsest generation k <= k_last of ``other`` with a cube R such that
-    dist(Q, sk R) < s(Q)^alpha s(R)^(1-alpha), and R as the witness;
-    ``dist_q`` holds the distance from Q to every point.  (None, None) when
-    no generation qualifies."""
-    for k in other.generations():
+def _coarsest_hit(dist_q: np.ndarray, sq: float, k_last: int, kappa: float,
+                  alpha: float, skeletons: dict):
+    """Coarsest generation k <= k_last of the lattice of ``skeletons`` (its
+    ``skeleton_by_generation``) with a cube R such that dist(Q, sk R) <
+    s(Q)^alpha s(R)^(1-alpha), and R as the witness; ``dist_q`` holds the
+    distance from Q to every point.  (None, None) when none qualifies."""
+    for k in sorted(skeletons):
         if k > k_last:
             break
-        if k not in skeletons:
-            continue
         pts, owners = skeletons[k]
-        threshold = sq ** alpha * other.scale(k) ** (1 - alpha)
+        threshold = sq ** alpha * (kappa ** k) ** (1 - alpha)
         d = dist_q[pts]
         if (d < threshold).any():
             return k, int(owners[np.argmin(d)])
@@ -359,7 +367,7 @@ def classify_good_bad(cube: Cube, other: DyadicLattice, alpha: float,
         skeletons = skeleton_by_generation(other)
     dist_q = other.space.rho[cube.members].min(axis=0)
     k, witness = _coarsest_hit(dist_q, cube.size, cube.generation - r_gap,
-                               other, alpha, skeletons)
+                               other.kappa, alpha, skeletons)
     return k is None, witness
 
 
@@ -382,15 +390,18 @@ def ensemble_gaps(probes: list, space: MetricMeasureSpace, kappa: float,
     which probe Q = ``probes[j]`` comes close to the skeleton of a cube of
     lattice i (see ``classify_good_bad``), 0 when none does.  Q is bad at
     separation S iff its gap is at least ``scale_gap(kappa, delta_bad, S)``,
-    so one pass answers every S.  Lattice i has seed
-    ``hash((master_seed, i)) % 2**32`` and is dropped once scored."""
+    so one pass answers every S.  Lattice i has seed ``hash((master_seed,
+    i)) % 2**32``, is drawn as label arrays only (no ``Cube``) and is
+    dropped once scored."""
     dists = [space.rho[q.members].min(axis=0) for q in probes]
+    nearest, near = _nearest_other(space), _near_pairs(space)
     gaps = np.zeros((ensemble_size, len(probes)), dtype=int)
     for i in range(ensemble_size):
-        lat2 = build_lattice(space, kappa, seed=hash((master_seed, i)) % 2**32)
-        skel = skeleton_by_generation(lat2)
+        labels = _draw_nets(space, kappa, hash((master_seed, i)) % 2**32,
+                            None, nearest)[2]
+        skel = _skeletons(labels, near)
         for j, (q, dist_q) in enumerate(zip(probes, dists)):
-            k, _ = _coarsest_hit(dist_q, q.size, q.generation - 1, lat2,
+            k, _ = _coarsest_hit(dist_q, q.size, q.generation - 1, kappa,
                                  alpha, skel)
             if k is not None:
                 gaps[i, j] = q.generation - k

@@ -283,11 +283,15 @@ def space_from_json(doc: dict) -> MetricMeasureSpace:
         rho = np.sqrt((diff ** 2).sum(axis=-1))
     elif metric["type"] == "explicit":
         rho = np.asarray(metric["matrix"], dtype=float)
-        if np.abs(rho - rho.T).max() > 1e-12:
-            raise ValueError("explicit metric matrix must be symmetric to 1e-12")
         coords = None
     else:
         raise ValueError(f"unknown metric type {metric['type']!r}")
+    n, n_nu, n_mu = len(points), len(doc["nu"]), len(doc["mu"])
+    if rho.shape != (n, n) or n_nu != n or n_mu != n:
+        raise ValueError(f"{n} points, {n_nu} nu and {n_mu} mu weights but a "
+                         f"{'x'.join(map(str, rho.shape))} metric")
+    if coords is None and np.abs(rho - rho.T).max() > 1e-12:
+        raise ValueError("explicit metric matrix must be symmetric to 1e-12")
     zero = np.argwhere((rho == 0) & ~np.eye(len(rho), dtype=bool))
     if zero.size:
         i, j = zero[0]

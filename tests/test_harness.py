@@ -118,19 +118,25 @@ def test_calibrate_builds_one_ensemble(monkeypatch, name, params, alpha,
     from czkit import harness, lattice
     from czkit.examples import generate_example
     space, _ = generate_example(name, **params)
-    builds = []
+    builds, draws = [], []
 
-    def counting_build(*args, **kwargs):
-        builds.append(kwargs.get("seed"))
-        return build(*args, **kwargs)
+    def counting(calls, func):
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return func(*args, **kwargs)
+        return wrapped
 
-    build = lattice.build_lattice
-    monkeypatch.setattr(lattice, "build_lattice", counting_build)
-    monkeypatch.setattr(harness, "build_lattice", counting_build)
+    build = counting(builds, lattice.build_lattice)
+    monkeypatch.setattr(lattice, "build_lattice", build)
+    monkeypatch.setattr(harness, "build_lattice", build)
+    monkeypatch.setattr(lattice, "_draw_nets",
+                        counting(draws, lattice._draw_nets))
     res = calibrate_S(space, 0.5, alpha, delta_bad, ensemble=100, seed=0)
-    # one base lattice, then one ensemble for every probe and every S
+    # one full base lattice, then one ensemble of bare net draws for every
+    # probe and every S
     assert len(res.trace) == candidates
-    assert len(builds) == 101
+    assert len(builds) == 1
+    assert len(draws) == 101
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +262,29 @@ def test_cli_duplicate_points_are_input_error(command, tmp_path, capsys):
         "nu": [1, 1, 1, 1], "mu": [0.25] * 4}))
     assert cli.main([command, "--space", str(path)]) == 2
     assert "'b' and 'c'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify-space", "build-lattice"])
+@pytest.mark.parametrize("doc,message", [
+    ({"points": ["a", "b", "c"],
+      "metric": {"type": "euclidean",
+                 "coords": [[0, 0], [1, 0], [2, 0], [3, 0]]},
+      "nu": [1, 1, 1], "mu": [0.5, 0.25, 0.25]}, "3 points, 3 nu and 3 mu "
+                                                 "weights but a 4x4 metric"),
+    ({"points": ["a", "b", "c"],
+      "metric": {"type": "explicit",
+                 "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+      "nu": [1, 1, 1, 1], "mu": [0.5, 0.5]}, "3 points, 4 nu and 2 mu"),
+    ({"points": ["a", "b"],
+      "metric": {"type": "explicit", "matrix": [[0, 1, 2], [1, 0, 1]]},
+      "nu": [1, 1], "mu": [0.5, 0.5]}, "a 2x3 metric"),
+], ids=["coords", "weights", "matrix"])
+def test_cli_mismatched_lengths_are_input_error(command, doc, message,
+                                                tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, "--space", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_missing_file_is_input_error(tmp_path):

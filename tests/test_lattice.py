@@ -379,6 +379,82 @@ def test_ensemble_gaps_agree_with_classify_good_bad(name):
     assert outcomes == {True, False}
 
 
+# sha256 of the int64 bytes of ensemble_gaps(...) for the probes calibrate_S
+# draws (ensemble 150 for bergman, 100 otherwise), and the number of nonzero
+# gaps; captured from the ensemble of full build_lattice lattices and N x N
+# skeleton scans this one replaced
+GOLDEN_GAPS = {
+    ("bergman_disc_model", 0):
+        ("967eedb2dc77a95e6270119ece23d9f47ca97c3b18ffa7d391d34e461b284f4c", 0),
+    ("bergman_disc_model", 5):
+        ("967eedb2dc77a95e6270119ece23d9f47ca97c3b18ffa7d391d34e461b284f4c", 0),
+    ("bergman_disc_model", 3813294786):
+        ("967eedb2dc77a95e6270119ece23d9f47ca97c3b18ffa7d391d34e461b284f4c", 0),
+    ("line_in_plane", 0):
+        ("41108d76f93d15ef50d20b980743c392443b549f7221fea24c9616bac2a5544b",
+         268),
+    ("line_in_plane", 5):
+        ("b663283bb87469e533b43ceaa1ab7fbea6989e213856db29788de351e7a261b8",
+         279),
+    ("uniform_grid", 0):
+        ("3180a8a5f620b2d9e688a3b7982b3b4ab5d7baf2a6cec24f007d594303151055",
+         276),
+    ("uniform_grid", 5):
+        ("edadc68ccf77a6ec35b86f06c67c20240a4783056fff76162759b4b7f19862e2",
+         279),
+}
+GOLDEN_GAP_PARAMS = {**GOLDEN_PARAMS, "uniform_grid": {"n": 9}}
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_GAPS))
+def test_golden_ensemble_gaps(name, seed):
+    from czkit.certify import alpha_param
+    space, info = generate_example(name, **GOLDEN_GAP_PARAMS[name])
+    lat = build_lattice(space, info["kappa"], seed=seed)
+    probes = [lat.cubes[ids[len(ids) // 2]] for k, ids in lat.by_gen.items()
+              if ids and k > lat.k_min][:3]
+    ensemble = 150 if name == "bergman_disc_model" else 100
+    gaps = ensemble_gaps(probes, space, info["kappa"],
+                         alpha_param(info["m"], info["tau"]), ensemble,
+                         master_seed=seed)
+    assert gaps.shape == (ensemble, 3)
+    digest = hashlib.sha256(gaps.astype(np.int64).tobytes()).hexdigest()
+    assert (digest, int((gaps > 0).sum())) == GOLDEN_GAPS[(name, seed)]
+
+
+def _random_space(n, seed, h_factor):
+    rng = np.random.default_rng(seed)
+    coords = rng.random((n, 2))
+    rho = np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(axis=-1))
+    smallest = rho[~np.eye(n, dtype=bool)].min()
+    return MetricMeasureSpace(rho=rho, nu=np.ones(n), mu=np.full(n, 1 / n),
+                              omega=np.zeros(n, dtype=bool),
+                              resolution_h=h_factor * smallest)
+
+
+@pytest.mark.parametrize("space", [grid_space(6), line_space(9),
+                                   _random_space(40, 1, 1.0),
+                                   _random_space(40, 2, 4.0),
+                                   _random_space(60, 3, 10.0)])
+def test_skeleton_by_generation_matches_n_by_n_scan(space):
+    h = space.resolution_h
+    for seed in range(4):
+        lat = build_lattice(space, kappa=0.5, seed=seed)
+        table = skeleton_by_generation(lat)
+        assert set(table) == set(lat.generations()) - {lat.k_max}
+        for k, (pts, owners) in table.items():
+            child_lab = lat.labels[k + 1]
+            same = child_lab[:, None] == child_lab[None, :]
+            d_other = np.where(same, np.inf, space.rho).min(axis=1)
+            expect = np.flatnonzero(d_other <= h)
+            assert pts.tolist() == expect.tolist()
+            assert owners.tolist() == lat.labels[k][expect].tolist()
+            for cid in lat.by_gen[k]:
+                own = [p for c in lat.cubes[cid].children
+                       for p in lat.cubes[c].members if d_other[p] <= h]
+                assert skeleton(lat, lat.cubes[cid]).tolist() == sorted(own)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
