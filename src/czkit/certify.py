@@ -25,7 +25,7 @@ import numpy as np
 from .errors import HypothesisViolated, MultipleParents, NonTransitEntry, \
     ZeroMassCube
 from .kernels import KernelSpec
-from .lattice import Cube, DyadicLattice
+from .lattice import Cube, DyadicLattice, cube_reduce
 from .projections import MartingaleDecomposition, average, decompose, \
     split_good_bad
 from .space import MetricMeasureSpace, dilate
@@ -71,41 +71,69 @@ def _good_component_cubes(lat: DyadicLattice):
     return out
 
 
-def classify_pairs(space: MetricMeasureSpace, fine_lat: DyadicLattice,
-                   coarse_lat: DyadicLattice, r_gap: int, alpha: float) -> dict:
+def classify_pairs(fine_lat: DyadicLattice, coarse_lat: DyadicLattice,
+                   r_gap: int, alpha: float) -> dict:
     """Sort all (fine, coarse) good transit pairs with gap >= 0 into the
     diagonal, long range and short range regimes.
 
     Records are dicts with the pair ids, generation gap, cube distance and,
-    for short range pairs, the coarse child holding the fine cube."""
-    buckets = {"sigma1": [], "sigma2": [], "sigma3_term": [], "sigma3_tran": []}
-    coarse_cubes = _good_component_cubes(coarse_lat)
-    for q in _good_component_cubes(fine_lat):
-        for r in coarse_cubes:
-            gap = q.generation - r.generation
-            if gap < 0:
-                continue        # handled by the symmetric half
-            rec = {"q": q.id, "r": r.id, "gap": gap}
-            if gap < r_gap or not (
-                    coarse_lat.labels[r.generation][q.members] == r.id).any():
-                d = rec["dist"] = space.set_dist(q.members, r.members)
-                if gap < r_gap and d <= r.size:
-                    buckets["sigma1"].append(rec)
-                else:
-                    # distance hypothesis of the far-interaction bound
-                    rec["far_ok"] = d >= q.size ** alpha * r.size ** (1 - alpha)
-                    buckets["sigma2"].append(rec)
-                continue
-            rec["dist"] = 0.0
-            child_owners = coarse_lat.labels[r.generation + 1][q.members]
-            vals, counts = np.unique(child_owners, return_counts=True)
-            rq_id = rec["rq"] = int(vals[np.argmax(counts)])
-            rq = coarse_lat.cubes.get(rq_id)
-            if rq is None or rq.terminal or rq.is_leaf:
-                buckets["sigma3_term"].append(rec)
-            else:
-                buckets["sigma3_tran"].append(rec)
-    return buckets
+    for short range pairs, the coarse child holding the fine cube: the
+    cube of the next generation with the most of its points, the lowest id
+    on ties.  The distances are the coarse lattice's point-to-cube table
+    reduced over the fine cubes' rows; the shared points are counted one
+    coarse generation at a time."""
+    fine = _good_component_cubes(fine_lat)
+    coarse = _good_component_cubes(coarse_lat)
+    q_ids = np.array([q.id for q in fine], dtype=int)
+    r_ids = np.array([r.id for r in coarse], dtype=int)
+    qg = np.array([q.generation for q in fine], dtype=int)
+    rg = np.array([r.generation for r in coarse], dtype=int)
+    k_min = coarse_lat.k_min
+    dist = cube_reduce(fine_lat, coarse_lat.dist[:, coarse_lat.column[r_ids]],
+                       q_ids, axis=0)
+    meets = np.zeros(dist.shape, dtype=bool)
+    # holder[i, k - k_min]: the generation-k coarse cube holding most of Q_i
+    holder = np.zeros((len(fine), coarse_lat.k_max - k_min + 1), dtype=int)
+    points = np.concatenate([q.members for q in fine] + [np.zeros(0, int)])
+    row = np.repeat(np.arange(len(fine)), [q.members.size for q in fine])
+    for k in coarse_lat.generations():
+        ids = np.array(sorted(coarse_lat.by_gen[k]))
+        at = np.searchsorted(ids, coarse_lat.labels[k][points])
+        # shared[i, c]: the points Q_i shares with the c-th cube of k
+        shared = np.bincount(row * ids.size + at, minlength=len(fine) *
+                             ids.size).reshape(len(fine), ids.size)
+        holder[:, k - k_min] = ids[np.argmax(shared, axis=1)]
+        meets[:, rg == k] = shared[:, np.searchsorted(ids, r_ids[rg == k])] > 0
+
+    gap_ok = qg[:, None] >= rg[None, :]
+    close = qg[:, None] < rg[None, :] + r_gap
+    measured = close | ~meets
+    near = close & (dist <= np.array([r.size for r in coarse]))
+    i1, j1 = np.nonzero(gap_ok & measured & near)
+    i2, j2 = np.nonzero(gap_ok & measured & ~near)
+    i3, j3 = np.nonzero(gap_ok & ~measured)
+    # distance hypothesis of the far-interaction bound
+    far_ok = dist[i2, j2] >= (np.array([q.size ** alpha for q in fine])[i2] *
+                              np.array([r.size ** (1 - alpha)
+                                        for r in coarse])[j2])
+    rq = holder[i3, rg[j3] + 1 - k_min]
+    stop = np.array([coarse_lat.cubes[c].terminal or coarse_lat.cubes[c].is_leaf
+                     for c in rq.tolist()], dtype=bool)
+
+    def records(i, j, **fields):
+        # the records share the cubes' id objects
+        values = [[fine[a].id for a in i.tolist()],
+                  [coarse[b].id for b in j.tolist()], (qg[i] - rg[j]).tolist(),
+                  *(v.tolist() for v in fields.values())]
+        keys = ["q", "r", "gap", *fields]
+        return [dict(zip(keys, vals)) for vals in zip(*values)]
+
+    return {"sigma1": records(i1, j1, dist=dist[i1, j1]),
+            "sigma2": records(i2, j2, dist=dist[i2, j2], far_ok=far_ok),
+            "sigma3_term": records(i3[stop], j3[stop],
+                                   dist=np.zeros(stop.sum()), rq=rq[stop]),
+            "sigma3_tran": records(i3[~stop], j3[~stop],
+                                   dist=np.zeros((~stop).sum()), rq=rq[~stop])}
 
 
 @dataclass
@@ -118,6 +146,7 @@ class ComponentRows:
     size: np.ndarray               # s(Q) per row
     mass: np.ndarray               # mu(Q) per row
     piece: dict                    # child cube id -> piece
+    piece_start: np.ndarray        # pieces of row i: piece_start[i:i + 2]
     point_piece: np.ndarray        # (rows, N) piece of each point of the
                                    # row's cube, len(piece) off the cube
 
@@ -126,6 +155,7 @@ def _component_rows(lat: DyadicLattice) -> ComponentRows:
     cubes = _good_component_cubes(lat)
     point_piece = np.full((len(cubes), lat.space.n_points), -1)
     piece = {}
+    piece_start = np.cumsum([0] + [len(c.children) for c in cubes])
     for i, cube in enumerate(cubes):
         for ch in cube.children:
             point_piece[i, lat.cubes[ch].members] = len(piece)
@@ -135,7 +165,7 @@ def _component_rows(lat: DyadicLattice) -> ComponentRows:
         lattice=lat, row={c.id: i for i, c in enumerate(cubes)},
         size=np.array([c.size for c in cubes]),
         mass=np.array([lat.cube_mu(c) for c in cubes]),
-        piece=piece, point_piece=point_piece)
+        piece=piece, piece_start=piece_start, point_piece=point_piece)
 
 
 @dataclass
@@ -209,8 +239,7 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
     halves = []
     for fine, coarse, op, abs_op in ((rows_f, rows_g, kernel.matrix.T, abs_k.T),
                                      (rows_g, rows_f, kernel.matrix, abs_k)):
-        buckets = classify_pairs(space, fine.lattice, coarse.lattice, r_gap,
-                                 alpha)
+        buckets = classify_pairs(fine.lattice, coarse.lattice, r_gap, alpha)
         if halves:
             # equal-size pairs appear in both halves; drop them from the
             # symmetric one so the regrouping stays a partition
@@ -221,11 +250,14 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
                 for regime, recs in buckets.items()}
         half = HalfData(fine_rows=fine, coarse_rows=coarse, op=op,
                         buckets=buckets, rows=rows)
+        # sup of |op| over each point's row and each coarse piece's columns
+        piece_sup = cube_reduce(coarse.lattice, abs_op, list(coarse.piece),
+                                np.maximum)
         half.geo = {
-            "sigma1": _diagonal_geometry(space, half, abs_op),
+            "sigma1": _diagonal_geometry(space, half, abs_op, piece_sup),
             "sigma2": _far_geometry(kernel, space, half, abs_op),
             "sigma3_term": _terminal_geometry(space, half, abs_op),
-            "sigma3_tran": _transit_geometry(kernel, space, half, abs_op,
+            "sigma3_tran": _transit_geometry(kernel, space, half, piece_sup,
                                              alpha)}
         halves.append(half)
     return tuple(halves)
@@ -393,7 +425,8 @@ def interaction_matrix(space: MetricMeasureSpace, fine_lat: DyadicLattice,
                        coarse_lat: DyadicLattice, records, m: float,
                        tau: float, regime: str = "long_range") -> InteractionMatrix:
     """The nonnegative pair matrix of the long range bound, restricted to the
-    pairs present in ``records``."""
+    pairs present in ``records`` (``classify_pairs`` records, which carry
+    the cube distance)."""
     q_ids = sorted({rec["q"] for rec in records})
     r_ids = sorted({rec["r"] for rec in records})
     qi = {cid: i for i, cid in enumerate(q_ids)}
@@ -411,10 +444,8 @@ def interaction_matrix(space: MetricMeasureSpace, fine_lat: DyadicLattice,
         i, j = qi[rec["q"]], ri[rec["r"]]
         cq = fine_lat.cubes[rec["q"]]
         cr = coarse_lat.cubes[rec["r"]]
-        dist = rec["dist"] if "dist" in rec else \
-            space.set_dist(cq.members, cr.members)
-        entries[i, j] = long_range_entry(
-            cq.size, cr.size, q_slots[i].mass, r_slots[j].mass, dist, m, tau)
+        entries[i, j] = long_range_entry(cq.size, cr.size, q_slots[i].mass,
+                                         r_slots[j].mass, rec["dist"], m, tau)
     return InteractionMatrix(regime, q_slots, r_slots, entries, rho_c)
 
 
@@ -584,8 +615,7 @@ def _terminal_geometry(space, half: HalfData, abs_op) -> dict:
             "weight": np.array(weights), "constant": c_total}
 
 
-def short_range_terminal_bound(kernel: KernelSpec, space: MetricMeasureSpace,
-                               split: SigmaSplit, half_index: int = 0):
+def short_range_terminal_bound(split: SigmaSplit, half_index: int = 0):
     """Bound the short range sum over pairs whose holding child is terminal.
 
     Groups pairs by the coarse cube and its terminal child, bounds the
@@ -609,74 +639,99 @@ def short_range_terminal_bound(kernel: KernelSpec, space: MetricMeasureSpace,
 # short range: transit part
 
 
-def _ascent_chain(space, coarse_lat, rq: Cube, x_center: int):
-    """Exact level sums mu(level_j) / d_j^(m+tau) material for the extension
-    estimate: returns list of (cube, level_points, d_j)."""
-    levels = []
-    current = rq
-    while current.parent is not None:
-        parent = coarse_lat.cubes[current.parent]
-        labels = coarse_lat.labels[current.generation][parent.members]
-        level_pts = parent.members[labels != current.id]
-        if level_pts.size:
-            d = float(space.rho[x_center, level_pts].min())
-            levels.append((parent, level_pts, d))
-        current = parent
-    return levels
-
-
-def _transit_geometry(kernel, space, half: HalfData, abs_op,
+def _transit_geometry(kernel, space, half: HalfData, piece_sup,
                       alpha: float) -> dict:
     """Per-pair coefficients of the three short range transit estimates,
     the extension and block part of the regime constant, and the hypothesis
-    violations, which depend on the lattices only."""
+    violations, which depend on the lattices only.  Distances and kernel
+    sups from a fine cube Q to the coarse remainder R minus R_Q are the
+    extremes over the pieces of R other than R_Q, read off (Q, piece)
+    tables; ``piece_sup`` is as in ``_diagonal_geometry``."""
     records = half.buckets["sigma3_tran"]
     mu = space.mu
-    fine_lat, coarse_lat = half.fine_lat, half.coarse_lat
+    fine, coarse = half.fine_rows, half.coarse_rows
+    fine_lat, coarse_lat = fine.lattice, coarse.lattice
     kappa, tau = coarse_lat.kappa, kernel.tau
-    per_pair = []     # far coefficient, extension coefficient, chain, block t
-    other_pair, other_piece = [], []
-    violations, ext_consts, entries = [], [], []
+    col, dist_c = coarse_lat.column, coarse_lat.dist
+    q_rows, r_rows = half.rows["sigma3_tran"]
 
+    # (a) far part against the rest of the coarse cube, i.e. against its
+    # pieces on the other children: their distance to Q and kernel sup
+    pieces = list(coarse.piece)
+    other_pair, other_piece = [], []
+    for p, (rec, j) in enumerate(zip(records, r_rows.tolist())):
+        for k in range(coarse.piece_start[j], coarse.piece_start[j + 1]):
+            if pieces[k] != rec["rq"]:
+                other_pair.append(p)
+                other_piece.append(k)
+    other_pair = np.array(other_pair, dtype=int)
+    other_piece = np.array(other_piece, dtype=int)
+    fine_ids = list(fine.row)
+    at = q_rows[other_pair], other_piece
+    d_out = np.full(len(records), math.inf)
+    np.minimum.at(d_out, other_pair, cube_reduce(
+        fine_lat, dist_c[:, col[pieces]], fine_ids, axis=0)[at])
+    sup_out = np.zeros(len(records))
+    np.maximum.at(sup_out, other_pair, cube_reduce(
+        fine_lat, piece_sup, fine_ids, np.maximum, axis=0)[at])
+    d_out, sup_out = d_out.tolist(), sup_out.tolist()
+    d_r = cube_reduce(fine_lat, dist_c[:, col[list(coarse.row)]], fine_ids,
+                      axis=0)[q_rows, r_rows]
+    mass_q = fine.mass[q_rows].tolist()
+    mass_r = coarse.mass[r_rows].tolist()
+
+    level = {}        # cube id -> its ascent levels
+
+    def levels(cube):
+        """Exact level sums mu(level_j) / d_j^(m+tau) material for the
+        extension estimate: (parent, mu of the level, columns of the
+        level's cubes) for each ancestor with more than one child; the
+        level is the parent minus the child on the chain."""
+        if cube.id not in level:
+            steps = []
+            child = cube
+            while child.parent is not None:
+                parent = coarse_lat.cubes[child.parent]
+                sibs = [c for c in parent.children if c != child.id]
+                if sibs:
+                    labels = coarse_lat.labels[child.generation][parent.members]
+                    pts = parent.members[labels != child.id]
+                    steps.append((parent, float(mu[pts].sum()), col[sibs]))
+                child = parent
+            level[cube.id] = steps
+        return level[cube.id]
+
+    per_pair = []     # far coefficient, extension coefficient, chain, block t
+    violations, ext_consts, entries = [], [], []
     for p, rec in enumerate(records):
         q = fine_lat.cubes[rec["q"]]
         r = coarse_lat.cubes[rec["r"]]
         rq = coarse_lat.cubes[rec["rq"]]
-        outside = r.members[coarse_lat.labels[rq.generation][r.members] != rq.id]
-        mass_q = fine_lat.cube_mu(q)
-        mass_rq = coarse_lat.cube_mu(rq)
-
-        # (a) far part against the rest of the coarse cube, i.e. against
-        # its pieces on the other children
-        for ch in r.children:
-            if ch != rq.id:
-                other_pair.append(p)
-                other_piece.append(half.coarse_rows.piece[ch])
+        mq, mrq = mass_q[p], coarse_lat.cube_mu(rq)
         threshold = q.size ** alpha * r.size ** (1 - alpha)
-        d_out = space.set_dist(q.members, outside)
         far = 0.0
-        if d_out >= threshold:
-            far = _far_coefficient(kernel, q.size, r.size, mass_q,
-                                   coarse_lat.cube_mu(r),
-                                   space.set_dist(q.members, r.members))
+        if d_out[p] >= threshold:
+            far = _far_coefficient(kernel, q.size, r.size, mq, mass_r[p],
+                                   float(d_r[p]))
         else:
             violations.append(
                 f"pair ({rec['q']},{rec['r']}): distance to the coarse "
-                f"remainder {d_out:.3g} under {threshold:.3g}")
-            if outside.size:
-                # the separation hypothesis failed, so the kernel-decay bound
-                # is not available; use the always-valid rectangular sup bound
-                sup = float(abs_op[np.ix_(q.members, outside)].max())
-                far = sup * math.sqrt(mass_q * float(mu[outside].sum()))
+                f"remainder {d_out[p]:.3g} under {threshold:.3g}")
+            # the separation hypothesis failed, so the kernel-decay bound
+            # is not available; use the always-valid rectangular sup bound
+            outside = r.members[
+                coarse_lat.labels[rq.generation][r.members] != rq.id]
+            far = sup_out[p] * math.sqrt(mq * float(mu[outside].sum()))
 
         # (b) extension error, exact ascent sum
         r_q_reach = float(space.rho[q.center, q.members].max())
-        ascent = _ascent_chain(space, coarse_lat, rq, q.center)
+        ascent = [(parent, mass, float(dist_c[q.center, cols].min()))
+                  for parent, mass, cols in levels(rq)]
         chain_ok = all(d > 0 for _, _, d in ascent)
         ascent_sum = 0.0
         if chain_ok:
-            for parent, pts, d in ascent:
-                ascent_sum += float(mu[pts].sum()) / d ** (kernel.m + tau)
+            for parent, mass, d in ascent:
+                ascent_sum += mass / d ** (kernel.m + tau)
                 if d < q.size ** alpha * parent.size ** (1 - alpha):
                     violations.append(
                         f"ascent level {parent.id}: distance under "
@@ -689,14 +744,14 @@ def _transit_geometry(kernel, space, half: HalfData, abs_op,
             violations.append(f"pair ({rec['q']},{rec['r']}): extension "
                               "estimate fell back to the exact pairing")
         ext = kernel.C_CZ * r_q_reach ** tau * ascent_sum
-        if mass_q > 0 and mass_rq > 0:
+        if mq > 0 and mrq > 0:
             # extension entry over block entry; the masses cancel
             ext_consts.append(ext / (q.size / r.size) ** (tau / 2))
 
         # (c) block aggregation material
-        entries.append((rec["q"], rec["r"], rec["gap"], mass_q, mass_rq))
+        entries.append((rec["q"], rec["r"], rec["gap"], mq, mrq))
         per_pair.append((far, ext, chain_ok, kappa ** (tau * rec["gap"] / 2.0) *
-                         math.sqrt(mass_q / mass_rq) if mass_rq > 0 else 0.0))
+                         math.sqrt(mq / mrq) if mrq > 0 else 0.0))
     far_coef, ext_coef, chain, block_t = np.reshape(per_pair, (-1, 4)).T
 
     # mu on each coarse cube R and holding child R_Q, for their averages
@@ -727,8 +782,7 @@ def _transit_geometry(kernel, space, half: HalfData, abs_op,
                           "straddle coarse cubes and use the entrywise series")
 
     return {"far_coef": far_coef, "ext_coef": ext_coef, "chain": chain > 0,
-            "other_pair": np.array(other_pair, dtype=int),
-            "other_piece": np.array(other_piece, dtype=int),
+            "other_pair": other_pair, "other_piece": other_piece,
             "on_cube": on_cube, "on_mass": on_cube.sum(axis=1),
             "cube_col": cube_col.reshape(-1, 2),
             "block_t": block_t, "block_coef": block_coef,
@@ -737,15 +791,14 @@ def _transit_geometry(kernel, space, half: HalfData, abs_op,
 
 
 def short_range_transit_bound(kernel: KernelSpec, space: MetricMeasureSpace,
-                              split: SigmaSplit, half_index: int,
-                              alpha: float, r_gap: int):
+                              split: SigmaSplit, half_index: int):
     """The three estimates of the short range transit sum.
 
     (a) interaction with the coarse component outside the holding child,
     via the far bound; (b) the error of extending the child indicator to the
     whole space, via exact ascent sums; (c) the block-matrix aggregation of
-    (b).  The coefficients come from the split's geometry, which was built with
-    the same alpha and r_gap."""
+    (b).  The coefficients come from the split's geometry.  ``kernel`` is
+    not read; it keeps ``half_index`` the fourth argument."""
     half = split.halves[half_index]
     prefix = "" if half_index == 0 else "sym_"
     geo = half.geo["sigma3_tran"]
@@ -1024,39 +1077,45 @@ def pseudo_bmo_check(F: np.ndarray, space: MetricMeasureSpace,
 # diagonal part
 
 
-def _diagonal_geometry(space, half: HalfData, abs_op) -> dict:
+def _diagonal_geometry(space, half: HalfData, abs_op, piece_sup) -> dict:
     """Son-pair weights of every diagonal pair: one entry per (fine son,
     coarse son), grouped by pair in bucket order. ``w_raw`` is the kernel
     sup weight where a son is terminal or a leaf, NaN where the testing
-    constant may be used instead."""
-    fine_lat, coarse_lat = half.fine_lat, half.coarse_lat
-    row_sup, col_sup = abs_op.max(axis=1), abs_op.max(axis=0)
-    starts, f_piece, c_piece, w_rect, w_raw = [], [], [], [], []
-    for rec in half.buckets["sigma1"]:
-        starts.append(len(w_rect))
-        q, r = fine_lat.cubes[rec["q"]], coarse_lat.cubes[rec["r"]]
-        for fid in q.children:
-            s_f = fine_lat.cubes[fid]
-            raw_f = s_f.terminal or s_f.is_leaf
-            mass_f = space.mu_mass(s_f.members)
-            for cid in r.children:
-                s_c = coarse_lat.cubes[cid]
-                mass = math.sqrt(mass_f * space.mu_mass(s_c.members))
-                f_piece.append(half.fine_rows.piece[fid])
-                c_piece.append(half.coarse_rows.piece[cid])
-                w_rect.append(float(
-                    abs_op[np.ix_(s_f.members, s_c.members)].max()) * mass)
-                # localized sup bound needs the sup over the whole slab
-                if raw_f:
-                    w_raw.append(float(row_sup[s_f.members].max()) * mass)
-                elif s_c.terminal or s_c.is_leaf:
-                    w_raw.append(float(col_sup[s_c.members].max()) * mass)
-                else:
-                    w_raw.append(math.nan)
-    return {"starts": np.array(starts, dtype=int),
-            "f_piece": np.array(f_piece, dtype=int),
-            "c_piece": np.array(c_piece, dtype=int),
-            "w_rect": np.array(w_rect), "w_raw": np.array(w_raw)}
+    constant may be used instead. The sons are the pieces of the two
+    component rows; ``piece_sup`` is the sup of |op| over each point's row
+    and each coarse piece's columns."""
+    fine, coarse = half.fine_rows, half.coarse_rows
+    f_ids, c_ids = list(fine.piece), list(coarse.piece)
+    f_cubes = [fine.lattice.cubes[cid] for cid in f_ids]
+    c_cubes = [coarse.lattice.cubes[cid] for cid in c_ids]
+    # kernel sups over each (fine son, coarse son) rectangle, and over the
+    # whole slab of rows of a fine son or columns of a coarse son
+    rect = cube_reduce(fine.lattice, piece_sup, f_ids, np.maximum, axis=0)
+    row_sup = cube_reduce(fine.lattice, abs_op.max(axis=1)[:, None], f_ids,
+                          np.maximum, axis=0)[:, 0]
+    col_sup = cube_reduce(coarse.lattice, abs_op.max(axis=0)[None, :], c_ids,
+                          np.maximum)[0]
+    mass_f = np.array([space.mu_mass(c.members) for c in f_cubes])
+    mass_c = np.array([space.mu_mass(c.members) for c in c_cubes])
+    raw_f = np.array([c.terminal or c.is_leaf for c in f_cubes], dtype=bool)
+    raw_c = np.array([c.terminal or c.is_leaf for c in c_cubes], dtype=bool)
+
+    # the son pairs of each diagonal pair, fine son outer, coarse son inner
+    q, r = half.rows["sigma1"]
+    n_c = np.diff(coarse.piece_start)[r]
+    sons = np.diff(fine.piece_start)[q] * n_c
+    starts = np.cumsum(sons) - sons
+    t = np.arange(sons.sum()) - np.repeat(starts, sons)
+    n_c = np.repeat(n_c, sons)
+    f_piece = np.repeat(fine.piece_start[q], sons) + t // n_c
+    c_piece = np.repeat(coarse.piece_start[r], sons) + t % n_c
+    mass = np.sqrt(mass_f[f_piece] * mass_c[c_piece])
+    # localized sup bound needs the sup over the whole slab
+    w_raw = np.where(raw_f[f_piece], row_sup[f_piece] * mass,
+                     np.where(raw_c[c_piece], col_sup[c_piece] * mass,
+                              math.nan))
+    return {"starts": starts, "f_piece": f_piece, "c_piece": c_piece,
+            "w_rect": rect[f_piece, c_piece] * mass, "w_raw": w_raw}
 
 
 def _diagonal_weights(half: HalfData, t1_A: float) -> np.ndarray:
@@ -1083,8 +1142,7 @@ def _diagonal_constant(half: HalfData, t1_A: float) -> float:
     return float((worst * np.sqrt(sons)).max()) * math.sqrt(m_f * m_c)
 
 
-def diagonal_bound(kernel: KernelSpec, space: MetricMeasureSpace,
-                   split: SigmaSplit, half_index: int, t1_A: float):
+def diagonal_bound(split: SigmaSplit, half_index: int, t1_A: float):
     """Per-pair son splitting of the diagonal sum."""
     half = split.halves[half_index]
     prefix = "" if half_index == 0 else "sym_"
@@ -1162,13 +1220,15 @@ def _far_geometry(kernel, space, half: HalfData, abs_op) -> dict:
                                        m, tau)
         c_far = kernel.C_CZ * 3.0 ** (m + tau) * schur.c_schur
     if not far.all():
-        worst = 0.0
-        for rec in (rec for rec, ok in zip(records, far) if not ok):
-            q_cube = half.fine_lat.cubes[rec["q"]]
-            r_cube = half.coarse_lat.cubes[rec["r"]]
-            sup = float(abs_op[np.ix_(r_cube.members, q_cube.members)].max())
-            worst = max(worst, sup * math.sqrt(half.fine_lat.cube_mu(q_cube) *
-                                               half.coarse_lat.cube_mu(r_cube)))
+        # kernel sup over the (R, Q) rectangle of every near pair
+        q_near, q_at = np.unique(q[~far], return_inverse=True)
+        r_near, r_at = np.unique(r[~far], return_inverse=True)
+        sup = cube_reduce(half.coarse_lat, cube_reduce(
+            half.fine_lat, abs_op, np.array(list(fine.row))[q_near],
+            np.maximum), np.array(list(coarse.row))[r_near], np.maximum,
+            axis=0)[r_at, q_at]
+        worst = max(0.0, float((sup * np.sqrt(fine.mass[q[~far]] *
+                                              coarse.mass[r[~far]])).max()))
         c_near = worst * math.sqrt(np.bincount(q[~far]).max() *
                                    np.bincount(r[~far]).max())
     return {"coef": coef, "far": far, "c_far": c_far, "c_near": c_near}
@@ -1266,10 +1326,10 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
                                geometry)
         worst_regroup = max(worst_regroup, split.regroup_error)
         for hi, prefix in ((0, ""), (1, "sym_")):
-            diag = diagonal_bound(kernel, space, split, hi, a_t1)
-            term = short_range_terminal_bound(kernel, space, split, hi)
-            tran_checks, _ = short_range_transit_bound(
-                kernel, space, split, hi, alpha, r_gap)
+            diag = diagonal_bound(split, hi, a_t1)
+            term = short_range_terminal_bound(split, hi)
+            tran_checks, _ = short_range_transit_bound(kernel, space, split,
+                                                       hi)
             far = _sigma2_probe_check(split.halves[hi], prefix)
             checks = [diag, term, far] + tran_checks
             if pi > 0:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteKernelValue
-from .space import MetricMeasureSpace, dilate, dist_to_complement_all
+from .lattice import cube_dilations
+from .space import MetricMeasureSpace, dist_to_complement_all
 
 
 @dataclass
@@ -224,28 +225,29 @@ def indicator(space: MetricMeasureSpace, members: np.ndarray) -> np.ndarray:
 def check_T1(kernel: KernelSpec, space: MetricMeasureSpace, lattice,
              dilations=(1.2, 1.4, 1.5), lambda_bmo: float = 3.0) -> T1Report:
     """Fit the testing constant A over all lattice cubes and their dilations:
-    ||T chi_Q||^2 <= A mu(Q) and same for the adjoint."""
-    families = []
-    for cid, cube in lattice.cubes.items():
-        families.append((f"Q{cid}", cube.members))
-        for lam in tuple(dilations) + (lambda_bmo,):
-            families.append((f"Q{cid}x{lam}", dilate(space, cube.members, lam)))
+    ||T chi_Q||^2 <= A mu(Q) and same for the adjoint.  Each distinct set
+    costs one matvec pair; repeats keep the label of their first family."""
+    lams = tuple(dilations) + (lambda_bmo,)
+    sets = cube_dilations(lattice, lams).reshape(-1, space.n_points)
+    labels = [f"Q{cid}{suffix}" for cid in lattice.cubes
+              for suffix in [""] + [f"x{lam}" for lam in lams]]
+    keys = np.packbits(sets, axis=1)
+    first = {}
+    for s, key in enumerate(keys.view(f"V{keys.shape[1]}").ravel().tolist()):
+        first.setdefault(key, s)
     a_val = 0.0
     worst_d = None
     worst_a = None
     per_cube = []
-    seen = set()
-    for label, members in families:
-        key = members.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        mass = space.mu_mass(members)
+    for s in first.values():
+        mask = sets[s]
+        mass = float(space.mu[mask].sum())
         if mass <= 0:
             continue
-        chi = indicator(space, members)
+        chi = mask.astype(float)
         rd = space.l2_norm(apply(kernel, space, chi)) ** 2 / mass
         ra = space.l2_norm(adjoint_apply(kernel, space, chi)) ** 2 / mass
+        label = labels[s]
         per_cube.append((label, mass, rd, ra))
         if rd > a_val:
             a_val, worst_d = rd, (label,)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,83 @@ class DyadicLattice:
 
     def transit_ids(self):
         return [cid for cid, c in self.cubes.items() if c.terminal is False]
+
+    @cached_property
+    def column(self) -> np.ndarray:
+        """Column of each cube id in the per-lattice tables; -1 for ids
+        that name no cube.  A cube with one child holds the child's points
+        and shares its column."""
+        col = np.full(max(self.cubes) + 1, -1)
+        n_cols = 0
+        for k in sorted(self.by_gen, reverse=True):
+            for cid in self.by_gen[k]:
+                children = self.cubes[cid].children
+                if len(children) == 1:
+                    col[cid] = col[children[0]]
+                else:
+                    col[cid], n_cols = n_cols, n_cols + 1
+        return col
+
+    def column_cubes(self) -> list:
+        """One cube id per table column."""
+        ids = list(self.cubes)
+        reps = np.empty(self.column.max() + 1, dtype=int)
+        reps[self.column[ids]] = ids
+        return reps.tolist()
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """(N, columns) point-to-cube distances, built once per lattice:
+        ``dist[x, column[c]]`` is min over y in cube c of rho(x, y)."""
+        return cube_reduce(self, self.space.rho, self.column_cubes())
+
+
+def cube_reduce(lat: DyadicLattice, matrix: np.ndarray, ids,
+                ufunc=np.minimum, axis: int = 1) -> np.ndarray:
+    """Reduce ``matrix`` over the members of each cube of ``lat`` named in
+    ``ids``: slot j along ``axis`` of the result is ``ufunc`` over the
+    columns (axis 1) or rows (axis 0) of cube ``ids[j]``.  The rows to
+    reduce are gathered once per generation, whose cubes are disjoint, so
+    no gathered block is taller than N; each cube then reduces a contiguous
+    slice of it."""
+    src = np.asarray(matrix)
+    if axis == 1:
+        src = np.ascontiguousarray(src.T)
+    cubes = [lat.cubes[cid] for cid in ids]
+    gens = np.array([c.generation for c in cubes], dtype=int)
+    out = np.empty((len(cubes), src.shape[1]), dtype=src.dtype)
+    for k in np.unique(gens):
+        slots = np.flatnonzero(gens == k)
+        members = [cubes[j].members for j in slots]
+        sizes = np.array([m.size for m in members])
+        starts = np.cumsum(sizes) - sizes
+        block = src[np.concatenate(members)]
+        one = sizes == 1
+        out[slots[one]] = block[starts[one]]
+        for j, a, size in zip(slots[~one], starts[~one], sizes[~one]):
+            out[j] = ufunc.reduce(block[a:a + size], axis=0)
+    return np.ascontiguousarray(out.T) if axis == 1 else out
+
+
+def cube_dilations(lat: DyadicLattice, lams) -> np.ndarray:
+    """(cubes, 1 + len(lams), N) point masks: each cube of ``lat`` in
+    ``cubes`` order, then its dilations lambda Q = Q union {x : dist(x, Q)
+    <= (lambda - 1) diam(Q)} (``space.dilate``), read off ``lat.dist``."""
+    if any(lam < 1.0 for lam in lams):
+        raise ValueError("dilation parameter must be >= 1")
+    reps = lat.column_cubes()
+    n, cubes = lat.space.n_points, [lat.cubes[c] for c in reps]
+    reach = cube_reduce(lat, lat.space.rho, reps, np.maximum, axis=0)
+    diam = np.array([row[c.members].max() if c.members.size > 1 else 0.0
+                     for row, c in zip(reach, cubes)])
+    inside = np.zeros((len(cubes), n), dtype=bool)
+    inside[np.repeat(np.arange(len(cubes)), [c.members.size for c in cubes]),
+           np.concatenate([c.members for c in cubes])] = True
+    out = np.empty((len(cubes), 1 + len(lams), n), dtype=bool)
+    out[:, 0] = inside
+    for t, lam in enumerate(lams, start=1):
+        out[:, t] = (lat.dist <= (lam - 1.0) * diam).T | inside
+    return out[lat.column[list(lat.cubes)]]
 
 
 def _default_k_range(space: MetricMeasureSpace, kappa: float):
@@ -355,30 +433,33 @@ def _coarsest_hit(dist_q: np.ndarray, sq: float, k_last: int, kappa: float,
 
 
 def classify_good_bad(cube: Cube, other: DyadicLattice, alpha: float,
-                      delta_bad: float, s_param: int,
-                      skeletons: dict | None = None):
+                      delta_bad: float, s_param: int):
     """Good/bad classification of a cube against a second lattice.
 
     Bad iff some cube R of the other lattice, at least r generations coarser,
     has dist(Q, sk R) < s(Q)^alpha s(R)^(1-alpha).  Returns (is_good, witness).
     """
     r_gap = scale_gap(other.kappa, delta_bad, s_param)
-    if skeletons is None:
-        skeletons = skeleton_by_generation(other)
     dist_q = other.space.rho[cube.members].min(axis=0)
     k, witness = _coarsest_hit(dist_q, cube.size, cube.generation - r_gap,
-                               other.kappa, alpha, skeletons)
+                               other.kappa, alpha,
+                               skeleton_by_generation(other))
     return k is None, witness
 
 
 def classify_all_good_bad(lat: DyadicLattice, other: DyadicLattice,
                           alpha: float, delta_bad: float, s_param: int):
-    """Set the good flag on every cube of ``lat`` against ``other``."""
+    """Set the good flag on every cube of ``lat`` against ``other``, as
+    ``classify_good_bad`` does, with the distances from the cubes of one
+    generation to every point reduced in one pass over the rows of rho."""
     skel = skeleton_by_generation(other)
-    for cube in lat.cubes.values():
-        good, _ = classify_good_bad(cube, other, alpha, delta_bad, s_param,
-                                    skeletons=skel)
-        cube.good = good
+    r_gap = scale_gap(other.kappa, delta_bad, s_param)
+    for ids in lat.by_gen.values():
+        rows = cube_reduce(lat, other.space.rho, ids, axis=0)
+        for cube, dist_q in zip(map(lat.cubes.get, ids), rows):
+            k, _ = _coarsest_hit(dist_q, cube.size, cube.generation - r_gap,
+                                 other.kappa, alpha, skel)
+            cube.good = k is None
 
 
 def ensemble_gaps(probes: list, space: MetricMeasureSpace, kappa: float,

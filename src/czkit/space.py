@@ -127,15 +127,19 @@ def verify_quasi_metric(space: MetricMeasureSpace) -> QuasiMetricReport:
         i, j = np.unravel_index(np.argmin(off), off.shape)
         return QuasiMetricReport(False, (int(i), int(j), -1), 0.0,
                                  "zero distance off the diagonal")
-    # rho(x,z) <= K (rho(x,y) + rho(y,z)) for all triples; vectorize over y
+    # rho(x,z) <= K (rho(x,y) + rho(y,z)) for all triples; vectorize over y,
+    # the excess of each y filling one buffer
     worst = (-1, -1, -1)
     worst_excess = 0.0
     k_q = space.quasi_const
+    excess = np.empty((n, n))
     for y in range(n):
-        bound = k_q * (rho[:, y][:, None] + rho[y, :][None, :])
-        excess = rho - bound
-        i, j = np.unravel_index(np.argmax(excess), excess.shape)
-        if excess[i, j] > worst_excess + 1e-15:
+        np.add(rho[:, y][:, None], rho[y, :][None, :], out=excess)
+        if k_q != 1:
+            excess *= k_q
+        np.subtract(rho, excess, out=excess)
+        if excess.max() > worst_excess + 1e-15:
+            i, j = np.unravel_index(np.argmax(excess), excess.shape)
             worst_excess = float(excess[i, j])
             worst = (int(i), y, int(j))
     if worst_excess > 1e-12 * max(1.0, rho.max()):

@@ -499,12 +499,11 @@ def test_all_sigma_bounds_hold(line_setup):
     f, g = rng.standard_normal((2, space.n_points))
     split = _split(space, kern, lat1, lat2, r_gap, alpha, f, g)
     for hi in (0, 1):
-        diag = diagonal_bound(kern, space, split, hi, a_t1)
+        diag = diagonal_bound(split, hi, a_t1)
         assert diag.passed
-        term = short_range_terminal_bound(kern, space, split, hi)
+        term = short_range_terminal_bound(split, hi)
         assert term.passed
-        checks, info = short_range_transit_bound(kern, space, split, hi,
-                                                 alpha, r_gap)
+        checks, info = short_range_transit_bound(kern, space, split, hi)
         for chk in checks:
             assert chk.passed, chk.name
 
@@ -523,8 +522,7 @@ def test_separation_failures_are_counted_and_noted():
     rep = certify(kern, space, s_param=S_PARAM, n_probes=1)
     messages = []
     for hi, prefix in ((0, ""), (1, "sym_")):
-        _, tran = short_range_transit_bound(kern, space, split, hi, alpha,
-                                            r_gap)
+        _, tran = short_range_transit_bound(kern, space, split, hi)
         violations = tran["hypothesis_violations"]
         messages += violations
         assert rep.counts[prefix + "sigma3_violations"] == len(violations)

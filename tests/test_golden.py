@@ -5,15 +5,20 @@ implementation of the sigma split that the array implementation replaced:
 the certified total, every fitted constant, every lemma's measured value and
 bound, and the notes. The array implementation changes only the order of
 the arithmetic, so each number must come out the same to rounding.
+
+``RUN_REPORTS`` pins whole run reports byte for byte: the sha256 of the
+report's JSON without its timings. A change that only reorders mins and
+maxes, or moves work between layers, must keep every hash.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from czkit.certify import certify
-from czkit.harness import make_scenario
+from czkit.harness import make_scenario, run
 
 GOLDEN = json.loads(
     Path(__file__).with_name("golden_certificates.json").read_text())
@@ -38,3 +43,37 @@ def test_golden_certificate(key):
         assert check.measured == _close(measured), name
         assert check.bound == _close(bound), name
     assert rep.notes == ref["notes"]
+
+
+BERGMAN_64 = {"n_ring": 64, "n_cluster": 8, "n_boundary": 32}
+RUN_REPORTS = {
+    "cantor_level5": (
+        ("cantor_measure", {"level": 5}, {}),
+        "48cf7cf228debbc1aa39cd45b1a47d01881f66b9e4d3ee7f445795154f09b09e"),
+    "grid_n9": (
+        ("uniform_grid", {"n": 9}, {}),
+        "7d0954283fc1c5656bfe5c9038a83cc3d0506df4b3b5de2df9859f8feb73efae"),
+    "line_n13": (
+        ("line_in_plane", {"n": 13}, {}),
+        "ab848d0ec406eab273617c1df2276dfcd26dec10dc4e52d8dbff4607d89eac4e"),
+    "bergman_default": (
+        ("bergman_disc_model", {}, {}),
+        "65cf309cace3a9b9f6e784190c0b7fb7a9eba3f698ffc396558811d4af423fe9"),
+    # calibrated, on the lattice pair of the benchmark's seed-402 find
+    "bergman_64_calibrated": (
+        ("bergman_disc_model", BERGMAN_64,
+         {"s_param": None, "ensemble": 150,
+          "seeds": (2476693647, 1295026582), "master_seed": 3813294786}),
+        "8d80c54dd19a97f911c8d14d08119a2fd375b0177eecfcfe0c99f27fedac9bbd"),
+}
+
+
+def test_golden_run_reports():
+    got = {}
+    for key, ((example, params, overrides), _) in RUN_REPORTS.items():
+        doc = run(make_scenario(example, example_params=dict(params),
+                                **overrides)).to_json()
+        doc.pop("timings")
+        got[key] = hashlib.sha256(
+            json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert got == {key: digest for key, (_, digest) in RUN_REPORTS.items()}
