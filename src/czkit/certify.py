@@ -26,8 +26,7 @@ from .errors import HypothesisViolated, MultipleParents, NonTransitEntry, \
     ZeroMassCube
 from .kernels import KernelSpec
 from .lattice import Cube, DyadicLattice, cube_reduce
-from .projections import MartingaleDecomposition, average, decompose, \
-    split_good_bad
+from .projections import MartingaleDecomposition, decompose, split_good_bad
 from .space import MetricMeasureSpace, dilate
 
 
@@ -61,14 +60,10 @@ def _lemma(name: str, measured: float, bound: float, ref: str) -> LemmaCheck:
 
 
 def _good_component_cubes(lat: DyadicLattice):
-    out = []
-    for cid, cube in lat.cubes.items():
-        if cube.terminal is False and not cube.is_leaf:
-            if cube.good is None:
-                raise HypothesisViolated("good/bad flags missing on a lattice")
-            if cube.good:
-                out.append(cube)
-    return out
+    cubes = [lat.cubes[cid] for cid in lat.plan.ids]
+    if any(cube.good is None for cube in cubes):
+        raise HypothesisViolated("good/bad flags missing on a lattice")
+    return [cube for cube in cubes if cube.good]
 
 
 def classify_pairs(fine_lat: DyadicLattice, coarse_lat: DyadicLattice,
@@ -117,8 +112,7 @@ def classify_pairs(fine_lat: DyadicLattice, coarse_lat: DyadicLattice,
                               np.array([r.size ** (1 - alpha)
                                         for r in coarse])[j2])
     rq = holder[i3, rg[j3] + 1 - k_min]
-    stop = np.array([coarse_lat.cubes[c].terminal or coarse_lat.cubes[c].is_leaf
-                     for c in rq.tolist()], dtype=bool)
+    stop = ~np.isin(rq, coarse_lat.plan.ids)      # terminal or a leaf
 
     def records(i, j, **fields):
         # the records share the cubes' id objects
@@ -181,11 +175,7 @@ class Components:
 def _stack_components(rows: ComponentRows,
                       dec: MartingaleDecomposition) -> Components:
     mu = rows.lattice.space.mu
-    delta = np.zeros(rows.point_piece.shape)
-    for i, cid in enumerate(rows.row):
-        if cid in dec.components:
-            idx, vals = dec.components[cid]
-            delta[i, idx] = vals
+    delta = dec.dense(list(rows.row))
     phi = delta * mu
     sq = delta ** 2 * mu
     piece_sq = np.bincount(rows.point_piece.ravel(), weights=sq.ravel(),
@@ -860,25 +850,21 @@ def paraproduct_targets(fine_lat: DyadicLattice, coarse_lat: DyadicLattice,
     the other lattice that contains it and sits at least r_gap - 1
     generations coarser.  Cubes whose target degenerates to the root are
     mapped to the root id (their paraproduct coefficient vanishes for
-    mean-zero data); cubes with no containing cube map to None."""
-    out = {}
-    for q in _good_component_cubes(fine_lat):
-        target = None
-        g_top = q.generation - r_gap + 1
-        for g in range(min(g_top, coarse_lat.k_max), coarse_lat.k_min - 1, -1):
-            if g not in coarse_lat.labels:
-                continue
-            owners = coarse_lat.labels[g][q.members]
-            uniq = np.unique(owners)
-            if uniq.size != 1 or uniq[0] < 0:
-                continue
-            cube = coarse_lat.cubes[int(uniq[0])]
-            if cube.terminal:
-                continue
-            target = cube.id
-            break
-        out[q.id] = target
-    return out
+    mean-zero data); cubes with no containing cube map to None.  A cube Q
+    lies in one coarse cube of generation g iff the min and the max of the
+    generation-g labels over Q's entries in the fine plan agree."""
+    qs, plan = _good_component_cubes(fine_lat), fine_lat.plan
+    gens = np.array(sorted(coarse_lat.labels))
+    labels = np.column_stack([coarse_lat.labels[g] for g in gens])[plan.pt]
+    rows = [plan.slot[q.id] for q in qs]
+    lo, hi = (ufunc.reduceat(labels, plan.start[:-1], axis=0)[rows]
+              for ufunc in (np.minimum, np.maximum))
+    transit = np.zeros(max(coarse_lat.cubes) + 2, dtype=bool)  # label -1: no
+    transit[[cid for cid, c in coarse_lat.cubes.items() if not c.terminal]] = 1
+    top = np.array([q.generation - r_gap + 1 for q in qs], dtype=int)
+    ok = (lo == hi) & transit[lo] & (gens <= top[:, None])
+    return {q.id: int(row[hit][-1]) if hit.any() else None
+            for q, row, hit in zip(qs, lo, ok)}
 
 
 def paraproduct_apply(F: np.ndarray, g: np.ndarray, fine_lat: DyadicLattice,
@@ -887,30 +873,25 @@ def paraproduct_apply(F: np.ndarray, g: np.ndarray, fine_lat: DyadicLattice,
     """The paraproduct vector sum_Q <g>_(R(Q)) Delta_Q F together with the
     per-target weights a_R = sum ||Delta_Q F||^2 and the orthogonality-based
     norm identity error."""
-    from .projections import delta_proj
     space = fine_lat.space
     if targets is None:
         targets = paraproduct_targets(fine_lat, coarse_lat, r_gap)
-    root_id = coarse_lat.root_id
-    lam_g = average(space, np.asarray(g, dtype=float), coarse_lat.root.members)
-    out = np.zeros(space.n_points)
-    a_r = {}
-    rhs = 0.0
-    dropped = []
-    for q_id, r_id in targets.items():
-        if r_id is None:
-            dropped.append(q_id)
-            continue
-        d_qf = delta_proj(fine_lat, np.asarray(F, dtype=float),
-                          fine_lat.cubes[q_id])
-        norm_sq = float(np.sum(d_qf ** 2 * space.mu))
-        a_r[r_id] = a_r.get(r_id, 0.0) + norm_sq
-        if r_id == root_id:
-            continue           # coefficient is the global mean, zero by assumption
-        coef = average(space, np.asarray(g, dtype=float),
-                       coarse_lat.cubes[r_id].members)
-        out += coef * d_qf
-        rhs += coef ** 2 * norm_sq
+    kept = {q_id: r_id for q_id, r_id in targets.items() if r_id is not None}
+    dropped = [q_id for q_id in targets if q_id not in kept]
+    dec = decompose(fine_lat, np.asarray(F, dtype=float))
+    norm_sq = (dec.dense(kept) ** 2 * space.mu).sum(axis=1).tolist()
+    g_means = coarse_lat.plan.means(np.asarray(g, dtype=float))
+    lam_g = float(g_means[coarse_lat.plan.root_slot])
+    g_means[coarse_lat.plan.root_slot] = 0.0   # zero mean by assumption
+    coef = g_means[[coarse_lat.plan.slot[r_id] for r_id in kept.values()]]
+    # per fine slot; a zero coefficient adds nothing, so it is left out
+    weight = np.zeros(len(fine_lat.plan.slot) + 1)
+    weight[[fine_lat.plan.slot.get(q_id, -1) for q_id in kept]] = coef
+    out = dec.add_to(np.zeros(space.n_points), weight)
+    a_r, rhs = {}, 0.0
+    for r_id, c, s in zip(kept.values(), coef.tolist(), norm_sq):
+        a_r[r_id] = a_r.get(r_id, 0.0) + s
+        rhs += c ** 2 * s
     lhs = float(np.sum(out ** 2 * space.mu))
     scale = max(lhs, rhs, 1e-30)
     identity_err = abs(lhs - rhs) / scale
@@ -1247,13 +1228,15 @@ def _sigma2_probe_check(half: HalfData, prefix: str):
 
 def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
             delta_bad: float = 0.25, s_param: int = 2, seeds=(1, 2),
-            n_probes: int = 3, master_seed: int = 0) -> CertificateReport:
+            n_probes: int = 3, master_seed: int = 0,
+            lattice: DyadicLattice | None = None) -> CertificateReport:
     """Run the full certification pipeline and compare the assembled bound
     with the power-iteration operator norm.
 
     Every constant depends on the lattice pair only, so it is computed once
     from the pair geometry; each probe then costs two decompositions and the
-    lemma checks, array arithmetic on that geometry."""
+    lemma checks, array arithmetic on that geometry.  ``lattice`` is the
+    seeds[0] lattice when the caller has built it already."""
     from .kernels import check_T1, operator_norm
     from .lattice import build_lattice, classify_all_good_bad, \
         classify_terminal_transit, scale_gap
@@ -1263,7 +1246,9 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
     r_gap = scale_gap(kappa, delta_bad, s_param)
     notes = []
 
-    lat1 = build_lattice(space, kappa, seed=seeds[0])
+    lat1 = lattice or build_lattice(space, kappa, seed=seeds[0])
+    if lat1.space is not space or (lat1.kappa, lat1.seed) != (kappa, seeds[0]):
+        raise ValueError("lattice is not the seeds[0] lattice of this space")
     lat2 = build_lattice(space, kappa, seed=seeds[1])
     classify_terminal_transit(lat1)
     classify_terminal_transit(lat2)

@@ -72,6 +72,9 @@ def cmd_decompose(args) -> int:
             phi = np.asarray(json.load(fh), dtype=float)
         if phi.shape != (space.n_points,):
             raise SystemExit("error: function length does not match the space")
+        if not np.isfinite(phi).all():
+            i = np.flatnonzero(~np.isfinite(phi))[0]
+            raise SystemExit(f"error: function value at index {i} is {phi[i]}")
     else:
         phi = np.random.default_rng(args.seed).standard_normal(space.n_points)
     lat = build_lattice(space, args.kappa, seed=args.seed)

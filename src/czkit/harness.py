@@ -202,7 +202,8 @@ def run(scenario: Scenario) -> RunReport:
         ok &= dom.passed
     cert = certify(scenario.kernel, space, kappa=scenario.kappa,
                    delta_bad=scenario.delta_bad, s_param=s_param,
-                   seeds=scenario.seeds, master_seed=scenario.master_seed)
+                   seeds=scenario.seeds, master_seed=scenario.master_seed,
+                   lattice=lat)
     stages["certificate"] = {"verdict": cert.verdict,
                              "certified_total": cert.certified_total,
                              "empirical_norm": cert.empirical_norm}

@@ -93,6 +93,12 @@ class DyadicLattice:
         ``dist[x, column[c]]`` is min over y in cube c of rho(x, y)."""
         return cube_reduce(self, self.space.rho, self.column_cubes())
 
+    @cached_property
+    def plan(self):
+        """The ``projections.DecompositionPlan``, built on first use."""
+        from .projections import DecompositionPlan
+        return DecompositionPlan(self)
+
 
 def cube_reduce(lat: DyadicLattice, matrix: np.ndarray, ids,
                 ufunc=np.minimum, axis: int = 1) -> np.ndarray:
@@ -384,12 +390,9 @@ def classify_terminal_transit(lat: DyadicLattice, m: float | None = None,
     space = lat.space
     omega = space.omega
     for cube in lat.cubes.values():
-        if cube.parent is None:
-            cube.terminal = lat.cube_mu(cube) <= 0.0
-        else:
-            parent = lat.cubes[cube.parent]
-            in_omega = bool(omega[parent.members].all())
-            cube.terminal = in_omega or lat.cube_mu(cube) <= 0.0
+        in_omega = cube.parent is not None and \
+            bool(omega[lat.cubes[cube.parent].members].all())
+        cube.terminal = in_omega or lat.cube_mu(cube) <= 0.0
     if lat.root.terminal:
         raise RootTerminal("root cube is terminal; mu carries no mass")
 
@@ -450,16 +453,19 @@ def classify_good_bad(cube: Cube, other: DyadicLattice, alpha: float,
 def classify_all_good_bad(lat: DyadicLattice, other: DyadicLattice,
                           alpha: float, delta_bad: float, s_param: int):
     """Set the good flag on every cube of ``lat`` against ``other``, as
-    ``classify_good_bad`` does, with the distances from the cubes of one
-    generation to every point reduced in one pass over the rows of rho."""
+    ``classify_good_bad`` does: per generation, one reduction of the rows of
+    rho, then one test per skeleton generation, thresholds by scalar ``**``."""
     skel = skeleton_by_generation(other)
     r_gap = scale_gap(other.kappa, delta_bad, s_param)
-    for ids in lat.by_gen.values():
+    for k_q, ids in lat.by_gen.items():
         rows = cube_reduce(lat, other.space.rho, ids, axis=0)
-        for cube, dist_q in zip(map(lat.cubes.get, ids), rows):
-            k, _ = _coarsest_hit(dist_q, cube.size, cube.generation - r_gap,
-                                 other.kappa, alpha, skel)
-            cube.good = k is None
+        s_alpha = np.array([lat.cubes[cid].size ** alpha for cid in ids])
+        bad = np.zeros(len(ids), dtype=bool)
+        for k in [k for k in skel if k <= k_q - r_gap]:
+            bad |= (rows[:, skel[k][0]] < s_alpha[:, None] *
+                    (other.kappa ** k) ** (1 - alpha)).any(axis=1)
+        for cid, is_bad in zip(ids, bad.tolist()):
+            lat.cubes[cid].good = not is_bad
 
 
 def ensemble_gaps(probes: list, space: MetricMeasureSpace, kappa: float,

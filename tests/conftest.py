@@ -5,7 +5,7 @@ import pytest
 
 from czkit.examples import generate_example
 from czkit.lattice import build_lattice, classify_terminal_transit
-from czkit.space import MetricMeasureSpace
+from czkit.space import MetricMeasureSpace, space_from_json
 
 
 def line_space(n: int = 8, omega=(), mu=None) -> MetricMeasureSpace:
@@ -31,6 +31,20 @@ def grid_space(n: int = 8) -> MetricMeasureSpace:
     return MetricMeasureSpace(
         rho=rho, quasi_const=1.0, nu=np.ones(m), mu=np.full(m, 1.0 / m),
         omega=np.zeros(m, dtype=bool), resolution_h=1.0)
+
+
+def explicit_space() -> MetricMeasureSpace:
+    """36 random points in the plane under an explicit metric that is
+    symmetric only to 1e-13, with random probability masses."""
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0.0, 8.0, (36, 2))
+    rho = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+    rho += rng.uniform(0.0, 1e-13, rho.shape) * (rho > 0)
+    n = len(pts)
+    return space_from_json({
+        "points": list(range(n)), "nu": [1.0] * n,
+        "mu": rng.dirichlet(np.ones(n)).tolist(),
+        "metric": {"type": "explicit", "matrix": rho.tolist()}})
 
 
 @pytest.fixture(scope="session")

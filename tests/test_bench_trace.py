@@ -23,6 +23,8 @@ def test_tracer_observes_one_certificate(monkeypatch):
     assert report.passed
     # the pair geometry is built once per certificate, one per half
     assert metrics["certify.classify_pairs_calls"] == 2
+    # the run's seeds[0] lattice is the certificate's too
+    assert metrics["lattice.builds"] == 2
     assert set(layers.OBSERVED) <= set(metrics)
     assert set(layers.TIMED) <= set(metrics)
     # the report's own counts agree with what the tracer observed

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from czkit.certify import (CubeSlot, InteractionMatrix, alpha_param,
-                           block_matrix_bound, block_matrix_spectral,
-                           bmo_tail_constant, carleson_embedding_check,
+from czkit.certify import (CubeSlot, InteractionMatrix, _good_component_cubes,
+                           alpha_param, block_matrix_bound,
+                           block_matrix_spectral, bmo_tail_constant,
+                           carleson_embedding_check,
                            certify, diagonal_bound, dqr_distance,
                            far_interaction_bound, interaction_matrix,
                            long_range_entry, paraproduct_apply,
@@ -402,6 +403,42 @@ def test_paraproduct_targets_structure(line_setup):
         assert r.generation <= q.generation - r_gap + 1
         assert set(q.members.tolist()) <= set(r.members.tolist())
         assert not r.terminal
+
+
+def _reference_targets(fine_lat, coarse_lat, r_gap):
+    """The per-cube walk up the coarse generations that the label
+    reduction replaced."""
+    out = {}
+    for q in _good_component_cubes(fine_lat):
+        out[q.id] = None
+        for g in range(min(q.generation - r_gap + 1, coarse_lat.k_max),
+                       coarse_lat.k_min - 1, -1):
+            uniq = np.unique(coarse_lat.labels[g][q.members])
+            if uniq.size == 1 and uniq[0] >= 0 and \
+                    not coarse_lat.cubes[int(uniq[0])].terminal:
+                out[q.id] = int(uniq[0])
+                break
+    return out
+
+
+@pytest.mark.parametrize("name", ("uniform_grid", "line_in_plane",
+                                  "cantor_measure", "bergman_disc_model"))
+@pytest.mark.parametrize("seed", (1, 7))
+def test_paraproduct_targets_match_reference(name, seed):
+    space = generate_example(name)[0]
+    lat1 = build_lattice(space, KAPPA, seed=seed)
+    lat2 = build_lattice(space, KAPPA, seed=seed + 10)
+    for lat in (lat1, lat2):
+        classify_terminal_transit(lat)
+    for s_param in (1, 2):
+        classify_all_good_bad(lat1, lat2, ALPHA, DELTA, s_param)
+        classify_all_good_bad(lat2, lat1, ALPHA, DELTA, s_param)
+        for r_gap in (1, 2, 4):
+            for fine, coarse in ((lat1, lat2), (lat2, lat1)):
+                got = paraproduct_targets(fine, coarse, r_gap)
+                assert got == _reference_targets(fine, coarse, r_gap)
+                assert list(got) == list(_reference_targets(fine, coarse,
+                                                            r_gap))
 
 
 def test_carleson_zero_weights(line_setup):

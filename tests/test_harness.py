@@ -231,6 +231,20 @@ def test_cli_decompose_rejects_wrong_length(grid_file, tmp_path):
                      "--fn", str(fn)]) == 2
 
 
+@pytest.mark.parametrize("bad", ("Infinity", "NaN", "-Infinity"))
+def test_cli_decompose_rejects_non_finite(grid_file, tmp_path, capsys, bad):
+    with open(grid_file) as fh:
+        values = ["0.5"] * len(json.load(fh)["points"])
+    values[3] = bad
+    fn = tmp_path / "fn.json"
+    fn.write_text("[" + ", ".join(values) + "]")
+    rep = tmp_path / "dec.json"
+    assert cli.main(["decompose", "--space", grid_file, "--fn", str(fn),
+                     "--report", str(rep)]) == 2
+    assert "index 3" in capsys.readouterr().err
+    assert not rep.exists()
+
+
 def test_cli_certify_example(tmp_path):
     rep = tmp_path / "cert.json"
     code = cli.main(["certify", "--example", "uniform_grid",

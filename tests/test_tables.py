@@ -14,7 +14,8 @@ from czkit.examples import generate_example
 from czkit.lattice import (build_lattice, classify_all_good_bad,
                            classify_good_bad, classify_terminal_transit,
                            cube_dilations, cube_reduce, scale_gap)
-from czkit.space import dilate, space_from_json
+from czkit.space import dilate
+from conftest import explicit_space
 
 EXAMPLES = ("cantor_measure", "uniform_grid", "line_in_plane",
             "bergman_disc_model")
@@ -23,20 +24,8 @@ CASES = [(name, seed) for name in EXAMPLES for seed in (1, 2, 7)] + \
 LAMS = (1.2, 1.5, 3.0)
 
 
-def _explicit_space():
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(0.0, 8.0, (36, 2))
-    rho = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
-    rho += rng.uniform(0.0, 1e-13, rho.shape) * (rho > 0)
-    n = len(pts)
-    return space_from_json({
-        "points": list(range(n)), "nu": [1.0] * n,
-        "mu": rng.dirichlet(np.ones(n)).tolist(),
-        "metric": {"type": "explicit", "matrix": rho.tolist()}})
-
-
 def _space(name):
-    space = _explicit_space() if name == "explicit" else \
+    space = explicit_space() if name == "explicit" else \
         generate_example(name)[0]
     if name == "explicit":
         assert (space.rho != space.rho.T).any()
