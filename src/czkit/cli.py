@@ -36,13 +36,13 @@ def _write_json(doc, path):
 
 
 def cmd_verify_space(args) -> int:
-    from .space import check_growth_condition, default_radii, \
-        verify_omega_capture, verify_quasi_metric
+    from .space import _omega_captures, check_growth_condition, \
+        default_radii, verify_quasi_metric
     space = _load_space(args.space, args.allow_large)
     qm = verify_quasi_metric(space)
     radii = default_radii(space)
     c_h, bad_balls = check_growth_condition(space, args.m, radii)
-    capture = verify_omega_capture(space, args.m, radii)
+    capture = _omega_captures(space, bad_balls)
     doc = {"quasi_metric": qm.ok, "C_H": c_h,
            "non_ahlfors_balls": len(bad_balls), "omega_capture": capture}
     _write_json(doc, args.out)

@@ -17,8 +17,8 @@ from .lattice import bad_fraction, build_lattice, \
     classify_terminal_transit, ensemble_gaps, scale_gap, \
     verify_lattice_properties
 from .projections import decompose, properties_check
-from .space import MetricMeasureSpace, check_ahlfors_regularity, \
-    check_growth_condition, default_radii, verify_omega_capture, \
+from .space import MetricMeasureSpace, _omega_captures, \
+    check_ahlfors_regularity, check_growth_condition, default_radii, \
     verify_quasi_metric
 
 
@@ -146,7 +146,7 @@ def run(scenario: Scenario) -> RunReport:
     qm = verify_quasi_metric(space)
     radii = default_radii(space)
     c_h, non_ahlfors = check_growth_condition(space, scenario.m, radii)
-    capture = verify_omega_capture(space, scenario.m, radii)
+    capture = _omega_captures(space, non_ahlfors)
     reg = check_ahlfors_regularity(space, scenario.n_dim, radii)
     stages["space"] = {
         "quasi_metric": qm.ok, "C_H": c_h,

@@ -156,25 +156,54 @@ class SizeSmoothnessReport:
 def check_size_and_smoothness(kernel: KernelSpec,
                               space: MetricMeasureSpace) -> SizeSmoothnessReport:
     """Fit the smallest size constant |k| * rho^m over pairs and the smallest
-    smoothness constant over admissible triples rho(x,x') <= delta rho(x,y)."""
+    smoothness constant over admissible triples rho(x,x') <= delta rho(x,y).
+
+    The smoothness constant is fitted in both kernel variables: a kernel that
+    is not symmetric is scanned again as its transpose."""
     rho = space.rho
     k = kernel.matrix
     n = space.n_points
     off = ~np.eye(n, dtype=bool)
     c_size = float(np.max(np.abs(k[off]) * rho[off] ** kernel.m)) if n > 1 else 0.0
-
-    c_smooth = 0.0
-    m, tau, delta = kernel.m, kernel.tau, kernel.delta_CZ
-    rho_tau, positive = rho ** tau, rho > 0
-    for y in range(n):
-        # triples (x, x', y): |k(x,y)-k(x',y)| <= C rho(x,x')^tau / rho(x,y)^(tau+m)
-        col, ry = k[:, y], rho[:, y, None]
-        diff = np.abs(col[:, None] - col[None, :])       # (x, x')
-        admissible = (rho <= delta * ry) & (ry > 0) & positive
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = diff * ry ** (tau + m) / rho_tau
-        c_smooth = max(c_smooth, float(ratio.max(where=admissible, initial=0.0)))
+    c_smooth = _smoothness_fit(k, rho, kernel.m, kernel.tau, kernel.delta_CZ)
+    if not np.array_equal(k, k.T):
+        c_smooth = max(c_smooth, _smoothness_fit(
+            np.ascontiguousarray(k.T), rho, kernel.m, kernel.tau,
+            kernel.delta_CZ))
     return SizeSmoothnessReport(c_size, c_smooth, kernel.C_CZ)
+
+
+def _smoothness_fit(k: np.ndarray, rho: np.ndarray, m: float, tau: float,
+                    delta: float) -> float:
+    """max |k(x,y) - k(x',y)| rho(x,y)^(tau+m) / rho(x,x')^tau over the
+    triples with 0 < rho(x,x') <= delta rho(x,y).
+
+    One pass per anchor x: in the stable sort of row x of rho, the admissible
+    x' of each y are the positions [z, L[y]), z the count of non-positive
+    distances and L[y] the count of distances <= delta rho(x,y).  One block
+    of rows x' = order[z:max L] by all y holds every admissible triple; the
+    staircase j < L[y] masks the rest.  Each ratio is the same floating-point
+    expression as in a triple loop, so the max is exact."""
+    c_smooth = 0.0
+    for x in range(k.shape[0]):
+        row = rho[x]
+        order = np.argsort(row, kind="stable")
+        srow = row[order]
+        lengths = np.searchsorted(srow, delta * row, "right")
+        lengths[~(row > 0)] = 0                     # NaN distances too
+        z = int(np.searchsorted(srow, 0.0, "right"))
+        top = int(lengths.max())
+        if top <= z:
+            continue
+        rows = order[z:top]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            block = np.subtract(k[x], k[rows])              # (x', y)
+            np.abs(block, out=block)
+            block *= row ** (tau + m)
+            block /= (srow[z:top] ** tau)[:, None]
+        stairs = np.arange(z, top)[:, None] < lengths
+        c_smooth = max(c_smooth, float(block.max(where=stairs, initial=0.0)))
+    return c_smooth
 
 
 @dataclass

@@ -127,25 +127,48 @@ def verify_quasi_metric(space: MetricMeasureSpace) -> QuasiMetricReport:
         i, j = np.unravel_index(np.argmin(off), off.shape)
         return QuasiMetricReport(False, (int(i), int(j), -1), 0.0,
                                  "zero distance off the diagonal")
-    # rho(x,z) <= K (rho(x,y) + rho(y,z)) for all triples; vectorize over y,
-    # the excess of each y filling one buffer
-    worst = (-1, -1, -1)
-    worst_excess = 0.0
-    k_q = space.quasi_const
-    excess = np.empty((n, n))
-    for y in range(n):
-        np.add(rho[:, y][:, None], rho[y, :][None, :], out=excess)
-        if k_q != 1:
-            excess *= k_q
-        np.subtract(rho, excess, out=excess)
-        if excess.max() > worst_excess + 1e-15:
-            i, j = np.unravel_index(np.argmax(excess), excess.shape)
-            worst_excess = float(excess[i, j])
-            worst = (int(i), y, int(j))
+    worst_excess, worst = _worst_triangle_excess(rho, space.quasi_const)
     if worst_excess > 1e-12 * max(1.0, rho.max()):
         return QuasiMetricReport(False, worst, worst_excess,
                                  "quasi-triangle inequality violation")
     return QuasiMetricReport(True, None, 0.0)
+
+
+def _worst_triangle_excess(rho: np.ndarray, k_q: float,
+                           tile: int = 64) -> tuple[float, tuple]:
+    """The max over all triples of rho(x,z) - K (rho(x,y) + rho(y,z)) for a
+    symmetric rho, and the triple (x, y, z) attaining it with the smallest
+    x <= z, then the smallest y.
+
+    fl(K s) is monotone in s and fl(r - t) in t, so the max over y is
+    rho(x,z) - K min_y fl(rho(x,y) + rho(y,z)) bit for bit (the max for a
+    negative K).  Symmetry makes the excess of (x,y,z) that of (z,y,x), so a
+    tile of rows [x0, x0 + tile) reads only the columns z >= x0."""
+    n = rho.shape[0]
+    reduce = np.minimum if k_q >= 0 else np.maximum
+    best, best_xz = -math.inf, (0, 0)
+    for x0 in range(0, n, tile):
+        x1 = min(x0 + tile, n)
+        sums = np.empty((x1 - x0, n - x0))
+        extreme = rho[x0:x1, x0:].copy()        # y = z: rho(x,z) + 0
+        for y in range(n):
+            # rho[y, x0:x1] is the column rho[x0:x1, y] by symmetry
+            np.add(rho[y, x0:x1, None], rho[y, x0:], out=sums)
+            reduce(extreme, sums, out=extreme)
+        if k_q != 1:
+            extreme *= k_q
+        excess = np.subtract(rho[x0:x1, x0:], extreme, out=extreme)
+        # a max at z < x is also at (z, x), earlier in row-major order
+        flat = int(np.argmax(excess))
+        if excess.flat[flat] > best:
+            i, j = divmod(flat, n - x0)
+            best, best_xz = float(excess.flat[flat]), (x0 + i, x0 + j)
+    x, z = best_xz
+    sums = rho[x] + rho[:, z]
+    if k_q != 1:
+        sums *= k_q
+    y = int(np.argmax(rho[x, z] - sums == best))
+    return best, (x, y, z)
 
 
 def ball(space: MetricMeasureSpace, x: int, r: float) -> np.ndarray:
@@ -221,11 +244,12 @@ def verify_omega_capture(space: MetricMeasureSpace, m: float,
                          radii=None) -> bool:
     """True iff every non-Ahlfors ball is contained in omega as a point set."""
     _, non_ahlfors = check_growth_condition(space, m, radii)
-    for x, r in non_ahlfors:
-        members = space.ball_mask(x, r)
-        if not space.omega[members].all():
-            return False
-    return True
+    return _omega_captures(space, non_ahlfors)
+
+
+def _omega_captures(space: MetricMeasureSpace, non_ahlfors) -> bool:
+    """True iff every ball (x, r) of the list lies inside omega."""
+    return all(space.omega[space.ball_mask(x, r)].all() for x, r in non_ahlfors)
 
 
 def dist_to_complement(space: MetricMeasureSpace, x: int) -> float:

@@ -56,6 +56,10 @@ RUN_REPORTS = {
     "line_n13": (
         ("line_in_plane", {"n": 13}, {}),
         "ab848d0ec406eab273617c1df2276dfcd26dec10dc4e52d8dbff4607d89eac4e"),
+    # the benchmark's line_sparse_mu size
+    "line_n21": (
+        ("line_in_plane", {"n": 21}, {}),
+        "08526da9d25cd7d00fae9be59d1f18f070e2a2b212eefbd2256219f079ed2a20"),
     "bergman_default": (
         ("bergman_disc_model", {}, {}),
         "65cf309cace3a9b9f6e784190c0b7fb7a9eba3f698ffc396558811d4af423fe9"),

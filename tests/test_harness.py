@@ -207,6 +207,27 @@ def test_cli_verify_space(grid_file, capsys):
     assert doc["omega_capture"] is True
 
 
+def test_growth_loop_runs_once_per_run(grid_file, capsys, monkeypatch):
+    # omega capture is read off the non-Ahlfors list of the one growth loop
+    import czkit.harness
+    import czkit.space
+    calls = []
+    real = czkit.space.check_growth_condition
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(czkit.space, "check_growth_condition", counted)
+    monkeypatch.setattr(czkit.harness, "check_growth_condition", counted)
+    rep = run(make_scenario("cantor_measure", example_params={"level": 3}))
+    assert rep.stages["space"]["omega_capture"] is True
+    assert len(calls) == 1
+    assert cli.main(["verify-space", "--space", grid_file, "--m", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["omega_capture"] is True
+    assert len(calls) == 2
+
+
 def test_cli_build_lattice(grid_file, tmp_path):
     out = tmp_path / "lat.json"
     assert cli.main(["build-lattice", "--space", grid_file,

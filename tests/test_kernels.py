@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from czkit.errors import NonFiniteKernelValue, OmegaIsWholeSpace
 from czkit.kernels import (adjoint_apply, apply, bergman_kernel, bilinear,
@@ -10,9 +12,11 @@ from czkit.kernels import (adjoint_apply, apply, bergman_kernel, bilinear,
                            explicit_kernel, indicator, kernel_from_json,
                            kernel_to_json, operator_norm, operator_norm_dense,
                            power_kernel, zero_kernel)
+from czkit.harness import make_scenario
 from czkit.lattice import build_lattice, classify_terminal_transit
 from czkit.examples import generate_example
-from conftest import grid_space, line_space
+from czkit.space import MetricMeasureSpace
+from conftest import explicit_space, grid_space, line_space
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +117,93 @@ def test_smoothness_fit_brute_force():
                     best = max(best,
                                diff * rho[x, y] ** 2 / rho[x, xp])
     assert rep.c_smooth == pytest.approx(best)
+
+
+def _reference_fit(k, rho, m, tau, delta):
+    """The per-y loop the staircase fit replaced: (c_size, c_smooth) of the
+    first kernel variable, as the triple loop's floating-point expressions."""
+    n = len(rho)
+    off = ~np.eye(n, dtype=bool)
+    c_size = float(np.max(np.abs(k[off]) * rho[off] ** m)) if n > 1 else 0.0
+    c_smooth = 0.0
+    rho_tau, positive = rho ** tau, rho > 0
+    for y in range(n):
+        col, ry = k[:, y], rho[:, y, None]
+        diff = np.abs(col[:, None] - col[None, :])       # (x, x')
+        admissible = (rho <= delta * ry) & (ry > 0) & positive
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = diff * ry ** (tau + m) / rho_tau
+        c_smooth = max(c_smooth,
+                       float(ratio.max(where=admissible, initial=0.0)))
+    return c_size, c_smooth
+
+
+def _assert_fit_matches_reference(kernel, space):
+    k, rho = kernel.matrix, space.rho
+    args = (kernel.m, kernel.tau, kernel.delta_CZ)
+    c_size, c_smooth = _reference_fit(k, rho, *args)
+    if not np.array_equal(k, k.T):
+        c_smooth = max(c_smooth, _reference_fit(k.T, rho, *args)[1])
+    rep = check_size_and_smoothness(kernel, space)
+    assert rep.c_size.hex() == c_size.hex()
+    assert rep.c_smooth.hex() == c_smooth.hex()
+
+
+@pytest.mark.parametrize("example, params", [
+    ("uniform_grid", {}), ("line_in_plane", {}), ("cantor_measure", {}),
+    ("bergman_disc_model", {}), ("line_in_plane", {"n": 21}),
+    ("cantor_measure", {"level": 6}),
+    ("bergman_disc_model",
+     {"n_ring": 64, "n_cluster": 8, "n_boundary": 32})])
+def test_smoothness_fit_matches_reference_on_examples(example, params):
+    sc = make_scenario(example, example_params=params)
+    _assert_fit_matches_reference(sc.kernel, sc.space)
+
+
+def test_smoothness_fit_matches_reference_on_explicit_metric():
+    space = explicit_space()
+    rng = np.random.default_rng(5)
+    _assert_fit_matches_reference(power_kernel(space, m=1.0, tau=0.7), space)
+    _assert_fit_matches_reference(
+        explicit_kernel(space, rng.standard_normal((36, 36)), m=1.5, tau=0.5,
+                        C_CZ=1.0), space)
+
+
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.5, 1.0, 1.5, np.log(2) / np.log(3)]),
+       st.sampled_from([0.3, 1.0, 2.0]), st.sampled_from([0.25, 0.5, 1.0]),
+       st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_smoothness_fit_matches_reference_random(n, seed, m, tau, delta,
+                                                 asymmetric, zeros):
+    # random non-symmetric kernels on tied, possibly asymmetric distances
+    # with possibly zero off-diagonal entries
+    rng = np.random.default_rng(seed)
+    rho = rng.integers(1, 5, (n, n)).astype(float) * 0.5
+    if not asymmetric:
+        rho = np.triu(rho, 1) + np.triu(rho, 1).T
+    if zeros:
+        rho[rng.random((n, n)) < 0.2] = 0.0
+    np.fill_diagonal(rho, 0.0)
+    space = MetricMeasureSpace(rho=rho, nu=np.ones(n), mu=np.full(n, 1 / n),
+                               omega=np.zeros(n, dtype=bool), resolution_h=0.5)
+    mat = rng.integers(-3, 4, (n, n)) * rng.choice([1.0, 0.1, 1 / 3], (n, n))
+    kern = explicit_kernel(space, mat, m=m, tau=tau, C_CZ=1.0)
+    kern.delta_CZ = delta
+    _assert_fit_matches_reference(kern, space)
+
+
+def test_smoothness_fit_reads_second_kernel_variable():
+    # k(x, y) = g(y): smooth (constant) in x, rough in y
+    space = line_space(8)
+    g = np.random.default_rng(4).standard_normal(8)
+    mat = np.tile(g, (8, 1))
+    kern = explicit_kernel(space, mat, m=1.0, tau=1.0, C_CZ=1.0)
+    first = _reference_fit(mat, space.rho, 1.0, 1.0, kern.delta_CZ)[1]
+    second = _reference_fit(mat.T, space.rho, 1.0, 1.0, kern.delta_CZ)[1]
+    assert first == 0.0 and second > 0.0
+    assert check_size_and_smoothness(kern, space).c_smooth == second
+    assert explicit_kernel(space, mat, m=1.0, tau=1.0).C_CZ >= second
 
 
 # ---------------------------------------------------------------------------

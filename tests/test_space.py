@@ -12,7 +12,8 @@ from czkit.space import (MetricMeasureSpace, check_ahlfors_regularity,
                          check_growth_condition, default_radii, dilate,
                          dist_to_complement, dist_to_complement_all,
                          load_space, save_space, verify_omega_capture,
-                         verify_quasi_metric, INF_DISTANCE)
+                         verify_quasi_metric, INF_DISTANCE,
+                         _worst_triangle_excess)
 from conftest import grid_space, line_space
 
 
@@ -74,6 +75,73 @@ def test_quasi_triangle_constant_respected():
                                omega=np.zeros(5, dtype=bool),
                                quasi_const=math.sqrt(2.0))
     assert verify_quasi_metric(space).ok
+
+
+def _reference_quasi_ok(rho, k_q):
+    """The per-y loop the min-plus scan replaced, with its 1e-15 hysteresis
+    on the running worst excess."""
+    n = len(rho)
+    worst_excess = 0.0
+    excess = np.empty((n, n))
+    for y in range(n):
+        np.add(rho[:, y][:, None], rho[y, :][None, :], out=excess)
+        if k_q != 1:
+            excess *= k_q
+        np.subtract(rho, excess, out=excess)
+        if excess.max() > worst_excess + 1e-15:
+            worst_excess = float(excess.max())
+    return not worst_excess > 1e-12 * max(1.0, rho.max())
+
+
+def _triple_excess(rho, k_q):
+    """excess[x, y, z] = rho(x,z) - K (rho(x,y) + rho(y,z)), as the scan
+    rounds it."""
+    sums = rho[:, :, None] + rho[None, :, :]
+    if k_q != 1:
+        sums *= k_q
+    return rho[:, None, :] - sums
+
+
+@given(st.integers(2, 14), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+       st.sampled_from([1.0, 1.5, -0.5]),
+       st.booleans(), st.sampled_from([1, 3, 64]))
+@settings(max_examples=80, deadline=None)
+def test_quasi_metric_scan_matches_reference(n, seed, power, k_q, grid, tile):
+    # powers of planar distances: metric for power <= 1, failing the
+    # triangle inequality (for K = 1 or 1.5) for large enough powers; a
+    # negative K fails always; grid coordinates give tied distances
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, 4, (n, 2)) if grid else rng.random((n, 2))
+    coords = np.unique(coords, axis=0).astype(float)
+    n = len(coords)
+    if n < 2:
+        return
+    rho = np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(axis=-1))
+    rho = rho ** power
+    if rng.random() < 0.3:
+        i, j = rng.choice(n, 2, replace=False)
+        rho[i, j] = rho[j, i] = rho[i, j] * 3.0
+    space = MetricMeasureSpace(rho=rho, nu=np.ones(n), mu=np.full(n, 1 / n),
+                               omega=np.zeros(n, dtype=bool), quasi_const=k_q)
+    rep = verify_quasi_metric(space)
+    assert rep.ok == _reference_quasi_ok(rho, k_q)
+    excess = _triple_excess(rho, k_q)
+    best = excess.max()
+    got, triple = _worst_triangle_excess(rho, k_q, tile)
+    assert got == best
+    # the smallest (x, z) with x <= z, then the smallest y
+    upper = excess.max(axis=1)[np.triu_indices(n)]
+    first = int(np.argmax(upper == best))
+    x, z = (int(a[first]) for a in np.triu_indices(n))
+    assert triple == (x, int(np.argmax(excess[x, :, z] == best)), z)
+    if rep.ok:
+        assert (rep.ok, rep.worst_triple, rep.worst_excess) == (True, None, 0.0)
+    else:
+        assert rep.worst_excess == best
+        assert rep.worst_triple == triple
+        x, y, z = rep.worst_triple
+        assert excess[x, y, z] == rep.worst_excess
 
 
 # ---------------------------------------------------------------------------
