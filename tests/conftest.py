@@ -1,5 +1,14 @@
 """Shared fixtures: small deterministic spaces and lattices."""
 
+import os
+
+# Pin BLAS to one thread before numpy is imported. OpenBLAS splits a large
+# product across threads and sums its pieces in a thread-dependent order, so
+# the golden run reports, pinned byte for byte, would depend on the core
+# count; on line_in_plane(n=21) they do. The benchmark pins it the same way.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 
