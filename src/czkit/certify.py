@@ -17,7 +17,6 @@ the roles swap.  The scale-comparison conditions are generation arithmetic:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,16 +65,43 @@ def _good_component_cubes(lat: DyadicLattice):
     return [cube for cube in cubes if cube.good]
 
 
+@dataclass
+class PairTable:
+    """The pairs of one regime: per pair the fine and coarse rows
+    (``ComponentRows`` order), the generation gap, the cube distance, and
+    the far hypothesis flag (sigma2) or the holding child's id (sigma3)."""
+    q: np.ndarray
+    r: np.ndarray
+    gap: np.ndarray
+    dist: np.ndarray
+    far_ok: np.ndarray | None = None
+    rq: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.q.size
+
+    def select(self, keep) -> PairTable:
+        return PairTable(**{k: v[keep] for k, v in vars(self).items()
+                            if v is not None})
+
+    def records(self, fine_ids, coarse_ids) -> list:
+        """One dict per pair, with cube ids in place of rows."""
+        cols = {k: v for k, v in vars(self).items() if v is not None}
+        cols.update(q=fine_ids[self.q], r=coarse_ids[self.r])
+        return [dict(zip(cols, vals))
+                for vals in zip(*(v.tolist() for v in cols.values()))]
+
+
 def classify_pairs(fine_lat: DyadicLattice, coarse_lat: DyadicLattice,
                    r_gap: int, alpha: float) -> dict:
     """Sort all (fine, coarse) good transit pairs with gap >= 0 into the
-    diagonal, long range and short range regimes.
+    diagonal, long range and short range regimes: regime -> ``PairTable``.
 
-    Records are dicts with the pair ids, generation gap, cube distance and,
-    for short range pairs, the coarse child holding the fine cube: the
-    cube of the next generation with the most of its points, the lowest id
-    on ties.  The distances are the coarse lattice's point-to-cube table
-    reduced over the fine cubes' rows; the shared points are counted one
+    Rows number the good component cubes of each lattice in
+    ``_good_component_cubes`` order.  The distances are the coarse lattice's
+    point-to-cube table reduced over the fine cubes' rows.  The coarse child
+    holding the fine cube is the cube of the next generation with the most
+    of its points, the lowest id on ties; the shared points are counted one
     coarse generation at a time."""
     fine = _good_component_cubes(fine_lat)
     coarse = _good_component_cubes(coarse_lat)
@@ -114,20 +140,13 @@ def classify_pairs(fine_lat: DyadicLattice, coarse_lat: DyadicLattice,
     rq = holder[i3, rg[j3] + 1 - k_min]
     stop = ~np.isin(rq, coarse_lat.plan.ids)      # terminal or a leaf
 
-    def records(i, j, **fields):
-        # the records share the cubes' id objects
-        values = [[fine[a].id for a in i.tolist()],
-                  [coarse[b].id for b in j.tolist()], (qg[i] - rg[j]).tolist(),
-                  *(v.tolist() for v in fields.values())]
-        keys = ["q", "r", "gap", *fields]
-        return [dict(zip(keys, vals)) for vals in zip(*values)]
+    def table(i, j, **extra):
+        return PairTable(i, j, qg[i] - rg[j], dist[i, j], **extra)
 
-    return {"sigma1": records(i1, j1, dist=dist[i1, j1]),
-            "sigma2": records(i2, j2, dist=dist[i2, j2], far_ok=far_ok),
-            "sigma3_term": records(i3[stop], j3[stop],
-                                   dist=np.zeros(stop.sum()), rq=rq[stop]),
-            "sigma3_tran": records(i3[~stop], j3[~stop],
-                                   dist=np.zeros((~stop).sum()), rq=rq[~stop])}
+    short = table(i3, j3, rq=rq)
+    return {"sigma1": table(i1, j1), "sigma2": table(i2, j2, far_ok=far_ok),
+            "sigma3_term": short.select(stop),
+            "sigma3_tran": short.select(~stop)}
 
 
 @dataclass
@@ -136,13 +155,15 @@ class ComponentRows:
     pieces their martingale differences split into: piece ``piece[c]`` is
     the part of Delta_Q on its child c."""
     lattice: DyadicLattice
-    row: dict                      # cube id -> row, in row order
+    ids: np.ndarray                # cube id per row
     size: np.ndarray               # s(Q) per row
     mass: np.ndarray               # mu(Q) per row
+    center: np.ndarray             # center point per row
     piece: dict                    # child cube id -> piece
     piece_start: np.ndarray        # pieces of row i: piece_start[i:i + 2]
     point_piece: np.ndarray        # (rows, N) piece of each point of the
                                    # row's cube, len(piece) off the cube
+    inside: np.ndarray             # (rows, N) member mask of the row's cube
 
 
 def _component_rows(lat: DyadicLattice) -> ComponentRows:
@@ -156,10 +177,12 @@ def _component_rows(lat: DyadicLattice) -> ComponentRows:
             piece[ch] = len(piece)
     point_piece[point_piece < 0] = len(piece)
     return ComponentRows(
-        lattice=lat, row={c.id: i for i, c in enumerate(cubes)},
+        lattice=lat, ids=np.array([c.id for c in cubes], dtype=int),
         size=np.array([c.size for c in cubes]),
         mass=np.array([lat.cube_mu(c) for c in cubes]),
-        piece=piece, piece_start=piece_start, point_piece=point_piece)
+        center=np.array([c.center for c in cubes], dtype=int),
+        piece=piece, piece_start=piece_start, point_piece=point_piece,
+        inside=point_piece < len(piece))
 
 
 @dataclass
@@ -175,7 +198,7 @@ class Components:
 def _stack_components(rows: ComponentRows,
                       dec: MartingaleDecomposition) -> Components:
     mu = rows.lattice.space.mu
-    delta = dec.dense(list(rows.row))
+    delta = dec.dense(rows.ids.tolist())
     phi = delta * mu
     sq = delta ** 2 * mu
     piece_sq = np.bincount(rows.point_piece.ravel(), weights=sq.ravel(),
@@ -189,14 +212,12 @@ class HalfData:
     coarser ones, with the operator orientation fixed.
 
     pair_geometry fills the lattice-only fields once per lattice pair: the
-    pair buckets, the fine and coarse rows of every pair per regime, and per
-    regime the coefficients of the lemma bounds. split_bilinear copies them
-    for each probe and adds the probe fields."""
+    pair tables and each regime's lemma coefficients. split_bilinear copies
+    them for each probe and adds the probe fields."""
     fine_rows: ComponentRows
     coarse_rows: ComponentRows
     op: np.ndarray                 # matrix of the operator applied to coarse parts
-    buckets: dict                  # regime -> [records]
-    rows: dict                     # regime -> [fine rows, coarse rows]
+    pairs: dict                    # regime -> PairTable
     geo: dict = field(default_factory=dict)      # regime -> coefficients
     # probe fields
     fine_dec: MartingaleDecomposition | None = None
@@ -205,6 +226,7 @@ class HalfData:
     fine: Components | None = None
     coarse: Components | None = None
     values: dict = field(default_factory=dict)   # regime -> pair values
+    _view: dict = field(default_factory=dict, repr=False)  # see buckets
 
     @property
     def fine_lat(self) -> DyadicLattice:
@@ -213,6 +235,16 @@ class HalfData:
     @property
     def coarse_lat(self) -> DyadicLattice:
         return self.coarse_rows.lattice
+
+    @property
+    def buckets(self) -> dict:
+        """regime -> ``PairTable.records``, a view the split does not read;
+        built on first use and shared with the probe copies."""
+        if not self._view:
+            ids = self.fine_rows.ids, self.coarse_rows.ids
+            self._view.update((k, t.records(*ids))
+                              for k, t in self.pairs.items())
+        return self._view
 
 
 def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
@@ -229,17 +261,13 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
     halves = []
     for fine, coarse, op, abs_op in ((rows_f, rows_g, kernel.matrix.T, abs_k.T),
                                      (rows_g, rows_f, kernel.matrix, abs_k)):
-        buckets = classify_pairs(fine.lattice, coarse.lattice, r_gap, alpha)
+        # table rows are component rows: both follow _good_component_cubes
+        pairs = classify_pairs(fine.lattice, coarse.lattice, r_gap, alpha)
         if halves:
             # equal-size pairs appear in both halves; drop them from the
             # symmetric one so the regrouping stays a partition
-            buckets = {regime: [rec for rec in recs if rec["gap"] > 0]
-                       for regime, recs in buckets.items()}
-        rows = {regime: np.array([(fine.row[rec["q"]], coarse.row[rec["r"]])
-                                  for rec in recs], dtype=int).reshape(-1, 2).T
-                for regime, recs in buckets.items()}
-        half = HalfData(fine_rows=fine, coarse_rows=coarse, op=op,
-                        buckets=buckets, rows=rows)
+            pairs = {regime: t.select(t.gap > 0) for regime, t in pairs.items()}
+        half = HalfData(fine_rows=fine, coarse_rows=coarse, op=op, pairs=pairs)
         # sup of |op| over each point's row and each coarse piece's columns
         piece_sup = cube_reduce(coarse.lattice, abs_op, list(coarse.piece),
                                 np.maximum)
@@ -316,8 +344,8 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
     sums = {}
     for prefix, half, value in (("", primary, pair_matrix.T),
                                 ("sym_", symmetric, pair_matrix)):
-        for regime, (q, r) in half.rows.items():
-            half.values[regime] = value[q, r]
+        for regime, t in half.pairs.items():
+            half.values[regime] = value[t.q, t.r]
             sums[prefix + regime] = float(half.values[regime].sum())
     return SigmaSplit(lambda_part=lambda_part, direct=direct,
                       halves=(primary, symmetric), **sums)
@@ -411,32 +439,61 @@ def _far_coefficient(kernel, s_q, s_r, mass_q, mass_r, dist):
                              kernel.tau))
 
 
-def interaction_matrix(space: MetricMeasureSpace, fine_lat: DyadicLattice,
-                       coarse_lat: DyadicLattice, records, m: float,
+def _py_floats(values) -> np.ndarray:
+    """``values`` as an object array of Python floats, whose ``**`` is the
+    scalar one: numpy's float ``**`` misses its bits on a few percent of
+    inputs, and the pair arrays keep the bits of per-pair scalar code."""
+    return np.asarray(values, dtype=float).astype(object)
+
+
+def _scalar_pow(base, exp) -> np.ndarray:
+    """Elementwise ``base ** exp`` with the bits of scalar ``**``."""
+    return (_py_floats(base) ** exp).astype(float)
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> tuple:
+    """(owner, index): the ranges start[i]:start[i] + count[i] one after
+    the other, and the i of each entry."""
+    owner = np.repeat(np.arange(count.size), count)
+    offset = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    return owner, np.repeat(start, count) + offset
+
+
+def _masked_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``values`` summed over the entries of each row of ``mask``, bit for
+    bit ``values[np.flatnonzero(row)].sum()``: rows sum by entry count."""
+    count = mask.sum(axis=1)
+    cols = np.nonzero(mask)[1]
+    start = np.cumsum(count) - count
+    out = np.zeros(len(mask))
+    for c in np.unique(count[count > 0]).tolist():
+        rows = np.flatnonzero(count == c)
+        out[rows] = values[cols[start[rows, None] + np.arange(c)]].sum(axis=1)
+    return out
+
+
+def interaction_matrix(space: MetricMeasureSpace, fine: ComponentRows,
+                       coarse: ComponentRows, pairs: PairTable, m: float,
                        tau: float, regime: str = "long_range") -> InteractionMatrix:
-    """The nonnegative pair matrix of the long range bound, restricted to the
-    pairs present in ``records`` (``classify_pairs`` records, which carry
-    the cube distance)."""
-    q_ids = sorted({rec["q"] for rec in records})
-    r_ids = sorted({rec["r"] for rec in records})
-    qi = {cid: i for i, cid in enumerate(q_ids)}
-    ri = {cid: i for i, cid in enumerate(r_ids)}
+    """The nonnegative pair matrix of the long range bound over ``pairs``, a
+    table of rows of ``fine`` and ``coarse``; one slot per cube, in id order."""
+    def slots(rows, at):
+        ids, first, index = np.unique(rows.ids[at], return_index=True,
+                                      return_inverse=True)
+        cubes = map(rows.lattice.cubes.get, ids.tolist())
+        return index, rows.center[at[first]], [
+            CubeSlot(c.generation, c.size, mass, c.terminal is False)
+            for c, mass in zip(cubes, rows.mass[at[first]].tolist())]
 
-    def slots(lat, ids):
-        return [CubeSlot(c.generation, c.size, lat.cube_mu(c),
-                         c.terminal is False) for c in map(lat.cubes.get, ids)]
-
-    q_slots, r_slots = slots(fine_lat, q_ids), slots(coarse_lat, r_ids)
-    entries = np.zeros((len(q_ids), len(r_ids)))
-    rho_c = space.rho[np.ix_([fine_lat.cubes[c].center for c in q_ids],
-                             [coarse_lat.cubes[c].center for c in r_ids])]
-    for rec in records:
-        i, j = qi[rec["q"]], ri[rec["r"]]
-        cq = fine_lat.cubes[rec["q"]]
-        cr = coarse_lat.cubes[rec["r"]]
-        entries[i, j] = long_range_entry(cq.size, cr.size, q_slots[i].mass,
-                                         r_slots[j].mass, rec["dist"], m, tau)
-    return InteractionMatrix(regime, q_slots, r_slots, entries, rho_c)
+    (i, q_centers, q_slots), (j, r_centers, r_slots) = (
+        slots(fine, pairs.q), slots(coarse, pairs.r))
+    entries = np.zeros((len(q_slots), len(r_slots)))
+    entries[i, j] = long_range_entry(
+        _py_floats(fine.size[pairs.q]), _py_floats(coarse.size[pairs.r]),
+        fine.mass[pairs.q], coarse.mass[pairs.r], _py_floats(pairs.dist), m,
+        tau).astype(float)
+    return InteractionMatrix(regime, q_slots, r_slots, entries,
+                             space.rho[np.ix_(q_centers, r_centers)])
 
 
 @dataclass
@@ -468,17 +525,15 @@ def schur_bound_long_range(mat: InteractionMatrix, a: np.ndarray,
             raise NonTransitEntry("transit cubes must carry mu-mass")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    qg = np.array([s.gen for s in mat.q_slots])
-    rg = np.array([s.gen for s in mat.r_slots])
-    qm = np.array([s.mass for s in mat.q_slots])
-    rm = np.array([s.mass for s in mat.r_slots])
-    qs = np.array([s.size for s in mat.q_slots])
-    rs = np.array([s.size for s in mat.r_slots])
+    (qg, qm, qs), (rg, rm, rs) = (
+        [np.array([getattr(s, key) for s in slots])
+         for key in ("gen", "mass", "size")]
+        for slots in (mat.q_slots, mat.r_slots))
 
     slices = []
     per_gap = {}
-    gaps = sorted({int(g1 - g2) for g1 in qg for g2 in rg if g1 >= g2})
-    for k in gaps:
+    gaps = qg[:, None] - rg[None, :]
+    for k in np.unique(gaps[gaps >= 0]).tolist():
         best = 0.0
         for j in sorted(set(rg.tolist())):
             rows = np.flatnonzero(qg == j + k)
@@ -575,34 +630,29 @@ def block_matrix_spectral(entries, kappa: float, tau: float) -> float:
 
 def _terminal_geometry(space, half: HalfData, abs_op) -> dict:
     """Groups of terminal pairs sharing the coarse cube R and its holding
-    child, the weight k_sup sqrt(mu(U) mu(R)) of each group, where U is the
-    child together with every fine cube of the group and k_sup the kernel
-    sup over the rows of U, and the regime constant."""
-    coarse_lat = half.coarse_lat
-    records = half.buckets["sigma3_term"]
-    row_sup = abs_op.max(axis=1)
-    groups = {}
-    for p, rec in enumerate(records):
-        groups.setdefault((rec["r"], rec["rq"]), []).append(p)
-    group_of = np.zeros(len(records), dtype=int)
-    r_rows, weights, const = [], [], {}
-    for gi, ((r_id, rq_id), pairs) in enumerate(groups.items()):
-        group_of[pairs] = gi
-        # the fine cubes need not sit inside the holding child, so the
-        # sup and the mass run over their union with it
-        members = np.unique(np.concatenate(
-            [coarse_lat.cubes[rq_id].members] +
-            [half.fine_lat.cubes[records[p]["q"]].members for p in pairs]))
-        k_sup = float(row_sup[members].max())
-        mass_r = coarse_lat.cube_mu(coarse_lat.cubes[r_id])
-        w = k_sup * math.sqrt(space.mu_mass(members) * mass_r)
-        r_rows.append(half.coarse_rows.row[r_id])
-        weights.append(w)
-        const.setdefault(r_id, []).append(w)
-    c_total = max((math.sqrt(len(ws)) * max(ws) for ws in const.values()),
-                  default=0.0)
-    return {"group": group_of, "r_row": np.array(r_rows, dtype=int),
-            "weight": np.array(weights), "constant": c_total}
+    child, in order of first pair; the weight k_sup sqrt(mu(U) mu(R)) of
+    each, U the child and the group's fine cubes, k_sup the kernel sup over
+    the rows of U; and the regime constant."""
+    t = half.pairs["sigma3_term"]
+    coarse = half.coarse_rows
+    _, first, group = np.unique(t.r * (max(half.coarse_lat.cubes) + 1) + t.rq,
+                                return_index=True, return_inverse=True)
+    order = np.argsort(first)                 # groups by their first pair
+    first, group = first[order], np.argsort(order)[group]
+    r_rows = t.r[first]
+    # the fine cubes need not sit inside the holding child, so the sup and
+    # the mass run over their union with it
+    union = half.coarse_lat.member_masks(t.rq[first])
+    np.logical_or.at(union, group, half.fine_rows.inside[t.q])
+    k_sup = np.where(union, abs_op.max(axis=1), -np.inf).max(axis=1)
+    weight = k_sup * np.sqrt(_masked_sums(space.mu, union) *
+                             coarse.mass[r_rows])
+    # per R: the root of its group count times its largest weight
+    worst = np.zeros(len(coarse.ids))
+    np.maximum.at(worst, r_rows, weight)
+    n_groups = np.bincount(r_rows, minlength=worst.size)
+    return {"group": group, "r_row": r_rows, "weight": weight,
+            "constant": float((np.sqrt(n_groups) * worst).max(initial=0.0))}
 
 
 def short_range_terminal_bound(split: SigmaSplit, half_index: int = 0):
@@ -615,7 +665,7 @@ def short_range_terminal_bound(split: SigmaSplit, half_index: int = 0):
     half = split.halves[half_index]
     prefix = "" if half_index == 0 else "sym_"
     geo = half.geo["sigma3_term"]
-    q_rows, _ = half.rows["sigma3_term"]
+    q_rows = half.pairs["sigma3_term"].q
     measured = abs(float(half.values["sigma3_term"].sum()))
     v = np.sqrt(np.bincount(geo["group"], weights=half.fine.norm_sq[q_rows],
                             minlength=geo["weight"].size))
@@ -637,147 +687,106 @@ def _transit_geometry(kernel, space, half: HalfData, piece_sup,
     sups from a fine cube Q to the coarse remainder R minus R_Q are the
     extremes over the pieces of R other than R_Q, read off (Q, piece)
     tables; ``piece_sup`` is as in ``_diagonal_geometry``."""
-    records = half.buckets["sigma3_tran"]
-    mu = space.mu
-    fine, coarse = half.fine_rows, half.coarse_rows
-    fine_lat, coarse_lat = fine.lattice, coarse.lattice
-    kappa, tau = coarse_lat.kappa, kernel.tau
-    col, dist_c = coarse_lat.column, coarse_lat.dist
-    q_rows, r_rows = half.rows["sigma3_tran"]
+    t = half.pairs["sigma3_tran"]
+    q, r, rq = t.q, t.r, t.rq
+    mu, fine, coarse = space.mu, half.fine_rows, half.coarse_rows
+    coarse_lat, kappa, tau = coarse.lattice, coarse.lattice.kappa, kernel.tau
+    in_rq = coarse_lat.member_masks(rq)
+    # R_Q is transit, so it carries mass
+    mass_q, mass_rq = fine.mass[q], _masked_sums(mu, in_rq)
+    s_alpha = _scalar_pow(fine.size, alpha)[q]
+    violations = []               # one message per violation
 
     # (a) far part against the rest of the coarse cube, i.e. against its
     # pieces on the other children: their distance to Q and kernel sup
-    pieces = list(coarse.piece)
-    other_pair, other_piece = [], []
-    for p, (rec, j) in enumerate(zip(records, r_rows.tolist())):
-        for k in range(coarse.piece_start[j], coarse.piece_start[j + 1]):
-            if pieces[k] != rec["rq"]:
-                other_pair.append(p)
-                other_piece.append(k)
-    other_pair = np.array(other_pair, dtype=int)
-    other_piece = np.array(other_piece, dtype=int)
-    fine_ids = list(fine.row)
-    at = q_rows[other_pair], other_piece
-    d_out = np.full(len(records), math.inf)
+    pieces = np.array(list(coarse.piece), dtype=int)
+    other_pair, other_piece = _ranges(coarse.piece_start[r],
+                                      np.diff(coarse.piece_start)[r])
+    keep = pieces[other_piece] != rq[other_pair]
+    other_pair, other_piece = other_pair[keep], other_piece[keep]
+    at = q[other_pair], other_piece
+    d_out = np.full(len(t), math.inf)
     np.minimum.at(d_out, other_pair, cube_reduce(
-        fine_lat, dist_c[:, col[pieces]], fine_ids, axis=0)[at])
-    sup_out = np.zeros(len(records))
+        fine.lattice, coarse_lat.dist[:, coarse_lat.column[pieces]],
+        fine.ids, axis=0)[at])
+    sup_out = np.zeros(len(t))
     np.maximum.at(sup_out, other_pair, cube_reduce(
-        fine_lat, piece_sup, fine_ids, np.maximum, axis=0)[at])
-    d_out, sup_out = d_out.tolist(), sup_out.tolist()
-    d_r = cube_reduce(fine_lat, dist_c[:, col[list(coarse.row)]], fine_ids,
-                      axis=0)[q_rows, r_rows]
-    mass_q = fine.mass[q_rows].tolist()
-    mass_r = coarse.mass[r_rows].tolist()
+        fine.lattice, piece_sup, fine.ids, np.maximum, axis=0)[at])
+    far_coef = _far_coefficient(
+        kernel, _py_floats(fine.size[q]), _py_floats(coarse.size[r]), mass_q,
+        coarse.mass[r], _py_floats(t.dist)).astype(float)
+    near = ~(d_out >= s_alpha * _scalar_pow(coarse.size, 1 - alpha)[r])
+    if near.any():
+        # the separation hypothesis failed, so the kernel-decay bound
+        # is not available; use the always-valid rectangular sup bound
+        rest = coarse.inside[r[near]] & ~in_rq[near]
+        far_coef[near] = sup_out[near] * np.sqrt(mass_q[near] *
+                                                 _masked_sums(mu, rest))
+        violations += ["pair: distance to the coarse remainder under "
+                       "s(Q)^alpha s(R)^(1-alpha)"] * int(near.sum())
 
-    level = {}        # cube id -> its ascent levels
+    # (b) extension error, exact ascent sums over the levels of R_Q's
+    # chain: at each generation k above R_Q, the ancestor at k minus the
+    # ancestor at k + 1, where that leaves points
+    labels = np.stack([coarse_lat.labels[k] for k in coarse_lat.generations()])
+    x = in_rq.argmax(axis=1)                          # a point of each R_Q
+    below = (labels[:, x] == rq).argmax(axis=0)       # R_Q's generation
+    rho_q = space.rho[fine.center[q]]                 # from Q's center
+    d = np.full((len(labels), len(t)), math.inf)
+    mass = np.zeros(d.shape)
+    for k in range(len(labels) - 1):
+        level = ((labels[k] == labels[k, x, None]) &
+                 (labels[k + 1] != labels[k + 1, x, None]) &
+                 (below > k)[:, None])
+        d[k] = np.where(level, rho_q, math.inf).min(axis=1)
+        mass[k] = _masked_sums(mu, level)
+    chain = (d > 0).all(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # summed level by level, bottom up; void where chain fails
+        ascent = np.where(chain, sum((mass / _scalar_pow(
+            d, kernel.m + tau))[::-1]), 0.0)
+    s_level = _scalar_pow([kappa ** k for k in coarse_lat.generations()],
+                          1 - alpha)
+    violations += ["ascent level: distance under goodness bound"] * int(
+        ((d < s_alpha * s_level[:, None]) & chain).sum())
+    reach = np.where(fine.inside, space.rho[fine.center],
+                     -math.inf).max(axis=1)[q]
+    ext_coef = kernel.C_CZ * _scalar_pow(reach, tau) * ascent
+    # the center sits outside its coarse child, or the smoothness regime
+    # fails: use the exact value of the extension pairing
+    chain &= reach <= kernel.delta_CZ * d.min(axis=0)
+    violations += ["pair: extension estimate fell back to the exact "
+                   "pairing"] * int((~chain).sum())
+    # extension entry over block entry; the masses cancel
+    ext_const = ext_coef / _scalar_pow(fine.size[q] / coarse.size[r], tau / 2)
 
-    def levels(cube):
-        """Exact level sums mu(level_j) / d_j^(m+tau) material for the
-        extension estimate: (parent, mu of the level, columns of the
-        level's cubes) for each ancestor with more than one child; the
-        level is the parent minus the child on the chain."""
-        if cube.id not in level:
-            steps = []
-            child = cube
-            while child.parent is not None:
-                parent = coarse_lat.cubes[child.parent]
-                sibs = [c for c in parent.children if c != child.id]
-                if sibs:
-                    labels = coarse_lat.labels[child.generation][parent.members]
-                    pts = parent.members[labels != child.id]
-                    steps.append((parent, float(mu[pts].sum()), col[sibs]))
-                child = parent
-            level[cube.id] = steps
-        return level[cube.id]
-
-    per_pair = []     # far coefficient, extension coefficient, chain, block t
-    violations, ext_consts, entries = [], [], []
-    for p, rec in enumerate(records):
-        q = fine_lat.cubes[rec["q"]]
-        r = coarse_lat.cubes[rec["r"]]
-        rq = coarse_lat.cubes[rec["rq"]]
-        mq, mrq = mass_q[p], coarse_lat.cube_mu(rq)
-        threshold = q.size ** alpha * r.size ** (1 - alpha)
-        far = 0.0
-        if d_out[p] >= threshold:
-            far = _far_coefficient(kernel, q.size, r.size, mq, mass_r[p],
-                                   float(d_r[p]))
-        else:
-            violations.append(
-                f"pair ({rec['q']},{rec['r']}): distance to the coarse "
-                f"remainder {d_out[p]:.3g} under {threshold:.3g}")
-            # the separation hypothesis failed, so the kernel-decay bound
-            # is not available; use the always-valid rectangular sup bound
-            outside = r.members[
-                coarse_lat.labels[rq.generation][r.members] != rq.id]
-            far = sup_out[p] * math.sqrt(mq * float(mu[outside].sum()))
-
-        # (b) extension error, exact ascent sum
-        r_q_reach = float(space.rho[q.center, q.members].max())
-        ascent = [(parent, mass, float(dist_c[q.center, cols].min()))
-                  for parent, mass, cols in levels(rq)]
-        chain_ok = all(d > 0 for _, _, d in ascent)
-        ascent_sum = 0.0
-        if chain_ok:
-            for parent, mass, d in ascent:
-                ascent_sum += mass / d ** (kernel.m + tau)
-                if d < q.size ** alpha * parent.size ** (1 - alpha):
-                    violations.append(
-                        f"ascent level {parent.id}: distance under "
-                        "goodness bound")
-            nearest = min((d for _, _, d in ascent), default=math.inf)
-            chain_ok = r_q_reach <= kernel.delta_CZ * nearest
-        if not chain_ok:
-            # the center sits outside its coarse child, or the smoothness
-            # regime fails: use the exact value of the extension pairing
-            violations.append(f"pair ({rec['q']},{rec['r']}): extension "
-                              "estimate fell back to the exact pairing")
-        ext = kernel.C_CZ * r_q_reach ** tau * ascent_sum
-        if mq > 0 and mrq > 0:
-            # extension entry over block entry; the masses cancel
-            ext_consts.append(ext / (q.size / r.size) ** (tau / 2))
-
-        # (c) block aggregation material
-        entries.append((rec["q"], rec["r"], rec["gap"], mq, mrq))
-        per_pair.append((far, ext, chain_ok, kappa ** (tau * rec["gap"] / 2.0) *
-                         math.sqrt(mq / mrq) if mrq > 0 else 0.0))
-    far_coef, ext_coef, chain, block_t = np.reshape(per_pair, (-1, 4)).T
-
-    # mu on each coarse cube R and holding child R_Q, for their averages
-    cube_ids, cube_col = np.unique([(rec["r"], rec["rq"]) for rec in records],
-                                   return_inverse=True)
-    on_cube = np.zeros((cube_ids.size, space.n_points))
-    for k, cid in enumerate(cube_ids):
-        members = coarse_lat.cubes[int(cid)].members
-        on_cube[k, members] = mu[members]
-
-    parents = Counter((q, k) for q, _, k, _, _ in entries)
-    straddle = np.array([parents[(e[0], e[2])] > 1 for e in entries],
-                        dtype=bool)
-    clean = [e for e, s in zip(entries, straddle) if not s]
+    # (c) block aggregation material: the fitted series of the block lemma,
+    # plus the plain entry series of the fine cubes that meet two coarse
+    # cubes at one gap, outside the lemma's one-chain structure
+    block_t = _scalar_pow(kappa, tau * t.gap / 2.0) * np.sqrt(mass_q / mass_rq)
+    _, at, n = np.unique(q * (t.gap.max(initial=0) + 1) + t.gap,
+                         return_inverse=True, return_counts=True)
+    straddle = n[at.ravel()] > 1
+    c_str = float(block_t[straddle].sum())
+    fitted = block_matrix_bound(zip(*(a[~straddle].tolist() for a in (
+        q, r, t.gap, mass_q, mass_rq))), {}, {}, kappa, tau)[2] + c_str
     explicit = 1.0 / (1.0 - kappa ** (tau / 2.0))
-    block_coef = fitted = 0.0
-    if clean:
-        # only the fitted series of the block lemma is lattice-only
-        fitted = block_matrix_bound(clean, {}, {}, kappa, tau)[2]
-        block_coef = explicit
+    block_coef = explicit * (not straddle.all()) + c_str
     if straddle.any():
-        # fine cubes meeting two coarse cubes at the same gap fall outside
-        # the one-chain structure; cover them with the plain entry series
-        c_str = float(block_t[straddle].sum())
-        block_coef += c_str
-        fitted += c_str
         violations.append(f"{int(straddle.sum())} short range pairs "
                           "straddle coarse cubes and use the entrywise series")
 
-    return {"far_coef": far_coef, "ext_coef": ext_coef, "chain": chain > 0,
+    # mu on each coarse cube R and holding child R_Q, for their averages
+    cube_ids, cube_col = np.unique(np.column_stack([coarse.ids[r], rq]),
+                                   return_inverse=True)
+    on_cube = np.where(coarse_lat.member_masks(cube_ids), mu, 0.0)
+    return {"far_coef": far_coef, "ext_coef": ext_coef, "chain": chain,
             "other_pair": other_pair, "other_piece": other_piece,
             "on_cube": on_cube, "on_mass": on_cube.sum(axis=1),
             "cube_col": cube_col.reshape(-1, 2),
             "block_t": block_t, "block_coef": block_coef,
-            "constant": max(ext_consts, default=0.0) * max(fitted, explicit),
-            "violations": violations}
+            "constant": float(ext_const.max(initial=0.0)) *
+            max(fitted, explicit), "violations": violations}
 
 
 def short_range_transit_bound(kernel: KernelSpec, space: MetricMeasureSpace,
@@ -792,7 +801,7 @@ def short_range_transit_bound(kernel: KernelSpec, space: MetricMeasureSpace,
     half = split.halves[half_index]
     prefix = "" if half_index == 0 else "sym_"
     geo = half.geo["sigma3_tran"]
-    q, r = half.rows["sigma3_tran"]
+    q, r = half.pairs["sigma3_tran"].q, half.pairs["sigma3_tran"].r
     fine, coarse = half.fine, half.coarse
     fine_t = fine.phi @ half.op           # row Q is op^T Delta_Q mu
     dq, dr = np.sqrt(fine.norm_sq[q]), np.sqrt(coarse.norm_sq[r])
@@ -933,14 +942,13 @@ def whitney_decomposition(space: MetricMeasureSpace, lattice: DyadicLattice,
     """Greedy interior covering of a cube by maximal sub-cubes P with
     dilate(P, 1.5) inside it; reports the multiplicity of the 1.4-dilations
     and the covered mu-fraction."""
-    target = set(r_cube.members.tolist())
     selected = []
     stack = [cid for cid in r_cube.children]
     while stack:
         cid = stack.pop()
         cube = lattice.cubes[cid]
         grown = dilate(space, cube.members, 1.5)
-        if set(grown.tolist()) <= target:
+        if np.isin(grown, r_cube.members).all():
             selected.append(cid)
         else:
             stack.extend(cube.children)
@@ -1082,20 +1090,19 @@ def _diagonal_geometry(space, half: HalfData, abs_op, piece_sup) -> dict:
     raw_c = np.array([c.terminal or c.is_leaf for c in c_cubes], dtype=bool)
 
     # the son pairs of each diagonal pair, fine son outer, coarse son inner
-    q, r = half.rows["sigma1"]
+    q, r = half.pairs["sigma1"].q, half.pairs["sigma1"].r
     n_c = np.diff(coarse.piece_start)[r]
     sons = np.diff(fine.piece_start)[q] * n_c
-    starts = np.cumsum(sons) - sons
-    t = np.arange(sons.sum()) - np.repeat(starts, sons)
-    n_c = np.repeat(n_c, sons)
-    f_piece = np.repeat(fine.piece_start[q], sons) + t // n_c
-    c_piece = np.repeat(coarse.piece_start[r], sons) + t % n_c
+    pair, t = _ranges(np.zeros_like(sons), sons)
+    f_piece = fine.piece_start[q][pair] + t // n_c[pair]
+    c_piece = coarse.piece_start[r][pair] + t % n_c[pair]
     mass = np.sqrt(mass_f[f_piece] * mass_c[c_piece])
     # localized sup bound needs the sup over the whole slab
     w_raw = np.where(raw_f[f_piece], row_sup[f_piece] * mass,
                      np.where(raw_c[c_piece], col_sup[c_piece] * mass,
                               math.nan))
-    return {"starts": starts, "f_piece": f_piece, "c_piece": c_piece,
+    return {"starts": np.cumsum(sons) - sons, "f_piece": f_piece,
+            "c_piece": c_piece,
             "w_rect": rect[f_piece, c_piece] * mass, "w_raw": w_raw}
 
 
@@ -1117,7 +1124,8 @@ def _diagonal_constant(half: HalfData, t1_A: float) -> float:
     if not w.size:
         return 0.0
     starts = half.geo["sigma1"]["starts"]
-    m_f, m_c = (int(np.bincount(rows).max()) for rows in half.rows["sigma1"])
+    t = half.pairs["sigma1"]
+    m_f, m_c = (int(np.bincount(rows).max()) for rows in (t.q, t.r))
     sons = np.diff(np.append(starts, w.size))
     worst = np.maximum.reduceat(w, starts)
     return float((worst * np.sqrt(sons)).max()) * math.sqrt(m_f * m_c)
@@ -1166,16 +1174,11 @@ class CertificateReport:
 def _probe_functions(space: MetricMeasureSpace, lat: DyadicLattice,
                      n_random: int, rng: np.random.Generator):
     probes = [rng.standard_normal(space.n_points) for _ in range(n_random)]
-    cubes = [c for c in lat.cubes.values() if 0 < c.members.size < space.n_points]
-    for cube in cubes[:2]:
-        chi = np.zeros(space.n_points)
-        chi[cube.members] = 1.0
-        probes.append(chi)
-    normed = []
-    for p in probes:
-        n = space.l2_norm(p)
-        normed.append(p / n if n > 0 else p)
-    return normed
+    cubes = [c.id for c in lat.cubes.values()
+             if 0 < c.members.size < space.n_points]
+    probes += list(lat.member_masks(cubes[:2]).astype(float))   # indicators
+    norms = [space.l2_norm(p) for p in probes]
+    return [p / n if n > 0 else p for p, n in zip(probes, norms)]
 
 
 def _far_geometry(kernel, space, half: HalfData, abs_op) -> dict:
@@ -1183,19 +1186,15 @@ def _far_geometry(kernel, space, half: HalfData, abs_op) -> dict:
     norms, with ``far`` marking the pairs that meet its distance hypothesis;
     and the regime constants: the Schur constant of the far pairs and the
     sup fallback constant of the near pairs (normally none)."""
-    records = half.buckets["sigma2"]
-    q, r = half.rows["sigma2"]
+    t = half.pairs["sigma2"]
+    q, r, far = t.q, t.r, t.far_ok
     fine, coarse = half.fine_rows, half.coarse_rows
     m, tau = kernel.m, kernel.tau
     coef = _far_coefficient(kernel, fine.size[q], coarse.size[r],
-                            fine.mass[q], coarse.mass[r],
-                            np.array([rec["dist"] for rec in records]))
-    far = np.array([rec.get("far_ok", True) for rec in records], dtype=bool)
+                            fine.mass[q], coarse.mass[r], t.dist)
     c_far = c_near = 0.0
     if far.any():
-        mat = interaction_matrix(space, half.fine_lat, half.coarse_lat,
-                                 [rec for rec, ok in zip(records, far) if ok],
-                                 m, tau)
+        mat = interaction_matrix(space, fine, coarse, t.select(far), m, tau)
         ones = np.ones(len(mat.q_slots))
         schur = schur_bound_long_range(mat, ones, np.ones(len(mat.r_slots)),
                                        m, tau)
@@ -1205,9 +1204,8 @@ def _far_geometry(kernel, space, half: HalfData, abs_op) -> dict:
         q_near, q_at = np.unique(q[~far], return_inverse=True)
         r_near, r_at = np.unique(r[~far], return_inverse=True)
         sup = cube_reduce(half.coarse_lat, cube_reduce(
-            half.fine_lat, abs_op, np.array(list(fine.row))[q_near],
-            np.maximum), np.array(list(coarse.row))[r_near], np.maximum,
-            axis=0)[r_at, q_at]
+            half.fine_lat, abs_op, fine.ids[q_near], np.maximum),
+            coarse.ids[r_near], np.maximum, axis=0)[r_at, q_at]
         worst = max(0.0, float((sup * np.sqrt(fine.mass[q[~far]] *
                                               coarse.mass[r[~far]])).max()))
         c_near = worst * math.sqrt(np.bincount(q[~far]).max() *
@@ -1217,12 +1215,10 @@ def _far_geometry(kernel, space, half: HalfData, abs_op) -> dict:
 
 def _sigma2_probe_check(half: HalfData, prefix: str):
     """Per-probe far-interaction verification over the sigma2 pairs."""
-    geo = half.geo["sigma2"]
-    q, r = half.rows["sigma2"]
-    far = geo["far"]
-    meas = float(np.abs(half.values["sigma2"][far]).sum())
-    bound = float((geo["coef"] * np.sqrt(half.fine.norm_sq[q]) *
-                   np.sqrt(half.coarse.norm_sq[r]))[far].sum())
+    geo, t = half.geo["sigma2"], half.pairs["sigma2"]
+    meas = float(np.abs(half.values["sigma2"][geo["far"]]).sum())
+    bound = float((geo["coef"] * np.sqrt(half.fine.norm_sq[t.q]) *
+                   np.sqrt(half.coarse.norm_sq[t.r]))[geo["far"]].sum())
     return _lemma(prefix + "sigma2_far", meas, bound, "long_range")
 
 
@@ -1250,10 +1246,9 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
     if lat1.space is not space or (lat1.kappa, lat1.seed) != (kappa, seeds[0]):
         raise ValueError("lattice is not the seeds[0] lattice of this space")
     lat2 = build_lattice(space, kappa, seed=seeds[1])
-    classify_terminal_transit(lat1)
-    classify_terminal_transit(lat2)
-    classify_all_good_bad(lat1, lat2, alpha, delta_bad, s_param)
-    classify_all_good_bad(lat2, lat1, alpha, delta_bad, s_param)
+    for lat, other in ((lat1, lat2), (lat2, lat1)):
+        classify_terminal_transit(lat)
+        classify_all_good_bad(lat, other, alpha, delta_bad, s_param)
 
     a_t1 = max(check_T1(kernel, space, lat1).A, check_T1(kernel, space, lat2).A)
     empirical, converged = operator_norm(kernel, space, seed=master_seed)
@@ -1276,8 +1271,8 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
         far_geo = half.geo["sigma2"]
         n_near = int((~far_geo["far"]).sum())
         violations = len(half.geo["sigma3_tran"]["violations"])
-        counts.update({prefix + regime + "_pairs": len(recs)
-                       for regime, recs in half.buckets.items()})
+        counts.update({prefix + regime + "_pairs": len(t)
+                       for regime, t in half.pairs.items()})
         counts[prefix + "sigma2_fallback_pairs"] = n_near
         counts[prefix + "sigma3_violations"] = violations
         if n_near:

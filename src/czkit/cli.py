@@ -123,13 +123,10 @@ def cmd_montecarlo(args) -> int:
     space = _load_space(args.space, args.allow_large)
     alpha = alpha_param(args.m, args.tau)
     lat = build_lattice(space, args.kappa, seed=args.seed)
-    probe = None
-    for k in sorted(lat.by_gen):
-        if k > lat.k_min:
-            probe = lat.cubes[lat.by_gen[k][len(lat.by_gen[k]) // 2]]
-            break
-    if probe is None:
+    if lat.k_max == lat.k_min:
         raise SystemExit("error: lattice has a single generation")
+    ids = lat.by_gen[lat.k_min + 1]
+    probe = lat.cubes[ids[len(ids) // 2]]
     p, err, low = estimate_bad_probability(
         probe.members, probe.generation, space, args.kappa, alpha,
         args.delta, args.s_param, args.ensemble, master_seed=args.seed)

@@ -87,6 +87,13 @@ class DyadicLattice:
         reps[self.column[ids]] = ids
         return reps.tolist()
 
+    def member_masks(self, ids) -> np.ndarray:
+        """(len(ids), N) member masks of the cubes ``ids``."""
+        ids = np.asarray(ids, dtype=int)
+        labels = np.stack([self.labels[k] for k in self.generations()])
+        return labels[[self.cubes[c].generation - self.k_min
+                       for c in ids.tolist()]] == ids[:, None]
+
     @cached_property
     def dist(self) -> np.ndarray:
         """(N, columns) point-to-cube distances, built once per lattice:
@@ -104,26 +111,23 @@ def cube_reduce(lat: DyadicLattice, matrix: np.ndarray, ids,
                 ufunc=np.minimum, axis: int = 1) -> np.ndarray:
     """Reduce ``matrix`` over the members of each cube of ``lat`` named in
     ``ids``: slot j along ``axis`` of the result is ``ufunc`` over the
-    columns (axis 1) or rows (axis 0) of cube ``ids[j]``.  The rows to
-    reduce are gathered once per generation, whose cubes are disjoint, so
-    no gathered block is taller than N; each cube then reduces a contiguous
-    slice of it."""
+    columns (axis 1) or rows (axis 0) of cube ``ids[j]``.  The cubes of one
+    generation and member count reduce together, one gather of their rows
+    each; a generation's cubes are disjoint, so no gather is taller than N.
+    (``ufunc.reduceat`` over a generation's rows is exact as well, but it
+    reduces along the rows without SIMD, several times slower on large
+    cubes.)"""
     src = np.asarray(matrix)
     if axis == 1:
         src = np.ascontiguousarray(src.T)
     cubes = [lat.cubes[cid] for cid in ids]
-    gens = np.array([c.generation for c in cubes], dtype=int)
+    group = np.array([c.generation * (lat.space.n_points + 1) + c.members.size
+                      for c in cubes], dtype=int)
     out = np.empty((len(cubes), src.shape[1]), dtype=src.dtype)
-    for k in np.unique(gens):
-        slots = np.flatnonzero(gens == k)
-        members = [cubes[j].members for j in slots]
-        sizes = np.array([m.size for m in members])
-        starts = np.cumsum(sizes) - sizes
-        block = src[np.concatenate(members)]
-        one = sizes == 1
-        out[slots[one]] = block[starts[one]]
-        for j, a, size in zip(slots[~one], starts[~one], sizes[~one]):
-            out[j] = ufunc.reduce(block[a:a + size], axis=0)
+    for g in np.unique(group).tolist():
+        slots = np.flatnonzero(group == g).tolist()
+        rows = np.array([cubes[j].members for j in slots])
+        out[slots] = ufunc.reduce(src[rows], axis=1)
     return np.ascontiguousarray(out.T) if axis == 1 else out
 
 
@@ -138,9 +142,7 @@ def cube_dilations(lat: DyadicLattice, lams) -> np.ndarray:
     reach = cube_reduce(lat, lat.space.rho, reps, np.maximum, axis=0)
     diam = np.array([row[c.members].max() if c.members.size > 1 else 0.0
                      for row, c in zip(reach, cubes)])
-    inside = np.zeros((len(cubes), n), dtype=bool)
-    inside[np.repeat(np.arange(len(cubes)), [c.members.size for c in cubes]),
-           np.concatenate([c.members for c in cubes])] = True
+    inside = lat.member_masks(reps)
     out = np.empty((len(cubes), 1 + len(lams), n), dtype=bool)
     out[:, 0] = inside
     for t, lam in enumerate(lams, start=1):
@@ -291,13 +293,11 @@ def verify_lattice_properties(lat: DyadicLattice, eta: float = 1.0,
 
     partition_ok = True
     for k in lat.generations():
-        lab = lat.labels[k]
-        if (lab < 0).any():
+        if (lat.labels[k] < 0).any():
             partition_ok = False
             failures.append(("partition", k, "uncovered points"))
-        seen = np.zeros(n, dtype=int)
-        for cid in lat.by_gen[k]:
-            seen[lat.cubes[cid].members] += 1
+        seen = np.bincount(np.concatenate(
+            [lat.cubes[cid].members for cid in lat.by_gen[k]]), minlength=n)
         if (seen > 1).any():
             partition_ok = False
             failures.append(("disjointness", k, "overlapping cubes"))

@@ -108,10 +108,14 @@ class QuasiMetricReport:
 
 
 def verify_quasi_metric(space: MetricMeasureSpace) -> QuasiMetricReport:
-    """Check symmetry, vanishing exactly on the diagonal, and the
+    """Check finite entries, symmetry, exact zeros on the diagonal, and the
     quasi-triangle inequality with the declared constant over all triples."""
     rho = space.rho
     n = space.n_points
+    if not np.isfinite(rho).all():
+        i, j = np.argwhere(~np.isfinite(rho))[0]
+        return QuasiMetricReport(False, (int(i), int(j), -1),
+                                 float(rho[i, j]), "non-finite distance")
     asym = np.abs(rho - rho.T)
     i, j = np.unravel_index(np.argmax(asym), asym.shape)
     if asym[i, j] > 0:
@@ -307,6 +311,8 @@ def space_from_json(doc: dict) -> MetricMeasureSpace:
     metric = doc["metric"]
     if metric["type"] == "euclidean":
         coords = np.asarray(metric["coords"], dtype=float)
+        if not np.isfinite(coords).all():
+            raise ValueError("the euclidean coords have non-finite entries")
         diff = coords[:, None, :] - coords[None, :, :]
         rho = np.sqrt((diff ** 2).sum(axis=-1))
     elif metric["type"] == "explicit":
@@ -314,10 +320,13 @@ def space_from_json(doc: dict) -> MetricMeasureSpace:
         coords = None
     else:
         raise ValueError(f"unknown metric type {metric['type']!r}")
-    n, n_nu, n_mu = len(points), len(doc["nu"]), len(doc["mu"])
-    if rho.shape != (n, n) or n_nu != n or n_mu != n:
-        raise ValueError(f"{n} points, {n_nu} nu and {n_mu} mu weights but a "
-                         f"{'x'.join(map(str, rho.shape))} metric")
+    n, nu, mu = len(points), *(np.asarray(doc[k], float) for k in ("nu", "mu"))
+    if rho.shape != (n, n) or nu.shape != (n,) or mu.shape != (n,):
+        raise ValueError(f"{n} points, {nu.size} nu and {mu.size} mu weights "
+                         f"but a {'x'.join(map(str, rho.shape))} metric")
+    for name, values in (("metric", rho), ("nu", nu), ("mu", mu)):
+        if not (np.isfinite(values) & (values >= 0)).all():
+            raise ValueError(f"{name} entries must be finite and nonnegative")
     if coords is None and np.abs(rho - rho.T).max() > 1e-12:
         raise ValueError("explicit metric matrix must be symmetric to 1e-12")
     zero = np.argwhere((rho == 0) & ~np.eye(len(rho), dtype=bool))
@@ -330,9 +339,7 @@ def space_from_json(doc: dict) -> MetricMeasureSpace:
     for p in doc.get("omega", []):
         omega[index[p]] = True
     return MetricMeasureSpace(
-        rho=rho,
-        nu=np.asarray(doc["nu"], dtype=float),
-        mu=np.asarray(doc["mu"], dtype=float),
+        rho=rho, nu=nu, mu=mu,
         omega=omega,
         quasi_const=float(doc.get("quasi_const", 1.0)),
         resolution_h=float(doc.get("resolution_h", 0.0)),

@@ -290,9 +290,10 @@ def test_sigma2_matrix_of_cantor_example():
     f, g = rng.standard_normal((2, space.n_points))
     split = _split(space, kern, lat1, lat2, r_gap, alpha, f, g)
     half = split.halves[0]
-    recs = [rec for rec in half.buckets["sigma2"] if rec.get("far_ok", True)]
-    assert recs
-    mat = interaction_matrix(space, lat1, lat2, recs, kern.m, kern.tau)
+    pairs = half.pairs["sigma2"].select(half.pairs["sigma2"].far_ok)
+    assert len(pairs)
+    mat = interaction_matrix(space, half.fine_rows, half.coarse_rows, pairs,
+                             kern.m, kern.tau)
     a = np.ones(len(mat.q_slots))
     b = np.ones(len(mat.r_slots))
     rep = schur_bound_long_range(mat, a, b, kern.m, kern.tau)

@@ -50,6 +50,11 @@ RUN_REPORTS = {
     "cantor_level5": (
         ("cantor_measure", {"level": 5}, {}),
         "48cf7cf228debbc1aa39cd45b1a47d01881f66b9e4d3ee7f445795154f09b09e"),
+    # the benchmark's cantor_pairs size, with sigma2 pairs that need the
+    # near-pair sup fallback
+    "cantor_level6": (
+        ("cantor_measure", {"level": 6}, {}),
+        "680bc341a5cecdd861b29bd9f0ec7a7dde6c231dbc0ce272c986e0900d16af3d"),
     "grid_n9": (
         ("uniform_grid", {"n": 9}, {}),
         "7d0954283fc1c5656bfe5c9038a83cc3d0506df4b3b5de2df9859f8feb73efae"),

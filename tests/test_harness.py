@@ -1,6 +1,7 @@
 """Scenario pipeline, calibration, reports and the command line."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -320,6 +321,38 @@ def test_cli_mismatched_lengths_are_input_error(command, doc, message,
     path.write_text(json.dumps(doc))
     assert cli.main([command, "--space", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def _three_points(**changes):
+    doc = {"points": ["a", "b", "c"],
+           "metric": {"type": "explicit",
+                      "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+           "nu": [1, 1, 1], "mu": [0.5, 0.25, 0.25]}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("command", ["verify-space", "build-lattice"])
+@pytest.mark.parametrize("doc,message", [
+    (_three_points(metric={"type": "explicit", "matrix": [
+        [0, 1, math.nan], [1, 0, 1], [math.nan, 1, 0]]}),
+     "metric entries must be finite and nonnegative"),
+    (_three_points(metric={"type": "euclidean",
+                           "coords": [[0, 0], [1, math.inf], [2, 0]]}),
+     "euclidean coords have non-finite entries"),
+    (_three_points(mu=[0.5, math.nan, 0.5]), "mu entries must be finite"),
+    (_three_points(mu=[1.25, -0.5, 0.25]), "mu entries must be finite and "
+                                           "nonnegative"),
+    (_three_points(nu=[1, math.inf, 1]), "nu entries must be finite"),
+], ids=["nan-metric", "inf-coords", "nan-mu", "negative-mu", "inf-nu"])
+def test_cli_non_finite_space_is_input_error(command, doc, message, tmp_path,
+                                             capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))     # NaN and Infinity, as Python writes
+    assert cli.main([command, "--space", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_cli_missing_file_is_input_error(tmp_path):

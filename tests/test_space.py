@@ -34,6 +34,17 @@ def test_asymmetric_rho_rejected():
     assert rep.worst_triple is not None
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_distance_rejected(bad):
+    # a NaN compares False, so the symmetry and triangle tests alone pass it
+    space = line_space(3)
+    space.rho[0, 2] = space.rho[2, 0] = bad
+    rep = verify_quasi_metric(space)
+    assert not rep.ok
+    assert rep.reason == "non-finite distance"
+    assert rep.worst_triple == (0, 2, -1)
+
+
 def test_set_dist_and_diam_brute_force():
     rng = np.random.default_rng(11)
     coords = rng.random((12, 2))

@@ -9,7 +9,8 @@ so the orientation of every reduction is checked too."""
 import numpy as np
 import pytest
 
-from czkit.certify import _good_component_cubes, alpha_param, classify_pairs
+from czkit.certify import (_good_component_cubes, _masked_sums, alpha_param,
+                           classify_pairs)
 from czkit.examples import generate_example
 from czkit.lattice import (build_lattice, classify_all_good_bad,
                            classify_good_bad, classify_terminal_transit,
@@ -45,7 +46,9 @@ def test_point_to_cube_table_and_dilations(name, seed):
     lat, _ = _lattices(space, seed)
     masks = cube_dilations(lat, LAMS)
     rows = cube_reduce(lat, rho, list(lat.cubes), axis=0)
+    members = lat.member_masks(list(lat.cubes))
     for j, cube in enumerate(lat.cubes.values()):
+        assert np.array_equal(np.flatnonzero(members[j]), cube.members)
         assert np.array_equal(lat.dist[:, lat.column[cube.id]],
                               rho[:, cube.members].min(axis=1))
         assert np.array_equal(np.flatnonzero(masks[j, 0]), cube.members)
@@ -73,6 +76,16 @@ def test_cube_pair_distances_and_sups(name, seed):
         for b, r in enumerate(rs):
             assert dist[a, b] == space.set_dist(q.members, r.members)
             assert sup[a, b] == mat[np.ix_(q.members, r.members)].max()
+
+
+def test_masked_sums_are_the_gathered_sums():
+    # bit for bit: the pair tables' masses must match per-set np.sum
+    rng = np.random.default_rng(4)
+    values = rng.uniform(0.0, 1.0, 300) ** 3
+    mask = rng.random((60, 300)) < rng.uniform(0.0, 1.0, (60, 1))
+    mask[0] = False
+    want = [values[np.flatnonzero(row)].sum() for row in mask]
+    assert _masked_sums(values, mask).tolist() == want
 
 
 def _reference_pairs(space, fine_lat, coarse_lat, r_gap, alpha):
@@ -120,5 +133,9 @@ def test_good_bad_and_pair_classification(name, seed, s_param):
             assert cube.good == good
     r_gap = scale_gap(0.5, 0.25, s_param)
     for fine, coarse in ((lat1, lat2), (lat2, lat1)):
-        got = classify_pairs(fine, coarse, r_gap, alpha)
+        # the table's rows number the good component cubes
+        ids = [np.array([c.id for c in _good_component_cubes(lat)])
+               for lat in (fine, coarse)]
+        got = {regime: table.records(*ids) for regime, table in
+               classify_pairs(fine, coarse, r_gap, alpha).items()}
         assert got == _reference_pairs(space, fine, coarse, r_gap, alpha)
