@@ -75,10 +75,11 @@ class CalibrationResult:
 
 
 def calibrate_S(space: MetricMeasureSpace, kappa: float, alpha: float,
-                delta_bad: float, ensemble: int = 100, seed: int = 0,
-                max_s: int = 16) -> CalibrationResult:
-    """Doubling search for the smallest separation exponent whose Monte
-    Carlo bad-probability estimate drops under delta_bad^2.
+                delta_bad: float, ensemble: int = 100,
+                seed: int = 0) -> CalibrationResult:
+    """Doubling search, S = 1, 2, 4, 8, 16, for the smallest separation
+    exponent whose Monte Carlo bad-probability estimate drops under
+    delta_bad^2.
 
     A candidate is feasible when its induced generation gap still fits in
     the lattice depth; when no candidate reaches the target the largest
@@ -90,14 +91,14 @@ def calibrate_S(space: MetricMeasureSpace, kappa: float, alpha: float,
     target = delta_bad ** 2
     probes = [lat.cubes[ids[len(ids) // 2]] for k, ids in lat.by_gen.items()
               if ids and k > lat.k_min][:3]
-    if max_s < 1 or scale_gap(kappa, delta_bad, 1) >= depth:
+    if scale_gap(kappa, delta_bad, 1) >= depth:
         raise CalibrationExhausted(
             f"lattice depth {depth} admits no separation exponent")
     gaps = ensemble_gaps(probes, space, kappa, alpha, ensemble,
                          master_seed=seed)
     trace = []
     s = 1
-    while s <= max_s:
+    while s <= 16:
         r = scale_gap(kappa, delta_bad, s)
         if r >= depth:
             break

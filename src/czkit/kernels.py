@@ -286,9 +286,9 @@ def check_T1(kernel: KernelSpec, space: MetricMeasureSpace, lattice,
 
 
 def operator_norm(kernel: KernelSpec, space: MetricMeasureSpace,
-                  tol: float = 1e-8, max_iter: int = 10000,
-                  seed: int = 0):
-    """Power iteration for the L2(mu) -> L2(mu) operator norm.
+                  tol: float = 1e-8, seed: int = 0):
+    """Power iteration for the L2(mu) -> L2(mu) operator norm, at most
+    10000 steps.
 
     Returns (norm, converged)."""
     if tol <= 0:
@@ -300,7 +300,7 @@ def operator_norm(kernel: KernelSpec, space: MetricMeasureSpace,
         return 0.0, True
     v /= nv
     lam_old = 0.0
-    for _ in range(max_iter):
+    for _ in range(10000):
         tv = apply(kernel, space, v)
         lam = space.inner(tv, tv)            # Rayleigh quotient of T*T
         w = adjoint_apply(kernel, space, tv)
@@ -348,12 +348,18 @@ def kernel_from_json(doc: dict, space: MetricMeasureSpace) -> KernelSpec:
     m = float(doc.get("m", 1.0))
     tau = float(doc.get("tau", 1.0))
     params = doc.get("params", {})
+    policy = doc.get("diagonal_policy", "zero")
+    if policy not in ("zero", "truncate"):
+        raise ValueError(f"unknown diagonal policy {policy!r}")
     if ktype == "power":
-        return power_kernel(space, m, tau, amplitude=params.get("amplitude", 1.0))
+        return power_kernel(space, m, tau,
+                            amplitude=params.get("amplitude", 1.0),
+                            diagonal_policy=policy)
     if ktype == "bergman":
-        return bergman_kernel(space, m, tau)
+        return bergman_kernel(space, m, tau, diagonal_policy=policy)
     if ktype == "constant":
-        return constant_kernel(space, value=params.get("value", 1.0), m=m, tau=tau)
+        return constant_kernel(space, value=params.get("value", 1.0), m=m,
+                               tau=tau, diagonal_policy=policy)
     if ktype == "zero":
         return zero_kernel(space, m=m, tau=tau)
     if ktype == "explicit":

@@ -49,7 +49,6 @@ class DyadicLattice:
     by_gen: dict                   # generation -> list of cube ids
     labels: dict                   # generation -> (N,) array of cube ids
     root_id: int
-    eta: float = 1.0
 
     @property
     def root(self) -> Cube:
@@ -275,7 +274,6 @@ class LatticePropertyReport:
     c_diam: float
     a0: float
     c_boundary: float          # fitted constant of the small-boundary bound
-    eta: float
     failures: list
 
     @property
@@ -283,10 +281,10 @@ class LatticePropertyReport:
         return self.partition_ok and self.nesting_ok and self.unique_ancestor_ok
 
 
-def verify_lattice_properties(lat: DyadicLattice, eta: float = 1.0,
-                              ts=None) -> LatticePropertyReport:
+def verify_lattice_properties(lat: DyadicLattice) -> LatticePropertyReport:
     """Check Christ-cube properties (i)-(v) exactly and fit the constant of
-    the small-boundary inequality (vi) on a few relative thicknesses."""
+    the small-boundary inequality (vi), exponent 1, at the relative
+    thicknesses kappa, kappa^2 and kappa^3."""
     space = lat.space
     failures = []
     n = space.n_points
@@ -316,10 +314,9 @@ def verify_lattice_properties(lat: DyadicLattice, eta: float = 1.0,
                 unique_ancestor_ok = False
                 failures.append(("unique_ancestor", cid, None))
 
-    # (vi): nu{x in Q : dist(x, X \ Q) <= t * s(Q)} <= C t^eta nu(Q).
+    # (vi): nu{x in Q : dist(x, X \ Q) <= t * s(Q)} <= C t nu(Q).
     # The complement of a cube is read off the labels of its generation.
-    if ts is None:
-        ts = [lat.kappa, lat.kappa ** 2, lat.kappa ** 3]
+    ts = [lat.kappa, lat.kappa ** 2, lat.kappa ** 3]
     c_diam, a0, c_boundary = 0.0, math.inf, 0.0
     for k in lat.generations():
         lab = lat.labels[k]
@@ -340,10 +337,10 @@ def verify_lattice_properties(lat: DyadicLattice, eta: float = 1.0,
             dist_out = d_out[cube.members]
             for t in ts:
                 layer = space.nu[cube.members[dist_out <= t * cube.size]].sum()
-                c_boundary = max(c_boundary, layer / (t ** eta * nu_q))
+                c_boundary = max(c_boundary, layer / (t * nu_q))
 
     return LatticePropertyReport(partition_ok, nesting_ok, unique_ancestor_ok,
-                                 c_diam, float(a0), c_boundary, eta, failures)
+                                 c_diam, float(a0), c_boundary, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +378,7 @@ def skeleton_by_generation(lat: DyadicLattice) -> dict:
     return _skeletons(lat.labels, _near_pairs(lat.space))
 
 
-def classify_terminal_transit(lat: DyadicLattice, m: float | None = None,
-                              radii=None):
+def classify_terminal_transit(lat: DyadicLattice, m: float | None = None):
     """Flag every cube terminal or transit; the root must come out transit.
 
     Returns the fitted growth constant of the transit-cube estimate

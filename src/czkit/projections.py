@@ -148,17 +148,16 @@ class ProjectionReport:
     zero_mean_err: float
     mutual_orthogonality_err: float
     lambda_orthogonality_err: float
-    tol: float = 1e-10
 
     @property
     def passed(self) -> bool:
         return max(self.idempotence_err, self.zero_mean_err,
                    self.mutual_orthogonality_err,
-                   self.lambda_orthogonality_err) <= self.tol
+                   self.lambda_orthogonality_err) <= 1e-10
 
 
-def properties_check(dec: MartingaleDecomposition, phi: np.ndarray,
-                     tol: float = 1e-10) -> ProjectionReport:
+def properties_check(dec: MartingaleDecomposition,
+                     phi: np.ndarray) -> ProjectionReport:
     """Numerical check of the projection algebra: idempotence, zero mean,
     mutual orthogonality, orthogonality to the constant part.
 
@@ -188,7 +187,7 @@ def properties_check(dec: MartingaleDecomposition, phi: np.ndarray,
         ortho = max(ortho, float(np.abs(pair.sum(axis=1)[above])
                                  .max(initial=0.0)))
     return ProjectionReport(idem / scale, zmean / scale, ortho / scale,
-                            lam_orth / scale, tol)
+                            lam_orth / scale)
 
 
 def split_good_bad(dec: MartingaleDecomposition):

@@ -91,12 +91,11 @@ class RegularityReport:
     c2: float
     n_dim: float
     c_doub: float
-    violations: list
     degenerate: bool = False
 
     @property
     def passed(self) -> bool:
-        return not self.violations and not self.degenerate
+        return not self.degenerate
 
 
 @dataclass
@@ -179,10 +178,9 @@ def ball(space: MetricMeasureSpace, x: int, r: float) -> np.ndarray:
     return space.ball(x, r)
 
 
-def default_radii(space: MetricMeasureSpace, kappa: float = 0.5,
-                  exhaustive: bool = False) -> list:
-    """Geometric grid of radii in [resolution_h, diam]; exhaustive mode
-    returns every distinct positive distance instead."""
+def default_radii(space: MetricMeasureSpace, exhaustive: bool = False) -> list:
+    """Geometric grid of radii in [resolution_h, diam], ratio 1/2;
+    exhaustive mode returns every distinct positive distance instead."""
     d = space.diam()
     h = space.resolution_h
     if exhaustive:
@@ -194,34 +192,23 @@ def default_radii(space: MetricMeasureSpace, kappa: float = 0.5,
     r = d
     while r >= h:
         radii.append(float(r))
-        r *= kappa
+        r *= 0.5
     return radii[::-1]
 
 
 def check_ahlfors_regularity(space: MetricMeasureSpace, n_dim: float,
-                             radii, c1_target: float | None = None,
-                             c2_target: float | None = None) -> RegularityReport:
+                             radii) -> RegularityReport:
     """Fit the tightest Ahlfors constants nu(B(x,r)) / r^n over the sample."""
     radii = list(radii)
     if not radii:
         raise EmptyRadiusList("no radii supplied")
-    ratios = []
-    violations = []
-    for x in range(space.n_points):
-        for r in radii:
-            mass = space.nu_mass(space.ball_mask(x, r))
-            ratio = mass / r ** n_dim
-            ratios.append(ratio)
-            if c1_target is not None and ratio < c1_target:
-                violations.append((x, r, mass, c1_target * r ** n_dim))
-            if c2_target is not None and ratio > c2_target:
-                violations.append((x, r, mass, c2_target * r ** n_dim))
-    ratios = np.array(ratios)
+    ratios = np.array([space.nu_mass(space.ball_mask(x, r)) / r ** n_dim
+                       for x in range(space.n_points) for r in radii])
     degenerate = space.n_points <= 1 or ratios.min() <= 0
     c1 = float(ratios.min())
     c2 = float(ratios.max())
     c_doub = (c2 / c1) * 2 ** n_dim if c1 > 0 else math.inf
-    return RegularityReport(c1, c2, n_dim, c_doub, violations, degenerate)
+    return RegularityReport(c1, c2, n_dim, c_doub, degenerate)
 
 
 def check_growth_condition(space: MetricMeasureSpace, m: float,
@@ -329,6 +316,11 @@ def space_from_json(doc: dict) -> MetricMeasureSpace:
             raise ValueError(f"{name} entries must be finite and nonnegative")
     if coords is None and np.abs(rho - rho.T).max() > 1e-12:
         raise ValueError("explicit metric matrix must be symmetric to 1e-12")
+    loop = np.flatnonzero(np.diag(rho))
+    if loop.size:
+        i = loop[0]
+        raise ValueError(f"point {points[i]!r} is at distance {rho[i, i]:g} "
+                         "from itself")
     zero = np.argwhere((rho == 0) & ~np.eye(len(rho), dtype=bool))
     if zero.size:
         i, j = zero[0]

@@ -12,6 +12,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from czkit.certify import InteractionMatrix, long_range_entry
 from czkit.examples import generate_example
 from czkit.lattice import build_lattice, classify_terminal_transit
 from czkit.space import MetricMeasureSpace, space_from_json
@@ -54,6 +55,67 @@ def explicit_space() -> MetricMeasureSpace:
         "points": list(range(n)), "nu": [1.0] * n,
         "mu": rng.dirichlet(np.ones(n)).tolist(),
         "metric": {"type": "explicit", "matrix": rho.tolist()}})
+
+
+def random_interaction(rng, nq, nr, q_gen_stop, skip) -> InteractionMatrix:
+    """A random long range matrix in the slot structure of the Schur test:
+    per slot a generation (fine slots 2 to q_gen_stop - 1, coarse slots 0
+    to 2), size 0.5^gen and a mass; random center distances; and the long
+    range entry of every pair with gap >= 0, each left out with
+    probability ``skip``.  The entries are scalar Python arithmetic."""
+    slots = []
+    for n, gens in ((nq, (2, q_gen_stop)), (nr, (0, 3))):
+        drawn = [(int(rng.integers(*gens)), float(rng.uniform(0.01, 1.0)))
+                 for _ in range(n)]
+        slots.append(([g for g, _ in drawn], [0.5 ** g for g, _ in drawn],
+                      [mass for _, mass in drawn]))
+    (qg, qs, qm), (rg, rs, rm) = slots
+    rho_c = rng.uniform(0.0, 4.0, size=(nq, nr))
+    entries = np.zeros((nq, nr))
+    for i in range(nq):
+        for j in range(nr):
+            if qg[i] < rg[j] or rng.random() < skip:
+                continue
+            entries[i, j] = long_range_entry(qs[i], rs[j], qm[i], rm[j],
+                                             rho_c[i, j], 1.0, 1.0)
+    return InteractionMatrix(
+        entries, rho_c, *(tuple(map(np.array, pair)) for pair in (
+            (qg, rg), (qs, rs), (qm, rm))),
+        (np.ones(nq, dtype=bool), np.ones(nr, dtype=bool)))
+
+
+def random_blocks(rng, n_coarse, gaps=None) -> tuple:
+    """Random block lemma entries ((q, r, k, mu_q, mu_parent), a, b): per
+    coarse key r and gap k (``gaps``, or 1 up to a random 1 to 3 per r), a
+    parent mass split in part among 1 to 4 new fine keys q; a and b are
+    random weights per key."""
+    rows, a, b = [], [], []
+    for r_key in range(n_coarse):
+        b.append(float(rng.uniform(0, 1)))
+        for k in gaps or range(1, int(rng.integers(2, 5))):
+            mu_parent = float(rng.uniform(0.1, 1.0))
+            fracs = rng.dirichlet(np.ones(int(rng.integers(1, 5)))) * \
+                rng.uniform(0.2, 1.0)
+            for frac in fracs.tolist():
+                rows.append((len(a), r_key, k, mu_parent * frac, mu_parent))
+                a.append(float(rng.uniform(0, 1)))
+    return tuple(map(np.array, zip(*rows))), np.array(a), np.array(b)
+
+
+def criterion7_instances():
+    """The random instances of acceptance criterion 7: (matrix, a, b)."""
+    rng = np.random.default_rng(77)
+    for _ in range(50):
+        nq, nr = int(rng.integers(2, 200)), int(rng.integers(2, 20))
+        mat = random_interaction(rng, nq, nr, 6, 0.4)
+        yield mat, rng.uniform(0, 1, nq), rng.uniform(0, 1, nr)
+
+
+def criterion8_instances():
+    """The random instances of acceptance criterion 8: (entries, a, b)."""
+    rng = np.random.default_rng(88)
+    for _ in range(50):
+        yield random_blocks(rng, int(rng.integers(2, 6)))
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import pytest
 
 from czkit.certify import (alpha_param, block_matrix_bound,
                            block_matrix_spectral, carleson_embedding_check,
-                           certify, far_interaction_bound, long_range_entry,
+                           certify, far_interaction_bound,
                            paraproduct_apply, pseudo_bmo_check,
                            schur_bound_long_range, spectral_norm,
                            split_bilinear, whitney_decomposition)
@@ -26,7 +26,8 @@ from czkit.lattice import (build_lattice, classify_all_good_bad,
                            classify_terminal_transit,
                            estimate_bad_probability, scale_gap)
 from czkit.projections import decompose, expected_bad_norm, properties_check
-from conftest import grid_space, line_space
+from conftest import criterion7_instances, criterion8_instances, \
+    grid_space, line_space
 
 KAPPA = 0.5
 DELTA_BAD = 0.25
@@ -194,67 +195,27 @@ def test_criterion_6_far_interaction():
 
 
 def test_criterion_7_schur_soundness():
-    from czkit.certify import CubeSlot, InteractionMatrix
-    rng = np.random.default_rng(77)
     ok = True
-    for _ in range(50):
-        nq = int(rng.integers(2, 200))
-        nr = int(rng.integers(2, 20))
-        q_slots = [CubeSlot(gen=int(rng.integers(2, 6)), size=0.0,
-                            mass=float(rng.uniform(0.01, 1.0)))
-                   for _ in range(nq)]
-        r_slots = [CubeSlot(gen=int(rng.integers(0, 3)), size=0.0,
-                            mass=float(rng.uniform(0.01, 1.0)))
-                   for _ in range(nr)]
-        for s in q_slots + r_slots:
-            s.size = KAPPA ** s.gen
-        entries = np.zeros((nq, nr))
-        rho_c = rng.uniform(0.0, 4.0, size=(nq, nr))
-        for i, qs in enumerate(q_slots):
-            for j, rs in enumerate(r_slots):
-                if qs.gen < rs.gen or rng.random() < 0.4:
-                    continue
-                entries[i, j] = long_range_entry(
-                    qs.size, rs.size, qs.mass, rs.mass, rho_c[i, j],
-                    1.0, 1.0)
-        mat = InteractionMatrix("long_range", q_slots, r_slots, entries,
-                                rho_c)
-        a = rng.uniform(0, 1, nq)
-        b = rng.uniform(0, 1, nr)
+    for mat, a, b in criterion7_instances():
         rep = schur_bound_long_range(mat, a, b, 1.0, 1.0)
-        oracle = float(np.linalg.norm(entries, 2))
+        oracle = float(np.linalg.norm(mat.entries, 2))
         ok &= rep.lhs <= rep.rhs * (1 + 1e-9) + 1e-15
         ok &= oracle <= rep.c_schur * (1 + 1e-9) + 1e-15
     _report(7, "schur soundness", ok)
 
 
 def test_criterion_8_block_matrix():
-    rng = np.random.default_rng(88)
     tau = 1.0
     explicit = 1.0 / (1.0 - KAPPA ** (tau / 2))
     ok = True
-    for _ in range(50):
-        entries = []
-        a, b = {}, {}
-        q_key = 0
-        for r_key in range(int(rng.integers(2, 6))):
-            b[r_key] = float(rng.uniform(0, 1))
-            for k in range(1, int(rng.integers(2, 5))):
-                mu_parent = float(rng.uniform(0.1, 1.0))
-                fracs = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
-                fracs = fracs * rng.uniform(0.2, 1.0)
-                for frac in fracs:
-                    entries.append((q_key, r_key, k,
-                                    mu_parent * float(frac), mu_parent))
-                    a[q_key] = float(rng.uniform(0, 1))
-                    q_key += 1
+    for entries, a, b in criterion8_instances():
         lhs, rhs, fitted = block_matrix_bound(entries, a, b, KAPPA, tau)
-        norm_a = math.sqrt(sum(v * v for v in a.values()))
-        norm_b = math.sqrt(sum(v * v for v in b.values()))
+        norm_a = math.sqrt(sum(v * v for v in a.tolist()))
+        norm_b = math.sqrt(sum(v * v for v in b.tolist()))
         ok &= lhs <= rhs * (1 + 1e-9) + 1e-15
         ok &= abs(rhs - explicit * norm_a * norm_b) <= 1e-9 * rhs + 1e-15
         ok &= fitted <= explicit + 1e-12
-        if q_key <= 100:
+        if a.size <= 100:
             dense = block_matrix_spectral(entries, KAPPA, tau)
             ok &= dense <= explicit * (1 + 1e-9)
     _report(8, "block matrix bound", ok)

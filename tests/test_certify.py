@@ -1,18 +1,19 @@
 """Certification machinery: sigma split, Schur and block bounds,
 paraproduct, Carleson, pseudo-BMO, end-to-end certificates."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from czkit.certify import (CubeSlot, InteractionMatrix, _good_component_cubes,
-                           alpha_param, block_matrix_bound,
+from czkit.certify import (_good_component_cubes, alpha_param,
+                           block_matrix_bound,
                            block_matrix_spectral, bmo_tail_constant,
                            carleson_embedding_check,
                            certify, diagonal_bound, dqr_distance,
                            far_interaction_bound, interaction_matrix,
-                           long_range_entry, paraproduct_apply,
+                           paraproduct_apply,
                            paraproduct_targets, pseudo_bmo_check,
                            schur_bound_long_range, short_range_terminal_bound,
                            short_range_transit_bound, spectral_norm,
@@ -26,7 +27,7 @@ from czkit.lattice import (Cube, build_lattice, classify_all_good_bad,
                            classify_terminal_transit, scale_gap)
 from czkit.projections import decompose
 from czkit.space import dilate
-from conftest import line_space
+from conftest import line_space, random_blocks, random_interaction
 
 KAPPA = 0.5
 DELTA = 0.25
@@ -235,31 +236,13 @@ def test_far_pairs_all_satisfy_long_range_bound():
 # Schur soundness on random structured matrices
 
 
-def _random_interaction(rng, nq, nr):
-    q_slots = [CubeSlot(gen=int(rng.integers(2, 5)), size=0.0,
-                        mass=float(rng.uniform(0.01, 1.0))) for _ in range(nq)]
-    r_slots = [CubeSlot(gen=int(rng.integers(0, 3)), size=0.0,
-                        mass=float(rng.uniform(0.01, 1.0))) for _ in range(nr)]
-    for s in q_slots + r_slots:
-        s.size = KAPPA ** s.gen
-    entries = np.zeros((nq, nr))
-    rho_c = rng.uniform(0.0, 4.0, size=(nq, nr))
-    for i, qs in enumerate(q_slots):
-        for j, rs in enumerate(r_slots):
-            if qs.gen < rs.gen or rng.random() < 0.3:
-                continue
-            entries[i, j] = long_range_entry(
-                qs.size, rs.size, qs.mass, rs.mass, rho_c[i, j], 1.0, 1.0)
-    return InteractionMatrix("long_range", q_slots, r_slots, entries, rho_c)
-
-
 def test_schur_dominates_spectral_on_random_instances():
     rng = np.random.default_rng(42)
     for _ in range(50):
-        mat = _random_interaction(rng, int(rng.integers(2, 40)),
-                                  int(rng.integers(2, 12)))
-        a = rng.uniform(0, 1, len(mat.q_slots))
-        b = rng.uniform(0, 1, len(mat.r_slots))
+        mat = random_interaction(rng, int(rng.integers(2, 40)),
+                                 int(rng.integers(2, 12)), 5, 0.3)
+        a = rng.uniform(0, 1, mat.entries.shape[0])
+        b = rng.uniform(0, 1, mat.entries.shape[1])
         rep = schur_bound_long_range(mat, a, b, 1.0, 1.0)
         assert rep.lhs <= rep.rhs * (1 + 1e-9) + 1e-15
         dense = spectral_norm(mat.entries)
@@ -268,15 +251,19 @@ def test_schur_dominates_spectral_on_random_instances():
 
 def test_schur_rejects_non_transit():
     rng = np.random.default_rng(1)
-    mat = _random_interaction(rng, 3, 2)
-    mat.q_slots[0].transit = False
+    mat = random_interaction(rng, 3, 2, 5, 0.3)
+    mat.transit[0][0] = False
+    with pytest.raises(NonTransitEntry):
+        schur_bound_long_range(mat, np.ones(3), np.ones(2), 1.0, 1.0)
+    mat = random_interaction(rng, 3, 2, 5, 0.3)
+    mat.mass[1][1] = 0.0
     with pytest.raises(NonTransitEntry):
         schur_bound_long_range(mat, np.ones(3), np.ones(2), 1.0, 1.0)
 
 
 def test_schur_zero_vectors():
     rng = np.random.default_rng(2)
-    mat = _random_interaction(rng, 4, 3)
+    mat = random_interaction(rng, 4, 3, 5, 0.3)
     rep = schur_bound_long_range(mat, np.zeros(4), np.ones(3), 1.0, 1.0)
     assert rep.lhs == 0.0
 
@@ -292,10 +279,9 @@ def test_sigma2_matrix_of_cantor_example():
     half = split.halves[0]
     pairs = half.pairs["sigma2"].select(half.pairs["sigma2"].far_ok)
     assert len(pairs)
-    mat = interaction_matrix(space, half.fine_rows, half.coarse_rows, pairs,
+    mat = interaction_matrix(half.fine_rows, half.coarse_rows, pairs,
                              kern.m, kern.tau)
-    a = np.ones(len(mat.q_slots))
-    b = np.ones(len(mat.r_slots))
+    a, b = map(np.ones, mat.entries.shape)
     rep = schur_bound_long_range(mat, a, b, kern.m, kern.tau)
     assert rep.passed
     assert spectral_norm(mat.entries) <= rep.c_schur * (1 + 1e-9)
@@ -305,27 +291,14 @@ def test_sigma2_matrix_of_cantor_example():
 # block matrix lemma
 
 
-def _random_block_instance(rng, n_coarse=4, gaps=(1, 2, 3)):
-    entries = []
-    a, b = {}, {}
-    q_key = 0
-    for r_key in range(n_coarse):
-        b[r_key] = float(rng.uniform(0, 1))
-        for k in gaps:
-            mu_parent = float(rng.uniform(0.1, 1.0))
-            n_children = int(rng.integers(1, 5))
-            fracs = rng.dirichlet(np.ones(n_children)) * rng.uniform(0.2, 1.0)
-            for frac in fracs:
-                entries.append((q_key, r_key, k, mu_parent * float(frac),
-                                mu_parent))
-                a[q_key] = float(rng.uniform(0, 1))
-                q_key += 1
-    return entries, a, b
+def _columns(*entries):
+    """Block lemma entries, given one tuple per entry, as columns."""
+    return [np.array(col) for col in zip(*entries)]
 
 
 def test_block_bound_single_entry():
-    entries = [(0, 0, 1, 0.3, 0.5)]
-    lhs, rhs, fitted = block_matrix_bound(entries, {0: 1.0}, {0: 1.0},
+    entries = _columns((0, 0, 1, 0.3, 0.5))
+    lhs, rhs, fitted = block_matrix_bound(entries, np.ones(1), np.ones(1),
                                           KAPPA, 1.0)
     t = KAPPA ** 0.5 * math.sqrt(0.3 / 0.5)
     assert lhs == pytest.approx(t)
@@ -337,10 +310,10 @@ def test_block_bound_random_instances():
     rng = np.random.default_rng(11)
     explicit = 1.0 / (1.0 - KAPPA ** 0.5)
     for _ in range(50):
-        entries, a, b = _random_block_instance(rng)
+        entries, a, b = random_blocks(rng, 4, (1, 2, 3))
         lhs, rhs, fitted = block_matrix_bound(entries, a, b, KAPPA, 1.0)
-        norm_a = math.sqrt(sum(v * v for v in a.values()))
-        norm_b = math.sqrt(sum(v * v for v in b.values()))
+        norm_a = math.sqrt(sum(v * v for v in a.tolist()))
+        norm_b = math.sqrt(sum(v * v for v in b.tolist()))
         assert lhs <= rhs * (1 + 1e-9) + 1e-15
         assert rhs == pytest.approx(explicit * norm_a * norm_b)
         # mass-respecting instances stay under the explicit series
@@ -351,22 +324,22 @@ def test_block_spectral_comparison():
     rng = np.random.default_rng(12)
     explicit = 1.0 / (1.0 - KAPPA ** 0.5)
     for _ in range(20):
-        entries, _, _ = _random_block_instance(rng, n_coarse=3)
-        assert len({e[0] for e in entries}) <= 100
+        entries, _, _ = random_blocks(rng, 3, (1, 2, 3))
+        assert np.unique(entries[0]).size <= 100
         dense = block_matrix_spectral(entries, KAPPA, 1.0)
         assert dense <= explicit * (1 + 1e-9)
 
 
 def test_block_multiple_parents_rejected():
-    entries = [(0, 0, 1, 0.2, 0.5), (0, 1, 1, 0.2, 0.5)]
+    entries = _columns((0, 0, 1, 0.2, 0.5), (0, 1, 1, 0.2, 0.5))
     with pytest.raises(MultipleParents):
-        block_matrix_bound(entries, {0: 1.0}, {0: 1.0, 1: 1.0}, KAPPA, 1.0)
+        block_matrix_bound(entries, np.ones(1), np.ones(2), KAPPA, 1.0)
 
 
 def test_block_gap_must_be_positive():
     with pytest.raises(ValueError):
-        block_matrix_bound([(0, 0, 0, 0.2, 0.5)], {0: 1.0}, {0: 1.0},
-                           KAPPA, 1.0)
+        block_matrix_bound(_columns((0, 0, 0, 0.2, 0.5)), np.ones(1),
+                           np.ones(1), KAPPA, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +514,7 @@ def test_all_sigma_bounds_hold(line_setup):
         assert diag.passed
         term = short_range_terminal_bound(split, hi)
         assert term.passed
-        checks, info = short_range_transit_bound(kern, space, split, hi)
+        checks, info = short_range_transit_bound(split, hi)
         for chk in checks:
             assert chk.passed, chk.name
 
@@ -560,7 +533,7 @@ def test_separation_failures_are_counted_and_noted():
     rep = certify(kern, space, s_param=S_PARAM, n_probes=1)
     messages = []
     for hi, prefix in ((0, ""), (1, "sym_")):
-        _, tran = short_range_transit_bound(kern, space, split, hi)
+        _, tran = short_range_transit_bound(split, hi)
         violations = tran["hypothesis_violations"]
         messages += violations
         assert rep.counts[prefix + "sigma3_violations"] == len(violations)
@@ -571,6 +544,23 @@ def test_separation_failures_are_counted_and_noted():
     assert any("distance to the coarse remainder" in msg for msg in messages)
     assert rep.counts["sigma3_violations"] + \
         rep.counts["sym_sigma3_violations"] > 0
+
+
+def test_component_cubes_are_walked_once_per_table(monkeypatch):
+    # the sigma split reads each lattice's good component cubes through its
+    # row table; the paraproduct targets walk them once per half
+    module = importlib.import_module("czkit.certify")   # not the function
+    calls = []
+    real = module._good_component_cubes
+
+    def counted(lat):
+        calls.append(lat)
+        return real(lat)
+
+    monkeypatch.setattr(module, "_good_component_cubes", counted)
+    space, info = generate_example("cantor_measure", level=4)
+    certify(power_kernel(space, m=info["m"], tau=info["tau"]), space)
+    assert 0 < len(calls) <= 4
 
 
 def test_constants_depend_on_the_lattice_pair_only():

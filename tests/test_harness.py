@@ -344,7 +344,11 @@ def _three_points(**changes):
     (_three_points(mu=[1.25, -0.5, 0.25]), "mu entries must be finite and "
                                            "nonnegative"),
     (_three_points(nu=[1, math.inf, 1]), "nu entries must be finite"),
-], ids=["nan-metric", "inf-coords", "nan-mu", "negative-mu", "inf-nu"])
+    (_three_points(metric={"type": "explicit", "matrix": [
+        [0, 1, 2], [1, 0.5, 1], [2, 1, 0]]}),
+     "point 'b' is at distance 0.5 from itself"),
+], ids=["nan-metric", "inf-coords", "nan-mu", "negative-mu", "inf-nu",
+        "nonzero-diagonal"])
 def test_cli_non_finite_space_is_input_error(command, doc, message, tmp_path,
                                              capsys):
     path = tmp_path / "bad.json"
@@ -353,6 +357,18 @@ def test_cli_non_finite_space_is_input_error(command, doc, message, tmp_path,
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["norm", "t1-check"])
+def test_cli_unknown_diagonal_policy_is_input_error(command, grid_file,
+                                                    tmp_path, capsys):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"type": "constant", "m": 2.0,
+                                "params": {"value": 1.0},
+                                "diagonal_policy": "clip"}))
+    assert cli.main([command, "--space", grid_file,
+                     "--kernel", str(path)]) == 2
+    assert "unknown diagonal policy 'clip'" in capsys.readouterr().err
 
 
 def test_cli_missing_file_is_input_error(tmp_path):

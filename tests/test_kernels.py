@@ -328,12 +328,22 @@ def test_t1_necessity(grid8):
 
 
 def test_kernel_json_round_trip(line8):
-    for kern in [power_kernel(line8, m=1.0), constant_kernel(line8, 2.0),
-                 zero_kernel(line8)]:
+    # the truncate policy puts a nonzero diagonal on power and constant
+    # kernels, so a reload that drops the policy changes the operator
+    inner = line_space(8, omega=(2, 3, 4, 5))
+    for space, kern in [
+            (line8, power_kernel(line8, m=1.0)),
+            (line8, constant_kernel(line8, 2.0)), (line8, zero_kernel(line8)),
+            (line8, power_kernel(line8, m=1.0, diagonal_policy="truncate")),
+            (line8, constant_kernel(line8, 2.0, diagonal_policy="truncate")),
+            (inner, bergman_kernel(inner, m=1.0, diagonal_policy="truncate"))]:
         doc = kernel_to_json(kern)
-        back = kernel_from_json(doc, line8)
+        back = kernel_from_json(doc, space)
         assert np.allclose(back.matrix, kern.matrix)
         assert back.m == kern.m and back.tau == kern.tau
+        assert back.diagonal_policy == kern.diagonal_policy
+    with pytest.raises(ValueError, match="unknown diagonal policy 'clip'"):
+        kernel_from_json({**doc, "diagonal_policy": "clip"}, inner)
 
 
 def test_dense_operator_shape(line8):

@@ -9,8 +9,8 @@ so the orientation of every reduction is checked too."""
 import numpy as np
 import pytest
 
-from czkit.certify import (_good_component_cubes, _masked_sums, alpha_param,
-                           classify_pairs)
+from czkit.certify import (_component_rows, _good_component_cubes,
+                           _masked_sums, alpha_param, classify_pairs)
 from czkit.examples import generate_example
 from czkit.lattice import (build_lattice, classify_all_good_bad,
                            classify_good_bad, classify_terminal_transit,
@@ -133,9 +133,34 @@ def test_good_bad_and_pair_classification(name, seed, s_param):
             assert cube.good == good
     r_gap = scale_gap(0.5, 0.25, s_param)
     for fine, coarse in ((lat1, lat2), (lat2, lat1)):
-        # the table's rows number the good component cubes
-        ids = [np.array([c.id for c in _good_component_cubes(lat)])
-               for lat in (fine, coarse)]
+        rows = [_component_rows(lat) for lat in (fine, coarse)]
+        ids = [row.ids for row in rows]
         got = {regime: table.records(*ids) for regime, table in
-               classify_pairs(fine, coarse, r_gap, alpha).items()}
+               classify_pairs(*rows, r_gap, alpha).items()}
         assert got == _reference_pairs(space, fine, coarse, r_gap, alpha)
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_component_rows_match_the_cubes(name, seed):
+    # every column the sigma split reads of a cube, against the cube
+    lat1, lat2 = _lattices(_space(name), seed)
+    for lat in (lat1, lat2):
+        classify_terminal_transit(lat)
+    classify_all_good_bad(lat1, lat2, alpha_param(1.0, 1.0), 0.25, 1)
+    rows = _component_rows(lat1)
+    cubes = _good_component_cubes(lat1)
+    # rows are in increasing cube id order, the slot order of the Schur test
+    assert rows.ids.tolist() == sorted(c.id for c in cubes)
+    assert rows.ids.tolist() == [c.id for c in cubes]
+    assert rows.gen.tolist() == [c.generation for c in cubes]
+    assert rows.size.tolist() == [c.size for c in cubes]
+    assert rows.mass.tolist() == [lat1.cube_mu(c) for c in cubes]
+    assert rows.center.tolist() == [c.center for c in cubes]
+    children = [lat1.cubes[ch] for c in cubes for ch in c.children]
+    assert list(rows.piece) == [ch.id for ch in children]
+    assert rows.piece_mass.tolist() == [lat1.space.mu_mass(ch.members)
+                                        for ch in children]
+    assert rows.piece_stop.tolist() == [bool(ch.terminal or ch.is_leaf)
+                                        for ch in children]
+    for i, cube in enumerate(cubes):
+        assert np.array_equal(np.flatnonzero(rows.inside[i]), cube.members)
