@@ -20,6 +20,9 @@ import numpy as np
 from .errors import DegenerateScale, LeafCube, RootTerminal
 from .space import MetricMeasureSpace
 
+# Lattices per ``_draw_nets`` call of ``ensemble_gaps``; bounds its memory.
+ENSEMBLE_CHUNK = 16
+
 
 @dataclass
 class Cube:
@@ -170,12 +173,12 @@ def _nearest_other(space: MetricMeasureSpace) -> np.ndarray:
     return np.minimum(off.min(axis=0), off.min(axis=1))
 
 
-def _draw_nets(space: MetricMeasureSpace, kappa: float, seed: int,
+def _draw_nets(space: MetricMeasureSpace, kappa: float, seeds,
                k_range: tuple | None, nearest: np.ndarray):
     """Seeded nets and labels of ``build_lattice``, without cubes: (k_min,
-    k_max, labels, centers, offset), labels[k] the cube id of each point at
-    generation k, centers[k] its net, offset[k] the id of its first region;
-    ``nearest`` is ``_nearest_other(space)``."""
+    k_max, draws), draws[i] = (labels, centers, offset) of ``seeds[i]``,
+    labels[k] the cube id of each point at generation k, centers[k] its net,
+    offset[k] the id of its first region; ``nearest`` is ``_nearest_other``."""
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie in (0,1)")
     n = space.n_points
@@ -192,45 +195,42 @@ def _draw_nets(space: MetricMeasureSpace, kappa: float, seed: int,
         if kappa ** k_min < space.resolution_h:
             raise DegenerateScale("all scales below resolution_h")
 
-    rng = np.random.default_rng(seed)
-
-    # Per-generation nets and nearest-center labels (raw regions).  A point
-    # one scale or more from every other point is always selected and blocks
-    # no other point, so the greedy pass visits only the rest, in order.
-    centers_by_gen = {}
-    raw_label = {}     # generation -> (N,) index into centers list
-    for k in range(k_min, k_max + 1):
-        scale = kappa ** k
-        order = rng.permutation(n)
-        isolated = nearest >= scale
-        selected = np.flatnonzero(isolated).tolist()
-        mindist = np.full(n, np.inf)
-        for p in order[~isolated[order]].tolist():
-            if mindist[p] >= scale:
-                selected.append(p)
-                np.minimum(mindist, rho[p], out=mindist)
-        selected.sort()                      # ties in argmin -> lowest id
-        centers = np.array(selected)
-        raw_label[k] = np.argmin(rho[:, centers], axis=1)
-        centers_by_gen[k] = centers
-
-    if len(centers_by_gen[k_min]) != 1:
-        # force a single root region at the coarsest generation
-        centers_by_gen[k_min] = centers_by_gen[k_min][:1]
-        raw_label[k_min] = np.zeros(n, dtype=int)
-
-    # Cube ids number the regions generation by generation.  A region
-    # attaches to the raw region of its center one generation up; effective
-    # labels run bottom-up from the nearest-center cells, a coarser label
-    # being the parent region of the finer one, which makes nesting exact.
+    # One greedy net per (seed, generation) row, all rows in one pass over
+    # the positions of their orders (a seed's successive permutations).  A
+    # point one scale or more from every other point is always selected and
+    # blocks no other point: it is picked up front, and its NaN limit fails
+    # the test, so only the other points are tested and update their row.
     gens = range(k_min, k_max + 1)
-    offset = dict(zip(gens, np.cumsum([0] + [len(centers_by_gen[k])
-                                             for k in gens])))
-    labels = {k_max: raw_label[k_max] + offset[k_max]}
-    for k in range(k_max, k_min, -1):
-        parent_id = raw_label[k - 1][centers_by_gen[k]] + offset[k - 1]
-        labels[k - 1] = parent_id[labels[k] - offset[k]]
-    return k_min, k_max, labels, centers_by_gen, offset
+    scale = np.tile([kappa ** k for k in gens], len(seeds))
+    order = np.concatenate([np.random.default_rng(seed).permuted(
+        np.tile(np.arange(n), (len(gens), 1)), axis=1) for seed in seeds])
+    picked = nearest >= scale[:, None]
+    rows = np.arange(len(order))
+    limit = np.where(picked, np.nan, scale[:, None])[rows[:, None], order].T
+    mindist = np.full(order.shape, np.inf)
+    for p, lim in zip(order.T, limit):
+        grow = (mindist[rows, p] >= lim).nonzero()[0]
+        if grow.size:
+            picked[grow, p[grow]] = True
+            mindist[grow] = np.minimum(mindist[grow], rho[p[grow]])
+
+    # Cube ids number the regions generation by generation, one root region
+    # at k_min.  A region attaches to the region of its center's nearest
+    # center one generation up (ties to the lowest id); labels run bottom-up
+    # from the finest nearest-center cells, each coarser label the parent of
+    # the finer one, which makes nesting exact.
+    draws = []
+    for nets in picked.reshape(len(seeds), len(gens), n):
+        centers = {k: np.flatnonzero(net) for k, net in zip(gens, nets)}
+        centers[k_min] = centers[k_min][:1]
+        offset = dict(zip(gens, np.cumsum([0] + [len(centers[k])
+                                                 for k in gens])))
+        labels = {k_max: rho[:, centers[k_max]].argmin(1) + offset[k_max]}
+        for k in range(k_max, k_min, -1):
+            up = rho[centers[k]][:, centers[k - 1]].argmin(1) + offset[k - 1]
+            labels[k - 1] = up[labels[k] - offset[k]]
+        draws.append((labels, centers, offset))
+    return k_min, k_max, draws
 
 
 def build_lattice(space: MetricMeasureSpace, kappa: float, seed: int = 0,
@@ -238,8 +238,8 @@ def build_lattice(space: MetricMeasureSpace, kappa: float, seed: int = 0,
     """Greedy net-based lattice construction (properties (i)-(v) by design):
     one ``Cube`` per region of ``_draw_nets`` that some finest cell chains
     into."""
-    k_min, k_max, labels, centers_by_gen, offset = _draw_nets(
-        space, kappa, seed, k_range, _nearest_other(space))
+    k_min, k_max, [(labels, centers_by_gen, offset)] = _draw_nets(
+        space, kappa, [seed], k_range, _nearest_other(space))
     cubes = {}
     by_gen = {}
     for k in range(k_min, k_max + 1):
@@ -474,20 +474,25 @@ def ensemble_gaps(probes: list, space: MetricMeasureSpace, kappa: float,
     lattice i (see ``classify_good_bad``), 0 when none does.  Q is bad at
     separation S iff its gap is at least ``scale_gap(kappa, delta_bad, S)``,
     so one pass answers every S.  Lattice i has seed ``hash((master_seed,
-    i)) % 2**32``, is drawn as label arrays only (no ``Cube``) and is
-    dropped once scored."""
+    i)) % 2**32``.  Lattices are drawn ``ENSEMBLE_CHUNK`` at a time as label
+    arrays only (no ``Cube``), skeletons are built only for the generations
+    a probe can reach, and each chunk is scored before the next is drawn."""
     dists = [space.rho[q.members].min(axis=0) for q in probes]
     nearest, near = _nearest_other(space), _near_pairs(space)
+    k_top = max([q.generation for q in probes], default=-math.inf)
+    seeds = [hash((master_seed, i)) % 2**32 for i in range(ensemble_size)]
     gaps = np.zeros((ensemble_size, len(probes)), dtype=int)
-    for i in range(ensemble_size):
-        labels = _draw_nets(space, kappa, hash((master_seed, i)) % 2**32,
-                            None, nearest)[2]
-        skel = _skeletons(labels, near)
-        for j, (q, dist_q) in enumerate(zip(probes, dists)):
-            k, _ = _coarsest_hit(dist_q, q.size, q.generation - 1, kappa,
-                                 alpha, skel)
-            if k is not None:
-                gaps[i, j] = q.generation - k
+    for c in range(0, ensemble_size, ENSEMBLE_CHUNK):
+        draws = _draw_nets(space, kappa, seeds[c:c + ENSEMBLE_CHUNK], None,
+                           nearest)[2]
+        for i, (labels, _, _) in enumerate(draws, start=c):
+            skel = _skeletons({k: lab for k, lab in labels.items()
+                               if k <= k_top}, near)
+            for j, (q, dist_q) in enumerate(zip(probes, dists)):
+                k, _ = _coarsest_hit(dist_q, q.size, q.generation - 1, kappa,
+                                     alpha, skel)
+                if k is not None:
+                    gaps[i, j] = q.generation - k
     return gaps
 
 

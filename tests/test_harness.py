@@ -134,10 +134,32 @@ def test_calibrate_builds_one_ensemble(monkeypatch, name, params, alpha,
                         counting(draws, lattice._draw_nets))
     res = calibrate_S(space, 0.5, alpha, delta_bad, ensemble=100, seed=0)
     # one full base lattice, then one ensemble of bare net draws for every
-    # probe and every S
+    # probe and every S: 1 + 100 seeds drawn, whatever the chunking
     assert len(res.trace) == candidates
     assert len(builds) == 1
-    assert len(draws) == 101
+    assert sum(len(args[2]) for args in draws) == 101
+
+
+def test_calibrate_memory_peak():
+    # the benchmark's bergman_calibrate calibration: the ensemble is drawn
+    # in chunks, so its tracemalloc peak stays near 1.6 MB; one batch of
+    # all 150 lattices peaked at 6.85 MB
+    import tracemalloc
+    from czkit.certify import alpha_param
+    from czkit.examples import generate_example
+    space, info = generate_example("bergman_disc_model", n_ring=64,
+                                   n_cluster=8, n_boundary=32)
+    alpha = alpha_param(info["m"], info["tau"])
+    # a first calibration pays for lazy imports and first-call set-up
+    calibrate_S(generate_example("cantor_measure", level=4)[0], 0.5, alpha,
+                0.25, ensemble=100)
+    tracemalloc.start()
+    try:
+        calibrate_S(space, info["kappa"], alpha, 0.25, ensemble=150, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from czkit.kernels import (adjoint_apply, apply, bergman_kernel, bilinear,
                            explicit_kernel, indicator, kernel_from_json,
                            kernel_to_json, operator_norm, operator_norm_dense,
                            power_kernel, zero_kernel)
+from czkit.lattice import cube_dilations
 from czkit.harness import make_scenario
 from czkit.lattice import build_lattice, classify_terminal_transit
 from czkit.examples import generate_example
@@ -276,6 +277,98 @@ def test_t1_monotone_in_test_family(grid8):
     assert small.A <= big.A + 1e-12
 
 
+def _check_T1_reference(kernel, space, lattice, dilations=(1.2, 1.4, 1.5),
+                        lambda_bmo=3.0):
+    """The per-set loop the blocked products replaced: one full N x N matvec
+    pair per distinct set."""
+    lams = tuple(dilations) + (lambda_bmo,)
+    sets = cube_dilations(lattice, lams).reshape(-1, space.n_points)
+    labels = [f"Q{cid}{suffix}" for cid in lattice.cubes
+              for suffix in [""] + [f"x{lam}" for lam in lams]]
+    keys = np.packbits(sets, axis=1)
+    first = {}
+    for s, key in enumerate(keys.view(f"V{keys.shape[1]}").ravel().tolist()):
+        first.setdefault(key, s)
+    a_val, worst_d, worst_a, per_cube = 0.0, None, None, []
+    for s in first.values():
+        mask = sets[s]
+        mass = float(space.mu[mask].sum())
+        if mass <= 0:
+            continue
+        chi = mask.astype(float)
+        rd = space.l2_norm(apply(kernel, space, chi)) ** 2 / mass
+        ra = space.l2_norm(adjoint_apply(kernel, space, chi)) ** 2 / mass
+        per_cube.append((labels[s], mass, rd, ra))
+        if rd > a_val:
+            a_val, worst_d = rd, (labels[s],)
+        if ra > a_val:
+            a_val, worst_a = ra, (labels[s],)
+    return a_val, worst_d, worst_a, per_cube, len(first)
+
+
+def _worst_labels(per_cube, rel=1e-12):
+    """(worst direct, worst adjoint) labels of ``per_cube`` in the order of
+    ``check_T1``, a ratio counting as a new maximum only when it exceeds the
+    running one by more than ``rel`` relative."""
+    best, worst = 0.0, [None, None]
+    for label, _, *ratios in per_cube:
+        for side, ratio in enumerate(ratios):
+            if ratio > best * (1 + rel):
+                best, worst[side] = ratio, (label,)
+    return tuple(worst)
+
+
+def _t1_case(case):
+    """(space, kernel) of a T1 reference case."""
+    if case == "signed_explicit":
+        space = explicit_space()
+        matrix = np.random.default_rng(11).standard_normal((36, 36))
+        return space, explicit_kernel(space, matrix, m=1.0, tau=1.0,
+                                      C_CZ=1.0)
+    if case == "zero_mass_line":
+        # mu vanishes on the left half, so cubes and dilations there carry
+        # no mass and are skipped, and supp mu is a proper subset
+        space = line_space(12, mu=[0.0] * 6 + [1 / 6] * 6)
+        return space, power_kernel(space, m=1.0)
+    name, params = {
+        "line_n21": ("line_in_plane", {"n": 21}),
+        "bergman_64": ("bergman_disc_model",
+                       {"n_ring": 64, "n_cluster": 8, "n_boundary": 32}),
+    }.get(case, (case, {}))
+    sc = make_scenario(name, example_params=params)
+    return sc.space, sc.kernel
+
+
+T1_CASES = ("uniform_grid", "line_in_plane", "cantor_measure",
+            "bergman_disc_model", "line_n21", "bergman_64", "signed_explicit",
+            "zero_mass_line")
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("case", T1_CASES)
+def test_t1_blocks_match_per_set_reference(case, seed):
+    space, kern = _t1_case(case)
+    lat = build_lattice(space, kappa=0.5, seed=seed)
+    rep = check_T1(kern, space, lat)
+    a_val, worst_d, worst_a, per_cube, n_distinct = \
+        _check_T1_reference(kern, space, lat)
+    assert rep.A == pytest.approx(a_val, rel=1e-12, abs=0.0)
+    assert [c[0] for c in rep.per_cube] == [c[0] for c in per_cube]
+    for got, ref in zip(rep.per_cube, per_cube):
+        assert got[1:] == pytest.approx(ref[1:], rel=1e-12, abs=0.0)
+    # For a symmetric kernel T chi and T* chi are the same vector, and the
+    # reference's two matvecs can order their norms by a few ulps: the zero
+    # mass line and bergman 64/8/32 name Q0 as the adjoint worst set that
+    # way.  Such a rounding tie may fall either way; any other must match.
+    if _worst_labels(per_cube) == (worst_d, worst_a):
+        assert (rep.worst_cube_direct, rep.worst_cube_adjoint) == \
+            (worst_d, worst_a)
+    else:
+        assert _worst_labels(rep.per_cube) == _worst_labels(per_cube)
+    if case in ("line_n21", "zero_mass_line"):
+        assert (space.mu == 0).any() and len(per_cube) < n_distinct
+
+
 # ---------------------------------------------------------------------------
 # operator norm
 
@@ -329,19 +422,31 @@ def test_t1_necessity(grid8):
 
 def test_kernel_json_round_trip(line8):
     # the truncate policy puts a nonzero diagonal on power and constant
-    # kernels, so a reload that drops the policy changes the operator
+    # kernels, so a reload that drops the policy changes the operator; a
+    # fitted kernel reloads with the file's smoothness window delta_CZ and
+    # the C_CZ fitted under it
     inner = line_space(8, omega=(2, 3, 4, 5))
+    cloud = explicit_space()
+    matrix = power_kernel(cloud, m=1.0).matrix
     for space, kern in [
             (line8, power_kernel(line8, m=1.0)),
             (line8, constant_kernel(line8, 2.0)), (line8, zero_kernel(line8)),
             (line8, power_kernel(line8, m=1.0, diagonal_policy="truncate")),
             (line8, constant_kernel(line8, 2.0, diagonal_policy="truncate")),
-            (inner, bergman_kernel(inner, m=1.0, diagonal_policy="truncate"))]:
+            (inner, bergman_kernel(inner, m=1.0, diagonal_policy="truncate")),
+            (cloud, power_kernel(cloud, m=1.0, delta_CZ=0.25)),
+            (inner, bergman_kernel(inner, m=1.0, delta_CZ=0.25)),
+            (cloud, explicit_kernel(cloud, matrix, m=1.0, tau=1.0,
+                                    delta_CZ=0.25))]:
         doc = kernel_to_json(kern)
         back = kernel_from_json(doc, space)
         assert np.allclose(back.matrix, kern.matrix)
         assert back.m == kern.m and back.tau == kern.tau
         assert back.diagonal_policy == kern.diagonal_policy
+        assert (back.delta_CZ, back.C_CZ) == (kern.delta_CZ, kern.C_CZ)
+    assert kern.delta_CZ == 0.25
+    del doc["delta_CZ"]
+    assert kernel_from_json(doc, cloud).delta_CZ == 0.5
     with pytest.raises(ValueError, match="unknown diagonal policy 'clip'"):
         kernel_from_json({**doc, "diagonal_policy": "clip"}, inner)
 

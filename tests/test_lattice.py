@@ -7,17 +7,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from czkit.errors import DegenerateScale, LeafCube, RootTerminal
 from czkit.examples import generate_example
-from czkit.lattice import (build_lattice, classify_all_good_bad,
+from czkit.lattice import (_default_k_range, _draw_nets, _nearest_other,
+                           build_lattice, classify_all_good_bad,
                            classify_good_bad, classify_terminal_transit,
                            ensemble_gaps, estimate_bad_probability,
                            lattice_from_json,
                            lattice_to_json, scale_gap, skeleton,
                            skeleton_by_generation, verify_lattice_properties)
 from czkit.space import MetricMeasureSpace
-from conftest import grid_space, line_space
+from conftest import explicit_space, grid_space, line_space
 
 ALPHA_11 = 0.25     # goodness exponent for tau = m = 1
 
@@ -111,6 +114,127 @@ def test_golden_lattice_fingerprint(name, seed):
             assert (lat.labels[k][lat.cubes[cid].members] == cid).all()
         assert sum(lat.cubes[c].members.size for c in lat.by_gen[k]) == \
             space.n_points
+
+
+# ---------------------------------------------------------------------------
+# batched net draws against the per-lattice greedy loop they replaced
+
+
+def _draw_nets_reference(space, kappa, seed, k_range, nearest):
+    """One lattice's nets and labels, one greedy Python loop per generation
+    and one nearest-center argmin over all points per generation."""
+    n = space.n_points
+    rho = space.rho
+    if k_range is None:
+        k_min, k_max = _default_k_range(space, kappa)
+    else:
+        k_min, k_max = k_range
+    if k_max < k_min:
+        raise DegenerateScale(f"empty generation range {k_min}..{k_max}")
+    if kappa ** k_max < space.resolution_h / 2 and k_range is not None:
+        if kappa ** k_min < space.resolution_h:
+            raise DegenerateScale("all scales below resolution_h")
+    rng = np.random.default_rng(seed)
+    centers_by_gen = {}
+    raw_label = {}
+    for k in range(k_min, k_max + 1):
+        scale = kappa ** k
+        order = rng.permutation(n)
+        isolated = nearest >= scale
+        selected = np.flatnonzero(isolated).tolist()
+        mindist = np.full(n, np.inf)
+        for p in order[~isolated[order]].tolist():
+            if mindist[p] >= scale:
+                selected.append(p)
+                np.minimum(mindist, rho[p], out=mindist)
+        selected.sort()
+        centers = np.array(selected)
+        raw_label[k] = np.argmin(rho[:, centers], axis=1)
+        centers_by_gen[k] = centers
+    if len(centers_by_gen[k_min]) != 1:
+        centers_by_gen[k_min] = centers_by_gen[k_min][:1]
+        raw_label[k_min] = np.zeros(n, dtype=int)
+    gens = range(k_min, k_max + 1)
+    offset = dict(zip(gens, np.cumsum([0] + [len(centers_by_gen[k])
+                                             for k in gens])))
+    labels = {k_max: raw_label[k_max] + offset[k_max]}
+    for k in range(k_max, k_min, -1):
+        parent_id = raw_label[k - 1][centers_by_gen[k]] + offset[k - 1]
+        labels[k - 1] = parent_id[labels[k] - offset[k]]
+    return k_min, k_max, labels, centers_by_gen, offset
+
+
+# the lattice seeds of the golden fingerprints and of the benchmark's seed-402
+# certificate first, then calibration-ensemble seeds
+DRAW_SEEDS = [1, 2, 7, 2476693647, 1295026582] + \
+    [hash((0, i)) % 2**32 for i in range(145)]
+
+
+def _assert_draws_match(space, kappa, seeds, k_range=None):
+    nearest = _nearest_other(space)
+    try:
+        _draw_nets_reference(space, kappa, seeds[0], k_range, nearest)
+    except DegenerateScale:
+        with pytest.raises(DegenerateScale):
+            _draw_nets(space, kappa, seeds, k_range, nearest)
+        return
+    k_min, k_max, draws = _draw_nets(space, kappa, seeds, k_range, nearest)
+    assert len(draws) == len(seeds)
+    for seed, got in zip(seeds, draws):
+        ref = _draw_nets_reference(space, kappa, seed, k_range, nearest)
+        assert (k_min, k_max) == ref[:2]
+        for got_table, ref_table in zip(got, ref[2:]):
+            assert list(got_table) == list(ref_table)
+            for k, want in ref_table.items():
+                have = got_table[k]
+                assert have.dtype == want.dtype
+                assert have.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch", (1, 2, 16, 150))
+@pytest.mark.parametrize("name", ("uniform_grid", "line_in_plane",
+                                  "cantor_measure", "bergman_disc_model",
+                                  "explicit"))
+def test_batched_draw_matches_per_lattice_reference(name, batch):
+    if name == "explicit":
+        space, kappa = explicit_space(), 0.5
+    else:
+        space, info = generate_example(name)
+        kappa = info["kappa"]
+    _assert_draws_match(space, kappa, DRAW_SEEDS[:batch])
+
+
+@given(st.integers(1, 30), st.floats(0.2, 0.8), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_batched_draw_matches_reference_on_random_spaces(n, kappa, seed):
+    # random clouds with a resolution from 1x to 10x the smallest distance,
+    # so that isolated points and shared nets both occur
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 4.0, (n, 2))
+    rho = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+    off = rho[~np.eye(n, dtype=bool)]
+    space = MetricMeasureSpace(
+        rho=rho, nu=np.ones(n), mu=np.full(n, 1 / n),
+        omega=np.zeros(n, dtype=bool),
+        resolution_h=rng.uniform(1.0, 10.0) * off.min() if n > 1 else 1.0)
+    seeds = rng.integers(0, 2**32, int(rng.integers(1, 20))).tolist()
+    _assert_draws_match(space, kappa, seeds)
+
+
+@pytest.mark.parametrize("batch", (1, 2, 16))
+@pytest.mark.parametrize("k_range", ((-2, 3), (0, 0), (0, 3), (-4, -3)))
+def test_batched_draw_matches_reference_on_explicit_k_range(k_range, batch):
+    # (0, 3) reaches below the unit resolution of both spaces at its fine end
+    _assert_draws_match(line_space(9), 0.5, DRAW_SEEDS[:batch], k_range)
+    _assert_draws_match(grid_space(5), 0.5, DRAW_SEEDS[:batch], k_range)
+
+
+@pytest.mark.parametrize("k_range", ((8, 9), (3, 2)))
+def test_batched_draw_degenerate_scales_raise_as_reference(k_range):
+    with pytest.raises(DegenerateScale):
+        _draw_nets_reference(line_space(4), 0.5, 1, k_range,
+                             _nearest_other(line_space(4)))
+    _assert_draws_match(line_space(4), 0.5, DRAW_SEEDS[:2], k_range)
 
 
 # ---------------------------------------------------------------------------
