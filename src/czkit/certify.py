@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import HypothesisViolated, MultipleParents, NonTransitEntry, \
     ZeroMassCube
-from .kernels import KernelSpec
-from .lattice import Cube, DyadicLattice, cube_reduce
+from .kernels import KernelSpec, spectral_norm
+from .lattice import Cube, DyadicLattice, cube_reduce, masked_sums
 from .projections import MartingaleDecomposition, decompose, split_good_bad
 from .space import MetricMeasureSpace, dilate
 
@@ -116,23 +116,21 @@ class ComponentRows:
 def _component_rows(lat: DyadicLattice) -> ComponentRows:
     cubes = _good_component_cubes(lat)
     point_piece = np.full((len(cubes), lat.space.n_points), -1)
-    piece, piece_mass, piece_stop = {}, [], []
+    piece, piece_stop = {}, []
     piece_start = np.cumsum([0] + [len(c.children) for c in cubes])
     for i, cube in enumerate(cubes):
         for ch in map(lat.cubes.get, cube.children):
             point_piece[i, ch.members] = len(piece)
             piece[ch.id] = len(piece)
-            piece_mass.append(lat.cube_mu(ch))
             piece_stop.append(ch.terminal or ch.is_leaf)
     point_piece[point_piece < 0] = len(piece)
     return ComponentRows(
         lattice=lat, ids=np.array([c.id for c in cubes], dtype=int),
         gen=np.array([c.generation for c in cubes], dtype=int),
         size=np.array([c.size for c in cubes]),
-        mass=np.array([lat.cube_mu(c) for c in cubes]),
+        mass=lat.mass[[c.id for c in cubes]],
         center=np.array([c.center for c in cubes], dtype=int),
-        piece=piece, piece_start=piece_start,
-        piece_mass=np.array(piece_mass, dtype=float),
+        piece=piece, piece_start=piece_start, piece_mass=lat.mass[list(piece)],
         piece_stop=np.array(piece_stop, dtype=bool), point_piece=point_piece,
         inside=point_piece < len(piece))
 
@@ -458,19 +456,6 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> tuple:
     return owner, np.repeat(start, count) + offset
 
 
-def _masked_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``values`` summed over the entries of each row of ``mask``, bit for
-    bit ``values[np.flatnonzero(row)].sum()``: rows sum by entry count."""
-    count = mask.sum(axis=1)
-    cols = np.nonzero(mask)[1]
-    start = np.cumsum(count) - count
-    out = np.zeros(len(mask))
-    for c in np.unique(count[count > 0]).tolist():
-        rows = np.flatnonzero(count == c)
-        out[rows] = values[cols[start[rows, None] + np.arange(c)]].sum(axis=1)
-    return out
-
-
 def interaction_matrix(fine: ComponentRows, coarse: ComponentRows,
                        pairs: PairTable, m: float,
                        tau: float) -> InteractionMatrix:
@@ -554,15 +539,6 @@ def schur_bound_long_range(mat: InteractionMatrix, a: np.ndarray,
     return SchurReport(lhs, rhs, c_schur)
 
 
-def spectral_norm(matrix: np.ndarray) -> float:
-    from scipy.linalg import svdvals
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.size == 0:
-        return 0.0
-    vals = svdvals(matrix)
-    return float(vals[0]) if vals.size else 0.0
-
-
 # ---------------------------------------------------------------------------
 # block matrix (short range aggregation)
 
@@ -643,7 +619,7 @@ def _terminal_geometry(space, half: HalfData, abs_op) -> dict:
     union = half.coarse_lat.member_masks(t.rq[first])
     np.logical_or.at(union, group, half.fine_rows.inside[t.q])
     k_sup = np.where(union, abs_op.max(axis=1), -np.inf).max(axis=1)
-    weight = k_sup * np.sqrt(_masked_sums(space.mu, union) *
+    weight = k_sup * np.sqrt(masked_sums(space.mu, union) *
                              coarse.mass[r_rows])
     # per R: the root of its group count times its largest weight
     worst = np.zeros(len(coarse.ids))
@@ -691,7 +667,7 @@ def _transit_geometry(kernel, space, half: HalfData, piece_sup,
     coarse_lat, kappa, tau = coarse.lattice, coarse.lattice.kappa, kernel.tau
     in_rq = coarse_lat.member_masks(rq)
     # R_Q is transit, so it carries mass
-    mass_q, mass_rq = fine.mass[q], _masked_sums(mu, in_rq)
+    mass_q, mass_rq = fine.mass[q], coarse_lat.mass[rq]
     s_alpha = _scalar_pow(fine.size, alpha)[q]
     violations = []               # one message per violation
 
@@ -719,7 +695,7 @@ def _transit_geometry(kernel, space, half: HalfData, piece_sup,
         # is not available; use the always-valid rectangular sup bound
         rest = coarse.inside[r[near]] & ~in_rq[near]
         far_coef[near] = sup_out[near] * np.sqrt(mass_q[near] *
-                                                 _masked_sums(mu, rest))
+                                                 masked_sums(mu, rest))
         violations += ["pair: distance to the coarse remainder under "
                        "s(Q)^alpha s(R)^(1-alpha)"] * int(near.sum())
 
@@ -737,7 +713,7 @@ def _transit_geometry(kernel, space, half: HalfData, piece_sup,
                  (labels[k + 1] != labels[k + 1, x, None]) &
                  (below > k)[:, None])
         d[k] = np.where(level, rho_q, math.inf).min(axis=1)
-        mass[k] = _masked_sums(mu, level)
+        mass[k] = masked_sums(mu, level)
     chain = (d > 0).all(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         # summed level by level, bottom up; void where chain fails
@@ -909,30 +885,24 @@ def paraproduct_apply(F: np.ndarray, g: np.ndarray, fine_lat: DyadicLattice,
 
 
 def carleson_embedding_check(a: dict, lattice: DyadicLattice):
-    """Fitted Carleson constant max_S sum_(R under S) a_R / mu(S)."""
-    subtree = {}
+    """Fitted Carleson constant max_S sum_(R under S) a_R / mu(S).  Subtree
+    sums run bottom up, one ``np.add.at`` per generation adding each cube's
+    children in child order."""
+    subtree = np.zeros(max(lattice.cubes) + 1)
+    subtree[list(a)] = list(a.values())
     for k in sorted(lattice.by_gen, reverse=True):
-        for cid in lattice.by_gen[k]:
-            cube = lattice.cubes[cid]
-            total = a.get(cid, 0.0)
-            for ch in cube.children:
-                total += subtree.get(ch, 0.0)
-            subtree[cid] = total
-    fitted = 0.0
-    worst = None
-    skipped = []
-    for cid, cube in lattice.cubes.items():
-        mass = lattice.cube_mu(cube)
-        if mass <= 0:
-            if subtree.get(cid, 0.0) > 0:
-                skipped.append(cid)
-            continue
-        ratio = subtree[cid] / mass
-        if ratio > fitted:
-            fitted = ratio
-            worst = cid
-    return {"fitted": fitted, "worst_cube": worst,
-            "zero_mass_skipped": skipped}
+        up, kids = np.array([(cid, ch) for cid in lattice.by_gen[k]
+                             for ch in lattice.cubes[cid].children],
+                            dtype=int).reshape(-1, 2).T
+        np.add.at(subtree, up, subtree[kids])
+    ids = np.fromiter(lattice.cubes, dtype=int)
+    mass, total = lattice.mass[ids], subtree[ids]
+    ratio = np.divide(total, mass, out=np.zeros(ids.size), where=mass > 0)
+    best = int(ratio.argmax())
+    fitted = max(float(ratio[best]), 0.0)
+    return {"fitted": fitted,
+            "worst_cube": int(ids[best]) if fitted > 0 else None,
+            "zero_mass_skipped": ids[(mass <= 0) & (total > 0)].tolist()}
 
 
 def whitney_decomposition(space: MetricMeasureSpace, lattice: DyadicLattice,
@@ -957,7 +927,7 @@ def whitney_decomposition(space: MetricMeasureSpace, lattice: DyadicLattice,
         counts[dilate(space, cube.members, 1.4)] += 1
         covered[cube.members] = True
     multiplicity = int(counts.max()) if selected else 0
-    mass = space.mu_mass(r_cube.members)
+    mass = lattice.mass[r_cube.id]
     frac = space.mu_mass(np.flatnonzero(covered)) / mass if mass > 0 else 0.0
     return selected, multiplicity, frac
 
@@ -984,20 +954,17 @@ def admissible_bmo_cubes(space: MetricMeasureSpace, lattice: DyadicLattice,
     out = []
     for cid, cube in lattice.cubes.items():
         d = space.set_diam(cube.members)
-        if d <= 0 or space.mu_mass(cube.members) <= 0:
+        if d <= 0 or lattice.mass[cid] <= 0:
             continue
-        dists = space.rho[:, cube.members].min(axis=1)
-        order = np.argsort(dists)
-        mass = 0.0
-        ok = True
-        for p in order:
-            s = max(1.0, dists[p] / d + 1.0)
-            mass += space.mu[p]
-            if dists[p] <= (s - 1.0) * d + 1e-15 or s == 1.0:
-                if mass > K * s ** m * d ** m * (1 + 1e-9):
-                    ok = False
-                    break
-        if ok:
+        # the points by distance to Q, each with the mass reached so far
+        dist = space.rho[:, cube.members].min(axis=1)
+        order = np.argsort(dist)
+        dist = dist[order]
+        s = np.maximum(1.0, dist / d + 1.0)
+        gate = (dist <= (s - 1.0) * d + 1e-15) | (s == 1.0)
+        over = np.cumsum(space.mu[order]) > \
+            K * _scalar_pow(s, m) * d ** m * (1 + 1e-9)
+        if not (gate & over).any():
             out.append(cid)
     return out
 
@@ -1025,7 +992,7 @@ def pseudo_bmo_check(F: np.ndarray, space: MetricMeasureSpace,
     for cid in cids:
         cube = lattice.cubes[cid]
         members = cube.members
-        mass = space.mu_mass(members)
+        mass = lattice.mass[cid]
         grown = dilate(space, members, lambda_bmo)
         mass_grown = space.mu_mass(grown)
         avg = float(np.sum(F[members] * mu[members]) / mass)

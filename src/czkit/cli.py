@@ -91,16 +91,11 @@ def cmd_decompose(args) -> int:
     return 0 if rep.passed and recon <= 1e-10 else 1
 
 
-def _load_kernel(args, space):
-    from .kernels import load_kernel
-    return load_kernel(args.kernel, space)
-
-
 def cmd_t1_check(args) -> int:
-    from .kernels import check_T1
+    from .kernels import check_T1, load_kernel
     from .lattice import build_lattice
     space = _load_space(args.space, args.allow_large)
-    kernel = _load_kernel(args, space)
+    kernel = load_kernel(args.kernel, space)
     lat = build_lattice(space, args.kappa, seed=args.seed)
     rep = check_T1(kernel, space, lat)
     _write_json({"A": rep.A, "cubes_checked": len(rep.per_cube)}, args.out)
@@ -108,9 +103,9 @@ def cmd_t1_check(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    from .kernels import operator_norm
+    from .kernels import load_kernel, operator_norm
     space = _load_space(args.space, args.allow_large)
-    kernel = _load_kernel(args, space)
+    kernel = load_kernel(args.kernel, space)
     norm, converged = operator_norm(kernel, space, tol=args.tol,
                                     seed=args.seed)
     print(f"operator norm {norm:.12g} ({'converged' if converged else 'cap'})")
@@ -138,6 +133,7 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_certify(args) -> int:
     from .harness import Scenario, make_scenario, run, save_report
+    from .kernels import load_kernel
     if args.example:
         scenario = make_scenario(args.example, master_seed=args.seed,
                                  delta_bad=args.delta,
@@ -146,7 +142,7 @@ def cmd_certify(args) -> int:
         if not (args.space and args.kernel):
             raise SystemExit("error: need --example or --space with --kernel")
         space = _load_space(args.space, args.allow_large)
-        kernel = _load_kernel(args, space)
+        kernel = load_kernel(args.kernel, space)
         scenario = Scenario(name="custom", space=space, kernel=kernel,
                             m=kernel.m, tau=kernel.tau, n_dim=args.n_dim,
                             kappa=args.kappa, delta_bad=args.delta,
@@ -177,41 +173,42 @@ def build_parser() -> argparse.ArgumentParser:
                                             "certification toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--space", required=False)
+    def common(sp, *flags, space_required=True):
+        sp.add_argument("--space", required=space_required)
         sp.add_argument("--allow-large", action="store_true")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--kappa", type=float, default=0.5)
-        sp.add_argument("--out", default=None)
+        for flag, kind, value in (("--seed", int, 0), ("--kappa", float, 0.5),
+                                  ("--out", str, None)):
+            if flag in flags:
+                sp.add_argument(flag, type=kind, default=value)
 
     sp = sub.add_parser("verify-space")
-    common(sp)
+    common(sp, "--out")
     sp.add_argument("--m", type=float, default=1.0)
     sp.set_defaults(func=cmd_verify_space)
 
     sp = sub.add_parser("build-lattice")
-    common(sp)
+    common(sp, "--seed", "--kappa", "--out")
     sp.set_defaults(func=cmd_build_lattice)
 
     sp = sub.add_parser("decompose")
-    common(sp)
+    common(sp, "--seed", "--kappa")
     sp.add_argument("--fn", default=None)
     sp.add_argument("--report", default=None)
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("t1-check")
-    common(sp)
+    common(sp, "--seed", "--kappa", "--out")
     sp.add_argument("--kernel", required=True)
     sp.set_defaults(func=cmd_t1_check)
 
     sp = sub.add_parser("norm")
-    common(sp)
+    common(sp, "--seed")
     sp.add_argument("--kernel", required=True)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.set_defaults(func=cmd_norm)
 
     sp = sub.add_parser("montecarlo")
-    common(sp)
+    common(sp, "--seed", "--kappa", "--out")
     sp.add_argument("--m", type=float, default=1.0)
     sp.add_argument("--tau", type=float, default=1.0)
     sp.add_argument("--delta", type=float, default=0.25)
@@ -220,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_montecarlo)
 
     sp = sub.add_parser("certify")
-    common(sp)
+    common(sp, "--seed", "--kappa", space_required=False)
     sp.add_argument("--example", default=None)
     sp.add_argument("--kernel", default=None)
     sp.add_argument("--delta", type=float, default=0.25)

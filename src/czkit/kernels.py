@@ -247,8 +247,6 @@ def check_d_domination(kernel: KernelSpec,
 @dataclass
 class T1Report:
     A: float
-    worst_cube_direct: tuple | None
-    worst_cube_adjoint: tuple | None
     per_cube: list              # (label, mu, ratio_direct, ratio_adjoint)
 
 
@@ -278,23 +276,17 @@ def check_T1(kernel: KernelSpec, space: MetricMeasureSpace, lattice,
     k = kernel.matrix if supp.size == space.n_points else \
         kernel.matrix[np.ix_(supp, supp)]
     mu = space.mu[supp]
-    a_val, worst_d, worst_a, per_cube = 0.0, None, None, []
+    per_cube = []
     for b in range(0, len(distinct), T1_BLOCK):
         block = distinct[b:b + T1_BLOCK]
         chi_mu = sets[block][:, supp] * mu
         mass = chi_mu.sum(axis=1).tolist()
         direct = (np.square(chi_mu @ k.T) @ mu).tolist()
         adjoint = (np.square(chi_mu @ k) @ mu).tolist()
-        for s, m_s, d, a in zip(block, mass, direct, adjoint):
-            if m_s <= 0:
-                continue
-            label, rd, ra = labels[s], d / m_s, a / m_s
-            per_cube.append((label, m_s, rd, ra))
-            if rd > a_val:
-                a_val, worst_d = rd, (label,)
-            if ra > a_val:
-                a_val, worst_a = ra, (label,)
-    return T1Report(a_val, worst_d, worst_a, per_cube)
+        per_cube += [(labels[s], m_s, d / m_s, a / m_s) for s, m_s, d, a
+                     in zip(block, mass, direct, adjoint) if m_s > 0]
+    return T1Report(max([0.0] + [r for c in per_cube for r in c[2:]]),
+                    per_cube)
 
 
 def operator_norm(kernel: KernelSpec, space: MetricMeasureSpace,
@@ -333,11 +325,15 @@ def dense_operator(kernel: KernelSpec, space: MetricMeasureSpace) -> np.ndarray:
     return s[:, None] * kernel.matrix * s[None, :]
 
 
-def operator_norm_dense(kernel: KernelSpec, space: MetricMeasureSpace) -> float:
+def spectral_norm(matrix: np.ndarray) -> float:
+    """Largest singular value; 0 for an empty matrix."""
     from scipy.linalg import svdvals
-    a = dense_operator(kernel, space)
-    vals = svdvals(a)
-    return float(vals[0]) if vals.size else 0.0
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    return float(svdvals(matrix)[0]) if matrix.size else 0.0
+
+
+def operator_norm_dense(kernel: KernelSpec, space: MetricMeasureSpace) -> float:
+    return spectral_norm(dense_operator(kernel, space))
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,15 @@ class DyadicLattice:
     def generations(self):
         return range(self.k_min, self.k_max + 1)
 
-    def cube_mu(self, cube: Cube) -> float:
-        return float(self.space.mu[cube.members].sum())
-
-    def transit_ids(self):
-        return [cid for cid, c in self.cubes.items() if c.terminal is False]
+    @cached_property
+    def mass(self) -> np.ndarray:
+        """mu(Q) per cube id (0 off the cubes), from the members at first
+        use; cubes sum by member count, each as ``mu[Q.members].sum()``."""
+        ids = np.fromiter(self.cubes, dtype=int)
+        out = np.zeros(ids.max() + 1)
+        for slots, rows in member_rows(list(self.cubes.values())):
+            out[ids[slots]] = self.space.mu[rows].sum(axis=1)
+        return out
 
     @cached_property
     def column(self) -> np.ndarray:
@@ -91,10 +95,11 @@ class DyadicLattice:
 
     def member_masks(self, ids) -> np.ndarray:
         """(len(ids), N) member masks of the cubes ``ids``."""
-        ids = np.asarray(ids, dtype=int)
-        labels = np.stack([self.labels[k] for k in self.generations()])
-        return labels[[self.cubes[c].generation - self.k_min
-                       for c in ids.tolist()]] == ids[:, None]
+        members = [self.cubes[c].members for c in np.asarray(ids).tolist()]
+        mask = np.zeros((len(members), self.space.n_points), dtype=bool)
+        mask[np.repeat(np.arange(len(members)), [m.size for m in members]),
+             np.concatenate([np.zeros(0, dtype=int)] + members)] = True
+        return mask
 
     @cached_property
     def dist(self) -> np.ndarray:
@@ -107,6 +112,29 @@ class DyadicLattice:
         """The ``projections.DecompositionPlan``, built on first use."""
         from .projections import DecompositionPlan
         return DecompositionPlan(self)
+
+
+def member_rows(cubes: list, key=0):
+    """(slots, rows) per member count of ``cubes`` and per value of the
+    integer ``key`` (one per cube): rows[i] holds cubes[slots[i]].members."""
+    count = np.array([c.members.size for c in cubes], dtype=int)
+    group = np.asarray(key) * (count.max(initial=0) + 1) + count
+    for g in np.unique(group).tolist():
+        slots = np.flatnonzero(group == g)
+        yield slots, np.array([cubes[j].members for j in slots.tolist()])
+
+
+def masked_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``values`` summed over the entries of each row of ``mask``, bit for
+    bit ``values[np.flatnonzero(row)].sum()``: rows sum by entry count."""
+    count = mask.sum(axis=1)
+    cols = np.nonzero(mask)[1]
+    start = np.cumsum(count) - count
+    out = np.zeros(len(mask))
+    for c in np.unique(count[count > 0]).tolist():
+        rows = np.flatnonzero(count == c)
+        out[rows] = values[cols[start[rows, None] + np.arange(c)]].sum(axis=1)
+    return out
 
 
 def cube_reduce(lat: DyadicLattice, matrix: np.ndarray, ids,
@@ -123,12 +151,8 @@ def cube_reduce(lat: DyadicLattice, matrix: np.ndarray, ids,
     if axis == 1:
         src = np.ascontiguousarray(src.T)
     cubes = [lat.cubes[cid] for cid in ids]
-    group = np.array([c.generation * (lat.space.n_points + 1) + c.members.size
-                      for c in cubes], dtype=int)
     out = np.empty((len(cubes), src.shape[1]), dtype=src.dtype)
-    for g in np.unique(group).tolist():
-        slots = np.flatnonzero(group == g).tolist()
-        rows = np.array([cubes[j].members for j in slots])
+    for slots, rows in member_rows(cubes, [c.generation for c in cubes]):
         out[slots] = ufunc.reduce(src[rows], axis=1)
     return np.ascontiguousarray(out.T) if axis == 1 else out
 
@@ -284,63 +308,66 @@ class LatticePropertyReport:
 def verify_lattice_properties(lat: DyadicLattice) -> LatticePropertyReport:
     """Check Christ-cube properties (i)-(v) exactly and fit the constant of
     the small-boundary inequality (vi), exponent 1, at the relative
-    thicknesses kappa, kappa^2 and kappa^3."""
-    space = lat.space
-    failures = []
-    n = space.n_points
-
-    partition_ok = True
-    for k in lat.generations():
-        if (lat.labels[k] < 0).any():
-            partition_ok = False
-            failures.append(("partition", k, "uncovered points"))
-        seen = np.bincount(np.concatenate(
-            [lat.cubes[cid].members for cid in lat.by_gen[k]]), minlength=n)
-        if (seen > 1).any():
-            partition_ok = False
-            failures.append(("disjointness", k, "overlapping cubes"))
-
-    nesting_ok = True
-    unique_ancestor_ok = True
-    for cid, cube in lat.cubes.items():
-        if cube.parent is not None:
-            pm = set(lat.cubes[cube.parent].members.tolist())
-            if not set(cube.members.tolist()) <= pm:
-                nesting_ok = False
-                failures.append(("nesting", cid, cube.parent))
-        if cube.generation > lat.k_min:
-            anc = lat.labels[cube.generation - 1][cube.members]
-            if np.unique(anc).size != 1:
-                unique_ancestor_ok = False
-                failures.append(("unique_ancestor", cid, None))
-
-    # (vi): nu{x in Q : dist(x, X \ Q) <= t * s(Q)} <= C t nu(Q).
-    # The complement of a cube is read off the labels of its generation.
-    ts = [lat.kappa, lat.kappa ** 2, lat.kappa ** 3]
+    thicknesses kappa, kappa^2 and kappa^3.  One pass per generation over
+    its cubes' member masks (members, not labels, so hand-edited cubes are
+    checked as they stand); the complement of a cube is read off labels."""
+    space, n, failures = lat.space, lat.space.n_points, []
+    # per cube id: not nested in its parent, not under exactly one label
+    nest_bad, lone_bad = np.zeros((2, max(lat.cubes) + 1), dtype=bool)
+    top = max(space.diam(), space.resolution_h)
     c_diam, a0, c_boundary = 0.0, math.inf, 0.0
     for k in lat.generations():
-        lab = lat.labels[k]
-        # distance from each point to the complement of its cube
+        ids, lab = np.array(lat.by_gen[k], dtype=int), lat.labels[k]
+        cubes = [lat.cubes[cid] for cid in ids.tolist()]
+        if (lab < 0).any():
+            failures.append(("partition", k, "uncovered points"))
+        if (np.bincount(np.concatenate([c.members for c in cubes]),
+                        minlength=n) > 1).any():
+            failures.append(("disjointness", k, "overlapping cubes"))
+        inside = lat.member_masks(ids)
+        # a cube without a parent is checked against itself
+        nest_bad[ids] = (inside & ~lat.member_masks(
+            [c.id if c.parent is None else c.parent for c in cubes])).any(1)
+        if k > lat.k_min:
+            up = lat.labels[k - 1]
+            lone_bad[ids] = ~inside.any(axis=1) | (inside & (
+                up != up[inside.argmax(axis=1), None])).any(axis=1)
+
+        # diameters, one gather of rho per member count
+        size = np.array([c.size for c in cubes])
+        diam = np.zeros(len(cubes))
+        for slots, rows in member_rows(cubes):
+            if rows.shape[1] > 1:
+                diam[slots] = space.rho[rows[:, :, None],
+                                        rows[:, None, :]].max(axis=(1, 2))
+        c_diam = max(c_diam, float((diam / size).max()))
+        # a0: each center to its cube's complement; a full cube: diam(X)
+        full = np.array([c.members.size == n for c in cubes], dtype=bool)
+        near = space.rho[[c.center for c in cubes]]
+        near[lab == ids[:, None]] = np.inf
+        a0 = min(a0, float((np.where(full, top, near.min(axis=1)) /
+                            size).min()))
+        # (vi): nu{x in Q : dist(x, X \ Q) <= t * s(Q)} <= C t nu(Q)
         d_out = np.where(lab[:, None] == lab[None, :], np.inf,
                          space.rho).min(axis=1)
-        for cid in lat.by_gen[k]:
-            cube = lat.cubes[cid]
-            c_diam = max(c_diam, space.set_diam(cube.members) / cube.size)
-            if cube.members.size == n:
-                a0 = min(a0, max(space.diam(), space.resolution_h) / cube.size)
-                continue
-            a0 = min(a0, float(space.rho[cube.center, lab != cid].min())
-                     / cube.size)
-            nu_q = space.nu[cube.members].sum()
-            if nu_q <= 0:
-                continue
-            dist_out = d_out[cube.members]
-            for t in ts:
-                layer = space.nu[cube.members[dist_out <= t * cube.size]].sum()
-                c_boundary = max(c_boundary, layer / (t * nu_q))
+        nu_q = masked_sums(space.nu, inside)
+        keep = ~full & (nu_q > 0)
+        for t in (lat.kappa, lat.kappa ** 2, lat.kappa ** 3):
+            layer = masked_sums(space.nu, inside[keep] &
+                                (d_out <= t * size[keep, None]))
+            c_boundary = max(c_boundary, float(
+                (layer / (t * nu_q[keep])).max(initial=0.0)))
 
-    return LatticePropertyReport(partition_ok, nesting_ok, unique_ancestor_ok,
-                                 c_diam, float(a0), c_boundary, failures)
+    partition_ok = not failures
+    ids = np.fromiter(lat.cubes, dtype=int)
+    for cid in ids[(nest_bad | lone_bad)[ids]].tolist():
+        if nest_bad[cid]:
+            failures.append(("nesting", cid, lat.cubes[cid].parent))
+        if lone_bad[cid]:
+            failures.append(("unique_ancestor", cid, None))
+    return LatticePropertyReport(partition_ok, not nest_bad.any(),
+                                 not lone_bad.any(), c_diam, a0, c_boundary,
+                                 failures)
 
 
 # ---------------------------------------------------------------------------
@@ -383,20 +410,21 @@ def classify_terminal_transit(lat: DyadicLattice, m: float | None = None):
 
     Returns the fitted growth constant of the transit-cube estimate
     mu(B(center, r)) <= C r^m for r >= s(Q) (only when m is given)."""
-    space = lat.space
-    omega = space.omega
-    for cube in lat.cubes.values():
-        in_omega = cube.parent is not None and \
-            bool(omega[lat.cubes[cube.parent].members].all())
-        cube.terminal = in_omega or lat.cube_mu(cube) <= 0.0
+    space, cubes = lat.space, list(lat.cubes.values())
+    # parent inside omega: one reduction of omega over all parents
+    up = sorted({c.parent for c in cubes} - {None})
+    in_omega = dict(zip(up, cube_reduce(lat, space.omega[None, :], up,
+                                        np.logical_and)[0].tolist()))
+    for cube in cubes:
+        cube.terminal = in_omega.get(cube.parent, False) or \
+            bool(lat.mass[cube.id] <= 0.0)
     if lat.root.terminal:
         raise RootTerminal("root cube is terminal; mu carries no mass")
 
     c_fit = 0.0
     if m is not None:
         diam = space.diam()
-        for cid in lat.transit_ids():
-            cube = lat.cubes[cid]
+        for cube in (c for c in cubes if not c.terminal):
             r = cube.size
             while r <= max(diam, cube.size):
                 mass = space.mu_mass(space.ball_mask(cube.center, r))
@@ -560,17 +588,13 @@ def lattice_from_json(doc: dict, space: MetricMeasureSpace) -> DyadicLattice:
                         terminal=c.get("terminal"), good=c.get("good"))
             cubes[cube.id] = cube
             by_gen[k].append(cube.id)
+    labels = {k: np.full(space.n_points, -1, dtype=int) for k in by_gen}
     for cube in cubes.values():
+        labels[cube.generation][cube.members] = cube.id
         if cube.parent is not None:
             cubes[cube.parent].children.append(cube.id)
     k_min = min(by_gen)
     k_max = max(by_gen)
-    labels = {}
-    for k, cids in by_gen.items():
-        lab = np.full(space.n_points, -1, dtype=int)
-        for cid in cids:
-            lab[cubes[cid].members] = cid
-        labels[k] = lab
     return DyadicLattice(space=space, kappa=kappa, seed=int(doc.get("seed", 0)),
                          k_min=k_min, k_max=k_max, cubes=cubes, by_gen=by_gen,
                          labels=labels, root_id=by_gen[k_min][0])

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ClassificationMissing, ZeroMass
 from .lattice import Cube, DyadicLattice, build_lattice, classify_all_good_bad, \
-    classify_terminal_transit
+    classify_terminal_transit, member_rows
 from .space import MetricMeasureSpace
 
 
@@ -58,14 +58,10 @@ class DecompositionPlan:
         self.level = np.array([c.generation for c in cubes]) - lat.k_min
         self.by_level = [np.flatnonzero(self.level[self.owner] == k)
                          for k in range(lat.k_max - lat.k_min + 1)]
-        count = np.array([c.members.size for c in cubes])
-        self.groups = []
-        for size in np.unique(count):
-            slots = np.flatnonzero(count == size)
-            members = np.array([cubes[s].members for s in slots.tolist()])
-            weight = lat.space.mu[members]
-            self.groups.append((slots, members, weight, weight.sum(axis=1)))
-        if any((mass <= 0).any() for *_, mass in self.groups):
+        mass = lat.mass[[c.id for c in cubes]]
+        self.groups = [(slots, members, lat.space.mu[members], mass[slots])
+                       for slots, members in member_rows(cubes)]
+        if (mass <= 0).any():
             raise ZeroMass("average over a cube of zero mu-mass")
 
     def means(self, phi: np.ndarray, rows: np.ndarray | None = None):

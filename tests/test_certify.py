@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from czkit.certify import (_good_component_cubes, alpha_param,
-                           block_matrix_bound,
+from czkit.certify import (_good_component_cubes, admissible_bmo_cubes,
+                           alpha_param, block_matrix_bound,
                            block_matrix_spectral, bmo_tail_constant,
                            carleson_embedding_check,
                            certify, diagonal_bound, dqr_distance,
@@ -225,8 +225,8 @@ def test_far_pairs_all_satisfy_long_range_bound():
                 bound = (kern.C_CZ * 3.0 ** mexp *
                          q.size ** (kern.tau / 2) * r.size ** (kern.tau / 2)
                          / d_big ** mexp *
-                         math.sqrt(half.fine_lat.cube_mu(q) *
-                                   half.coarse_lat.cube_mu(r)) * dq * dr)
+                         math.sqrt(space.mu[q.members].sum() *
+                                   space.mu[r.members].sum()) * dq * dr)
                 assert abs(value) <= bound * (1 + 1e-9) + 1e-15
                 checked += 1
         assert checked > 0
@@ -476,6 +476,41 @@ def test_bmo_tail_constant_series():
     assert got == pytest.approx(kern.C_CZ * K * direct, rel=1e-10)
     with pytest.raises(ValueError):
         bmo_tail_constant(kern, K, 1.0)
+
+
+def _admissible_reference(space, lattice, K, m):
+    """The point-by-point growth gate ``admissible_bmo_cubes`` replaced."""
+    out = []
+    for cid, cube in lattice.cubes.items():
+        d = space.set_diam(cube.members)
+        if d <= 0 or space.mu_mass(cube.members) <= 0:
+            continue
+        dists = space.rho[:, cube.members].min(axis=1)
+        mass, ok = 0.0, True
+        for p in np.argsort(dists):
+            s = max(1.0, dists[p] / d + 1.0)
+            mass += space.mu[p]
+            if dists[p] <= (s - 1.0) * d + 1e-15 or s == 1.0:
+                if mass > K * s ** m * d ** m * (1 + 1e-9):
+                    ok = False
+                    break
+        if ok:
+            out.append(cid)
+    return out
+
+
+@pytest.mark.parametrize("name", ("uniform_grid", "line_in_plane",
+                                  "cantor_measure", "bergman_disc_model"))
+def test_admissible_bmo_cubes_match_reference(name):
+    space, info = generate_example(name)
+    lat = build_lattice(space, KAPPA, seed=2)
+    admitted = set()
+    for K in (0.5, 2.0, 16.0):
+        for m in (1.0, info["m"], 2.0):
+            got = admissible_bmo_cubes(space, lat, K, m)
+            assert got == _admissible_reference(space, lat, K, m)
+            admitted.add(len(got))
+    assert max(admitted) > 0
 
 
 def test_bmo_constant_function_oscillation_zero(line_setup):

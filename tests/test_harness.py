@@ -393,6 +393,32 @@ def test_cli_unknown_diagonal_policy_is_input_error(command, grid_file,
     assert "unknown diagonal policy 'clip'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify-space", "build-lattice",
+                                     "decompose", "t1-check", "norm",
+                                     "montecarlo"])
+def test_cli_missing_space_is_usage_error(command, capsys):
+    argv = [command] + (["--kernel", "k.json"] if command in ("t1-check",
+                                                            "norm") else [])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "required: --space" in err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("verify-space", "--seed"), ("verify-space", "--kappa"),
+    ("decompose", "--out"), ("certify", "--out"), ("norm", "--kappa"),
+    ("norm", "--out")])
+def test_cli_unread_flags_are_rejected(command, flag, grid_file, capsys):
+    # each of these flags was parsed and then ignored
+    kernel = ["--kernel", "k.json"] if command in ("certify", "norm") else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--space", grid_file, *kernel, flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 def test_cli_missing_file_is_input_error(tmp_path):
     assert cli.main(["verify-space",
                      "--space", str(tmp_path / "absent.json")]) == 2

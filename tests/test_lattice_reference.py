@@ -1,0 +1,340 @@
+"""The lattice-wide passes against the per-cube code they replaced.
+
+``verify_lattice_properties``, ``classify_terminal_transit`` and
+``carleson_embedding_check`` run one array pass per generation and read
+mu(Q) from ``lat.mass``.  The code below is the earlier form, kept as the
+reference: one Python step per cube, with mu(Q) summed from its members.
+Every field of the reports must be the same, the failures in the same
+order and every constant the same float bit for bit, on the built-in
+examples, a JSON round trip, hand-broken lattices and spaces with cubes of
+zero nu- or mu-mass."""
+
+import copy
+import dataclasses
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from czkit.certify import carleson_embedding_check
+from czkit.errors import RootTerminal
+from czkit.examples import generate_example
+from czkit.lattice import (build_lattice, classify_terminal_transit,
+                           lattice_from_json, lattice_to_json,
+                           verify_lattice_properties)
+from czkit.space import MetricMeasureSpace
+from conftest import explicit_space, line_space
+
+SEEDS = (1, 2, 2476693647)
+# the four built-ins (line_in_plane has n = 13), the benchmark's line and
+# Bergman spaces, and random masses under an explicit metric
+EXAMPLES = {
+    "uniform_grid": ("uniform_grid", {}),
+    "line_in_plane": ("line_in_plane", {}),
+    "cantor_measure": ("cantor_measure", {}),
+    "bergman_disc_model": ("bergman_disc_model", {}),
+    "line_n21": ("line_in_plane", {"n": 21}),
+    "bergman_64": ("bergman_disc_model",
+                   {"n_ring": 64, "n_cluster": 8, "n_boundary": 32}),
+    "explicit": (None, {}),
+}
+
+
+def ref_verify_lattice_properties(lat):
+    space = lat.space
+    failures = []
+    n = space.n_points
+
+    partition_ok = True
+    for k in lat.generations():
+        if (lat.labels[k] < 0).any():
+            partition_ok = False
+            failures.append(("partition", k, "uncovered points"))
+        seen = np.bincount(np.concatenate(
+            [lat.cubes[cid].members for cid in lat.by_gen[k]]), minlength=n)
+        if (seen > 1).any():
+            partition_ok = False
+            failures.append(("disjointness", k, "overlapping cubes"))
+
+    nesting_ok = True
+    unique_ancestor_ok = True
+    for cid, cube in lat.cubes.items():
+        if cube.parent is not None:
+            pm = set(lat.cubes[cube.parent].members.tolist())
+            if not set(cube.members.tolist()) <= pm:
+                nesting_ok = False
+                failures.append(("nesting", cid, cube.parent))
+        if cube.generation > lat.k_min:
+            anc = lat.labels[cube.generation - 1][cube.members]
+            if np.unique(anc).size != 1:
+                unique_ancestor_ok = False
+                failures.append(("unique_ancestor", cid, None))
+
+    ts = [lat.kappa, lat.kappa ** 2, lat.kappa ** 3]
+    c_diam, a0, c_boundary = 0.0, math.inf, 0.0
+    for k in lat.generations():
+        lab = lat.labels[k]
+        d_out = np.where(lab[:, None] == lab[None, :], np.inf,
+                         space.rho).min(axis=1)
+        for cid in lat.by_gen[k]:
+            cube = lat.cubes[cid]
+            c_diam = max(c_diam, space.set_diam(cube.members) / cube.size)
+            if cube.members.size == n:
+                a0 = min(a0, max(space.diam(), space.resolution_h) / cube.size)
+                continue
+            a0 = min(a0, float(space.rho[cube.center, lab != cid].min())
+                     / cube.size)
+            nu_q = space.nu[cube.members].sum()
+            if nu_q <= 0:
+                continue
+            dist_out = d_out[cube.members]
+            for t in ts:
+                layer = space.nu[cube.members[dist_out <= t * cube.size]].sum()
+                c_boundary = max(c_boundary, layer / (t * nu_q))
+
+    return (partition_ok, nesting_ok, unique_ancestor_ok, c_diam, float(a0),
+            c_boundary, failures)
+
+
+def ref_classify_terminal_transit(lat, m=None):
+    space = lat.space
+    omega = space.omega
+    for cube in lat.cubes.values():
+        in_omega = cube.parent is not None and \
+            bool(omega[lat.cubes[cube.parent].members].all())
+        cube.terminal = in_omega or float(space.mu[cube.members].sum()) <= 0.0
+    if lat.root.terminal:
+        raise RootTerminal("root cube is terminal; mu carries no mass")
+
+    c_fit = 0.0
+    if m is not None:
+        diam = space.diam()
+        for cid in [c for c, q in lat.cubes.items() if q.terminal is False]:
+            cube = lat.cubes[cid]
+            r = cube.size
+            while r <= max(diam, cube.size):
+                mass = space.mu_mass(space.ball_mask(cube.center, r))
+                c_fit = max(c_fit, mass / r ** m)
+                r *= 2.0
+    return c_fit
+
+
+def ref_carleson_embedding_check(a, lattice):
+    subtree = {}
+    for k in sorted(lattice.by_gen, reverse=True):
+        for cid in lattice.by_gen[k]:
+            cube = lattice.cubes[cid]
+            total = a.get(cid, 0.0)
+            for ch in cube.children:
+                total += subtree.get(ch, 0.0)
+            subtree[cid] = total
+    fitted = 0.0
+    worst = None
+    skipped = []
+    for cid, cube in lattice.cubes.items():
+        mass = float(lattice.space.mu[cube.members].sum())
+        if mass <= 0:
+            if subtree.get(cid, 0.0) > 0:
+                skipped.append(cid)
+            continue
+        ratio = subtree[cid] / mass
+        if ratio > fitted:
+            fitted = ratio
+            worst = cid
+    return {"fitted": fitted, "worst_cube": worst,
+            "zero_mass_skipped": skipped}
+
+
+def _hex(x):
+    return float(x).hex()
+
+
+def assert_same_properties(lat):
+    rep = verify_lattice_properties(lat)
+    ok_p, ok_n, ok_u, c_diam, a0, c_boundary, failures = \
+        ref_verify_lattice_properties(lat)
+    assert (rep.partition_ok, rep.nesting_ok, rep.unique_ancestor_ok) == \
+        (ok_p, ok_n, ok_u)
+    assert [_hex(v) for v in (rep.c_diam, rep.a0, rep.c_boundary)] == \
+        [_hex(v) for v in (c_diam, a0, c_boundary)]
+    assert rep.failures == failures
+    return rep
+
+
+def assert_same_flags(lat, m=None):
+    """Terminal flags and growth fit against the reference; returns the
+    flags by cube id."""
+    twin = copy.deepcopy(lat)
+    try:
+        want = ref_classify_terminal_transit(twin, m)
+    except RootTerminal:
+        with pytest.raises(RootTerminal):
+            classify_terminal_transit(lat, m)
+        return None
+    got = classify_terminal_transit(lat, m)
+    assert _hex(got) == _hex(want)
+    flags = {cid: c.terminal for cid, c in lat.cubes.items()}
+    assert flags == {cid: c.terminal for cid, c in twin.cubes.items()}
+    assert all(type(f) is bool for f in flags.values())
+    return flags
+
+
+def assert_same_carleson(lat, a):
+    got = carleson_embedding_check(a, lat)
+    want = ref_carleson_embedding_check(a, lat)
+    assert _hex(got["fitted"]) == _hex(want["fitted"])
+    assert (got["worst_cube"], got["zero_mass_skipped"]) == \
+        (want["worst_cube"], want["zero_mass_skipped"])
+    return got
+
+
+def _weights(lat, seed):
+    """Random Carleson weights on about two thirds of the cubes."""
+    rng = np.random.default_rng(seed)
+    return {cid: float(rng.uniform(0.0, 1.0) ** 3) for cid in lat.cubes
+            if rng.random() < 0.67}
+
+
+def _example(name):
+    builder, params = EXAMPLES[name]
+    if builder is None:
+        return explicit_space(), {"kappa": 0.5, "m": 1.0}
+    return generate_example(builder, **params)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_passes_match_per_cube_reference(name, seed):
+    space, info = _example(name)
+    lat = build_lattice(space, info["kappa"], seed=seed)
+    assert assert_same_properties(lat).passed
+    assert_same_flags(lat, m=info["m"])
+    assert_same_carleson(lat, _weights(lat, seed))
+    assert_same_carleson(lat, {})
+    # equal weights on the finest cubes: ties for the worst cube
+    assert_same_carleson(lat, dict.fromkeys(lat.by_gen[lat.k_max], 1.0))
+
+
+def test_passes_match_reference_after_json_round_trip():
+    space, info = generate_example("cantor_measure")
+    lat = build_lattice(space, info["kappa"], seed=2)
+    classify_terminal_transit(lat)
+    back = lattice_from_json(lattice_to_json(lat), space)
+    assert_same_properties(back)
+    assert_same_flags(back, m=info["m"])
+    assert_same_carleson(back, _weights(back, 5))
+
+
+def _broken(kind):
+    """A grid lattice broken by hand: two cubes merged (overlap), a cube
+    hung under the parent of a cousin, or a point of that cousin moved into
+    the cube (which then straddles two parents)."""
+    space, info = generate_example("uniform_grid")
+    lat = build_lattice(space, info["kappa"], seed=1)
+    for k in sorted(lat.by_gen, reverse=True):
+        a, *rest = (lat.cubes[c] for c in lat.by_gen[k])
+        cousins = [b for b in rest
+                   if b.parent != a.parent and b.members.size > 1]
+        if cousins:
+            break
+    b = cousins[0]
+    if kind == "overlap":
+        a.members = np.union1d(a.members, b.members)
+    elif kind == "wrong_parent":
+        a.parent = b.parent
+    else:
+        a.members = np.union1d(a.members, b.members[:1])
+        b.members = b.members[1:]
+    return lat
+
+
+@pytest.mark.parametrize("kind,fails", [
+    ("overlap", {"disjointness", "nesting", "unique_ancestor"}),
+    ("wrong_parent", {"nesting"}),
+    ("straddle", {"nesting", "unique_ancestor"}),
+])
+def test_passes_match_reference_on_broken_lattices(kind, fails):
+    lat = _broken(kind)
+    rep = assert_same_properties(lat)
+    assert not rep.passed
+    assert {f[0] for f in rep.failures} == fails
+    assert_same_flags(lat, m=2.0)
+    assert_same_carleson(lat, _weights(lat, 3))
+
+
+def test_passes_match_reference_with_zero_mass_cubes():
+    # nu vanishes on the left third and mu on the left half: cubes there
+    # are skipped by the boundary fit, flagged terminal and left out of the
+    # Carleson ratios
+    n = 12
+    space = dataclasses.replace(
+        line_space(n, mu=[0.0] * 6 + [1 / 6] * 6),
+        nu=np.r_[np.zeros(4), np.ones(n - 4)])
+    for seed in SEEDS:
+        lat = build_lattice(space, 0.5, seed=seed)
+        nu_q = [space.nu[c.members].sum() for c in lat.cubes.values()]
+        assert min(nu_q) == 0.0
+        assert_same_properties(lat)
+        flags = assert_same_flags(lat, m=1.0)
+        assert any(flags.values())
+        rep = assert_same_carleson(lat, {cid: 1.0 for cid in lat.cubes})
+        assert rep["zero_mass_skipped"]
+
+
+def test_passes_match_reference_when_every_cube_is_full():
+    # one point: every cube holds the whole space, whose diameter 0 lies
+    # below the resolution
+    space = MetricMeasureSpace(rho=np.zeros((1, 1)), nu=np.ones(1),
+                               mu=np.ones(1), omega=np.zeros(1, dtype=bool),
+                               resolution_h=1.0)
+    lat = build_lattice(space, kappa=0.5, seed=0, k_range=(0, 2))
+    rep = assert_same_properties(lat)
+    assert rep.a0 == 1.0 and rep.c_diam == rep.c_boundary == 0.0
+    assert_same_flags(lat, m=1.0)
+    assert_same_carleson(lat, {lat.root_id: 1.0})
+
+
+def test_root_terminal_matches_reference():
+    mu = np.zeros(4)
+    mu[3] = 1.0
+    lat = build_lattice(line_space(4, mu=mu), kappa=0.5, seed=0)
+    lat.root.members = np.array([0, 1])
+    assert assert_same_flags(lat) is None
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_mass_is_the_member_sum(name):
+    space, info = _example(name)
+    for seed in SEEDS:
+        lat = build_lattice(space, info["kappa"], seed=seed)
+        assert [_hex(lat.mass[cid]) for cid in lat.cubes] == \
+            [_hex(space.mu[c.members].sum()) for c in lat.cubes.values()]
+
+
+def test_mass_honours_members_edited_before_first_use():
+    space = line_space(8, mu=np.arange(8.0))
+    lat = build_lattice(space, kappa=0.5, seed=1)
+    leaf = lat.cubes[lat.by_gen[lat.k_max][0]]
+    lat.root.members = np.array([0, 5, 6])
+    leaf.members = np.array([7])
+    assert lat.mass[lat.root_id] == 11.0
+    assert lat.mass[leaf.id] == 7.0
+
+
+def test_property_and_terminal_passes_memory_peak():
+    # each generation's (cubes x N) masks and one N x N distance table at
+    # a time; the per-cube passes peaked at 6.3 MB here
+    space, info = generate_example("uniform_grid", n=25)
+    lat = build_lattice(space, info["kappa"], seed=1)
+    small = build_lattice(line_space(8), 0.5, seed=1)
+    verify_lattice_properties(small)
+    classify_terminal_transit(small)
+    tracemalloc.start()
+    try:
+        verify_lattice_properties(lat)
+        classify_terminal_transit(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6

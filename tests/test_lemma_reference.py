@@ -259,7 +259,7 @@ def test_lemmas_match_reference_on_builtin_tables(name):
             keep = np.array([count[key] == 1 for key in
                              zip(t.q.tolist(), t.gap.tolist())], dtype=bool)
             lat = coarse.lattice
-            mass_rq = np.array([lat.cube_mu(lat.cubes[c])
+            mass_rq = np.array([lat.space.mu[lat.cubes[c].members].sum()
                                 for c in t.rq.tolist()])
             entries = [col[keep] for col in (t.q, t.r, t.gap, fine.mass[t.q],
                                              mass_rq)]
