@@ -1187,7 +1187,8 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
     Every constant depends on the lattice pair only, so it is computed once
     from the pair geometry; each probe then costs two decompositions and the
     lemma checks, array arithmetic on that geometry.  ``lattice`` is the
-    seeds[0] lattice when the caller has built it already."""
+    seeds[0] lattice when the caller has built it already; its terminal
+    flags are kept when every cube has one."""
     from .kernels import check_T1, operator_norm
     from .lattice import build_lattice, classify_all_good_bad, \
         classify_terminal_transit, scale_gap
@@ -1202,7 +1203,9 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
         raise ValueError("lattice is not the seeds[0] lattice of this space")
     lat2 = build_lattice(space, kappa, seed=seeds[1])
     for lat, other in ((lat1, lat2), (lat2, lat1)):
-        classify_terminal_transit(lat)
+        if lat is not lattice or any(c.terminal is None
+                                     for c in lat.cubes.values()):
+            classify_terminal_transit(lat)
         classify_all_good_bad(lat, other, alpha, delta_bad, s_param)
 
     a_t1 = max(check_T1(kernel, space, lat1).A, check_T1(kernel, space, lat2).A)

@@ -20,8 +20,9 @@ import numpy as np
 from .errors import DegenerateScale, LeafCube, RootTerminal
 from .space import MetricMeasureSpace
 
-# Lattices per ``_draw_nets`` call of ``ensemble_gaps``; bounds its memory.
-ENSEMBLE_CHUNK = 16
+# Cells (seed x generation x point) per ``_draw_batch`` call of
+# ``ensemble_gaps``; bounds its memory.
+ENSEMBLE_CELLS = 2 ** 16
 
 
 @dataclass
@@ -193,20 +194,17 @@ def _default_k_range(space: MetricMeasureSpace, kappa: float):
 
 def _nearest_other(space: MetricMeasureSpace) -> np.ndarray:
     """min over y != x of min(rho(x, y), rho(y, x)), for every point x."""
-    off = space.rho + np.diag(np.full(space.n_points, np.inf))
+    off = space.rho.copy()
+    np.fill_diagonal(off, np.inf)
     return np.minimum(off.min(axis=0), off.min(axis=1))
 
 
-def _draw_nets(space: MetricMeasureSpace, kappa: float, seeds,
-               k_range: tuple | None, nearest: np.ndarray):
-    """Seeded nets and labels of ``build_lattice``, without cubes: (k_min,
-    k_max, draws), draws[i] = (labels, centers, offset) of ``seeds[i]``,
-    labels[k] the cube id of each point at generation k, centers[k] its net,
-    offset[k] the id of its first region; ``nearest`` is ``_nearest_other``."""
+def _generation_range(space: MetricMeasureSpace, kappa: float,
+                      k_range: tuple | None):
+    """(k_min, k_max) of ``build_lattice``: ``k_range``, or the scales from
+    above diam(X) down to resolution_h."""
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie in (0,1)")
-    n = space.n_points
-    rho = space.rho
     if k_range is None:
         k_min, k_max = _default_k_range(space, kappa)
     else:
@@ -218,42 +216,161 @@ def _draw_nets(space: MetricMeasureSpace, kappa: float, seeds,
         # whole range is degenerate
         if kappa ** k_min < space.resolution_h:
             raise DegenerateScale("all scales below resolution_h")
+    return k_min, k_max
+
+
+def _candidates(space: MetricMeasureSpace, kappa: float, gens: range):
+    """Per generation, (table, count): table[x] lists the ids y with rho(x,
+    y) below the scale, nearest first (ties to the lower id), count[x] of
+    them, padded with x; None where some list would hold more than half the
+    points, or none would hold any."""
+    n = space.n_points
+    cands = []
+    for k in gens:
+        close = space.rho < kappa ** k
+        count = close.sum(axis=1)
+        width = count.max(initial=0)
+        if not 0 < 2 * width <= n:
+            cands.append(None)
+            continue
+        rows, cols = np.nonzero(close)
+        table = np.repeat(np.arange(n)[:, None], width, 1)
+        table[rows, np.arange(rows.size) -
+              np.repeat(np.cumsum(count) - count, count)] = cols
+        dist = np.where(np.arange(width) < count[:, None],
+                        space.rho[np.arange(n)[:, None], table], np.inf)
+        cands.append((np.take_along_axis(
+            table, dist.argsort(axis=1, kind="stable"), axis=1), count))
+    return cands
+
+
+def _first_listed(net: np.ndarray, si: np.ndarray, xi: np.ndarray, cand):
+    """(near, missed): for each (row si, point xi), the first center of
+    ``net[si]`` in the candidate list of xi (``cand``, see ``_candidates``),
+    and whether the list holds none."""
+    table, count = cand
+    cols = table[xi]
+    hit = net[si[:, None], cols]
+    first = hit.argmax(axis=1)
+    at = np.arange(xi.size)
+    return cols[at, first], ~hit[at, first] | (first >= count[xi])
+
+
+def _nearest_in_nets(rho: np.ndarray, net: np.ndarray, si: np.ndarray,
+                     xi: np.ndarray) -> np.ndarray:
+    """For each (row si, point xi): the center of ``net[si]`` nearest to xi,
+    ties to the lowest id, over the columns of every center of ``net``."""
+    cols = net.any(axis=0).nonzero()[0]
+    # gather rows or columns first, whichever keeps less
+    d = rho[xi][:, cols] if xi.size < cols.size else rho[:, cols][xi]
+    d[~net[:, cols][si]] = np.inf
+    return cols[d.argmin(axis=1)]
+
+
+def _nearest_centers(rho: np.ndarray, nets: np.ndarray, ti: np.ndarray,
+                     si: np.ndarray, xi: np.ndarray, cands) -> np.ndarray:
+    """For each (generation ti, seed si, point xi), sorted by generation:
+    the center c of the net ``nets[ti, si]`` with the least rho(xi, c), ties
+    to the lowest id.  At a generation with candidate lists (``cands``) only
+    they are searched, since a nearest center below the scale is among
+    them.  The points whose candidates hold no center, and the generations
+    without lists, search the columns of every center of the generation,
+    masked to their own net."""
+    near = np.empty(xi.size, dtype=int)
+    bounds = np.searchsorted(ti, np.arange(len(nets) + 1)).tolist()
+    for t, net in enumerate(nets):
+        at = np.arange(bounds[t], bounds[t + 1])
+        if at.size and cands and cands[t] is not None:
+            near[at], missed = _first_listed(net, si[at], xi[at], cands[t])
+            at = at[missed]
+        if at.size:
+            near[at] = _nearest_in_nets(rho, net, si[at], xi[at])
+    return near
+
+
+def _draw_batch(space: MetricMeasureSpace, kappa: float, seeds, gens: range,
+                nearest: np.ndarray, cands=None):
+    """Seeded nets of ``build_lattice`` for all ``seeds`` at once, without
+    labels or cubes: (picked, ctr), each (generations, seeds, N).
+    picked[t, s] is the net of ``seeds[s]`` at generation gens[t], ctr[t, s,
+    x] the center of the region of point x there.  ``nearest`` is
+    ``_nearest_other``, ``cands`` the ``_candidates`` of ``gens`` or None."""
+    n, rho, n_gens, n_seeds = space.n_points, space.rho, len(gens), len(seeds)
+    scale = [kappa ** k for k in gens]
 
     # One greedy net per (seed, generation) row, all rows in one pass over
     # the positions of their orders (a seed's successive permutations).  A
-    # point one scale or more from every other point is always selected and
-    # blocks no other point: it is picked up front, and its NaN limit fails
-    # the test, so only the other points are tested and update their row.
-    gens = range(k_min, k_max + 1)
-    scale = np.tile([kappa ** k for k in gens], len(seeds))
-    order = np.concatenate([np.random.default_rng(seed).permuted(
-        np.tile(np.arange(n), (len(gens), 1)), axis=1) for seed in seeds])
-    picked = nearest >= scale[:, None]
-    rows = np.arange(len(order))
-    limit = np.where(picked, np.nan, scale[:, None])[rows[:, None], order].T
-    mindist = np.full(order.shape, np.inf)
-    for p, lim in zip(order.T, limit):
-        grow = (mindist[rows, p] >= lim).nonzero()[0]
+    # row picks a point unless a center it picked lies within one scale of
+    # it; ``free`` holds the points no center blocks yet.  A point one scale
+    # or more from every other point is always picked and blocks no other
+    # point: it is picked up front and never free.
+    ids = np.broadcast_to(np.arange(n), (n_gens, n))
+    slots = np.empty((n, n_seeds * n_gens), dtype=int)
+    for s, seed in enumerate(seeds):
+        np.random.default_rng(seed).permuted(
+            ids, axis=1, out=slots[:, s * n_gens:(s + 1) * n_gens].T)
+    slots += np.arange(0, slots.size, n)   # row * N + point
+    picked = np.empty((n_seeds * n_gens, n), dtype=bool)
+    picked.reshape(n_seeds, n_gens, n)[:] = nearest >= np.array(scale)[:, None]
+    free = ~picked
+    row_scale = np.array(scale * n_seeds)[:, None]
+    free_at, picked_at = free.ravel(), picked.ravel()
+    for slot in slots:
+        grow = free_at[slot].nonzero()[0]
         if grow.size:
-            picked[grow, p[grow]] = True
-            mindist[grow] = np.minimum(mindist[grow], rho[p[grow]])
+            slot = slot[grow]
+            picked_at[slot] = True
+            free[grow] &= rho.take(slot, axis=0, mode="wrap") >= \
+                row_scale[grow]
+    del slots, free
+    picked = picked.reshape(n_seeds, n_gens, n).transpose(1, 0, 2)
 
-    # Cube ids number the regions generation by generation, one root region
-    # at k_min.  A region attaches to the region of its center's nearest
-    # center one generation up (ties to the lowest id); labels run bottom-up
-    # from the finest nearest-center cells, each coarser label the parent of
-    # the finer one, which makes nesting exact.
+    # Every point joins its nearest finest center, and a center of
+    # generation k + 1 joins its nearest center at k; the region of a point
+    # at k is the one its chain of centers reaches, which makes nesting
+    # exact.  The coarsest generation keeps its first center only.  A center
+    # nearer to itself than to any other point is its own nearest center.
+    ask = np.ones(picked.shape, dtype=bool)
+    ask[0] = False
+    ask[1:-1] = picked[2:]
+    ask &= ~(picked & (np.diagonal(rho) < nearest))
+    ti, si, xi = np.nonzero(ask)
+    del ask
+    ctr = np.empty(picked.shape, dtype=np.int32)
+    ctr[:] = np.arange(n, dtype=np.int32)
+    ctr[ti, si, xi] = _nearest_centers(rho, picked, ti, si, xi, cands)
+    seed_col = np.arange(n_seeds)[:, None]
+    for t in range(n_gens - 2, 0, -1):
+        ctr[t] = ctr[t, seed_col, ctr[t + 1]]
+    ctr[0] = picked[0].argmax(axis=1)[:, None]
+    return picked, ctr
+
+
+def _draw_nets(space: MetricMeasureSpace, kappa: float, seeds,
+               k_range: tuple | None, nearest: np.ndarray):
+    """Seeded nets and labels of ``build_lattice``, without cubes: (k_min,
+    k_max, draws), draws[i] = (labels, centers, offset) of ``seeds[i]``,
+    labels[k] the cube id of each point at generation k, centers[k] its net,
+    offset[k] the id of its first region; ``nearest`` is ``_nearest_other``.
+    Cube ids number the regions generation by generation, one root region
+    at k_min, each region in the order of its center.  Candidate lists pay
+    for their O(N^2) set-up per generation only over several seeds."""
+    k_min, k_max = _generation_range(space, kappa, k_range)
+    gens = range(k_min, k_max + 1)
+    cands = _candidates(space, kappa, gens) if len(seeds) > 1 else None
+    picked, ctr = _draw_batch(space, kappa, seeds, gens, nearest, cands)
+    count = picked.sum(axis=2)
+    count[0] = 1
+    offsets = np.cumsum(count, axis=0) - count
+    labels = (np.cumsum(picked, axis=2) - 1)[
+        np.arange(len(gens))[:, None, None], np.arange(len(seeds))[:, None],
+        ctr] + offsets[:, :, None]
     draws = []
-    for nets in picked.reshape(len(seeds), len(gens), n):
-        centers = {k: np.flatnonzero(net) for k, net in zip(gens, nets)}
+    for s in range(len(seeds)):
+        centers = {k: picked[t, s].nonzero()[0] for t, k in enumerate(gens)}
         centers[k_min] = centers[k_min][:1]
-        offset = dict(zip(gens, np.cumsum([0] + [len(centers[k])
-                                                 for k in gens])))
-        labels = {k_max: rho[:, centers[k_max]].argmin(1) + offset[k_max]}
-        for k in range(k_max, k_min, -1):
-            up = rho[centers[k]][:, centers[k - 1]].argmin(1) + offset[k - 1]
-            labels[k - 1] = up[labels[k] - offset[k]]
-        draws.append((labels, centers, offset))
+        draws.append(({k: labels[k - k_min, s] for k in reversed(gens)},
+                      centers, dict(zip(gens, offsets[:, s]))))
     return k_min, k_max, draws
 
 
@@ -268,16 +385,20 @@ def build_lattice(space: MetricMeasureSpace, kappa: float, seed: int = 0,
     by_gen = {}
     for k in range(k_min, k_max + 1):
         order = np.argsort(labels[k], kind="stable")   # sorted members
-        ids, starts = np.unique(labels[k][order], return_index=True)
+        lab = labels[k][order]
+        first = np.ones(lab.size, dtype=bool)
+        np.not_equal(lab[1:], lab[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        ids = lab[starts]
         by_gen[k] = ids.tolist()
         bounds = starts.tolist() + [space.n_points]
         centers = centers_by_gen[k][ids - offset[k]].tolist()
         parents = labels[k - 1][order[starts]].tolist() if k > k_min \
             else [None] * len(ids)
+        size = kappa ** k
         for cid, a, b, center, parent in zip(by_gen[k], bounds, bounds[1:],
                                              centers, parents):
-            cubes[cid] = Cube(id=cid, generation=k, members=order[a:b],
-                              center=center, parent=parent, size=kappa ** k)
+            cubes[cid] = Cube(cid, k, order[a:b], center, parent, size=size)
             if parent is not None:
                 cubes[parent].children.append(cid)
 
@@ -384,17 +505,30 @@ def skeleton(lat: DyadicLattice, cube: Cube) -> np.ndarray:
 
 
 def _near_pairs(space: MetricMeasureSpace):
-    """Ordered pairs (i, j), i != j, with rho(i, j) <= resolution_h."""
-    return np.nonzero((space.rho <= space.resolution_h)
+    """Ordered pairs (i, j), i != j, with rho(i, j) <= resolution_h, sorted
+    by i; with the distinct i and the start of each one's run of pairs."""
+    i, j = np.nonzero((space.rho <= space.resolution_h)
                       & ~np.eye(space.n_points, dtype=bool))
+    return (i, j, *np.unique(i, return_index=True))
 
 
-def _skeletons(labels: dict, near) -> dict:
-    i, j = near
-    leave = {k: np.flatnonzero(np.bincount(i[labels[k + 1][i]
-                                               != labels[k + 1][j]]))
-             for k in labels if k + 1 in labels}
-    return {k: (pts, labels[k][pts]) for k, pts in leave.items()}
+def _skeleton_marks(labels: np.ndarray, near) -> np.ndarray:
+    """(..., N) skeleton marks of the (..., N) child labels ``labels``: the
+    points with a near pair (``_near_pairs``) whose labels differ."""
+    i, j, pts, starts = near
+    marks = np.zeros(labels.shape, dtype=bool)
+    if i.size:
+        marks[..., pts] = np.logical_or.reduceat(
+            labels[..., i] != labels[..., j], starts, axis=-1)
+    return marks
+
+
+def _child_labels(lat: DyadicLattice):
+    """The generations k of ``lat`` with a generation k + 1 below,
+    ascending, and their (generations, N) child labels."""
+    ks = sorted(k for k in lat.labels if k + 1 in lat.labels)
+    return ks, np.array([lat.labels[k + 1] for k in ks]).reshape(
+        len(ks), lat.space.n_points)
 
 
 def skeleton_by_generation(lat: DyadicLattice) -> dict:
@@ -402,7 +536,9 @@ def skeleton_by_generation(lat: DyadicLattice) -> dict:
     generation k together with the id of the cube they belong to, read off
     the near pairs (within one resolution step) whose generation-(k+1)
     labels differ."""
-    return _skeletons(lat.labels, _near_pairs(lat.space))
+    ks, child = _child_labels(lat)
+    pts = map(np.flatnonzero, _skeleton_marks(child, _near_pairs(lat.space)))
+    return {k: (p, lat.labels[k][p]) for k, p in zip(ks, pts)}
 
 
 def classify_terminal_transit(lat: DyadicLattice, m: float | None = None):
@@ -442,21 +578,24 @@ def scale_gap(kappa: float, delta_bad: float, s_param: int) -> int:
     return r
 
 
-def _coarsest_hit(dist_q: np.ndarray, sq: float, k_last: int, kappa: float,
-                  alpha: float, skeletons: dict):
-    """Coarsest generation k <= k_last of the lattice of ``skeletons`` (its
-    ``skeleton_by_generation``) with a cube R such that dist(Q, sk R) <
-    s(Q)^alpha s(R)^(1-alpha), and R as the witness; ``dist_q`` holds the
-    distance from Q to every point.  (None, None) when none qualifies."""
-    for k in sorted(skeletons):
-        if k > k_last:
-            break
-        pts, owners = skeletons[k]
-        threshold = sq ** alpha * (kappa ** k) ** (1 - alpha)
-        d = dist_q[pts]
-        if (d < threshold).any():
-            return k, int(owners[np.argmin(d)])
-    return None, None
+def _coarsest_hits(marks: np.ndarray, ks: list, dists: np.ndarray, sizes,
+                   k_last, kappa: float, alpha: float) -> np.ndarray:
+    """(rows, probes) slot t of the coarsest generation ks[t] <= k_last[j]
+    at which a skeleton point of row s, marked in marks[t, s], lies within
+    s(Q)^alpha s(R)^(1-alpha) of probe Q = j, strictly; -1 where none does.
+    ``dists[j]`` holds the distance from probe j to every point, ``sizes``
+    the s(Q); thresholds are scalar ``**``.  Generations run fine to coarse
+    so that the coarsest hit is the one kept."""
+    hits = np.full((marks.shape[1], len(sizes)), -1)
+    for t in range(len(ks) - 1, -1, -1):
+        live = [j for j, last in enumerate(k_last) if ks[t] <= last]
+        if live:
+            reach = np.array([sizes[j] ** alpha * (kappa ** ks[t]) **
+                              (1 - alpha) for j in live])
+            got = (marks[t, :, None, :] &
+                   (dists[live] < reach[:, None])).any(axis=-1)
+            hits[:, live] = np.where(got, t, hits[:, live])
+    return hits
 
 
 def classify_good_bad(cube: Cube, other: DyadicLattice, alpha: float,
@@ -464,14 +603,20 @@ def classify_good_bad(cube: Cube, other: DyadicLattice, alpha: float,
     """Good/bad classification of a cube against a second lattice.
 
     Bad iff some cube R of the other lattice, at least r generations coarser,
-    has dist(Q, sk R) < s(Q)^alpha s(R)^(1-alpha).  Returns (is_good, witness).
+    has dist(Q, sk R) < s(Q)^alpha s(R)^(1-alpha).  Returns (is_good, witness),
+    the witness the cube of the skeleton point nearest to Q at the coarsest
+    such generation.
     """
     r_gap = scale_gap(other.kappa, delta_bad, s_param)
     dist_q = other.space.rho[cube.members].min(axis=0)
-    k, witness = _coarsest_hit(dist_q, cube.size, cube.generation - r_gap,
-                               other.kappa, alpha,
-                               skeleton_by_generation(other))
-    return k is None, witness
+    ks, child = _child_labels(other)
+    marks = _skeleton_marks(child, _near_pairs(other.space))
+    t = int(_coarsest_hits(marks[:, None], ks, dist_q[None], [cube.size],
+                           [cube.generation - r_gap], other.kappa, alpha)[0, 0])
+    if t < 0:
+        return True, None
+    return False, int(other.labels[ks[t]][
+        np.where(marks[t], dist_q, np.inf).argmin()])
 
 
 def classify_all_good_bad(lat: DyadicLattice, other: DyadicLattice,
@@ -502,25 +647,36 @@ def ensemble_gaps(probes: list, space: MetricMeasureSpace, kappa: float,
     lattice i (see ``classify_good_bad``), 0 when none does.  Q is bad at
     separation S iff its gap is at least ``scale_gap(kappa, delta_bad, S)``,
     so one pass answers every S.  Lattice i has seed ``hash((master_seed,
-    i)) % 2**32``.  Lattices are drawn ``ENSEMBLE_CHUNK`` at a time as label
-    arrays only (no ``Cube``), skeletons are built only for the generations
-    a probe can reach, and each chunk is scored before the next is drawn."""
-    dists = [space.rho[q.members].min(axis=0) for q in probes]
-    nearest, near = _nearest_other(space), _near_pairs(space)
-    k_top = max([q.generation for q in probes], default=-math.inf)
+    i)) % 2**32``.  Lattices are drawn in chunks of at most
+    ``ENSEMBLE_CELLS`` (seed, generation, point) cells, as nets and centers
+    only (no labels, no ``Cube``), and each chunk is scored as arrays, for
+    the generations a probe can reach, before the next is drawn."""
+    if ensemble_size < 1:
+        raise ValueError(f"ensemble size must be at least 1, "
+                         f"got {ensemble_size}")
+    n = space.n_points
+    k_min, k_max = _generation_range(space, kappa, None)
+    gens = range(k_min, k_max + 1)
+    nearest, cands = _nearest_other(space), _candidates(space, kappa, gens)
+    near = _near_pairs(space)
+    dists = np.array([space.rho[q.members].min(axis=0)
+                      for q in probes]).reshape(len(probes), n)
+    gen_q = np.array([q.generation for q in probes], dtype=int)
+    # skeletons of the generations k < min(gen(Q), k_max)
+    ks = list(range(k_min, min(gen_q.max(initial=k_min), k_max)))
     seeds = [hash((master_seed, i)) % 2**32 for i in range(ensemble_size)]
+    chunks = -(-ensemble_size // max(1, ENSEMBLE_CELLS // (len(gens) * n)))
+    size = -(-ensemble_size // chunks)
     gaps = np.zeros((ensemble_size, len(probes)), dtype=int)
-    for c in range(0, ensemble_size, ENSEMBLE_CHUNK):
-        draws = _draw_nets(space, kappa, seeds[c:c + ENSEMBLE_CHUNK], None,
-                           nearest)[2]
-        for i, (labels, _, _) in enumerate(draws, start=c):
-            skel = _skeletons({k: lab for k, lab in labels.items()
-                               if k <= k_top}, near)
-            for j, (q, dist_q) in enumerate(zip(probes, dists)):
-                k, _ = _coarsest_hit(dist_q, q.size, q.generation - 1, kappa,
-                                     alpha, skel)
-                if k is not None:
-                    gaps[i, j] = q.generation - k
+    for c in range(0, ensemble_size, size):
+        # skeletons from the child centers; the chunk's draw is dropped here
+        ctr = _draw_batch(space, kappa, seeds[c:c + size], gens, nearest,
+                          cands)[1]
+        marks = _skeleton_marks(ctr[1:len(ks) + 1], near)
+        del ctr
+        hits = _coarsest_hits(marks, ks, dists, [q.size for q in probes],
+                              gen_q - 1, kappa, alpha)
+        gaps[c:c + size] = np.where(hits < 0, 0, gen_q - k_min - hits)
     return gaps
 
 

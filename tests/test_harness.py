@@ -130,8 +130,8 @@ def test_calibrate_builds_one_ensemble(monkeypatch, name, params, alpha,
     build = counting(builds, lattice.build_lattice)
     monkeypatch.setattr(lattice, "build_lattice", build)
     monkeypatch.setattr(harness, "build_lattice", build)
-    monkeypatch.setattr(lattice, "_draw_nets",
-                        counting(draws, lattice._draw_nets))
+    monkeypatch.setattr(lattice, "_draw_batch",
+                        counting(draws, lattice._draw_batch))
     res = calibrate_S(space, 0.5, alpha, delta_bad, ensemble=100, seed=0)
     # one full base lattice, then one ensemble of bare net draws for every
     # probe and every S: 1 + 100 seeds drawn, whatever the chunking
@@ -160,6 +160,26 @@ def test_calibrate_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 2e6
+
+
+def test_calibrate_memory_peak_at_441_points():
+    # the chunks budget cells (seed x generation x point), so the chunk
+    # holds fewer seeds as N grows; the per-lattice chunks of 16 peaked at
+    # 3.28 MB here
+    import tracemalloc
+    from czkit.certify import alpha_param
+    from czkit.examples import generate_example
+    space, info = generate_example("line_in_plane", n=21)
+    alpha = alpha_param(info["m"], info["tau"])
+    calibrate_S(generate_example("cantor_measure", level=4)[0], 0.5, alpha,
+                0.25, ensemble=100)
+    tracemalloc.start()
+    try:
+        calibrate_S(space, info["kappa"], alpha, 0.25, ensemble=100, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3e6
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +271,31 @@ def test_growth_loop_runs_once_per_run(grid_file, capsys, monkeypatch):
     assert len(calls) == 2
 
 
+def test_terminal_flags_set_once_per_lattice(monkeypatch):
+    # run classifies the seeds[0] lattice and certify keeps its flags; a
+    # lattice passed without flags is still classified
+    import czkit.harness
+    import czkit.lattice
+    from czkit.certify import certify
+    calls = []
+    real = czkit.lattice.classify_terminal_transit
+
+    def counted(lat, *args, **kwargs):
+        calls.append(lat.seed)
+        return real(lat, *args, **kwargs)
+
+    monkeypatch.setattr(czkit.lattice, "classify_terminal_transit", counted)
+    monkeypatch.setattr(czkit.harness, "classify_terminal_transit", counted)
+    scenario = make_scenario("cantor_measure", example_params={"level": 6})
+    assert run(scenario).passed
+    assert calls == [1, 2]
+    calls.clear()
+    lat = czkit.lattice.build_lattice(scenario.space, scenario.kappa, seed=1)
+    certify(scenario.kernel, scenario.space, kappa=scenario.kappa,
+            lattice=lat)
+    assert calls == [1, 2]
+
+
 def test_cli_build_lattice(grid_file, tmp_path):
     out = tmp_path / "lat.json"
     assert cli.main(["build-lattice", "--space", grid_file,
@@ -307,6 +352,17 @@ def test_cli_montecarlo(grid_file, tmp_path):
     doc = json.loads(out.read_text())
     assert {"p_hat", "stderr", "target"} <= set(doc)
     assert code in (0, 1)
+
+
+@pytest.mark.parametrize("size", ("0", "-3"))
+def test_cli_montecarlo_empty_ensemble_is_input_error(grid_file, tmp_path,
+                                                      capsys, size):
+    out = tmp_path / "mc.json"
+    assert cli.main(["montecarlo", "--space", grid_file, "--ensemble", size,
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: ensemble size must be at least 1, got {size}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["verify-space", "build-lattice",
