@@ -136,7 +136,7 @@ def cmd_certify(args) -> int:
     from .kernels import load_kernel
     if args.example:
         scenario = make_scenario(args.example, master_seed=args.seed,
-                                 delta_bad=args.delta,
+                                 kappa=args.kappa, delta_bad=args.delta,
                                  s_param=None if args.calibrate else args.s_param)
     else:
         if not (args.space and args.kernel):
@@ -160,6 +160,8 @@ def cmd_generate_example(args) -> int:
     from .examples import generate_example
     from .space import save_space
     params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise SystemExit("error: --params must be a JSON object")
     space, info = generate_example(args.name, **params)
     save_space(space, args.out)
     print(f"wrote {args.out}: {space.n_points} points, "

@@ -8,6 +8,7 @@ of the natural kernel.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -129,9 +130,21 @@ EXAMPLES = {
 
 
 def generate_example(name: str, **params) -> tuple:
+    """Build the example ``name``; each parameter must be one the builder
+    takes, of the type of its default."""
     try:
         builder = EXAMPLES[name]
     except KeyError:
         raise UnknownExample(
             f"unknown example {name!r}; choose from {sorted(EXAMPLES)}")
+    defaults = {key: p.default for key, p in
+                inspect.signature(builder).parameters.items()}
+    for key, value in params.items():
+        if key not in defaults:
+            raise ValueError(f"example {name!r} takes no parameter {key!r}; "
+                             f"its parameters are {list(defaults)}")
+        kind = type(defaults[key])
+        if type(value) is not kind:
+            raise ValueError(f"parameter {key!r} of example {name!r} must be "
+                             f"{kind.__name__}, got {value!r}")
     return builder(**params)

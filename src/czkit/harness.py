@@ -52,6 +52,7 @@ def make_scenario(name: str, **overrides) -> Scenario:
     kind = overrides.pop("kernel_kind", info["kernel"])
     m = overrides.pop("m", info["m"])
     tau = overrides.pop("tau", info["tau"])
+    kappa = overrides.pop("kappa", info["kappa"])
     if kind == "power":
         kernel = power_kernel(space, m=m, tau=tau)
     elif kind == "bergman":
@@ -61,8 +62,7 @@ def make_scenario(name: str, **overrides) -> Scenario:
     else:
         raise UnknownExample(f"no kernel builder for kind {kind!r}")
     return Scenario(name=name, space=space, kernel=kernel, m=m, tau=tau,
-                    n_dim=info["n_dim"], kappa=info.get("kappa", 0.5),
-                    **overrides)
+                    n_dim=info["n_dim"], kappa=kappa, **overrides)
 
 
 @dataclass

@@ -38,10 +38,6 @@ class KernelSpec:
         if not np.isfinite(self.matrix).all():
             raise NonFiniteKernelValue("kernel matrix contains non-finite values")
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
 
 def _resolve_diagonal(values: np.ndarray, space: MetricMeasureSpace,
                       policy: str, fill) -> np.ndarray:

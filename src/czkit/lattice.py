@@ -346,55 +346,34 @@ def _draw_batch(space: MetricMeasureSpace, kappa: float, seeds, gens: range,
     return picked, ctr
 
 
-def _draw_nets(space: MetricMeasureSpace, kappa: float, seeds,
-               k_range: tuple | None, nearest: np.ndarray):
-    """Seeded nets and labels of ``build_lattice``, without cubes: (k_min,
-    k_max, draws), draws[i] = (labels, centers, offset) of ``seeds[i]``,
-    labels[k] the cube id of each point at generation k, centers[k] its net,
-    offset[k] the id of its first region; ``nearest`` is ``_nearest_other``.
-    Cube ids number the regions generation by generation, one root region
-    at k_min, each region in the order of its center.  Candidate lists pay
-    for their O(N^2) set-up per generation only over several seeds."""
-    k_min, k_max = _generation_range(space, kappa, k_range)
-    gens = range(k_min, k_max + 1)
-    cands = _candidates(space, kappa, gens) if len(seeds) > 1 else None
-    picked, ctr = _draw_batch(space, kappa, seeds, gens, nearest, cands)
-    count = picked.sum(axis=2)
-    count[0] = 1
-    offsets = np.cumsum(count, axis=0) - count
-    labels = (np.cumsum(picked, axis=2) - 1)[
-        np.arange(len(gens))[:, None, None], np.arange(len(seeds))[:, None],
-        ctr] + offsets[:, :, None]
-    draws = []
-    for s in range(len(seeds)):
-        centers = {k: picked[t, s].nonzero()[0] for t, k in enumerate(gens)}
-        centers[k_min] = centers[k_min][:1]
-        draws.append(({k: labels[k - k_min, s] for k in reversed(gens)},
-                      centers, dict(zip(gens, offsets[:, s]))))
-    return k_min, k_max, draws
-
-
 def build_lattice(space: MetricMeasureSpace, kappa: float, seed: int = 0,
                   k_range: tuple | None = None) -> DyadicLattice:
     """Greedy net-based lattice construction (properties (i)-(v) by design):
-    one ``Cube`` per region of ``_draw_nets`` that some finest cell chains
-    into."""
-    k_min, k_max, [(labels, centers_by_gen, offset)] = _draw_nets(
-        space, kappa, [seed], k_range, _nearest_other(space))
+    one ``Cube`` per region of ``_draw_batch`` that some finest cell chains
+    into.  Cube ids number the regions generation by generation, one root
+    region at k_min, each region in the order of its center."""
+    k_min, k_max = _generation_range(space, kappa, k_range)
+    gens = range(k_min, k_max + 1)
+    picked, ctr = (a[:, 0] for a in _draw_batch(
+        space, kappa, [seed], gens, _nearest_other(space)))
+    count = picked.sum(axis=1)
+    count[0] = 1
+    ids = np.take_along_axis(np.cumsum(picked, axis=1) - 1, ctr, axis=1) + \
+        (np.cumsum(count) - count)[:, None]
+    labels = {k: ids[k - k_min] for k in reversed(gens)}
     cubes = {}
     by_gen = {}
-    for k in range(k_min, k_max + 1):
+    for k in gens:
         order = np.argsort(labels[k], kind="stable")   # sorted members
         lab = labels[k][order]
         first = np.ones(lab.size, dtype=bool)
         np.not_equal(lab[1:], lab[:-1], out=first[1:])
         starts = first.nonzero()[0]
-        ids = lab[starts]
-        by_gen[k] = ids.tolist()
+        by_gen[k] = lab[starts].tolist()
         bounds = starts.tolist() + [space.n_points]
-        centers = centers_by_gen[k][ids - offset[k]].tolist()
+        centers = ctr[k - k_min, order[starts]].tolist()
         parents = labels[k - 1][order[starts]].tolist() if k > k_min \
-            else [None] * len(ids)
+            else [None] * len(starts)
         size = kappa ** k
         for cid, a, b, center, parent in zip(by_gen[k], bounds, bounds[1:],
                                              centers, parents):
@@ -523,12 +502,14 @@ def _skeleton_marks(labels: np.ndarray, near) -> np.ndarray:
     return marks
 
 
-def _child_labels(lat: DyadicLattice):
-    """The generations k of ``lat`` with a generation k + 1 below,
-    ascending, and their (generations, N) child labels."""
+def _lattice_marks(lat: DyadicLattice):
+    """(ks, marks): the generations k of ``lat`` with a generation k + 1
+    below, ascending, and the (generations, N) skeleton marks of their
+    children."""
     ks = sorted(k for k in lat.labels if k + 1 in lat.labels)
-    return ks, np.array([lat.labels[k + 1] for k in ks]).reshape(
+    child = np.array([lat.labels[k + 1] for k in ks]).reshape(
         len(ks), lat.space.n_points)
+    return ks, _skeleton_marks(child, _near_pairs(lat.space))
 
 
 def skeleton_by_generation(lat: DyadicLattice) -> dict:
@@ -536,9 +517,9 @@ def skeleton_by_generation(lat: DyadicLattice) -> dict:
     generation k together with the id of the cube they belong to, read off
     the near pairs (within one resolution step) whose generation-(k+1)
     labels differ."""
-    ks, child = _child_labels(lat)
-    pts = map(np.flatnonzero, _skeleton_marks(child, _near_pairs(lat.space)))
-    return {k: (p, lat.labels[k][p]) for k, p in zip(ks, pts)}
+    ks, marks = _lattice_marks(lat)
+    return {k: (p, lat.labels[k][p])
+            for k, p in zip(ks, map(np.flatnonzero, marks))}
 
 
 def classify_terminal_transit(lat: DyadicLattice, m: float | None = None):
@@ -584,16 +565,19 @@ def _coarsest_hits(marks: np.ndarray, ks: list, dists: np.ndarray, sizes,
     at which a skeleton point of row s, marked in marks[t, s], lies within
     s(Q)^alpha s(R)^(1-alpha) of probe Q = j, strictly; -1 where none does.
     ``dists[j]`` holds the distance from probe j to every point, ``sizes``
-    the s(Q); thresholds are scalar ``**``.  Generations run fine to coarse
-    so that the coarsest hit is the one kept."""
+    the s(Q); s(Q)^alpha and s(R)^(1-alpha) are scalar ``**``.  Generations
+    run fine to coarse so that the coarsest hit is the one kept, each over
+    the points some row marks."""
     hits = np.full((marks.shape[1], len(sizes)), -1)
+    s_alpha = np.array([s ** alpha for s in sizes])
+    k_last = np.asarray(k_last)
     for t in range(len(ks) - 1, -1, -1):
-        live = [j for j, last in enumerate(k_last) if ks[t] <= last]
-        if live:
-            reach = np.array([sizes[j] ** alpha * (kappa ** ks[t]) **
-                              (1 - alpha) for j in live])
-            got = (marks[t, :, None, :] &
-                   (dists[live] < reach[:, None])).any(axis=-1)
+        live = np.flatnonzero(ks[t] <= k_last)
+        cols = marks[t].any(axis=0).nonzero()[0]
+        if live.size and cols.size:
+            reach = s_alpha[live] * (kappa ** ks[t]) ** (1 - alpha)
+            got = (marks[t][:, None, cols] &
+                   (dists[live[:, None], cols] < reach[:, None])).any(axis=-1)
             hits[:, live] = np.where(got, t, hits[:, live])
     return hits
 
@@ -609,8 +593,7 @@ def classify_good_bad(cube: Cube, other: DyadicLattice, alpha: float,
     """
     r_gap = scale_gap(other.kappa, delta_bad, s_param)
     dist_q = other.space.rho[cube.members].min(axis=0)
-    ks, child = _child_labels(other)
-    marks = _skeleton_marks(child, _near_pairs(other.space))
+    ks, marks = _lattice_marks(other)
     t = int(_coarsest_hits(marks[:, None], ks, dist_q[None], [cube.size],
                            [cube.generation - r_gap], other.kappa, alpha)[0, 0])
     if t < 0:
@@ -622,19 +605,17 @@ def classify_good_bad(cube: Cube, other: DyadicLattice, alpha: float,
 def classify_all_good_bad(lat: DyadicLattice, other: DyadicLattice,
                           alpha: float, delta_bad: float, s_param: int):
     """Set the good flag on every cube of ``lat`` against ``other``, as
-    ``classify_good_bad`` does: per generation, one reduction of the rows of
-    rho, then one test per skeleton generation, thresholds by scalar ``**``."""
-    skel = skeleton_by_generation(other)
+    ``classify_good_bad`` does: every cube of ``lat`` one probe, scored in
+    one ``_coarsest_hits`` call."""
     r_gap = scale_gap(other.kappa, delta_bad, s_param)
-    for k_q, ids in lat.by_gen.items():
-        rows = cube_reduce(lat, other.space.rho, ids, axis=0)
-        s_alpha = np.array([lat.cubes[cid].size ** alpha for cid in ids])
-        bad = np.zeros(len(ids), dtype=bool)
-        for k in [k for k in skel if k <= k_q - r_gap]:
-            bad |= (rows[:, skel[k][0]] < s_alpha[:, None] *
-                    (other.kappa ** k) ** (1 - alpha)).any(axis=1)
-        for cid, is_bad in zip(ids, bad.tolist()):
-            lat.cubes[cid].good = not is_bad
+    ks, marks = _lattice_marks(other)
+    cubes = list(lat.cubes.values())
+    dists = cube_reduce(lat, other.space.rho, list(lat.cubes), axis=0)
+    hits = _coarsest_hits(marks[:, None], ks, dists, [c.size for c in cubes],
+                          [c.generation - r_gap for c in cubes], other.kappa,
+                          alpha)[0]
+    for cube, hit in zip(cubes, hits.tolist()):
+        cube.good = hit < 0
 
 
 def ensemble_gaps(probes: list, space: MetricMeasureSpace, kappa: float,

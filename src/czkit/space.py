@@ -174,10 +174,6 @@ def _worst_triangle_excess(rho: np.ndarray, k_q: float,
     return best, (x, y, z)
 
 
-def ball(space: MetricMeasureSpace, x: int, r: float) -> np.ndarray:
-    return space.ball(x, r)
-
-
 def default_radii(space: MetricMeasureSpace, exhaustive: bool = False) -> list:
     """Geometric grid of radii in [resolution_h, diam], ratio 1/2;
     exhaustive mode returns every distinct positive distance instead."""

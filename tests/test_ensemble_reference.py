@@ -1,15 +1,19 @@
 """The batched calibration ensemble against the per-lattice code it replaced.
 
 ``ensemble_gaps`` draws, labels and scores a chunk of lattices with array
-operations, and ``classify_good_bad`` and ``skeleton_by_generation`` use its
-skeleton and coarsest-hit helpers with a batch of one.  The code below is
-the earlier form, kept as the reference: one lattice at a time, its labels
-chained generation by generation through nearest-center argmins over its
-own nets (``_draw_nets_reference``), its skeletons read off the near pairs
-whose child labels differ, and each probe scanned from the coarsest
-generation up.  Labels, skeletons, witnesses and gaps must be the same bit
-for bit, over several chunkings of the ensemble."""
+operations; ``build_lattice`` draws through the same ``_draw_batch``, and
+``classify_good_bad``, ``classify_all_good_bad`` and
+``skeleton_by_generation`` use its skeleton and coarsest-hit helpers with a
+batch of one.  The code below is the earlier form, kept as the reference:
+one lattice at a time, its labels chained generation by generation through
+nearest-center argmins over its own nets (``_draw_nets_reference``), its
+skeletons read off the near pairs whose child labels differ, each probe
+scanned from the coarsest generation up, and the bad flags of a whole
+lattice tested generation by generation.  Labels, skeletons, witnesses,
+flags and gaps must be the same bit for bit, over several chunkings of the
+ensemble."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -21,13 +25,13 @@ from czkit import lattice
 from czkit.certify import alpha_param
 from czkit.errors import DegenerateScale
 from czkit.examples import generate_example
-from czkit.lattice import (_default_k_range, _draw_nets, _nearest_other,
-                           build_lattice, classify_good_bad, ensemble_gaps,
-                           estimate_bad_probability, scale_gap,
-                           skeleton_by_generation)
+from czkit.lattice import (_default_k_range, _nearest_other, build_lattice,
+                           classify_all_good_bad, classify_good_bad,
+                           ensemble_gaps, estimate_bad_probability,
+                           scale_gap, skeleton_by_generation)
 from czkit.space import MetricMeasureSpace
 from conftest import explicit_space
-from test_lattice import _draw_nets_reference
+from test_lattice import _assert_draws_match, _draw_nets_reference
 
 SEEDS = (2476693647, 1295026582, 3813294786)
 
@@ -99,6 +103,35 @@ def _coarsest_hit_reference(dist_q, sq, k_last, kappa, alpha, skeletons):
     return None, None
 
 
+def _bad_flags_reference(lat, other, alpha, delta_bad, s_param):
+    """The per-generation loop ``classify_all_good_bad`` ran before it
+    scored through ``_coarsest_hits``: the bad flag of every cube of ``lat``
+    against ``other``, in ``lat.cubes`` order."""
+    skel = _skeletons_reference(other.labels,
+                                _near_pairs_reference(other.space))
+    r_gap = scale_gap(other.kappa, delta_bad, s_param)
+    bad = {}
+    for k_q, ids in lat.by_gen.items():
+        rows = np.array([other.space.rho[lat.cubes[cid].members].min(axis=0)
+                         for cid in ids])
+        s_alpha = np.array([lat.cubes[cid].size ** alpha for cid in ids])
+        hit = np.zeros(len(ids), dtype=bool)
+        for k in [k for k in skel if k <= k_q - r_gap]:
+            hit |= (rows[:, skel[k][0]] < s_alpha[:, None] *
+                    (other.kappa ** k) ** (1 - alpha)).any(axis=1)
+        bad.update(zip(ids, hit.tolist()))
+    return np.array([bad[cid] for cid in lat.cubes])
+
+
+def _assert_flags_match(lat, other, alpha, s_param):
+    """``classify_all_good_bad`` flags the cubes of ``lat`` against
+    ``other`` as the reference does."""
+    want = _bad_flags_reference(lat, other, alpha, 0.25, s_param)
+    classify_all_good_bad(lat, other, alpha, 0.25, s_param)
+    got = np.array([not c.good for c in lat.cubes.values()])
+    assert got.tobytes() == want.tobytes()
+
+
 def _gaps_reference(probes, space, kappa, alpha, ensemble_size, master_seed):
     near, nearest = _near_pairs_reference(space), _nearest_other(space)
     gaps = np.zeros((ensemble_size, len(probes)), dtype=int)
@@ -150,16 +183,8 @@ def test_gaps_match_per_lattice_reference(name, seed):
 def test_labels_match_per_lattice_reference(name):
     # a batch of one (no candidate lists) and a batch of several
     space, kappa, _ = _space(name)
-    nearest = _nearest_other(space)
     for batch in ([SEEDS[0]], list(SEEDS)):
-        k_min, k_max, draws = _draw_nets(space, kappa, batch, None, nearest)
-        for seed, (labels, centers, offset) in zip(batch, draws):
-            ref = _draw_nets_reference(space, kappa, seed, None, nearest)
-            assert (k_min, k_max) == ref[:2]
-            assert list(labels) == list(ref[2])
-            for k, want in ref[2].items():
-                assert labels[k].dtype == want.dtype
-                assert labels[k].tobytes() == want.tobytes()
+        _assert_draws_match(space, kappa, batch)
 
 
 @pytest.mark.parametrize("name", SPACES)
@@ -182,6 +207,22 @@ def test_skeletons_and_witnesses_match_reference(name):
                 cube.generation - r_gap, kappa, alpha, ref)
             assert classify_good_bad(cube, lat2, alpha, 0.25, s_param) == \
                 (k is None, witness)
+
+
+# the default lattice pair of the golden run reports, a small other pair,
+# and the pair of the calibrated bergman run report
+PAIRS = ((1, 2), (7, 3), (2476693647, 1295026582))
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_bad_flags_match_per_generation_reference(name):
+    space, kappa, alpha = _space(name)
+    for a, b in PAIRS:
+        lats = [build_lattice(space, kappa, seed=s) for s in (a, b)]
+        for (lat, other), alpha_q, s_param in itertools.product(
+                (lats, lats[::-1]), sorted({alpha, 0.1, 0.25, 0.4}),
+                (1, 2, 4)):
+            _assert_flags_match(lat, other, alpha_q, s_param)
 
 
 def test_asymmetric_metric_runs_the_fallback(monkeypatch):
@@ -229,6 +270,28 @@ def test_gaps_match_reference_on_random_spaces(n, kappa, seed, cells):
         got = ensemble_gaps(probes, space, kappa, alpha, size, seed)
     assert got.tobytes() == _gaps_reference(probes, space, kappa, alpha,
                                             size, seed).tobytes()
+
+
+@given(st.integers(1, 30), st.floats(0.2, 0.8), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_bad_flags_match_reference_on_random_spaces(n, kappa, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 4.0, (n, 2))
+    rho = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+    space = MetricMeasureSpace(
+        rho=rho, nu=np.ones(n), mu=np.full(n, 1 / n),
+        omega=np.zeros(n, dtype=bool),
+        resolution_h=rng.uniform(1.0, 10.0) *
+        rho[~np.eye(n, dtype=bool)].min(initial=1.0))
+    try:
+        lats = [build_lattice(space, kappa, seed=int(s))
+                for s in rng.integers(0, 2**32, 2)]
+    except DegenerateScale:
+        return
+    alpha = float(rng.uniform(0.05, 0.5))
+    for (lat, other), s_param in itertools.product((lats, lats[::-1]),
+                                                   (1, 2, 4)):
+        _assert_flags_match(lat, other, alpha, s_param)
 
 
 @pytest.mark.parametrize("size", (0, -3))

@@ -10,7 +10,11 @@ from czkit import cli
 from czkit.errors import CalibrationExhausted, UnknownExample
 from czkit.harness import (Scenario, calibrate_S, make_scenario, run,
                            save_report)
-from czkit.kernels import power_kernel
+from czkit.examples import generate_example
+from czkit.kernels import (check_T1, kernel_to_json, operator_norm_dense,
+                           power_kernel)
+from czkit.lattice import build_lattice
+from czkit.space import save_space
 from conftest import line_space
 
 
@@ -44,6 +48,13 @@ def test_make_scenario_each_example():
 def test_make_scenario_unknown_example():
     with pytest.raises(UnknownExample):
         make_scenario("no_such_example")
+
+
+def test_make_scenario_kappa_override():
+    assert make_scenario("cantor_measure").kappa == 0.5
+    assert make_scenario("cantor_measure", kappa=0.3).kappa == 0.3
+    with pytest.raises(ValueError):
+        make_scenario("cantor_measure", kappa=1.5)
 
 
 def test_make_scenario_kernel_override():
@@ -344,6 +355,90 @@ def test_cli_certify_example(tmp_path):
     assert doc["certificate"]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("kappa,code", (("0.3", 0), ("1.5", 2)))
+def test_cli_certify_example_reads_kappa(tmp_path, kappa, code):
+    rep = tmp_path / "cert.json"
+    assert cli.main(["certify", "--example", "cantor_measure", "--kappa",
+                     kappa, "--report", str(rep)]) == code
+    if code == 0:
+        doc = json.loads(rep.read_text())
+        assert doc["certificate"]["constants"]["kappa"] == 0.3
+    else:
+        assert not rep.exists()
+
+
+@pytest.fixture(scope="module")
+def cantor_files(tmp_path_factory):
+    """Cantor level 4 and its power kernel, as files."""
+    space, info = generate_example("cantor_measure", level=4)
+    kernel = power_kernel(space, m=info["m"], tau=info["tau"])
+    root = tmp_path_factory.mktemp("cantor")
+    save_space(space, root / "space.json")
+    (root / "kernel.json").write_text(json.dumps(kernel_to_json(kernel)))
+    return space, kernel, str(root / "space.json"), str(root / "kernel.json")
+
+
+@pytest.mark.parametrize("to_file", (True, False))
+def test_cli_t1_check(cantor_files, tmp_path, capsys, to_file):
+    space, kernel, space_file, kernel_file = cantor_files
+    out = tmp_path / "t1.json"
+    assert cli.main(["t1-check", "--space", space_file, "--kernel",
+                     kernel_file, "--seed", "3"] +
+                    (["--out", str(out)] if to_file else [])) == 0
+    doc = json.loads(out.read_text() if to_file else capsys.readouterr().out)
+    rep = check_T1(kernel, space, build_lattice(space, 0.5, seed=3))
+    assert doc == {"A": rep.A, "cubes_checked": len(rep.per_cube)}
+
+
+def test_cli_norm(cantor_files, capsys):
+    space, kernel, space_file, kernel_file = cantor_files
+    assert cli.main(["norm", "--space", space_file, "--kernel",
+                     kernel_file]) == 0
+    words = capsys.readouterr().out.split()
+    assert words[:2] == ["operator", "norm"] and words[3] == "(converged)"
+    exact = operator_norm_dense(kernel, space)
+    assert abs(float(words[2]) - exact) <= 1e-6
+
+
+@pytest.mark.parametrize("to_file", (True, False))
+def test_cli_certify_custom_space_and_kernel(cantor_files, tmp_path, capsys,
+                                             to_file):
+    _, _, space_file, kernel_file = cantor_files
+    rep = tmp_path / "cert.json"
+    assert cli.main(["certify", "--space", space_file, "--kernel",
+                     kernel_file, "--n-dim", "0.5"] +
+                    (["--report", str(rep)] if to_file else [])) == 0
+    doc = json.loads(rep.read_text() if to_file else capsys.readouterr().out)
+    assert doc["scenario"] == "custom" and doc["passed"] is True
+    assert doc["certificate"]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("argv", (["--space", "s.json"],
+                                  ["--kernel", "k.json"], []))
+def test_cli_certify_needs_example_or_space_and_kernel(argv, capsys):
+    assert cli.main(["certify", *argv]) == 2
+    assert capsys.readouterr().err == \
+        "error: need --example or --space with --kernel\n"
+
+
+def test_broken_triangle_inequality_stops_before_certify(tmp_path, capsys):
+    # rho(a, c) = 3 > rho(a, b) + rho(b, c): the space stage fails
+    path = tmp_path / "bent.json"
+    path.write_text(json.dumps({
+        "points": ["a", "b", "c"], "nu": [1, 1, 1], "mu": [0.5, 0.25, 0.25],
+        "metric": {"type": "explicit",
+                   "matrix": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}}))
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(json.dumps({"type": "power", "m": 1.0}))
+    rep = tmp_path / "cert.json"
+    assert cli.main(["certify", "--space", str(path), "--kernel",
+                     str(kernel), "--report", str(rep)]) == 1
+    doc = json.loads(rep.read_text())
+    assert doc["passed"] is False
+    assert doc["stages"]["space"]["quasi_metric"] is False
+    assert "certificate" not in doc and list(doc["stages"]) == ["space"]
+
+
 def test_cli_montecarlo(grid_file, tmp_path):
     out = tmp_path / "mc.json"
     code = cli.main(["montecarlo", "--space", grid_file, "--m", "2",
@@ -483,6 +578,26 @@ def test_cli_missing_file_is_input_error(tmp_path):
 def test_cli_unknown_example_is_input_error(tmp_path):
     assert cli.main(["generate-example", "no_such_example",
                      "--out", str(tmp_path / "x.json")]) == 2
+
+
+@pytest.mark.parametrize("params,message", [
+    ('[1]', "--params must be a JSON object"),
+    ('{"bogus": 1}', "example 'uniform_grid' takes no parameter 'bogus'; "
+                     "its parameters are ['n', 'normalize']"),
+    ('{"n": 2.5}', "parameter 'n' of example 'uniform_grid' must be int, "
+                   "got 2.5"),
+    ('{"n": "abc"}', "parameter 'n' of example 'uniform_grid' must be int, "
+                     "got 'abc'"),
+    ('{"normalize": 1}', "parameter 'normalize' of example 'uniform_grid' "
+                         "must be bool, got 1"),
+], ids=["list", "unknown-key", "float-size", "string-size", "int-flag"])
+def test_cli_bad_example_params_are_input_error(params, message, tmp_path,
+                                                capsys):
+    out = tmp_path / "x.json"
+    assert cli.main(["generate-example", "uniform_grid", "--params", params,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_size_guard(grid_file, monkeypatch, capsys):

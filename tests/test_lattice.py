@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from czkit.errors import DegenerateScale, LeafCube, RootTerminal
 from czkit.examples import generate_example
-from czkit.lattice import (_default_k_range, _draw_nets, _nearest_other,
-                           build_lattice, classify_all_good_bad,
+from czkit.lattice import (_candidates, _default_k_range, _draw_batch,
+                           _nearest_other, build_lattice, classify_all_good_bad,
                            classify_good_bad, classify_terminal_transit,
                            ensemble_gaps, estimate_bad_probability,
                            lattice_from_json,
@@ -171,24 +171,39 @@ DRAW_SEEDS = [1, 2, 7, 2476693647, 1295026582] + \
 
 
 def _assert_draws_match(space, kappa, seeds, k_range=None):
+    """A batch of ``seeds`` drawn with candidate lists gives each seed the
+    nets and centers of a batch of that seed alone without them; a batch of
+    one draws the reference's nets, and ``build_lattice`` labels as the
+    reference does, bit for bit, or raises ``DegenerateScale`` where it
+    does."""
     nearest = _nearest_other(space)
     try:
-        _draw_nets_reference(space, kappa, seeds[0], k_range, nearest)
+        k_min, k_max = _draw_nets_reference(space, kappa, seeds[0], k_range,
+                                            nearest)[:2]
     except DegenerateScale:
         with pytest.raises(DegenerateScale):
-            _draw_nets(space, kappa, seeds, k_range, nearest)
+            build_lattice(space, kappa, seeds[0], k_range)
         return
-    k_min, k_max, draws = _draw_nets(space, kappa, seeds, k_range, nearest)
-    assert len(draws) == len(seeds)
-    for seed, got in zip(seeds, draws):
-        ref = _draw_nets_reference(space, kappa, seed, k_range, nearest)
-        assert (k_min, k_max) == ref[:2]
-        for got_table, ref_table in zip(got, ref[2:]):
-            assert list(got_table) == list(ref_table)
-            for k, want in ref_table.items():
-                have = got_table[k]
-                assert have.dtype == want.dtype
-                assert have.tobytes() == want.tobytes()
+    gens = range(k_min, k_max + 1)
+    batch = _draw_batch(space, kappa, seeds, gens, nearest,
+                        _candidates(space, kappa, gens))
+    for s, seed in enumerate(seeds):
+        alone = _draw_batch(space, kappa, [seed], gens, nearest)
+        for got, want in zip(batch, alone):
+            assert got.dtype == want.dtype
+            assert got[:, s].tobytes() == want[:, 0].tobytes()
+        _, _, labels, centers, _ = _draw_nets_reference(space, kappa, seed,
+                                                        k_range, nearest)
+        for t, k in enumerate(gens):
+            net = alone[0][t, 0].nonzero()[0]
+            assert net[:1 if k == k_min else None].tolist() == \
+                centers[k].tolist()
+        lat = build_lattice(space, kappa, seed, k_range)
+        assert (lat.k_min, lat.k_max) == (k_min, k_max)
+        assert list(lat.labels) == list(labels)
+        for k, want in labels.items():
+            assert lat.labels[k].dtype == want.dtype
+            assert lat.labels[k].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("batch", (1, 2, 16, 150))
