@@ -116,6 +116,49 @@ def test_golden_lattice_fingerprint(name, seed):
             space.n_points
 
 
+# sha256 of json.dumps(lattice_to_json(lat), sort_keys=True) after
+# classify_terminal_transit and classify_all_good_bad against the pair's
+# other lattice (the example's alpha, delta_bad = 1/4, S = 1), captured from
+# the lattices that stored one mutable Cube per cube id
+GOLDEN_CLASSIFIED = {
+    ("bergman_disc_model", 1):
+        "f2449bda70bc53f7ef9cfbd70afe36f9348c456ec386c888b526b3e6342b038c",
+    ("bergman_disc_model", 2):
+        "c61732697aa6a7712dcb53929bc4fa37acea12b9f40fcbcc32d858ae45be810a",
+    ("bergman_disc_model", 2476693647):
+        "5946469d3b58442cb4ab1a5cbf776024ce778be9a32e140cc6fa0d32d762a7dc",
+    ("cantor_measure", 1):
+        "448a11596ea3c56c12dd9a95ed0d5925bf67e2b7f03ffb91ca72369858907a34",
+    ("cantor_measure", 2):
+        "dffe4d1503a08b618ab30a8fa051df605ed6b4946cd034737cd4add335dbbbc1",
+    ("cantor_measure", 2476693647):
+        "e2c263ddb89cc4b8c174937f5f3c0df95729b05fed8226fa597210798ae8ad03",
+    ("line_in_plane", 1):
+        "5fcdfdcaa021d243b43784f10fb3e491911323875892741eaaeedd97d98cc21c",
+    ("line_in_plane", 2):
+        "3749282b9d539eff11f1f8fadae2664deb3c6c37bff21666d18db186596262a0",
+    ("line_in_plane", 2476693647):
+        "7a05f8be38a1893ae7d20fe98caf93e9245ac5594cc43262debaeb591995a12e",
+}
+GOLDEN_PAIR = {1: 2, 2: 1, 2476693647: 1295026582}
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_CLASSIFIED))
+def test_golden_classified_lattice_fingerprint(name, seed):
+    from czkit.certify import alpha_param
+    space, info = generate_example(name, **GOLDEN_PARAMS[name])
+    lat = build_lattice(space, info["kappa"], seed=seed)
+    other = build_lattice(space, info["kappa"], seed=GOLDEN_PAIR[seed])
+    classify_terminal_transit(lat)
+    classify_all_good_bad(lat, other, alpha_param(info["m"], info["tau"]),
+                          0.25, 1)
+    doc = lattice_to_json(lat)
+    assert all(type(c[flag]) is bool for gen in doc["generations"]
+               for c in gen["cubes"] for flag in ("terminal", "good"))
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == GOLDEN_CLASSIFIED[(name, seed)]
+
+
 # ---------------------------------------------------------------------------
 # batched net draws against the per-lattice greedy loop they replaced
 
