@@ -24,8 +24,10 @@ import numpy as np
 from .errors import HypothesisViolated, MultipleParents, NonTransitEntry, \
     ZeroMassCube
 from .kernels import KernelSpec, spectral_norm
-from .lattice import Cube, DyadicLattice, cube_reduce, masked_sums
-from .projections import MartingaleDecomposition, decompose, split_good_bad
+from .lattice import UNSET, Cube, DyadicLattice, _ranges, cube_reduce, \
+    masked_sums
+from .projections import MartingaleDecomposition, decompose, \
+    good_component_ids, split_good_bad
 from .space import MetricMeasureSpace, dilate
 
 
@@ -56,13 +58,6 @@ def _lemma(name: str, measured: float, bound: float, ref: str) -> LemmaCheck:
 
 # ---------------------------------------------------------------------------
 # pair classification and exact regrouping
-
-
-def _good_component_cubes(lat: DyadicLattice):
-    cubes = [lat.cubes[cid] for cid in lat.plan.ids]
-    if any(cube.good is None for cube in cubes):
-        raise HypothesisViolated("good/bad flags missing on a lattice")
-    return [cube for cube in cubes if cube.good]
 
 
 @dataclass
@@ -104,7 +99,7 @@ class ComponentRows:
     size: np.ndarray               # s(Q) per row
     mass: np.ndarray               # mu(Q) per row
     center: np.ndarray             # center point per row
-    piece: dict                    # child cube id -> piece
+    piece: np.ndarray              # child cube id per piece
     piece_start: np.ndarray        # pieces of row i: piece_start[i:i + 2]
     piece_mass: np.ndarray         # mu of each piece's child
     piece_stop: np.ndarray         # each piece's child is terminal or a leaf
@@ -114,25 +109,20 @@ class ComponentRows:
 
 
 def _component_rows(lat: DyadicLattice) -> ComponentRows:
-    cubes = _good_component_cubes(lat)
-    point_piece = np.full((len(cubes), lat.space.n_points), -1)
-    piece, piece_stop = {}, []
-    piece_start = np.cumsum([0] + [len(c.children) for c in cubes])
-    for i, cube in enumerate(cubes):
-        for ch in map(lat.cubes.get, cube.children):
-            point_piece[i, ch.members] = len(piece)
-            piece[ch.id] = len(piece)
-            piece_stop.append(ch.terminal or ch.is_leaf)
-    point_piece[point_piece < 0] = len(piece)
+    ids = good_component_ids(lat)
+    start, count, kids = lat.child_csr
+    row, at = _ranges(start[ids], count[ids])
+    piece = kids[at]
+    point_piece = np.full((ids.size, lat.space.n_points), piece.size)
+    slot, points = lat.member_entries(piece)
+    point_piece[row[slot], points] = slot
     return ComponentRows(
-        lattice=lat, ids=np.array([c.id for c in cubes], dtype=int),
-        gen=np.array([c.generation for c in cubes], dtype=int),
-        size=np.array([c.size for c in cubes]),
-        mass=lat.mass[[c.id for c in cubes]],
-        center=np.array([c.center for c in cubes], dtype=int),
-        piece=piece, piece_start=piece_start, piece_mass=lat.mass[list(piece)],
-        piece_stop=np.array(piece_stop, dtype=bool), point_piece=point_piece,
-        inside=point_piece < len(piece))
+        lattice=lat, ids=ids, gen=lat.gen[ids], size=lat.size[ids],
+        mass=lat.mass[ids], center=lat.center[ids], piece=piece,
+        piece_start=np.append(0, np.cumsum(count[ids])),
+        piece_mass=lat.mass[piece], piece_stop=(lat.terminal[piece] == 1) |
+        (count[piece] == 0), point_piece=point_piece,
+        inside=point_piece < piece.size)
 
 
 def classify_pairs(fine: ComponentRows, coarse: ComponentRows, r_gap: int,
@@ -270,7 +260,7 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
             pairs = {regime: t.select(t.gap > 0) for regime, t in pairs.items()}
         half = HalfData(fine_rows=fine, coarse_rows=coarse, op=op, pairs=pairs)
         # sup of |op| over each point's row and each coarse piece's columns
-        piece_sup = cube_reduce(coarse.lattice, abs_op, list(coarse.piece),
+        piece_sup = cube_reduce(coarse.lattice, abs_op, coarse.piece,
                                 np.maximum)
         half.geo = {
             "sigma1": _diagonal_geometry(half, abs_op, piece_sup),
@@ -448,14 +438,6 @@ def _scalar_pow(base, exp) -> np.ndarray:
     return (_py_floats(base) ** exp).astype(float)
 
 
-def _ranges(start: np.ndarray, count: np.ndarray) -> tuple:
-    """(owner, index): the ranges start[i]:start[i] + count[i] one after
-    the other, and the i of each entry."""
-    owner = np.repeat(np.arange(count.size), count)
-    offset = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-    return owner, np.repeat(start, count) + offset
-
-
 def interaction_matrix(fine: ComponentRows, coarse: ComponentRows,
                        pairs: PairTable, m: float,
                        tau: float) -> InteractionMatrix:
@@ -609,7 +591,7 @@ def _terminal_geometry(space, half: HalfData, abs_op) -> dict:
     the rows of U; and the regime constant."""
     t = half.pairs["sigma3_term"]
     coarse = half.coarse_rows
-    _, first, group = np.unique(t.r * (max(half.coarse_lat.cubes) + 1) + t.rq,
+    _, first, group = np.unique(t.r * half.coarse_lat.gen.size + t.rq,
                                 return_index=True, return_inverse=True)
     order = np.argsort(first)                 # groups by their first pair
     first, group = first[order], np.argsort(order)[group]
@@ -673,7 +655,7 @@ def _transit_geometry(kernel, space, half: HalfData, piece_sup,
 
     # (a) far part against the rest of the coarse cube, i.e. against its
     # pieces on the other children: their distance to Q and kernel sup
-    pieces = np.array(list(coarse.piece), dtype=int)
+    pieces = coarse.piece
     other_pair, other_piece = _ranges(coarse.piece_start[r],
                                       np.diff(coarse.piece_start)[r])
     keep = pieces[other_piece] != rq[other_pair]
@@ -838,18 +820,18 @@ def paraproduct_targets(fine_lat: DyadicLattice, coarse_lat: DyadicLattice,
     mean-zero data); cubes with no containing cube map to None.  A cube Q
     lies in one coarse cube of generation g iff the min and the max of the
     generation-g labels over Q's entries in the fine plan agree."""
-    qs, plan = _good_component_cubes(fine_lat), fine_lat.plan
+    qs, plan = good_component_ids(fine_lat), fine_lat.plan
     gens = np.array(sorted(coarse_lat.labels))
     labels = np.column_stack([coarse_lat.labels[g] for g in gens])[plan.pt]
-    rows = [plan.slot[q.id] for q in qs]
+    rows = [plan.slot[q] for q in qs.tolist()]
     lo, hi = (ufunc.reduceat(labels, plan.start[:-1], axis=0)[rows]
               for ufunc in (np.minimum, np.maximum))
-    transit = np.zeros(max(coarse_lat.cubes) + 2, dtype=bool)  # label -1: no
-    transit[[cid for cid, c in coarse_lat.cubes.items() if not c.terminal]] = 1
-    top = np.array([q.generation - r_gap + 1 for q in qs], dtype=int)
+    # transit per cube id, read as label -1 (no cube) in the last slot
+    transit = np.append(coarse_lat.terminal != 1, False)
+    top = fine_lat.gen[qs] - r_gap + 1
     ok = (lo == hi) & transit[lo] & (gens <= top[:, None])
-    return {q.id: int(row[hit][-1]) if hit.any() else None
-            for q, row, hit in zip(qs, lo, ok)}
+    return {q: int(row[hit][-1]) if hit.any() else None
+            for q, row, hit in zip(qs.tolist(), lo, ok)}
 
 
 def paraproduct_apply(F: np.ndarray, g: np.ndarray, fine_lat: DyadicLattice,
@@ -888,14 +870,14 @@ def carleson_embedding_check(a: dict, lattice: DyadicLattice):
     """Fitted Carleson constant max_S sum_(R under S) a_R / mu(S).  Subtree
     sums run bottom up, one ``np.add.at`` per generation adding each cube's
     children in child order."""
-    subtree = np.zeros(max(lattice.cubes) + 1)
+    subtree = np.zeros(lattice.gen.size)
     subtree[list(a)] = list(a.values())
+    ids = lattice.ids
+    kids = ids[lattice.parent[ids] >= 0]
+    up_gen = lattice.gen[lattice.parent[kids]]
     for k in sorted(lattice.by_gen, reverse=True):
-        up, kids = np.array([(cid, ch) for cid in lattice.by_gen[k]
-                             for ch in lattice.cubes[cid].children],
-                            dtype=int).reshape(-1, 2).T
-        np.add.at(subtree, up, subtree[kids])
-    ids = np.fromiter(lattice.cubes, dtype=int)
+        at = kids[up_gen == k]
+        np.add.at(subtree, lattice.parent[at], subtree[at])
     mass, total = lattice.mass[ids], subtree[ids]
     ratio = np.divide(total, mass, out=np.zeros(ids.size), where=mass > 0)
     best = int(ratio.argmax())
@@ -911,21 +893,18 @@ def whitney_decomposition(space: MetricMeasureSpace, lattice: DyadicLattice,
     dilate(P, 1.5) inside it; reports the multiplicity of the 1.4-dilations
     and the covered mu-fraction."""
     selected = []
-    stack = [cid for cid in r_cube.children]
+    stack = list(r_cube.children)
     while stack:
         cid = stack.pop()
-        cube = lattice.cubes[cid]
-        grown = dilate(space, cube.members, 1.5)
-        if np.isin(grown, r_cube.members).all():
+        if np.isin(dilate(space, lattice.members(cid), 1.5),
+                   r_cube.members).all():
             selected.append(cid)
         else:
-            stack.extend(cube.children)
+            stack.extend(lattice.cubes[cid].children)
     counts = np.zeros(space.n_points, dtype=int)
-    covered = np.zeros(space.n_points, dtype=bool)
     for cid in selected:
-        cube = lattice.cubes[cid]
-        counts[dilate(space, cube.members, 1.4)] += 1
-        covered[cube.members] = True
+        counts[dilate(space, lattice.members(cid), 1.4)] += 1
+    covered = lattice.member_masks(selected).any(axis=0)
     multiplicity = int(counts.max()) if selected else 0
     mass = lattice.mass[r_cube.id]
     frac = space.mu_mass(np.flatnonzero(covered)) / mass if mass > 0 else 0.0
@@ -952,12 +931,12 @@ def admissible_bmo_cubes(space: MetricMeasureSpace, lattice: DyadicLattice,
     """Cubes satisfying the growth gate mu(sQ) <= K s^m diam(Q)^m for all
     dilation factors s >= 1 (checked at every point-entry threshold)."""
     out = []
-    for cid, cube in lattice.cubes.items():
-        d = space.set_diam(cube.members)
+    for cid in lattice.ids.tolist():
+        d = space.set_diam(lattice.members(cid))
         if d <= 0 or lattice.mass[cid] <= 0:
             continue
         # the points by distance to Q, each with the mass reached so far
-        dist = space.rho[:, cube.members].min(axis=1)
+        dist = space.rho[:, lattice.members(cid)].min(axis=1)
         order = np.argsort(dist)
         dist = dist[order]
         s = np.maximum(1.0, dist / d + 1.0)
@@ -990,8 +969,7 @@ def pseudo_bmo_check(F: np.ndarray, space: MetricMeasureSpace,
             "dilation base too small for the smoothness regime")
     mat = kernel.matrix.T if kernel is not None else None
     for cid in cids:
-        cube = lattice.cubes[cid]
-        members = cube.members
+        members = lattice.members(cid)
         mass = lattice.mass[cid]
         grown = dilate(space, members, lambda_bmo)
         mass_grown = space.mu_mass(grown)
@@ -1036,7 +1014,7 @@ def _diagonal_geometry(half: HalfData, abs_op, piece_sup) -> dict:
     component rows; ``piece_sup`` is the sup of |op| over each point's row
     and each coarse piece's columns."""
     fine, coarse = half.fine_rows, half.coarse_rows
-    f_ids, c_ids = list(fine.piece), list(coarse.piece)
+    f_ids, c_ids = fine.piece, coarse.piece
     # kernel sups over each (fine son, coarse son) rectangle, and over the
     # whole slab of rows of a fine son or columns of a coarse son
     rect = cube_reduce(fine.lattice, piece_sup, f_ids, np.maximum, axis=0)
@@ -1130,8 +1108,8 @@ class CertificateReport:
 def _probe_functions(space: MetricMeasureSpace, lat: DyadicLattice,
                      n_random: int, rng: np.random.Generator):
     probes = [rng.standard_normal(space.n_points) for _ in range(n_random)]
-    cubes = [c.id for c in lat.cubes.values()
-             if 0 < c.members.size < space.n_points]
+    count = lat.n_members[lat.ids]
+    cubes = lat.ids[(count > 0) & (count < space.n_points)]
     probes += list(lat.member_masks(cubes[:2]).astype(float))   # indicators
     norms = [space.l2_norm(p) for p in probes]
     return [p / n if n > 0 else p for p, n in zip(probes, norms)]
@@ -1203,8 +1181,7 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
         raise ValueError("lattice is not the seeds[0] lattice of this space")
     lat2 = build_lattice(space, kappa, seed=seeds[1])
     for lat, other in ((lat1, lat2), (lat2, lat1)):
-        if lat is not lattice or any(c.terminal is None
-                                     for c in lat.cubes.values()):
+        if lat is not lattice or (lat.terminal[lat.ids] == UNSET).any():
             classify_terminal_transit(lat)
         classify_all_good_bad(lat, other, alpha, delta_bad, s_param)
 

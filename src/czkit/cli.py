@@ -57,7 +57,7 @@ def cmd_build_lattice(args) -> int:
     rep = verify_lattice_properties(lat)
     if args.out:
         save_lattice(lat, args.out)
-    print(f"generations {lat.k_min}..{lat.k_max}, {len(lat.cubes)} cubes, "
+    print(f"generations {lat.k_min}..{lat.k_max}, {len(lat.ids)} cubes, "
           f"properties {'ok' if rep.passed else 'FAILED'}")
     return 0 if rep.passed else 1
 
@@ -121,9 +121,9 @@ def cmd_montecarlo(args) -> int:
     if lat.k_max == lat.k_min:
         raise SystemExit("error: lattice has a single generation")
     ids = lat.by_gen[lat.k_min + 1]
-    probe = lat.cubes[ids[len(ids) // 2]]
+    probe = ids[len(ids) // 2]
     p, err, low = estimate_bad_probability(
-        probe.members, probe.generation, space, args.kappa, alpha,
+        lat.members(probe), lat.k_min + 1, space, args.kappa, alpha,
         args.delta, args.s_param, args.ensemble, master_seed=args.seed)
     doc = {"p_hat": p, "stderr": err, "low_confidence": low,
            "target": args.delta ** 2}

@@ -89,13 +89,13 @@ def calibrate_S(space: MetricMeasureSpace, kappa: float, alpha: float,
     lat = build_lattice(space, kappa, seed=seed)
     depth = lat.k_max - lat.k_min
     target = delta_bad ** 2
-    probes = [lat.cubes[ids[len(ids) // 2]] for k, ids in lat.by_gen.items()
+    probes = [ids[len(ids) // 2] for k, ids in lat.by_gen.items()
               if ids and k > lat.k_min][:3]
     if scale_gap(kappa, delta_bad, 1) >= depth:
         raise CalibrationExhausted(
             f"lattice depth {depth} admits no separation exponent")
-    gaps = ensemble_gaps(probes, space, kappa, alpha, ensemble,
-                         master_seed=seed)
+    gaps = ensemble_gaps([lat.members(c) for c in probes], lat.gen[probes],
+                         space, kappa, alpha, ensemble, master_seed=seed)
     trace = []
     s = 1
     while s <= 16:
@@ -176,7 +176,7 @@ def run(scenario: Scenario) -> RunReport:
     classify_terminal_transit(lat)
     stages["lattice"] = {"passed": lat_rep.passed,
                          "generations": lat.k_max - lat.k_min + 1,
-                         "cubes": len(lat.cubes)}
+                         "cubes": len(lat.ids)}
     ok &= lat_rep.passed
     timings["lattice"] = time.perf_counter() - t0
 

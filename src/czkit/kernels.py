@@ -261,7 +261,7 @@ def check_T1(kernel: KernelSpec, space: MetricMeasureSpace, lattice,
     points off supp mu add nothing to chi_E mu or to an L2(mu) norm."""
     lams = tuple(dilations) + (lambda_bmo,)
     sets = cube_dilations(lattice, lams).reshape(-1, space.n_points)
-    labels = [f"Q{cid}{suffix}" for cid in lattice.cubes
+    labels = [f"Q{cid}{suffix}" for cid in lattice.ids.tolist()
               for suffix in [""] + [f"x{lam}" for lam in lams]]
     keys = np.packbits(sets, axis=1)
     first = {}

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,16 +24,18 @@ from .space import MetricMeasureSpace
 # Cells (seed x generation x point) per ``_draw_batch`` call of
 # ``ensemble_gaps``; bounds its memory.
 ENSEMBLE_CELLS = 2 ** 16
+UNSET = -1        # terminal/good flag of a cube not yet classified
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cube:
+    """One cube as a value, built on its own or by ``lat.cubes[cid]``."""
     id: int
     generation: int
     members: np.ndarray            # sorted point indices
     center: int
     parent: int | None
-    children: list = field(default_factory=list)
+    children: tuple = ()
     size: float = 0.0              # kappa ** generation
     terminal: bool | None = None   # None until classified
     good: bool | None = None
@@ -42,17 +45,64 @@ class Cube:
         return not self.children
 
 
-@dataclass
+class CubeTable(Mapping):
+    """Read-only id -> ``Cube`` view of a lattice, in cube order."""
+
+    def __init__(self, lat: DyadicLattice):
+        self._lat, self._ids = lat, dict.fromkeys(lat.ids.tolist())
+
+    def __getitem__(self, cid) -> Cube:
+        if cid not in self._ids:
+            raise KeyError(cid)
+        lat, (start, _, kids) = self._lat, self._lat.child_csr
+        parent = int(lat.parent[cid])
+        terminal, good = (None if f == UNSET else bool(f)
+                          for f in (lat.terminal[cid], lat.good[cid]))
+        return Cube(int(cid), int(lat.gen[cid]), lat.members(cid),
+                    int(lat.center[cid]), None if parent < 0 else parent,
+                    tuple(kids[start[cid]:start[cid + 1]].tolist()),
+                    float(lat.size[cid]), terminal, good)
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
 class DyadicLattice:
-    space: MetricMeasureSpace
-    kappa: float
-    seed: int
-    k_min: int
-    k_max: int
-    cubes: dict                    # id -> Cube
-    by_gen: dict                   # generation -> list of cube ids
-    labels: dict                   # generation -> (N,) array of cube ids
-    root_id: int
+    """A lattice as arrays, one entry per cube id up to the largest: ``gen``,
+    ``parent`` (-1: none), ``center``, ``size`` (kappa ** gen) and the flags
+    ``terminal`` and ``good`` (``UNSET``, 0 or 1; all unset when ``flags``
+    is None).  Cube c has the points ``points[offsets[c]:offsets[c + 1]]``,
+    ascending: input point pts[i] lies in cube owner[i].  ``ids`` lists the
+    cubes in cube order (id order when built, document order when loaded),
+    ``by_gen[k]`` those of generation k and ``labels[k]`` the cube of each
+    point there."""
+
+    def __init__(self, space: MetricMeasureSpace, kappa: float, seed: int,
+                 ids, gen, parent, center, owner, pts, labels: dict,
+                 flags=None):
+        self.space, self.kappa, self.seed, self.labels = \
+            space, kappa, seed, labels
+        self.ids, self.gen, self.parent, self.center = ids, gen, parent, center
+        self.terminal, self.good = np.full((2, gen.size), UNSET) \
+            if flags is None else flags
+        self.by_gen = {k: ids[gen[ids] == k].tolist()
+                       for k in dict.fromkeys(gen[ids].tolist())}
+        self.k_min, self.k_max = min(self.by_gen), max(self.by_gen)
+        self.root_id = self.by_gen[self.k_min][0]
+        self.size = np.zeros(gen.size)
+        for k, at in self.by_gen.items():
+            self.size[at] = kappa ** k
+        self.offsets = np.append(0, np.cumsum(np.bincount(
+            owner, minlength=gen.size)))
+        self.points = pts[np.lexsort((pts, owner))]
+        self.points.setflags(write=False)      # cubes hand out views
+
+    @cached_property
+    def cubes(self) -> CubeTable:
+        return CubeTable(self)
 
     @property
     def root(self) -> Cube:
@@ -61,14 +111,35 @@ class DyadicLattice:
     def generations(self):
         return range(self.k_min, self.k_max + 1)
 
+    def members(self, cid: int) -> np.ndarray:
+        return self.points[self.offsets[cid]:self.offsets[cid + 1]]
+
+    @cached_property
+    def n_members(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def member_entries(self, ids):
+        """(slot, point) per member of the cubes ``ids``, cube by cube."""
+        ids = np.asarray(ids, dtype=int)
+        slot, at = _ranges(self.offsets[ids], self.n_members[ids])
+        return slot, self.points[at]
+
+    @cached_property
+    def child_csr(self):
+        """(start, count, kids): the count[c] children of cube c are
+        kids[start[c]:start[c + 1]], in cube order."""
+        kids = self.ids[self.parent[self.ids] >= 0]
+        count = np.bincount(self.parent[kids], minlength=self.gen.size)
+        return (np.append(0, np.cumsum(count)), count,
+                kids[np.argsort(self.parent[kids], kind="stable")])
+
     @cached_property
     def mass(self) -> np.ndarray:
-        """mu(Q) per cube id (0 off the cubes), from the members at first
-        use; cubes sum by member count, each as ``mu[Q.members].sum()``."""
-        ids = np.fromiter(self.cubes, dtype=int)
-        out = np.zeros(ids.max() + 1)
-        for slots, rows in member_rows(list(self.cubes.values())):
-            out[ids[slots]] = self.space.mu[rows].sum(axis=1)
+        """mu(Q) per cube id (0 off the cubes), from one ``cube_reduce``:
+        each as ``mu[members].sum()``."""
+        out = np.zeros(self.gen.size)
+        out[self.ids] = cube_reduce(self, self.space.mu[None, :], self.ids,
+                                    np.add)[0]
         return out
 
     @cached_property
@@ -76,30 +147,25 @@ class DyadicLattice:
         """Column of each cube id in the per-lattice tables; -1 for ids
         that name no cube.  A cube with one child holds the child's points
         and shares its column."""
-        col = np.full(max(self.cubes) + 1, -1)
-        n_cols = 0
+        col = np.full(self.gen.size, -1)
+        start, count, kids = self.child_csr
         for k in sorted(self.by_gen, reverse=True):
-            for cid in self.by_gen[k]:
-                children = self.cubes[cid].children
-                if len(children) == 1:
-                    col[cid] = col[children[0]]
-                else:
-                    col[cid], n_cols = n_cols, n_cols + 1
+            ids = np.array(self.by_gen[k], dtype=int)
+            one = count[ids] == 1
+            col[ids[one]] = col[kids[start[ids[one]]]]
+            col[ids[~one]] = col.max() + 1 + np.arange((~one).sum())
         return col
 
     def column_cubes(self) -> list:
         """One cube id per table column."""
-        ids = list(self.cubes)
         reps = np.empty(self.column.max() + 1, dtype=int)
-        reps[self.column[ids]] = ids
+        reps[self.column[self.ids]] = self.ids
         return reps.tolist()
 
     def member_masks(self, ids) -> np.ndarray:
         """(len(ids), N) member masks of the cubes ``ids``."""
-        members = [self.cubes[c].members for c in np.asarray(ids).tolist()]
-        mask = np.zeros((len(members), self.space.n_points), dtype=bool)
-        mask[np.repeat(np.arange(len(members)), [m.size for m in members]),
-             np.concatenate([np.zeros(0, dtype=int)] + members)] = True
+        mask = np.zeros((len(ids), self.space.n_points), dtype=bool)
+        mask[self.member_entries(ids)] = True
         return mask
 
     @cached_property
@@ -115,14 +181,25 @@ class DyadicLattice:
         return DecompositionPlan(self)
 
 
-def member_rows(cubes: list, key=0):
-    """(slots, rows) per member count of ``cubes`` and per value of the
-    integer ``key`` (one per cube): rows[i] holds cubes[slots[i]].members."""
-    count = np.array([c.members.size for c in cubes], dtype=int)
+def _ranges(start: np.ndarray, count: np.ndarray) -> tuple:
+    """(owner, index): the ranges start[i]:start[i] + count[i] one after
+    the other, and the i of each entry."""
+    owner = np.repeat(np.arange(count.size), count)
+    offset = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    return owner, np.repeat(start, count) + offset
+
+
+def member_rows(lat: DyadicLattice, ids, key=0):
+    """(slots, rows) per member count of the cubes ``ids`` and per value of
+    the integer ``key`` (one per cube): rows[i] holds the members of cube
+    ids[slots[i]]."""
+    ids = np.asarray(ids, dtype=int)
+    count = lat.n_members[ids]
     group = np.asarray(key) * (count.max(initial=0) + 1) + count
     for g in np.unique(group).tolist():
         slots = np.flatnonzero(group == g)
-        yield slots, np.array([cubes[j].members for j in slots.tolist()])
+        yield slots, lat.points[lat.offsets[ids[slots], None] +
+                                np.arange(count[slots[0]])]
 
 
 def masked_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -151,30 +228,31 @@ def cube_reduce(lat: DyadicLattice, matrix: np.ndarray, ids,
     src = np.asarray(matrix)
     if axis == 1:
         src = np.ascontiguousarray(src.T)
-    cubes = [lat.cubes[cid] for cid in ids]
-    out = np.empty((len(cubes), src.shape[1]), dtype=src.dtype)
-    for slots, rows in member_rows(cubes, [c.generation for c in cubes]):
+    ids = np.asarray(ids, dtype=int)
+    out = np.empty((ids.size, src.shape[1]), dtype=src.dtype)
+    for slots, rows in member_rows(lat, ids, lat.gen[ids]):
         out[slots] = ufunc.reduce(src[rows], axis=1)
     return np.ascontiguousarray(out.T) if axis == 1 else out
 
 
 def cube_dilations(lat: DyadicLattice, lams) -> np.ndarray:
     """(cubes, 1 + len(lams), N) point masks: each cube of ``lat`` in
-    ``cubes`` order, then its dilations lambda Q = Q union {x : dist(x, Q)
+    ``ids`` order, then its dilations lambda Q = Q union {x : dist(x, Q)
     <= (lambda - 1) diam(Q)} (``space.dilate``), read off ``lat.dist``."""
     if any(lam < 1.0 for lam in lams):
         raise ValueError("dilation parameter must be >= 1")
     reps = lat.column_cubes()
-    n, cubes = lat.space.n_points, [lat.cubes[c] for c in reps]
     reach = cube_reduce(lat, lat.space.rho, reps, np.maximum, axis=0)
-    diam = np.array([row[c.members].max() if c.members.size > 1 else 0.0
-                     for row, c in zip(reach, cubes)])
+    diam = np.zeros(len(reps))
+    for slots, rows in member_rows(lat, reps):
+        if rows.shape[1] > 1:
+            diam[slots] = reach[slots[:, None], rows].max(axis=1)
     inside = lat.member_masks(reps)
-    out = np.empty((len(cubes), 1 + len(lams), n), dtype=bool)
+    out = np.empty((len(reps), 1 + len(lams), lat.space.n_points), dtype=bool)
     out[:, 0] = inside
     for t, lam in enumerate(lams, start=1):
         out[:, t] = (lat.dist <= (lam - 1.0) * diam).T | inside
-    return out[lat.column[list(lat.cubes)]]
+    return out[lat.column[lat.ids]]
 
 
 def _default_k_range(space: MetricMeasureSpace, kappa: float):
@@ -349,7 +427,7 @@ def _draw_batch(space: MetricMeasureSpace, kappa: float, seeds, gens: range,
 def build_lattice(space: MetricMeasureSpace, kappa: float, seed: int = 0,
                   k_range: tuple | None = None) -> DyadicLattice:
     """Greedy net-based lattice construction (properties (i)-(v) by design):
-    one ``Cube`` per region of ``_draw_batch`` that some finest cell chains
+    one cube per region of ``_draw_batch`` that some finest cell chains
     into.  Cube ids number the regions generation by generation, one root
     region at k_min, each region in the order of its center."""
     k_min, k_max = _generation_range(space, kappa, k_range)
@@ -358,32 +436,18 @@ def build_lattice(space: MetricMeasureSpace, kappa: float, seed: int = 0,
         space, kappa, [seed], gens, _nearest_other(space)))
     count = picked.sum(axis=1)
     count[0] = 1
-    ids = np.take_along_axis(np.cumsum(picked, axis=1) - 1, ctr, axis=1) + \
+    lab = np.take_along_axis(np.cumsum(picked, axis=1) - 1, ctr, axis=1) + \
         (np.cumsum(count) - count)[:, None]
-    labels = {k: ids[k - k_min] for k in reversed(gens)}
-    cubes = {}
-    by_gen = {}
-    for k in gens:
-        order = np.argsort(labels[k], kind="stable")   # sorted members
-        lab = labels[k][order]
-        first = np.ones(lab.size, dtype=bool)
-        np.not_equal(lab[1:], lab[:-1], out=first[1:])
-        starts = first.nonzero()[0]
-        by_gen[k] = lab[starts].tolist()
-        bounds = starts.tolist() + [space.n_points]
-        centers = ctr[k - k_min, order[starts]].tolist()
-        parents = labels[k - 1][order[starts]].tolist() if k > k_min \
-            else [None] * len(starts)
-        size = kappa ** k
-        for cid, a, b, center, parent in zip(by_gen[k], bounds, bounds[1:],
-                                             centers, parents):
-            cubes[cid] = Cube(cid, k, order[a:b], center, parent, size=size)
-            if parent is not None:
-                cubes[parent].children.append(cid)
-
-    return DyadicLattice(space=space, kappa=kappa, seed=seed, k_min=k_min,
-                         k_max=k_max, cubes=cubes, by_gen=by_gen,
-                         labels=labels, root_id=by_gen[k_min][0])
+    # the points of a region share its generation, center and parent
+    gen, center, parent = np.full((3, lab.max() + 1), -1)
+    gen[lab] = np.array(gens)[:, None]
+    center[lab] = ctr
+    parent[lab[1:]] = lab[:-1]
+    owner = lab.ravel()
+    ids = np.flatnonzero(np.bincount(owner))        # the regions with points
+    return DyadicLattice(space, kappa, seed, ids, gen, parent, center, owner,
+                         np.tile(np.arange(space.n_points), len(gens)),
+                         {k: lab[k - k_min] for k in reversed(gens)})
 
 
 # ---------------------------------------------------------------------------
@@ -409,48 +473,47 @@ def verify_lattice_properties(lat: DyadicLattice) -> LatticePropertyReport:
     """Check Christ-cube properties (i)-(v) exactly and fit the constant of
     the small-boundary inequality (vi), exponent 1, at the relative
     thicknesses kappa, kappa^2 and kappa^3.  One pass per generation over
-    its cubes' member masks (members, not labels, so hand-edited cubes are
-    checked as they stand); the complement of a cube is read off labels."""
+    its cubes' member masks (members, not labels, so a lattice loaded with
+    broken members is checked as it stands); complements read off labels."""
     space, n, failures = lat.space, lat.space.n_points, []
     # per cube id: not nested in its parent, not under exactly one label
-    nest_bad, lone_bad = np.zeros((2, max(lat.cubes) + 1), dtype=bool)
+    nest_bad, lone_bad = np.zeros((2, lat.gen.size), dtype=bool)
     top = max(space.diam(), space.resolution_h)
     c_diam, a0, c_boundary = 0.0, math.inf, 0.0
     for k in lat.generations():
         ids, lab = np.array(lat.by_gen[k], dtype=int), lat.labels[k]
-        cubes = [lat.cubes[cid] for cid in ids.tolist()]
         if (lab < 0).any():
             failures.append(("partition", k, "uncovered points"))
-        if (np.bincount(np.concatenate([c.members for c in cubes]),
-                        minlength=n) > 1).any():
+        if (np.bincount(lat.member_entries(ids)[1], minlength=n) > 1).any():
             failures.append(("disjointness", k, "overlapping cubes"))
         inside = lat.member_masks(ids)
         # a cube without a parent is checked against itself
+        par = lat.parent[ids]
         nest_bad[ids] = (inside & ~lat.member_masks(
-            [c.id if c.parent is None else c.parent for c in cubes])).any(1)
+            np.where(par < 0, ids, par))).any(1)
         if k > lat.k_min:
             up = lat.labels[k - 1]
             lone_bad[ids] = ~inside.any(axis=1) | (inside & (
                 up != up[inside.argmax(axis=1), None])).any(axis=1)
 
         # diameters, one gather of rho per member count
-        size = np.array([c.size for c in cubes])
-        diam = np.zeros(len(cubes))
-        for slots, rows in member_rows(cubes):
+        size = lat.size[ids]
+        diam = np.zeros(ids.size)
+        for slots, rows in member_rows(lat, ids):
             if rows.shape[1] > 1:
                 diam[slots] = space.rho[rows[:, :, None],
                                         rows[:, None, :]].max(axis=(1, 2))
         c_diam = max(c_diam, float((diam / size).max()))
         # a0: each center to its cube's complement; a full cube: diam(X)
-        full = np.array([c.members.size == n for c in cubes], dtype=bool)
-        near = space.rho[[c.center for c in cubes]]
+        full = lat.n_members[ids] == n
+        near = space.rho[lat.center[ids]]
         near[lab == ids[:, None]] = np.inf
         a0 = min(a0, float((np.where(full, top, near.min(axis=1)) /
                             size).min()))
         # (vi): nu{x in Q : dist(x, X \ Q) <= t * s(Q)} <= C t nu(Q)
         d_out = np.where(lab[:, None] == lab[None, :], np.inf,
                          space.rho).min(axis=1)
-        nu_q = masked_sums(space.nu, inside)
+        nu_q = cube_reduce(lat, space.nu[None, :], ids, np.add)[0]
         keep = ~full & (nu_q > 0)
         for t in (lat.kappa, lat.kappa ** 2, lat.kappa ** 3):
             layer = masked_sums(space.nu, inside[keep] &
@@ -459,10 +522,9 @@ def verify_lattice_properties(lat: DyadicLattice) -> LatticePropertyReport:
                 (layer / (t * nu_q[keep])).max(initial=0.0)))
 
     partition_ok = not failures
-    ids = np.fromiter(lat.cubes, dtype=int)
-    for cid in ids[(nest_bad | lone_bad)[ids]].tolist():
+    for cid in lat.ids[(nest_bad | lone_bad)[lat.ids]].tolist():
         if nest_bad[cid]:
-            failures.append(("nesting", cid, lat.cubes[cid].parent))
+            failures.append(("nesting", cid, int(lat.parent[cid])))
         if lone_bad[cid]:
             failures.append(("unique_ancestor", cid, None))
     return LatticePropertyReport(partition_ok, not nest_bad.any(),
@@ -483,17 +545,9 @@ def skeleton(lat: DyadicLattice, cube: Cube) -> np.ndarray:
     return pts[owners == cube.id]
 
 
-def _near_pairs(space: MetricMeasureSpace):
-    """Ordered pairs (i, j), i != j, with rho(i, j) <= resolution_h, sorted
-    by i; with the distinct i and the start of each one's run of pairs."""
-    i, j = np.nonzero((space.rho <= space.resolution_h)
-                      & ~np.eye(space.n_points, dtype=bool))
-    return (i, j, *np.unique(i, return_index=True))
-
-
 def _skeleton_marks(labels: np.ndarray, near) -> np.ndarray:
     """(..., N) skeleton marks of the (..., N) child labels ``labels``: the
-    points with a near pair (``_near_pairs``) whose labels differ."""
+    points with a near pair (``space.near_pairs``) whose labels differ."""
     i, j, pts, starts = near
     marks = np.zeros(labels.shape, dtype=bool)
     if i.size:
@@ -509,7 +563,7 @@ def _lattice_marks(lat: DyadicLattice):
     ks = sorted(k for k in lat.labels if k + 1 in lat.labels)
     child = np.array([lat.labels[k + 1] for k in ks]).reshape(
         len(ks), lat.space.n_points)
-    return ks, _skeleton_marks(child, _near_pairs(lat.space))
+    return ks, _skeleton_marks(child, lat.space.near_pairs)
 
 
 def skeleton_by_generation(lat: DyadicLattice) -> dict:
@@ -527,24 +581,25 @@ def classify_terminal_transit(lat: DyadicLattice, m: float | None = None):
 
     Returns the fitted growth constant of the transit-cube estimate
     mu(B(center, r)) <= C r^m for r >= s(Q) (only when m is given)."""
-    space, cubes = lat.space, list(lat.cubes.values())
-    # parent inside omega: one reduction of omega over all parents
-    up = sorted({c.parent for c in cubes} - {None})
-    in_omega = dict(zip(up, cube_reduce(lat, space.omega[None, :], up,
-                                        np.logical_and)[0].tolist()))
-    for cube in cubes:
-        cube.terminal = in_omega.get(cube.parent, False) or \
-            bool(lat.mass[cube.id] <= 0.0)
-    if lat.root.terminal:
+    space, ids = lat.space, lat.ids
+    # parent inside omega: one reduction of omega over all cubes; slot -1
+    # (no parent) stays False
+    in_omega = np.zeros(lat.gen.size + 1, dtype=bool)
+    in_omega[ids] = cube_reduce(lat, space.omega[None, :], ids,
+                                np.logical_and)[0]
+    lat.terminal[ids] = in_omega[lat.parent[ids]] | (lat.mass[ids] <= 0.0)
+    if lat.terminal[lat.root_id]:
         raise RootTerminal("root cube is terminal; mu carries no mass")
 
     c_fit = 0.0
     if m is not None:
         diam = space.diam()
-        for cube in (c for c in cubes if not c.terminal):
-            r = cube.size
-            while r <= max(diam, cube.size):
-                mass = space.mu_mass(space.ball_mask(cube.center, r))
+        transit = ids[lat.terminal[ids] == 0]
+        for size, center in zip(lat.size[transit].tolist(),
+                                lat.center[transit].tolist()):
+            r = size
+            while r <= max(diam, size):
+                mass = space.mu_mass(space.ball_mask(center, r))
                 c_fit = max(c_fit, mass / r ** m)
                 r *= 2.0
     return c_fit
@@ -609,28 +664,27 @@ def classify_all_good_bad(lat: DyadicLattice, other: DyadicLattice,
     one ``_coarsest_hits`` call."""
     r_gap = scale_gap(other.kappa, delta_bad, s_param)
     ks, marks = _lattice_marks(other)
-    cubes = list(lat.cubes.values())
-    dists = cube_reduce(lat, other.space.rho, list(lat.cubes), axis=0)
-    hits = _coarsest_hits(marks[:, None], ks, dists, [c.size for c in cubes],
-                          [c.generation - r_gap for c in cubes], other.kappa,
-                          alpha)[0]
-    for cube, hit in zip(cubes, hits.tolist()):
-        cube.good = hit < 0
+    ids = lat.ids
+    dists = cube_reduce(lat, other.space.rho, ids, axis=0)
+    hits = _coarsest_hits(marks[:, None], ks, dists, lat.size[ids].tolist(),
+                          lat.gen[ids] - r_gap, other.kappa, alpha)[0]
+    lat.good[ids] = hits < 0
 
 
-def ensemble_gaps(probes: list, space: MetricMeasureSpace, kappa: float,
-                  alpha: float, ensemble_size: int,
+def ensemble_gaps(members: list, generations, space: MetricMeasureSpace,
+                  kappa: float, alpha: float, ensemble_size: int,
                   master_seed: int = 0) -> np.ndarray:
     """Generation gaps of probe cubes against a seeded random ensemble.
 
     Entry (i, j) is gen(Q) - k for the coarsest generation k < gen(Q) at
-    which probe Q = ``probes[j]`` comes close to the skeleton of a cube of
-    lattice i (see ``classify_good_bad``), 0 when none does.  Q is bad at
+    which probe Q (points ``members[j]``, generation ``generations[j]``)
+    comes close to the skeleton of a cube of lattice i (see
+    ``classify_good_bad``), 0 when none does.  Q is bad at
     separation S iff its gap is at least ``scale_gap(kappa, delta_bad, S)``,
     so one pass answers every S.  Lattice i has seed ``hash((master_seed,
     i)) % 2**32``.  Lattices are drawn in chunks of at most
     ``ENSEMBLE_CELLS`` (seed, generation, point) cells, as nets and centers
-    only (no labels, no ``Cube``), and each chunk is scored as arrays, for
+    only (no labels, no lattice), and each chunk is scored as arrays, for
     the generations a probe can reach, before the next is drawn."""
     if ensemble_size < 1:
         raise ValueError(f"ensemble size must be at least 1, "
@@ -639,24 +693,24 @@ def ensemble_gaps(probes: list, space: MetricMeasureSpace, kappa: float,
     k_min, k_max = _generation_range(space, kappa, None)
     gens = range(k_min, k_max + 1)
     nearest, cands = _nearest_other(space), _candidates(space, kappa, gens)
-    near = _near_pairs(space)
-    dists = np.array([space.rho[q.members].min(axis=0)
-                      for q in probes]).reshape(len(probes), n)
-    gen_q = np.array([q.generation for q in probes], dtype=int)
+    dists = np.array([space.rho[q].min(axis=0)
+                      for q in members]).reshape(len(members), n)
+    gen_q = np.array(generations, dtype=int).reshape(len(members))
+    sizes = [kappa ** g for g in gen_q.tolist()]
     # skeletons of the generations k < min(gen(Q), k_max)
     ks = list(range(k_min, min(gen_q.max(initial=k_min), k_max)))
     seeds = [hash((master_seed, i)) % 2**32 for i in range(ensemble_size)]
     chunks = -(-ensemble_size // max(1, ENSEMBLE_CELLS // (len(gens) * n)))
     size = -(-ensemble_size // chunks)
-    gaps = np.zeros((ensemble_size, len(probes)), dtype=int)
+    gaps = np.zeros((ensemble_size, len(members)), dtype=int)
     for c in range(0, ensemble_size, size):
         # skeletons from the child centers; the chunk's draw is dropped here
         ctr = _draw_batch(space, kappa, seeds[c:c + size], gens, nearest,
                           cands)[1]
-        marks = _skeleton_marks(ctr[1:len(ks) + 1], near)
+        marks = _skeleton_marks(ctr[1:len(ks) + 1], space.near_pairs)
         del ctr
-        hits = _coarsest_hits(marks, ks, dists, [q.size for q in probes],
-                              gen_q - 1, kappa, alpha)
+        hits = _coarsest_hits(marks, ks, dists, sizes, gen_q - 1, kappa,
+                              alpha)
         gaps[c:c + size] = np.where(hits < 0, 0, gen_q - k_min - hits)
     return gaps
 
@@ -674,11 +728,8 @@ def estimate_bad_probability(cube_members: np.ndarray, cube_generation: int,
     """Monte Carlo estimate of P{Q is bad} over random second lattices.
 
     Returns (p_hat, stderr, low_confidence)."""
-    probe = Cube(id=-1, generation=cube_generation, members=cube_members,
-                 center=int(cube_members[0]), parent=None,
-                 size=kappa ** cube_generation)
-    gaps = ensemble_gaps([probe], space, kappa, alpha, ensemble_size,
-                         master_seed)
+    gaps = ensemble_gaps([cube_members], [cube_generation], space, kappa,
+                         alpha, ensemble_size, master_seed)
     bad = int((gaps >= scale_gap(kappa, delta_bad, s_param)).sum())
     return (*bad_fraction(bad, ensemble_size), ensemble_size < 100)
 
@@ -688,19 +739,11 @@ def estimate_bad_probability(cube_members: np.ndarray, cube_generation: int,
 
 
 def lattice_to_json(lat: DyadicLattice) -> dict:
-    gens = []
-    for k in lat.generations():
-        gens.append({
-            "k": k,
-            "cubes": [{
-                "id": cid,
-                "center": lat.cubes[cid].center,
-                "members": lat.cubes[cid].members.tolist(),
-                "parent": lat.cubes[cid].parent,
-                "terminal": lat.cubes[cid].terminal,
-                "good": lat.cubes[cid].good,
-            } for cid in lat.by_gen[k]],
-        })
+    gens = [{"k": k, "cubes": [{
+        "id": c.id, "center": c.center, "members": c.members.tolist(),
+        "parent": c.parent, "terminal": c.terminal, "good": c.good,
+    } for c in map(lat.cubes.__getitem__, lat.by_gen[k])]}
+        for k in lat.generations()]
     return {"kappa": lat.kappa, "seed": lat.seed, "generations": gens}
 
 
@@ -710,28 +753,25 @@ def save_lattice(lat: DyadicLattice, path) -> None:
 
 
 def lattice_from_json(doc: dict, space: MetricMeasureSpace) -> DyadicLattice:
-    kappa = float(doc["kappa"])
-    cubes = {}
-    by_gen = {}
-    for gen in doc["generations"]:
-        k = int(gen["k"])
-        by_gen[k] = []
-        for c in gen["cubes"]:
-            cube = Cube(id=int(c["id"]), generation=k,
-                        members=np.asarray(c["members"], dtype=int),
-                        center=int(c["center"]),
-                        parent=None if c["parent"] is None else int(c["parent"]),
-                        size=kappa ** k,
-                        terminal=c.get("terminal"), good=c.get("good"))
-            cubes[cube.id] = cube
-            by_gen[k].append(cube.id)
-    labels = {k: np.full(space.n_points, -1, dtype=int) for k in by_gen}
-    for cube in cubes.values():
-        labels[cube.generation][cube.members] = cube.id
-        if cube.parent is not None:
-            cubes[cube.parent].children.append(cube.id)
-    k_min = min(by_gen)
-    k_max = max(by_gen)
-    return DyadicLattice(space=space, kappa=kappa, seed=int(doc.get("seed", 0)),
-                         k_min=k_min, k_max=k_max, cubes=cubes, by_gen=by_gen,
-                         labels=labels, root_id=by_gen[k_min][0])
+    """The lattice of a ``lattice_to_json`` document, cubes in document
+    order; a point listed in two cubes of a generation takes the later one's
+    label."""
+    flag = {None: UNSET, False: 0, True: 1}
+    cubes = [(int(gen["k"]), c) for gen in doc["generations"]
+             for c in gen["cubes"]]
+    ids, *rows = np.array(
+        [(c["id"], k, UNSET if c["parent"] is None else c["parent"],
+          c["center"], flag[c.get("terminal")], flag[c.get("good")])
+         for k, c in cubes], dtype=int).reshape(-1, 6).T
+    # gen, parent, center, terminal, good per id
+    table = np.full((5, ids.max() + 1), UNSET)
+    table[:, ids] = rows
+    members = [np.asarray(c["members"], dtype=int) for _, c in cubes]
+    labels = {k: np.full(space.n_points, -1)
+              for k in dict.fromkeys(rows[0].tolist())}
+    for cid, k, m in zip(ids.tolist(), rows[0].tolist(), members):
+        labels[k][m] = cid
+    return DyadicLattice(space, float(doc["kappa"]), int(doc.get("seed", 0)),
+                         ids, *table[:3],
+                         np.repeat(ids, [m.size for m in members]),
+                         np.concatenate(members), labels, table[3:])

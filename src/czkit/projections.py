@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ClassificationMissing, ZeroMass
-from .lattice import Cube, DyadicLattice, build_lattice, classify_all_good_bad, \
-    classify_terminal_transit, member_rows
+from .lattice import UNSET, Cube, DyadicLattice, _ranges, build_lattice, \
+    classify_all_good_bad, classify_terminal_transit, member_rows
 from .space import MetricMeasureSpace
 
 
@@ -32,35 +32,35 @@ class DecompositionPlan:
     ``pt``, ``owner`` i and the child's slot ``child`` (-1: raw increment)."""
 
     def __init__(self, lat: DyadicLattice):
-        if lat.root.terminal is None:
+        if lat.terminal[lat.root_id] == UNSET:
             raise ClassificationMissing("classify terminal/transit first")
-        transit = [c for c in lat.cubes.values() if c.terminal is False]
-        comps = [c for c in transit if not c.is_leaf]
-        cubes = comps + [c for c in transit if c.is_leaf] + \
-            [lat.root] * bool(lat.root.terminal)
-        self.ids = [c.id for c in comps]
-        self.slot = {c.id: i for i, c in enumerate(cubes)}
+        start, count, kids = lat.child_csr
+        transit = lat.ids[lat.terminal[lat.ids] == 0]
+        leaf = count[transit] == 0
+        comps = transit[~leaf]
+        cubes = np.concatenate([comps, transit[leaf], [lat.root_id] *
+                                int(lat.terminal[lat.root_id])]).astype(int)
+        self.ids = comps.tolist()
+        self.slot = dict(zip(cubes.tolist(), range(cubes.size)))
         self.root_slot = self.slot[lat.root_id]
-        parts = [(i, lat.cubes[c]) for i, q in enumerate(comps)
-                 for c in q.children]
-        if any(ch.terminal is None for _, ch in parts):
+        slot = np.full(lat.gen.size, -1)
+        slot[cubes] = np.arange(cubes.size)
+        part_owner, at = _ranges(start[comps], count[comps])
+        parts = kids[at]
+        if (lat.terminal[parts] == UNSET).any():
             raise ClassificationMissing("terminal/transit flags missing")
-        sizes = [ch.members.size for _, ch in parts]
-        self.pt = np.concatenate([ch.members for _, ch in parts] +
-                                 [np.zeros(0, dtype=int)])
+        stop = (lat.terminal[parts] == 1) | (count[parts] == 0)
+        entry, self.pt = lat.member_entries(parts)
         self.pt.setflags(write=False)        # components hand out views
-        self.owner = np.repeat(np.array([i for i, _ in parts], dtype=int),
-                               sizes)
-        self.child = np.repeat(np.array(
-            [-1 if ch.terminal or ch.is_leaf else self.slot[ch.id]
-             for _, ch in parts], dtype=int), sizes)
+        self.owner = part_owner[entry]
+        self.child = np.where(stop, -1, slot[parts])[entry]
         self.start = np.searchsorted(self.owner, np.arange(len(comps) + 1))
-        self.level = np.array([c.generation for c in cubes]) - lat.k_min
+        self.level = lat.gen[cubes] - lat.k_min
         self.by_level = [np.flatnonzero(self.level[self.owner] == k)
                          for k in range(lat.k_max - lat.k_min + 1)]
-        mass = lat.mass[[c.id for c in cubes]]
+        mass = lat.mass[cubes]
         self.groups = [(slots, members, lat.space.mu[members], mass[slots])
-                       for slots, members in member_rows(cubes)]
+                       for slots, members in member_rows(lat, cubes)]
         if (mass <= 0).any():
             raise ZeroMass("average over a cube of zero mu-mass")
 
@@ -124,7 +124,7 @@ class MartingaleDecomposition:
 
 def delta_proj(lat: DyadicLattice, phi: np.ndarray, cube: Cube) -> np.ndarray:
     """Dense Delta_Q phi (zero off Q)."""
-    if cube.terminal is not False:
+    if lat.terminal[cube.id] != 0:
         raise ClassificationMissing("delta projection requires a transit cube")
     return decompose(lat, phi).dense([cube.id])[0]
 
@@ -186,13 +186,18 @@ def properties_check(dec: MartingaleDecomposition,
                             lam_orth / scale)
 
 
+def good_component_ids(lat: DyadicLattice) -> np.ndarray:
+    """The good cubes among the components ``lat.plan.ids``, in order."""
+    ids = np.array(lat.plan.ids, dtype=int)
+    if (lat.good[ids] == UNSET).any():
+        raise ClassificationMissing("good/bad flags missing")
+    return ids[lat.good[ids] == 1]
+
+
 def split_good_bad(dec: MartingaleDecomposition):
     """(f_good, f_bad): Lambda part plus good-cube components vs the rest."""
     lat = dec.lattice
-    good = [lat.cubes[cid].good for cid in lat.plan.ids]
-    if None in good:
-        raise ClassificationMissing("good/bad flags missing")
-    good = np.array(good, dtype=float)
+    good = np.isin(lat.plan.ids, good_component_ids(lat)).astype(float)
     return (dec.add_to(np.full(lat.space.n_points, dec.lambda_part), good),
             dec.add_to(np.zeros(lat.space.n_points), 1.0 - good))
 

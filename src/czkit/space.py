@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,15 @@ class MetricMeasureSpace:
     @property
     def n_points(self) -> int:
         return self.rho.shape[0]
+
+    @cached_property
+    def near_pairs(self) -> tuple:
+        """Ordered pairs (i, j), i != j, with rho(i, j) <= resolution_h,
+        sorted by i; with the distinct i and the start of each one's run of
+        pairs.  Built once per space."""
+        i, j = np.nonzero((self.rho <= self.resolution_h)
+                          & ~np.eye(self.n_points, dtype=bool))
+        return (i, j, *np.unique(i, return_index=True))
 
     def diam(self) -> float:
         return float(self.rho.max()) if self.n_points > 1 else 0.0

@@ -14,7 +14,8 @@ import pytest
 
 from czkit.certify import InteractionMatrix, long_range_entry
 from czkit.examples import generate_example
-from czkit.lattice import build_lattice, classify_terminal_transit
+from czkit.lattice import build_lattice, classify_terminal_transit, \
+    lattice_from_json, lattice_to_json
 from czkit.space import MetricMeasureSpace, space_from_json
 
 
@@ -55,6 +56,23 @@ def explicit_space() -> MetricMeasureSpace:
         "points": list(range(n)), "nu": [1.0] * n,
         "mu": rng.dirichlet(np.ones(n)).tolist(),
         "metric": {"type": "explicit", "matrix": rho.tolist()}})
+
+
+def edited_lattice(lat, edits: dict):
+    """``lat`` loaded back from its ``lattice_to_json`` document after the
+    fields of cube c were updated by edits[c] (a dict, e.g. members or
+    parent); lattices hold no cube objects to edit in place."""
+    doc = lattice_to_json(lat)
+    for gen in doc["generations"]:
+        for cube in gen["cubes"]:
+            cube.update(edits.get(cube["id"], {}))
+    return lattice_from_json(doc, lat.space)
+
+
+def probe_args(cubes) -> tuple:
+    """(members, generations) of the probe cubes, as ``ensemble_gaps``
+    takes them."""
+    return [c.members for c in cubes], [c.generation for c in cubes]
 
 
 def random_interaction(rng, nq, nr, q_gen_stop, skip) -> InteractionMatrix:

@@ -7,25 +7,26 @@ import math
 import numpy as np
 import pytest
 
-from czkit.certify import (_good_component_cubes, admissible_bmo_cubes,
+from czkit.certify import (admissible_bmo_cubes,
                            alpha_param, block_matrix_bound,
                            block_matrix_spectral, bmo_tail_constant,
                            carleson_embedding_check,
                            certify, diagonal_bound, dqr_distance,
                            far_interaction_bound, interaction_matrix,
-                           paraproduct_apply,
+                           pair_geometry, paraproduct_apply,
                            paraproduct_targets, pseudo_bmo_check,
                            schur_bound_long_range, short_range_terminal_bound,
                            short_range_transit_bound, spectral_norm,
                            split_bilinear, whitney_decomposition)
-from czkit.errors import (HypothesisViolated, MultipleParents,
+from czkit.errors import (ClassificationMissing, CzkitError,
+                          HypothesisViolated, MultipleParents,
                           NonTransitEntry)
 from czkit.examples import generate_example
 from czkit.kernels import (bergman_kernel, check_T1, constant_kernel,
                            power_kernel, zero_kernel)
 from czkit.lattice import (Cube, build_lattice, classify_all_good_bad,
                            classify_terminal_transit, scale_gap)
-from czkit.projections import decompose
+from czkit.projections import decompose, good_component_ids, split_good_bad
 from czkit.space import dilate
 from conftest import line_space, random_blocks, random_interaction
 
@@ -383,7 +384,8 @@ def _reference_targets(fine_lat, coarse_lat, r_gap):
     """The per-cube walk up the coarse generations that the label
     reduction replaced."""
     out = {}
-    for q in _good_component_cubes(fine_lat):
+    for q in map(fine_lat.cubes.get,
+                 good_component_ids(fine_lat).tolist()):
         out[q.id] = None
         for g in range(min(q.generation - r_gap + 1, coarse_lat.k_max),
                        coarse_lat.k_min - 1, -1):
@@ -581,18 +583,36 @@ def test_separation_failures_are_counted_and_noted():
         rep.counts["sym_sigma3_violations"] > 0
 
 
+@pytest.mark.parametrize("bare", [(0, 1), (0,), (1,)])
+def test_pair_geometry_needs_good_flags(bare):
+    # a lattice without good flags raises ClassificationMissing, a
+    # CzkitError, so the CLI exits 2; split_good_bad raises the same
+    space, info = generate_example("cantor_measure", level=4)
+    kern = power_kernel(space, m=info["m"], tau=info["tau"])
+    lats = [build_lattice(space, 0.5, seed=s) for s in (1, 2)]
+    for i, lat in enumerate(lats):
+        classify_terminal_transit(lat)
+        if i not in bare:
+            classify_all_good_bad(lat, lats[1 - i], 0.25, 0.25, 2)
+    with pytest.raises(ClassificationMissing) as err:
+        pair_geometry(kern, space, *lats, scale_gap(0.5, 0.25, 2))
+    assert isinstance(err.value, CzkitError)
+    with pytest.raises(ClassificationMissing):
+        split_good_bad(decompose(lats[bare[0]], np.ones(space.n_points)))
+
+
 def test_component_cubes_are_walked_once_per_table(monkeypatch):
     # the sigma split reads each lattice's good component cubes through its
     # row table; the paraproduct targets walk them once per half
     module = importlib.import_module("czkit.certify")   # not the function
     calls = []
-    real = module._good_component_cubes
+    real = module.good_component_ids
 
     def counted(lat):
         calls.append(lat)
         return real(lat)
 
-    monkeypatch.setattr(module, "_good_component_cubes", counted)
+    monkeypatch.setattr(module, "good_component_ids", counted)
     space, info = generate_example("cantor_measure", level=4)
     certify(power_kernel(space, m=info["m"], tau=info["tau"]), space)
     assert 0 < len(calls) <= 4

@@ -30,7 +30,7 @@ from czkit.lattice import (_default_k_range, _nearest_other, build_lattice,
                            ensemble_gaps, estimate_bad_probability,
                            scale_gap, skeleton_by_generation)
 from czkit.space import MetricMeasureSpace
-from conftest import explicit_space
+from conftest import explicit_space, probe_args
 from test_lattice import _assert_draws_match, _draw_nets_reference
 
 SEEDS = (2476693647, 1295026582, 3813294786)
@@ -174,7 +174,8 @@ def test_gaps_match_per_lattice_reference(name, seed):
     chunk = _chunk(space, kappa)
     want = _gaps_reference(probes, space, kappa, alpha, chunk + 1, seed)
     for size in sorted({1, max(1, chunk - 1), chunk, chunk + 1}):
-        got = ensemble_gaps(probes, space, kappa, alpha, size, seed)
+        got = ensemble_gaps(*probe_args(probes), space, kappa, alpha, size,
+                            seed)
         assert got.dtype == want.dtype
         assert got.tobytes() == want[:size].tobytes()
 
@@ -238,7 +239,7 @@ def test_asymmetric_metric_runs_the_fallback(monkeypatch):
 
     monkeypatch.setattr(lattice, "_first_listed", counted)
     probes = _probes(space, kappa, SEEDS[0])
-    gaps = ensemble_gaps(probes, space, kappa, alpha, 8, SEEDS[0])
+    gaps = ensemble_gaps(*probe_args(probes), space, kappa, alpha, 8, SEEDS[0])
     assert sum(missed) > 0
     assert gaps.tobytes() == _gaps_reference(probes, space, kappa, alpha, 8,
                                              SEEDS[0]).tobytes()
@@ -264,10 +265,11 @@ def test_gaps_match_reference_on_random_spaces(n, kappa, seed, cells):
         probes = _probes(space, kappa, seed)
     except DegenerateScale:
         with pytest.raises(DegenerateScale):
-            ensemble_gaps([], space, kappa, alpha, size, seed)
+            ensemble_gaps([], [], space, kappa, alpha, size, seed)
         return
     with mock.patch.object(lattice, "ENSEMBLE_CELLS", cells):
-        got = ensemble_gaps(probes, space, kappa, alpha, size, seed)
+        got = ensemble_gaps(*probe_args(probes), space, kappa, alpha, size,
+                            seed)
     assert got.tobytes() == _gaps_reference(probes, space, kappa, alpha,
                                             size, seed).tobytes()
 
@@ -299,7 +301,7 @@ def test_empty_ensemble_is_rejected(size):
     space, kappa, alpha = _space("uniform_grid")
     probe = _probes(space, kappa, 1)[0]
     with pytest.raises(ValueError, match=f"ensemble size .* got {size}"):
-        ensemble_gaps([probe], space, kappa, alpha, size)
+        ensemble_gaps(*probe_args([probe]), space, kappa, alpha, size)
     with pytest.raises(ValueError, match=f"ensemble size .* got {size}"):
         estimate_bad_probability(probe.members, probe.generation, space,
                                  kappa, alpha, 0.25, 1, size)

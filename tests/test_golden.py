@@ -82,12 +82,31 @@ RUN_REPORTS = {
 }
 
 
+def _report_digest(key):
+    (example, params, overrides), _ = RUN_REPORTS[key]
+    doc = run(make_scenario(example, example_params=dict(params),
+                            **overrides)).to_json()
+    doc.pop("timings")
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def test_golden_run_reports():
-    got = {}
-    for key, ((example, params, overrides), _) in RUN_REPORTS.items():
-        doc = run(make_scenario(example, example_params=dict(params),
-                                **overrides)).to_json()
-        doc.pop("timings")
-        got[key] = hashlib.sha256(
-            json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    got = {key: _report_digest(key) for key in RUN_REPORTS}
     assert got == {key: digest for key, (_, digest) in RUN_REPORTS.items()}
+
+
+@pytest.mark.parametrize("key", ["cantor_level5", "bergman_64_calibrated"])
+def test_run_constructs_no_cube(key, monkeypatch):
+    # the run reads the lattice arrays only: a Cube is a view for the public
+    # API, the JSON files and the tests
+    import czkit.lattice
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Cube was constructed")
+
+    monkeypatch.setattr(czkit.lattice.Cube, "__init__", refuse)
+    lat = czkit.lattice.build_lattice(make_scenario("cantor_measure").space,
+                                      0.5)
+    with pytest.raises(AssertionError, match="a Cube was constructed"):
+        lat.cubes[lat.root_id]
+    assert _report_digest(key) == RUN_REPORTS[key][1]

@@ -1,5 +1,6 @@
 """Dyadic lattice construction, skeletons and good/bad classification."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -20,7 +21,8 @@ from czkit.lattice import (_candidates, _default_k_range, _draw_batch,
                            lattice_to_json, scale_gap, skeleton,
                            skeleton_by_generation, verify_lattice_properties)
 from czkit.space import MetricMeasureSpace
-from conftest import explicit_space, grid_space, line_space
+from conftest import (edited_lattice, explicit_space, grid_space, line_space,
+                      probe_args)
 
 ALPHA_11 = 0.25     # goodness exponent for tau = m = 1
 
@@ -343,8 +345,8 @@ def test_hand_built_overlap_detected():
     k = lat.k_max
     if len(lat.by_gen[k]) > 1:
         a, b = lat.by_gen[k][:2]
-        lat.cubes[a].members = np.union1d(lat.cubes[a].members,
-                                          lat.cubes[b].members)
+        lat = edited_lattice(lat, {a: {"members": np.union1d(
+            lat.members(a), lat.members(b))}})
         rep = verify_lattice_properties(lat)
         assert not rep.partition_ok or not rep.nesting_ok
 
@@ -440,7 +442,7 @@ def test_root_terminal_raises():
     space = line_space(4, mu=mu)
     lat = build_lattice(space, kappa=0.5, seed=0)
     # hand-restrict the root to a zero-mass region
-    lat.root.members = np.array([0, 1])
+    lat = edited_lattice(lat, {lat.root_id: {"members": [0, 1]}})
     with pytest.raises(RootTerminal):
         classify_terminal_transit(lat)
 
@@ -548,7 +550,8 @@ def test_ensemble_gaps_agree_with_classify_good_bad(name):
     rng = np.random.default_rng(4)
     ids = [cid for cid in base.cubes if base.cubes[cid].generation > base.k_min]
     probes = [base.cubes[cid] for cid in rng.choice(ids, 6, replace=False)]
-    gaps = ensemble_gaps(probes, space, 0.5, 0.1, 5, master_seed=9)
+    gaps = ensemble_gaps(*probe_args(probes), space, 0.5, 0.1, 5,
+                         master_seed=9)
     outcomes = set()
     for i in range(5):
         lat2 = build_lattice(space, 0.5, seed=hash((9, i)) % 2**32)
@@ -596,7 +599,7 @@ def test_golden_ensemble_gaps(name, seed):
     probes = [lat.cubes[ids[len(ids) // 2]] for k, ids in lat.by_gen.items()
               if ids and k > lat.k_min][:3]
     ensemble = 150 if name == "bergman_disc_model" else 100
-    gaps = ensemble_gaps(probes, space, info["kappa"],
+    gaps = ensemble_gaps(*probe_args(probes), space, info["kappa"],
                          alpha_param(info["m"], info["tau"]), ensemble,
                          master_seed=seed)
     assert gaps.shape == (ensemble, 3)
@@ -639,6 +642,48 @@ def test_skeleton_by_generation_matches_n_by_n_scan(space):
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def test_cube_views_are_read_only():
+    lat = build_lattice(line_space(8), kappa=0.5, seed=1)
+    classify_terminal_transit(lat)
+    cube = lat.cubes[lat.root_id]
+    for name, value in (("members", np.array([0])), ("parent", 3),
+                        ("children", ()), ("terminal", True), ("good", False)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cube, name, value)
+    with pytest.raises(ValueError):
+        cube.members[0] = 5                  # a read-only view of the CSR
+    with pytest.raises(TypeError):
+        lat.cubes[lat.root_id] = cube
+    assert lat.cubes[lat.root_id].members.tolist() == list(range(8))
+    assert type(lat.root.terminal) is bool and lat.root.good is None
+
+
+def test_json_round_trip_keeps_a_broken_lattice():
+    # cube a also lists the points of b, whose labels keep them: members and
+    # labels disagree, and the document keeps both, with every flag
+    space = grid_space(5)
+    lat = build_lattice(space, kappa=0.5, seed=4)
+    classify_terminal_transit(lat)
+    classify_all_good_bad(lat, build_lattice(space, kappa=0.5, seed=5),
+                          ALPHA_11, 0.25, 1)
+    k = lat.k_max
+    a, b = lat.by_gen[k][:2]
+    broken = edited_lattice(lat, {a: {"members": np.union1d(
+        lat.members(a), lat.members(b)).tolist()}})
+    assert set(broken.members(a).tolist()) > set(lat.members(a).tolist())
+    assert (broken.labels[k][lat.members(b)] == b).all()
+    doc = lattice_to_json(broken)
+    back = lattice_from_json(doc, space)
+    assert lattice_to_json(back) == doc
+    assert all((back.labels[g] == broken.labels[g]).all()
+               for g in broken.labels)
+    flags = {cid: (c.terminal, c.good) for cid, c in lat.cubes.items()}
+    assert {cid: (c.terminal, c.good) for cid, c in back.cubes.items()} == \
+        flags
+    assert verify_lattice_properties(back).failures == \
+        verify_lattice_properties(broken).failures != []
 
 
 def test_lattice_json_round_trip():

@@ -9,7 +9,6 @@ order and every constant the same float bit for bit, on the built-in
 examples, a JSON round trip, hand-broken lattices and spaces with cubes of
 zero nu- or mu-mass."""
 
-import copy
 import dataclasses
 import math
 import tracemalloc
@@ -24,7 +23,7 @@ from czkit.lattice import (build_lattice, classify_terminal_transit,
                            lattice_from_json, lattice_to_json,
                            verify_lattice_properties)
 from czkit.space import MetricMeasureSpace
-from conftest import explicit_space, line_space
+from conftest import edited_lattice, explicit_space, line_space
 
 SEEDS = (1, 2, 2476693647)
 # the four built-ins (line_in_plane has n = 13), the benchmark's line and
@@ -98,26 +97,29 @@ def ref_verify_lattice_properties(lat):
 
 
 def ref_classify_terminal_transit(lat, m=None):
+    """(c_fit, flags): the growth fit and the terminal flag per cube id,
+    which are left out of ``lat``."""
     space = lat.space
     omega = space.omega
+    flags = {}
     for cube in lat.cubes.values():
         in_omega = cube.parent is not None and \
             bool(omega[lat.cubes[cube.parent].members].all())
-        cube.terminal = in_omega or float(space.mu[cube.members].sum()) <= 0.0
-    if lat.root.terminal:
+        flags[cube.id] = in_omega or float(space.mu[cube.members].sum()) <= 0.0
+    if flags[lat.root_id]:
         raise RootTerminal("root cube is terminal; mu carries no mass")
 
     c_fit = 0.0
     if m is not None:
         diam = space.diam()
-        for cid in [c for c, q in lat.cubes.items() if q.terminal is False]:
+        for cid in [c for c, terminal in flags.items() if terminal is False]:
             cube = lat.cubes[cid]
             r = cube.size
             while r <= max(diam, cube.size):
                 mass = space.mu_mass(space.ball_mask(cube.center, r))
                 c_fit = max(c_fit, mass / r ** m)
                 r *= 2.0
-    return c_fit
+    return c_fit, flags
 
 
 def ref_carleson_embedding_check(a, lattice):
@@ -165,9 +167,8 @@ def assert_same_properties(lat):
 def assert_same_flags(lat, m=None):
     """Terminal flags and growth fit against the reference; returns the
     flags by cube id."""
-    twin = copy.deepcopy(lat)
     try:
-        want = ref_classify_terminal_transit(twin, m)
+        want, want_flags = ref_classify_terminal_transit(lat, m)
     except RootTerminal:
         with pytest.raises(RootTerminal):
             classify_terminal_transit(lat, m)
@@ -175,7 +176,7 @@ def assert_same_flags(lat, m=None):
     got = classify_terminal_transit(lat, m)
     assert _hex(got) == _hex(want)
     flags = {cid: c.terminal for cid, c in lat.cubes.items()}
-    assert flags == {cid: c.terminal for cid, c in twin.cubes.items()}
+    assert flags == want_flags
     assert all(type(f) is bool for f in flags.values())
     return flags
 
@@ -240,13 +241,13 @@ def _broken(kind):
             break
     b = cousins[0]
     if kind == "overlap":
-        a.members = np.union1d(a.members, b.members)
+        edits = {a.id: {"members": np.union1d(a.members, b.members)}}
     elif kind == "wrong_parent":
-        a.parent = b.parent
+        edits = {a.id: {"parent": b.parent}}
     else:
-        a.members = np.union1d(a.members, b.members[:1])
-        b.members = b.members[1:]
-    return lat
+        edits = {a.id: {"members": np.union1d(a.members, b.members[:1])},
+                 b.id: {"members": b.members[1:]}}
+    return edited_lattice(lat, edits)
 
 
 @pytest.mark.parametrize("kind,fails", [
@@ -299,7 +300,7 @@ def test_root_terminal_matches_reference():
     mu = np.zeros(4)
     mu[3] = 1.0
     lat = build_lattice(line_space(4, mu=mu), kappa=0.5, seed=0)
-    lat.root.members = np.array([0, 1])
+    lat = edited_lattice(lat, {lat.root_id: {"members": [0, 1]}})
     assert assert_same_flags(lat) is None
 
 
@@ -315,11 +316,11 @@ def test_mass_is_the_member_sum(name):
 def test_mass_honours_members_edited_before_first_use():
     space = line_space(8, mu=np.arange(8.0))
     lat = build_lattice(space, kappa=0.5, seed=1)
-    leaf = lat.cubes[lat.by_gen[lat.k_max][0]]
-    lat.root.members = np.array([0, 5, 6])
-    leaf.members = np.array([7])
+    leaf = lat.by_gen[lat.k_max][0]
+    lat = edited_lattice(lat, {lat.root_id: {"members": [0, 5, 6]},
+                               leaf: {"members": [7]}})
     assert lat.mass[lat.root_id] == 11.0
-    assert lat.mass[leaf.id] == 7.0
+    assert lat.mass[leaf] == 7.0
 
 
 def test_property_and_terminal_passes_memory_peak():

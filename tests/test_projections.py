@@ -58,8 +58,8 @@ def test_average_zero_mass_raises():
     space = line_space(4, mu=mu)
     lat = _classified(space)
     # a zero-mass cube flagged transit leaves its average no mass
-    next(c for c in lat.cubes.values()
-         if space.mu[c.members].sum() == 0).terminal = False
+    lat.terminal[next(c.id for c in lat.cubes.values()
+                      if space.mu[c.members].sum() == 0)] = 0
     with pytest.raises(ZeroMass):
         decompose(lat, np.ones(4))
 
@@ -184,8 +184,7 @@ def test_all_good_gives_zero_bad_part(grid8):
 
 def test_all_bad_leaves_lambda_only(grid8):
     lat = _good_bad_setup(grid8)
-    for cube in lat.cubes.values():
-        cube.good = False
+    lat.good[lat.ids] = 0
     phi = np.random.default_rng(4).standard_normal(grid8.n_points)
     dec = decompose(lat, phi)
     f_good, f_bad = split_good_bad(dec)

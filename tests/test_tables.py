@@ -9,13 +9,13 @@ so the orientation of every reduction is checked too."""
 import numpy as np
 import pytest
 
-from czkit.certify import (_component_rows, _good_component_cubes,
-                           alpha_param, classify_pairs)
+from czkit.certify import _component_rows, alpha_param, classify_pairs
 from czkit.examples import generate_example
 from czkit.lattice import (build_lattice, classify_all_good_bad,
                            classify_good_bad, classify_terminal_transit,
                            cube_dilations, cube_reduce, masked_sums,
                            scale_gap)
+from czkit.projections import good_component_ids
 from czkit.space import dilate
 from conftest import explicit_space
 
@@ -89,12 +89,16 @@ def test_masked_sums_are_the_gathered_sums():
     assert masked_sums(values, mask).tolist() == want
 
 
+def _good_cubes(lat):
+    return [lat.cubes[c] for c in good_component_ids(lat).tolist()]
+
+
 def _reference_pairs(space, fine_lat, coarse_lat, r_gap, alpha):
     """The per-pair classification: one set_dist per measured pair."""
     buckets = {"sigma1": [], "sigma2": [], "sigma3_term": [],
                "sigma3_tran": []}
-    coarse_cubes = _good_component_cubes(coarse_lat)
-    for q in _good_component_cubes(fine_lat):
+    coarse_cubes = _good_cubes(coarse_lat)
+    for q in _good_cubes(fine_lat):
         for r in coarse_cubes:
             gap = q.generation - r.generation
             if gap < 0:
@@ -149,7 +153,7 @@ def test_component_rows_match_the_cubes(name, seed):
         classify_terminal_transit(lat)
     classify_all_good_bad(lat1, lat2, alpha_param(1.0, 1.0), 0.25, 1)
     rows = _component_rows(lat1)
-    cubes = _good_component_cubes(lat1)
+    cubes = _good_cubes(lat1)
     # rows are in increasing cube id order, the slot order of the Schur test
     assert rows.ids.tolist() == sorted(c.id for c in cubes)
     assert rows.ids.tolist() == [c.id for c in cubes]
