@@ -110,18 +110,17 @@ class ComponentRows:
 
 def _component_rows(lat: DyadicLattice) -> ComponentRows:
     ids = good_component_ids(lat)
-    start, count, kids = lat.child_csr
-    row, at = _ranges(start[ids], count[ids])
-    piece = kids[at]
+    row, at = _ranges(lat.child_start[ids], lat.n_children[ids])
+    piece = lat.child_ids[at]
     point_piece = np.full((ids.size, lat.space.n_points), piece.size)
     slot, points = lat.member_entries(piece)
     point_piece[row[slot], points] = slot
     return ComponentRows(
         lattice=lat, ids=ids, gen=lat.gen[ids], size=lat.size[ids],
         mass=lat.mass[ids], center=lat.center[ids], piece=piece,
-        piece_start=np.append(0, np.cumsum(count[ids])),
+        piece_start=np.append(0, np.cumsum(lat.n_children[ids])),
         piece_mass=lat.mass[piece], piece_stop=(lat.terminal[piece] == 1) |
-        (count[piece] == 0), point_piece=point_piece,
+        (lat.n_children[piece] == 0), point_piece=point_piece,
         inside=point_piece < piece.size)
 
 

@@ -54,13 +54,13 @@ class CubeTable(Mapping):
     def __getitem__(self, cid) -> Cube:
         if cid not in self._ids:
             raise KeyError(cid)
-        lat, (start, _, kids) = self._lat, self._lat.child_csr
+        lat, start = self._lat, self._lat.child_start
         parent = int(lat.parent[cid])
         terminal, good = (None if f == UNSET else bool(f)
                           for f in (lat.terminal[cid], lat.good[cid]))
         return Cube(int(cid), int(lat.gen[cid]), lat.members(cid),
                     int(lat.center[cid]), None if parent < 0 else parent,
-                    tuple(kids[start[cid]:start[cid + 1]].tolist()),
+                    tuple(lat.child_ids[start[cid]:start[cid + 1]].tolist()),
                     float(lat.size[cid]), terminal, good)
 
     def __iter__(self):
@@ -74,11 +74,13 @@ class DyadicLattice:
     """A lattice as arrays, one entry per cube id up to the largest: ``gen``,
     ``parent`` (-1: none), ``center``, ``size`` (kappa ** gen) and the flags
     ``terminal`` and ``good`` (``UNSET``, 0 or 1; all unset when ``flags``
-    is None).  Cube c has the points ``points[offsets[c]:offsets[c + 1]]``,
-    ascending: input point pts[i] lies in cube owner[i].  ``ids`` lists the
+    is None).  Cube c has the ``n_members[c]`` points
+    ``points[offsets[c]:offsets[c + 1]]``, ascending (input point pts[i] lies
+    in cube owner[i]), and the ``n_children[c]`` children
+    ``child_ids[child_start[c]:child_start[c + 1]]``.  ``ids`` lists the
     cubes in cube order (id order when built, document order when loaded),
-    ``by_gen[k]`` those of generation k and ``labels[k]`` the cube of each
-    point there."""
+    and children follow it; ``by_gen[k]`` lists the cubes of generation k
+    and ``labels[k]`` the cube of each point there."""
 
     def __init__(self, space: MetricMeasureSpace, kappa: float, seed: int,
                  ids, gen, parent, center, owner, pts, labels: dict,
@@ -95,10 +97,14 @@ class DyadicLattice:
         self.size = np.zeros(gen.size)
         for k, at in self.by_gen.items():
             self.size[at] = kappa ** k
-        self.offsets = np.append(0, np.cumsum(np.bincount(
-            owner, minlength=gen.size)))
+        self.n_members = np.bincount(owner, minlength=gen.size)
+        self.offsets = np.append(0, np.cumsum(self.n_members))
         self.points = pts[np.lexsort((pts, owner))]
         self.points.setflags(write=False)      # cubes hand out views
+        kids = ids[parent[ids] >= 0]
+        self.n_children = np.bincount(parent[kids], minlength=gen.size)
+        self.child_start = np.append(0, np.cumsum(self.n_children))
+        self.child_ids = kids[np.argsort(parent[kids], kind="stable")]
 
     @cached_property
     def cubes(self) -> CubeTable:
@@ -114,24 +120,11 @@ class DyadicLattice:
     def members(self, cid: int) -> np.ndarray:
         return self.points[self.offsets[cid]:self.offsets[cid + 1]]
 
-    @cached_property
-    def n_members(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
     def member_entries(self, ids):
         """(slot, point) per member of the cubes ``ids``, cube by cube."""
         ids = np.asarray(ids, dtype=int)
         slot, at = _ranges(self.offsets[ids], self.n_members[ids])
         return slot, self.points[at]
-
-    @cached_property
-    def child_csr(self):
-        """(start, count, kids): the count[c] children of cube c are
-        kids[start[c]:start[c + 1]], in cube order."""
-        kids = self.ids[self.parent[self.ids] >= 0]
-        count = np.bincount(self.parent[kids], minlength=self.gen.size)
-        return (np.append(0, np.cumsum(count)), count,
-                kids[np.argsort(self.parent[kids], kind="stable")])
 
     @cached_property
     def mass(self) -> np.ndarray:
@@ -148,11 +141,10 @@ class DyadicLattice:
         that name no cube.  A cube with one child holds the child's points
         and shares its column."""
         col = np.full(self.gen.size, -1)
-        start, count, kids = self.child_csr
         for k in sorted(self.by_gen, reverse=True):
             ids = np.array(self.by_gen[k], dtype=int)
-            one = count[ids] == 1
-            col[ids[one]] = col[kids[start[ids[one]]]]
+            one = self.n_children[ids] == 1
+            col[ids[one]] = col[self.child_ids[self.child_start[ids[one]]]]
             col[ids[~one]] = col.max() + 1 + np.arange((~one).sum())
         return col
 
@@ -756,14 +748,12 @@ def lattice_from_json(doc: dict, space: MetricMeasureSpace) -> DyadicLattice:
     """The lattice of a ``lattice_to_json`` document, cubes in document
     order; a point listed in two cubes of a generation takes the later one's
     label."""
-    flag = {None: UNSET, False: 0, True: 1}
     cubes = [(int(gen["k"]), c) for gen in doc["generations"]
              for c in gen["cubes"]]
-    ids, *rows = np.array(
-        [(c["id"], k, UNSET if c["parent"] is None else c["parent"],
-          c["center"], flag[c.get("terminal")], flag[c.get("good")])
-         for k, c in cubes], dtype=int).reshape(-1, 6).T
-    # gen, parent, center, terminal, good per id
+    ids, *rows = np.array([[UNSET if v is None else v for v in (
+        c["id"], k, c["parent"], c["center"], c.get("terminal"),
+        c.get("good"))] for k, c in cubes], dtype=int).reshape(-1, 6).T
+    # gen, parent, center, terminal, good per id; no parent or flag: UNSET
     table = np.full((5, ids.max() + 1), UNSET)
     table[:, ids] = rows
     members = [np.asarray(c["members"], dtype=int) for _, c in cubes]

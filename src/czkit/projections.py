@@ -34,9 +34,8 @@ class DecompositionPlan:
     def __init__(self, lat: DyadicLattice):
         if lat.terminal[lat.root_id] == UNSET:
             raise ClassificationMissing("classify terminal/transit first")
-        start, count, kids = lat.child_csr
         transit = lat.ids[lat.terminal[lat.ids] == 0]
-        leaf = count[transit] == 0
+        leaf = lat.n_children[transit] == 0
         comps = transit[~leaf]
         cubes = np.concatenate([comps, transit[leaf], [lat.root_id] *
                                 int(lat.terminal[lat.root_id])]).astype(int)
@@ -45,11 +44,11 @@ class DecompositionPlan:
         self.root_slot = self.slot[lat.root_id]
         slot = np.full(lat.gen.size, -1)
         slot[cubes] = np.arange(cubes.size)
-        part_owner, at = _ranges(start[comps], count[comps])
-        parts = kids[at]
+        part_owner, at = _ranges(lat.child_start[comps], lat.n_children[comps])
+        parts = lat.child_ids[at]
         if (lat.terminal[parts] == UNSET).any():
             raise ClassificationMissing("terminal/transit flags missing")
-        stop = (lat.terminal[parts] == 1) | (count[parts] == 0)
+        stop = (lat.terminal[parts] == 1) | (lat.n_children[parts] == 0)
         entry, self.pt = lat.member_entries(parts)
         self.pt.setflags(write=False)        # components hand out views
         self.owner = part_owner[entry]
