@@ -24,11 +24,10 @@ import numpy as np
 from .errors import HypothesisViolated, MultipleParents, NonTransitEntry, \
     ZeroMassCube
 from .kernels import KernelSpec, spectral_norm
-from .lattice import UNSET, Cube, DyadicLattice, _ranges, cube_reduce, \
-    masked_sums
+from .lattice import UNSET, Cube, DyadicLattice, _ranges, cube_reduce
 from .projections import MartingaleDecomposition, decompose, \
     good_component_ids, split_good_bad
-from .space import MetricMeasureSpace, dilate
+from .space import MetricMeasureSpace, dilate, masked_sums
 
 
 def alpha_param(m: float, tau: float) -> float:

@@ -19,6 +19,10 @@ from .space import MetricMeasureSpace, dist_to_complement_all
 
 # Testing sets per product in ``check_T1``; bounds its (sets, N) temporaries.
 T1_BLOCK = 64
+# Ranks per band and (anchor, rank, y) cells per block of the smoothness fit;
+# bound its temporaries.
+FIT_RANKS = 32
+FIT_CELLS = 2 ** 16
 
 
 @dataclass
@@ -179,34 +183,77 @@ def check_size_and_smoothness(kernel: KernelSpec,
 def _smoothness_fit(k: np.ndarray, rho: np.ndarray, m: float, tau: float,
                     delta: float) -> float:
     """max |k(x,y) - k(x',y)| rho(x,y)^(tau+m) / rho(x,x')^tau over the
-    triples with 0 < rho(x,x') <= delta rho(x,y).
+    triples with 0 < rho(x,x') <= delta rho(x,y); a NaN ratio (0 * inf, or
+    0 / 0 from an underflowed rho^tau) counts as +inf.
 
-    One pass per anchor x: in the stable sort of row x of rho, the admissible
-    x' of each y are the positions [z, L[y]), z the count of non-positive
-    distances and L[y] the count of distances <= delta rho(x,y).  One block
-    of rows x' = order[z:max L] by all y holds every admissible triple; the
-    staircase j < L[y] masks the rest.  Each ratio is the same floating-point
-    expression as in a triple loop, so the max is exact."""
-    c_smooth = 0.0
-    for x in range(k.shape[0]):
-        row = rho[x]
-        order = np.argsort(row, kind="stable")
-        srow = row[order]
-        lengths = np.searchsorted(srow, delta * row, "right")
-        lengths[~(row > 0)] = 0                     # NaN distances too
-        z = int(np.searchsorted(srow, 0.0, "right"))
-        top = int(lengths.max())
-        if top <= z:
-            continue
-        rows = order[z:top]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            block = np.subtract(k[x], k[rows])              # (x', y)
-            np.abs(block, out=block)
-            block *= row ** (tau + m)
-            block /= (srow[z:top] ** tau)[:, None]
-        stairs = np.arange(z, top)[:, None] < lengths
-        c_smooth = max(c_smooth, float(block.max(where=stairs, initial=0.0)))
-    return c_smooth
+    One stable sort of rho by rows puts the points in distance order from
+    every anchor x.  In that order the admissible y of the x' of rank j are
+    a suffix, the columns from ``first[x, j]`` on, whose reach
+    fl(delta rho(x,y)) is at least rho(x,x'), and the ranks with a positive
+    distance and a nonempty suffix are consecutive.  The fit takes them
+    ``FIT_RANKS`` ranks at a time for every anchor, several anchors of like
+    suffix width per block of about ``FIT_CELLS`` (anchor, rank, y) cells,
+    so only a thin staircase of each block is not admissible.  Per row it
+    takes the max of fl(|k(x,y) - k(x',y)| * rho(x,y)^(tau+m)) over the
+    suffix and divides it once by rho(x,x')^tau: fl(u / q) is monotone in
+    u, so this is the max of the triple loop's ratios bit for bit, and the
+    +inf rule keeps it so when q is 0 or inf."""
+    if not delta > 0:
+        return 0.0                      # no triple is admissible
+    n = k.shape[0]
+    order = np.argsort(rho, axis=1, kind="stable")
+    dist = np.take_along_axis(rho, order, axis=1)   # NaN distances last
+    first = np.empty((n, n), dtype=np.int32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, row in enumerate(dist):
+            reach = delta * row
+            reach[row <= 0] = -np.inf   # no y at distance 0 is admissible
+            first[x] = np.searchsorted(reach, row)
+    z = (dist <= 0).sum(axis=1)
+    end = n - np.isnan(dist).sum(axis=1)
+    live = ((first < end[:, None]) & (dist > 0)).sum(axis=1)
+    top = int(live.max(initial=0))
+    flat = k.ravel()
+    best, e = 0.0, tau + m
+    with np.errstate(all="ignore"):
+        for i0 in range(0, top, FIT_RANKS):
+            xs = np.flatnonzero(live > i0)
+            width = end[xs] - first[xs, z[xs] + i0]
+            xs = xs[np.argsort(width, kind="stable")]
+            group = max(1, FIT_CELLS // (FIT_RANKS * int(width.max())))
+            ranks = np.arange(i0, min(i0 + FIT_RANKS, top))
+            for g in range(0, len(xs), group):
+                x = xs[g:g + group, None]
+                j = z[x] + np.minimum(ranks, live[x] - 1)
+                ratio = _band_max(flat, order, dist, end[x], first[x, j], x,
+                                  j, e, tau)
+                if ratio > best:
+                    best = ratio
+                elif ratio != ratio:
+                    return math.inf
+    return best
+
+
+def _band_max(flat, order, dist, end, first, x, j, e, tau) -> float:
+    """The smoothness fit of the anchors x (G, 1) over their ranks j (G, J);
+    a rank past an anchor's last is that last one again.  The block holds
+    the last W columns of each anchor's order, W the widest suffix, and
+    ``reduceat`` takes row (g, i) over its last end - first columns only."""
+    n = len(dist)
+    width = (end - first).ravel()
+    wide = int(width.max())
+    c = np.maximum(end - wide + np.arange(wide), 0)
+    ys = order[x, c]
+    block = flat.take((order[x, j] * n)[:, :, None] + ys[:, None, :])
+    np.subtract(flat[x * n + ys][:, None, :], block, out=block)
+    np.abs(block, out=block)
+    block *= (dist[x, c] ** e)[:, None, :]
+    stops = np.arange(wide, block.size + 1, wide)
+    bounds = np.empty(2 * len(stops) - 1, dtype=np.intp)
+    bounds[0::2] = stops - width
+    bounds[1::2] = stops[:-1]
+    row_max = np.maximum.reduceat(block.ravel(), bounds)[0::2]
+    return float((row_max.reshape(j.shape) / dist[x, j] ** tau).max())
 
 
 @dataclass
@@ -261,8 +308,12 @@ def check_T1(kernel: KernelSpec, space: MetricMeasureSpace, lattice,
     points off supp mu add nothing to chi_E mu or to an L2(mu) norm."""
     lams = tuple(dilations) + (lambda_bmo,)
     sets = cube_dilations(lattice, lams).reshape(-1, space.n_points)
-    labels = [f"Q{cid}{suffix}" for cid in lattice.ids.tolist()
-              for suffix in [""] + [f"x{lam}" for lam in lams]]
+    cids, suffixes = lattice.ids.tolist(), [""] + [f"x{lam}" for lam in lams]
+
+    def label(s):
+        cube, family = divmod(s, len(suffixes))
+        return f"Q{cids[cube]}{suffixes[family]}"
+
     keys = np.packbits(sets, axis=1)
     first = {}
     for s, key in enumerate(keys.view(f"V{keys.shape[1]}").ravel().tolist()):
@@ -279,7 +330,7 @@ def check_T1(kernel: KernelSpec, space: MetricMeasureSpace, lattice,
         mass = chi_mu.sum(axis=1).tolist()
         direct = (np.square(chi_mu @ k.T) @ mu).tolist()
         adjoint = (np.square(chi_mu @ k) @ mu).tolist()
-        per_cube += [(labels[s], m_s, d / m_s, a / m_s) for s, m_s, d, a
+        per_cube += [(label(s), m_s, d / m_s, a / m_s) for s, m_s, d, a
                      in zip(block, mass, direct, adjoint) if m_s > 0]
     return T1Report(max([0.0] + [r for c in per_cube for r in c[2:]]),
                     per_cube)

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateScale, LeafCube, RootTerminal
-from .space import MetricMeasureSpace
+from .space import MetricMeasureSpace, masked_sums
 
 # Cells (seed x generation x point) per ``_draw_batch`` call of
 # ``ensemble_gaps``; bounds its memory.
@@ -192,19 +192,6 @@ def member_rows(lat: DyadicLattice, ids, key=0):
         slots = np.flatnonzero(group == g)
         yield slots, lat.points[lat.offsets[ids[slots], None] +
                                 np.arange(count[slots[0]])]
-
-
-def masked_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``values`` summed over the entries of each row of ``mask``, bit for
-    bit ``values[np.flatnonzero(row)].sum()``: rows sum by entry count."""
-    count = mask.sum(axis=1)
-    cols = np.nonzero(mask)[1]
-    start = np.cumsum(count) - count
-    out = np.zeros(len(mask))
-    for c in np.unique(count[count > 0]).tolist():
-        rows = np.flatnonzero(count == c)
-        out[rows] = values[cols[start[rows, None] + np.arange(c)]].sum(axis=1)
-    return out
 
 
 def cube_reduce(lat: DyadicLattice, matrix: np.ndarray, ids,

@@ -202,14 +202,37 @@ def default_radii(space: MetricMeasureSpace, exhaustive: bool = False) -> list:
     return radii[::-1]
 
 
+def _ball_table(space: MetricMeasureSpace, weights: np.ndarray, radii,
+                order: float) -> tuple[np.ndarray, np.ndarray]:
+    """weights(B(x, r)) for every point x and radius r, a (points, radii)
+    table, and r ** order per radius by scalar ``**``.
+
+    One (points, radii, N) mask holds every ball; ``masked_sums`` adds the
+    balls of one member count as C-ordered rows, so each mass has the bits
+    of ``weights[space.ball_mask(x, r)].sum()``."""
+    powers = []
+    for r in radii:
+        try:
+            power = r ** order
+        except OverflowError:
+            power = math.inf
+        if not 0 < power < math.inf:
+            raise ValueError(f"radius {r:g} to the power {order:g} is out "
+                             "of the float64 range")
+        powers.append(power)
+    inside = space.rho[:, None, :] < np.asarray(radii, dtype=float)[:, None]
+    masses = masked_sums(weights, inside.reshape(-1, space.n_points))
+    return masses.reshape(space.n_points, len(radii)), np.array(powers)
+
+
 def check_ahlfors_regularity(space: MetricMeasureSpace, n_dim: float,
                              radii) -> RegularityReport:
     """Fit the tightest Ahlfors constants nu(B(x,r)) / r^n over the sample."""
     radii = list(radii)
     if not radii:
         raise EmptyRadiusList("no radii supplied")
-    ratios = np.array([space.nu_mass(space.ball_mask(x, r)) / r ** n_dim
-                       for x in range(space.n_points) for r in radii])
+    masses, powers = _ball_table(space, space.nu, radii, n_dim)
+    ratios = masses / powers
     degenerate = space.n_points <= 1 or ratios.min() <= 0
     c1 = float(ratios.min())
     c2 = float(ratios.max())
@@ -225,16 +248,12 @@ def check_growth_condition(space: MetricMeasureSpace, m: float,
         raise ValueError("growth order m must be positive")
     if radii is None:
         radii = default_radii(space)
-    c_h = 0.0
-    non_ahlfors = []
-    for x in range(space.n_points):
-        for r in radii:
-            mass = space.mu_mass(space.ball_mask(x, r))
-            ratio = mass / r ** m
-            c_h = max(c_h, ratio)
-            if mass > r ** m:
-                non_ahlfors.append((x, float(r)))
-    return c_h, non_ahlfors
+    radii = list(radii)
+    masses, powers = _ball_table(space, space.mu, radii, m)
+    c_h = float((masses / powers).max(initial=0.0))
+    xs, rs = np.nonzero(masses > powers)
+    return c_h, [(x, float(radii[r])) for x, r in zip(xs.tolist(),
+                                                      rs.tolist())]
 
 
 def verify_omega_capture(space: MetricMeasureSpace, m: float,
@@ -246,7 +265,29 @@ def verify_omega_capture(space: MetricMeasureSpace, m: float,
 
 def _omega_captures(space: MetricMeasureSpace, non_ahlfors) -> bool:
     """True iff every ball (x, r) of the list lies inside omega."""
-    return all(space.omega[space.ball_mask(x, r)].all() for x, r in non_ahlfors)
+    if not non_ahlfors:
+        return True
+    xs, rs = zip(*non_ahlfors)
+    inside = space.rho[list(xs)] < np.asarray(rs, dtype=float)[:, None]
+    return not (inside & ~space.omega).any()
+
+
+def masked_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``values`` summed over the entries of each row of ``mask``, bit for
+    bit ``values[np.flatnonzero(row)].sum()``: one gather of the rows in
+    order of entry count, then the rows of one count sum as a C-ordered
+    matrix."""
+    count = mask.sum(axis=1)
+    order = np.argsort(count, kind="stable")
+    picked = np.broadcast_to(values, mask.shape)[mask[order]]
+    out = np.zeros(len(mask))
+    sizes, groups = np.unique(count, return_counts=True)
+    row = cell = 0
+    for c, rows in zip(sizes.tolist(), groups.tolist()):
+        out[order[row:row + rows]] = \
+            picked[cell:cell + rows * c].reshape(rows, c).sum(axis=1)
+        row, cell = row + rows, cell + rows * c
+    return out
 
 
 def dist_to_complement(space: MetricMeasureSpace, x: int) -> float:

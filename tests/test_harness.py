@@ -421,6 +421,28 @@ def test_cli_certify_needs_example_or_space_and_kernel(argv, capsys):
         "error: need --example or --space with --kernel\n"
 
 
+def test_cli_certify_overflowing_radius_power_is_bad_input(tmp_path, capsys):
+    # a 6-point line scaled by 1e160: the n_dim = 2 Ahlfors check takes
+    # r^2 > 1.8e308, which must exit 2 with a message, not a traceback
+    n = 6
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({
+        "points": list(range(n)), "nu": [1.0] * n, "mu": [1 / n] * n,
+        "metric": {"type": "explicit",
+                   "matrix": [[abs(i - j) * 1e160 for j in range(n)]
+                              for i in range(n)]}}))
+    matrix = np.ones((n, n))
+    matrix[0, 5] = matrix[5, 0] = 2.0
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(json.dumps({"type": "explicit", "m": 1.0, "tau": 1.0,
+                                  "matrix": matrix.tolist()}))
+    assert cli.main(["certify", "--space", str(path), "--kernel",
+                     str(kernel)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius ") and \
+        err.endswith("to the power 2 is out of the float64 range\n")
+
+
 def test_broken_triangle_inequality_stops_before_certify(tmp_path, capsys):
     # rho(a, c) = 3 > rho(a, b) + rho(b, c): the space stage fails
     path = tmp_path / "bent.json"

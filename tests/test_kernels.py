@@ -1,10 +1,14 @@
 """Kernel families, operator application, testing condition, norms."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from czkit import kernels
 from czkit.errors import NonFiniteKernelValue, OmegaIsWholeSpace
 from czkit.kernels import (adjoint_apply, apply, bergman_kernel, bilinear,
                            check_d_domination, check_size_and_smoothness,
@@ -121,8 +125,9 @@ def test_smoothness_fit_brute_force():
 
 
 def _reference_fit(k, rho, m, tau, delta):
-    """The per-y loop the staircase fit replaced: (c_size, c_smooth) of the
-    first kernel variable, as the triple loop's floating-point expressions."""
+    """A per-y loop over all (x, x'): (c_size, c_smooth) of the first kernel
+    variable, as the triple loop's floating-point expressions; a NaN ratio
+    counts as +inf."""
     n = len(rho)
     off = ~np.eye(n, dtype=bool)
     c_size = float(np.max(np.abs(k[off]) * rho[off] ** m)) if n > 1 else 0.0
@@ -132,8 +137,9 @@ def _reference_fit(k, rho, m, tau, delta):
         col, ry = k[:, y], rho[:, y, None]
         diff = np.abs(col[:, None] - col[None, :])       # (x, x')
         admissible = (rho <= delta * ry) & (ry > 0) & positive
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = diff * ry ** (tau + m) / rho_tau
+        ratio[np.isnan(ratio)] = np.inf
         c_smooth = max(c_smooth,
                        float(ratio.max(where=admissible, initial=0.0)))
     return c_size, c_smooth
@@ -170,15 +176,19 @@ def test_smoothness_fit_matches_reference_on_explicit_metric():
                         C_CZ=1.0), space)
 
 
-@given(st.integers(2, 12), st.integers(0, 2**32 - 1),
+@given(st.integers(2, 60), st.integers(0, 2**32 - 1),
        st.sampled_from([0.5, 1.0, 1.5, np.log(2) / np.log(3)]),
        st.sampled_from([0.3, 1.0, 2.0]), st.sampled_from([0.25, 0.5, 1.0]),
-       st.booleans(), st.booleans())
+       st.booleans(), st.booleans(), st.sampled_from([1, 2, 3, 32]),
+       st.sampled_from([1, 2, 3, 200, 2 ** 16]))
 @settings(max_examples=60, deadline=None)
 def test_smoothness_fit_matches_reference_random(n, seed, m, tau, delta,
-                                                 asymmetric, zeros):
+                                                 asymmetric, zeros, ranks,
+                                                 cells):
     # random non-symmetric kernels on tied, possibly asymmetric distances
-    # with possibly zero off-diagonal entries
+    # with possibly zero off-diagonal entries; bands of 1-3 ranks and blocks
+    # of 1-3 cells put a band or block boundary after every rank or anchor,
+    # 200 cells batch a few anchors per block
     rng = np.random.default_rng(seed)
     rho = rng.integers(1, 5, (n, n)).astype(float) * 0.5
     if not asymmetric:
@@ -191,6 +201,25 @@ def test_smoothness_fit_matches_reference_random(n, seed, m, tau, delta,
     mat = rng.integers(-3, 4, (n, n)) * rng.choice([1.0, 0.1, 1 / 3], (n, n))
     kern = explicit_kernel(space, mat, m=m, tau=tau, C_CZ=1.0)
     kern.delta_CZ = delta
+    with mock.patch.object(kernels, "FIT_RANKS", ranks), \
+            mock.patch.object(kernels, "FIT_CELLS", cells):
+        _assert_fit_matches_reference(kern, space)
+
+
+@pytest.mark.parametrize("scale, m, tau", [
+    (1e160, 1.0, 1.0),      # rho(0,5)^2 = 2.5e321 overflows
+    (1e-170, 1.0, 2.0)])    # rho^tau underflows to 0 for the nearest x'
+def test_smoothness_fit_counts_nan_ratios_as_inf(scale, m, tau):
+    # a 6-point line, kernel all ones but k(0,5) = k(5,0) = 2: the zero
+    # differences meet rho^(tau+m) = inf (0 * inf) or rho^tau = 0 (0 / 0),
+    # and an anchor with a NaN ratio must not drop out of the max
+    space = line_space(6)
+    space.rho = space.rho * scale
+    mat = np.ones((6, 6))
+    mat[0, 5] = mat[5, 0] = 2.0
+    kern = explicit_kernel(space, mat, m=m, tau=tau, C_CZ=1.0)
+    assert check_size_and_smoothness(kern, space).c_smooth == math.inf
+    assert explicit_kernel(space, mat, m=m, tau=tau).C_CZ == math.inf
     _assert_fit_matches_reference(kern, space)
 
 

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from czkit.errors import EmptyRadiusList, EmptySet
-from czkit.space import (MetricMeasureSpace, check_ahlfors_regularity,
+from czkit.examples import generate_example
+from czkit.space import (MetricMeasureSpace, _omega_captures,
+                         check_ahlfors_regularity,
                          check_growth_condition, default_radii, dilate,
                          dist_to_complement, dist_to_complement_all,
                          load_space, save_space, verify_omega_capture,
@@ -284,6 +286,66 @@ def test_capture_monotone_in_omega():
 def test_line_example_capture(line_example):
     space, info = line_example
     assert verify_omega_capture(space, info["m"])
+
+
+def _reference_balls(space, m, n_dim, radii):
+    """The per-ball loop the mask table replaced: (C_H, non-Ahlfors balls,
+    omega capture, c1, c2)."""
+    c_h, non_ahlfors, ratios = 0.0, [], []
+    for x in range(space.n_points):
+        for r in radii:
+            mask = space.ball_mask(x, r)
+            mass = space.mu_mass(mask)
+            c_h = max(c_h, mass / r ** m)
+            if mass > r ** m:
+                non_ahlfors.append((x, float(r)))
+            ratios.append(space.nu_mass(mask) / r ** n_dim)
+    capture = all(space.omega[space.ball_mask(x, r)].all()
+                  for x, r in non_ahlfors)
+    return c_h, non_ahlfors, capture, min(ratios), max(ratios)
+
+
+def _ball_case(case):
+    if case == "point_mass_line":
+        mu = np.zeros(9)
+        mu[[2, 3]] = 0.5
+        space = line_space(9, omega=(1, 2, 3, 4), mu=mu)
+        space.rho, space.resolution_h = space.rho * 0.1, 0.1
+        return space, 1.0
+    name, params = case
+    space, info = generate_example(name, **params)
+    return space, info["m"]
+
+
+@pytest.mark.parametrize("case", [
+    "point_mass_line", ("uniform_grid", {}), ("line_in_plane", {"n": 21}),
+    ("cantor_measure", {"level": 6}), ("bergman_disc_model", {}),
+    ("bergman_disc_model", {"n_ring": 64, "n_cluster": 8,
+                            "n_boundary": 32})])
+def test_ball_table_matches_per_ball_reference(case):
+    # bit for bit: C_H, the non-Ahlfors list, omega capture, c1 and c2
+    space, m = _ball_case(case)
+    for radii in (default_radii(space), default_radii(space, True)[::3]):
+        c_h, bad, capture, c1, c2 = _reference_balls(space, m, 2.0, radii)
+        got_h, got_bad = check_growth_condition(space, m, radii)
+        reg = check_ahlfors_regularity(space, 2.0, radii)
+        assert got_h.hex() == c_h.hex() and got_bad == bad
+        assert _omega_captures(space, got_bad) is capture
+        assert (reg.c1.hex(), reg.c2.hex()) == (c1.hex(), c2.hex())
+    assert case != "point_mass_line" or (bad and not capture)
+
+
+def test_radius_power_out_of_range_is_bad_input():
+    # on a line scaled by 1e160 every r^2 overflows float64
+    space = line_space(6)
+    space.rho = space.rho * 1e160
+    radii = default_radii(space)
+    with pytest.raises(ValueError, match="to the power 2 is out of the "
+                                         "float64 range"):
+        check_ahlfors_regularity(space, 2.0, radii)
+    with pytest.raises(ValueError, match="out of the float64 range"):
+        check_growth_condition(space, 2.0, radii)
+    assert check_growth_condition(space, 1.0, radii)[1] == []
 
 
 # ---------------------------------------------------------------------------
