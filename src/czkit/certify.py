@@ -264,8 +264,8 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
             "sigma1": _diagonal_geometry(half, abs_op, piece_sup),
             "sigma2": _far_geometry(kernel, half, abs_op),
             "sigma3_term": _terminal_geometry(space, half, abs_op),
-            "sigma3_tran": _transit_geometry(kernel, space, half, piece_sup,
-                                             alpha)}
+            "sigma3_tran": _transit_geometry(kernel, space, half, abs_op,
+                                             piece_sup, alpha)}
         halves.append(half)
     return tuple(halves)
 
@@ -436,6 +436,35 @@ def _scalar_pow(base, exp) -> np.ndarray:
     return (_py_floats(base) ** exp).astype(float)
 
 
+def _pair_norm(rows, cols, values) -> float:
+    """A certified upper bound on ||M||_2, M the matrix with |values| summed
+    at (rows, cols): the Collatz-Wielandt bound max_j (M^T M y)_j / y_j on
+    ||M||^2 for y > 0 from at most 500 power iterations on the pair list,
+    which stop once it is within 1e-7 of the Rayleigh quotient, with a
+    margin of 4 (pairs + 8) eps for the rounding of sums of nonnegative
+    terms.  Values and weights are raised to 1e-100 times the largest, so
+    no product underflows; a value that is not finite gives +inf."""
+    iterations, rtol, floor = 500, 1e-7, 1e-100
+    values = np.abs(np.asarray(values, dtype=float))
+    if not np.isfinite(values).all():
+        return math.inf
+    top = float(values.max(initial=0.0))
+    if top == 0:
+        return 0.0
+    v = np.maximum(values / top, floor)
+    r, c = (np.unique(at, return_inverse=True)[1] for at in (rows, cols))
+    y = np.ones(c.max() + 1)
+    for _ in range(iterations):
+        z = np.bincount(r, v * y[c])
+        w = np.bincount(c, v * z[r])
+        bound = float((w / y).max())
+        if bound <= (z @ z) / (y @ y) * (1 + rtol):
+            break
+        y = np.maximum(w / w.max(), floor)
+    margin = 1 + 4 * (v.size + 8) * np.finfo(float).eps
+    return top * math.sqrt(bound * margin)
+
+
 def interaction_matrix(fine: ComponentRows, coarse: ComponentRows,
                        pairs: PairTable, m: float,
                        tau: float) -> InteractionMatrix:
@@ -586,7 +615,8 @@ def _terminal_geometry(space, half: HalfData, abs_op) -> dict:
     """Groups of terminal pairs sharing the coarse cube R and its holding
     child, in order of first pair; the weight k_sup sqrt(mu(U) mu(R)) of
     each, U the child and the group's fine cubes, k_sup the kernel sup over
-    the rows of U; and the regime constant."""
+    the rows of U; and the regime constant, sqrt(m) times the pair norm of
+    the (group, R) weights, as a fine cube falls in at most m groups."""
     t = half.pairs["sigma3_term"]
     coarse = half.coarse_rows
     _, first, group = np.unique(t.r * half.coarse_lat.gen.size + t.rq,
@@ -601,12 +631,10 @@ def _terminal_geometry(space, half: HalfData, abs_op) -> dict:
     k_sup = np.where(union, abs_op.max(axis=1), -np.inf).max(axis=1)
     weight = k_sup * np.sqrt(masked_sums(space.mu, union) *
                              coarse.mass[r_rows])
-    # per R: the root of its group count times its largest weight
-    worst = np.zeros(len(coarse.ids))
-    np.maximum.at(worst, r_rows, weight)
-    n_groups = np.bincount(r_rows, minlength=worst.size)
+    mult = int(np.bincount(t.q).max(initial=0))
+    constant = _pair_norm(np.arange(weight.size), r_rows, weight)
     return {"group": group, "r_row": r_rows, "weight": weight,
-            "constant": float((np.sqrt(n_groups) * worst).max(initial=0.0))}
+            "multiplicity": mult, "constant": constant * math.sqrt(mult)}
 
 
 def short_range_terminal_bound(split: SigmaSplit, half_index: int = 0):
@@ -633,14 +661,17 @@ def short_range_terminal_bound(split: SigmaSplit, half_index: int = 0):
 # short range: transit part
 
 
-def _transit_geometry(kernel, space, half: HalfData, piece_sup,
+def _transit_geometry(kernel, space, half: HalfData, abs_op, piece_sup,
                       alpha: float) -> dict:
     """Per-pair coefficients of the three short range transit estimates,
-    the extension and block part of the regime constant, and the hypothesis
-    violations, which depend on the lattices only.  Distances and kernel
-    sups from a fine cube Q to the coarse remainder R minus R_Q are the
-    extremes over the pieces of R other than R_Q, read off (Q, piece)
-    tables; ``piece_sup`` is as in ``_diagonal_geometry``."""
+    the regime constant, and the hypothesis violations, which depend on the
+    lattices only.  Distances and kernel sups from a fine cube Q to the
+    coarse remainder R minus R_Q are the extremes over the pieces of R other
+    than R_Q, read off (Q, piece) tables; ``piece_sup`` is as in
+    ``_diagonal_geometry``.  The constant is the pair norm of the far plus
+    sqrt(mu(Q) / mu(R_Q)) times the extension coefficient, as |c_val| <=
+    ||Delta_R g|| / sqrt(mu(R_Q)) and ||Delta_Q f||_L1 <= sqrt(mu(Q))
+    ||Delta_Q f||."""
     t = half.pairs["sigma3_tran"]
     q, r, rq = t.q, t.r, t.rq
     mu, fine, coarse = space.mu, half.fine_rows, half.coarse_rows
@@ -711,23 +742,22 @@ def _transit_geometry(kernel, space, half: HalfData, piece_sup,
     chain &= reach <= kernel.delta_CZ * d.min(axis=0)
     violations += ["pair: extension estimate fell back to the exact "
                    "pairing"] * int((~chain).sum())
-    # extension entry over block entry; the masses cancel
-    ext_const = ext_coef / _scalar_pow(fine.size[q] / coarse.size[r], tau / 2)
+    # where the chain fails: mu(y) max over Q of |op|, summed off R_Q
+    ext = np.where(chain, ext_coef, 0.0)
+    rows, at = np.unique(q[~chain], return_inverse=True)
+    row_sup = cube_reduce(fine.lattice, abs_op, fine.ids[rows], np.maximum,
+                          axis=0)[at]
+    ext[~chain] = np.where(in_rq[~chain], 0.0, mu * row_sup).sum(axis=1)
 
-    # (c) block aggregation material: the fitted series of the block lemma,
-    # plus the plain entry series of the fine cubes that meet two coarse
-    # cubes at one gap, outside the lemma's one-chain structure
-    entries = q, r, t.gap, mass_q, mass_rq
-    block_t = _block_entries(kappa, tau, *entries[2:])
+    # (c) block aggregation material: the explicit series of the block
+    # lemma, plus the plain entry series of the fine cubes that meet two
+    # coarse cubes at one gap, outside the lemma's one-chain structure
+    block_t = _block_entries(kappa, tau, t.gap, mass_q, mass_rq)
     _, at, n = np.unique(q * (t.gap.max(initial=0) + 1) + t.gap,
                          return_inverse=True, return_counts=True)
     straddle = n[at.ravel()] > 1
-    c_str = float(block_t[straddle].sum())
-    fitted = block_matrix_bound(
-        [col[~straddle] for col in entries], np.zeros(len(fine.ids)),
-        np.zeros(len(coarse.ids)), kappa, tau)[2] + c_str
-    explicit = 1.0 / (1.0 - kappa ** (tau / 2.0))
-    block_coef = explicit * (not straddle.all()) + c_str
+    block_coef = (1.0 / (1.0 - kappa ** (tau / 2.0)) * (not straddle.all()) +
+                  float(block_t[straddle].sum()))
     if straddle.any():
         violations.append(f"{int(straddle.sum())} short range pairs "
                           "straddle coarse cubes and use the entrywise series")
@@ -741,8 +771,8 @@ def _transit_geometry(kernel, space, half: HalfData, piece_sup,
             "on_cube": on_cube, "on_mass": on_cube.sum(axis=1),
             "cube_col": cube_col.reshape(-1, 2),
             "block_t": block_t, "block_coef": block_coef,
-            "constant": float(ext_const.max(initial=0.0)) *
-            max(fitted, explicit), "violations": violations}
+            "constant": _pair_norm(q, r, far_coef + np.sqrt(
+                mass_q / mass_rq) * ext), "violations": violations}
 
 
 def short_range_transit_bound(split: SigmaSplit, hi: int):
@@ -1033,8 +1063,7 @@ def _diagonal_geometry(half: HalfData, abs_op, piece_sup) -> dict:
     w_raw = np.where(fine.piece_stop[f_piece], row_sup[f_piece] * mass,
                      np.where(coarse.piece_stop[c_piece],
                               col_sup[c_piece] * mass, math.nan))
-    return {"starts": np.cumsum(sons) - sons, "f_piece": f_piece,
-            "c_piece": c_piece,
+    return {"f_piece": f_piece, "c_piece": c_piece,
             "w_rect": rect[f_piece, c_piece] * mass, "w_raw": w_raw}
 
 
@@ -1047,20 +1076,6 @@ def _diagonal_weights(half: HalfData, t1_A: float) -> np.ndarray:
     return np.where(np.isnan(geo["w_raw"]),
                     np.where(w_rect > 0, np.minimum(sqrt_a, w_rect), sqrt_a),
                     geo["w_raw"])
-
-
-def _diagonal_constant(half: HalfData, t1_A: float) -> float:
-    """Worst son-pair weight times the root of the son-pair count, over the
-    pairs, times the root of each side's cube multiplicity."""
-    w = _diagonal_weights(half, t1_A)
-    if not w.size:
-        return 0.0
-    starts = half.geo["sigma1"]["starts"]
-    t = half.pairs["sigma1"]
-    m_f, m_c = (int(np.bincount(rows).max()) for rows in (t.q, t.r))
-    sons = np.diff(np.append(starts, w.size))
-    worst = np.maximum.reduceat(w, starts)
-    return float((worst * np.sqrt(sons)).max()) * math.sqrt(m_f * m_c)
 
 
 def diagonal_bound(split: SigmaSplit, half_index: int, t1_A: float):
@@ -1115,33 +1130,24 @@ def _probe_functions(space: MetricMeasureSpace, lat: DyadicLattice,
 
 def _far_geometry(kernel, half: HalfData, abs_op) -> dict:
     """The explicit far bound of every long range pair per unit component
-    norms, with ``far`` marking the pairs that meet its distance hypothesis;
-    and the regime constants: the Schur constant of the far pairs and the
-    sup fallback constant of the near pairs (normally none)."""
+    norms, with ``far`` marking the pairs that meet its distance hypothesis,
+    and the regime constant: the pair norm of those bounds, with the kernel
+    sup over the (R, Q) rectangle times sqrt(mu(Q) mu(R)) where it fails."""
     t = half.pairs["sigma2"]
     q, r, far = t.q, t.r, t.far_ok
     fine, coarse = half.fine_rows, half.coarse_rows
-    m, tau = kernel.m, kernel.tau
     coef = _far_coefficient(kernel, fine.size[q], coarse.size[r],
                             fine.mass[q], coarse.mass[r], t.dist)
-    c_far = c_near = 0.0
-    if far.any():
-        mat = interaction_matrix(fine, coarse, t.select(far), m, tau)
-        schur = schur_bound_long_range(mat, *map(np.ones, mat.entries.shape),
-                                       m, tau)
-        c_far = kernel.C_CZ * 3.0 ** (m + tau) * schur.c_schur
+    weight = coef.copy()
     if not far.all():
-        # kernel sup over the (R, Q) rectangle of every near pair
         q_near, q_at = np.unique(q[~far], return_inverse=True)
         r_near, r_at = np.unique(r[~far], return_inverse=True)
         sup = cube_reduce(half.coarse_lat, cube_reduce(
             half.fine_lat, abs_op, fine.ids[q_near], np.maximum),
             coarse.ids[r_near], np.maximum, axis=0)[r_at, q_at]
-        worst = max(0.0, float((sup * np.sqrt(fine.mass[q[~far]] *
-                                              coarse.mass[r[~far]])).max()))
-        c_near = worst * math.sqrt(np.bincount(q[~far]).max() *
-                                   np.bincount(r[~far]).max())
-    return {"coef": coef, "far": far, "c_far": c_far, "c_near": c_near}
+        weight[~far] = sup * np.sqrt(fine.mass[q[~far]] *
+                                     coarse.mass[r[~far]])
+    return {"coef": coef, "far": far, "constant": _pair_norm(q, r, weight)}
 
 
 def _sigma2_probe_check(half: HalfData, prefix: str):
@@ -1201,21 +1207,22 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
     identity = []          # paraproduct identity of probe 0, per half
     for half, coarse_fn, prefix in zip(geometry, (probes_g[0], probes_f[0]),
                                        ("", "sym_")):
-        far_geo = half.geo["sigma2"]
-        n_near = int((~far_geo["far"]).sum())
+        n_near = int((~half.geo["sigma2"]["far"]).sum())
         violations = len(half.geo["sigma3_tran"]["violations"])
         counts.update({prefix + regime + "_pairs": len(t)
                        for regime, t in half.pairs.items()})
         counts[prefix + "sigma2_fallback_pairs"] = n_near
         counts[prefix + "sigma3_violations"] = violations
+        counts[prefix + "sigma3_term_multiplicity"] = \
+            half.geo["sigma3_term"]["multiplicity"]
         if n_near:
             notes.append(f"{prefix or 'primary '}half: {n_near} long "
                          "range pairs needed the sup fallback")
-        c_parts[prefix + "sigma1"] = _diagonal_constant(half, a_t1)
-        c_parts[prefix + "sigma2"] = far_geo["c_far"] + far_geo["c_near"]
-        c_parts[prefix + "sigma3_term"] = half.geo["sigma3_term"]["constant"]
-        c_parts[prefix + "sigma3_tran"] = (far_geo["c_far"] +
-                                           half.geo["sigma3_tran"]["constant"])
+        diag = half.geo["sigma1"]
+        c_parts[prefix + "sigma1"] = _pair_norm(
+            diag["f_piece"], diag["c_piece"], _diagonal_weights(half, a_t1))
+        for regime in ("sigma2", "sigma3_term", "sigma3_tran"):
+            c_parts[prefix + regime] = half.geo[regime]["constant"]
         if violations:
             notes.append(f"{prefix or 'primary '}half: {violations} short "
                          "range pairs broke the goodness distance bound")

@@ -171,7 +171,9 @@ def check_size_and_smoothness(kernel: KernelSpec,
     k = kernel.matrix
     n = space.n_points
     off = ~np.eye(n, dtype=bool)
-    c_size = float(np.max(np.abs(k[off]) * rho[off] ** kernel.m)) if n > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN (0 * inf): +inf
+        ratios = np.abs(k[off]) * rho[off] ** kernel.m
+    c_size = float(np.where(np.isnan(ratios), np.inf, ratios).max(initial=0))
     c_smooth = _smoothness_fit(k, rho, kernel.m, kernel.tau, kernel.delta_CZ)
     if not np.array_equal(k, k.T):
         c_smooth = max(c_smooth, _smoothness_fit(

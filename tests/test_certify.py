@@ -1,13 +1,16 @@
 """Certification machinery: sigma split, Schur and block bounds,
-paraproduct, Carleson, pseudo-BMO, end-to-end certificates."""
+paraproduct, Carleson, pseudo-BMO, end-to-end certificates, and the regime
+constants against the exact norms of their regimes."""
 
 import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from czkit.certify import (admissible_bmo_cubes,
+from czkit.certify import (_pair_norm, admissible_bmo_cubes,
                            alpha_param, block_matrix_bound,
                            block_matrix_spectral, bmo_tail_constant,
                            carleson_embedding_check,
@@ -22,6 +25,7 @@ from czkit.errors import (ClassificationMissing, CzkitError,
                           HypothesisViolated, MultipleParents,
                           NonTransitEntry)
 from czkit.examples import generate_example
+from czkit.harness import make_scenario
 from czkit.kernels import (bergman_kernel, check_T1, constant_kernel,
                            power_kernel, zero_kernel)
 from czkit.lattice import (Cube, build_lattice, classify_all_good_bad,
@@ -678,3 +682,163 @@ def test_terminal_bound_covers_fine_cubes_outside_the_holding_child():
     assert terminal and all(c.passed for c in terminal)
     assert rep.counts["sigma3_term_pairs"] > 0
     assert rep.verdict
+
+
+# ---------------------------------------------------------------------------
+# regime constants: certified norms of the pair-coefficient matrices
+
+
+@st.composite
+def pair_lists(draw):
+    """(rows, cols, values) with duplicate pairs, empty rows and columns,
+    zeros, and two disconnected blocks: even rows meet even columns only,
+    odd rows odd columns (a lone column serves both)."""
+    n_rows, n_cols, n = (draw(st.integers(lo, hi))
+                         for lo, hi in ((1, 6), (1, 6), (0, 24)))
+    rows = draw(st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n))
+    cols = [draw(st.sampled_from(range(row % 2, n_cols, 2) or range(n_cols)))
+            for row in rows]
+    values = draw(st.lists(st.just(0.0) | st.floats(0.0, 10.0),
+                           min_size=n, max_size=n))
+    return (np.array(rows, dtype=int), np.array(cols, dtype=int),
+            np.array(values, dtype=float))
+
+
+@given(pair_lists())
+@settings(max_examples=150, deadline=None)
+def test_pair_norm_bounds_the_dense_norm_tightly(pairs):
+    rows, cols, values = pairs
+    dense = np.zeros((rows.max(initial=0) + 1, cols.max(initial=0) + 1))
+    np.add.at(dense, (rows, cols), values)
+    exact = spectral_norm(dense)
+    got = _pair_norm(rows, cols, values)
+    assert exact <= got <= exact * (1 + 1e-6)
+    if not values.any():
+        assert got == 0.0
+    if values.size:
+        values[-1] = math.inf
+        assert _pair_norm(rows, cols, values) == math.inf
+
+
+def _certificate_geometry(example, params, s_param, seeds=(1, 2)):
+    """The certificate of a built-in scenario and the pair geometry of its
+    lattice pair, built as ``certify`` builds it."""
+    sc = make_scenario(example, example_params=params)
+    kern, space = sc.kernel, sc.space
+    rep = certify(kern, space, kappa=sc.kappa, s_param=s_param, seeds=seeds,
+                  n_probes=1)
+    alpha = alpha_param(kern.m, kern.tau)
+    lats = [build_lattice(space, sc.kappa, seed=seed) for seed in seeds]
+    for lat, other in (lats, lats[::-1]):
+        classify_terminal_transit(lat)
+        classify_all_good_bad(lat, other, alpha, sc.delta_bad, s_param)
+    return kern, space, rep, pair_geometry(
+        kern, space, *lats, scale_gap(sc.kappa, sc.delta_bad, s_param), alpha)
+
+
+def _haar_bases(rows, supp):
+    """Orthonormal bases of the ranges of Delta_Q, Q the rows of a
+    ``ComponentRows``, in the coordinates u_x = e_x / sqrt(mu(x)), x in
+    supp mu, of L2(mu): (basis columns, row of each column)."""
+    lat = rows.lattice
+    root = np.sqrt(lat.space.mu[supp])
+    # delta[i, j, k]: Delta_(row i) of u_(supp[j]) at supp[k]
+    delta = np.stack([decompose(lat, unit / w).dense(rows.ids)[:, supp]
+                      for unit, w in zip(np.eye(lat.space.n_points)[supp],
+                                         root)], axis=1)
+    bases, owner = [], []
+    for i, inside in enumerate(rows.inside[:, supp]):
+        proj = (delta[i] * root)[np.ix_(inside, inside)]   # <Delta u_x, u_y>
+        w, vec = np.linalg.eigh((proj + proj.T) / 2)
+        basis = np.zeros((supp.size, int((w > 0.5).sum())))
+        basis[inside] = vec[:, w > 0.5]
+        bases.append(basis)
+        owner += [i] * basis.shape[1]
+    return np.hstack(bases), np.array(owner, dtype=int)
+
+
+def _regime_forms(kern, space, geometry):
+    """Each regime's bilinear form sum over its pairs of <T Delta_Q f,
+    Delta_R g>, f-lattice cube Q, g-lattice cube R, as a block mask of the
+    operator in the two lattices' Haar coordinates; and the maps of f and g
+    to those coordinates."""
+    primary, symmetric = geometry
+    supp = np.flatnonzero(space.mu > 0)
+    root = np.sqrt(space.mu[supp])
+    u_f, own_f = _haar_bases(primary.fine_rows, supp)
+    u_g, own_g = _haar_bases(primary.coarse_rows, supp)
+    # <T u_x, u_y>_mu = sqrt(mu(y)) k(y, x) sqrt(mu(x))
+    form = u_g.T @ (root[:, None] * kern.matrix[np.ix_(supp, supp)] *
+                    root) @ u_f
+    forms = {}
+    for prefix, half in (("", primary), ("sym_", symmetric)):
+        for regime, t in half.pairs.items():
+            mask = np.zeros((len(primary.coarse_rows.ids),
+                             len(primary.fine_rows.ids)), dtype=bool)
+            mask[(t.r, t.q) if prefix == "" else (t.q, t.r)] = True
+            forms[prefix + regime] = form * mask[np.ix_(own_g, own_f)]
+    return forms, [lambda phi, u=u: u.T @ (root * phi[supp])
+                   for u in (u_f, u_g)]
+
+
+BERGMAN_64 = {"n_ring": 64, "n_cluster": 8, "n_boundary": 32}
+SEED_402 = (2476693647, 1295026582)
+ORACLE_CASES = {
+    "cantor_level5": ("cantor_measure", {"level": 5}, 2, (1, 2)),
+    "grid_n9": ("uniform_grid", {"n": 9}, 2, (1, 2)),
+    "line_n13": ("line_in_plane", {"n": 13}, 2, (1, 2)),
+    "bergman_default": ("bergman_disc_model", {}, 2, (1, 2)),
+    "bergman_64_seed402": ("bergman_disc_model", BERGMAN_64, 1, SEED_402),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_regime_constants_dominate_exact_regime_norms(case):
+    kern, space, rep, geometry = _certificate_geometry(*ORACLE_CASES[case])
+    forms, (coords_f, coords_g) = _regime_forms(kern, space, geometry)
+    # the forms reproduce the split of a probe pair, regime by regime
+    f, g = np.random.default_rng(5).standard_normal((2, space.n_points))
+    split = split_bilinear(kern, space, decompose(geometry[0].fine_lat, f),
+                           decompose(geometry[0].coarse_lat, g), f, g, None,
+                           geometry=geometry)
+    for key, form in forms.items():
+        assert coords_g(g) @ form @ coords_f(f) == pytest.approx(
+            getattr(split, key), rel=1e-9, abs=1e-15), key
+    exact = {key: spectral_norm(form) for key, form in forms.items()}
+    const = rep.constants
+    for prefix in ("", "sym_"):
+        for regime in ("sigma1", "sigma2", "sigma3_term"):
+            key = prefix + regime
+            assert const["C_" + key] >= exact[key], key
+        # the transit sum splits into the far and extension parts, which
+        # the transit constant bounds, and the paraproduct part
+        assert (const[f"C_{prefix}sigma3_tran"] +
+                const[f"C_{prefix}paraproduct"] >=
+                exact[prefix + "sigma3_tran"]), prefix
+
+
+def test_transit_constant_is_zero_without_transit_pairs():
+    # a half without transit pairs has nothing to bound, so its transit
+    # constant must not carry the sigma2 constant (16.158 on this grid)
+    *_, rep, _ = _certificate_geometry("uniform_grid", {"n": 9}, 2)
+    empty = [prefix for prefix in ("", "sym_")
+             if rep.counts[prefix + "sigma3_tran_pairs"] == 0]
+    assert empty
+    for prefix in empty:
+        assert rep.constants[f"C_{prefix}sigma3_tran"] == 0.0
+
+
+def test_terminal_constant_carries_group_multiplicity():
+    # in the symmetric half of this pair one fine cube falls in two
+    # terminal groups, so its component is counted in both
+    *_, rep, geometry = _certificate_geometry(
+        "bergman_disc_model", BERGMAN_64, 1, SEED_402)
+    for prefix, half in zip(("", "sym_"), geometry):
+        t, geo = half.pairs["sigma3_term"], half.geo["sigma3_term"]
+        mult = rep.counts[prefix + "sigma3_term_multiplicity"]
+        assert mult == np.bincount(t.q).max()
+        assert rep.constants[f"C_{prefix}sigma3_term"] == math.sqrt(mult) * \
+            _pair_norm(np.arange(geo["weight"].size), geo["r_row"],
+                       geo["weight"])
+    assert (rep.counts["sigma3_term_multiplicity"],
+            rep.counts["sym_sigma3_term_multiplicity"]) == (1, 2)

@@ -2,9 +2,11 @@
 
 ``golden_certificates.json`` holds certificates computed by the per-pair
 implementation of the sigma split that the array implementation replaced:
-the certified total, every fitted constant, every lemma's measured value and
-bound, and the notes. The array implementation changes only the order of
-the arithmetic, so each number must come out the same to rounding.
+every lemma's measured value and bound, and the notes. The array
+implementation changes only the order of the arithmetic, so each number
+must come out the same to rounding. The fitted constants ``C_*`` and the
+certified total were captured again when every regime constant became the
+certified norm of its pair-coefficient matrix (``certify._pair_norm``).
 
 ``RUN_REPORTS`` pins whole run reports byte for byte: the sha256 of the
 report's JSON without its timings. A change that only reorders mins and
@@ -13,7 +15,10 @@ constant A is a sum of products, so its last bits depend on the order of
 the sums: since ``check_T1`` runs one product per block of sets on supp mu,
 A, C_lambda = 2 sqrt(A) and C_sigma1 (from A) differ from the per-set
 matvecs' values by at most 1.4e-15 relative, and the six hashes whose
-reports carry such a bit were captured again; no other field moved.
+reports carry such a bit were captured again; no other field moved. All
+seven were captured again with the pair-norm regime constants, which also
+added the counts ``sigma3_term_multiplicity``; the lemma values, notes and
+other counts did not move.
 """
 
 import hashlib
@@ -54,31 +59,31 @@ BERGMAN_64 = {"n_ring": 64, "n_cluster": 8, "n_boundary": 32}
 RUN_REPORTS = {
     "cantor_level5": (
         ("cantor_measure", {"level": 5}, {}),
-        "48cf7cf228debbc1aa39cd45b1a47d01881f66b9e4d3ee7f445795154f09b09e"),
+        "167d6ef2061207046a53caf3abd3e6ba941cc4d84d1c921f4312d1760bb50880"),
     # the benchmark's cantor_pairs size, with sigma2 pairs that need the
     # near-pair sup fallback
     "cantor_level6": (
         ("cantor_measure", {"level": 6}, {}),
-        "0fe95a4d9fab1d1c9477b4bb2aabf2034adcf6c81f83983824504d18b7128f50"),
+        "97b40af921697653b9ec4f1519337d2a6ad96f8cb4f427001c21d219cd45f8e9"),
     "grid_n9": (
         ("uniform_grid", {"n": 9}, {}),
-        "326e56b01e7002cb6e7e937b660a5f73ba9f1953ea2f12a2be72c640d9257c76"),
+        "f31b8f3b3a1b3870ad5cd7a0272b0d9c7eb4183092275c5545250dd6ccf83a12"),
     "line_n13": (
         ("line_in_plane", {"n": 13}, {}),
-        "daeb44f00fa694c0d34f3c2fb36655258c9cd916541bde9471b1f923d1774744"),
+        "5c32143da15dd58f7e30779b77e552900e29e5f820ac92b2e9f13a0fb800e8f6"),
     # the benchmark's line_sparse_mu size
     "line_n21": (
         ("line_in_plane", {"n": 21}, {}),
-        "591f21eab8d465bfad6e86b2975e9f10a86518aa99e434bd03a220d2675f282e"),
+        "af2858b064d4f19774c9406cb9a8833aea6535063f07278683dc4fbd9e62147e"),
     "bergman_default": (
         ("bergman_disc_model", {}, {}),
-        "c50558bec7983fe4aef6dc5dd7b7fdcd231075c866fce96564fd6471f2cfc122"),
+        "9282505ead8da6e335ebd22b6da4ddfa585d8a68e0be9b5652a8d569ac71c106"),
     # calibrated, on the lattice pair of the benchmark's seed-402 find
     "bergman_64_calibrated": (
         ("bergman_disc_model", BERGMAN_64,
          {"s_param": None, "ensemble": 150,
           "seeds": (2476693647, 1295026582), "master_seed": 3813294786}),
-        "7b8ba0ba9d8c0c9335e0af36ad086a2c76b1756026adca07d6e6d93f459dfb44"),
+        "f90fd92165d66797f5c8320b778b642b9e13575fce8f75ff3085e9391c02596a"),
 }
 
 

@@ -223,6 +223,18 @@ def test_smoothness_fit_counts_nan_ratios_as_inf(scale, m, tau):
     _assert_fit_matches_reference(kern, space)
 
 
+def test_size_fit_counts_nan_ratios_as_inf():
+    # k(0,5) = 0 meets rho(0,5)^2 = inf: the 0 * inf ratio is NaN, and it
+    # must not turn the size constant, and with it C_CZ, into NaN
+    space = line_space(6)
+    space.rho = space.rho * 1e160
+    mat = np.ones((6, 6))
+    mat[0, 5] = mat[5, 0] = 0.0
+    kern = explicit_kernel(space, mat, m=2.0, tau=1.0, C_CZ=1.0)
+    assert check_size_and_smoothness(kern, space).c_size == math.inf
+    assert explicit_kernel(space, mat, m=2.0, tau=1.0).C_CZ == math.inf
+
+
 def test_smoothness_fit_reads_second_kernel_variable():
     # k(x, y) = g(y): smooth (constant) in x, rough in y
     space = line_space(8)
