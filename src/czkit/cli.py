@@ -43,8 +43,9 @@ def cmd_verify_space(args) -> int:
     radii = default_radii(space)
     c_h, bad_balls = check_growth_condition(space, args.m, radii)
     capture = _omega_captures(space, bad_balls)
-    doc = {"quasi_metric": qm.ok, "C_H": c_h,
-           "non_ahlfors_balls": len(bad_balls), "omega_capture": capture}
+    doc = {"quasi_metric": qm.ok, "quasi_metric_reason": qm.reason,
+           "C_H": c_h, "non_ahlfors_balls": len(bad_balls),
+           "omega_capture": capture}
     _write_json(doc, args.out)
     return 0 if qm.ok and capture else 1
 

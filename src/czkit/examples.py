@@ -14,12 +14,7 @@ import math
 import numpy as np
 
 from .errors import UnknownExample
-from .space import MetricMeasureSpace
-
-
-def _euclidean(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1))
+from .space import MetricMeasureSpace, euclidean_metric
 
 
 def line_in_plane(n: int = 13) -> tuple:
@@ -36,7 +31,7 @@ def line_in_plane(n: int = 13) -> tuple:
     mu = np.where(on_line, spacing / 4.0, 0.0)
     nu = np.full(len(coords), spacing ** 2)
     omega = np.abs(coords[:, 1] - y_mid) < 1.5 * spacing
-    space = MetricMeasureSpace(rho=_euclidean(coords), nu=nu, mu=mu,
+    space = MetricMeasureSpace(rho=euclidean_metric(coords), nu=nu, mu=mu,
                                omega=omega, quasi_const=1.0, coords=coords)
     info = {"m": 1.0, "tau": 1.0, "n_dim": 2.0, "kernel": "power",
             "kappa": 0.5}
@@ -61,8 +56,9 @@ def cantor_measure(level: int = 5) -> tuple:
     mu = np.full(len(xs), mass)
     omega = np.ones(len(xs), dtype=bool) if level == 0 \
         else np.zeros(len(xs), dtype=bool)
-    space = MetricMeasureSpace(rho=_euclidean(coords), nu=mu.copy(), mu=mu,
-                               omega=omega, quasi_const=1.0, coords=coords)
+    space = MetricMeasureSpace(rho=euclidean_metric(coords), nu=mu.copy(),
+                               mu=mu, omega=omega, quasi_const=1.0,
+                               coords=coords)
     info = {"m": m, "tau": m, "n_dim": m, "kernel": "power", "kappa": 0.5}
     return space, info
 
@@ -93,7 +89,7 @@ def bergman_disc_model(n_ring: int = 48, n_cluster: int = 8,
     mu[cl_sl] = 0.012
     nu = np.full(n, math.pi / n)        # crude area weights for the ambient
     omega = np.sqrt((coords ** 2).sum(axis=1)) < 1.0 - 1e-9
-    space = MetricMeasureSpace(rho=_euclidean(coords), nu=nu, mu=mu,
+    space = MetricMeasureSpace(rho=euclidean_metric(coords), nu=nu, mu=mu,
                                omega=omega, quasi_const=1.0, coords=coords)
     info = {"m": 1.0, "tau": 1.0, "n_dim": 2.0, "kernel": "bergman",
             "kappa": 0.5}
@@ -114,8 +110,9 @@ def uniform_grid(n: int = 9, normalize: bool = False) -> tuple:
     else:
         mu = np.full(len(coords), (1.0 / (n - 1)) ** 2 / 8.0)
     omega = np.zeros(len(coords), dtype=bool)
-    space = MetricMeasureSpace(rho=_euclidean(coords), nu=mu.copy(), mu=mu,
-                               omega=omega, quasi_const=1.0, coords=coords)
+    space = MetricMeasureSpace(rho=euclidean_metric(coords), nu=mu.copy(),
+                               mu=mu, omega=omega, quasi_const=1.0,
+                               coords=coords)
     info = {"m": 2.0, "tau": 1.0, "n_dim": 2.0, "kernel": "constant",
             "kappa": 0.5}
     return space, info

@@ -17,7 +17,7 @@ from .lattice import bad_fraction, build_lattice, \
     classify_terminal_transit, ensemble_gaps, scale_gap, \
     verify_lattice_properties
 from .projections import decompose, properties_check
-from .space import MetricMeasureSpace, _omega_captures, \
+from .space import MetricMeasureSpace, _omega_captures, ball_masses, \
     check_ahlfors_regularity, check_growth_condition, default_radii, \
     verify_quasi_metric
 
@@ -146,9 +146,11 @@ def run(scenario: Scenario) -> RunReport:
 
     qm = verify_quasi_metric(space)
     radii = default_radii(space)
-    c_h, non_ahlfors = check_growth_condition(space, scenario.m, radii)
+    masses = ball_masses(space, radii)
+    c_h, non_ahlfors = check_growth_condition(space, scenario.m, radii,
+                                              masses)
     capture = _omega_captures(space, non_ahlfors)
-    reg = check_ahlfors_regularity(space, scenario.n_dim, radii)
+    reg = check_ahlfors_regularity(space, scenario.n_dim, radii, masses)
     stages["space"] = {
         "quasi_metric": qm.ok, "C_H": c_h,
         "non_ahlfors_balls": len(non_ahlfors),

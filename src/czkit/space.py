@@ -29,7 +29,7 @@ class MetricMeasureSpace:
     quasi_const: float = 1.0
     resolution_h: float = 0.0
     points: list = field(default_factory=list)   # point identifiers
-    coords: np.ndarray | None = None             # optional, for provenance
+    coords: np.ndarray | None = None             # optional (N, d) points
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=float)
@@ -116,9 +116,47 @@ class QuasiMetricReport:
     reason: str = ""
 
 
+def euclidean_metric(coords: np.ndarray) -> np.ndarray:
+    """The Euclidean distance matrix of an (N, d) array of points, built
+    from ``_euclidean_tiles``.  Every space built from coordinates takes its
+    metric from here, so a metric "of its coords" is this matrix entry for
+    entry."""
+    out = np.empty((len(coords), len(coords)))
+    for start, rows in _euclidean_tiles(coords):
+        out[start:start + len(rows)] = rows
+    return out
+
+
+def _euclidean_tiles(coords: np.ndarray, tile: int = 64):
+    """(start, the rows [start, start + tile) of the Euclidean metric) per
+    tile of rows: per pair the differences, the ``sum`` of their squares
+    over the last axis, then ``sqrt``.  Each entry is computed on its own,
+    so the tiling does not change its bits, and the temporaries are
+    tile x N x d, not N x N x d."""
+    for start in range(0, len(coords), tile):
+        block = coords[start:start + tile]
+        if coords.shape[1] <= 2:
+            # a sum of at most two squares rounds once in any order, so
+            # adding them column by column gives the bits of the sum
+            sq = np.zeros((len(block), len(coords)))
+            for a, b in zip(block.T, coords.T):
+                diff = a[:, None] - b[None, :]
+                sq += np.square(diff, out=diff)
+        else:
+            diff = block[:, None, :] - coords[None, :, :]
+            sq = np.square(diff, out=diff).sum(axis=-1)
+        yield start, np.sqrt(sq)
+
+
 def verify_quasi_metric(space: MetricMeasureSpace) -> QuasiMetricReport:
     """Check finite entries, symmetry, exact zeros on the diagonal, and the
-    quasi-triangle inequality with the declared constant over all triples."""
+    quasi-triangle inequality with the declared constant over all triples.
+
+    The inequality is proved by one of two routes, named in ``reason``:
+    the rounding bound of ``_coordinate_excess_bound`` for a metric that is
+    ``euclidean_metric`` of the space's coords, read in O(N^2 d), or else
+    the scan of every triple.  The bound lies above the scan's worst
+    excess, so both routes pass and fail on the same spaces."""
     rho = space.rho
     n = space.n_points
     if not np.isfinite(rho).all():
@@ -140,11 +178,72 @@ def verify_quasi_metric(space: MetricMeasureSpace) -> QuasiMetricReport:
         i, j = np.unravel_index(np.argmin(off), off.shape)
         return QuasiMetricReport(False, (int(i), int(j), -1), 0.0,
                                  "zero distance off the diagonal")
+    tol = 1e-12 * max(1.0, rho.max())
+    bound = _coordinate_excess_bound(space)
+    if bound is not None and bound <= tol:
+        return QuasiMetricReport(
+            True, None, 0.0, f"euclidean coords: every excess <= {bound!r}")
     worst_excess, worst = _worst_triangle_excess(rho, space.quasi_const)
-    if worst_excess > 1e-12 * max(1.0, rho.max()):
+    if worst_excess > tol:
         return QuasiMetricReport(False, worst, worst_excess,
                                  "quasi-triangle inequality violation")
-    return QuasiMetricReport(True, None, 0.0)
+    return QuasiMetricReport(True, None, 0.0, "triple scan")
+
+
+def _coordinate_excess_bound(space: MetricMeasureSpace) -> float | None:
+    """An upper bound B on every excess fl(c - fl(K fl(a + b))) that
+    ``_worst_triangle_excess`` computes, with a = rho(x,y), b = rho(y,z),
+    c = rho(x,z), read off the coords instead of the triples; None unless
+    the coords are a finite float64 (N, d) array, 1 <= K < inf and rho is
+    float64 and equal to ``euclidean_metric(coords)``.
+
+    Lemma.  Let u = 2^-53, eps = (d + 4) u, e = sqrt(d) 2^-537 and
+    M = max rho.  Then every computed excess is at most
+    B = 4.1 (eps + u) M + 3.1 e.
+
+    Proof.  Let D be the exact Euclidean distance of the coords, a metric.
+    In round to nearest every operation of ``euclidean_metric`` has a
+    relative error of at most u, except that a square in the subnormal
+    range has an absolute error of at most 2^-1075 instead (a difference
+    or a sum that underflows is exact, and no step overflows, as rho is
+    finite).  A sum of d nonnegative floats, in any order, is within
+    gamma = (d-1) u / (1 - (d-1) u) of its exact value in relative terms
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 3.1).  So the computed square sum lies in
+    [(1-u)^3 (1-gamma) S - d 2^-1075, (1+gamma) ((1+u)^3 S + d 2^-1075)]
+    around the exact S = D^2.  sqrt is monotone and subadditive, it adds
+    one more factor 1 +- u, and (1+u) (1+gamma)^(1/2) 2^-537.5 <= 2^-537,
+    so
+        (1 - eps) D - e <= rho <= (1 + eps) D + e     (1)
+    because (1+u)^(5/2) (1+gamma)^(1/2) - 1 and 1 - (1-u)^(5/2)
+    (1-gamma)^(1/2) are both at most (d + 4) u while d u < 1e-3.  By (1)
+    and the triangle inequality of D,
+        c <= (1+eps) (D(x,y) + D(y,z)) + e
+          <= (1+eps)/(1-eps) (a + b + 2e) + e.
+    The scan rounds s = fl(a + b) >= (1-u)(a + b) and, for K != 1,
+    p = fl(K s) >= (1-u) K s >= (1-u) s as K >= 1; so
+        c - p <= ((1+eps)/(1-eps) - (1-u)^2) (a + b) + 3.01 e
+              <= (2.01 eps + 2u) 2M + 3.01 e,
+    and fl(c - p) is at most (1+u)(c - p) when positive, at most 0 else.
+    The slack from 4.03 to 4.1 and from 3.02 to 3.1 covers the rounding
+    of B itself.  QED
+
+    B holds for every triple at once, so B <= tol proves that the scan
+    would find no excess above tol; checking equality with the coords'
+    metric costs O(N^2 d) instead of the scan's O(N^3)."""
+    coords, rho, k_q = space.coords, space.rho, space.quasi_const
+    if not (isinstance(coords, np.ndarray) and coords.dtype == np.float64
+            and coords.ndim == 2 and coords.shape[0] == space.n_points
+            and np.isfinite(coords).all() and rho.dtype == np.float64
+            and 1.0 <= k_q < math.inf
+            and all(np.array_equal(rho[start:start + len(rows)], rows)
+                    for start, rows in _euclidean_tiles(coords))):
+        return None
+    d = coords.shape[1]
+    u = 2.0 ** -53
+    eps = (d + 4) * u
+    return (4.1 * (eps + u) * float(rho.max())
+            + 3.1 * math.sqrt(d) * 2.0 ** -537)
 
 
 def _worst_triangle_excess(rho: np.ndarray, k_q: float,
@@ -202,14 +301,22 @@ def default_radii(space: MetricMeasureSpace, exhaustive: bool = False) -> list:
     return radii[::-1]
 
 
-def _ball_table(space: MetricMeasureSpace, weights: np.ndarray, radii,
-                order: float) -> tuple[np.ndarray, np.ndarray]:
-    """weights(B(x, r)) for every point x and radius r, a (points, radii)
-    table, and r ** order per radius by scalar ``**``.
+def ball_masses(space: MetricMeasureSpace, radii,
+                measures=("mu", "nu")) -> np.ndarray:
+    """The mass of every ball B(x, r) under each named measure, a
+    (measures, points, radii) table.
 
     One (points, radii, N) mask holds every ball; ``masked_sums`` adds the
     balls of one member count as C-ordered rows, so each mass has the bits
     of ``weights[space.ball_mask(x, r)].sum()``."""
+    inside = space.rho[:, None, :] < np.asarray(radii, dtype=float)[:, None]
+    weights = np.array([getattr(space, name) for name in measures])
+    masses = masked_sums(weights, inside.reshape(-1, space.n_points))
+    return masses.reshape(len(measures), space.n_points, len(radii))
+
+
+def _radius_powers(radii, order: float) -> np.ndarray:
+    """r ** order per radius by scalar ``**``, each in (0, inf)."""
     powers = []
     for r in radii:
         try:
@@ -220,19 +327,20 @@ def _ball_table(space: MetricMeasureSpace, weights: np.ndarray, radii,
             raise ValueError(f"radius {r:g} to the power {order:g} is out "
                              "of the float64 range")
         powers.append(power)
-    inside = space.rho[:, None, :] < np.asarray(radii, dtype=float)[:, None]
-    masses = masked_sums(weights, inside.reshape(-1, space.n_points))
-    return masses.reshape(space.n_points, len(radii)), np.array(powers)
+    return np.array(powers)
 
 
 def check_ahlfors_regularity(space: MetricMeasureSpace, n_dim: float,
-                             radii) -> RegularityReport:
-    """Fit the tightest Ahlfors constants nu(B(x,r)) / r^n over the sample."""
+                             radii, masses=None) -> RegularityReport:
+    """Fit the tightest Ahlfors constants nu(B(x,r)) / r^n over the sample;
+    ``masses``, when given, is ``ball_masses(space, radii)``, nu last."""
     radii = list(radii)
     if not radii:
         raise EmptyRadiusList("no radii supplied")
-    masses, powers = _ball_table(space, space.nu, radii, n_dim)
-    ratios = masses / powers
+    powers = _radius_powers(radii, n_dim)
+    if masses is None:
+        masses = ball_masses(space, radii, ("nu",))
+    ratios = masses[-1] / powers
     degenerate = space.n_points <= 1 or ratios.min() <= 0
     c1 = float(ratios.min())
     c2 = float(ratios.max())
@@ -241,15 +349,19 @@ def check_ahlfors_regularity(space: MetricMeasureSpace, n_dim: float,
 
 
 def check_growth_condition(space: MetricMeasureSpace, m: float,
-                           radii=None) -> tuple[float, list]:
+                           radii=None, masses=None) -> tuple[float, list]:
     """Return (C_H, non_ahlfors_balls) where C_H = max mu(B(x,r)) / r^m and
-    the list collects the (x, r) with mu(B(x,r)) > r^m."""
+    the list collects the (x, r) with mu(B(x,r)) > r^m; ``masses``, when
+    given, is ``ball_masses(space, radii)``, mu first."""
     if m <= 0:
         raise ValueError("growth order m must be positive")
     if radii is None:
         radii = default_radii(space)
     radii = list(radii)
-    masses, powers = _ball_table(space, space.mu, radii, m)
+    powers = _radius_powers(radii, m)
+    if masses is None:
+        masses = ball_masses(space, radii, ("mu",))
+    masses = masses[0]
     c_h = float((masses / powers).max(initial=0.0))
     xs, rs = np.nonzero(masses > powers)
     return c_h, [(x, float(radii[r])) for x, r in zip(xs.tolist(),
@@ -276,17 +388,22 @@ def masked_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``values`` summed over the entries of each row of ``mask``, bit for
     bit ``values[np.flatnonzero(row)].sum()``: one gather of the rows in
     order of entry count, then the rows of one count sum as a C-ordered
-    matrix."""
+    matrix.  A (k, N) ``values`` gives a (k, rows) table from one sort of
+    the mask."""
     count = mask.sum(axis=1)
     order = np.argsort(count, kind="stable")
-    picked = np.broadcast_to(values, mask.shape)[mask[order]]
-    out = np.zeros(len(mask))
+    mask = mask[order]
     sizes, groups = np.unique(count, return_counts=True)
-    row = cell = 0
-    for c, rows in zip(sizes.tolist(), groups.tolist()):
-        out[order[row:row + rows]] = \
-            picked[cell:cell + rows * c].reshape(rows, c).sum(axis=1)
-        row, cell = row + rows, cell + rows * c
+    values = np.asarray(values)
+    out = np.zeros(values.shape[:-1] + (len(mask),))
+    for weights, sums in zip(np.atleast_2d(values), np.atleast_2d(out)):
+        picked = np.broadcast_to(weights, mask.shape)[mask]
+        row = cell = 0
+        for c, rows in zip(sizes.tolist(), groups.tolist()):
+            sums[order[row:row + rows]] = \
+                picked[cell:cell + rows * c].reshape(rows, c).sum(axis=1)
+            row, cell = row + rows, cell + rows * c
+        del picked      # freed before the next gather reuses its pages
     return out
 
 
@@ -347,8 +464,7 @@ def space_from_json(doc: dict) -> MetricMeasureSpace:
         coords = np.asarray(metric["coords"], dtype=float)
         if not np.isfinite(coords).all():
             raise ValueError("the euclidean coords have non-finite entries")
-        diff = coords[:, None, :] - coords[None, :, :]
-        rho = np.sqrt((diff ** 2).sum(axis=-1))
+        rho = euclidean_metric(coords)
     elif metric["type"] == "explicit":
         rho = np.asarray(metric["matrix"], dtype=float)
         coords = None

@@ -258,6 +258,7 @@ def test_cli_verify_space(grid_file, capsys):
     assert cli.main(["verify-space", "--space", grid_file, "--m", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["quasi_metric"] is True
+    assert doc["quasi_metric_reason"].startswith("euclidean coords: ")
     assert doc["omega_capture"] is True
 
 
@@ -280,6 +281,36 @@ def test_growth_loop_runs_once_per_run(grid_file, capsys, monkeypatch):
     assert cli.main(["verify-space", "--space", grid_file, "--m", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["omega_capture"] is True
     assert len(calls) == 2
+
+
+def test_ball_table_built_once_per_run(monkeypatch):
+    # the growth and Ahlfors checks read one mu and nu table
+    import czkit.harness
+    import czkit.space
+    calls = []
+    real = czkit.space.ball_masses
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(czkit.space, "ball_masses", counted)
+    monkeypatch.setattr(czkit.harness, "ball_masses", counted)
+    rep = run(make_scenario("cantor_measure", example_params={"level": 3}))
+    assert rep.passed and len(calls) == 1
+
+
+def test_euclidean_space_skips_the_triple_scan(monkeypatch):
+    # the metric of line_in_plane is that of its coords, so the run proves
+    # the quasi-triangle inequality without reading a triple
+    import czkit.space
+
+    def scan(*args, **kwargs):
+        raise AssertionError("the triple scan ran")
+
+    monkeypatch.setattr(czkit.space, "_worst_triangle_excess", scan)
+    rep = run(make_scenario("line_in_plane", example_params={"n": 21}))
+    assert rep.passed and rep.stages["space"]["quasi_metric"] is True
 
 
 def test_terminal_flags_set_once_per_lattice(monkeypatch):

@@ -1,21 +1,24 @@
 """Metric measure space checks against brute-force oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from czkit.errors import EmptyRadiusList, EmptySet
 from czkit.examples import generate_example
-from czkit.space import (MetricMeasureSpace, _omega_captures,
+from czkit.space import (MetricMeasureSpace, _coordinate_excess_bound,
+                         _omega_captures, ball_masses,
                          check_ahlfors_regularity,
                          check_growth_condition, default_radii, dilate,
                          dist_to_complement, dist_to_complement_all,
-                         load_space, save_space, verify_omega_capture,
-                         verify_quasi_metric, INF_DISTANCE,
-                         _worst_triangle_excess)
+                         euclidean_metric, load_space, save_space,
+                         space_from_json, space_to_json,
+                         verify_omega_capture, verify_quasi_metric,
+                         INF_DISTANCE, _worst_triangle_excess)
 from conftest import grid_space, line_space
 
 
@@ -155,6 +158,107 @@ def test_quasi_metric_scan_matches_reference(n, seed, power, k_q, grid, tile):
         assert rep.worst_triple == triple
         x, y, z = rep.worst_triple
         assert excess[x, y, z] == rep.worst_excess
+
+
+def _scan_report(space):
+    """The report of the same space without coords: the triple scan."""
+    rep = verify_quasi_metric(dataclasses.replace(space, coords=None))
+    return rep.ok, rep.worst_triple, rep.worst_excess, rep.reason
+
+
+@given(st.sampled_from([1, 2, 3, 8]), st.integers(2, 40),
+       st.integers(0, 2**32 - 1), st.integers(-150, 150),
+       st.sampled_from(["cloud", "grid", "collinear"]),
+       st.sampled_from([1.0, 1.0 + 2.0 ** -52, 1.5]))
+@settings(max_examples=80, deadline=None)
+def test_coordinate_route_bounds_the_scan(d, n, seed, exponent, shape, k_q):
+    # integer grids tie distances; points jittered off a line make
+    # near-collinear triples, whose computed excess is a few ulps of rho
+    rng = np.random.default_rng(seed)
+    if shape == "grid":
+        coords = rng.integers(0, 4, (n, d)).astype(float)
+    elif shape == "collinear":
+        coords = (rng.random(n)[:, None] * rng.standard_normal(d)
+                  + 1e-9 * rng.standard_normal((n, d)))
+    else:
+        coords = rng.standard_normal((n, d))
+    coords = np.unique(coords * 10.0 ** exponent, axis=0)
+    n = len(coords)
+    rho = euclidean_metric(coords)
+    diff = coords[:, None, :] - coords[None, :, :]
+    assert rho.tobytes() == np.sqrt((diff ** 2).sum(axis=-1)).tobytes()
+    assume(n >= 2 and (rho + np.eye(n)).min() > 0)
+    space = MetricMeasureSpace(rho=rho, nu=np.ones(n), mu=np.full(n, 1 / n),
+                               omega=np.zeros(n, dtype=bool),
+                               quasi_const=k_q, coords=coords)
+    bound = _coordinate_excess_bound(space)
+    excess, _ = _worst_triangle_excess(rho, k_q)
+    tol = 1e-12 * max(1.0, rho.max())
+    assert bound >= excess
+    rep = verify_quasi_metric(space)
+    assert rep.ok == (excess <= tol)
+    assert (rep.ok, rep.worst_triple, rep.worst_excess) == \
+        _scan_report(space)[:3]
+    assert rep.reason == (f"euclidean coords: every excess <= {bound!r}"
+                          if bound <= tol else "triple scan")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_euclidean_metric_tiles_keep_the_bits(d):
+    # 150 points span three tiles of rows
+    coords = np.random.default_rng(d).standard_normal((150, d)) * 1e3
+    diff = coords[:, None, :] - coords[None, :, :]
+    want = np.sqrt((diff ** 2).sum(axis=-1))
+    assert euclidean_metric(coords).tobytes() == want.tobytes()
+
+
+def _fall_through_case(case):
+    space, _ = generate_example("line_in_plane", n=5)
+    if case == "tampered":
+        space.rho[0, 7] = space.rho[7, 0] = 3.0 * space.rho[0, 7]
+    elif case == "tampered_ulp":
+        space.rho[0, 7] = space.rho[7, 0] = np.nextafter(space.rho[0, 7], 9)
+    elif case == "k_half":
+        space.quasi_const = 0.5
+    elif case == "k_negative":
+        space.quasi_const = -0.5
+    elif case == "int_coords":
+        space.coords = (space.coords * 4).astype(int)
+        space.rho = euclidean_metric(space.coords)
+    elif case == "wrong_shape":
+        space.coords = space.coords[:-1]
+    return space
+
+
+@pytest.mark.parametrize("case, ok, reason", [
+    ("tampered", False, "quasi-triangle inequality violation"),
+    ("tampered_ulp", True, "triple scan"),
+    ("k_half", False, "quasi-triangle inequality violation"),
+    ("k_negative", False, "quasi-triangle inequality violation"),
+    ("int_coords", True, "triple scan"),
+    ("wrong_shape", True, "triple scan")])
+def test_coordinate_route_falls_through_to_the_scan(case, ok, reason):
+    space = _fall_through_case(case)
+    assert _coordinate_excess_bound(space) is None
+    rep = verify_quasi_metric(space)
+    assert (rep.ok, rep.worst_triple, rep.worst_excess, rep.reason) == \
+        _scan_report(space)
+    assert (rep.ok, rep.reason) == (ok, reason)
+
+
+def test_coordinate_route_names_itself_for_json_spaces():
+    # a euclidean JSON space re-derives rho from its coords and takes the
+    # route; the same metric given as a matrix is scanned
+    space, _ = generate_example("line_in_plane", n=5)
+    doc = space_to_json(space)
+    loaded = space_from_json(doc)
+    assert loaded.rho.tobytes() == space.rho.tobytes()
+    bound = _coordinate_excess_bound(loaded)
+    assert 0 < bound <= 1e-14
+    assert verify_quasi_metric(loaded).reason == \
+        f"euclidean coords: every excess <= {bound!r}"
+    doc["metric"] = {"type": "explicit", "matrix": space.rho.tolist()}
+    assert verify_quasi_metric(space_from_json(doc)).reason == "triple scan"
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +436,11 @@ def test_ball_table_matches_per_ball_reference(case):
         assert got_h.hex() == c_h.hex() and got_bad == bad
         assert _omega_captures(space, got_bad) is capture
         assert (reg.c1.hex(), reg.c2.hex()) == (c1.hex(), c2.hex())
+        # one table of mu and nu masses gives the same bits
+        table = ball_masses(space, radii)
+        assert check_growth_condition(space, m, radii, table) == \
+            (got_h, got_bad)
+        assert check_ahlfors_regularity(space, 2.0, radii, table) == reg
     assert case != "point_mass_line" or (bad and not capture)
 
 
