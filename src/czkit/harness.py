@@ -146,11 +146,11 @@ def run(scenario: Scenario) -> RunReport:
 
     qm = verify_quasi_metric(space)
     radii = default_radii(space)
-    masses = ball_masses(space, radii)
+    mu_masses, nu_masses = ball_masses(space, radii)
     c_h, non_ahlfors = check_growth_condition(space, scenario.m, radii,
-                                              masses)
+                                              mu_masses)
     capture = _omega_captures(space, non_ahlfors)
-    reg = check_ahlfors_regularity(space, scenario.n_dim, radii, masses)
+    reg = check_ahlfors_regularity(space, scenario.n_dim, radii, nu_masses)
     stages["space"] = {
         "quasi_metric": qm.ok, "C_H": c_h,
         "non_ahlfors_balls": len(non_ahlfors),

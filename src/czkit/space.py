@@ -134,18 +134,8 @@ def _euclidean_tiles(coords: np.ndarray, tile: int = 64):
     so the tiling does not change its bits, and the temporaries are
     tile x N x d, not N x N x d."""
     for start in range(0, len(coords), tile):
-        block = coords[start:start + tile]
-        if coords.shape[1] <= 2:
-            # a sum of at most two squares rounds once in any order, so
-            # adding them column by column gives the bits of the sum
-            sq = np.zeros((len(block), len(coords)))
-            for a, b in zip(block.T, coords.T):
-                diff = a[:, None] - b[None, :]
-                sq += np.square(diff, out=diff)
-        else:
-            diff = block[:, None, :] - coords[None, :, :]
-            sq = np.square(diff, out=diff).sum(axis=-1)
-        yield start, np.sqrt(sq)
+        diff = coords[start:start + tile, None, :] - coords[None, :, :]
+        yield start, np.sqrt(np.square(diff, out=diff).sum(axis=-1))
 
 
 def verify_quasi_metric(space: MetricMeasureSpace) -> QuasiMetricReport:
@@ -331,16 +321,17 @@ def _radius_powers(radii, order: float) -> np.ndarray:
 
 
 def check_ahlfors_regularity(space: MetricMeasureSpace, n_dim: float,
-                             radii, masses=None) -> RegularityReport:
+                             radii, nu_masses=None) -> RegularityReport:
     """Fit the tightest Ahlfors constants nu(B(x,r)) / r^n over the sample;
-    ``masses``, when given, is ``ball_masses(space, radii)``, nu last."""
+    ``nu_masses``, when given, is the (points, radii) table of nu(B(x,r)),
+    as ``ball_masses`` gives it."""
     radii = list(radii)
     if not radii:
         raise EmptyRadiusList("no radii supplied")
     powers = _radius_powers(radii, n_dim)
-    if masses is None:
-        masses = ball_masses(space, radii, ("nu",))
-    ratios = masses[-1] / powers
+    if nu_masses is None:
+        nu_masses = ball_masses(space, radii, ("nu",))[0]
+    ratios = nu_masses / powers
     degenerate = space.n_points <= 1 or ratios.min() <= 0
     c1 = float(ratios.min())
     c2 = float(ratios.max())
@@ -349,21 +340,21 @@ def check_ahlfors_regularity(space: MetricMeasureSpace, n_dim: float,
 
 
 def check_growth_condition(space: MetricMeasureSpace, m: float,
-                           radii=None, masses=None) -> tuple[float, list]:
+                           radii=None, mu_masses=None) -> tuple[float, list]:
     """Return (C_H, non_ahlfors_balls) where C_H = max mu(B(x,r)) / r^m and
-    the list collects the (x, r) with mu(B(x,r)) > r^m; ``masses``, when
-    given, is ``ball_masses(space, radii)``, mu first."""
+    the list collects the (x, r) with mu(B(x,r)) > r^m; ``mu_masses``, when
+    given, is the (points, radii) table of mu(B(x,r)), as ``ball_masses``
+    gives it."""
     if m <= 0:
         raise ValueError("growth order m must be positive")
     if radii is None:
         radii = default_radii(space)
     radii = list(radii)
     powers = _radius_powers(radii, m)
-    if masses is None:
-        masses = ball_masses(space, radii, ("mu",))
-    masses = masses[0]
-    c_h = float((masses / powers).max(initial=0.0))
-    xs, rs = np.nonzero(masses > powers)
+    if mu_masses is None:
+        mu_masses = ball_masses(space, radii, ("mu",))[0]
+    c_h = float((mu_masses / powers).max(initial=0.0))
+    xs, rs = np.nonzero(mu_masses > powers)
     return c_h, [(x, float(radii[r])) for x, r in zip(xs.tolist(),
                                                       rs.tolist())]
 

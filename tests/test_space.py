@@ -437,10 +437,10 @@ def test_ball_table_matches_per_ball_reference(case):
         assert _omega_captures(space, got_bad) is capture
         assert (reg.c1.hex(), reg.c2.hex()) == (c1.hex(), c2.hex())
         # one table of mu and nu masses gives the same bits
-        table = ball_masses(space, radii)
-        assert check_growth_condition(space, m, radii, table) == \
+        mu_masses, nu_masses = ball_masses(space, radii)
+        assert check_growth_condition(space, m, radii, mu_masses) == \
             (got_h, got_bad)
-        assert check_ahlfors_regularity(space, 2.0, radii, table) == reg
+        assert check_ahlfors_regularity(space, 2.0, radii, nu_masses) == reg
     assert case != "point_mass_line" or (bad and not capture)
 
 
