@@ -1011,8 +1011,9 @@ def pseudo_bmo_check(F: np.ndarray, space: MetricMeasureSpace,
             chi_in[grown] = 1.0
             phi = mat.T @ (chi_in * mu)
             psi = mat.T @ ((1.0 - chi_in) * mu)
-            tail_osc = float(psi[members].max() - psi[members].min()) \
-                if members.size else 0.0
+            # F is read mu-a.e., and C_CZ is fitted on supp mu only
+            held = psi[members[mu[members] > 0]]
+            tail_osc = float(held.max() - held.min()) if held.size else 0.0
             near = float(np.sum(phi[members] ** 2 * mu[members]))
             entry["tail_oscillation"] = tail_osc
             entry["near_part"] = near

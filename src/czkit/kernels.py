@@ -162,11 +162,23 @@ class SizeSmoothnessReport:
 
 def check_size_and_smoothness(kernel: KernelSpec,
                               space: MetricMeasureSpace) -> SizeSmoothnessReport:
-    """Fit the smallest size constant |k| * rho^m over pairs and the smallest
-    smoothness constant over admissible triples rho(x,x') <= delta rho(x,y).
+    """Fit the smallest size constant |k| * rho^m over all pairs and the
+    smallest smoothness constant over the admissible triples
+    rho(x,x') <= delta rho(x,y) with x', y in supp mu and the anchor x
+    anywhere in X.
 
-    The smoothness constant is fitted in both kernel variables: a kernel that
-    is not symmetric is scanned again as its transpose."""
+    The smoothness constant is therefore a constant on supp mu with any
+    anchor, not on all of X, and that is what the proof reads.  Every use
+    of C_CZ as a smoothness constant in the certificate is a mean-zero
+    step: the far bound (``certify._far_coefficient``) and the extension
+    error of the transit bound subtract k(c, y), c a cube center that may
+    carry no mass, while the other two points are weighted by phi mu or
+    psi mu, so a mu-null x' or y adds nothing.  The anchor ranges over all
+    of X, so every center of every lattice is covered and the fit can
+    still run at kernel build.  (The tail oscillation of
+    ``certify.pseudo_bmo_check`` compares two points of supp mu.)  C_CZ
+    covers smoothness in both kernel variables: a kernel that is not
+    symmetric is fitted again as its transpose, on the same triples."""
     rho = space.rho
     k = kernel.matrix
     n = space.n_points
@@ -174,48 +186,59 @@ def check_size_and_smoothness(kernel: KernelSpec,
     with np.errstate(over="ignore", invalid="ignore"):  # NaN (0 * inf): +inf
         ratios = np.abs(k[off]) * rho[off] ** kernel.m
     c_size = float(np.where(np.isnan(ratios), np.inf, ratios).max(initial=0))
-    c_smooth = _smoothness_fit(k, rho, kernel.m, kernel.tau, kernel.delta_CZ)
+    c_smooth = _smoothness_fit(k, space, kernel.m, kernel.tau, kernel.delta_CZ)
     if not np.array_equal(k, k.T):
         c_smooth = max(c_smooth, _smoothness_fit(
-            np.ascontiguousarray(k.T), rho, kernel.m, kernel.tau,
-            kernel.delta_CZ))
+            k.T, space, kernel.m, kernel.tau, kernel.delta_CZ))
     return SizeSmoothnessReport(c_size, c_smooth, kernel.C_CZ)
 
 
-def _smoothness_fit(k: np.ndarray, rho: np.ndarray, m: float, tau: float,
-                    delta: float) -> float:
+def _smoothness_fit(k: np.ndarray, space: MetricMeasureSpace, m: float,
+                    tau: float, delta: float) -> float:
     """max |k(x,y) - k(x',y)| rho(x,y)^(tau+m) / rho(x,x')^tau over the
-    triples with 0 < rho(x,x') <= delta rho(x,y); a NaN ratio (0 * inf, or
-    0 / 0 from an underflowed rho^tau) counts as +inf.
+    triples with x', y in supp mu, x anywhere in X and
+    0 < rho(x,x') <= delta rho(x,y); a NaN ratio (0 * inf, or 0 / 0 from
+    an underflowed rho^tau) counts as +inf.
 
-    One stable sort of rho by rows puts the points in distance order from
-    every anchor x.  In that order the admissible y of the x' of rank j are
-    a suffix, the columns from ``first[x, j]`` on, whose reach
-    fl(delta rho(x,y)) is at least rho(x,x'), and the ranks with a positive
-    distance and a nonempty suffix are consecutive.  The fit takes them
-    ``FIT_RANKS`` ranks at a time for every anchor, several anchors of like
-    suffix width per block of about ``FIT_CELLS`` (anchor, rank, y) cells,
-    so only a thin staircase of each block is not admissible.  Per row it
-    takes the max of fl(|k(x,y) - k(x',y)| * rho(x,y)^(tau+m)) over the
-    suffix and divides it once by rho(x,x')^tau: fl(u / q) is monotone in
-    u, so this is the max of the triple loop's ratios bit for bit, and the
-    +inf rule keeps it so when q is 0 or inf."""
+    Only supp mu is read for x' and y because the proof reads the kernel
+    only through mu-weighted pairings, and its one use of smoothness away
+    from supp mu is the anchor: a cube center, which may carry no mass and
+    is subtracted in the mean-zero step.  So the result is a smoothness
+    constant on supp mu with any anchor, not on all of X; with mu > 0
+    everywhere it is the fit over all triples, bit for bit.
+
+    One stable sort of rho(x, supp mu) by rows puts the support in
+    distance order from every anchor x.  In that order the admissible y of
+    the x' of rank j are a suffix, the columns from ``first[x, j]`` on,
+    whose reach fl(delta rho(x,y)) is at least rho(x,x'), and the ranks
+    with a positive distance and a nonempty suffix are consecutive.  The
+    fit takes them ``FIT_RANKS`` ranks at a time for every anchor, several
+    anchors of like suffix width per block of about ``FIT_CELLS``
+    (anchor, rank, y) cells, so only a thin staircase of each block is not
+    admissible.  Per row it takes the max of
+    fl(|k(x,y) - k(x',y)| * rho(x,y)^(tau+m)) over the suffix and divides
+    it once by rho(x,x')^tau: fl(u / q) is monotone in u, so this is the
+    max of the triple loop's ratios bit for bit, and the +inf rule keeps
+    it so when q is 0 or inf."""
     if not delta > 0:
         return 0.0                      # no triple is admissible
-    n = k.shape[0]
-    order = np.argsort(rho, axis=1, kind="stable")
-    dist = np.take_along_axis(rho, order, axis=1)   # NaN distances last
-    first = np.empty((n, n), dtype=np.int32)
+    supp = np.flatnonzero(space.mu > 0)
+    rows = space.rho[:, supp]           # (N, S): anchors by support points
+    n, s = rows.shape
+    order = np.argsort(rows, axis=1, kind="stable")
+    dist = np.take_along_axis(rows, order, axis=1)  # NaN distances last
+    first = np.empty((n, s), dtype=np.int32)
     with np.errstate(over="ignore", invalid="ignore"):
         for x, row in enumerate(dist):
             reach = delta * row
             reach[row <= 0] = -np.inf   # no y at distance 0 is admissible
             first[x] = np.searchsorted(reach, row)
     z = (dist <= 0).sum(axis=1)
-    end = n - np.isnan(dist).sum(axis=1)
+    end = s - np.isnan(dist).sum(axis=1)
     live = ((first < end[:, None]) & (dist > 0)).sum(axis=1)
     top = int(live.max(initial=0))
-    flat = k.ravel()
+    near = k[supp][:, supp].ravel()     # k(x', y)
+    anchor = k[:, supp].ravel()         # k(x, y)
     best, e = 0.0, tau + m
     with np.errstate(all="ignore"):
         for i0 in range(0, top, FIT_RANKS):
@@ -227,8 +250,8 @@ def _smoothness_fit(k: np.ndarray, rho: np.ndarray, m: float, tau: float,
             for g in range(0, len(xs), group):
                 x = xs[g:g + group, None]
                 j = z[x] + np.minimum(ranks, live[x] - 1)
-                ratio = _band_max(flat, order, dist, end[x], first[x, j], x,
-                                  j, e, tau)
+                ratio = _band_max(near, anchor, order, dist, end[x],
+                                  first[x, j], x, j, e, tau)
                 if ratio > best:
                     best = ratio
                 elif ratio != ratio:
@@ -236,18 +259,20 @@ def _smoothness_fit(k: np.ndarray, rho: np.ndarray, m: float, tau: float,
     return best
 
 
-def _band_max(flat, order, dist, end, first, x, j, e, tau) -> float:
+def _band_max(near, anchor, order, dist, end, first, x, j, e, tau) -> float:
     """The smoothness fit of the anchors x (G, 1) over their ranks j (G, J);
-    a rank past an anchor's last is that last one again.  The block holds
-    the last W columns of each anchor's order, W the widest suffix, and
-    ``reduceat`` takes row (g, i) over its last end - first columns only."""
-    n = len(dist)
+    a rank past an anchor's last is that last one again.  ``near`` and
+    ``anchor`` are k on supp x supp and on X x supp, flattened.  The block
+    holds the last W columns of each anchor's order, W the widest suffix,
+    and ``reduceat`` takes row (g, i) over its last end - first columns
+    only."""
+    s = dist.shape[1]
     width = (end - first).ravel()
     wide = int(width.max())
     c = np.maximum(end - wide + np.arange(wide), 0)
     ys = order[x, c]
-    block = flat.take((order[x, j] * n)[:, :, None] + ys[:, None, :])
-    np.subtract(flat[x * n + ys][:, None, :], block, out=block)
+    block = near.take((order[x, j] * s)[:, :, None] + ys[:, None, :])
+    np.subtract(anchor[x * s + ys][:, None, :], block, out=block)
     np.abs(block, out=block)
     block *= (dist[x, c] ** e)[:, None, :]
     stops = np.arange(wide, block.size + 1, wide)

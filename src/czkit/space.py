@@ -441,7 +441,9 @@ def space_to_json(space: MetricMeasureSpace) -> dict:
         "quasi_const": space.quasi_const,
         "resolution_h": space.resolution_h,
     }
-    if space.coords is not None:
+    # a rho edited after construction is no longer its coords' metric
+    if space.coords is not None and np.array_equal(
+            space.rho, euclidean_metric(space.coords)):
         doc["metric"] = {"type": "euclidean", "coords": space.coords.tolist()}
     else:
         doc["metric"] = {"type": "explicit", "matrix": space.rho.tolist()}

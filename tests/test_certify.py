@@ -2,6 +2,7 @@
 paraproduct, Carleson, pseudo-BMO, end-to-end certificates, and the regime
 constants against the exact norms of their regimes."""
 
+import dataclasses
 import importlib
 import math
 
@@ -197,13 +198,20 @@ def test_far_bound_hypothesis_checks():
 
 def test_far_pairs_all_satisfy_long_range_bound():
     # the long range inequality with its explicit constant on every
-    # admissible pair of the two scenarios that produce far pairs
-    for name in ["cantor_measure", "bergman_disc_model"]:
-        space, info = generate_example(name)
+    # admissible pair of three scenarios that produce far pairs. C_CZ is
+    # fitted with x' and y on supp mu and the anchor anywhere, so the pairs
+    # whose fine cube has its center off supp mu check the mean-zero step
+    # at a massless anchor; the line needs the run's S = 2 for far pairs
+    off_support = 0
+    for name, params, s_param in [
+            ("cantor_measure", {}, S_PARAM),
+            ("bergman_disc_model", {}, S_PARAM),
+            ("line_in_plane", {"n": 13}, 2)]:
+        space, info = generate_example(name, **params)
         maker = bergman_kernel if name == "bergman_disc_model" else power_kernel
         kern = maker(space, m=info["m"], tau=info["tau"])
         lat1, lat2, r_gap, alpha = _pipeline_setup(
-            space, m=info["m"], tau=info["tau"])
+            space, m=info["m"], tau=info["tau"], s_param=s_param)
         rng = np.random.default_rng(5)
         f, g = rng.standard_normal((2, space.n_points))
         split = _split(space, kern, lat1, lat2, r_gap, alpha, f, g)
@@ -234,7 +242,9 @@ def test_far_pairs_all_satisfy_long_range_bound():
                                    space.mu[r.members].sum()) * dq * dr)
                 assert abs(value) <= bound * (1 + 1e-9) + 1e-15
                 checked += 1
+                off_support += int(space.mu[q.center] == 0)
         assert checked > 0
+    assert off_support > 0
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +548,24 @@ def test_bmo_bergman_proof_split():
     assert rep["near_passed"]
     if not rep["vacuous"]:
         assert rep["fitted"] <= rep["proof_constant"] * (1 + 1e-9)
+
+
+def test_bmo_tail_oscillation_reads_supp_mu_only():
+    # F is read mu-a.e. and C_CZ is fitted with x' and y on supp mu, so the
+    # kernel rows of mu-null points do not enter the tail oscillation
+    space, info = generate_example("bergman_disc_model")
+    kern = bergman_kernel(space, m=info["m"], tau=info["tau"])
+    lat = build_lattice(space, KAPPA, seed=1)
+    F = kern.matrix.T @ space.mu
+    rep = pseudo_bmo_check(F, space, lat, K=2.0, lambda_bmo=3.0, kernel=kern)
+    null = (space.mu == 0)[:, None]
+    rough = dataclasses.replace(
+        kern, matrix=np.where(null, 1e3 * kern.matrix, kern.matrix))
+    edit = pseudo_bmo_check(F, space, lat, K=2.0, lambda_bmo=3.0,
+                            kernel=rough)
+    tails = [c["tail_oscillation"] for c in rep["per_cube"]]
+    assert max(tails) > 0
+    assert [c["tail_oscillation"] for c in edit["per_cube"]] == tails
 
 
 # ---------------------------------------------------------------------------

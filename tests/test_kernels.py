@@ -124,21 +124,23 @@ def test_smoothness_fit_brute_force():
     assert rep.c_smooth == pytest.approx(best)
 
 
-def _reference_fit(k, rho, m, tau, delta):
+def _reference_fit(k, rho, mu, m, tau, delta):
     """A per-y loop over all (x, x'): (c_size, c_smooth) of the first kernel
-    variable, as the triple loop's floating-point expressions; a NaN ratio
-    counts as +inf."""
+    variable, as the triple loop's floating-point expressions, with x' and
+    y in supp mu and the anchor x anywhere; a NaN ratio counts as +inf."""
     n = len(rho)
     off = ~np.eye(n, dtype=bool)
     c_size = float(np.max(np.abs(k[off]) * rho[off] ** m)) if n > 1 else 0.0
     c_smooth = 0.0
-    rho_tau, positive = rho ** tau, rho > 0
-    for y in range(n):
+    supp = np.flatnonzero(mu > 0)
+    near = rho[:, supp]                                  # rho(x, x')
+    near_tau, positive = near ** tau, near > 0
+    for y in supp:
         col, ry = k[:, y], rho[:, y, None]
-        diff = np.abs(col[:, None] - col[None, :])       # (x, x')
-        admissible = (rho <= delta * ry) & (ry > 0) & positive
+        diff = np.abs(col[:, None] - col[None, supp])    # (x, x')
+        admissible = (near <= delta * ry) & (ry > 0) & positive
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = diff * ry ** (tau + m) / rho_tau
+            ratio = diff * ry ** (tau + m) / near_tau
         ratio[np.isnan(ratio)] = np.inf
         c_smooth = max(c_smooth,
                        float(ratio.max(where=admissible, initial=0.0)))
@@ -147,7 +149,7 @@ def _reference_fit(k, rho, m, tau, delta):
 
 def _assert_fit_matches_reference(kernel, space):
     k, rho = kernel.matrix, space.rho
-    args = (kernel.m, kernel.tau, kernel.delta_CZ)
+    args = (space.mu, kernel.m, kernel.tau, kernel.delta_CZ)
     c_size, c_smooth = _reference_fit(k, rho, *args)
     if not np.array_equal(k, k.T):
         c_smooth = max(c_smooth, _reference_fit(k.T, rho, *args)[1])
@@ -180,15 +182,18 @@ def test_smoothness_fit_matches_reference_on_explicit_metric():
        st.sampled_from([0.5, 1.0, 1.5, np.log(2) / np.log(3)]),
        st.sampled_from([0.3, 1.0, 2.0]), st.sampled_from([0.25, 0.5, 1.0]),
        st.booleans(), st.booleans(), st.sampled_from([1, 2, 3, 32]),
-       st.sampled_from([1, 2, 3, 200, 2 ** 16]))
+       st.sampled_from([1, 2, 3, 200, 2 ** 16]),
+       st.sampled_from(["all", "random", "one", "none"]))
 @settings(max_examples=60, deadline=None)
 def test_smoothness_fit_matches_reference_random(n, seed, m, tau, delta,
                                                  asymmetric, zeros, ranks,
-                                                 cells):
+                                                 cells, support):
     # random non-symmetric kernels on tied, possibly asymmetric distances
-    # with possibly zero off-diagonal entries; bands of 1-3 ranks and blocks
-    # of 1-3 cells put a band or block boundary after every rank or anchor,
-    # 200 cells batch a few anchors per block
+    # with possibly zero off-diagonal entries, under a mu that is positive
+    # everywhere, on a random part of the points, on one point or nowhere;
+    # bands of 1-3 ranks and blocks of 1-3 cells put a band or block
+    # boundary after every rank or anchor, 200 cells batch a few anchors
+    # per block
     rng = np.random.default_rng(seed)
     rho = rng.integers(1, 5, (n, n)).astype(float) * 0.5
     if not asymmetric:
@@ -196,7 +201,10 @@ def test_smoothness_fit_matches_reference_random(n, seed, m, tau, delta,
     if zeros:
         rho[rng.random((n, n)) < 0.2] = 0.0
     np.fill_diagonal(rho, 0.0)
-    space = MetricMeasureSpace(rho=rho, nu=np.ones(n), mu=np.full(n, 1 / n),
+    held = {"all": np.ones(n, dtype=bool), "random": rng.random(n) < 0.5,
+            "one": np.arange(n) == rng.integers(n),
+            "none": np.zeros(n, dtype=bool)}[support]
+    space = MetricMeasureSpace(rho=rho, nu=np.ones(n), mu=held / n,
                                omega=np.zeros(n, dtype=bool), resolution_h=0.5)
     mat = rng.integers(-3, 4, (n, n)) * rng.choice([1.0, 0.1, 1 / 3], (n, n))
     kern = explicit_kernel(space, mat, m=m, tau=tau, C_CZ=1.0)
@@ -204,6 +212,41 @@ def test_smoothness_fit_matches_reference_random(n, seed, m, tau, delta,
     with mock.patch.object(kernels, "FIT_RANKS", ranks), \
             mock.patch.object(kernels, "FIT_CELLS", cells):
         _assert_fit_matches_reference(kern, space)
+        c_smooth = check_size_and_smoothness(kern, space).c_smooth
+    if support == "none" or (support == "one" and delta < 1):
+        # no x' != y in supp mu: only x' = y, which delta < 1 rules out
+        assert c_smooth == 0.0
+
+
+def test_smoothness_fit_reads_x_prime_and_y_on_supp_mu_only():
+    # line_in_plane: mu on the middle row of a 5 x 5 grid. The fit reads
+    # k(x', y) and k(x, y) with x', y in supp mu: an entry with both points
+    # off supp mu is never read, in either kernel variable, and the fit of
+    # the first variable reads no column off supp mu
+    space, info = generate_example("line_in_plane", n=5)
+    kern = power_kernel(space, m=info["m"], tau=info["tau"])
+    null = space.mu == 0
+    base = check_size_and_smoothness(kern, space).c_smooth
+    args = (info["m"], info["tau"], kern.delta_CZ)
+    first = kernels._smoothness_fit(kern.matrix, space, *args)
+    rng = np.random.default_rng(3)
+    edited = kern.matrix.copy()
+    edited[np.ix_(null, null)] = rng.standard_normal((null.sum(),) * 2) * 1e3
+    edit = explicit_kernel(space, edited, m=info["m"], tau=info["tau"],
+                           C_CZ=1.0)
+    assert check_size_and_smoothness(edit, space).c_smooth.hex() == base.hex()
+    edited[:, null] = rng.standard_normal((space.n_points, null.sum())) * 1e3
+    assert kernels._smoothness_fit(edited, space, *args).hex() == first.hex()
+    # a mu-null anchor x next to the line, against the farthest y in
+    # supp mu, is read
+    off, on = np.flatnonzero(null), np.flatnonzero(~null)
+    x = off[space.rho[np.ix_(off, on)].min(axis=1).argmin()]
+    y = on[space.rho[x, on].argmax()]
+    edited = kern.matrix.copy()
+    edited[x, y] = edited[y, x] = 1e3
+    edit = explicit_kernel(space, edited, m=info["m"], tau=info["tau"],
+                           C_CZ=1.0)
+    assert check_size_and_smoothness(edit, space).c_smooth > base
 
 
 @pytest.mark.parametrize("scale, m, tau", [
@@ -241,8 +284,9 @@ def test_smoothness_fit_reads_second_kernel_variable():
     g = np.random.default_rng(4).standard_normal(8)
     mat = np.tile(g, (8, 1))
     kern = explicit_kernel(space, mat, m=1.0, tau=1.0, C_CZ=1.0)
-    first = _reference_fit(mat, space.rho, 1.0, 1.0, kern.delta_CZ)[1]
-    second = _reference_fit(mat.T, space.rho, 1.0, 1.0, kern.delta_CZ)[1]
+    args = (space.mu, 1.0, 1.0, kern.delta_CZ)
+    first = _reference_fit(mat, space.rho, *args)[1]
+    second = _reference_fit(mat.T, space.rho, *args)[1]
     assert first == 0.0 and second > 0.0
     assert check_size_and_smoothness(kern, space).c_smooth == second
     assert explicit_kernel(space, mat, m=1.0, tau=1.0).C_CZ >= second

@@ -528,6 +528,20 @@ def test_space_json_round_trip(tmp_path, line_example):
     assert (loaded.omega == space.omega).all()
 
 
+def test_space_json_keeps_a_rho_edited_after_construction():
+    # a space built from coords whose rho was edited is saved as its
+    # matrix, so a metric that fails its check still fails after reload
+    space, _ = generate_example("line_in_plane", n=5)
+    space.rho = space.rho.copy()
+    space.rho[0, 7] = space.rho[7, 0] = 3 * space.rho[0, 7]
+    assert not verify_quasi_metric(space).ok
+    doc = space_to_json(space)
+    assert doc["metric"]["type"] == "explicit"
+    loaded = space_from_json(doc)
+    assert loaded.rho.tobytes() == space.rho.tobytes()
+    assert not verify_quasi_metric(loaded).ok
+
+
 def test_default_radii_in_range(line8):
     radii = default_radii(line8)
     assert all(line8.resolution_h <= r <= line8.diam() for r in radii)
