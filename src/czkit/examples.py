@@ -24,7 +24,7 @@ def line_in_plane(n: int = 13) -> tuple:
     if n < 3 or n % 2 == 0:
         raise ValueError("need an odd grid side of at least 3")
     ticks = np.linspace(0.0, 1.0, n)
-    coords = np.array([(x, y) for y in ticks for x in ticks])
+    coords = np.stack(np.meshgrid(ticks, ticks), -1).reshape(-1, 2)
     spacing = 1.0 / (n - 1)
     y_mid = ticks[n // 2]
     on_line = np.isclose(coords[:, 1], y_mid)
@@ -104,7 +104,7 @@ def uniform_grid(n: int = 9, normalize: bool = False) -> tuple:
     if n < 2:
         raise ValueError("need a grid side of at least 2")
     ticks = np.linspace(0.0, 1.0, n)
-    coords = np.array([(x, y) for y in ticks for x in ticks])
+    coords = np.stack(np.meshgrid(ticks, ticks), -1).reshape(-1, 2)
     if normalize:
         mu = np.full(len(coords), 1.0 / len(coords))
     else:

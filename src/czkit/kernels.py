@@ -19,6 +19,8 @@ from .space import MetricMeasureSpace, dist_to_complement_all
 
 # Testing sets per product in ``check_T1``; bounds its (sets, N) temporaries.
 T1_BLOCK = 64
+# Rows per tile of the size fit in ``check_size_and_smoothness``.
+SIZE_ROWS = 64
 # Ranks per band and (anchor, rank, y) cells per block of the smoothness fit;
 # bound its temporaries.
 FIT_RANKS = 32
@@ -45,15 +47,12 @@ class KernelSpec:
 
 def _resolve_diagonal(values: np.ndarray, space: MetricMeasureSpace,
                       policy: str, fill) -> np.ndarray:
-    out = values.copy()
-    n = out.shape[0]
-    if policy == "zero":
-        out[np.eye(n, dtype=bool)] = 0.0
-    elif policy == "truncate":
-        out[np.eye(n, dtype=bool)] = fill(space.resolution_h)
-    else:
+    """Write the diagonal of ``values`` in place, per the policy."""
+    if policy not in ("zero", "truncate"):
         raise ValueError(f"unknown diagonal policy {policy!r}")
-    return out
+    np.fill_diagonal(values, 0.0 if policy == "zero"
+                     else fill(space.resolution_h))
+    return values
 
 
 def power_kernel(space: MetricMeasureSpace, m: float, tau: float = 1.0,
@@ -61,8 +60,10 @@ def power_kernel(space: MetricMeasureSpace, m: float, tau: float = 1.0,
                  delta_CZ: float = 0.5) -> KernelSpec:
     """k(x,y) = amplitude / rho(x,y)^m with the declared C_CZ fitted on the
     instance so size and smoothness hypotheses certifiably hold."""
+    vals = np.where(space.rho > 0, space.rho, np.inf)
+    vals **= m
     with np.errstate(divide="ignore"):
-        vals = amplitude / np.where(space.rho > 0, space.rho, np.inf) ** m
+        np.divide(amplitude, vals, out=vals)
     vals = _resolve_diagonal(vals, space, diagonal_policy,
                              lambda h: amplitude / h ** m)
     spec = KernelSpec(vals, m=m, tau=tau, C_CZ=1.0, delta_CZ=delta_CZ,
@@ -162,10 +163,10 @@ class SizeSmoothnessReport:
 
 def check_size_and_smoothness(kernel: KernelSpec,
                               space: MetricMeasureSpace) -> SizeSmoothnessReport:
-    """Fit the smallest size constant |k| * rho^m over all pairs and the
-    smallest smoothness constant over the admissible triples
-    rho(x,x') <= delta rho(x,y) with x', y in supp mu and the anchor x
-    anywhere in X.
+    """Fit the smallest size constant |k| * rho^m over all pairs x != y,
+    in tiles of ``SIZE_ROWS`` rows, and the smallest smoothness constant
+    over the admissible triples rho(x,x') <= delta rho(x,y) with x', y in
+    supp mu and the anchor x anywhere in X.
 
     The smoothness constant is therefore a constant on supp mu with any
     anchor, not on all of X, and that is what the proof reads.  Every use
@@ -181,11 +182,14 @@ def check_size_and_smoothness(kernel: KernelSpec,
     symmetric is fitted again as its transpose, on the same triples."""
     rho = space.rho
     k = kernel.matrix
-    n = space.n_points
-    off = ~np.eye(n, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN (0 * inf): +inf
-        ratios = np.abs(k[off]) * rho[off] ** kernel.m
-    c_size = float(np.where(np.isnan(ratios), np.inf, ratios).max(initial=0))
+    c_size = 0.0
+    for start in range(0, space.n_points, SIZE_ROWS):  # off the diagonal
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = rho[start:start + SIZE_ROWS] ** kernel.m
+            ratios *= np.abs(k[start:start + SIZE_ROWS])
+        np.fill_diagonal(ratios[:, start:], 0.0)
+        top = ratios.max(initial=c_size)
+        c_size = math.inf if np.isnan(top) else float(top)  # NaN: 0 * inf
     c_smooth = _smoothness_fit(k, space, kernel.m, kernel.tau, kernel.delta_CZ)
     if not np.array_equal(k, k.T):
         c_smooth = max(c_smooth, _smoothness_fit(

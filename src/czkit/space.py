@@ -40,9 +40,10 @@ class MetricMeasureSpace:
         if not self.points:
             self.points = list(range(n))
         if self.resolution_h <= 0.0:
-            off = self.rho[~np.eye(n, dtype=bool)] if n > 1 else np.array([1.0])
-            pos = off[off > 0]
-            self.resolution_h = float(pos.min()) if pos.size else 1.0
+            pos = np.where(self.rho > 0, self.rho, np.nan)  # fmin skips NaN
+            np.fill_diagonal(pos, np.nan)
+            h = np.fmin.reduce(pos, axis=None, initial=np.nan)
+            self.resolution_h = float(h) if h > 0 else 1.0
 
     @property
     def n_points(self) -> int:
@@ -118,9 +119,9 @@ class QuasiMetricReport:
 
 def euclidean_metric(coords: np.ndarray) -> np.ndarray:
     """The Euclidean distance matrix of an (N, d) array of points, built
-    from ``_euclidean_tiles``.  Every space built from coordinates takes its
-    metric from here, so a metric "of its coords" is this matrix entry for
-    entry."""
+    from ``_euclidean_tiles`` in row tiles, the squares added in coordinate
+    order.  Every space built from coordinates takes its metric from here,
+    so a metric "of its coords" is this matrix entry for entry."""
     out = np.empty((len(coords), len(coords)))
     for start, rows in _euclidean_tiles(coords):
         out[start:start + len(rows)] = rows
@@ -129,13 +130,20 @@ def euclidean_metric(coords: np.ndarray) -> np.ndarray:
 
 def _euclidean_tiles(coords: np.ndarray, tile: int = 64):
     """(start, the rows [start, start + tile) of the Euclidean metric) per
-    tile of rows: per pair the differences, the ``sum`` of their squares
-    over the last axis, then ``sqrt``.  Each entry is computed on its own,
-    so the tiling does not change its bits, and the temporaries are
-    tile x N x d, not N x N x d."""
-    for start in range(0, len(coords), tile):
-        diff = coords[start:start + tile, None, :] - coords[None, :, :]
-        yield start, np.sqrt(np.square(diff, out=diff).sum(axis=-1))
+    tile of rows: per pair the squared coordinate differences added in
+    coordinate order, then ``sqrt``.  Each entry is computed on its own, so
+    the tiling does not change its bits; the temporaries are two tile x N
+    arrays of the coords' dtype.  For d <= 7 these are the bits of numpy's
+    ``(diff ** 2).sum(axis=-1)``, which adds fewer than 8 terms in order."""
+    n, d = coords.shape
+    for start in range(0, n, tile):
+        block = coords[start:start + tile]
+        rows = np.zeros((len(block), n), coords.dtype)
+        diff = np.empty_like(rows)
+        for j in range(d):
+            np.subtract(block[:, j, None], coords[:, j], out=diff)
+            rows += np.square(diff, out=diff)
+        yield start, np.sqrt(rows)
 
 
 def verify_quasi_metric(space: MetricMeasureSpace) -> QuasiMetricReport:
@@ -196,7 +204,8 @@ def _coordinate_excess_bound(space: MetricMeasureSpace) -> float | None:
     relative error of at most u, except that a square in the subnormal
     range has an absolute error of at most 2^-1075 instead (a difference
     or a sum that underflows is exact, and no step overflows, as rho is
-    finite).  A sum of d nonnegative floats, in any order, is within
+    finite).  A sum of d nonnegative floats, in any order (here the
+    coordinate order of ``_euclidean_tiles``), is within
     gamma = (d-1) u / (1 - (d-1) u) of its exact value in relative terms
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     section 3.1).  So the computed square sum lies in

@@ -193,6 +193,22 @@ def test_calibrate_memory_peak_at_441_points():
     assert peak <= 3.3e6
 
 
+def test_build_memory_peak():
+    # the metric, resolution_h, the power kernel and its size fit run in
+    # row tiles or in place, so building line_in_plane(45), N = 2025, holds
+    # about two N x N arrays at once (2.16 N^2 doubles)
+    import tracemalloc
+    make_scenario("line_in_plane", example_params={"n": 5})
+    n = 45 ** 2
+    tracemalloc.start()
+    try:
+        make_scenario("line_in_plane", example_params={"n": 45})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n * n
+
+
 # ---------------------------------------------------------------------------
 # pipeline runs and reports
 

@@ -20,7 +20,7 @@ from czkit.lattice import cube_dilations
 from czkit.harness import make_scenario
 from czkit.lattice import build_lattice, classify_terminal_transit
 from czkit.examples import generate_example
-from czkit.space import MetricMeasureSpace
+from czkit.space import MetricMeasureSpace, dist_to_complement_all
 from conftest import explicit_space, grid_space, line_space
 
 
@@ -276,6 +276,104 @@ def test_size_fit_counts_nan_ratios_as_inf():
     kern = explicit_kernel(space, mat, m=2.0, tau=1.0, C_CZ=1.0)
     assert check_size_and_smoothness(kern, space).c_size == math.inf
     assert explicit_kernel(space, mat, m=2.0, tau=1.0).C_CZ == math.inf
+
+
+def _gathered_resolution_h(rho):
+    """``resolution_h`` as earlier releases found it: two gathered copies."""
+    n = rho.shape[0]
+    off = rho[~np.eye(n, dtype=bool)] if n > 1 else np.array([1.0])
+    pos = off[off > 0]
+    return float(pos.min()) if pos.size else 1.0
+
+
+def _gathered_size_fit(k, rho, m):
+    """The size fit as earlier releases computed it, on gathered copies."""
+    off = ~np.eye(rho.shape[0], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.abs(k[off]) * rho[off] ** m
+    return float(np.where(np.isnan(ratios), np.inf, ratios).max(initial=0))
+
+
+def _copied_kernel(values, policy, fill):
+    """A kernel matrix as earlier releases resolved it: a copy whose
+    diagonal is set through an identity mask, then the finiteness check;
+    a raise is returned as its type."""
+    try:
+        out = values.copy()
+        out[np.eye(len(out), dtype=bool)] = 0.0 if policy == "zero" else fill()
+        if not np.isfinite(out).all():
+            raise NonFiniteKernelValue("")
+        return out.tobytes()
+    except (ArithmeticError, NonFiniteKernelValue) as exc:
+        return type(exc)
+
+
+def _built_kernel(build):
+    try:
+        return build().matrix.tobytes()
+    except (ArithmeticError, NonFiniteKernelValue) as exc:
+        return type(exc)
+
+
+@given(st.integers(1, 130), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.5, 1.0, 2.0, 3.0, math.log(2) / math.log(3), 40.0]),
+       st.sampled_from([0.0, 1e-300, 1e300]),
+       st.sampled_from([0.0, 0.05, 0.5]))
+@settings(max_examples=60, deadline=None)
+def test_row_passes_match_the_gather_formulas(n, seed, m, diag, share):
+    # 1 to 3 tiles of rows; off the diagonal zeros of both signs, negatives,
+    # NaN, tiny and huge distances (rho^m overflows, and a zero k makes
+    # 0 * inf), and a diagonal that must be ignored
+    rng = np.random.default_rng(seed)
+    rho = rng.random((n, n)) * 10.0 ** rng.integers(-3, 4)
+    special = rng.choice([0.0, -0.0, -1.5, 1e-300, 1e300, np.inf, np.nan],
+                         size=(n, n))
+    rho = np.where(rng.random((n, n)) < share, special, rho)
+    np.fill_diagonal(rho, diag)
+    k = rng.standard_normal((n, n))
+    k[rng.random((n, n)) < 0.2] = rng.choice([0.0, -0.0])
+    space = MetricMeasureSpace(rho=rho, nu=np.ones(n), mu=np.zeros(n),
+                               omega=np.zeros(n, dtype=bool))
+    h = space.resolution_h
+    assert h.hex() == _gathered_resolution_h(rho).hex()
+    kern = explicit_kernel(space, k, m=m, tau=1.0, C_CZ=1.0)
+    assert check_size_and_smoothness(kern, space).c_size.hex() == \
+        _gathered_size_fit(k, rho, m).hex()
+    amp, value = rng.uniform(0.5, 3.0), rng.standard_normal()
+    with np.errstate(over="ignore", divide="ignore"):
+        power = amp / np.where(rho > 0, rho, np.inf) ** m
+        for policy in ("zero", "truncate"):
+            assert _built_kernel(lambda: power_kernel(
+                space, m, amplitude=amp, diagonal_policy=policy)) == \
+                _copied_kernel(power, policy, lambda: amp / h ** m)
+            assert _built_kernel(lambda: constant_kernel(
+                space, value, diagonal_policy=policy)) == \
+                _copied_kernel(np.full((n, n), value), policy, lambda: value)
+
+
+@pytest.mark.parametrize("off", [np.inf, 0.0, -1.0, np.nan, 2.0])
+def test_resolution_h_edge_cases(off):
+    # +inf as the only positive distance gives inf, no positive one gives
+    # 1.0, and the small positive diagonal is never read
+    rho = np.array([[0.25, off], [off, 0.25]])
+    space = MetricMeasureSpace(rho=rho, nu=np.ones(2), mu=np.zeros(2),
+                               omega=np.zeros(2, dtype=bool))
+    assert space.resolution_h == _gathered_resolution_h(rho) == \
+        (off if off > 0 else 1.0)
+    one = MetricMeasureSpace(rho=rho[:1, :1], nu=np.ones(1), mu=np.zeros(1),
+                             omega=np.zeros(1, dtype=bool))
+    assert one.resolution_h == 1.0
+
+
+@pytest.mark.parametrize("policy", ["zero", "truncate"])
+def test_bergman_kernel_diagonal_policies(policy):
+    space, info = generate_example("bergman_disc_model")
+    d = dist_to_complement_all(space)
+    dm = np.maximum(d[:, None], d[None, :]) ** info["m"]
+    want = np.where(dm > 0, 1.0 / np.where(dm > 0, dm, 1.0), 0.0)
+    assert _built_kernel(lambda: bergman_kernel(
+        space, m=info["m"], diagonal_policy=policy)) == \
+        _copied_kernel(want, policy, lambda: 0.0)
 
 
 def test_smoothness_fit_reads_second_kernel_variable():
