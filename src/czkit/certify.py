@@ -123,22 +123,20 @@ def _component_rows(lat: DyadicLattice) -> ComponentRows:
         inside=point_piece < piece.size)
 
 
-def classify_pairs(fine: ComponentRows, coarse: ComponentRows, r_gap: int,
-                   alpha: float) -> dict:
+def classify_pairs(fine: ComponentRows, coarse: ComponentRows,
+                   dist: np.ndarray, r_gap: int, alpha: float) -> dict:
     """Sort all (fine, coarse) good transit pairs with gap >= 0 into the
     diagonal, long range and short range regimes: regime -> ``PairTable``
     of rows of ``fine`` and ``coarse``.
 
-    The distances are the coarse lattice's point-to-cube table reduced over
-    the fine cubes' rows.  The coarse child holding the fine cube is the
-    cube of the next generation with the most of its points, the lowest id
-    on ties; the shared points are counted one coarse generation at a
-    time."""
+    ``dist`` holds the (fine row, coarse column) distances: the coarse
+    lattice's point-to-cube table reduced over the fine cubes' rows.  The
+    coarse child holding the fine cube is the cube of the next generation
+    with the most of its points, the lowest id on ties; the shared points
+    are counted one coarse generation at a time."""
     coarse_lat, qg, rg = coarse.lattice, fine.gen, coarse.gen
     n_fine, k_min = len(fine.ids), coarse_lat.k_min
-    dist = cube_reduce(fine.lattice,
-                       coarse_lat.dist[:, coarse_lat.column[coarse.ids]],
-                       fine.ids, axis=0)
+    dist = dist[:, coarse_lat.column[coarse.ids]]
     meets = np.zeros(dist.shape, dtype=bool)
     # holder[i, k - k_min]: the generation-k coarse cube holding most of Q_i
     holder = np.zeros((n_fine, coarse_lat.k_max - k_min + 1), dtype=int)
@@ -251,21 +249,26 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
     halves = []
     for fine, coarse, op, abs_op in ((rows_f, rows_g, kernel.matrix.T, abs_k.T),
                                      (rows_g, rows_f, kernel.matrix, abs_k)):
-        pairs = classify_pairs(fine, coarse, r_gap, alpha)
+        dist = cube_reduce(fine.lattice, coarse.lattice.dist, fine.ids,
+                           axis=0)
+        pairs = classify_pairs(fine, coarse, dist, r_gap, alpha)
         if halves:
             # equal-size pairs appear in both halves; drop them from the
             # symmetric one so the regrouping stays a partition
             pairs = {regime: t.select(t.gap > 0) for regime, t in pairs.items()}
         half = HalfData(fine_rows=fine, coarse_rows=coarse, op=op, pairs=pairs)
-        # sup of |op| over each point's row and each coarse piece's columns
-        piece_sup = cube_reduce(coarse.lattice, abs_op, coarse.piece,
-                                np.maximum)
+        # sup of |op| over each fine column's rows and each coarse piece's
+        # columns
+        fine_lat = fine.lattice
+        piece_sup = cube_reduce(fine_lat, cube_reduce(
+            coarse.lattice, abs_op, coarse.piece, np.maximum),
+            fine_lat.column_cubes(), np.maximum, axis=0)
         half.geo = {
             "sigma1": _diagonal_geometry(half, abs_op, piece_sup),
             "sigma2": _far_geometry(kernel, half, abs_op),
             "sigma3_term": _terminal_geometry(space, half, abs_op),
             "sigma3_tran": _transit_geometry(kernel, space, half, abs_op,
-                                             piece_sup, alpha)}
+                                             piece_sup, dist, alpha)}
         halves.append(half)
     return tuple(halves)
 
@@ -662,16 +665,16 @@ def short_range_terminal_bound(split: SigmaSplit, half_index: int = 0):
 
 
 def _transit_geometry(kernel, space, half: HalfData, abs_op, piece_sup,
-                      alpha: float) -> dict:
+                      dist, alpha: float) -> dict:
     """Per-pair coefficients of the three short range transit estimates,
     the regime constant, and the hypothesis violations, which depend on the
     lattices only.  Distances and kernel sups from a fine cube Q to the
     coarse remainder R minus R_Q are the extremes over the pieces of R other
-    than R_Q, read off (Q, piece) tables; ``piece_sup`` is as in
-    ``_diagonal_geometry``.  The constant is the pair norm of the far plus
-    sqrt(mu(Q) / mu(R_Q)) times the extension coefficient, as |c_val| <=
-    ||Delta_R g|| / sqrt(mu(R_Q)) and ||Delta_Q f||_L1 <= sqrt(mu(Q))
-    ||Delta_Q f||."""
+    than R_Q, read off ``dist`` (as in ``classify_pairs``) and
+    ``piece_sup`` (as in ``_diagonal_geometry``).  The constant is the pair
+    norm of the far plus sqrt(mu(Q) / mu(R_Q)) times the extension
+    coefficient, as |c_val| <= ||Delta_R g|| / sqrt(mu(R_Q)) and
+    ||Delta_Q f||_L1 <= sqrt(mu(Q)) ||Delta_Q f||."""
     t = half.pairs["sigma3_tran"]
     q, r, rq = t.q, t.r, t.rq
     mu, fine, coarse = space.mu, half.fine_rows, half.coarse_rows
@@ -689,14 +692,13 @@ def _transit_geometry(kernel, space, half: HalfData, abs_op, piece_sup,
                                       np.diff(coarse.piece_start)[r])
     keep = pieces[other_piece] != rq[other_pair]
     other_pair, other_piece = other_pair[keep], other_piece[keep]
-    at = q[other_pair], other_piece
+    row = q[other_pair]
     d_out = np.full(len(t), math.inf)
-    np.minimum.at(d_out, other_pair, cube_reduce(
-        fine.lattice, coarse_lat.dist[:, coarse_lat.column[pieces]],
-        fine.ids, axis=0)[at])
+    np.minimum.at(d_out, other_pair, dist[
+        row, coarse_lat.column[pieces[other_piece]]])
     sup_out = np.zeros(len(t))
-    np.maximum.at(sup_out, other_pair, cube_reduce(
-        fine.lattice, piece_sup, fine.ids, np.maximum, axis=0)[at])
+    np.maximum.at(sup_out, other_pair, piece_sup[
+        fine.lattice.column[fine.ids[row]], other_piece])
     far_coef = _far_coefficient(
         kernel, _py_floats(fine.size[q]), _py_floats(coarse.size[r]), mass_q,
         coarse.mass[r], _py_floats(t.dist)).astype(float)
@@ -1040,13 +1042,13 @@ def _diagonal_geometry(half: HalfData, abs_op, piece_sup) -> dict:
     coarse son), grouped by pair in bucket order. ``w_raw`` is the kernel
     sup weight where a son is terminal or a leaf, NaN where the testing
     constant may be used instead. The sons are the pieces of the two
-    component rows; ``piece_sup`` is the sup of |op| over each point's row
-    and each coarse piece's columns."""
+    component rows; ``piece_sup`` is the sup of |op| over the rows of each
+    fine column (``lat.column``) and the columns of each coarse piece."""
     fine, coarse = half.fine_rows, half.coarse_rows
     f_ids, c_ids = fine.piece, coarse.piece
     # kernel sups over each (fine son, coarse son) rectangle, and over the
     # whole slab of rows of a fine son or columns of a coarse son
-    rect = cube_reduce(fine.lattice, piece_sup, f_ids, np.maximum, axis=0)
+    rect = piece_sup[fine.lattice.column[f_ids]]
     row_sup = cube_reduce(fine.lattice, abs_op.max(axis=1)[:, None], f_ids,
                           np.maximum, axis=0)[:, 0]
     col_sup = cube_reduce(coarse.lattice, abs_op.max(axis=0)[None, :], c_ids,

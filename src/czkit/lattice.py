@@ -24,6 +24,12 @@ from .space import MetricMeasureSpace, masked_sums
 # Cells (seed x generation x point) per ``_draw_batch`` call of
 # ``ensemble_gaps``; bounds its memory.
 ENSEMBLE_CELLS = 2 ** 16
+# Matrix cells per tile of ``cube_reduce`` on the cube tree (2 MB of
+# float64); bounds its temporaries.
+REDUCE_CELLS = 2 ** 18
+# The ufuncs ``cube_reduce`` takes up the cube tree: exact and idempotent,
+# so a cube's value is its children's, whichever points they share.
+TREE_UFUNCS = (np.minimum, np.maximum, np.logical_and, np.logical_or)
 UNSET = -1        # terminal/good flag of a cube not yet classified
 
 
@@ -136,17 +142,57 @@ class DyadicLattice:
         return out
 
     @cached_property
+    def nested(self) -> np.ndarray:
+        """Per cube id: the cube has children, each of a finer generation,
+        and its points are exactly the union of theirs (as sets)."""
+        n, ids = self.space.n_points, self.ids
+        par = ids[self.n_children[ids] > 0]
+        slot, at = _ranges(self.child_start[par], self.n_children[par])
+        kids = self.child_ids[at]
+        # (cube, point) keys of a parent's points, and of its children's
+        # points under the parent's id: a key in one set only breaks it
+        (own, pts), (kid, kid_pts) = map(self.member_entries, (par, kids))
+        broken = np.setxor1d(_distinct(par[own] * n + pts % n),
+                             _distinct(par[slot[kid]] * n + kid_pts % n),
+                             assume_unique=True) // n
+        out = np.zeros(self.gen.size, dtype=bool)
+        out[par] = True
+        out[broken] = False
+        out[par[slot[self.gen[kids] <= self.gen[par[slot]]]]] = False
+        return out
+
+    @cached_property
     def column(self) -> np.ndarray:
         """Column of each cube id in the per-lattice tables; -1 for ids
-        that name no cube.  A cube with one child holds the child's points
-        and shares its column."""
+        that name no cube.  A ``nested`` cube with one child holds the
+        child's points and shares its column."""
         col = np.full(self.gen.size, -1)
         for k in sorted(self.by_gen, reverse=True):
             ids = np.array(self.by_gen[k], dtype=int)
-            one = self.n_children[ids] == 1
+            one = (self.n_children[ids] == 1) & self.nested[ids]
             col[ids[one]] = col[self.child_ids[self.child_start[ids[one]]]]
             col[ids[~one]] = col.max() + 1 + np.arange((~one).sum())
         return col
+
+    @cached_property
+    def tree(self):
+        """The plan ``cube_reduce`` follows up the cube tree: None unless
+        the lattice nests (every cube has points, and every cube with
+        children is ``nested``), else (leaves, steps).  ``leaves`` holds
+        (columns, member rows) per member count of the childless cubes;
+        ``steps`` holds (columns, child columns) per generation, fine to
+        coarse, and child count of the cubes with two children or more."""
+        ids = self.ids
+        count = self.n_children[ids]
+        if not (self.nested[ids[count > 0]].all() and
+                self.n_members[ids].all()):
+            return None
+        col, leaf, multi = self.column, ids[count == 0], ids[count > 1]
+        return ([(col[leaf[slots]], rows)
+                 for slots, rows in member_rows(self, leaf)],
+                [(col[multi[slots]], col[kids]) for slots, kids in _grouped(
+                    self.child_start[multi], self.n_children[multi],
+                    self.child_ids, self.k_max - self.gen[multi])])
 
     def column_cubes(self) -> list:
         """One cube id per table column."""
@@ -167,6 +213,22 @@ class DyadicLattice:
         return cube_reduce(self, self.space.rho, self.column_cubes())
 
     @cached_property
+    def diam(self) -> np.ndarray:
+        """diam(Q) per cube id: the max of rho over the pairs of its
+        points, 0 off the cubes and on cubes of at most one point.  Read
+        off one max table of rho over each cube's rows, at its own
+        points."""
+        out = np.zeros(self.gen.size)
+        big = self.ids[self.n_members[self.ids] > 1]
+        if big.size:
+            reach = cube_reduce(self, self.space.rho, big, np.maximum, axis=0)
+            slot, pts = self.member_entries(big)
+            count = self.n_members[big]
+            out[big] = np.maximum.reduceat(reach[slot, pts],
+                                           np.cumsum(count) - count)
+        return out
+
+    @cached_property
     def plan(self):
         """The ``projections.DecompositionPlan``, built on first use."""
         from .projections import DecompositionPlan
@@ -181,51 +243,94 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> tuple:
     return owner, np.repeat(start, count) + offset
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending (``np.unique`` by one sort, without
+    its hash table)."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _grouped(start: np.ndarray, count: np.ndarray, values: np.ndarray,
+             key=0):
+    """(slots, rows) per value of ``count`` and of the integer ``key`` (one
+    per entry), ascending in key: rows[i] holds the count[s] values from
+    values[start[s]] on, s = slots[i]."""
+    group = np.asarray(key) * (count.max(initial=0) + 1) + count
+    for g in sorted(set(group.tolist())):
+        slots = np.flatnonzero(group == g)
+        yield slots, values[start[slots, None] + np.arange(count[slots[0]])]
+
+
 def member_rows(lat: DyadicLattice, ids, key=0):
     """(slots, rows) per member count of the cubes ``ids`` and per value of
     the integer ``key`` (one per cube): rows[i] holds the members of cube
     ids[slots[i]]."""
     ids = np.asarray(ids, dtype=int)
-    count = lat.n_members[ids]
-    group = np.asarray(key) * (count.max(initial=0) + 1) + count
-    for g in np.unique(group).tolist():
-        slots = np.flatnonzero(group == g)
-        yield slots, lat.points[lat.offsets[ids[slots], None] +
-                                np.arange(count[slots[0]])]
+    return _grouped(lat.offsets[ids], lat.n_members[ids], lat.points, key)
 
 
 def cube_reduce(lat: DyadicLattice, matrix: np.ndarray, ids,
                 ufunc=np.minimum, axis: int = 1) -> np.ndarray:
     """Reduce ``matrix`` over the members of each cube of ``lat`` named in
     ``ids``: slot j along ``axis`` of the result is ``ufunc`` over the
-    columns (axis 1) or rows (axis 0) of cube ``ids[j]``.  The cubes of one
-    generation and member count reduce together, one gather of their rows
-    each; a generation's cubes are disjoint, so no gather is taller than N.
-    (``ufunc.reduceat`` over a generation's rows is exact as well, but it
-    reduces along the rows without SIMD, several times slower on large
-    cubes.)"""
+    columns (axis 1) or rows (axis 0) of cube ``ids[j]``.
+
+    The ufuncs of ``TREE_UFUNCS`` (min, max, and, or) on a lattice that
+    nests (``lat.tree``) go up the cube tree when the cubes ``ids`` hold
+    more than N points in all: a table with one row per column
+    (``lat.column``) is filled at the childless cubes from their members,
+    then at the cubes of each generation, fine to coarse, from their
+    children's rows, and the rows of ``ids`` are read off it, in tiles of
+    ``REDUCE_CELLS`` matrix cells.  These ufuncs are exact, so every entry
+    is the member reduction's, bit for bit, but for the sign of a zero: a
+    min or max over +0.0 and -0.0 may give either, as numpy's own
+    reductions do.  Otherwise the members of each cube are gathered: for
+    cubes of at most N points in all, which is fewer rows than the tree's
+    childless cubes alone; for sums (``np.add``: mu(Q), nu(Q)), so that
+    each keeps the bits of ``matrix[members].sum()``; and on a lattice that
+    does not nest (a hand-edited one), whose children do not make up their
+    parent.  The gather takes the cubes of one generation and member count
+    together, one gather of their rows each; a generation's cubes are
+    disjoint, so no gather is taller than N."""
     src = np.asarray(matrix)
-    if axis == 1:
-        src = np.ascontiguousarray(src.T)
     ids = np.asarray(ids, dtype=int)
-    out = np.empty((ids.size, src.shape[1]), dtype=src.dtype)
-    for slots, rows in member_rows(lat, ids, lat.gen[ids]):
-        out[slots] = ufunc.reduce(src[rows], axis=1)
-    return np.ascontiguousarray(out.T) if axis == 1 else out
+    tree = lat.tree if ufunc in TREE_UFUNCS else None
+    if tree is None or lat.n_members[ids].sum() <= lat.space.n_points:
+        if axis == 1:
+            src = np.ascontiguousarray(src.T)
+        out = np.empty((ids.size, src.shape[1]), dtype=src.dtype)
+        for slots, rows in member_rows(lat, ids, lat.gen[ids]):
+            out[slots] = ufunc.reduce(src[rows], axis=1)
+        return np.ascontiguousarray(out.T) if axis == 1 else out
+    leaves, steps = tree
+    view = src if axis == 0 else src.T        # members along the rows
+    n_cols, cols = lat.column.max() + 1, lat.column[ids]
+    out = np.empty((ids.size, view.shape[1]) if axis == 0 else
+                   (view.shape[1], ids.size), dtype=src.dtype)
+    dst = out if axis == 0 else out.T
+    width = max(1, REDUCE_CELLS // max(1, view.shape[0]))
+    for a in range(0, view.shape[1], width):
+        part = np.ascontiguousarray(view[:, a:a + width])
+        table = np.empty((n_cols, part.shape[1]), dtype=src.dtype)
+        for at, rows in leaves:
+            table[at] = ufunc.reduce(part[rows], axis=1)
+        for at, kids in steps:
+            table[at] = ufunc.reduce(table[kids], axis=1)
+        dst[:, a:a + width] = table[cols]
+    return out
 
 
 def cube_dilations(lat: DyadicLattice, lams) -> np.ndarray:
     """(cubes, 1 + len(lams), N) point masks: each cube of ``lat`` in
     ``ids`` order, then its dilations lambda Q = Q union {x : dist(x, Q)
-    <= (lambda - 1) diam(Q)} (``space.dilate``), read off ``lat.dist``."""
+    <= (lambda - 1) diam(Q)} (``space.dilate``), read off ``lat.dist`` and
+    ``lat.diam``."""
     if any(lam < 1.0 for lam in lams):
         raise ValueError("dilation parameter must be >= 1")
     reps = lat.column_cubes()
-    reach = cube_reduce(lat, lat.space.rho, reps, np.maximum, axis=0)
-    diam = np.zeros(len(reps))
-    for slots, rows in member_rows(lat, reps):
-        if rows.shape[1] > 1:
-            diam[slots] = reach[slots[:, None], rows].max(axis=1)
+    diam = lat.diam[reps]
     inside = lat.member_masks(reps)
     out = np.empty((len(reps), 1 + len(lams), lat.space.n_points), dtype=bool)
     out[:, 0] = inside
@@ -453,17 +558,22 @@ def verify_lattice_properties(lat: DyadicLattice) -> LatticePropertyReport:
     the small-boundary inequality (vi), exponent 1, at the relative
     thicknesses kappa, kappa^2 and kappa^3.  One pass per generation over
     its cubes' member masks (members, not labels, so a lattice loaded with
-    broken members is checked as it stands); complements read off labels."""
+    broken members is checked as it stands); complements read off labels,
+    distances to them off ``lat.dist`` where the cubes are the label
+    classes."""
     space, n, failures = lat.space, lat.space.n_points, []
     # per cube id: not nested in its parent, not under exactly one label
     nest_bad, lone_bad = np.zeros((2, lat.gen.size), dtype=bool)
     top = max(space.diam(), space.resolution_h)
     c_diam, a0, c_boundary = 0.0, math.inf, 0.0
+    filled = lat.n_members[lat.ids].all()
     for k in lat.generations():
         ids, lab = np.array(lat.by_gen[k], dtype=int), lat.labels[k]
         if (lab < 0).any():
             failures.append(("partition", k, "uncovered points"))
-        if (np.bincount(lat.member_entries(ids)[1], minlength=n) > 1).any():
+        slot, pts = lat.member_entries(ids)
+        count = np.bincount(pts, minlength=n)
+        if (count > 1).any():
             failures.append(("disjointness", k, "overlapping cubes"))
         inside = lat.member_masks(ids)
         # a cube without a parent is checked against itself
@@ -475,23 +585,25 @@ def verify_lattice_properties(lat: DyadicLattice) -> LatticePropertyReport:
             lone_bad[ids] = ~inside.any(axis=1) | (inside & (
                 up != up[inside.argmax(axis=1), None])).any(axis=1)
 
-        # diameters, one gather of rho per member count
         size = lat.size[ids]
-        diam = np.zeros(ids.size)
-        for slots, rows in member_rows(lat, ids):
-            if rows.shape[1] > 1:
-                diam[slots] = space.rho[rows[:, :, None],
-                                        rows[:, None, :]].max(axis=(1, 2))
-        c_diam = max(c_diam, float((diam / size).max()))
+        c_diam = max(c_diam, float((lat.diam[ids] / size).max()))
         # a0: each center to its cube's complement; a full cube: diam(X)
         full = lat.n_members[ids] == n
         near = space.rho[lat.center[ids]]
         near[lab == ids[:, None]] = np.inf
         a0 = min(a0, float((np.where(full, top, near.min(axis=1)) /
                             size).min()))
-        # (vi): nu{x in Q : dist(x, X \ Q) <= t * s(Q)} <= C t nu(Q)
-        d_out = np.where(lab[:, None] == lab[None, :], np.inf,
-                         space.rho).min(axis=1)
+        # (vi): nu{x in Q : dist(x, X \ Q) <= t * s(Q)} <= C t nu(Q); when
+        # every point lies in one cube of k (labels come from the members),
+        # X \ Q is the union of the others, read off ``lat.dist`` (which
+        # an empty cube leaves undefined)
+        if (count == 1).all() and filled:
+            d_out = lat.dist[:, lat.column[ids]]
+            d_out[pts, slot] = np.inf
+            d_out = d_out.min(axis=1)
+        else:
+            d_out = np.where(lab[:, None] == lab[None, :], np.inf,
+                             space.rho).min(axis=1)
         nu_q = cube_reduce(lat, space.nu[None, :], ids, np.add)[0]
         keep = ~full & (nu_q > 0)
         for t in (lat.kappa, lat.kappa ** 2, lat.kappa ** 3):

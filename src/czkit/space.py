@@ -161,9 +161,10 @@ def verify_quasi_metric(space: MetricMeasureSpace) -> QuasiMetricReport:
         i, j = np.argwhere(~np.isfinite(rho))[0]
         return QuasiMetricReport(False, (int(i), int(j), -1),
                                  float(rho[i, j]), "non-finite distance")
-    asym = np.abs(rho - rho.T)
-    i, j = np.unravel_index(np.argmax(asym), asym.shape)
-    if asym[i, j] > 0:
+    # a failing check builds its N x N table only to name the entry
+    if (rho != rho.T).any():
+        asym = np.abs(rho - rho.T)
+        i, j = np.unravel_index(np.argmax(asym), asym.shape)
         return QuasiMetricReport(False, (int(i), int(j), -1), float(asym[i, j]),
                                  "symmetry violation")
     diag = np.abs(np.diag(rho))
@@ -171,8 +172,10 @@ def verify_quasi_metric(space: MetricMeasureSpace) -> QuasiMetricReport:
         k = int(np.argmax(diag))
         return QuasiMetricReport(False, (k, k, -1), float(diag.max()),
                                  "nonzero diagonal")
-    off = rho + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
-    if n > 1 and off.min() <= 0:
+    # the diagonal is zero: an entry off it is not positive iff more than
+    # n entries are not
+    if np.count_nonzero(rho <= 0) > n:
+        off = rho + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
         i, j = np.unravel_index(np.argmin(off), off.shape)
         return QuasiMetricReport(False, (int(i), int(j), -1), 0.0,
                                  "zero distance off the diagonal")
@@ -464,6 +467,10 @@ def space_from_json(doc: dict) -> MetricMeasureSpace:
     metric = doc["metric"]
     if metric["type"] == "euclidean":
         coords = np.asarray(metric["coords"], dtype=float)
+        if coords.ndim != 2:
+            raise ValueError(
+                "the euclidean coords must be an (N, d) array, one row of d "
+                f"coordinates per point, not an array of shape {coords.shape}")
         if not np.isfinite(coords).all():
             raise ValueError("the euclidean coords have non-finite entries")
         rho = euclidean_metric(coords)

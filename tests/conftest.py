@@ -69,6 +69,33 @@ def edited_lattice(lat, edits: dict):
     return lattice_from_json(doc, lat.space)
 
 
+def broken_lattice(kind: str):
+    """A grid lattice broken by hand: two cubes merged (``"overlap"``), a
+    cube hung under the parent of a cousin (``"wrong_parent"``), or a point
+    of that cousin moved into the cube, which then straddles two parents
+    (``"straddle"``), or left out of every cube of its generation
+    (``"uncovered"``)."""
+    space, info = generate_example("uniform_grid")
+    lat = build_lattice(space, info["kappa"], seed=1)
+    for k in sorted(lat.by_gen, reverse=True):
+        a, *rest = (lat.cubes[c] for c in lat.by_gen[k])
+        cousins = [b for b in rest
+                   if b.parent != a.parent and b.members.size > 1]
+        if cousins:
+            break
+    b = cousins[0]
+    if kind == "overlap":
+        edits = {a.id: {"members": np.union1d(a.members, b.members)}}
+    elif kind == "wrong_parent":
+        edits = {a.id: {"parent": b.parent}}
+    elif kind == "straddle":
+        edits = {a.id: {"members": np.union1d(a.members, b.members[:1])},
+                 b.id: {"members": b.members[1:]}}
+    else:
+        edits = {b.id: {"members": b.members[1:]}}
+    return edited_lattice(lat, edits)
+
+
 def probe_args(cubes) -> tuple:
     """(members, generations) of the probe cubes, as ``ensemble_gaps``
     takes them."""

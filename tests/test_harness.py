@@ -209,6 +209,26 @@ def test_build_memory_peak():
     assert peak <= 2.5 * 8 * n * n
 
 
+def test_run_memory_peak():
+    # on top of the built scenario, a run of line_in_plane(45), N = 2025,
+    # holds at most four N x N arrays at once.  It reads 3.62 N^2 doubles,
+    # at the ball mask of ``ball_masses``; the certificate stays below
+    # that, as cube reductions run in tiles and the quasi-metric checks
+    # build no N x N difference on a space that passes them (a transposed
+    # copy of rho per member gather peaked at 3.92 in ``check_T1``)
+    import tracemalloc
+    run(make_scenario("line_in_plane", example_params={"n": 5}))
+    scenario = make_scenario("line_in_plane", example_params={"n": 45})
+    n = 45 ** 2
+    tracemalloc.start()
+    try:
+        run(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * 8 * n * n
+
+
 # ---------------------------------------------------------------------------
 # pipeline runs and reports
 
@@ -556,7 +576,12 @@ def test_cli_duplicate_points_are_input_error(command, tmp_path, capsys):
     ({"points": ["a", "b"],
       "metric": {"type": "explicit", "matrix": [[0, 1, 2], [1, 0, 1]]},
       "nu": [1, 1], "mu": [0.5, 0.5]}, "a 2x3 metric"),
-], ids=["coords", "weights", "matrix"])
+    ({"points": ["a", "b"],
+      "metric": {"type": "euclidean", "coords": [0.0, 1.0]},
+      "nu": [1, 1], "mu": [0.5, 0.5]},
+     "the euclidean coords must be an (N, d) array, one row of d "
+     "coordinates per point, not an array of shape (2,)"),
+], ids=["coords", "weights", "matrix", "flat-coords"])
 def test_cli_mismatched_lengths_are_input_error(command, doc, message,
                                                 tmp_path, capsys):
     path = tmp_path / "bad.json"

@@ -15,6 +15,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from czkit.certify import carleson_embedding_check
 from czkit.errors import RootTerminal
@@ -23,7 +25,8 @@ from czkit.lattice import (build_lattice, classify_terminal_transit,
                            lattice_from_json, lattice_to_json,
                            verify_lattice_properties)
 from czkit.space import MetricMeasureSpace
-from conftest import edited_lattice, explicit_space, line_space
+from conftest import (broken_lattice, edited_lattice, explicit_space,
+                      line_space)
 
 SEEDS = (1, 2, 2476693647)
 # the four built-ins (line_in_plane has n = 13), the benchmark's line and
@@ -227,41 +230,43 @@ def test_passes_match_reference_after_json_round_trip():
     assert_same_carleson(back, _weights(back, 5))
 
 
-def _broken(kind):
-    """A grid lattice broken by hand: two cubes merged (overlap), a cube
-    hung under the parent of a cousin, or a point of that cousin moved into
-    the cube (which then straddles two parents)."""
-    space, info = generate_example("uniform_grid")
-    lat = build_lattice(space, info["kappa"], seed=1)
-    for k in sorted(lat.by_gen, reverse=True):
-        a, *rest = (lat.cubes[c] for c in lat.by_gen[k])
-        cousins = [b for b in rest
-                   if b.parent != a.parent and b.members.size > 1]
-        if cousins:
-            break
-    b = cousins[0]
-    if kind == "overlap":
-        edits = {a.id: {"members": np.union1d(a.members, b.members)}}
-    elif kind == "wrong_parent":
-        edits = {a.id: {"parent": b.parent}}
-    else:
-        edits = {a.id: {"members": np.union1d(a.members, b.members[:1])},
-                 b.id: {"members": b.members[1:]}}
-    return edited_lattice(lat, edits)
-
-
 @pytest.mark.parametrize("kind,fails", [
     ("overlap", {"disjointness", "nesting", "unique_ancestor"}),
     ("wrong_parent", {"nesting"}),
     ("straddle", {"nesting", "unique_ancestor"}),
+    ("uncovered", {"partition", "nesting"}),
 ])
 def test_passes_match_reference_on_broken_lattices(kind, fails):
-    lat = _broken(kind)
+    lat = broken_lattice(kind)
     rep = assert_same_properties(lat)
     assert not rep.passed
     assert {f[0] for f in rep.failures} == fails
     assert_same_flags(lat, m=2.0)
     assert_same_carleson(lat, _weights(lat, 3))
+
+
+@given(st.sampled_from(["line_n21", "uniform_grid", "cantor_measure"]),
+       st.integers(0, 2**16), st.sampled_from(["drop", "merge", "move"]))
+@settings(max_examples=60, deadline=None)
+def test_property_pass_matches_reference_on_edited_members(name, seed, kind):
+    # a point left out of every cube of its generation, or put in two, makes
+    # the complement of a cube more than the other cubes: the boundary
+    # layers must still read it off the labels
+    space, info = _example(name)
+    lat = build_lattice(space, info["kappa"], seed=seed % 7)
+    rng = np.random.default_rng(seed)
+    k = int(rng.choice(sorted(lat.by_gen)[1:]))
+    a, b = (lat.cubes[c] for c in rng.choice(lat.by_gen[k], 2))
+    if kind == "drop" and a.members.size > 1:
+        edits = {a.id: {"members": np.delete(
+            a.members, rng.integers(a.members.size))}}
+    elif kind == "merge":
+        edits = {a.id: {"members": np.union1d(a.members, b.members)}}
+    else:
+        x = b.members[rng.integers(b.members.size)]
+        edits = {a.id: {"members": np.union1d(a.members, [x])},
+                 b.id: {"members": np.setdiff1d(b.members, [x])}}
+    assert_same_properties(edited_lattice(lat, edits))
 
 
 def test_passes_match_reference_with_zero_mass_cubes():

@@ -160,6 +160,62 @@ def test_quasi_metric_scan_matches_reference(n, seed, power, k_q, grid, tile):
         assert excess[x, y, z] == rep.worst_excess
 
 
+def _reference_entry_checks(rho):
+    """The symmetry, diagonal and off-diagonal checks of
+    ``verify_quasi_metric`` on full N x N tables, as they were: (triple,
+    value, reason) of the first that fails, or None."""
+    n = len(rho)
+    asym = np.abs(rho - rho.T)
+    i, j = np.unravel_index(np.argmax(asym), asym.shape)
+    if asym[i, j] > 0:
+        return (int(i), int(j), -1), float(asym[i, j]), "symmetry violation"
+    diag = np.abs(np.diag(rho))
+    if diag.max() > 0:
+        k = int(np.argmax(diag))
+        return (k, k, -1), float(diag.max()), "nonzero diagonal"
+    off = rho + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
+    if n > 1 and off.min() <= 0:
+        i, j = np.unravel_index(np.argmin(off), off.shape)
+        return (int(i), int(j), -1), 0.0, "zero distance off the diagonal"
+    return None
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(["scale", "ulp", "diag", "minus_zero_diag",
+                                 "zero", "minus_zero", "negative"]),
+                max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_entry_checks_report_as_the_full_tables(n, seed, edits):
+    # symmetric edits keep the symmetry check passing, so the diagonal and
+    # off-diagonal checks are reached too
+    rng = np.random.default_rng(seed)
+    rho = euclidean_metric(rng.random((n, 2)))
+    for edit in edits:
+        i, j = (int(a) for a in rng.integers(0, n, 2))
+        if edit == "scale":
+            rho[i, j] *= rng.uniform(0.5, 2.0)
+        elif edit == "ulp":
+            rho[i, j] = np.nextafter(rho[i, j], np.inf)
+        elif edit == "diag":
+            rho[i, i] = rng.uniform(-1.0, 1.0)
+        elif edit == "minus_zero_diag":
+            rho[i, i] = -0.0
+        else:
+            rho[i, j] = rho[j, i] = {"zero": 0.0, "minus_zero": -0.0,
+                                     "negative": -rng.random()}[edit]
+    space = MetricMeasureSpace(rho=rho, nu=np.ones(n), mu=np.full(n, 1 / n),
+                               omega=np.zeros(n, dtype=bool),
+                               resolution_h=1.0)
+    rep = verify_quasi_metric(space)
+    want = _reference_entry_checks(rho)
+    if want is None:
+        assert rep.reason not in ("symmetry violation", "nonzero diagonal",
+                                  "zero distance off the diagonal")
+    else:
+        assert (rep.ok, rep.worst_triple, rep.worst_excess, rep.reason) == \
+            (False, *want)
+
+
 def _scan_report(space):
     """The report of the same space without coords: the triple scan."""
     rep = verify_quasi_metric(dataclasses.replace(space, coords=None))

@@ -4,20 +4,29 @@ The point-to-cube distance table, the cube reductions built on it and the
 pair classification read off them must reproduce the per-cube and per-pair
 computations exactly: every entry is a min or max over the same entries.
 The explicit metric is symmetric only to 1e-12, which a space file allows,
-so the orientation of every reduction is checked too."""
+so the orientation of every reduction is checked too.  ``cube_reduce``
+takes min, max, and and or up the cube tree of a lattice that nests, and
+gathers the members of each cube on one that does not; both must give the
+per-cube reduction."""
+
+import functools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from czkit import lattice as lattice_module
 from czkit.certify import _component_rows, alpha_param, classify_pairs
 from czkit.examples import generate_example
-from czkit.lattice import (build_lattice, classify_all_good_bad,
+from czkit.lattice import (TREE_UFUNCS, build_lattice, classify_all_good_bad,
                            classify_good_bad, classify_terminal_transit,
                            cube_dilations, cube_reduce, masked_sums,
                            scale_gap)
 from czkit.projections import good_component_ids
 from czkit.space import dilate
-from conftest import explicit_space
+from conftest import broken_lattice, edited_lattice, explicit_space
 
 EXAMPLES = ("cantor_measure", "uniform_grid", "line_in_plane",
             "bergman_disc_model")
@@ -43,8 +52,27 @@ def _lattices(space, seed):
 @pytest.mark.parametrize("name,seed", CASES)
 def test_point_to_cube_table_and_dilations(name, seed):
     space = _space(name)
+    _assert_point_tables(space, _lattices(space, seed)[0])
+
+
+def test_edited_one_child_cube_keeps_its_own_column():
+    # a one-child cube given the points of another cube of its generation
+    # no longer holds its child's points, so it must not share its column
+    space = generate_example("uniform_grid")[0]
+    lat = build_lattice(space, 0.5, seed=1)
+    cid = next(c for c in lat.ids.tolist()
+               if lat.n_children[c] == 1 and lat.parent[c] >= 0)
+    other = next(c for c in lat.by_gen[lat.gen[cid]] if c != cid)
+    lat = edited_lattice(lat, {cid: {"members": lat.members(other).tolist()}})
+    child = lat.child_ids[lat.child_start[cid]]
+    assert not lat.nested[cid] and lat.tree is None
+    assert lat.column[cid] != lat.column[child]
+    assert not np.array_equal(lat.members(cid), lat.members(child))
+    _assert_point_tables(space, lat)
+
+
+def _assert_point_tables(space, lat):
     rho = space.rho
-    lat, _ = _lattices(space, seed)
     masks = cube_dilations(lat, LAMS)
     rows = cube_reduce(lat, rho, list(lat.cubes), axis=0)
     members = lat.member_masks(list(lat.cubes))
@@ -77,6 +105,85 @@ def test_cube_pair_distances_and_sups(name, seed):
         for b, r in enumerate(rs):
             assert dist[a, b] == space.set_dist(q.members, r.members)
             assert sup[a, b] == mat[np.ix_(q.members, r.members)].max()
+
+
+def _member_reduce(lat, matrix, ids, ufunc, axis):
+    """Slot j along ``axis``: ``ufunc.reduce`` over the members of cube
+    ids[j], one cube at a time."""
+    return np.stack([ufunc.reduce(np.take(matrix, lat.members(c), axis=axis),
+                                  axis=axis) for c in ids],
+                    axis=axis).astype(matrix.dtype)
+
+
+def _assert_reduces_per_cube(lat, matrix, ufunc, axis):
+    # == and NaN positions: a min or max over +0.0 and -0.0 may come out as
+    # either zero, as numpy's own reductions do, and compares equal
+    ids = list(lat.cubes)
+    got = cube_reduce(lat, matrix, ids, ufunc, axis)
+    want = _member_reduce(lat, matrix, ids, ufunc, axis)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    # any order, repeats included, reads the same rows; the finest cubes
+    # hold fewer than N points and are gathered
+    for some in (ids[::-3] + ids[:2], ids[-3:]):
+        assert np.array_equal(cube_reduce(lat, matrix, some, ufunc, axis),
+                              _member_reduce(lat, matrix, some, ufunc, axis),
+                              equal_nan=True)
+
+
+_cached_space = functools.cache(_space)
+
+
+def _operand(rng, ufunc, shape, special: bool):
+    """A random matrix for ``ufunc``: booleans for and/or, else uniform
+    floats, and with ``special`` a third of the entries drawn from NaN,
+    +-0.0 and +-inf."""
+    if ufunc in (np.logical_and, np.logical_or):
+        return rng.random(shape) < rng.uniform(0.0, 1.0)
+    out = rng.uniform(-1.0, 1.0, shape)
+    if special:
+        pool = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf])
+        hit = rng.random(shape) < 1 / 3
+        out[hit] = rng.choice(pool, hit.sum())
+    return out
+
+
+@given(st.sampled_from(EXAMPLES + ("explicit",)), st.integers(0, 2**16),
+       st.sampled_from(TREE_UFUNCS), st.sampled_from((0, 1)),
+       st.sampled_from(("rho", "random", "special")),
+       st.sampled_from((1, 5, 64, 2**18)))
+@settings(max_examples=120, deadline=None)
+def test_tree_reduce_matches_member_reduce(name, seed, ufunc, axis, kind,
+                                           cells):
+    # built-in lattices nest, so these take the tree; ``cells`` tiles the
+    # kept axis down to one column at a time
+    space = _cached_space(name)
+    lat = build_lattice(space, 0.5, seed=seed)
+    assert lat.tree is not None
+    rng = np.random.default_rng(seed)
+    n = space.n_points
+    shape = [n, n]
+    shape[1 - axis] = int(rng.choice([1, 3, n]))
+    if kind == "rho" and ufunc in (np.minimum, np.maximum):
+        matrix = space.rho
+    else:
+        matrix = _operand(rng, ufunc, shape, kind == "special")
+    with mock.patch.object(lattice_module, "REDUCE_CELLS", cells):
+        _assert_reduces_per_cube(lat, matrix, ufunc, axis)
+
+
+@pytest.mark.parametrize("kind", ("overlap", "wrong_parent", "straddle"))
+@pytest.mark.parametrize("ufunc", TREE_UFUNCS)
+@pytest.mark.parametrize("axis", (0, 1))
+def test_broken_lattices_gather_members(kind, ufunc, axis):
+    lat = broken_lattice(kind)
+    assert lat.tree is None
+    rng = np.random.default_rng(5)
+    n = lat.space.n_points
+    _assert_reduces_per_cube(lat, _operand(rng, ufunc, (n, n), True), ufunc,
+                             axis)
+    if ufunc is np.minimum:
+        _assert_point_tables(lat.space, lat)
 
 
 def test_masked_sums_are_the_gathered_sums():
@@ -140,8 +247,9 @@ def test_good_bad_and_pair_classification(name, seed, s_param):
     for fine, coarse in ((lat1, lat2), (lat2, lat1)):
         rows = [_component_rows(lat) for lat in (fine, coarse)]
         ids = [row.ids for row in rows]
+        dist = cube_reduce(fine, coarse.dist, ids[0], axis=0)
         got = {regime: table.records(*ids) for regime, table in
-               classify_pairs(*rows, r_gap, alpha).items()}
+               classify_pairs(*rows, dist, r_gap, alpha).items()}
         assert got == _reference_pairs(space, fine, coarse, r_gap, alpha)
 
 
