@@ -714,19 +714,22 @@ def _transit_geometry(kernel, space, half: HalfData, abs_op, piece_sup,
 
     # (b) extension error, exact ascent sums over the levels of R_Q's
     # chain: at each generation k above R_Q, the ancestor at k minus the
-    # ancestor at k + 1, where that leaves points
+    # ancestor at k + 1, where that leaves points; the levels and their
+    # masses once per distinct R_Q, the distances from each Q's center
     labels = np.stack([coarse_lat.labels[k] for k in coarse_lat.generations()])
-    x = in_rq.argmax(axis=1)                          # a point of each R_Q
-    below = (labels[:, x] == rq).argmax(axis=0)       # R_Q's generation
+    rq_ids, at = np.unique(rq, return_inverse=True)
+    x = coarse_lat.points[coarse_lat.offsets[rq_ids]]  # a point of each R_Q
+    same = labels[:, None, :] == labels[:, x, None]   # (k, R_Q, point)
+    below = (labels[:, x] == rq_ids).argmax(axis=0)   # R_Q's generation
+    level = same[:-1] & ~same[1:] & \
+        (below > np.arange(len(labels) - 1)[:, None])[..., None]
     rho_q = space.rho[fine.center[q]]                 # from Q's center
     d = np.full((len(labels), len(t)), math.inf)
     mass = np.zeros(d.shape)
+    mass[:-1] = masked_sums(mu, level.reshape(-1, mu.size)).reshape(
+        len(labels) - 1, rq_ids.size)[:, at]
     for k in range(len(labels) - 1):
-        level = ((labels[k] == labels[k, x, None]) &
-                 (labels[k + 1] != labels[k + 1, x, None]) &
-                 (below > k)[:, None])
-        d[k] = np.where(level, rho_q, math.inf).min(axis=1)
-        mass[k] = masked_sums(mu, level)
+        d[k] = np.where(level[k, at], rho_q, math.inf).min(axis=1)
     chain = (d > 0).all(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         # summed level by level, bottom up; void where chain fails

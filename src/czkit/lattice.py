@@ -10,6 +10,7 @@ exact by construction.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Mapping
@@ -21,8 +22,8 @@ import numpy as np
 from .errors import DegenerateScale, LeafCube, RootTerminal
 from .space import MetricMeasureSpace, masked_sums
 
-# Cells (seed x generation x point) per ``_draw_batch`` call of
-# ``ensemble_gaps``; bounds its memory.
+# Cells (seed x generation x point) per chunk of ``ensemble_gaps``; bounds
+# its memory.
 ENSEMBLE_CELLS = 2 ** 16
 # Matrix cells per tile of ``cube_reduce`` on the cube tree (2 MB of
 # float64); bounds its temporaries.
@@ -429,25 +430,81 @@ def _nearest_in_nets(rho: np.ndarray, net: np.ndarray, si: np.ndarray,
     return cols[d.argmin(axis=1)]
 
 
-def _nearest_centers(rho: np.ndarray, nets: np.ndarray, ti: np.ndarray,
-                     si: np.ndarray, xi: np.ndarray, cands) -> np.ndarray:
-    """For each (generation ti, seed si, point xi), sorted by generation:
-    the center c of the net ``nets[ti, si]`` with the least rho(xi, c), ties
-    to the lowest id.  At a generation with candidate lists (``cands``) only
-    they are searched, since a nearest center below the scale is among
-    them.  The points whose candidates hold no center, and the generations
-    without lists, search the columns of every center of the generation,
-    masked to their own net."""
-    near = np.empty(xi.size, dtype=int)
-    bounds = np.searchsorted(ti, np.arange(len(nets) + 1)).tolist()
-    for t, net in enumerate(nets):
-        at = np.arange(bounds[t], bounds[t + 1])
-        if at.size and cands and cands[t] is not None:
-            near[at], missed = _first_listed(net, si[at], xi[at], cands[t])
-            at = at[missed]
-        if at.size:
-            near[at] = _nearest_in_nets(rho, net, si[at], xi[at])
-    return near
+def _draw_orders(seeds, n_gens: int, n: int) -> np.ndarray:
+    """(seeds, generations, N) orders of the greedy net passes: for each
+    seed, ``n_gens`` successive permutations of range(N) from its own
+    stream, coarse to fine."""
+    orders = np.empty((len(seeds), n_gens, n), dtype=int)
+    ids = np.broadcast_to(np.arange(n), (n_gens, n))
+    for s, seed in enumerate(seeds):
+        np.random.default_rng(seed).permuted(ids, axis=1, out=orders[s])
+    return orders
+
+
+def _greedy_nets(rho: np.ndarray, nearest: np.ndarray, scale,
+                 orders: np.ndarray) -> np.ndarray:
+    """(generations, seeds, N) greedy nets of the orders ``orders`` (seeds,
+    generations, N), generation t at scale scale[t], every (seed,
+    generation) row in one pass over the positions of their orders.  A row
+    picks a point unless a center it picked lies within one scale of it;
+    ``free`` holds the points no center blocks yet.  A point one scale or
+    more from every other point (``nearest``, see ``_nearest_other``) is
+    always picked and blocks no other point: it is picked up front and
+    never free.  So when every row has such points, each row visits its
+    other points first, in order, and the pass ends after the most any row
+    has."""
+    n_seeds, n_gens, n = orders.shape
+    orders = orders.reshape(-1, n)
+    scale = np.tile(scale, n_seeds)[:, None]
+    picked = nearest >= scale
+    free = ~picked
+    width = n - picked.sum(axis=1).min(initial=n)
+    if width < n:
+        rows = np.arange(len(orders))[:, None]
+        lone = picked[rows, orders]
+        orders = orders[rows, lone.argsort(axis=1, kind="stable")[:, :width]]
+    slots = orders.T.copy()
+    slots += np.arange(0, len(orders) * n, n)         # row * N + point
+    free_at, picked_at = free.ravel(), picked.ravel()
+    for slot in slots:
+        grow = free_at[slot].nonzero()[0]
+        if grow.size:
+            slot = slot[grow]
+            picked_at[slot] = True
+            free[grow] &= rho.take(slot, axis=0, mode="wrap") >= scale[grow]
+    return picked.reshape(n_seeds, n_gens, n).transpose(1, 0, 2)
+
+
+def _chain_centers(rho: np.ndarray, nearest: np.ndarray, nets: np.ndarray,
+                   heads: np.ndarray, cands=None) -> np.ndarray:
+    """(generations, seeds, P) region centers of the points ``heads`` (seeds,
+    P) in the nets ``nets`` (generations, seeds, N), coarse to fine: at the
+    finest generation the center c with the least rho(x, c) to the point x,
+    ties to the lowest id, one generation up the center nearest to that
+    center, and so on, so that regions nest.  Each step searches once per
+    distinct (seed, center): over its candidate list ``cands[t]`` where
+    given (see ``_candidates``; a nearest center below the scale is among
+    them), else, or where the list holds no center, over the columns of
+    every center of the generation, masked to its own net.  A center
+    nearer to itself than to any other point is its own nearest center."""
+    n_gens, n_seeds, n = nets.shape
+    ctr = np.empty((n_gens,) + heads.shape, dtype=np.int32)
+    own = np.diagonal(rho) < nearest
+    seed_col = np.arange(n_seeds)[:, None]
+    ids = np.broadcast_to(np.arange(n), (n_seeds, n))
+    for t in range(n_gens - 1, -1, -1):
+        ask = np.zeros((n_seeds, n), dtype=bool)
+        ask[seed_col, heads] = True
+        ask &= ~(nets[t] & own)
+        si, xi = np.nonzero(ask)
+        near = ids.copy()
+        if cands and cands[t] is not None and xi.size:
+            near[si, xi], missed = _first_listed(nets[t], si, xi, cands[t])
+            si, xi = si[missed], xi[missed]
+        if xi.size:
+            near[si, xi] = _nearest_in_nets(rho, nets[t], si, xi)
+        heads = ctr[t] = near[seed_col, heads]
+    return ctr
 
 
 def _draw_batch(space: MetricMeasureSpace, kappa: float, seeds, gens: range,
@@ -455,55 +512,16 @@ def _draw_batch(space: MetricMeasureSpace, kappa: float, seeds, gens: range,
     """Seeded nets of ``build_lattice`` for all ``seeds`` at once, without
     labels or cubes: (picked, ctr), each (generations, seeds, N).
     picked[t, s] is the net of ``seeds[s]`` at generation gens[t], ctr[t, s,
-    x] the center of the region of point x there.  ``nearest`` is
-    ``_nearest_other``, ``cands`` the ``_candidates`` of ``gens`` or None."""
-    n, rho, n_gens, n_seeds = space.n_points, space.rho, len(gens), len(seeds)
-    scale = [kappa ** k for k in gens]
-
-    # One greedy net per (seed, generation) row, all rows in one pass over
-    # the positions of their orders (a seed's successive permutations).  A
-    # row picks a point unless a center it picked lies within one scale of
-    # it; ``free`` holds the points no center blocks yet.  A point one scale
-    # or more from every other point is always picked and blocks no other
-    # point: it is picked up front and never free.
-    ids = np.broadcast_to(np.arange(n), (n_gens, n))
-    slots = np.empty((n, n_seeds * n_gens), dtype=int)
-    for s, seed in enumerate(seeds):
-        np.random.default_rng(seed).permuted(
-            ids, axis=1, out=slots[:, s * n_gens:(s + 1) * n_gens].T)
-    slots += np.arange(0, slots.size, n)   # row * N + point
-    picked = np.empty((n_seeds * n_gens, n), dtype=bool)
-    picked.reshape(n_seeds, n_gens, n)[:] = nearest >= np.array(scale)[:, None]
-    free = ~picked
-    row_scale = np.array(scale * n_seeds)[:, None]
-    free_at, picked_at = free.ravel(), picked.ravel()
-    for slot in slots:
-        grow = free_at[slot].nonzero()[0]
-        if grow.size:
-            slot = slot[grow]
-            picked_at[slot] = True
-            free[grow] &= rho.take(slot, axis=0, mode="wrap") >= \
-                row_scale[grow]
-    del slots, free
-    picked = picked.reshape(n_seeds, n_gens, n).transpose(1, 0, 2)
-
-    # Every point joins its nearest finest center, and a center of
-    # generation k + 1 joins its nearest center at k; the region of a point
-    # at k is the one its chain of centers reaches, which makes nesting
-    # exact.  The coarsest generation keeps its first center only.  A center
-    # nearer to itself than to any other point is its own nearest center.
-    ask = np.ones(picked.shape, dtype=bool)
-    ask[0] = False
-    ask[1:-1] = picked[2:]
-    ask &= ~(picked & (np.diagonal(rho) < nearest))
-    ti, si, xi = np.nonzero(ask)
-    del ask
+    x] the center of the region of point x there; the coarsest generation
+    keeps its first center only.  ``nearest`` is ``_nearest_other``,
+    ``cands`` the ``_candidates`` of ``gens`` or None."""
+    n, n_seeds = space.n_points, len(seeds)
+    picked = _greedy_nets(space.rho, nearest, [kappa ** k for k in gens],
+                          _draw_orders(seeds, len(gens), n))
     ctr = np.empty(picked.shape, dtype=np.int32)
-    ctr[:] = np.arange(n, dtype=np.int32)
-    ctr[ti, si, xi] = _nearest_centers(rho, picked, ti, si, xi, cands)
-    seed_col = np.arange(n_seeds)[:, None]
-    for t in range(n_gens - 2, 0, -1):
-        ctr[t] = ctr[t, seed_col, ctr[t + 1]]
+    ctr[1:] = _chain_centers(space.rho, nearest, picked[1:],
+                             np.broadcast_to(np.arange(n), (n_seeds, n)),
+                             cands and cands[1:])
     ctr[0] = picked[0].argmax(axis=1)[:, None]
     return picked, ctr
 
@@ -560,13 +578,17 @@ def verify_lattice_properties(lat: DyadicLattice) -> LatticePropertyReport:
     its cubes' member masks (members, not labels, so a lattice loaded with
     broken members is checked as it stands); complements read off labels,
     distances to them off ``lat.dist`` where the cubes are the label
-    classes."""
+    classes.  nu(Q) comes from one sum over all cubes, and the boundary
+    layers of every generation and thickness from one ``masked_sums``."""
     space, n, failures = lat.space, lat.space.n_points, []
     # per cube id: not nested in its parent, not under exactly one label
     nest_bad, lone_bad = np.zeros((2, lat.gen.size), dtype=bool)
     top = max(space.diam(), space.resolution_h)
-    c_diam, a0, c_boundary = 0.0, math.inf, 0.0
+    c_diam, a0 = 0.0, math.inf
     filled = lat.n_members[lat.ids].all()
+    nu_mass = np.zeros(lat.gen.size)
+    nu_mass[lat.ids] = cube_reduce(lat, space.nu[None, :], lat.ids, np.add)[0]
+    layers, t_nu = [], []       # (vi) per generation and thickness
     for k in lat.generations():
         ids, lab = np.array(lat.by_gen[k], dtype=int), lat.labels[k]
         if (lab < 0).any():
@@ -604,13 +626,13 @@ def verify_lattice_properties(lat: DyadicLattice) -> LatticePropertyReport:
         else:
             d_out = np.where(lab[:, None] == lab[None, :], np.inf,
                              space.rho).min(axis=1)
-        nu_q = cube_reduce(lat, space.nu[None, :], ids, np.add)[0]
-        keep = ~full & (nu_q > 0)
+        keep = ~full & (nu_mass[ids] > 0)
         for t in (lat.kappa, lat.kappa ** 2, lat.kappa ** 3):
-            layer = masked_sums(space.nu, inside[keep] &
-                                (d_out <= t * size[keep, None]))
-            c_boundary = max(c_boundary, float(
-                (layer / (t * nu_q[keep])).max(initial=0.0)))
+            layers.append(inside[keep] & (d_out <= t * size[keep, None]))
+            t_nu.append(t * nu_mass[ids[keep]])
+
+    layer = masked_sums(space.nu, np.concatenate(layers))
+    c_boundary = float((layer / np.concatenate(t_nu)).max(initial=0.0))
 
     partition_ok = not failures
     for cid in lat.ids[(nest_bad | lone_bad)[lat.ids]].tolist():
@@ -773,35 +795,80 @@ def ensemble_gaps(members: list, generations, space: MetricMeasureSpace,
     ``classify_good_bad``), 0 when none does.  Q is bad at
     separation S iff its gap is at least ``scale_gap(kappa, delta_bad, S)``,
     so one pass answers every S.  Lattice i has seed ``hash((master_seed,
-    i)) % 2**32``.  Lattices are drawn in chunks of at most
-    ``ENSEMBLE_CELLS`` (seed, generation, point) cells, as nets and centers
-    only (no labels, no lattice), and each chunk is scored as arrays, for
-    the generations a probe can reach, before the next is drawn."""
+    i)) % 2**32``.
+
+    A lattice is read only through its skeleton marks, the near-pair points
+    (``space.near_pairs``) whose child labels differ, so only the chains of
+    centers of those points are drawn (``_chain_centers``), with the orders,
+    nets and nearest-center rule of ``build_lattice``.  Lattices are drawn
+    in chunks of at most ``ENSEMBLE_CELLS`` (seed, generation, point) cells,
+    and every lattice draws the orders of all its generations, which keeps
+    each seed's stream.  Then, from the finest generation up, a lattice
+    draws one net and its near-pair points take one chain step, until its
+    near pairs all share their centers.  A center shared at one generation
+    is shared at every coarser one, since each coarser center is the one
+    nearest to it, so no generation from there up marks a point, exactly as
+    in the full draw.  These steps run one generation at a time while their
+    greedy passes together visit at most half as many points as one pass
+    over every generation below the root; the lattices still split after
+    them draw their remaining nets in that one pass (the root's net holds no
+    mark).  Each chunk's marks are scored as arrays, for the generations a
+    probe can reach, before the next chunk is drawn."""
     if ensemble_size < 1:
         raise ValueError(f"ensemble size must be at least 1, "
                          f"got {ensemble_size}")
     n = space.n_points
     k_min, k_max = _generation_range(space, kappa, None)
     gens = range(k_min, k_max + 1)
-    nearest, cands = _nearest_other(space), _candidates(space, kappa, gens)
-    dists = np.array([space.rho[q].min(axis=0)
-                      for q in members]).reshape(len(members), n)
     gen_q = np.array(generations, dtype=int).reshape(len(members))
-    sizes = [kappa ** g for g in gen_q.tolist()]
     # skeletons of the generations k < min(gen(Q), k_max)
     ks = list(range(k_min, min(gen_q.max(initial=k_min), k_max)))
+    gaps = np.zeros((ensemble_size, len(members)), dtype=int)
+    x, y, pts, starts = space.near_pairs
+    if not (ks and x.size):
+        return gaps
+    # the points of the near pairs, and the pairs as positions among them
+    chain = _distinct(np.concatenate([x, y]))
+    near = (*np.searchsorted(chain, [x, y]), np.searchsorted(chain, pts),
+            starts)
+    rho, nearest = space.rho, _nearest_other(space)
+    scale = [kappa ** k for k in gens]
+    # candidate lists, per generation on first use
+    cand = functools.cache(
+        lambda t: _candidates(space, kappa, gens[t:t + 1])[0])
+    dists = np.array([rho[q].min(axis=0)
+                      for q in members]).reshape(len(members), n)[:, chain]
+    sizes = [kappa ** g for g in gen_q.tolist()]
     seeds = [hash((master_seed, i)) % 2**32 for i in range(ensemble_size)]
     chunks = -(-ensemble_size // max(1, ENSEMBLE_CELLS // (len(gens) * n)))
     size = -(-ensemble_size // chunks)
-    gaps = np.zeros((ensemble_size, len(members)), dtype=int)
+    # a greedy pass visits the points within one scale of another point: the
+    # finest generations go one at a time while their passes together visit
+    # at most half as many as one pass over every generation below the root;
+    # the generations from 1 to ``split`` go in one pass
+    wide = np.array([(nearest < s).sum() for s in scale])
+    split = len(gens) - 1 - int((np.cumsum(wide[:0:-1]) <= wide[1] / 2).sum())
     for c in range(0, ensemble_size, size):
-        # skeletons from the child centers; the chunk's draw is dropped here
-        ctr = _draw_batch(space, kappa, seeds[c:c + size], gens, nearest,
-                          cands)[1]
-        marks = _skeleton_marks(ctr[1:len(ks) + 1], space.near_pairs)
-        del ctr
-        hits = _coarsest_hits(marks, ks, dists, sizes, gen_q - 1, kappa,
-                              alpha)
+        orders = _draw_orders(seeds[c:c + size], len(gens), n)
+        # the centers of the near-pair points at each generation; the row
+        # past the finest holds the points themselves
+        ctr = np.empty((len(gens) + 1, len(orders), chain.size), np.int32)
+        ctr[-1] = chain
+        live = np.arange(len(orders))
+        for t in range(len(gens) - 1, split, -1):
+            ctr[t, live] = _chain_centers(rho, nearest, _greedy_nets(
+                rho, nearest, scale[t:t + 1], orders[live, t:t + 1]),
+                ctr[t + 1, live], [cand(t)])[0]
+            # shared here, shared at every coarser generation
+            ctr[1:t, live] = ctr[t, live]
+            live = live[(ctr[t, live][:, near[0]] !=
+                         ctr[t, live][:, near[1]]).any(axis=1)]
+        if live.size and split:
+            ctr[1:split + 1, live] = _chain_centers(rho, nearest, _greedy_nets(
+                rho, nearest, scale[1:split + 1], orders[live, 1:split + 1]),
+                ctr[split + 1, live], list(map(cand, range(1, split + 1))))
+        hits = _coarsest_hits(_skeleton_marks(ctr[1:len(ks) + 1], near), ks,
+                              dists, sizes, gen_q - 1, kappa, alpha)
         gaps[c:c + size] = np.where(hits < 0, 0, gen_q - k_min - hits)
     return gaps
 

@@ -395,8 +395,10 @@ def masked_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     the mask."""
     count = mask.sum(axis=1)
     order = np.argsort(count, kind="stable")
-    mask = mask[order]
-    sizes, groups = np.unique(count, return_counts=True)
+    mask, count = mask[order], count[order]
+    # the rows of one count are a run of the sorted counts
+    starts = np.flatnonzero(np.diff(count, prepend=-1))
+    sizes, groups = count[starts], np.diff(starts, append=len(mask))
     values = np.asarray(values)
     out = np.zeros(values.shape[:-1] + (len(mask),))
     for weights, sums in zip(np.atleast_2d(values), np.atleast_2d(out)):

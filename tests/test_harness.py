@@ -141,14 +141,15 @@ def test_calibrate_builds_one_ensemble(monkeypatch, name, params, alpha,
     build = counting(builds, lattice.build_lattice)
     monkeypatch.setattr(lattice, "build_lattice", build)
     monkeypatch.setattr(harness, "build_lattice", build)
-    monkeypatch.setattr(lattice, "_draw_batch",
-                        counting(draws, lattice._draw_batch))
+    monkeypatch.setattr(lattice, "_draw_orders",
+                        counting(draws, lattice._draw_orders))
     res = calibrate_S(space, 0.5, alpha, delta_bad, ensemble=100, seed=0)
-    # one full base lattice, then one ensemble of bare net draws for every
-    # probe and every S: 1 + 100 seeds drawn, whatever the chunking
+    # one full base lattice, then one ensemble for every probe and every S,
+    # each of whose lattices draws its orders: 1 + 100 seeds drawn,
+    # whatever the chunking
     assert len(res.trace) == candidates
     assert len(builds) == 1
-    assert sum(len(args[2]) for args in draws) == 101
+    assert sum(len(args[0]) for args in draws) == 101
 
 
 def test_calibrate_memory_peak():

@@ -22,8 +22,8 @@ from czkit.certify import carleson_embedding_check
 from czkit.errors import RootTerminal
 from czkit.examples import generate_example
 from czkit.lattice import (build_lattice, classify_terminal_transit,
-                           lattice_from_json, lattice_to_json,
-                           verify_lattice_properties)
+                           cube_reduce, lattice_from_json, lattice_to_json,
+                           masked_sums, verify_lattice_properties)
 from czkit.space import MetricMeasureSpace
 from conftest import (broken_lattice, edited_lattice, explicit_space,
                       line_space)
@@ -167,6 +167,50 @@ def assert_same_properties(lat):
     return rep
 
 
+def per_generation_constants(lat):
+    """(c_diam, a0, c_boundary) as ``verify_lattice_properties`` fitted
+    them one generation at a time: nu(Q) from one member sum per
+    generation, the boundary layers from one ``masked_sums`` per
+    generation and thickness."""
+    space, n = lat.space, lat.space.n_points
+    top = max(space.diam(), space.resolution_h)
+    c_diam, a0, c_boundary = 0.0, math.inf, 0.0
+    filled = lat.n_members[lat.ids].all()
+    for k in lat.generations():
+        ids, lab = np.array(lat.by_gen[k], dtype=int), lat.labels[k]
+        slot, pts = lat.member_entries(ids)
+        count = np.bincount(pts, minlength=n)
+        inside = lat.member_masks(ids)
+        size = lat.size[ids]
+        c_diam = max(c_diam, float((lat.diam[ids] / size).max()))
+        full = lat.n_members[ids] == n
+        near = space.rho[lat.center[ids]]
+        near[lab == ids[:, None]] = np.inf
+        a0 = min(a0, float((np.where(full, top, near.min(axis=1)) /
+                            size).min()))
+        if (count == 1).all() and filled:
+            d_out = lat.dist[:, lat.column[ids]]
+            d_out[pts, slot] = np.inf
+            d_out = d_out.min(axis=1)
+        else:
+            d_out = np.where(lab[:, None] == lab[None, :], np.inf,
+                             space.rho).min(axis=1)
+        nu_q = cube_reduce(lat, space.nu[None, :], ids, np.add)[0]
+        keep = ~full & (nu_q > 0)
+        for t in (lat.kappa, lat.kappa ** 2, lat.kappa ** 3):
+            layer = masked_sums(space.nu, inside[keep] &
+                                (d_out <= t * size[keep, None]))
+            c_boundary = max(c_boundary, float(
+                (layer / (t * nu_q[keep])).max(initial=0.0)))
+    return c_diam, a0, c_boundary
+
+
+def assert_same_per_generation_constants(lat):
+    rep = verify_lattice_properties(lat)
+    assert [_hex(v) for v in (rep.c_diam, rep.a0, rep.c_boundary)] == \
+        [_hex(v) for v in per_generation_constants(lat)]
+
+
 def assert_same_flags(lat, m=None):
     """Terminal flags and growth fit against the reference; returns the
     flags by cube id."""
@@ -218,6 +262,22 @@ def test_passes_match_per_cube_reference(name, seed):
     assert_same_carleson(lat, {})
     # equal weights on the finest cubes: ties for the worst cube
     assert_same_carleson(lat, dict.fromkeys(lat.by_gen[lat.k_max], 1.0))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_grouped_constants_match_per_generation_fit(name, seed):
+    # nu(Q) from one sum over all cubes and the boundary layers of every
+    # generation and thickness in one masked_sums keep every bit
+    space, info = _example(name)
+    assert_same_per_generation_constants(
+        build_lattice(space, info["kappa"], seed=seed))
+
+
+@pytest.mark.parametrize("kind", ("overlap", "wrong_parent", "straddle",
+                                  "uncovered"))
+def test_grouped_constants_match_per_generation_fit_when_broken(kind):
+    assert_same_per_generation_constants(broken_lattice(kind))
 
 
 def test_passes_match_reference_after_json_round_trip():

@@ -196,6 +196,23 @@ def test_masked_sums_are_the_gathered_sums():
     assert masked_sums(values, mask).tolist() == want
 
 
+def test_masked_sums_edge_groups():
+    # no rows, rows of one count only, and a (k, N) table of values, whose
+    # runs of equal counts are read off the sorted counts
+    rng = np.random.default_rng(6)
+    values = rng.uniform(0.0, 1.0, (3, 40)) ** 3
+    assert masked_sums(values[0], np.zeros((0, 40), dtype=bool)).shape == \
+        (0,)
+    same = np.zeros((7, 40), dtype=bool)
+    same[np.arange(7)[:, None], rng.permuted(
+        np.tile(np.arange(40), (7, 1)), axis=1)[:, :5]] = True
+    mixed = np.concatenate([same, rng.random((9, 40)) < 0.3])
+    for mask in (same, mixed):
+        want = [[v[np.flatnonzero(row)].sum() for row in mask]
+                for v in values]
+        assert masked_sums(values, mask).tolist() == want
+
+
 def _good_cubes(lat):
     return [lat.cubes[c] for c in good_component_ids(lat).tolist()]
 
