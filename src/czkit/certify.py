@@ -29,6 +29,10 @@ from .projections import MartingaleDecomposition, decompose, \
     good_component_ids, split_good_bad
 from .space import MetricMeasureSpace, dilate, masked_sums
 
+# Cells (probe x row x point) per chunk of the probe batch of ``certify``;
+# bounds its memory.
+PROBE_CELLS = 2 ** 18
+
 
 def alpha_param(m: float, tau: float) -> float:
     """The goodness exponent tau / (2 (tau + m))."""
@@ -49,10 +53,32 @@ class LemmaCheck:
     ref: str = ""
 
 
-def _lemma(name: str, measured: float, bound: float, ref: str) -> LemmaCheck:
-    """A lemma check that passes when measured <= bound up to rounding."""
+def _lemma(name: str, measured, bound, ref: str):
+    """A lemma check that passes when measured <= bound up to rounding; one
+    per probe, in a list, when given one value per probe."""
+    if np.ndim(measured):
+        return [_lemma(name, m, b, ref)
+                for m, b in zip(measured.tolist(), bound.tolist())]
+    measured, bound = float(measured), float(bound)
     return LemmaCheck(name, measured, bound,
                       measured <= bound * (1 + 1e-9) + 1e-15, ref)
+
+
+def _per_probe(checks: list, batched: bool) -> list:
+    """The checks of several lemmas, as one list per probe when batched."""
+    return [list(c) for c in zip(*checks)] if batched else checks
+
+
+def _row_bincount(bins: np.ndarray, weights: np.ndarray,
+                  n: int) -> np.ndarray:
+    """``np.bincount(bins, w, minlength=n)`` for each row w of ``weights``
+    (last axis against ``bins``), bit for bit: each row's bins are offset,
+    so its sums run in its own entry order."""
+    lead = weights.shape[:-1]
+    rows = math.prod(lead)
+    at = bins + n * np.arange(rows).reshape(lead + (1,))
+    return np.bincount(at.ravel(), weights.ravel(),
+                       minlength=rows * n).reshape(lead + (n,))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +203,7 @@ def classify_pairs(fine: ComponentRows, coarse: ComponentRows,
 class Components:
     """The good martingale differences of one probe function on one
     lattice, one row per ComponentRows row, times mu and zero off the
-    row's cube."""
+    row's cube; every field has a leading probe axis when batched."""
     phi: np.ndarray                # (rows, N) Delta_Q phi * mu
     norm_sq: np.ndarray            # ||Delta_Q phi||^2 in L2(mu)
     piece_norm: np.ndarray         # L2(mu) norm of each piece
@@ -189,9 +215,10 @@ def _stack_components(rows: ComponentRows,
     delta = dec.dense(rows.ids.tolist())
     phi = delta * mu
     sq = delta ** 2 * mu
-    piece_sq = np.bincount(rows.point_piece.ravel(), weights=sq.ravel(),
-                           minlength=len(rows.piece) + 1)[:-1]
-    return Components(phi, sq.sum(axis=1), np.sqrt(piece_sq))
+    piece_sq = _row_bincount(rows.point_piece.ravel(),
+                             sq.reshape(sq.shape[:-2] + (-1,)),
+                             len(rows.piece) + 1)[..., :-1]
+    return Components(phi, sq.sum(axis=-1), np.sqrt(piece_sq))
 
 
 @dataclass
@@ -201,7 +228,8 @@ class HalfData:
 
     pair_geometry fills the lattice-only fields once per lattice pair: the
     pair tables and each regime's lemma coefficients. split_bilinear copies
-    them for each probe and adds the probe fields."""
+    them for each batch of probes and adds the probe fields, which then
+    lead with the probe axis."""
     fine_rows: ComponentRows
     coarse_rows: ComponentRows
     op: np.ndarray                 # matrix of the operator applied to coarse parts
@@ -275,6 +303,8 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
 
 @dataclass
 class SigmaSplit:
+    """The sigma parts of <T f_good, g_good>: floats for one probe pair,
+    (P,) arrays for a batch."""
     lambda_part: float
     sigma1: float
     sigma2: float
@@ -294,9 +324,18 @@ class SigmaSplit:
                 self.sym_sigma2 + self.sym_sigma3_term + self.sym_sigma3_tran)
 
     @property
-    def regroup_error(self) -> float:
-        scale = max(abs(self.direct), 1e-30)
-        return abs(self.total - self.direct) / scale
+    def batched(self) -> bool:
+        return np.ndim(self.direct) > 0
+
+    @property
+    def regroup_error(self):
+        scale = np.maximum(np.abs(self.direct), 1e-30)
+        return _scalar(np.abs(self.total - self.direct) / scale)
+
+
+def _scalar(x):
+    """A 0-d result as a Python float; a batch stays an array."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
@@ -307,39 +346,44 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
                    geometry: tuple | None = None) -> SigmaSplit:
     """Exact regrouping of <T f_good, g_good> into the sigma parts.
 
-    ``geometry`` is the pair_geometry of the two decompositions' lattices;
-    it is built here when not given."""
+    f and g are one function each or (P, N) stacks of probes, decomposed
+    by dec_f and dec_g; a stack gives (P,) sums, each bit for bit its
+    probe's own.  ``geometry`` is the pair_geometry of the two
+    decompositions' lattices; it is built here when not given."""
     if geometry is None:
         geometry = pair_geometry(kernel, space, dec_f.lattice, dec_g.lattice,
                                  r_gap, alpha)
     f_good, _ = split_good_bad(dec_f)
     g_good, _ = split_good_bad(dec_g)
     mu = space.mu
-    direct = space.inner(kernel.matrix @ (f_good * mu), g_good)
 
+    def pair(u, v):
+        # <T u, v>_mu; a trailing unit axis keeps one GEMV per probe
+        return ((kernel.matrix @ (u * mu)[..., None])[..., 0] * v *
+                mu).sum(axis=-1)
+
+    direct = pair(f_good, g_good)
     # the constant parts of both functions, paired against everything else
-    lam_f = np.full(space.n_points, dec_f.lambda_part)
-    lam_g = np.full(space.n_points, dec_g.lambda_part)
-    lambda_part = (space.inner(kernel.matrix @ (lam_f * mu), g_good) +
-                   space.inner(kernel.matrix @ ((f_good - lam_f) * mu), lam_g))
+    lam_f, lam_g = dec_f.constant(), dec_g.constant()
+    lambda_part = pair(lam_f, g_good) + pair(f_good - lam_f, lam_g)
 
     primary, symmetric = geometry
     comp_f = _stack_components(primary.fine_rows, dec_f)
     comp_g = _stack_components(primary.coarse_rows, dec_g)
     # <T Delta_Q f, Delta_R g>_mu for every good pair of rows: rows of the
     # g-lattice, columns of the f-lattice; each half reads its orientation
-    pair_matrix = comp_g.phi @ kernel.matrix @ comp_f.phi.T
+    pair_matrix = comp_g.phi @ kernel.matrix @ np.swapaxes(comp_f.phi, -1, -2)
     primary = replace(primary, fine_dec=dec_f, coarse_dec=dec_g, coarse_fn=g,
                       fine=comp_f, coarse=comp_g, values={})
     symmetric = replace(symmetric, fine_dec=dec_g, coarse_dec=dec_f,
                         coarse_fn=f, fine=comp_g, coarse=comp_f, values={})
     sums = {}
-    for prefix, half, value in (("", primary, pair_matrix.T),
+    for prefix, half, value in (("", primary, np.swapaxes(pair_matrix, -1, -2)),
                                 ("sym_", symmetric, pair_matrix)):
         for regime, t in half.pairs.items():
-            half.values[regime] = value[t.q, t.r]
-            sums[prefix + regime] = float(half.values[regime].sum())
-    return SigmaSplit(lambda_part=lambda_part, direct=direct,
+            half.values[regime] = np.ascontiguousarray(value[..., t.q, t.r])
+            sums[prefix + regime] = _scalar(half.values[regime].sum(axis=-1))
+    return SigmaSplit(lambda_part=_scalar(lambda_part), direct=_scalar(direct),
                       halves=(primary, symmetric), **sums)
 
 
@@ -651,11 +695,11 @@ def short_range_terminal_bound(split: SigmaSplit, half_index: int = 0):
     prefix = "" if half_index == 0 else "sym_"
     geo = half.geo["sigma3_term"]
     q_rows = half.pairs["sigma3_term"].q
-    measured = abs(float(half.values["sigma3_term"].sum()))
-    v = np.sqrt(np.bincount(geo["group"], weights=half.fine.norm_sq[q_rows],
-                            minlength=geo["weight"].size))
-    dg = np.sqrt(half.coarse.norm_sq[geo["r_row"]])
-    bound = float((geo["weight"] * dg * v).sum())
+    measured = np.abs(half.values["sigma3_term"].sum(axis=-1))
+    v = np.sqrt(_row_bincount(geo["group"], np.take(half.fine.norm_sq, q_rows, -1),
+                              geo["weight"].size))
+    dg = np.sqrt(np.take(half.coarse.norm_sq, geo["r_row"], -1))
+    bound = (geo["weight"] * dg * v).sum(axis=-1)
     return _lemma(prefix + "sigma3_terminal", measured, bound,
                   "short_range_terminal")
 
@@ -787,47 +831,54 @@ def short_range_transit_bound(split: SigmaSplit, hi: int):
     (a) interaction with the coarse component outside the holding child,
     via the far bound; (b) the error of extending the child indicator to the
     whole space, via exact ascent sums; (c) the block-matrix aggregation of
-    (b).  The coefficients come from the split's geometry."""
+    (b).  The coefficients come from the split's geometry.  A batched split
+    gives the three checks of each probe in a list per probe."""
     half = split.halves[hi]
     prefix = "" if hi == 0 else "sym_"
     space = half.fine_lat.space
     geo = half.geo["sigma3_tran"]
     q, r = half.pairs["sigma3_tran"].q, half.pairs["sigma3_tran"].r
     fine, coarse = half.fine, half.coarse
-    fine_t = fine.phi @ half.op           # row Q is op^T Delta_Q mu
-    dq, dr = np.sqrt(fine.norm_sq[q]), np.sqrt(coarse.norm_sq[r])
+    # column Q is op^T Delta_Q mu
+    fine_t = np.swapaxes(fine.phi @ half.op, -1, -2)
+    dq, dr = (np.sqrt(np.take(c.norm_sq, at, -1))
+              for c, at in ((fine, q), (coarse, r)))
 
     # (a) the coarse component on every child of R, paired with T* Delta_Q
     n_points = space.n_points
-    piece_phi = np.zeros((len(half.coarse_rows.piece) + 1, n_points))
-    piece_phi[half.coarse_rows.point_piece, np.arange(n_points)] = coarse.phi
-    on_piece = piece_phi[:-1] @ fine_t.T
+    piece_phi = np.zeros(coarse.phi.shape[:-2] +
+                         (len(half.coarse_rows.piece) + 1, n_points))
+    piece_phi[..., half.coarse_rows.point_piece, np.arange(n_points)] = \
+        coarse.phi
+    on_piece = piece_phi[..., :-1, :] @ fine_t
     other = geo["other_pair"]
-    far_v = np.bincount(other, minlength=q.size,
-                        weights=on_piece[geo["other_piece"], q[other]])
-    meas_far = float(np.abs(far_v).sum())
-    bound_far = float((geo["far_coef"] * dq * dr).sum())
+    far_v = _row_bincount(other, on_piece[..., geo["other_piece"], q[other]],
+                          q.size)
+    meas_far = np.abs(far_v).sum(axis=-1)
+    bound_far = (geo["far_coef"] * dq * dr).sum(axis=-1)
 
     # (b) extension error
     on_cube = geo["on_cube"]
     r_col, rq_col = geo["cube_col"].T
-    averages = on_cube @ half.coarse_fn / geo["on_mass"]
-    c_val = averages[rq_col] - averages[r_col]
+    # a trailing unit axis keeps one GEMV per probe
+    averages = (on_cube @ half.coarse_fn[..., None])[..., 0] / geo["on_mass"]
+    c_val = np.take(averages, rq_col, -1) - np.take(averages, r_col, -1)
     off_child = space.mu - on_cube
-    ext_v = c_val * (off_child @ fine_t.T)[rq_col, q]
-    meas_ext = float(np.abs(ext_v).sum())
-    l1 = np.abs(fine.phi[q]).sum(axis=1)          # ||Delta_Q||_L1(mu)
+    ext_v = c_val * np.ascontiguousarray((off_child @ fine_t)[..., rq_col, q])
+    meas_ext = np.abs(ext_v).sum(axis=-1)
+    l1 = np.abs(np.take(fine.phi, q, -2)).sum(axis=-1)  # ||Delta_Q||_L1(mu)
     pair_bound = np.abs(c_val) * geo["ext_coef"] * l1
     if not geo["chain"].all():
-        exact = np.abs(c_val) * (off_child @ np.abs(fine_t).T)[rq_col, q]
+        exact = np.abs(c_val) * np.ascontiguousarray(
+            (off_child @ np.abs(fine_t))[..., rq_col, q])
         pair_bound = np.where(geo["chain"], pair_bound, exact)
-    bound_ext = float(pair_bound.sum())
+    bound_ext = pair_bound.sum(axis=-1)
 
     # (c) block aggregation of the extension errors
-    lhs_c = float((geo["block_t"] * dq * dr).sum())
+    lhs_c = (geo["block_t"] * dq * dr).sum(axis=-1)
     rhs_c = (geo["block_coef"] *
-             math.sqrt(float(fine.norm_sq[np.unique(q)].sum())) *
-             math.sqrt(float(coarse.norm_sq[np.unique(r)].sum())))
+             np.sqrt(np.take(fine.norm_sq, np.unique(q), -1).sum(axis=-1)) *
+             np.sqrt(np.take(coarse.norm_sq, np.unique(r), -1).sum(axis=-1)))
 
     checks = [
         _lemma(prefix + "sigma3_transit_far", meas_far, bound_far,
@@ -837,7 +888,8 @@ def short_range_transit_bound(split: SigmaSplit, hi: int):
         _lemma(prefix + "sigma3_transit_block", lhs_c, rhs_c,
                "short_range_transit_block"),
     ]
-    return checks, {"hypothesis_violations": list(geo["violations"])}
+    return (_per_probe(checks, split.batched),
+            {"hypothesis_violations": list(geo["violations"])})
 
 
 # ---------------------------------------------------------------------------
@@ -1089,10 +1141,10 @@ def diagonal_bound(split: SigmaSplit, half_index: int, t1_A: float):
     half = split.halves[half_index]
     prefix = "" if half_index == 0 else "sym_"
     geo = half.geo["sigma1"]
-    measured = abs(float(half.values["sigma1"].sum()))
-    bound = float((_diagonal_weights(half, t1_A) *
-                   half.fine.piece_norm[geo["f_piece"]] *
-                   half.coarse.piece_norm[geo["c_piece"]]).sum())
+    measured = np.abs(half.values["sigma1"].sum(axis=-1))
+    bound = (_diagonal_weights(half, t1_A) *
+             np.take(half.fine.piece_norm, geo["f_piece"], -1) *
+             np.take(half.coarse.piece_norm, geo["c_piece"], -1)).sum(axis=-1)
     return _lemma(prefix + "sigma1_diagonal", measured, bound, "diagonal")
 
 
@@ -1159,9 +1211,11 @@ def _far_geometry(kernel, half: HalfData, abs_op) -> dict:
 def _sigma2_probe_check(half: HalfData, prefix: str):
     """Per-probe far-interaction verification over the sigma2 pairs."""
     geo, t = half.geo["sigma2"], half.pairs["sigma2"]
-    meas = float(np.abs(half.values["sigma2"][geo["far"]]).sum())
-    bound = float((geo["coef"] * np.sqrt(half.fine.norm_sq[t.q]) *
-                   np.sqrt(half.coarse.norm_sq[t.r]))[geo["far"]].sum())
+    far = np.flatnonzero(geo["far"])
+    meas = np.abs(np.take(half.values["sigma2"], far, -1)).sum(axis=-1)
+    bound = np.take(geo["coef"] * np.sqrt(np.take(half.fine.norm_sq, t.q, -1)) *
+                    np.sqrt(np.take(half.coarse.norm_sq, t.r, -1)), far,
+                    -1).sum(axis=-1)
     return _lemma(prefix + "sigma2_far", meas, bound, "long_range")
 
 
@@ -1173,8 +1227,12 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
     with the power-iteration operator norm.
 
     Every constant depends on the lattice pair only, so it is computed once
-    from the pair geometry; each probe then costs two decompositions and the
-    lemma checks, array arithmetic on that geometry.  ``lattice`` is the
+    from the pair geometry.  The probes then go through the lemma checks
+    as one (P, N) stack per lattice, in chunks of at most ``PROBE_CELLS``
+    (probe x row x point) cells: one decomposition per lattice, one split
+    and one call per lemma and half.  Every sum runs along the last axis
+    and every product keeps its per-probe BLAS call, so each probe's checks
+    are bit for bit those of the probe on its own.  ``lattice`` is the
     seeds[0] lattice when the caller has built it already; its terminal
     flags are kept when every cube has one."""
     from .kernels import check_T1, operator_norm
@@ -1242,25 +1300,36 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
             prefix + "paraproduct_identity", p_info["identity_error"],
             1e-10, p_info["identity_error"] <= 1e-10, ref="paraproduct"))
 
+    # the probes as (P, N) stacks, in chunks of at most PROBE_CELLS cells
+    n_probe = min(len(probes_f), len(probes_g))
+    probes_f, probes_g = (np.reshape(p[:n_probe], (n_probe, space.n_points))
+                          for p in (probes_f, probes_g))
+    rows = max(max(len(h.fine_rows.ids), len(h.coarse_rows.piece) + 1)
+               for h in geometry)
+    chunk = max(1, PROBE_CELLS // (rows * space.n_points))
     # probe 0 reports every lemma check, later probes only the failed ones
     lemmas = []
     worst_regroup = 0.0
-    for pi, (f, g) in enumerate(zip(probes_f, probes_g)):
-        dec_f = decompose(lat1, f)
-        dec_g = decompose(lat2, g)
-        split = split_bilinear(kernel, space, dec_f, dec_g, f, g, r_gap, alpha,
+    for at in range(0, n_probe, chunk):
+        f, g = probes_f[at:at + chunk], probes_g[at:at + chunk]
+        split = split_bilinear(kernel, space, decompose(lat1, f),
+                               decompose(lat2, g), f, g, r_gap, alpha,
                                geometry)
-        worst_regroup = max(worst_regroup, split.regroup_error)
+        worst_regroup = max(worst_regroup, *split.regroup_error.tolist())
+        halves = []
         for hi, prefix in ((0, ""), (1, "sym_")):
-            diag = diagonal_bound(split, hi, a_t1)
-            term = short_range_terminal_bound(split, hi)
             tran_checks, _ = short_range_transit_bound(split, hi=hi)
-            far = _sigma2_probe_check(split.halves[hi], prefix)
-            checks = [diag, term, far] + tran_checks
-            if pi > 0:
-                lemmas.extend(chk for chk in checks if not chk.passed)
-            else:
-                lemmas.extend(checks + [identity[hi]])
+            halves.append(zip(diagonal_bound(split, hi, a_t1),
+                              short_range_terminal_bound(split, hi),
+                              _sigma2_probe_check(split.halves[hi], prefix),
+                              tran_checks))
+        for pi, per_half in enumerate(zip(*halves), start=at):
+            for hi, (diag, term, far, tran) in enumerate(per_half):
+                checks = [diag, term, far] + tran
+                if pi > 0:
+                    lemmas.extend(chk for chk in checks if not chk.passed)
+                else:
+                    lemmas.extend(checks + [identity[hi]])
 
     lemmas.append(LemmaCheck("sigma_regrouping", worst_regroup, 1e-9,
                              worst_regroup <= 1e-9, ref="splitting"))

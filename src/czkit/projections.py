@@ -1,6 +1,8 @@
 """Averaging projection, martingale differences, and good/bad splits.
 
-Functions are plain numpy vectors aligned with the space's point order.
+Functions are plain numpy vectors aligned with the space's point order; a
+(P, N) stack of them, one probe per row, decomposes and splits in one pass,
+each row bit for bit as on its own (every sum runs along the last axis).
 Decompositions on a lattice run on its ``DecompositionPlan`` (``lat.plan``),
 so each is a few gathers and row sums, linear in the number of cubes.
 
@@ -64,18 +66,21 @@ class DecompositionPlan:
             raise ZeroMass("average over a cube of zero mu-mass")
 
     def means(self, phi: np.ndarray, rows: np.ndarray | None = None):
-        """mu-average of phi over each slot's cube; with ``rows``, slot s
-        averages row rows[s] of the matrix phi."""
-        out = np.empty(len(self.slot))
+        """mu-average of phi over each slot's cube, per row of a stack phi;
+        with ``rows``, slot s averages row rows[s] of the matrix phi."""
+        lead = phi.shape[:-1] if rows is None else ()
+        out = np.empty(lead + (len(self.slot),))
         for slots, members, weight, mass in self.groups:
-            vals = phi[members] if rows is None else \
+            vals = np.take(phi, members, -1) if rows is None else \
                 phi[rows[slots][:, None], members]
-            out[slots] = (vals * weight).sum(axis=1) / mass
+            out[..., slots] = (vals * weight).sum(axis=-1) / mass
         return out
 
 
 @dataclass
 class MartingaleDecomposition:
+    """The decomposition of one function, or of a (P, N) stack of them:
+    then ``lambda_part`` is (P,) and ``values`` (P, entries)."""
     lattice: DyadicLattice
     lambda_part: float
     values: np.ndarray             # at the entries of lattice.plan
@@ -96,13 +101,20 @@ class MartingaleDecomposition:
         return float(np.sum(vals ** 2 * self.lattice.space.mu[idx]))
 
     def dense(self, ids) -> np.ndarray:
-        """(len(ids), N): row i is the component of cube ids[i], or zero."""
+        """(len(ids), N), per probe: row i is the component of cube ids[i],
+        or zero."""
         plan = self.lattice.plan
         row = np.full(len(plan.slot) + 1, len(ids))   # the rest: spare row
         row[[plan.slot.get(cid, -1) for cid in ids]] = np.arange(len(ids))
-        out = np.zeros((len(ids) + 1, self.lattice.space.n_points))
-        out[row[plan.owner], plan.pt] = self.values
-        return out[:-1]
+        out = np.zeros(self.values.shape[:-1] +
+                       (len(ids) + 1, self.lattice.space.n_points))
+        out[..., row[plan.owner], plan.pt] = self.values
+        return out[..., :-1, :]
+
+    def constant(self) -> np.ndarray:
+        """Lambda phi as a function, per probe."""
+        return np.full(self.values.shape[:-1] + (self.lattice.space.n_points,),
+                       np.asarray(self.lambda_part)[..., None])
 
     def add_to(self, out: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """Add into ``out`` each component times its ``weight`` (0 leaves
@@ -110,12 +122,13 @@ class MartingaleDecomposition:
         plan = self.lattice.plan
         for sel in plan.by_level:
             sel = sel[weight[plan.owner[sel]] != 0]
-            out[plan.pt[sel]] += self.values[sel] * weight[plan.owner[sel]]
+            out[..., plan.pt[sel]] += \
+                self.values[..., sel] * weight[plan.owner[sel]]
         return out
 
     def reconstruct(self) -> np.ndarray:
-        n, ids = self.lattice.space.n_points, self.lattice.plan.ids
-        return self.add_to(np.full(n, self.lambda_part), np.ones(len(ids)))
+        ids = self.lattice.plan.ids
+        return self.add_to(self.constant(), np.ones(len(ids)))
 
     def norms_sq(self) -> dict:
         return {cid: self.component_norm_sq(cid) for cid in self.components}
@@ -129,12 +142,15 @@ def delta_proj(lat: DyadicLattice, phi: np.ndarray, cube: Cube) -> np.ndarray:
 
 
 def decompose(lat: DyadicLattice, phi: np.ndarray) -> MartingaleDecomposition:
-    """phi = Lambda phi + sum over transit cubes of Delta_Q phi, exactly."""
+    """phi = Lambda phi + sum over transit cubes of Delta_Q phi, exactly;
+    phi is one function or a (P, N) stack of probes."""
     plan = lat.plan
     avg = plan.means(phi)
-    values = np.where(plan.child < 0, phi[plan.pt], avg[plan.child]) - \
-        avg[plan.owner]
-    return MartingaleDecomposition(lat, float(avg[plan.root_slot]), values)
+    values = np.where(plan.child < 0, phi[..., plan.pt], avg[..., plan.child]) \
+        - avg[..., plan.owner]
+    lam = avg[..., plan.root_slot]
+    return MartingaleDecomposition(lat, float(lam) if lam.ndim == 0 else lam,
+                                   values)
 
 
 @dataclass
@@ -194,11 +210,12 @@ def good_component_ids(lat: DyadicLattice) -> np.ndarray:
 
 
 def split_good_bad(dec: MartingaleDecomposition):
-    """(f_good, f_bad): Lambda part plus good-cube components vs the rest."""
+    """(f_good, f_bad): Lambda part plus good-cube components vs the rest,
+    per probe."""
     lat = dec.lattice
     good = np.isin(lat.plan.ids, good_component_ids(lat)).astype(float)
-    return (dec.add_to(np.full(lat.space.n_points, dec.lambda_part), good),
-            dec.add_to(np.zeros(lat.space.n_points), 1.0 - good))
+    return (dec.add_to(dec.constant(), good),
+            dec.add_to(np.zeros_like(dec.constant()), 1.0 - good))
 
 
 def expected_bad_norm(space: MetricMeasureSpace, f: np.ndarray, kappa: float,
