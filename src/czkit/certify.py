@@ -32,6 +32,9 @@ from .space import MetricMeasureSpace, dilate, masked_sums
 # Cells (probe x row x point) per chunk of the probe batch of ``certify``;
 # bounds its memory.
 PROBE_CELLS = 2 ** 18
+# Largest smaller side of a pair-norm matrix that starts from a dense
+# Perron vector; above it, dense squaring costs more than the iterations.
+PERRON_SLOTS = 256
 
 
 def alpha_param(m: float, tau: float) -> float:
@@ -483,6 +486,31 @@ def _scalar_pow(base, exp) -> np.ndarray:
     return (_py_floats(base) ** exp).astype(float)
 
 
+def _perron_start(r, c, v, rtol: float, floor: float) -> np.ndarray:
+    """An approximate Perron vector of M^T M, M the dense matrix of the
+    pair list (r, c, v): the Gram matrix of M's smaller side, squared three
+    times with a normalization after each, then power steps of that eighth
+    power until its Collatz-Wielandt ratio is within rtol / 10 of the
+    Rayleigh quotient, at most 64.  Entries of the powers below 1e-150 are
+    dropped, as their products would be subnormal."""
+    n_r, n_c = r.max() + 1, c.max() + 1
+    m = np.bincount(r * n_c + c, v, minlength=n_r * n_c).reshape(n_r, n_c)
+    gram = m.T @ m if n_c <= n_r else m @ m.T
+    power = gram / gram.max()
+    for _ in range(3):
+        power[power < 1e-150] = 0.0
+        power = power @ power
+        power /= power.max()
+    x = power.sum(axis=1)
+    for _ in range(64):
+        x = np.maximum(x / x.max(), floor)
+        gx = gram @ x
+        if (gx / x).max() <= (x @ gx) / (x @ x) * (1 + rtol / 10):
+            break
+        x = power @ x
+    return x if n_c <= n_r else m.T @ x
+
+
 def _pair_norm(rows, cols, values) -> float:
     """A certified upper bound on ||M||_2, M the matrix with |values| summed
     at (rows, cols): the Collatz-Wielandt bound max_j (M^T M y)_j / y_j on
@@ -490,7 +518,13 @@ def _pair_norm(rows, cols, values) -> float:
     which stop once it is within 1e-7 of the Rayleigh quotient, with a
     margin of 4 (pairs + 8) eps for the rounding of sums of nonnegative
     terms.  Values and weights are raised to 1e-100 times the largest, so
-    no product underflows; a value that is not finite gives +inf."""
+    no product underflows; a value that is not finite gives +inf.
+
+    When M's smaller side has at most ``PERRON_SLOTS`` slots, the
+    iterations start from a dense approximate Perron vector
+    (``_perron_start``) instead of from ones, and mostly stop after one.
+    The bound holds for every y > 0, and the loop alone computes it, so
+    the start bears on its tightness and cost only, never on its rigor."""
     iterations, rtol, floor = 500, 1e-7, 1e-100
     values = np.abs(np.asarray(values, dtype=float))
     if not np.isfinite(values).all():
@@ -500,7 +534,11 @@ def _pair_norm(rows, cols, values) -> float:
         return 0.0
     v = np.maximum(values / top, floor)
     r, c = (np.unique(at, return_inverse=True)[1] for at in (rows, cols))
-    y = np.ones(c.max() + 1)
+    if min(r.max(), c.max()) < PERRON_SLOTS:
+        y = _perron_start(r, c, v, rtol, floor)
+        y = np.maximum(y / y.max(), floor)
+    else:
+        y = np.ones(c.max() + 1)
     for _ in range(iterations):
         z = np.bincount(r, v * y[c])
         w = np.bincount(c, v * z[r])

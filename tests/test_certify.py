@@ -732,20 +732,107 @@ def pair_lists(draw):
             np.array(values, dtype=float))
 
 
-@given(pair_lists())
-@settings(max_examples=150, deadline=None)
-def test_pair_norm_bounds_the_dense_norm_tightly(pairs):
-    rows, cols, values = pairs
+def _pair_norm_from_ones(rows, cols, values) -> float:
+    """``_pair_norm`` as it was before the dense Perron start: the same
+    Collatz-Wielandt loop, started from ones."""
+    iterations, rtol, floor = 500, 1e-7, 1e-100
+    values = np.abs(np.asarray(values, dtype=float))
+    if not np.isfinite(values).all():
+        return math.inf
+    top = float(values.max(initial=0.0))
+    if top == 0:
+        return 0.0
+    v = np.maximum(values / top, floor)
+    r, c = (np.unique(at, return_inverse=True)[1] for at in (rows, cols))
+    y = np.ones(c.max() + 1)
+    for _ in range(iterations):
+        z = np.bincount(r, v * y[c])
+        w = np.bincount(c, v * z[r])
+        bound = float((w / y).max())
+        if bound <= (z @ z) / (y @ y) * (1 + rtol):
+            break
+        y = np.maximum(w / w.max(), floor)
+    margin = 1 + 4 * (v.size + 8) * np.finfo(float).eps
+    return top * math.sqrt(bound * margin)
+
+
+def _assert_pair_norm_tight(rows, cols, values):
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    values = np.asarray(values, dtype=float)
     dense = np.zeros((rows.max(initial=0) + 1, cols.max(initial=0) + 1))
     np.add.at(dense, (rows, cols), values)
     exact = spectral_norm(dense)
     got = _pair_norm(rows, cols, values)
     assert exact <= got <= exact * (1 + 1e-6)
+    # the start moves the bound by what the loop's stop rule leaves open
+    ref = _pair_norm_from_ones(rows, cols, values)
+    assert abs(got - ref) <= 1e-7 * ref
+    return got
+
+
+@given(pair_lists())
+@settings(max_examples=150, deadline=None)
+def test_pair_norm_bounds_the_dense_norm_tightly(pairs):
+    rows, cols, values = pairs
+    got = _assert_pair_norm_tight(rows, cols, values)
     if not values.any():
         assert got == 0.0
     if values.size:
         values[-1] = math.inf
         assert _pair_norm(rows, cols, values) == math.inf
+
+
+def _blocks(*blocks):
+    """The pair list of a block-diagonal matrix of dense blocks."""
+    rows, cols, values, at = [], [], [], np.zeros(2, dtype=int)
+    for block in blocks:
+        block = np.atleast_2d(np.asarray(block, dtype=float))
+        r, c = np.indices(block.shape)
+        rows.append(r.ravel() + at[0])
+        cols.append(c.ravel() + at[1])
+        values.append(block.ravel())
+        at += block.shape
+    return tuple(np.concatenate(x) for x in (rows, cols, values))
+
+
+PAIR_NORM_CASES = {
+    # the second block's column Gram [[4, 1], [1, 0.25]] has the row sum
+    # 5 above the top eigenvalue 4.6 of the whole, though its own is 4.25
+    "weak_block_rows": _blocks([[math.sqrt(4.6)]], [[2.0, 0.5]]),
+    "weak_block_cols": _blocks([[math.sqrt(4.6)]], [[2.0], [0.5]]),
+    "disjoint_blocks": _blocks(np.arange(1.0, 7.0).reshape(2, 3),
+                               np.arange(1.0, 7.0).reshape(3, 2) / 7,
+                               [[1e-3]], np.eye(4)),
+    "rank_one": _blocks(np.outer([1.0, 2.0, 0.5, 3.0], [0.1, 4.0, 1.0])),
+    "single_row": _blocks([[3.0, 0.0, 1.0, 2.5, 1e-9]]),
+    "single_column": _blocks([[3.0], [0.0], [1.0], [2.5], [1e-9]]),
+    "single_pair": ([4], [7], [2.5]),
+    # values from 1e-130 to 1 on a dense 20 x 20 matrix, and one entry
+    # far below the 1e-100 floor
+    "span_floor": (np.repeat(np.arange(20), 20), np.tile(np.arange(20), 20),
+                   np.logspace(-130, 0, 400)[
+                       np.random.default_rng(3).permutation(400)]),
+    "below_floor": ([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1e-200, 1e-150, 0.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_NORM_CASES))
+def test_pair_norm_bounds_the_dense_norm_tightly_on_edge_cases(case):
+    _assert_pair_norm_tight(*PAIR_NORM_CASES[case])
+
+
+@pytest.mark.parametrize("shape", [(257, 300), (400, 257), (600, 600)])
+def test_pair_norm_above_the_dense_cap_iterates_from_ones(shape):
+    # both sides above 256 slots: no dense start, the loop of before
+    rng = np.random.default_rng(shape[0])
+    n = 4 * max(shape)
+    rows = np.concatenate([np.arange(shape[0]), rng.integers(0, shape[0], n)])
+    cols = np.concatenate([rng.integers(0, shape[1], shape[0]),
+                           np.arange(shape[1]) % shape[1],
+                           rng.integers(0, shape[1], n - shape[1])])
+    values = rng.exponential(1.0, rows.size) * (rng.random(rows.size) < 0.9)
+    got = _pair_norm(rows, cols, values)
+    assert got.hex() == _pair_norm_from_ones(rows, cols, values).hex()
 
 
 def _certificate_geometry(example, params, s_param, seeds=(1, 2)):
