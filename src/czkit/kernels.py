@@ -336,7 +336,8 @@ def check_T1(kernel: KernelSpec, space: MetricMeasureSpace, lattice,
     ||T chi_Q||^2 <= A mu(Q) and same for the adjoint; repeats keep the label
     of their first family.  Distinct sets go ``T1_BLOCK`` at a time, one
     product for T and one for T* per block, against K on supp mu x supp mu:
-    points off supp mu add nothing to chi_E mu or to an L2(mu) norm."""
+    points off supp mu add nothing to chi_E mu or to an L2(mu) norm.  Where
+    K is symmetric there, T* is T and the one product serves both."""
     lams = tuple(dilations) + (lambda_bmo,)
     sets = cube_dilations(lattice, lams).reshape(-1, space.n_points)
     cids, suffixes = lattice.ids.tolist(), [""] + [f"x{lam}" for lam in lams]
@@ -354,13 +355,15 @@ def check_T1(kernel: KernelSpec, space: MetricMeasureSpace, lattice,
     k = kernel.matrix if supp.size == space.n_points else \
         kernel.matrix[np.ix_(supp, supp)]
     mu = space.mu[supp]
+    symmetric = np.array_equal(k, k.T)
     per_cube = []
     for b in range(0, len(distinct), T1_BLOCK):
         block = distinct[b:b + T1_BLOCK]
         chi_mu = sets[block][:, supp] * mu
         mass = chi_mu.sum(axis=1).tolist()
         direct = (np.square(chi_mu @ k.T) @ mu).tolist()
-        adjoint = (np.square(chi_mu @ k) @ mu).tolist()
+        adjoint = direct if symmetric else \
+            (np.square(chi_mu @ k) @ mu).tolist()
         per_cube += [(label(s), m_s, d / m_s, a / m_s) for s, m_s, d, a
                      in zip(block, mass, direct, adjoint) if m_s > 0]
     return T1Report(max([0.0] + [r for c in per_cube for r in c[2:]]),

@@ -527,6 +527,57 @@ def test_t1_blocks_match_per_set_reference(case, seed):
         assert (space.mu == 0).any() and len(per_cube) < n_distinct
 
 
+def _check_T1_two_products(kernel, space, lattice,
+                           lams=(1.2, 1.4, 1.5, 3.0)):
+    """``check_T1`` as it was before symmetric kernels shared one product:
+    one product for T and one for T* per block of sets, whatever K."""
+    sets = cube_dilations(lattice, lams).reshape(-1, space.n_points)
+    keys = np.packbits(sets, axis=1)
+    first = {}
+    for s, key in enumerate(keys.view(f"V{keys.shape[1]}").ravel().tolist()):
+        first.setdefault(key, s)
+    distinct = list(first.values())
+    supp = np.flatnonzero(space.mu > 0)
+    k = kernel.matrix[np.ix_(supp, supp)]
+    mu = space.mu[supp]
+    per_set = []
+    for b in range(0, len(distinct), kernels.T1_BLOCK):
+        chi_mu = sets[distinct[b:b + kernels.T1_BLOCK]][:, supp] * mu
+        per_set += zip(chi_mu.sum(axis=1).tolist(),
+                       (np.square(chi_mu @ k.T) @ mu).tolist(),
+                       (np.square(chi_mu @ k) @ mu).tolist())
+    return [(m_s, d / m_s, a / m_s) for m_s, d, a in per_set if m_s > 0]
+
+
+@given(st.integers(2, 24), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_t1_on_symmetric_kernels_matches_two_products(n, null_points,
+                                                      seed):
+    # T* is T, so the one product must give the bits of both
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(0.1, 1.0, n) * (rng.random(n) < (0.7 if null_points
+                                                      else 1.0))
+    mu[0] = 1.0
+    space = line_space(n, mu=mu / mu.sum())
+    half = rng.standard_normal((n, n))
+    kern = explicit_kernel(space, half + half.T, m=1.0, tau=1.0, C_CZ=1.0)
+    lat = build_lattice(space, kappa=0.5, seed=seed % 1000)
+    rep = check_T1(kern, space, lat)
+    ref = _check_T1_two_products(kern, space, lat)
+    assert [c[1:] for c in rep.per_cube] == ref
+    assert rep.A == max([0.0] + [r for c in ref for r in c[1:]])
+    assert all(c[2] == c[3] for c in rep.per_cube)
+
+
+def test_t1_on_a_nonsymmetric_kernel_takes_both_products():
+    space, kern = _t1_case("signed_explicit")
+    lat = build_lattice(space, kappa=0.5, seed=1)
+    rep = check_T1(kern, space, lat)
+    assert [c[1:] for c in rep.per_cube] == \
+        _check_T1_two_products(kern, space, lat)
+    assert any(c[2] != c[3] for c in rep.per_cube)
+
+
 # ---------------------------------------------------------------------------
 # operator norm
 
