@@ -67,21 +67,15 @@ def _lemma(name: str, measured, bound, ref: str):
                       measured <= bound * (1 + 1e-9) + 1e-15, ref)
 
 
-def _per_probe(checks: list, batched: bool) -> list:
-    """The checks of several lemmas, as one list per probe when batched."""
-    return [list(c) for c in zip(*checks)] if batched else checks
-
-
 def _row_bincount(bins: np.ndarray, weights: np.ndarray,
                   n: int) -> np.ndarray:
     """``np.bincount(bins, w, minlength=n)`` for each row w of ``weights``
-    (last axis against ``bins``), bit for bit: each row's bins are offset,
-    so its sums run in its own entry order."""
+    (last axis against ``bins``): one call per probe, as its sums run in
+    entry order."""
     lead = weights.shape[:-1]
-    rows = math.prod(lead)
-    at = bins + n * np.arange(rows).reshape(lead + (1,))
-    return np.bincount(at.ravel(), weights.ravel(),
-                       minlength=rows * n).reshape(lead + (n,))
+    flat = weights.reshape(math.prod(lead), weights.shape[-1])
+    return np.array([np.bincount(bins, w, minlength=n) for w in flat]
+                    ).reshape(lead + (n,))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +211,8 @@ def _stack_components(rows: ComponentRows,
     mu = rows.lattice.space.mu
     delta = dec.dense(rows.ids.tolist())
     phi = delta * mu
-    sq = delta ** 2 * mu
+    sq = np.square(delta, out=delta)
+    sq *= mu
     piece_sq = _row_bincount(rows.point_piece.ravel(),
                              sq.reshape(sq.shape[:-2] + (-1,)),
                              len(rows.piece) + 1)[..., :-1]
@@ -307,7 +302,10 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
 @dataclass
 class SigmaSplit:
     """The sigma parts of <T f_good, g_good>: floats for one probe pair,
-    (P,) arrays for a batch."""
+    (P,) arrays for a batch.  The batch gathers along the last axis with
+    ``np.take``: an index after ``...`` would lay the probe axis innermost,
+    and a sum along the last axis keeps each probe's bits only over
+    contiguous rows."""
     lambda_part: float
     sigma1: float
     sigma2: float
@@ -381,7 +379,8 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
     symmetric = replace(symmetric, fine_dec=dec_g, coarse_dec=dec_f,
                         coarse_fn=f, fine=comp_g, coarse=comp_f, values={})
     sums = {}
-    for prefix, half, value in (("", primary, np.swapaxes(pair_matrix, -1, -2)),
+    flip = np.swapaxes(pair_matrix, -1, -2)
+    for prefix, half, value in (("", primary, flip),
                                 ("sym_", symmetric, pair_matrix)):
         for regime, t in half.pairs.items():
             half.values[regime] = np.ascontiguousarray(value[..., t.q, t.r])
@@ -490,24 +489,27 @@ def _perron_start(r, c, v, rtol: float, floor: float) -> np.ndarray:
     """An approximate Perron vector of M^T M, M the dense matrix of the
     pair list (r, c, v): the Gram matrix of M's smaller side, squared three
     times with a normalization after each, then power steps of that eighth
-    power until its Collatz-Wielandt ratio is within rtol / 10 of the
-    Rayleigh quotient, at most 64.  Entries of the powers below 1e-150 are
-    dropped, as their products would be subnormal."""
+    power, four between checks, until its Collatz-Wielandt ratio is within
+    rtol / 10 of the Rayleigh quotient, at most 64 steps.  Entries of the
+    powers below 1e-150 are dropped, as their products would be
+    subnormal.  The powers stay symmetric, so each square is P P^T, which
+    numpy computes as a symmetric rank-k update at half the work."""
     n_r, n_c = r.max() + 1, c.max() + 1
     m = np.bincount(r * n_c + c, v, minlength=n_r * n_c).reshape(n_r, n_c)
     gram = m.T @ m if n_c <= n_r else m @ m.T
     power = gram / gram.max()
     for _ in range(3):
         power[power < 1e-150] = 0.0
-        power = power @ power
+        power = power @ power.T
         power /= power.max()
     x = power.sum(axis=1)
-    for _ in range(64):
+    for _ in range(16):
         x = np.maximum(x / x.max(), floor)
         gx = gram @ x
         if (gx / x).max() <= (x @ gx) / (x @ x) * (1 + rtol / 10):
             break
-        x = power @ x
+        for _ in range(4):
+            x = power @ x
     return x if n_c <= n_r else m.T @ x
 
 
@@ -734,7 +736,8 @@ def short_range_terminal_bound(split: SigmaSplit, half_index: int = 0):
     geo = half.geo["sigma3_term"]
     q_rows = half.pairs["sigma3_term"].q
     measured = np.abs(half.values["sigma3_term"].sum(axis=-1))
-    v = np.sqrt(_row_bincount(geo["group"], np.take(half.fine.norm_sq, q_rows, -1),
+    v = np.sqrt(_row_bincount(geo["group"],
+                              np.take(half.fine.norm_sq, q_rows, -1),
                               geo["weight"].size))
     dg = np.sqrt(np.take(half.coarse.norm_sq, geo["r_row"], -1))
     bound = (geo["weight"] * dg * v).sum(axis=-1)
@@ -904,7 +907,8 @@ def short_range_transit_bound(split: SigmaSplit, hi: int):
     off_child = space.mu - on_cube
     ext_v = c_val * np.ascontiguousarray((off_child @ fine_t)[..., rq_col, q])
     meas_ext = np.abs(ext_v).sum(axis=-1)
-    l1 = np.abs(np.take(fine.phi, q, -2)).sum(axis=-1)  # ||Delta_Q||_L1(mu)
+    # ||Delta_Q||_L1(mu), once per fine row
+    l1 = np.take(np.abs(fine.phi).sum(axis=-1), q, -1)
     pair_bound = np.abs(c_val) * geo["ext_coef"] * l1
     if not geo["chain"].all():
         exact = np.abs(c_val) * np.ascontiguousarray(
@@ -926,8 +930,9 @@ def short_range_transit_bound(split: SigmaSplit, hi: int):
         _lemma(prefix + "sigma3_transit_block", lhs_c, rhs_c,
                "short_range_transit_block"),
     ]
-    return (_per_probe(checks, split.batched),
-            {"hypothesis_violations": list(geo["violations"])})
+    if split.batched:
+        checks = [list(c) for c in zip(*checks)]
+    return checks, {"hypothesis_violations": list(geo["violations"])}
 
 
 # ---------------------------------------------------------------------------
@@ -1250,10 +1255,10 @@ def _sigma2_probe_check(half: HalfData, prefix: str):
     """Per-probe far-interaction verification over the sigma2 pairs."""
     geo, t = half.geo["sigma2"], half.pairs["sigma2"]
     far = np.flatnonzero(geo["far"])
+    dq, dr = (np.sqrt(np.take(c.norm_sq, at, -1))
+              for c, at in ((half.fine, t.q), (half.coarse, t.r)))
     meas = np.abs(np.take(half.values["sigma2"], far, -1)).sum(axis=-1)
-    bound = np.take(geo["coef"] * np.sqrt(np.take(half.fine.norm_sq, t.q, -1)) *
-                    np.sqrt(np.take(half.coarse.norm_sq, t.r, -1)), far,
-                    -1).sum(axis=-1)
+    bound = np.take(geo["coef"] * dq * dr, far, -1).sum(axis=-1)
     return _lemma(prefix + "sigma2_far", meas, bound, "long_range")
 
 

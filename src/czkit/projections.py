@@ -146,8 +146,8 @@ def decompose(lat: DyadicLattice, phi: np.ndarray) -> MartingaleDecomposition:
     phi is one function or a (P, N) stack of probes."""
     plan = lat.plan
     avg = plan.means(phi)
-    values = np.where(plan.child < 0, phi[..., plan.pt], avg[..., plan.child]) \
-        - avg[..., plan.owner]
+    values = np.where(plan.child < 0, phi[..., plan.pt],
+                      avg[..., plan.child]) - avg[..., plan.owner]
     lam = avg[..., plan.root_slot]
     return MartingaleDecomposition(lat, float(lam) if lam.ndim == 0 else lam,
                                    values)

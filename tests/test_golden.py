@@ -67,31 +67,31 @@ BERGMAN_64 = {"n_ring": 64, "n_cluster": 8, "n_boundary": 32}
 RUN_REPORTS = {
     "cantor_level5": (
         ("cantor_measure", {"level": 5}, {}),
-        "e1d73f4d44c465c62af19d98c9e7eb0f598b27030a4a3284ca9ef10508f22276"),
+        "ef0aaaee4aa9e04885bc3575b08fee5f67bc06097c3a0320c4e28f1e3ab9dc3e"),
     # the benchmark's cantor_pairs size, with sigma2 pairs that need the
     # near-pair sup fallback
     "cantor_level6": (
         ("cantor_measure", {"level": 6}, {}),
-        "1d9e805de7afc3e1702dd914992a7b11d5bb006319f8072d44f08f1302d44e77"),
+        "61c3300bf69cbe2f6501d3f6987b1f9b972cd25243de5658e00ba64b0142ec42"),
     "grid_n9": (
         ("uniform_grid", {"n": 9}, {}),
-        "dd52002de5fee2950abe2f2499666e8a786406d46041a3034e8554e2956038fd"),
+        "55187ea0d35bd9b4045ac7a12f6d44ea4e7b7a0741e2e3bc8d1ec1d180965828"),
     "line_n13": (
         ("line_in_plane", {"n": 13}, {}),
-        "1b4afef330e47cc40cc902d46f9b49ddccf315923202eb28e1b8553bd6908ad7"),
+        "14333cfe0a737e05002eaa479451c6ada848ec939555f0d55d265f8bd306848b"),
     # the benchmark's line_sparse_mu size
     "line_n21": (
         ("line_in_plane", {"n": 21}, {}),
-        "67424a0967ea39a35362f1d3190c7770053c3bc1df2acd5ad8ddaac6b2d510d3"),
+        "c7a6b0aef66294e03ec4463c1c95cd236b569886eba474fcf395189ee6bd92ab"),
     "bergman_default": (
         ("bergman_disc_model", {}, {}),
-        "428ed9c93eebaa340dd6f8426464b28d86c453468b852cc54e8fa0eda836b0f7"),
+        "6c49067ff811fe570f75f7d27794d9ec57b93393cb2c52476eb8738fa4bd81fe"),
     # calibrated, on the lattice pair of the benchmark's seed-402 find
     "bergman_64_calibrated": (
         ("bergman_disc_model", BERGMAN_64,
          {"s_param": None, "ensemble": 150,
           "seeds": (2476693647, 1295026582), "master_seed": 3813294786}),
-        "84dcb94dc6e56f2c95477fb3560a88c4f99c49b24d1d274c8a19d32eb2cee061"),
+        "988b84a2e60a73c1844c23c89c1739058611d669d38e2446543e0950e6f35bbf"),
 }
 
 
