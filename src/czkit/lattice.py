@@ -475,32 +475,18 @@ def _greedy_nets(rho: np.ndarray, nearest: np.ndarray, scale,
     return picked.reshape(n_seeds, n_gens, n).transpose(1, 0, 2)
 
 
-def _nearest_centers(rho: np.ndarray, net: np.ndarray, si: np.ndarray,
-                     xi: np.ndarray, cand) -> np.ndarray:
-    """For each (row si, point xi): the center c of ``net[si]`` with the
-    least rho(xi, c), ties to the lowest id; over the candidate list of xi
-    (``cand``, see ``_candidates``; a nearest center below the scale is
-    among them) where given, else, or where the list holds no center, over
-    the columns of every center of ``net``, masked to its own row."""
-    if cand is not None and xi.size:
-        near, missed = _first_listed(net, si, xi, cand)
-    else:
-        near, missed = np.empty_like(xi), np.ones(xi.size, dtype=bool)
-    if missed.any():
-        near[missed] = _nearest_in_nets(rho, net, si[missed], xi[missed])
-    return near
-
-
 def _chain_centers(rho: np.ndarray, nearest: np.ndarray, nets: np.ndarray,
                    heads: np.ndarray, cands=None) -> np.ndarray:
     """(generations, seeds, P) region centers of the points ``heads`` (seeds,
     P) in the nets ``nets`` (generations, seeds, N), coarse to fine: at the
     finest generation the center c with the least rho(x, c) to the point x,
-    one generation up the center nearest to that center, and so on, so
-    that regions nest.  Each step searches once per distinct (seed,
-    center), over ``cands[t]`` where given (see ``_nearest_centers``).  A
-    center nearer to itself than to any other point is its own nearest
-    center."""
+    ties to the lowest id, one generation up the center nearest to that
+    center, and so on, so that regions nest.  Each step searches once per
+    distinct (seed, center): over its candidate list ``cands[t]`` where
+    given (see ``_candidates``; a nearest center below the scale is among
+    them), else, or where the list holds no center, over the columns of
+    every center of the generation, masked to its own net.  A center
+    nearer to itself than to any other point is its own nearest center."""
     n_gens, n_seeds, n = nets.shape
     ctr = np.empty((n_gens,) + heads.shape, dtype=np.int32)
     own = np.diagonal(rho) < nearest
@@ -512,33 +498,13 @@ def _chain_centers(rho: np.ndarray, nearest: np.ndarray, nets: np.ndarray,
         ask &= ~(nets[t] & own)
         si, xi = np.nonzero(ask)
         near = ids.copy()
-        near[si, xi] = _nearest_centers(rho, nets[t], si, xi,
-                                        cands[t] if cands else None)
+        if cands and cands[t] is not None and xi.size:
+            near[si, xi], missed = _first_listed(nets[t], si, xi, cands[t])
+            si, xi = si[missed], xi[missed]
+        if xi.size:
+            near[si, xi] = _nearest_in_nets(rho, nets[t], si, xi)
         heads = ctr[t] = near[seed_col, heads]
     return ctr
-
-
-def _chain_all_points(rho: np.ndarray, nearest: np.ndarray, nets: np.ndarray,
-                      cands=None) -> np.ndarray:
-    """``_chain_centers`` of every point: each point asks for its nearest
-    finest center and each center of generation t + 1 for its nearest at
-    t, all generations from one mask, and the chains compose by
-    indexing."""
-    ask = np.ones(nets.shape, dtype=bool)
-    ask[:-1] = nets[1:]
-    ask &= ~(nets & (np.diagonal(rho) < nearest))
-    ti, si, xi = np.nonzero(ask)
-    near = np.empty(nets.shape, dtype=np.int32)
-    near[:] = np.arange(nets.shape[2])
-    bounds = np.searchsorted(ti, np.arange(len(nets) + 1)).tolist()
-    for t, net in enumerate(nets):
-        at = slice(bounds[t], bounds[t + 1])
-        near[t, si[at], xi[at]] = _nearest_centers(
-            rho, net, si[at], xi[at], cands[t] if cands else None)
-    seed_col = np.arange(nets.shape[1])[:, None]
-    for t in range(len(nets) - 2, -1, -1):
-        near[t] = near[t, seed_col, near[t + 1]]
-    return near
 
 
 def _draw_batch(space: MetricMeasureSpace, kappa: float, seeds, gens: range,
@@ -549,11 +515,13 @@ def _draw_batch(space: MetricMeasureSpace, kappa: float, seeds, gens: range,
     x] the center of the region of point x there; the coarsest generation
     keeps its first center only.  ``nearest`` is ``_nearest_other``,
     ``cands`` the ``_candidates`` of ``gens`` or None."""
+    n, n_seeds = space.n_points, len(seeds)
     picked = _greedy_nets(space.rho, nearest, [kappa ** k for k in gens],
-                          _draw_orders(seeds, len(gens), space.n_points))
+                          _draw_orders(seeds, len(gens), n))
     ctr = np.empty(picked.shape, dtype=np.int32)
-    ctr[1:] = _chain_all_points(space.rho, nearest, picked[1:],
-                                cands and cands[1:])
+    ctr[1:] = _chain_centers(space.rho, nearest, picked[1:],
+                             np.broadcast_to(np.arange(n), (n_seeds, n)),
+                             cands and cands[1:])
     ctr[0] = picked[0].argmax(axis=1)[:, None]
     return picked, ctr
 
