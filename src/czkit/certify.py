@@ -805,34 +805,21 @@ def _transit_geometry(kernel, space, half: HalfData, abs_op, piece_sup,
     rq_ids, at = np.unique(rq, return_inverse=True)
     x = coarse_lat.points[coarse_lat.offsets[rq_ids]]  # a point of each R_Q
     same = labels[:, None, :] == labels[:, x, None]   # (k, R_Q, point)
-    anc = labels[:, x]                                # R_Q's ancestors
-    below = (anc == rq_ids).argmax(axis=0)            # R_Q's generation
+    below = (labels[:, x] == rq_ids).argmax(axis=0)   # R_Q's generation
     level = same[:-1] & ~same[1:] & \
         (below > np.arange(len(labels) - 1)[:, None])[..., None]
+    rho_q = space.rho[fine.center[q]]                 # from Q's center
     d = np.full((len(labels), len(t)), math.inf)
     mass = np.zeros(d.shape)
     mass[:-1] = masked_sums(mu, level.reshape(-1, mu.size)).reshape(
         len(labels) - 1, rq_ids.size)[:, at]
-    # level k is the children of the ancestor at k but the one at k + 1:
-    # its distance from Q's center is their least ``dist`` column
-    lev, j = np.nonzero(level.any(axis=2))
-    of, kid = _ranges(coarse_lat.child_start[anc[lev, j]],
-                      coarse_lat.n_children[anc[lev, j]])
-    kid = coarse_lat.child_ids[kid]
-    keep = kid != anc[lev + 1, j][of]
-    lev, j, kid = lev[of][keep], j[of][keep], kid[keep]
-    count = np.bincount(j, minlength=rq_ids.size)
-    pair, ent = _ranges((np.cumsum(count) - count)[at], count[at])
-    ent = np.argsort(j, kind="stable")[ent]          # the entries of R_Q
-    np.minimum.at(d, (lev[ent], pair), coarse_lat.dist[
-        fine.center[q[pair]], coarse_lat.column[kid[ent]]])
+    for k in range(len(labels) - 1):
+        d[k] = np.where(level[k, at], rho_q, math.inf).min(axis=1)
     chain = (d > 0).all(axis=0)
-    # the scalar power where a level has points; an empty one adds 0
-    powd = np.full(d.shape, math.inf)
-    powd[d < math.inf] = _scalar_pow(d[d < math.inf], kernel.m + tau)
     with np.errstate(divide="ignore", invalid="ignore"):
         # summed level by level, bottom up; void where chain fails
-        ascent = np.where(chain, sum((mass / powd)[::-1]), 0.0)
+        ascent = np.where(chain, sum((mass / _scalar_pow(
+            d, kernel.m + tau))[::-1]), 0.0)
     s_level = _scalar_pow([kappa ** k for k in coarse_lat.generations()],
                           1 - alpha)
     violations += ["ascent level: distance under goodness bound"] * int(
@@ -971,10 +958,8 @@ def paraproduct_targets(fine_lat: DyadicLattice, coarse_lat: DyadicLattice,
     transit = np.append(coarse_lat.terminal != 1, False)
     top = fine_lat.gen[qs] - r_gap + 1
     ok = (lo == hi) & transit[lo] & (gens <= top[:, None])
-    last = np.take_along_axis(lo, ok.shape[1] - 1 - ok[:, ::-1].argmax(
-        axis=1)[:, None], axis=1)[:, 0]
-    return {q: r if hit else None for q, r, hit in
-            zip(qs.tolist(), last.tolist(), ok.any(axis=1).tolist())}
+    return {q: int(row[hit][-1]) if hit.any() else None
+            for q, row, hit in zip(qs.tolist(), lo, ok)}
 
 
 def paraproduct_apply(F: np.ndarray, g: np.ndarray, fine_lat: DyadicLattice,
