@@ -33,7 +33,9 @@ from .space import MetricMeasureSpace, dilate, masked_sums
 # bounds its memory.
 PROBE_CELLS = 2 ** 18
 # Largest smaller side of a pair-norm matrix that starts from a dense
-# Perron vector; above it, dense squaring costs more than the iterations.
+# Perron vector, its dense matrix having at most 4 PERRON_SLOTS^2 cells; up
+# to it the dense start was the faster on every list timed, above it the
+# cubic squaring made it the slower on some.
 PERRON_SLOTS = 256
 
 
@@ -371,20 +373,28 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
     primary, symmetric = geometry
     comp_f = _stack_components(primary.fine_rows, dec_f)
     comp_g = _stack_components(primary.coarse_rows, dec_g)
-    # <T Delta_Q f, Delta_R g>_mu for every good pair of rows: rows of the
-    # g-lattice, columns of the f-lattice; each half reads its orientation
-    pair_matrix = comp_g.phi @ kernel.matrix @ np.swapaxes(comp_f.phi, -1, -2)
+    lead = comp_f.phi.shape[:-2]
     primary = replace(primary, fine_dec=dec_f, coarse_dec=dec_g, coarse_fn=g,
-                      fine=comp_f, coarse=comp_g, values={})
+                      fine=comp_f, coarse=comp_g, values={
+                          regime: np.empty(lead + t.q.shape)
+                          for regime, t in primary.pairs.items()})
     symmetric = replace(symmetric, fine_dec=dec_g, coarse_dec=dec_f,
-                        coarse_fn=f, fine=comp_g, coarse=comp_f, values={})
-    sums = {}
-    flip = np.swapaxes(pair_matrix, -1, -2)
-    for prefix, half, value in (("", primary, flip),
-                                ("sym_", symmetric, pair_matrix)):
-        for regime, t in half.pairs.items():
-            half.values[regime] = np.ascontiguousarray(value[..., t.q, t.r])
-            sums[prefix + regime] = _scalar(half.values[regime].sum(axis=-1))
+                        coarse_fn=f, fine=comp_g, coarse=comp_f, values={
+                            regime: np.empty(lead + t.q.shape)
+                            for regime, t in symmetric.pairs.items()})
+    # <T Delta_Q f, Delta_R g>_mu for every good pair of rows: rows of the
+    # g-lattice, columns of the f-lattice, one probe at a time, as a stack
+    # of them would take several times the memory of the probes; each half
+    # reads its orientation
+    for p in np.ndindex(lead):
+        pair_matrix = comp_g.phi[p] @ kernel.matrix @ comp_f.phi[p].T
+        for half, value in ((primary, pair_matrix.T),
+                            (symmetric, pair_matrix)):
+            for regime, t in half.pairs.items():
+                half.values[regime][p] = value[t.q, t.r]
+    sums = {prefix + regime: _scalar(values.sum(axis=-1))
+            for prefix, half in (("", primary), ("sym_", symmetric))
+            for regime, values in half.values.items()}
     return SigmaSplit(lambda_part=_scalar(lambda_part), direct=_scalar(direct),
                       halves=(primary, symmetric), **sums)
 
@@ -522,9 +532,10 @@ def _pair_norm(rows, cols, values) -> float:
     terms.  Values and weights are raised to 1e-100 times the largest, so
     no product underflows; a value that is not finite gives +inf.
 
-    When M's smaller side has at most ``PERRON_SLOTS`` slots, the
-    iterations start from a dense approximate Perron vector
-    (``_perron_start``) instead of from ones, and mostly stop after one.
+    When M's smaller side has at most ``PERRON_SLOTS`` slots and M at most
+    4 ``PERRON_SLOTS``^2 entries, the iterations start from a dense
+    approximate Perron vector (``_perron_start``) instead of from ones, and
+    mostly stop after one.
     The bound holds for every y > 0, and the loop alone computes it, so
     the start bears on its tightness and cost only, never on its rigor."""
     iterations, rtol, floor = 500, 1e-7, 1e-100
@@ -536,11 +547,12 @@ def _pair_norm(rows, cols, values) -> float:
         return 0.0
     v = np.maximum(values / top, floor)
     r, c = (np.unique(at, return_inverse=True)[1] for at in (rows, cols))
-    if min(r.max(), c.max()) < PERRON_SLOTS:
+    n_r, n_c = r.max() + 1, c.max() + 1
+    if min(n_r, n_c) <= PERRON_SLOTS and n_r * n_c <= 4 * PERRON_SLOTS ** 2:
         y = _perron_start(r, c, v, rtol, floor)
         y = np.maximum(y / y.max(), floor)
     else:
-        y = np.ones(c.max() + 1)
+        y = np.ones(n_c)
     for _ in range(iterations):
         z = np.bincount(r, v * y[c])
         w = np.bincount(c, v * z[r])
@@ -880,40 +892,48 @@ def short_range_transit_bound(split: SigmaSplit, hi: int):
     geo = half.geo["sigma3_tran"]
     q, r = half.pairs["sigma3_tran"].q, half.pairs["sigma3_tran"].r
     fine, coarse = half.fine, half.coarse
-    # column Q is op^T Delta_Q mu
-    fine_t = np.swapaxes(fine.phi @ half.op, -1, -2)
     dq, dr = (np.sqrt(np.take(c.norm_sq, at, -1))
               for c, at in ((fine, q), (coarse, r)))
+    n_points = space.n_points
+    other = geo["other_pair"]
+    on_cube = geo["on_cube"]
+    r_col, rq_col = geo["cube_col"].T
+    off_child = space.mu - on_cube
+
+    # the products with T* Delta_Q, one probe at a time, as a stack of them
+    # (the pieces outnumber the rows) would take several times the memory
+    # of the probes: (a) on the coarse component on every child of R, (b)
+    # off the child of each R_Q, and ||Delta_Q||_L1(mu)
+    lead = fine.phi.shape[:-2]
+    piece_phi = np.zeros((len(half.coarse_rows.piece) + 1, n_points))
+    on_other = np.empty(lead + other.shape)
+    off_t, off_abs = np.empty(lead + q.shape), np.empty(lead + q.shape)
+    l1 = np.empty(lead + fine.phi.shape[-2:-1])
+    for p in np.ndindex(lead):
+        fine_t = (fine.phi[p] @ half.op).T    # column Q is op^T Delta_Q mu
+        piece_phi[half.coarse_rows.point_piece, np.arange(n_points)] = \
+            coarse.phi[p]
+        on_other[p] = (piece_phi[:-1] @ fine_t)[geo["other_piece"], q[other]]
+        off_t[p] = (off_child @ fine_t)[rq_col, q]
+        if not geo["chain"].all():
+            off_abs[p] = (off_child @ np.abs(fine_t))[rq_col, q]
+        l1[p] = np.abs(fine.phi[p]).sum(axis=-1)
 
     # (a) the coarse component on every child of R, paired with T* Delta_Q
-    n_points = space.n_points
-    piece_phi = np.zeros(coarse.phi.shape[:-2] +
-                         (len(half.coarse_rows.piece) + 1, n_points))
-    piece_phi[..., half.coarse_rows.point_piece, np.arange(n_points)] = \
-        coarse.phi
-    on_piece = piece_phi[..., :-1, :] @ fine_t
-    other = geo["other_pair"]
-    far_v = _row_bincount(other, on_piece[..., geo["other_piece"], q[other]],
-                          q.size)
+    far_v = _row_bincount(other, on_other, q.size)
     meas_far = np.abs(far_v).sum(axis=-1)
     bound_far = (geo["far_coef"] * dq * dr).sum(axis=-1)
 
     # (b) extension error
-    on_cube = geo["on_cube"]
-    r_col, rq_col = geo["cube_col"].T
     # a trailing unit axis keeps one GEMV per probe
     averages = (on_cube @ half.coarse_fn[..., None])[..., 0] / geo["on_mass"]
     c_val = np.take(averages, rq_col, -1) - np.take(averages, r_col, -1)
-    off_child = space.mu - on_cube
-    ext_v = c_val * np.ascontiguousarray((off_child @ fine_t)[..., rq_col, q])
+    ext_v = c_val * off_t
     meas_ext = np.abs(ext_v).sum(axis=-1)
-    # ||Delta_Q||_L1(mu), once per fine row
-    l1 = np.take(np.abs(fine.phi).sum(axis=-1), q, -1)
-    pair_bound = np.abs(c_val) * geo["ext_coef"] * l1
+    pair_bound = np.abs(c_val) * geo["ext_coef"] * np.take(l1, q, -1)
     if not geo["chain"].all():
-        exact = np.abs(c_val) * np.ascontiguousarray(
-            (off_child @ np.abs(fine_t))[..., rq_col, q])
-        pair_bound = np.where(geo["chain"], pair_bound, exact)
+        pair_bound = np.where(geo["chain"], pair_bound,
+                              np.abs(c_val) * off_abs)
     bound_ext = pair_bound.sum(axis=-1)
 
     # (c) block aggregation of the extension errors
@@ -1255,11 +1275,13 @@ def _sigma2_probe_check(half: HalfData, prefix: str):
     """Per-probe far-interaction verification over the sigma2 pairs."""
     geo, t = half.geo["sigma2"], half.pairs["sigma2"]
     far = np.flatnonzero(geo["far"])
-    dq, dr = (np.sqrt(np.take(c.norm_sq, at, -1))
-              for c, at in ((half.fine, t.q), (half.coarse, t.r)))
     meas = np.abs(np.take(half.values["sigma2"], far, -1)).sum(axis=-1)
-    bound = np.take(geo["coef"] * dq * dr, far, -1).sum(axis=-1)
-    return _lemma(prefix + "sigma2_far", meas, bound, "long_range")
+    # coef * dq * dr in place, as the stacks are (P, far pairs)
+    bound = np.sqrt(np.take(half.fine.norm_sq, t.q[far], -1))
+    bound *= geo["coef"][far]
+    bound *= np.sqrt(np.take(half.coarse.norm_sq, t.r[far], -1))
+    return _lemma(prefix + "sigma2_far", meas, bound.sum(axis=-1),
+                  "long_range")
 
 
 def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
@@ -1347,8 +1369,7 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
     n_probe = min(len(probes_f), len(probes_g))
     probes_f, probes_g = (np.reshape(p[:n_probe], (n_probe, space.n_points))
                           for p in (probes_f, probes_g))
-    rows = max(max(len(h.fine_rows.ids), len(h.coarse_rows.piece) + 1)
-               for h in geometry)
+    rows = max(len(h.fine_rows.ids) for h in geometry)
     chunk = max(1, PROBE_CELLS // (rows * space.n_points))
     # probe 0 reports every lemma check, later probes only the failed ones
     lemmas = []

@@ -827,9 +827,11 @@ def test_pair_norm_bounds_the_dense_norm_tightly_on_edge_cases(case):
         spectral_norm(dense) * (1 + 1e-8)
 
 
-@pytest.mark.parametrize("shape", [(257, 300), (400, 257), (600, 600)])
+@pytest.mark.parametrize("shape", [(257, 300), (400, 257), (600, 600),
+                                   (3000, 100)])
 def test_pair_norm_above_the_dense_cap_iterates_from_ones(shape):
-    # both sides above 256 slots: no dense start, the loop of before
+    # both sides above 256 slots, or more than 4 * 256^2 entries: no dense
+    # start, the loop of before
     rng = np.random.default_rng(shape[0])
     n = 4 * max(shape)
     rows = np.concatenate([np.arange(shape[0]), rng.integers(0, shape[0], n)])

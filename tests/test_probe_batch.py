@@ -110,10 +110,10 @@ def test_batch_matches_per_probe_loop_on_run_reports(key, monkeypatch):
     _assert_matches_per_probe_loop(report, calls)
 
 
-@pytest.mark.parametrize("cells", [1, 2 * 110 * 64])
+@pytest.mark.parametrize("cells", [1, 2 * 78 * 64])
 def test_probes_split_across_chunks(cells, monkeypatch):
-    # on cantor level 6 a probe's largest stack is its 109 pieces and a
-    # spare row on 64 points: one probe per chunk, then chunks of two
+    # on cantor level 6 a probe's largest stack is its 78 component rows on
+    # 64 points: one probe per chunk, then chunks of two
     sc = make_scenario("cantor_measure", example_params={"level": 6})
     args = (sc.kernel, sc.space)
     whole = certify(*args, kappa=sc.kappa, s_param=2)
