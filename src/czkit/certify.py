@@ -1275,11 +1275,14 @@ def _sigma2_probe_check(half: HalfData, prefix: str):
     """Per-probe far-interaction verification over the sigma2 pairs."""
     geo, t = half.geo["sigma2"], half.pairs["sigma2"]
     far = np.flatnonzero(geo["far"])
-    meas = np.abs(np.take(half.values["sigma2"], far, -1)).sum(axis=-1)
-    # coef * dq * dr in place, as the stacks are (P, far pairs)
-    bound = np.sqrt(np.take(half.fine.norm_sq, t.q[far], -1))
+    # sigma2 holds most pairs, so its (P, far pairs) stacks work in place
+    meas = np.take(half.values["sigma2"], far, -1)
+    meas = np.abs(meas, out=meas).sum(axis=-1)
+    bound = np.take(half.fine.norm_sq, t.q[far], -1)
+    bound = np.sqrt(bound, out=bound)               # coef * dq * dr
     bound *= geo["coef"][far]
-    bound *= np.sqrt(np.take(half.coarse.norm_sq, t.r[far], -1))
+    dr = np.take(half.coarse.norm_sq, t.r[far], -1)
+    bound *= np.sqrt(dr, out=dr)
     return _lemma(prefix + "sigma2_far", meas, bound.sum(axis=-1),
                   "long_range")
 
