@@ -305,9 +305,9 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
 class SigmaSplit:
     """The sigma parts of <T f_good, g_good>: floats for one probe pair,
     (P,) arrays for a batch.  The batch gathers along the last axis with
-    ``np.take``: an index after ``...`` would lay the probe axis innermost,
-    and a sum along the last axis keeps each probe's bits only over
-    contiguous rows."""
+    ``x.take(idx, -1)``: an index after ``...`` would lay the probe axis
+    innermost, and a sum along the last axis keeps each probe's bits only
+    over contiguous rows."""
     lambda_part: float
     sigma1: float
     sigma2: float
@@ -749,9 +749,9 @@ def short_range_terminal_bound(split: SigmaSplit, half_index: int = 0):
     q_rows = half.pairs["sigma3_term"].q
     measured = np.abs(half.values["sigma3_term"].sum(axis=-1))
     v = np.sqrt(_row_bincount(geo["group"],
-                              np.take(half.fine.norm_sq, q_rows, -1),
+                              half.fine.norm_sq.take(q_rows, -1),
                               geo["weight"].size))
-    dg = np.sqrt(np.take(half.coarse.norm_sq, geo["r_row"], -1))
+    dg = np.sqrt(half.coarse.norm_sq.take(geo["r_row"], -1))
     bound = (geo["weight"] * dg * v).sum(axis=-1)
     return _lemma(prefix + "sigma3_terminal", measured, bound,
                   "short_range_terminal")
@@ -892,7 +892,7 @@ def short_range_transit_bound(split: SigmaSplit, hi: int):
     geo = half.geo["sigma3_tran"]
     q, r = half.pairs["sigma3_tran"].q, half.pairs["sigma3_tran"].r
     fine, coarse = half.fine, half.coarse
-    dq, dr = (np.sqrt(np.take(c.norm_sq, at, -1))
+    dq, dr = (np.sqrt(c.norm_sq.take(at, -1))
               for c, at in ((fine, q), (coarse, r)))
     n_points = space.n_points
     other = geo["other_pair"]
@@ -927,10 +927,10 @@ def short_range_transit_bound(split: SigmaSplit, hi: int):
     # (b) extension error
     # a trailing unit axis keeps one GEMV per probe
     averages = (on_cube @ half.coarse_fn[..., None])[..., 0] / geo["on_mass"]
-    c_val = np.take(averages, rq_col, -1) - np.take(averages, r_col, -1)
+    c_val = averages.take(rq_col, -1) - averages.take(r_col, -1)
     ext_v = c_val * off_t
     meas_ext = np.abs(ext_v).sum(axis=-1)
-    pair_bound = np.abs(c_val) * geo["ext_coef"] * np.take(l1, q, -1)
+    pair_bound = np.abs(c_val) * geo["ext_coef"] * l1.take(q, -1)
     if not geo["chain"].all():
         pair_bound = np.where(geo["chain"], pair_bound,
                               np.abs(c_val) * off_abs)
@@ -939,8 +939,8 @@ def short_range_transit_bound(split: SigmaSplit, hi: int):
     # (c) block aggregation of the extension errors
     lhs_c = (geo["block_t"] * dq * dr).sum(axis=-1)
     rhs_c = (geo["block_coef"] *
-             np.sqrt(np.take(fine.norm_sq, np.unique(q), -1).sum(axis=-1)) *
-             np.sqrt(np.take(coarse.norm_sq, np.unique(r), -1).sum(axis=-1)))
+             np.sqrt(fine.norm_sq.take(np.unique(q), -1).sum(axis=-1)) *
+             np.sqrt(coarse.norm_sq.take(np.unique(r), -1).sum(axis=-1)))
 
     checks = [
         _lemma(prefix + "sigma3_transit_far", meas_far, bound_far,
@@ -1206,8 +1206,8 @@ def diagonal_bound(split: SigmaSplit, half_index: int, t1_A: float):
     geo = half.geo["sigma1"]
     measured = np.abs(half.values["sigma1"].sum(axis=-1))
     bound = (_diagonal_weights(half, t1_A) *
-             np.take(half.fine.piece_norm, geo["f_piece"], -1) *
-             np.take(half.coarse.piece_norm, geo["c_piece"], -1)).sum(axis=-1)
+             half.fine.piece_norm.take(geo["f_piece"], -1) *
+             half.coarse.piece_norm.take(geo["c_piece"], -1)).sum(axis=-1)
     return _lemma(prefix + "sigma1_diagonal", measured, bound, "diagonal")
 
 
@@ -1276,12 +1276,12 @@ def _sigma2_probe_check(half: HalfData, prefix: str):
     geo, t = half.geo["sigma2"], half.pairs["sigma2"]
     far = np.flatnonzero(geo["far"])
     # sigma2 holds most pairs, so its (P, far pairs) stacks work in place
-    meas = np.take(half.values["sigma2"], far, -1)
+    meas = half.values["sigma2"].take(far, -1)
     meas = np.abs(meas, out=meas).sum(axis=-1)
-    bound = np.take(half.fine.norm_sq, t.q[far], -1)
+    bound = half.fine.norm_sq.take(t.q[far], -1)
     bound = np.sqrt(bound, out=bound)               # coef * dq * dr
     bound *= geo["coef"][far]
-    dr = np.take(half.coarse.norm_sq, t.r[far], -1)
+    dr = half.coarse.norm_sq.take(t.r[far], -1)
     bound *= np.sqrt(dr, out=dr)
     return _lemma(prefix + "sigma2_far", meas, bound.sum(axis=-1),
                   "long_range")
