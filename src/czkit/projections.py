@@ -73,8 +73,8 @@ class DecompositionPlan:
         for slots, members, weight, mass in self.groups:
             vals = phi.take(members, -1) if rows is None else \
                 phi[rows[slots][:, None], members]
-            # a plain index on out.T, as out[..., slots] costs several
-            # times more per group on one function; so in dense and add_to
+            # out.T takes a plain index, where out[..., slots] costs
+            # several times more on one function (dense and add_to too)
             out.T[slots] = ((vals * weight).sum(axis=-1) / mass).T
         return out
 
