@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import HypothesisViolated, MultipleParents, NonTransitEntry, \
     ZeroMassCube
-from .kernels import KernelSpec, spectral_norm
+from .kernels import KernelSpec, on_support, spectral_norm
 from .lattice import UNSET, Cube, DyadicLattice, _ranges, cube_reduce
 from .projections import MartingaleDecomposition, decompose, \
     good_component_ids, split_good_bad
@@ -229,13 +229,14 @@ class HalfData:
     pair_geometry fills the lattice-only fields once per lattice pair: the
     pair tables and each regime's lemma coefficients. split_bilinear copies
     them for each batch of probes and adds the probe fields, which then
-    lead with the probe axis."""
+    lead with the probe axis, and the operator on supp mu."""
     fine_rows: ComponentRows
     coarse_rows: ComponentRows
-    op: np.ndarray                 # matrix of the operator applied to coarse parts
     pairs: dict                    # regime -> PairTable
     geo: dict = field(default_factory=dict)      # regime -> coefficients
     # probe fields
+    supp: np.ndarray | slice | None = None   # supp mu (``on_support``)
+    op: np.ndarray | None = None   # operator on coarse parts, on supp x supp
     fine_dec: MartingaleDecomposition | None = None
     coarse_dec: MartingaleDecomposition | None = None
     coarse_fn: np.ndarray | None = None   # the function coarse_dec decomposes
@@ -269,14 +270,27 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
     """The lattice-only (primary, symmetric) halves of the split of
     <T f, g> over the lattice pair (lat_f, lat_g); f and g play no part.
     The primary half pairs lat_f's cubes, as the finer ones, with the
-    adjoint kernel; the symmetric half swaps the roles."""
+    adjoint kernel; the symmetric half swaps the roles.
+
+    The kernel sups run over all N points, not over supp mu: there a
+    rectangle's sup can be 0, where ``_diagonal_weights`` falls back to
+    sqrt(A), so restricting them changed certificates and made some
+    looser."""
     if alpha is None:
         alpha = alpha_param(kernel.m, kernel.tau)
     rows_f, rows_g = _component_rows(lat_f), _component_rows(lat_g)
     abs_k = np.abs(kernel.matrix)
+    k_sup = abs_k.max(axis=1), abs_k.max(axis=0)     # per row, per column
+    # |K| sup over the rows of each g column and the columns of each f
+    # column; each half reads its pieces' columns off it
+    rect = cube_reduce(lat_f, cube_reduce(
+        lat_g, abs_k, lat_g.column_cubes(), np.maximum, axis=0),
+        lat_f.column_cubes(), np.maximum)
     halves = []
-    for fine, coarse, op, abs_op in ((rows_f, rows_g, kernel.matrix.T, abs_k.T),
-                                     (rows_g, rows_f, kernel.matrix, abs_k)):
+    for fine, coarse, abs_op, op_sup, piece_sup in (
+            (rows_f, rows_g, abs_k.T, k_sup[::-1],
+             rect[lat_g.column[rows_g.piece]].T),
+            (rows_g, rows_f, abs_k, k_sup, rect[:, lat_f.column[rows_f.piece]])):
         dist = cube_reduce(fine.lattice, coarse.lattice.dist, fine.ids,
                            axis=0)
         pairs = classify_pairs(fine, coarse, dist, r_gap, alpha)
@@ -284,17 +298,13 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
             # equal-size pairs appear in both halves; drop them from the
             # symmetric one so the regrouping stays a partition
             pairs = {regime: t.select(t.gap > 0) for regime, t in pairs.items()}
-        half = HalfData(fine_rows=fine, coarse_rows=coarse, op=op, pairs=pairs)
-        # sup of |op| over each fine column's rows and each coarse piece's
-        # columns
-        fine_lat = fine.lattice
-        piece_sup = cube_reduce(fine_lat, cube_reduce(
-            coarse.lattice, abs_op, coarse.piece, np.maximum),
-            fine_lat.column_cubes(), np.maximum, axis=0)
+        half = HalfData(fine_rows=fine, coarse_rows=coarse, pairs=pairs)
+        # piece_sup: sup of |op| over each fine column's rows and each
+        # coarse piece's columns; op_sup: over each row and each column
         half.geo = {
-            "sigma1": _diagonal_geometry(half, abs_op, piece_sup),
+            "sigma1": _diagonal_geometry(half, op_sup, piece_sup),
             "sigma2": _far_geometry(kernel, half, abs_op),
-            "sigma3_term": _terminal_geometry(space, half, abs_op),
+            "sigma3_term": _terminal_geometry(space, half, op_sup[0]),
             "sigma3_tran": _transit_geometry(kernel, space, half, abs_op,
                                              piece_sup, dist, alpha)}
         halves.append(half)
@@ -352,18 +362,21 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
     f and g are one function each or (P, N) stacks of probes, decomposed
     by dec_f and dec_g; a stack gives (P,) sums, each bit for bit its
     probe's own.  ``geometry`` is the pair_geometry of the two
-    decompositions' lattices; it is built here when not given."""
+    decompositions' lattices; it is built here when not given.  Every
+    product contracts over supp mu, against K on supp mu x supp mu
+    (``on_support``), which the halves keep for the transit products."""
     if geometry is None:
         geometry = pair_geometry(kernel, space, dec_f.lattice, dec_g.lattice,
                                  r_gap, alpha)
     f_good, _ = split_good_bad(dec_f)
     g_good, _ = split_good_bad(dec_g)
-    mu = space.mu
+    supp, k = on_support(kernel, space)
+    mu = space.mu[supp]
 
     def pair(u, v):
         # <T u, v>_mu; a trailing unit axis keeps one GEMV per probe
-        return ((kernel.matrix @ (u * mu)[..., None])[..., 0] * v *
-                mu).sum(axis=-1)
+        return ((k @ (u[..., supp] * mu)[..., None])[..., 0] *
+                v[..., supp] * mu).sum(axis=-1)
 
     direct = pair(f_good, g_good)
     # the constant parts of both functions, paired against everything else
@@ -375,11 +388,12 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
     comp_g = _stack_components(primary.coarse_rows, dec_g)
     lead = comp_f.phi.shape[:-2]
     primary = replace(primary, fine_dec=dec_f, coarse_dec=dec_g, coarse_fn=g,
-                      fine=comp_f, coarse=comp_g, values={
+                      fine=comp_f, coarse=comp_g, supp=supp, op=k.T, values={
                           regime: np.empty(lead + t.q.shape)
                           for regime, t in primary.pairs.items()})
     symmetric = replace(symmetric, fine_dec=dec_g, coarse_dec=dec_f,
-                        coarse_fn=f, fine=comp_g, coarse=comp_f, values={
+                        coarse_fn=f, fine=comp_g, coarse=comp_f, supp=supp,
+                        op=k, values={
                             regime: np.empty(lead + t.q.shape)
                             for regime, t in symmetric.pairs.items()})
     # <T Delta_Q f, Delta_R g>_mu for every good pair of rows: rows of the
@@ -387,7 +401,7 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
     # of them would take several times the memory of the probes; each half
     # reads its orientation
     for p in np.ndindex(lead):
-        pair_matrix = comp_g.phi[p] @ kernel.matrix @ comp_f.phi[p].T
+        pair_matrix = comp_g.phi[p][:, supp] @ k @ comp_f.phi[p][:, supp].T
         for half, value in ((primary, pair_matrix.T),
                             (symmetric, pair_matrix)):
             for regime, t in half.pairs.items():
@@ -523,6 +537,15 @@ def _perron_start(r, c, v, rtol: float, floor: float) -> np.ndarray:
     return x if n_c <= n_r else m.T @ x
 
 
+def _compact(at: np.ndarray) -> np.ndarray:
+    """The rank of each entry of ``at`` (nonnegative integers) among its
+    distinct values: ``np.unique``'s inverse, from a presence table instead
+    of a sort."""
+    present = np.zeros(at.max() + 1, dtype=bool)
+    present[at] = True
+    return (np.cumsum(present) - 1)[at]
+
+
 def _pair_norm(rows, cols, values) -> float:
     """A certified upper bound on ||M||_2, M the matrix with |values| summed
     at (rows, cols): the Collatz-Wielandt bound max_j (M^T M y)_j / y_j on
@@ -546,7 +569,7 @@ def _pair_norm(rows, cols, values) -> float:
     if top == 0:
         return 0.0
     v = np.maximum(values / top, floor)
-    r, c = (np.unique(at, return_inverse=True)[1] for at in (rows, cols))
+    r, c = map(_compact, (rows, cols))
     n_r, n_c = r.max() + 1, c.max() + 1
     if min(n_r, n_c) <= PERRON_SLOTS and n_r * n_c <= 4 * PERRON_SLOTS ** 2:
         y = _perron_start(r, c, v, rtol, floor)
@@ -710,12 +733,13 @@ def block_matrix_spectral(entries, kappa: float, tau: float) -> float:
 # short range: terminal part
 
 
-def _terminal_geometry(space, half: HalfData, abs_op) -> dict:
+def _terminal_geometry(space, half: HalfData, row_sup) -> dict:
     """Groups of terminal pairs sharing the coarse cube R and its holding
     child, in order of first pair; the weight k_sup sqrt(mu(U) mu(R)) of
     each, U the child and the group's fine cubes, k_sup the kernel sup over
-    the rows of U; and the regime constant, sqrt(m) times the pair norm of
-    the (group, R) weights, as a fine cube falls in at most m groups."""
+    the rows of U (``row_sup``: the sup of |op| over each row); and the
+    regime constant, sqrt(m) times the pair norm of the (group, R)
+    weights, as a fine cube falls in at most m groups."""
     t = half.pairs["sigma3_term"]
     coarse = half.coarse_rows
     _, first, group = np.unique(t.r * half.coarse_lat.gen.size + t.rq,
@@ -727,7 +751,7 @@ def _terminal_geometry(space, half: HalfData, abs_op) -> dict:
     # the mass run over their union with it
     union = half.coarse_lat.member_masks(t.rq[first])
     np.logical_or.at(union, group, half.fine_rows.inside[t.q])
-    k_sup = np.where(union, abs_op.max(axis=1), -np.inf).max(axis=1)
+    k_sup = np.where(union, row_sup, -np.inf).max(axis=1)
     weight = k_sup * np.sqrt(masked_sums(space.mu, union) *
                              coarse.mass[r_rows])
     mult = int(np.bincount(t.q).max(initial=0))
@@ -891,28 +915,29 @@ def short_range_transit_bound(split: SigmaSplit, hi: int):
     space = half.fine_lat.space
     geo = half.geo["sigma3_tran"]
     q, r = half.pairs["sigma3_tran"].q, half.pairs["sigma3_tran"].r
-    fine, coarse = half.fine, half.coarse
+    fine, coarse, supp = half.fine, half.coarse, half.supp
     dq, dr = (np.sqrt(c.norm_sq.take(at, -1))
               for c, at in ((fine, q), (coarse, r)))
-    n_points = space.n_points
     other = geo["other_pair"]
     on_cube = geo["on_cube"]
     r_col, rq_col = geo["cube_col"].T
-    off_child = space.mu - on_cube
+    off_child = (space.mu - on_cube)[:, supp]
 
-    # the products with T* Delta_Q, one probe at a time, as a stack of them
-    # (the pieces outnumber the rows) would take several times the memory
-    # of the probes: (a) on the coarse component on every child of R, (b)
-    # off the child of each R_Q, and ||Delta_Q||_L1(mu)
+    # the products with T* Delta_Q on supp mu, one probe at a time, as a
+    # stack of them (the pieces outnumber the rows) would take several
+    # times the memory of the probes: (a) on the coarse component on every
+    # child of R, (b) off the child of each R_Q, and ||Delta_Q||_L1(mu)
     lead = fine.phi.shape[:-2]
-    piece_phi = np.zeros((len(half.coarse_rows.piece) + 1, n_points))
+    point_piece = half.coarse_rows.point_piece[:, supp]
+    points = np.arange(point_piece.shape[1])
+    piece_phi = np.zeros((len(half.coarse_rows.piece) + 1, points.size))
     on_other = np.empty(lead + other.shape)
     off_t, off_abs = np.empty(lead + q.shape), np.empty(lead + q.shape)
     l1 = np.empty(lead + fine.phi.shape[-2:-1])
     for p in np.ndindex(lead):
-        fine_t = (fine.phi[p] @ half.op).T    # column Q is op^T Delta_Q mu
-        piece_phi[half.coarse_rows.point_piece, np.arange(n_points)] = \
-            coarse.phi[p]
+        # column Q is op^T Delta_Q mu
+        fine_t = (fine.phi[p][:, supp] @ half.op).T
+        piece_phi[point_piece, points] = coarse.phi[p][:, supp]
         on_other[p] = (piece_phi[:-1] @ fine_t)[geo["other_piece"], q[other]]
         off_t[p] = (off_child @ fine_t)[rq_col, q]
         if not geo["chain"].all():
@@ -1155,21 +1180,22 @@ def pseudo_bmo_check(F: np.ndarray, space: MetricMeasureSpace,
 # diagonal part
 
 
-def _diagonal_geometry(half: HalfData, abs_op, piece_sup) -> dict:
+def _diagonal_geometry(half: HalfData, op_sup, piece_sup) -> dict:
     """Son-pair weights of every diagonal pair: one entry per (fine son,
     coarse son), grouped by pair in bucket order. ``w_raw`` is the kernel
     sup weight where a son is terminal or a leaf, NaN where the testing
     constant may be used instead. The sons are the pieces of the two
     component rows; ``piece_sup`` is the sup of |op| over the rows of each
-    fine column (``lat.column``) and the columns of each coarse piece."""
+    fine column (``lat.column``) and the columns of each coarse piece, and
+    ``op_sup`` the sups of |op| over each row and over each column."""
     fine, coarse = half.fine_rows, half.coarse_rows
     f_ids, c_ids = fine.piece, coarse.piece
     # kernel sups over each (fine son, coarse son) rectangle, and over the
     # whole slab of rows of a fine son or columns of a coarse son
     rect = piece_sup[fine.lattice.column[f_ids]]
-    row_sup = cube_reduce(fine.lattice, abs_op.max(axis=1)[:, None], f_ids,
+    row_sup = cube_reduce(fine.lattice, op_sup[0][:, None], f_ids,
                           np.maximum, axis=0)[:, 0]
-    col_sup = cube_reduce(coarse.lattice, abs_op.max(axis=0)[None, :], c_ids,
+    col_sup = cube_reduce(coarse.lattice, op_sup[1][None, :], c_ids,
                           np.maximum)[0]
 
     # the son pairs of each diagonal pair, fine son outer, coarse son inner
@@ -1329,6 +1355,7 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
     rng = np.random.default_rng(master_seed)
     probes_f = _probe_functions(space, lat1, n_probes, rng)
     probes_g = _probe_functions(space, lat2, n_probes, rng)
+    n_probe = min(len(probes_f), len(probes_g))
     geometry = pair_geometry(kernel, space, lat1, lat2, r_gap, alpha)
 
     constants = {"A": a_t1, "C_CZ": kernel.C_CZ, "tau": tau, "m": m,
@@ -1336,9 +1363,14 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
                  "delta_bad": delta_bad}
     c_parts = {"lambda": 2.0 * math.sqrt(a_t1)}
     counts = {}
-    identity = []          # paraproduct identity of probe 0, per half
-    for half, coarse_fn, prefix in zip(geometry, (probes_g[0], probes_f[0]),
-                                       ("", "sym_")):
+    # paraproduct identity of probe 0, per half; with no probe no lemma
+    # reads it, and the constant does not depend on the coarse function
+    identity = []
+    coarse_fns = (probes_g[0], probes_f[0]) if n_probe else \
+        (np.zeros(space.n_points),) * 2
+    for half, op, coarse_fn, prefix in zip(
+            geometry, (kernel.matrix.T, kernel.matrix), coarse_fns,
+            ("", "sym_")):
         n_near = int((~half.geo["sigma2"]["far"]).sum())
         violations = len(half.geo["sigma3_tran"]["violations"])
         counts.update({prefix + regime + "_pairs": len(t)
@@ -1358,10 +1390,11 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
         if violations:
             notes.append(f"{prefix or 'primary '}half: {violations} short "
                          "range pairs broke the goodness distance bound")
-        # paraproduct constant from the residual symbol op @ mu
+        # paraproduct constant from the residual symbol op @ mu; summed
+        # over supp mu only, it moved C_paraproduct in its last bits for a
+        # product that costs under 0.1% of a certificate
         _, a_r, p_info = paraproduct_apply(
-            half.op @ space.mu, coarse_fn, half.fine_lat, half.coarse_lat,
-            r_gap)
+            op @ space.mu, coarse_fn, half.fine_lat, half.coarse_lat, r_gap)
         carl = carleson_embedding_check(a_r, half.coarse_lat)
         c_parts[prefix + "paraproduct"] = 2.0 * math.sqrt(carl["fitted"])
         identity.append(LemmaCheck(
@@ -1369,7 +1402,6 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
             1e-10, p_info["identity_error"] <= 1e-10, ref="paraproduct"))
 
     # the probes as (P, N) stacks, in chunks of at most PROBE_CELLS cells
-    n_probe = min(len(probes_f), len(probes_g))
     probes_f, probes_g = (np.reshape(p[:n_probe], (n_probe, space.n_points))
                           for p in (probes_f, probes_g))
     rows = max(len(h.fine_rows.ids) for h in geometry)

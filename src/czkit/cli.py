@@ -199,7 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", default=None)
     sp.set_defaults(func=cmd_decompose)
 
-    sp = sub.add_parser("t1-check")
+    sp = sub.add_parser(
+        "t1-check", description="Fit the testing constant A over the "
+        "cubes of one lattice and their dilations. cubes_checked counts the "
+        "distinct testing sets on supp mu: sets with the same points there "
+        "are one test, and a set without mass is none.")
     common(sp, "--seed", "--kappa", "--out")
     sp.add_argument("--kernel", required=True)
     sp.set_defaults(func=cmd_t1_check)

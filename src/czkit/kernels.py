@@ -330,16 +330,34 @@ def indicator(space: MetricMeasureSpace, members: np.ndarray) -> np.ndarray:
     return chi
 
 
+def on_support(kernel: KernelSpec, space: MetricMeasureSpace) -> tuple:
+    """(supp, K on supp mu x supp mu).  A mu-weighted pairing reads K only
+    there: a point off supp mu adds nothing to f mu or to an L2(mu) norm.
+    With mu > 0 everywhere ``supp`` is ``slice(None)`` and K the matrix
+    itself, so every product keeps its arrays and views (a copied K takes
+    another BLAS path and moves the last bits)."""
+    supp = np.flatnonzero(space.mu > 0)
+    if supp.size == space.n_points:
+        return slice(None), kernel.matrix
+    return supp, kernel.matrix[np.ix_(supp, supp)]
+
+
 def check_T1(kernel: KernelSpec, space: MetricMeasureSpace, lattice,
              dilations=(1.2, 1.4, 1.5), lambda_bmo: float = 3.0) -> T1Report:
     """Fit the testing constant A over all lattice cubes and their dilations:
-    ||T chi_Q||^2 <= A mu(Q) and same for the adjoint; repeats keep the label
-    of their first family.  Distinct sets go ``T1_BLOCK`` at a time, one
-    product for T and one for T* per block, against K on supp mu x supp mu:
-    points off supp mu add nothing to chi_E mu or to an L2(mu) norm.  Where
-    K is symmetric there, T* is T and the one product serves both."""
+    ||T chi_Q||^2 <= A mu(Q) and same for the adjoint.
+
+    The sets are built on supp mu only (``cube_dilations`` at its points),
+    as chi_E mu and an L2(mu) norm read nothing else: two sets equal on
+    supp mu are one test, which keeps the label of its first cube and
+    family, and ``per_cube`` has one entry per distinct set of positive
+    mass.  Distinct sets go ``T1_BLOCK`` at a time, one product for T and
+    one for T* per block, against K on supp mu x supp mu.  Where K is
+    symmetric there, T* is T and the one product serves both."""
     lams = tuple(dilations) + (lambda_bmo,)
-    sets = cube_dilations(lattice, lams).reshape(-1, space.n_points)
+    supp, k = on_support(kernel, space)
+    mu = space.mu[supp]
+    sets = cube_dilations(lattice, lams, supp).reshape(-1, mu.size)
     cids, suffixes = lattice.ids.tolist(), [""] + [f"x{lam}" for lam in lams]
 
     def label(s):
@@ -351,15 +369,13 @@ def check_T1(kernel: KernelSpec, space: MetricMeasureSpace, lattice,
     for s, key in enumerate(keys.view(f"V{keys.shape[1]}").ravel().tolist()):
         first.setdefault(key, s)
     distinct = list(first.values())
-    supp = np.flatnonzero(space.mu > 0)
-    k = kernel.matrix if supp.size == space.n_points else \
-        kernel.matrix[np.ix_(supp, supp)]
-    mu = space.mu[supp]
     symmetric = np.array_equal(k, k.T)
     per_cube = []
     for b in range(0, len(distinct), T1_BLOCK):
         block = distinct[b:b + T1_BLOCK]
-        chi_mu = sets[block][:, supp] * mu
+        # in Fortran order: in C order the sums and products take other
+        # paths and move A in its last bits
+        chi_mu = np.multiply(sets[block], mu, order="F")
         mass = chi_mu.sum(axis=1).tolist()
         direct = (np.square(chi_mu @ k.T) @ mu).tolist()
         adjoint = direct if symmetric else \
@@ -373,23 +389,27 @@ def check_T1(kernel: KernelSpec, space: MetricMeasureSpace, lattice,
 def operator_norm(kernel: KernelSpec, space: MetricMeasureSpace,
                   tol: float = 1e-8, seed: int = 0):
     """Power iteration for the L2(mu) -> L2(mu) operator norm, at most
-    10000 steps.
+    10000 steps, on supp mu against K on supp mu x supp mu
+    (``on_support``): the start vector is drawn on all N points and
+    restricted, and the norm reads nothing else.
 
     Returns (norm, converged)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    supp, k = on_support(kernel, space)
+    mu = space.mu[supp]
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(space.n_points)
-    nv = space.l2_norm(v)
-    if nv == 0 or not np.any(kernel.matrix):
+    v = rng.standard_normal(space.n_points)[supp]
+    nv = float(np.sqrt(np.sum(v ** 2 * mu)))
+    if nv == 0 or not np.any(k):
         return 0.0, True
     v /= nv
     lam_old = 0.0
     for _ in range(10000):
-        tv = apply(kernel, space, v)
-        lam = space.inner(tv, tv)            # Rayleigh quotient of T*T
-        w = adjoint_apply(kernel, space, tv)
-        nw = space.l2_norm(w)
+        tv = k @ (v * mu)
+        lam = float(np.sum(tv * tv * mu))     # Rayleigh quotient of T*T
+        w = k.T @ (tv * mu)
+        nw = float(np.sqrt(np.sum(w ** 2 * mu)))
         if nw == 0:
             return 0.0, True
         v = w / nw

@@ -210,24 +210,53 @@ class DyadicLattice:
     @cached_property
     def dist(self) -> np.ndarray:
         """(N, columns) point-to-cube distances, built once per lattice:
-        ``dist[x, column[c]]`` is min over y in cube c of rho(x, y)."""
-        return cube_reduce(self, self.space.rho, self.column_cubes())
+        ``dist[x, column[c]]`` is min over y in cube c of rho(x, y), +inf
+        for an empty cube."""
+        return self._dist_diam[0]
 
     @cached_property
     def diam(self) -> np.ndarray:
         """diam(Q) per cube id: the max of rho over the pairs of its
-        points, 0 off the cubes and on cubes of at most one point.  Read
-        off one max table of rho over each cube's rows, at its own
-        points."""
-        out = np.zeros(self.gen.size)
+        points, 0 off the cubes and on cubes of at most one point."""
+        return self._dist_diam[1]
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """rho equals its transpose, so reducing its rows over a cube gives
+        ``dist``; checked once per lattice."""
+        return bool(np.array_equal(self.space.rho, self.space.rho.T))
+
+    @cached_property
+    def _dist_diam(self) -> tuple:
+        """``dist`` and ``diam`` from one pass up the cube tree over the rows
+        of rho, which takes no transposed copy of rho as its columns do.
+        The max table at a cube's own points covers the ordered pairs of
+        its points, so diam(Q) is their max; the min table is ``dist``
+        where rho is symmetric, else the columns are reduced too."""
+        rho = self.space.rho
+        cols = np.array(self.column_cubes())
+        held = self.n_members[cols] > 0
+        low, high = cube_reduce(self, rho, cols[held],
+                                (np.minimum, np.maximum), axis=0)
+        diam = np.zeros(self.gen.size)
         big = self.ids[self.n_members[self.ids] > 1]
         if big.size:
-            reach = cube_reduce(self, self.space.rho, big, np.maximum, axis=0)
             slot, pts = self.member_entries(big)
             count = self.n_members[big]
-            out[big] = np.maximum.reduceat(reach[slot, pts],
-                                           np.cumsum(count) - count)
-        return out
+            row = np.cumsum(held) - 1           # of each column in high
+            diam[big] = np.maximum.reduceat(
+                high[row[self.column[big]][slot], pts],
+                np.cumsum(count) - count)
+        del high
+        if not self.symmetric:
+            low = cube_reduce(self, rho, cols[held]).T
+        if held.all():
+            dist = np.ascontiguousarray(low.T)
+        else:
+            # an empty cube (of a hand-edited lattice) is at distance inf
+            dist = np.full((rho.shape[0], cols.size), np.inf)
+            dist[:, held] = low.T
+        return dist, diam
 
     @cached_property
     def plan(self):
@@ -273,10 +302,11 @@ def member_rows(lat: DyadicLattice, ids, key=0):
 
 
 def cube_reduce(lat: DyadicLattice, matrix: np.ndarray, ids,
-                ufunc=np.minimum, axis: int = 1) -> np.ndarray:
+                ufunc=np.minimum, axis: int = 1):
     """Reduce ``matrix`` over the members of each cube of ``lat`` named in
     ``ids``: slot j along ``axis`` of the result is ``ufunc`` over the
-    columns (axis 1) or rows (axis 0) of cube ``ids[j]``.
+    columns (axis 1) or rows (axis 0) of cube ``ids[j]``.  A tuple of
+    ufuncs gives a tuple of results from one pass over ``matrix``.
 
     The ufuncs of ``TREE_UFUNCS`` (min, max, and, or) on a lattice that
     nests (``lat.tree``) go up the cube tree when the cubes ``ids`` hold
@@ -295,48 +325,60 @@ def cube_reduce(lat: DyadicLattice, matrix: np.ndarray, ids,
     parent.  The gather takes the cubes of one generation and member count
     together, one gather of their rows each; a generation's cubes are
     disjoint, so no gather is taller than N."""
+    ufuncs = ufunc if isinstance(ufunc, tuple) else (ufunc,)
     src = np.asarray(matrix)
     ids = np.asarray(ids, dtype=int)
-    tree = lat.tree if ufunc in TREE_UFUNCS else None
+    tree = lat.tree if all(u in TREE_UFUNCS for u in ufuncs) else None
     if tree is None or lat.n_members[ids].sum() <= lat.space.n_points:
         if axis == 1:
             src = np.ascontiguousarray(src.T)
-        out = np.empty((ids.size, src.shape[1]), dtype=src.dtype)
+        outs = [np.empty((ids.size, src.shape[1]), dtype=src.dtype)
+                for _ in ufuncs]
         for slots, rows in member_rows(lat, ids, lat.gen[ids]):
-            out[slots] = ufunc.reduce(src[rows], axis=1)
-        return np.ascontiguousarray(out.T) if axis == 1 else out
-    leaves, steps = tree
-    view = src if axis == 0 else src.T        # members along the rows
-    n_cols, cols = lat.column.max() + 1, lat.column[ids]
-    out = np.empty((ids.size, view.shape[1]) if axis == 0 else
-                   (view.shape[1], ids.size), dtype=src.dtype)
-    dst = out if axis == 0 else out.T
-    width = max(1, REDUCE_CELLS // max(1, view.shape[0]))
-    for a in range(0, view.shape[1], width):
-        part = np.ascontiguousarray(view[:, a:a + width])
-        table = np.empty((n_cols, part.shape[1]), dtype=src.dtype)
-        for at, rows in leaves:
-            table[at] = ufunc.reduce(part[rows], axis=1)
-        for at, kids in steps:
-            table[at] = ufunc.reduce(table[kids], axis=1)
-        dst[:, a:a + width] = table[cols]
-    return out
+            block = src[rows]
+            for out, u in zip(outs, ufuncs):
+                out[slots] = u.reduce(block, axis=1)
+        outs = [np.ascontiguousarray(out.T) if axis == 1 else out
+                for out in outs]
+    else:
+        leaves, steps = tree
+        view = src if axis == 0 else src.T    # members along the rows
+        n_cols, cols = lat.column.max() + 1, lat.column[ids]
+        outs = [np.empty((ids.size, view.shape[1]) if axis == 0 else
+                         (view.shape[1], ids.size), dtype=src.dtype)
+                for _ in ufuncs]
+        width = max(1, REDUCE_CELLS // max(1, view.shape[0]))
+        for a in range(0, view.shape[1], width):
+            part = np.ascontiguousarray(view[:, a:a + width])
+            tables = [np.empty((n_cols, part.shape[1]), dtype=src.dtype)
+                      for _ in ufuncs]
+            for at, rows in leaves:
+                block = part[rows]
+                for table, u in zip(tables, ufuncs):
+                    table[at] = u.reduce(block, axis=1)
+            for table, u, out in zip(tables, ufuncs, outs):
+                for at, kids in steps:
+                    table[at] = u.reduce(table[kids], axis=1)
+                (out if axis == 0 else out.T)[:, a:a + width] = table[cols]
+    return tuple(outs) if isinstance(ufunc, tuple) else outs[0]
 
 
-def cube_dilations(lat: DyadicLattice, lams) -> np.ndarray:
-    """(cubes, 1 + len(lams), N) point masks: each cube of ``lat`` in
+def cube_dilations(lat: DyadicLattice, lams, points=None) -> np.ndarray:
+    """(cubes, 1 + len(lams), points) point masks: each cube of ``lat`` in
     ``ids`` order, then its dilations lambda Q = Q union {x : dist(x, Q)
     <= (lambda - 1) diam(Q)} (``space.dilate``), read off ``lat.dist`` and
-    ``lat.diam``."""
+    ``lat.diam``, at the given ``points`` only (default: all N)."""
     if any(lam < 1.0 for lam in lams):
         raise ValueError("dilation parameter must be >= 1")
+    points = slice(None) if points is None else points
     reps = lat.column_cubes()
     diam = lat.diam[reps]
-    inside = lat.member_masks(reps)
-    out = np.empty((len(reps), 1 + len(lams), lat.space.n_points), dtype=bool)
+    inside = lat.member_masks(reps)[:, points]
+    dist = lat.dist[points]
+    out = np.empty((len(reps), 1 + len(lams), inside.shape[1]), dtype=bool)
     out[:, 0] = inside
     for t, lam in enumerate(lams, start=1):
-        out[:, t] = (lat.dist <= (lam - 1.0) * diam).T | inside
+        out[:, t] = (dist <= (lam - 1.0) * diam).T | inside
     return out[lat.column[lat.ids]]
 
 
@@ -558,44 +600,45 @@ def build_lattice(space: MetricMeasureSpace, kappa: float, seed: int = 0,
 
 @dataclass
 class LatticePropertyReport:
+    """The exact properties of a lattice, checked when the report is made,
+    and the fitted constants, each fitted on first read
+    (``fit_lattice_constants``): a caller that reads ``passed`` only does
+    not pay for the boundary layers."""
+    lattice: DyadicLattice
     partition_ok: bool
     nesting_ok: bool
     unique_ancestor_ok: bool
-    c_diam: float
-    a0: float
-    c_boundary: float          # fitted constant of the small-boundary bound
     failures: list
 
     @property
     def passed(self) -> bool:
         return self.partition_ok and self.nesting_ok and self.unique_ancestor_ok
 
+    @cached_property
+    def _constants(self) -> tuple:
+        return fit_lattice_constants(self.lattice)
+
+    c_diam = property(lambda self: self._constants[0])
+    a0 = property(lambda self: self._constants[1])
+    c_boundary = property(lambda self: self._constants[2])  # small boundary
+
 
 def verify_lattice_properties(lat: DyadicLattice) -> LatticePropertyReport:
-    """Check Christ-cube properties (i)-(v) exactly and fit the constant of
-    the small-boundary inequality (vi), exponent 1, at the relative
-    thicknesses kappa, kappa^2 and kappa^3.  One pass per generation over
-    its cubes' member masks (members, not labels, so a lattice loaded with
-    broken members is checked as it stands); complements read off labels,
-    distances to them off ``lat.dist`` where the cubes are the label
-    classes.  nu(Q) comes from one sum over all cubes, and the boundary
-    layers of every generation and thickness from one ``masked_sums``."""
-    space, n, failures = lat.space, lat.space.n_points, []
+    """Check Christ-cube properties (i)-(v) exactly: every generation
+    partitions the points (covered, disjoint), every cube nests in its
+    parent and lies under exactly one cube of the generation above.  One
+    pass per generation over its cubes' member masks (members, not labels,
+    so a lattice loaded with broken members is checked as it stands).  The
+    constants c_diam, a0 and c_boundary are fitted when the report's
+    fields are first read."""
+    n, failures = lat.space.n_points, []
     # per cube id: not nested in its parent, not under exactly one label
     nest_bad, lone_bad = np.zeros((2, lat.gen.size), dtype=bool)
-    top = max(space.diam(), space.resolution_h)
-    c_diam, a0 = 0.0, math.inf
-    filled = lat.n_members[lat.ids].all()
-    nu_mass = np.zeros(lat.gen.size)
-    nu_mass[lat.ids] = cube_reduce(lat, space.nu[None, :], lat.ids, np.add)[0]
-    layers, t_nu = [], []       # (vi) per generation and thickness
     for k in lat.generations():
         ids, lab = np.array(lat.by_gen[k], dtype=int), lat.labels[k]
         if (lab < 0).any():
             failures.append(("partition", k, "uncovered points"))
-        slot, pts = lat.member_entries(ids)
-        count = np.bincount(pts, minlength=n)
-        if (count > 1).any():
+        if (np.bincount(lat.member_entries(ids)[1], minlength=n) > 1).any():
             failures.append(("disjointness", k, "overlapping cubes"))
         inside = lat.member_masks(ids)
         # a cube without a parent is checked against itself
@@ -607,6 +650,34 @@ def verify_lattice_properties(lat: DyadicLattice) -> LatticePropertyReport:
             lone_bad[ids] = ~inside.any(axis=1) | (inside & (
                 up != up[inside.argmax(axis=1), None])).any(axis=1)
 
+    partition_ok = not failures
+    for cid in lat.ids[(nest_bad | lone_bad)[lat.ids]].tolist():
+        if nest_bad[cid]:
+            failures.append(("nesting", cid, int(lat.parent[cid])))
+        if lone_bad[cid]:
+            failures.append(("unique_ancestor", cid, None))
+    return LatticePropertyReport(lat, partition_ok, not nest_bad.any(),
+                                 not lone_bad.any(), failures)
+
+
+def fit_lattice_constants(lat: DyadicLattice) -> tuple:
+    """(c_diam, a0, c_boundary): diam(Q) <= c_diam s(Q), each center at
+    least a0 s(Q) from its cube's complement (diam(X) for a full cube), and
+    the small-boundary inequality (vi), exponent 1, at the relative
+    thicknesses kappa, kappa^2 and kappa^3.  Complements are read off
+    labels, distances to them off ``lat.dist`` where the cubes are the
+    label classes; nu(Q) from one sum over all cubes, and the boundary
+    layers of every generation and thickness from one ``masked_sums``."""
+    space, n = lat.space, lat.space.n_points
+    top = max(space.diam(), space.resolution_h)
+    c_diam, a0 = 0.0, math.inf
+    filled = lat.n_members[lat.ids].all()
+    nu_mass = np.zeros(lat.gen.size)
+    nu_mass[lat.ids] = cube_reduce(lat, space.nu[None, :], lat.ids, np.add)[0]
+    layers, t_nu = [], []       # (vi) per generation and thickness
+    for k in lat.generations():
+        ids, lab = np.array(lat.by_gen[k], dtype=int), lat.labels[k]
+        slot, pts = lat.member_entries(ids)
         size = lat.size[ids]
         c_diam = max(c_diam, float((lat.diam[ids] / size).max()))
         # a0: each center to its cube's complement; a full cube: diam(X)
@@ -619,7 +690,7 @@ def verify_lattice_properties(lat: DyadicLattice) -> LatticePropertyReport:
         # every point lies in one cube of k (labels come from the members),
         # X \ Q is the union of the others, read off ``lat.dist`` (which
         # an empty cube leaves undefined)
-        if (count == 1).all() and filled:
+        if (np.bincount(pts, minlength=n) == 1).all() and filled:
             d_out = lat.dist[:, lat.column[ids]]
             d_out[pts, slot] = np.inf
             d_out = d_out.min(axis=1)
@@ -627,22 +698,13 @@ def verify_lattice_properties(lat: DyadicLattice) -> LatticePropertyReport:
             d_out = np.where(lab[:, None] == lab[None, :], np.inf,
                              space.rho).min(axis=1)
         keep = ~full & (nu_mass[ids] > 0)
+        inside = lat.member_masks(ids[keep])
         for t in (lat.kappa, lat.kappa ** 2, lat.kappa ** 3):
-            layers.append(inside[keep] & (d_out <= t * size[keep, None]))
+            layers.append(inside & (d_out <= t * size[keep, None]))
             t_nu.append(t * nu_mass[ids[keep]])
 
     layer = masked_sums(space.nu, np.concatenate(layers))
-    c_boundary = float((layer / np.concatenate(t_nu)).max(initial=0.0))
-
-    partition_ok = not failures
-    for cid in lat.ids[(nest_bad | lone_bad)[lat.ids]].tolist():
-        if nest_bad[cid]:
-            failures.append(("nesting", cid, int(lat.parent[cid])))
-        if lone_bad[cid]:
-            failures.append(("unique_ancestor", cid, None))
-    return LatticePropertyReport(partition_ok, not nest_bad.any(),
-                                 not lone_bad.any(), c_diam, a0, c_boundary,
-                                 failures)
+    return c_diam, a0, float((layer / np.concatenate(t_nu)).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -774,11 +836,15 @@ def classify_all_good_bad(lat: DyadicLattice, other: DyadicLattice,
                           alpha: float, delta_bad: float, s_param: int):
     """Set the good flag on every cube of ``lat`` against ``other``, as
     ``classify_good_bad`` does: every cube of ``lat`` one probe, scored in
-    one ``_coarsest_hits`` call."""
+    one ``_coarsest_hits`` call.  The probes' distances come off
+    ``lat.dist`` when rho is symmetric."""
     r_gap = scale_gap(other.kappa, delta_bad, s_param)
     ks, marks = _lattice_marks(other)
-    ids = lat.ids
-    dists = cube_reduce(lat, other.space.rho, ids, axis=0)
+    ids, rho = lat.ids, other.space.rho
+    # rows of rho reduced over each cube: with rho symmetric, the columns
+    # that ``lat.dist`` holds already
+    dists = lat.dist[:, lat.column[ids]].T if lat.space is other.space \
+        and lat.symmetric else cube_reduce(lat, rho, ids, axis=0)
     hits = _coarsest_hits(marks[:, None], ks, dists, lat.size[ids].tolist(),
                           lat.gen[ids] - r_gap, other.kappa, alpha)[0]
     lat.good[ids] = hits < 0

@@ -225,8 +225,9 @@ def test_far_pairs_all_satisfy_long_range_bound():
                 # the pair value straight from its definition
                 dense_q = half.fine_dec.component_vector(rec["q"])
                 dense_r = half.coarse_dec.component_vector(rec["r"])
-                exact = space.inner(half.op @ (dense_r * space.mu),
-                                    dense_q)
+                # half.op is on supp mu; the primary half takes K^T
+                op = kern.matrix.T if half_index == 0 else kern.matrix
+                exact = space.inner(op @ (dense_r * space.mu), dense_q)
                 assert value == pytest.approx(exact, rel=1e-9, abs=1e-15)
                 q = half.fine_lat.cubes[rec["q"]]
                 r = half.coarse_lat.cubes[rec["r"]]

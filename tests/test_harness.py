@@ -14,7 +14,7 @@ from czkit.examples import generate_example
 from czkit.kernels import (check_T1, kernel_to_json, operator_norm_dense,
                            power_kernel)
 from czkit.lattice import build_lattice
-from czkit.space import save_space
+from czkit.space import dilate, load_space, save_space
 from conftest import line_space
 
 
@@ -456,6 +456,28 @@ def test_cli_t1_check(cantor_files, tmp_path, capsys, to_file):
     doc = json.loads(out.read_text() if to_file else capsys.readouterr().out)
     rep = check_T1(kernel, space, build_lattice(space, 0.5, seed=3))
     assert doc == {"A": rep.A, "cubes_checked": len(rep.per_cube)}
+
+
+def test_cli_t1_check_counts_sets_on_supp_mu(tmp_path, capsys):
+    # line_in_plane puts mu on 13 of its 169 points: cubes_checked counts
+    # the testing sets as sets of points of supp mu, each nonempty one once
+    space, info = generate_example("line_in_plane", n=13)
+    save_space(space, tmp_path / "space.json")
+    kernel = power_kernel(space, m=info["m"], tau=info["tau"])
+    (tmp_path / "kernel.json").write_text(json.dumps(kernel_to_json(kernel)))
+    assert cli.main(["t1-check", "--space", str(tmp_path / "space.json"),
+                     "--kernel", str(tmp_path / "kernel.json"),
+                     "--seed", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    space = load_space(tmp_path / "space.json")
+    lat = build_lattice(space, 0.5, seed=3)
+    supp = set(np.flatnonzero(space.mu > 0).tolist())
+    ids = lat.ids.tolist()
+    sets = [frozenset(lat.members(c).tolist()) for c in ids] + \
+        [frozenset(dilate(space, lat.members(c), lam).tolist())
+         for c in ids for lam in (1.2, 1.4, 1.5, 3.0)]
+    on_supp = {s & supp for s in sets} - {frozenset()}
+    assert doc["cubes_checked"] == len(on_supp) < len(set(sets))
 
 
 def test_cli_norm(cantor_files, capsys):

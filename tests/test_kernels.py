@@ -463,12 +463,13 @@ def test_t1_monotone_in_test_family(grid8):
 def _check_T1_reference(kernel, space, lattice, dilations=(1.2, 1.4, 1.5),
                         lambda_bmo=3.0):
     """The per-set loop the blocked products replaced: one full N x N matvec
-    pair per distinct set."""
+    pair per distinct set, the sets built on all N points and told apart
+    by their points on supp mu."""
     lams = tuple(dilations) + (lambda_bmo,)
     sets = cube_dilations(lattice, lams).reshape(-1, space.n_points)
     labels = [f"Q{cid}{suffix}" for cid in lattice.cubes
               for suffix in [""] + [f"x{lam}" for lam in lams]]
-    keys = np.packbits(sets, axis=1)
+    keys = np.packbits(sets[:, space.mu > 0].copy(), axis=1)
     first = {}
     for s, key in enumerate(keys.view(f"V{keys.shape[1]}").ravel().tolist()):
         first.setdefault(key, s)
@@ -530,9 +531,10 @@ def test_t1_blocks_match_per_set_reference(case, seed):
 def _check_T1_two_products(kernel, space, lattice,
                            lams=(1.2, 1.4, 1.5, 3.0)):
     """``check_T1`` as it was before symmetric kernels shared one product:
-    one product for T and one for T* per block of sets, whatever K."""
+    one product for T and one for T* per block of sets, whatever K; the
+    sets are told apart by their points on supp mu."""
     sets = cube_dilations(lattice, lams).reshape(-1, space.n_points)
-    keys = np.packbits(sets, axis=1)
+    keys = np.packbits(sets[:, space.mu > 0].copy(), axis=1)
     first = {}
     for s, key in enumerate(keys.view(f"V{keys.shape[1]}").ravel().tolist()):
         first.setdefault(key, s)

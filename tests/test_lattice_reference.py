@@ -394,11 +394,12 @@ def test_property_and_terminal_passes_memory_peak():
     space, info = generate_example("uniform_grid", n=25)
     lat = build_lattice(space, info["kappa"], seed=1)
     small = build_lattice(line_space(8), 0.5, seed=1)
-    verify_lattice_properties(small)
+    verify_lattice_properties(small).c_boundary
     classify_terminal_transit(small)
     tracemalloc.start()
     try:
-        verify_lattice_properties(lat)
+        # the constants are fitted when first read
+        verify_lattice_properties(lat).c_boundary
         classify_terminal_transit(lat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
