@@ -282,15 +282,19 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
     abs_k = np.abs(kernel.matrix)
     k_sup = abs_k.max(axis=1), abs_k.max(axis=0)     # per row, per column
     # |K| sup over the rows of each g column and the columns of each f
-    # column; each half reads its pieces' columns off it
-    rect = cube_reduce(lat_f, cube_reduce(
-        lat_g, abs_k, lat_g.column_cubes(), np.maximum, axis=0),
-        lat_f.column_cubes(), np.maximum)
+    # column, as (f column, g column), freed once each half has read its
+    # pieces' columns; the first stage is transposed once and dropped, so
+    # that no reduction holds it and a transposed tile of it at once
+    rect = cube_reduce(lat_f, np.ascontiguousarray(cube_reduce(
+        lat_g, abs_k, lat_g.column_cubes(), np.maximum, axis=0).T),
+        lat_f.column_cubes(), np.maximum, axis=0)
+    sups = (rect[:, lat_g.column[rows_g.piece]],
+            rect[lat_f.column[rows_f.piece]].T)
+    del rect
     halves = []
-    for fine, coarse, abs_op, op_sup, piece_sup in (
-            (rows_f, rows_g, abs_k.T, k_sup[::-1],
-             rect[lat_g.column[rows_g.piece]].T),
-            (rows_g, rows_f, abs_k, k_sup, rect[:, lat_f.column[rows_f.piece]])):
+    for fine, coarse, abs_op, op_sup, piece_sup in zip(
+            (rows_f, rows_g), (rows_g, rows_f), (abs_k.T, abs_k),
+            (k_sup[::-1], k_sup), sups):
         dist = cube_reduce(fine.lattice, coarse.lattice.dist, fine.ids,
                            axis=0)
         pairs = classify_pairs(fine, coarse, dist, r_gap, alpha)
@@ -331,10 +335,14 @@ class SigmaSplit:
     halves: tuple = ()             # (primary, symmetric) HalfData
 
     @property
+    def parts(self) -> tuple:
+        return (self.lambda_part, self.sigma1, self.sigma2, self.sigma3_term,
+                self.sigma3_tran, self.sym_sigma1, self.sym_sigma2,
+                self.sym_sigma3_term, self.sym_sigma3_tran)
+
+    @property
     def total(self) -> float:
-        return (self.lambda_part + self.sigma1 + self.sigma2 +
-                self.sigma3_term + self.sigma3_tran + self.sym_sigma1 +
-                self.sym_sigma2 + self.sym_sigma3_term + self.sym_sigma3_tran)
+        return sum(self.parts[1:], self.parts[0])
 
     @property
     def batched(self) -> bool:
@@ -342,7 +350,10 @@ class SigmaSplit:
 
     @property
     def regroup_error(self):
-        scale = np.maximum(np.abs(self.direct), 1e-30)
+        # |direct| floored at a thousandth of the parts' magnitude: where
+        # <T f_good, g_good> is exactly 0 they cancel only up to rounding
+        floor = 1e-3 * sum(map(np.abs, self.parts))
+        scale = np.maximum(np.maximum(np.abs(self.direct), floor), 1e-30)
         return _scalar(np.abs(self.total - self.direct) / scale)
 
 

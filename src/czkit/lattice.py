@@ -22,8 +22,8 @@ import numpy as np
 from .errors import DegenerateScale, LeafCube, RootTerminal
 from .space import MetricMeasureSpace, masked_sums
 
-# Cells (seed x generation x point) per chunk of ``ensemble_gaps``; bounds
-# its memory.
+# Keys (lattice x generation x point) per chunk of ``ensemble_gaps``; bounds
+# its memory.  Lattice i's keys do not depend on it.
 ENSEMBLE_CELLS = 2 ** 16
 # Matrix cells per tile of ``cube_reduce`` on the cube tree (2 MB of
 # float64); bounds its temporaries.
@@ -397,13 +397,6 @@ def _default_k_range(space: MetricMeasureSpace, kappa: float):
     return k_min, k_max
 
 
-def _nearest_other(space: MetricMeasureSpace) -> np.ndarray:
-    """min over y != x of min(rho(x, y), rho(y, x)), for every point x."""
-    off = space.rho.copy()
-    np.fill_diagonal(off, np.inf)
-    return np.minimum(off.min(axis=0), off.min(axis=1))
-
-
 def _generation_range(space: MetricMeasureSpace, kappa: float,
                       k_range: tuple | None):
     """(k_min, k_max) of ``build_lattice``: ``k_range``, or the scales from
@@ -483,6 +476,16 @@ def _draw_orders(seeds, n_gens: int, n: int) -> np.ndarray:
     return orders
 
 
+def _ensemble_keys(master_seed: int) -> np.random.Generator:
+    """The key stream of the calibration ensemble: a child of
+    ``SeedSequence(master_seed)``, apart from the ``default_rng(master_seed)``
+    stream of the probes, phi and the power iteration.  It fills a
+    (lattices, generations, N) block of ``random()`` keys in lattice order;
+    the order of lattice i at generation t is the argsort of its key row."""
+    child = np.random.SeedSequence(master_seed).spawn(1)[0]
+    return np.random.default_rng(child)
+
+
 def _greedy_nets(rho: np.ndarray, nearest: np.ndarray, scale,
                  orders: np.ndarray) -> np.ndarray:
     """(generations, seeds, N) greedy nets of the orders ``orders`` (seeds,
@@ -490,7 +493,7 @@ def _greedy_nets(rho: np.ndarray, nearest: np.ndarray, scale,
     generation) row in one pass over the positions of their orders.  A row
     picks a point unless a center it picked lies within one scale of it;
     ``free`` holds the points no center blocks yet.  A point one scale or
-    more from every other point (``nearest``, see ``_nearest_other``) is
+    more from every other point (``space.nearest_other``) is
     always picked and blocks no other point: it is picked up front and
     never free.  So when every row has such points, each row visits its
     other points first, in order, and the pass ends after the most any row
@@ -549,17 +552,17 @@ def _chain_centers(rho: np.ndarray, nearest: np.ndarray, nets: np.ndarray,
     return ctr
 
 
-def _draw_batch(space: MetricMeasureSpace, kappa: float, seeds, gens: range,
-                nearest: np.ndarray, cands=None):
-    """Seeded nets of ``build_lattice`` for all ``seeds`` at once, without
-    labels or cubes: (picked, ctr), each (generations, seeds, N).
-    picked[t, s] is the net of ``seeds[s]`` at generation gens[t], ctr[t, s,
-    x] the center of the region of point x there; the coarsest generation
-    keeps its first center only.  ``nearest`` is ``_nearest_other``,
-    ``cands`` the ``_candidates`` of ``gens`` or None."""
-    n, n_seeds = space.n_points, len(seeds)
+def _draw_batch(space: MetricMeasureSpace, kappa: float, orders: np.ndarray,
+                gens: range, cands=None):
+    """The nets of ``build_lattice`` for all (lattices, generations, N)
+    ``orders`` at once, without labels or cubes: (picked, ctr), each
+    (generations, lattices, N).  picked[t, s] is the net of lattice s at
+    generation gens[t], ctr[t, s, x] the center of the region of point x
+    there; the coarsest generation keeps its first center only.  ``cands``
+    is the ``_candidates`` of ``gens`` or None."""
+    n, n_seeds, nearest = space.n_points, len(orders), space.nearest_other
     picked = _greedy_nets(space.rho, nearest, [kappa ** k for k in gens],
-                          _draw_orders(seeds, len(gens), n))
+                          orders)
     ctr = np.empty(picked.shape, dtype=np.int32)
     ctr[1:] = _chain_centers(space.rho, nearest, picked[1:],
                              np.broadcast_to(np.arange(n), (n_seeds, n)),
@@ -576,8 +579,17 @@ def build_lattice(space: MetricMeasureSpace, kappa: float, seed: int = 0,
     region at k_min, each region in the order of its center."""
     k_min, k_max = _generation_range(space, kappa, k_range)
     gens = range(k_min, k_max + 1)
-    picked, ctr = (a[:, 0] for a in _draw_batch(
-        space, kappa, [seed], gens, _nearest_other(space)))
+    return _lattice_of_orders(space, kappa, seed, gens, _draw_orders(
+        [seed], len(gens), space.n_points)[0])
+
+
+def _lattice_of_orders(space: MetricMeasureSpace, kappa: float, seed: int,
+                       gens: range, orders: np.ndarray) -> DyadicLattice:
+    """The lattice of ``build_lattice`` drawn from the (generations, N)
+    greedy orders ``orders`` (an ensemble lattice's, say), as seed ``seed``."""
+    k_min = gens[0]
+    picked, ctr = (a[:, 0] for a in _draw_batch(space, kappa, orders[None],
+                                                 gens))
     count = picked.sum(axis=1)
     count[0] = 1
     lab = np.take_along_axis(np.cumsum(picked, axis=1) - 1, ctr, axis=1) + \
@@ -860,16 +872,18 @@ def ensemble_gaps(members: list, generations, space: MetricMeasureSpace,
     comes close to the skeleton of a cube of lattice i (see
     ``classify_good_bad``), 0 when none does.  Q is bad at
     separation S iff its gap is at least ``scale_gap(kappa, delta_bad, S)``,
-    so one pass answers every S.  Lattice i has seed ``hash((master_seed,
-    i)) % 2**32``.
+    so one pass answers every S.  Lattice i reads the keys from i G N on
+    of ``_ensemble_keys(master_seed)`` (G generations): its greedy order at
+    generation t is the argsort of its key row t.
 
     A lattice is read only through its skeleton marks, the near-pair points
     (``space.near_pairs``) whose child labels differ, so only the chains of
-    centers of those points are drawn (``_chain_centers``), with the orders,
-    nets and nearest-center rule of ``build_lattice``.  Lattices are drawn
-    in chunks of at most ``ENSEMBLE_CELLS`` (seed, generation, point) cells,
-    and every lattice draws the orders of all its generations, which keeps
-    each seed's stream.  Then, from the finest generation up, a lattice
+    centers of those points are drawn (``_chain_centers``), with the nets
+    and nearest-center rule of ``build_lattice``.  Lattices are drawn in
+    chunks of at most ``ENSEMBLE_CELLS`` keys, and a chunk draws the keys of
+    every generation of its lattices, which keeps lattice i's keys whatever
+    the chunking; a key row is sorted into an order only where a greedy
+    pass reads it.  Then, from the finest generation up, a lattice
     draws one net and its near-pair points take one chain step, until its
     near pairs all share their centers.  A center shared at one generation
     is shared at every coarser one, since each coarser center is the one
@@ -897,7 +911,7 @@ def ensemble_gaps(members: list, generations, space: MetricMeasureSpace,
     chain = _distinct(np.concatenate([x, y]))
     near = (*np.searchsorted(chain, [x, y]), np.searchsorted(chain, pts),
             starts)
-    rho, nearest = space.rho, _nearest_other(space)
+    rho, nearest = space.rho, space.nearest_other
     scale = [kappa ** k for k in gens]
     # candidate lists, per generation on first use
     cand = functools.cache(
@@ -905,7 +919,7 @@ def ensemble_gaps(members: list, generations, space: MetricMeasureSpace,
     dists = np.array([rho[q].min(axis=0)
                       for q in members]).reshape(len(members), n)[:, chain]
     sizes = [kappa ** g for g in gen_q.tolist()]
-    seeds = [hash((master_seed, i)) % 2**32 for i in range(ensemble_size)]
+    stream = _ensemble_keys(master_seed)
     chunks = -(-ensemble_size // max(1, ENSEMBLE_CELLS // (len(gens) * n)))
     size = -(-ensemble_size // chunks)
     # a greedy pass visits the points within one scale of another point: the
@@ -915,15 +929,15 @@ def ensemble_gaps(members: list, generations, space: MetricMeasureSpace,
     wide = np.array([(nearest < s).sum() for s in scale])
     split = len(gens) - 1 - int((np.cumsum(wide[:0:-1]) <= wide[1] / 2).sum())
     for c in range(0, ensemble_size, size):
-        orders = _draw_orders(seeds[c:c + size], len(gens), n)
+        keys = stream.random((min(size, ensemble_size - c), len(gens), n))
         # the centers of the near-pair points at each generation; the row
         # past the finest holds the points themselves
-        ctr = np.empty((len(gens) + 1, len(orders), chain.size), np.int32)
+        ctr = np.empty((len(gens) + 1, len(keys), chain.size), np.int32)
         ctr[-1] = chain
-        live = np.arange(len(orders))
+        live = np.arange(len(keys))
         for t in range(len(gens) - 1, split, -1):
             ctr[t, live] = _chain_centers(rho, nearest, _greedy_nets(
-                rho, nearest, scale[t:t + 1], orders[live, t:t + 1]),
+                rho, nearest, scale[t:t + 1], keys[live, t:t + 1].argsort()),
                 ctr[t + 1, live], [cand(t)])[0]
             # shared here, shared at every coarser generation
             ctr[1:t, live] = ctr[t, live]
@@ -931,7 +945,8 @@ def ensemble_gaps(members: list, generations, space: MetricMeasureSpace,
                          ctr[t, live][:, near[1]]).any(axis=1)]
         if live.size and split:
             ctr[1:split + 1, live] = _chain_centers(rho, nearest, _greedy_nets(
-                rho, nearest, scale[1:split + 1], orders[live, 1:split + 1]),
+                rho, nearest, scale[1:split + 1],
+                keys[live, 1:split + 1].argsort()),
                 ctr[split + 1, live], list(map(cand, range(1, split + 1))))
         hits = _coarsest_hits(_skeleton_marks(ctr[1:len(ks) + 1], near), ks,
                               dists, sizes, gen_q - 1, kappa, alpha)

@@ -58,6 +58,13 @@ class MetricMeasureSpace:
                           & ~np.eye(self.n_points, dtype=bool))
         return (i, j, *np.unique(i, return_index=True))
 
+    @cached_property
+    def nearest_other(self) -> np.ndarray:
+        """min over y != x of min(rho(x, y), rho(y, x)), per point x."""
+        off = self.rho.copy()
+        np.fill_diagonal(off, np.inf)
+        return np.minimum(off.min(axis=0), off.min(axis=1))
+
     def diam(self) -> float:
         return float(self.rho.max()) if self.n_points > 1 else 0.0
 

@@ -14,7 +14,8 @@ import pytest
 
 from czkit.certify import InteractionMatrix, long_range_entry
 from czkit.examples import generate_example
-from czkit.lattice import build_lattice, classify_terminal_transit, \
+from czkit.lattice import _ensemble_keys, _generation_range, \
+    _lattice_of_orders, build_lattice, classify_terminal_transit, \
     lattice_from_json, lattice_to_json
 from czkit.space import MetricMeasureSpace, space_from_json
 
@@ -100,6 +101,25 @@ def probe_args(cubes) -> tuple:
     """(members, generations) of the probe cubes, as ``ensemble_gaps``
     takes them."""
     return [c.members for c in cubes], [c.generation for c in cubes]
+
+
+def ensemble_orders(space, kappa, size: int, master_seed: int) -> tuple:
+    """(gens, orders): the generations of the calibration ensemble of
+    ``master_seed`` and the greedy orders of its lattices 0 .. size - 1,
+    (lattices, generations, N), every key row sorted; ``ensemble_gaps``
+    reads the same key stream."""
+    k_min, k_max = _generation_range(space, kappa, None)
+    keys = _ensemble_keys(master_seed).random(
+        (size, k_max - k_min + 1, space.n_points))
+    return range(k_min, k_max + 1), keys.argsort()
+
+
+def ensemble_lattices(space, kappa, size: int, master_seed: int) -> list:
+    """Lattices 0 .. size - 1 of the calibration ensemble of
+    ``master_seed``, each drawn in full from its orders."""
+    gens, orders = ensemble_orders(space, kappa, size, master_seed)
+    return [_lattice_of_orders(space, kappa, master_seed, gens, o)
+            for o in orders]
 
 
 def random_interaction(rng, nq, nr, q_gen_stop, skip) -> InteractionMatrix:

@@ -124,6 +124,27 @@ def test_split_zero_kernel(line_setup):
     assert split.direct == pytest.approx(0.0, abs=1e-15)
 
 
+def test_regrouping_of_a_pairing_that_is_exactly_zero(monkeypatch):
+    # three unit-spaced points, S = 1: one probe pair has <T f_good, g_good>
+    # exactly 0 while its nine parts sum to about -2e-17; measured against
+    # |direct| alone, the regrouping read 2.1e13 and failed the certificate
+    module = importlib.import_module("czkit.certify")
+    real, directs = module.split_bilinear, []
+
+    def recorded(*args, **kwargs):
+        split = real(*args, **kwargs)
+        directs.extend(np.atleast_1d(split.direct).tolist())
+        return split
+
+    monkeypatch.setattr(module, "split_bilinear", recorded)
+    space = line_space(3)
+    rep = certify(power_kernel(space, m=1), space, s_param=1, n_probes=5)
+    assert 0.0 in directs
+    [regroup] = [c for c in rep.lemmas if c.name == "sigma_regrouping"]
+    assert regroup.passed and regroup.measured <= 1e-9
+    assert rep.verdict
+
+
 # ---------------------------------------------------------------------------
 # far interaction bound
 

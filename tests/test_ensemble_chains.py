@@ -21,9 +21,10 @@ from czkit.certify import alpha_param
 from czkit.errors import DegenerateScale
 from czkit.examples import generate_example
 from czkit.lattice import (_candidates, _coarsest_hits, _draw_batch,
-                           _generation_range, _nearest_other,
-                           _skeleton_marks, build_lattice, ensemble_gaps)
+                           _ensemble_keys, _generation_range, _skeleton_marks,
+                           build_lattice, ensemble_gaps)
 from czkit.space import MetricMeasureSpace
+from conftest import ensemble_orders
 
 MASTER_SEEDS = (0, 3, 402)
 
@@ -32,14 +33,13 @@ def _gaps_full_draw(members, generations, space, kappa, alpha,
                     ensemble_size, master_seed=0):
     """Every lattice drawn in full, then scored on the marks of all N
     points."""
-    k_min, k_max = _generation_range(space, kappa, None)
-    gens = range(k_min, k_max + 1)
+    gens, orders = ensemble_orders(space, kappa, ensemble_size, master_seed)
+    k_min, k_max = gens[0], gens[-1]
     dists = np.array([space.rho[q].min(axis=0) for q in members]).reshape(
         len(members), space.n_points)
     gen_q = np.array(generations, dtype=int).reshape(len(members))
     ks = list(range(k_min, min(gen_q.max(initial=k_min), k_max)))
-    seeds = [hash((master_seed, i)) % 2**32 for i in range(ensemble_size)]
-    ctr = _draw_batch(space, kappa, seeds, gens, _nearest_other(space),
+    ctr = _draw_batch(space, kappa, orders, gens,
                       _candidates(space, kappa, gens))[1]
     marks = _skeleton_marks(ctr[1:len(ks) + 1], space.near_pairs)
     hits = _coarsest_hits(marks, ks, dists, [kappa ** g for g in gen_q],
@@ -226,3 +226,60 @@ def test_merged_lattices_skip_their_coarse_nets(monkeypatch):
     assert 0 < 3 * sum(rows) <= full
     assert gaps.tobytes() == _gaps_full_draw(
         probes, generations, space, kappa, alpha, 150, 0).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the key stream
+
+
+@pytest.mark.parametrize("name", ("line_n13", "grid_n9", "bergman_64"))
+def test_gaps_do_not_depend_on_the_chunking(name):
+    example, params = {"line_n13": ("line_in_plane", {"n": 13}),
+                       "grid_n9": ("uniform_grid", {"n": 9}),
+                       "bergman_64": BUILT_INS["bergman_64"]}[name]
+    space, info = generate_example(example, **params)
+    kappa, alpha = info["kappa"], alpha_param(info["m"], info["tau"])
+    probes = _probes(build_lattice(space, kappa, seed=0))
+    gaps = []
+    for cells in (2 ** 12, 2 ** 16, 2 ** 20):
+        with mock.patch.object(lattice, "ENSEMBLE_CELLS", cells):
+            gaps.append(ensemble_gaps(*probes, space, kappa, alpha, 150, 7))
+    assert gaps[0].any()
+    assert gaps[0].tobytes() == gaps[1].tobytes() == gaps[2].tobytes()
+
+
+def test_lattice_orders_depend_on_seed_lattice_and_generation_only():
+    # lattice i reads keys i G N to (i + 1) G N - 1 of its master seed's
+    # stream, whatever the ensemble size or chunks; another master seed or
+    # another lattice or generation reads other keys
+    space, info = generate_example("line_in_plane", n=13)
+    kappa = info["kappa"]
+    gens, orders = ensemble_orders(space, kappa, 9, 3)
+    assert orders.shape == (9, len(gens), space.n_points)
+    assert (np.sort(orders, axis=-1) == np.arange(space.n_points)).all()
+    assert ensemble_orders(space, kappa, 4, 3)[1].tobytes() == \
+        orders[:4].tobytes()
+    stream = _ensemble_keys(3)
+    chunks = [stream.random((k, len(gens), space.n_points)) for k in (2, 7)]
+    assert np.concatenate(chunks).argsort().tobytes() == orders.tobytes()
+    rows = orders.reshape(-1, space.n_points)
+    assert len({r.tobytes() for r in rows}) == len(rows)
+    other = ensemble_orders(space, kappa, 9, 4)[1]
+    assert (other != orders).any(axis=-1).all()
+    # so the gaps of a smaller ensemble are the first rows of a larger one
+    probes = _probes(build_lattice(space, kappa, seed=3))
+    alpha = alpha_param(info["m"], info["tau"])
+    small, large = (ensemble_gaps(*probes, space, kappa, alpha, size, 3)
+                    for size in (5, 40))
+    assert small.tobytes() == large[:5].tobytes()
+
+
+@pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+def test_ensemble_keys_are_apart_from_the_master_stream(master_seed):
+    # the probes, phi and the power iteration read default_rng(master_seed);
+    # the ensemble reads a child stream, which shares none of its outputs
+    keys = _ensemble_keys(master_seed).bit_generator.random_raw(4096)
+    master = np.random.default_rng(master_seed).bit_generator.random_raw(4096)
+    assert np.intersect1d(keys, master).size == 0
+    assert _ensemble_keys(master_seed).random(8).tobytes() != \
+        np.random.default_rng(master_seed).random(8).tobytes()

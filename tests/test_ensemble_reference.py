@@ -25,12 +25,12 @@ from czkit import lattice
 from czkit.certify import alpha_param
 from czkit.errors import DegenerateScale
 from czkit.examples import generate_example
-from czkit.lattice import (_default_k_range, _nearest_other, build_lattice,
+from czkit.lattice import (_default_k_range, build_lattice,
                            classify_all_good_bad, classify_good_bad,
                            ensemble_gaps, estimate_bad_probability,
                            scale_gap, skeleton_by_generation)
 from czkit.space import MetricMeasureSpace
-from conftest import explicit_space, probe_args
+from conftest import ensemble_orders, explicit_space, probe_args
 from test_lattice import _assert_draws_match, _draw_nets_reference
 
 SEEDS = (2476693647, 1295026582, 3813294786)
@@ -133,12 +133,12 @@ def _assert_flags_match(lat, other, alpha, s_param):
 
 
 def _gaps_reference(probes, space, kappa, alpha, ensemble_size, master_seed):
-    near, nearest = _near_pairs_reference(space), _nearest_other(space)
+    near, nearest = _near_pairs_reference(space), space.nearest_other
     gaps = np.zeros((ensemble_size, len(probes)), dtype=int)
+    _, orders = ensemble_orders(space, kappa, ensemble_size, master_seed)
     for i in range(ensemble_size):
-        labels = _draw_nets_reference(space, kappa,
-                                      hash((master_seed, i)) % 2**32, None,
-                                      nearest)[2]
+        labels = _draw_nets_reference(space, kappa, None, None, nearest,
+                                      orders[i])[2]
         skel = _skeletons_reference(labels, near)
         for j, q in enumerate(probes):
             k, _ = _coarsest_hit_reference(space.rho[q.members].min(axis=0),

@@ -110,13 +110,14 @@ def test_calibrate_deterministic():
 
 
 def test_calibrate_golden_trace():
-    # measured on the per-probe, per-S Monte Carlo this calibration replaced
+    # captured from the ensemble's key stream; its gaps are checked against
+    # full per-lattice draws in test_ensemble_reference
     from czkit.examples import generate_example
     space, _ = generate_example("uniform_grid", n=9)
     res = calibrate_S(space, 0.5, alpha=0.1, delta_bad=0.7, ensemble=100,
                       seed=0)
     assert res.trace == [(1, 1.0, 1e-07), (2, 1.0, 1e-07),
-                         (4, 0.76, 0.04270831300812525)]
+                         (4, 0.66, 0.04737087712930804)]
     assert (res.s_param, res.exhausted) == (4, True)
 
 
@@ -130,7 +131,7 @@ def test_calibrate_builds_one_ensemble(monkeypatch, name, params, alpha,
     from czkit import harness, lattice
     from czkit.examples import generate_example
     space, _ = generate_example(name, **params)
-    builds, draws = [], []
+    builds, draws, streams = [], [], []
 
     def counting(calls, func):
         def wrapped(*args, **kwargs):
@@ -143,13 +144,16 @@ def test_calibrate_builds_one_ensemble(monkeypatch, name, params, alpha,
     monkeypatch.setattr(harness, "build_lattice", build)
     monkeypatch.setattr(lattice, "_draw_orders",
                         counting(draws, lattice._draw_orders))
+    monkeypatch.setattr(lattice, "_ensemble_keys",
+                        counting(streams, lattice._ensemble_keys))
     res = calibrate_S(space, 0.5, alpha, delta_bad, ensemble=100, seed=0)
-    # one full base lattice, then one ensemble for every probe and every S,
-    # each of whose lattices draws its orders: 1 + 100 seeds drawn,
-    # whatever the chunking
+    # one full base lattice, the one seed whose orders are drawn, then one
+    # ensemble for every probe and every S, whose lattices all read one key
+    # stream, whatever the chunking
     assert len(res.trace) == candidates
     assert len(builds) == 1
-    assert sum(len(args[0]) for args in draws) == 101
+    assert [args[0] for args in draws] == [[0]]
+    assert streams == [(0,)]
 
 
 def test_calibrate_memory_peak():
@@ -228,6 +232,27 @@ def test_run_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 4.0 * 8 * n * n
+
+
+def test_bergman_run_memory_peak():
+    # one bergman 64/8/32 run peaks in ``pair_geometry``.  Its |K| sup
+    # table's first stage is transposed once and dropped, and the table is
+    # freed once the halves have read their pieces' columns: 2.35 MB.  The
+    # first stage held with a transposed tile of it, and the table with
+    # the dist reductions, peaked at 2.65 MB
+    import tracemalloc
+    params = {"n_ring": 64, "n_cluster": 8, "n_boundary": 32}
+    run(make_scenario("bergman_disc_model", example_params=params,
+                      seeds=(5, 9)))
+    scenario = make_scenario("bergman_disc_model", example_params=params,
+                             seeds=(5, 9))
+    tracemalloc.start()
+    try:
+        run(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.45e6
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +584,30 @@ def test_cli_montecarlo(grid_file, tmp_path):
     doc = json.loads(out.read_text())
     assert {"p_hat", "stderr", "target"} <= set(doc)
     assert code in (0, 1)
+
+
+def test_cli_montecarlo_is_deterministic(grid_file):
+    # two fresh processes, under different string-hash seeds, print the
+    # same estimate for one --seed
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    import czkit
+    src = str(Path(czkit.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from czkit.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "montecarlo", "--space",
+             grid_file, "--m", "2", "--s-param", "1", "--delta", "0.7",
+             "--seed", "3"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode in (0, 1), done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["p_hat"] > 0
 
 
 @pytest.mark.parametrize("size", ("0", "-3"))

@@ -14,15 +14,15 @@ from hypothesis import strategies as st
 from czkit.errors import DegenerateScale, LeafCube, RootTerminal
 from czkit.examples import generate_example
 from czkit.lattice import (_candidates, _default_k_range, _draw_batch,
-                           _nearest_other, build_lattice, classify_all_good_bad,
+                           _draw_orders, build_lattice, classify_all_good_bad,
                            classify_good_bad, classify_terminal_transit,
                            ensemble_gaps, estimate_bad_probability,
                            lattice_from_json,
                            lattice_to_json, scale_gap, skeleton,
                            skeleton_by_generation, verify_lattice_properties)
 from czkit.space import MetricMeasureSpace
-from conftest import (edited_lattice, explicit_space, grid_space, line_space,
-                      probe_args)
+from conftest import (edited_lattice, ensemble_lattices, explicit_space,
+                      grid_space, line_space, probe_args)
 
 ALPHA_11 = 0.25     # goodness exponent for tau = m = 1
 
@@ -165,9 +165,11 @@ def test_golden_classified_lattice_fingerprint(name, seed):
 # batched net draws against the per-lattice greedy loop they replaced
 
 
-def _draw_nets_reference(space, kappa, seed, k_range, nearest):
+def _draw_nets_reference(space, kappa, seed, k_range, nearest, orders=None):
     """One lattice's nets and labels, one greedy Python loop per generation
-    and one nearest-center argmin over all points per generation."""
+    and one nearest-center argmin over all points per generation; the
+    orders are seed ``seed``'s permutations, or the (generations, N)
+    ``orders`` where given."""
     n = space.n_points
     rho = space.rho
     if k_range is None:
@@ -184,7 +186,7 @@ def _draw_nets_reference(space, kappa, seed, k_range, nearest):
     raw_label = {}
     for k in range(k_min, k_max + 1):
         scale = kappa ** k
-        order = rng.permutation(n)
+        order = rng.permutation(n) if orders is None else orders[k - k_min]
         isolated = nearest >= scale
         selected = np.flatnonzero(isolated).tolist()
         mindist = np.full(n, np.inf)
@@ -210,7 +212,8 @@ def _draw_nets_reference(space, kappa, seed, k_range, nearest):
 
 
 # the lattice seeds of the golden fingerprints and of the benchmark's seed-402
-# certificate first, then calibration-ensemble seeds
+# certificate first, then the seeds the calibration ensemble drew from before
+# its one key stream
 DRAW_SEEDS = [1, 2, 7, 2476693647, 1295026582] + \
     [hash((0, i)) % 2**32 for i in range(145)]
 
@@ -221,7 +224,7 @@ def _assert_draws_match(space, kappa, seeds, k_range=None):
     one draws the reference's nets, and ``build_lattice`` labels as the
     reference does, bit for bit, or raises ``DegenerateScale`` where it
     does."""
-    nearest = _nearest_other(space)
+    nearest = space.nearest_other
     try:
         k_min, k_max = _draw_nets_reference(space, kappa, seeds[0], k_range,
                                             nearest)[:2]
@@ -230,10 +233,13 @@ def _assert_draws_match(space, kappa, seeds, k_range=None):
             build_lattice(space, kappa, seeds[0], k_range)
         return
     gens = range(k_min, k_max + 1)
-    batch = _draw_batch(space, kappa, seeds, gens, nearest,
+    batch = _draw_batch(space, kappa,
+                        _draw_orders(seeds, len(gens), space.n_points), gens,
                         _candidates(space, kappa, gens))
     for s, seed in enumerate(seeds):
-        alone = _draw_batch(space, kappa, [seed], gens, nearest)
+        alone = _draw_batch(space, kappa,
+                            _draw_orders([seed], len(gens), space.n_points),
+                            gens)
         for got, want in zip(batch, alone):
             assert got.dtype == want.dtype
             assert got[:, s].tobytes() == want[:, 0].tobytes()
@@ -293,7 +299,7 @@ def test_batched_draw_matches_reference_on_explicit_k_range(k_range, batch):
 def test_batched_draw_degenerate_scales_raise_as_reference(k_range):
     with pytest.raises(DegenerateScale):
         _draw_nets_reference(line_space(4), 0.5, 1, k_range,
-                             _nearest_other(line_space(4)))
+                             line_space(4).nearest_other)
     _assert_draws_match(line_space(4), 0.5, DRAW_SEEDS[:2], k_range)
 
 
@@ -553,8 +559,7 @@ def test_ensemble_gaps_agree_with_classify_good_bad(name):
     gaps = ensemble_gaps(*probe_args(probes), space, 0.5, 0.1, 5,
                          master_seed=9)
     outcomes = set()
-    for i in range(5):
-        lat2 = build_lattice(space, 0.5, seed=hash((9, i)) % 2**32)
+    for i, lat2 in enumerate(ensemble_lattices(space, 0.5, 5, 9)):
         for j, cube in enumerate(probes):
             for delta, s_param in itertools.product((0.25, 0.7), (1, 2, 4)):
                 bad = gaps[i, j] >= scale_gap(0.5, delta, s_param)
@@ -566,8 +571,9 @@ def test_ensemble_gaps_agree_with_classify_good_bad(name):
 
 # sha256 of the int64 bytes of ensemble_gaps(...) for the probes calibrate_S
 # draws (ensemble 150 for bergman, 100 otherwise), and the number of nonzero
-# gaps; captured from the ensemble of full build_lattice lattices and N x N
-# skeleton scans this one replaced
+# gaps; line and grid captured from the ensemble's key stream and checked
+# against the per-lattice reference of test_ensemble_reference (the bergman
+# gaps are all zero under the hashed seeds of before and the stream alike)
 GOLDEN_GAPS = {
     ("bergman_disc_model", 0):
         ("967eedb2dc77a95e6270119ece23d9f47ca97c3b18ffa7d391d34e461b284f4c", 0),
@@ -576,17 +582,17 @@ GOLDEN_GAPS = {
     ("bergman_disc_model", 3813294786):
         ("967eedb2dc77a95e6270119ece23d9f47ca97c3b18ffa7d391d34e461b284f4c", 0),
     ("line_in_plane", 0):
-        ("41108d76f93d15ef50d20b980743c392443b549f7221fea24c9616bac2a5544b",
-         268),
+        ("259453b10d3dd384696439a154abce97d0d76a2c0e9a7553432387f6e821f344",
+         271),
     ("line_in_plane", 5):
-        ("b663283bb87469e533b43ceaa1ab7fbea6989e213856db29788de351e7a261b8",
-         279),
+        ("2cd094a8619e0cd1e44b62f8fbcd5c8065d5dcadfec3886244652352fbb0bfa1",
+         266),
     ("uniform_grid", 0):
-        ("3180a8a5f620b2d9e688a3b7982b3b4ab5d7baf2a6cec24f007d594303151055",
-         276),
+        ("1d6c49920c82e8c05acca5d55460c56cf0d0ee4bc8c6a3f168236e435887d5dd",
+         266),
     ("uniform_grid", 5):
-        ("edadc68ccf77a6ec35b86f06c67c20240a4783056fff76162759b4b7f19862e2",
-         279),
+        ("5ac3c354a0917284a929d70ece36f97bc519f7b7bd2b82f9cf2414f59c653b29",
+         270),
 }
 GOLDEN_GAP_PARAMS = {**GOLDEN_PARAMS, "uniform_grid": {"n": 9}}
 

@@ -616,3 +616,27 @@ def test_default_radii_in_range(line8):
     assert all(line8.resolution_h <= r <= line8.diam() for r in radii)
     full = default_radii(line8, exhaustive=True)
     assert set(full) == {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0}
+
+
+def test_nearest_other_is_built_once_per_space(monkeypatch):
+    # per point x, min over y != x of min(rho(x, y), rho(y, x)), on an
+    # asymmetric rho; two lattice builds and an ensemble build it once
+    from czkit.lattice import build_lattice, ensemble_gaps
+    rng = np.random.default_rng(5)
+    rho = rng.uniform(1.0, 4.0, (9, 9))
+    np.fill_diagonal(rho, 0.0)
+    space = MetricMeasureSpace(rho=rho, nu=np.ones(9), mu=np.full(9, 1 / 9),
+                               omega=np.zeros(9, dtype=bool),
+                               resolution_h=1.5)
+    prop, built = vars(MetricMeasureSpace)["nearest_other"], []
+    real = prop.func
+    monkeypatch.setattr(prop, "func", lambda self: built.append(1) or
+                        real(self))
+    lat = build_lattice(space, 0.5, seed=1)
+    build_lattice(space, 0.5, seed=2)
+    ensemble_gaps([lat.members(lat.by_gen[lat.k_max][0])], [lat.k_max],
+                  space, 0.5, 0.25, 4)
+    assert built == [1]
+    assert space.nearest_other.tolist() == [
+        min(min(rho[x, y], rho[y, x]) for y in range(9) if y != x)
+        for x in range(9)]
