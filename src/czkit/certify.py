@@ -227,19 +227,19 @@ class HalfData:
     coarser ones, with the operator orientation fixed.
 
     pair_geometry fills the lattice-only fields once per lattice pair: the
-    pair tables and each regime's lemma coefficients. split_bilinear copies
-    them for each batch of probes and adds the probe fields, which then
-    lead with the probe axis, and the operator on supp mu."""
+    half's name, the pair tables and, per regime, the per-pair weights of
+    its lemma and its constant. split_bilinear copies them for each batch
+    of probes and adds the probe fields, which then lead with the probe
+    axis, and the operator on supp mu."""
+    prefix: str                    # "" (primary) or "sym_": report keys
     fine_rows: ComponentRows
     coarse_rows: ComponentRows
     pairs: dict                    # regime -> PairTable
-    geo: dict = field(default_factory=dict)      # regime -> coefficients
+    geo: dict = field(default_factory=dict)      # regime -> weights, constant
     # probe fields
     supp: np.ndarray | slice | None = None   # supp mu (``on_support``)
     op: np.ndarray | None = None   # operator on coarse parts, on supp x supp
-    fine_dec: MartingaleDecomposition | None = None
-    coarse_dec: MartingaleDecomposition | None = None
-    coarse_fn: np.ndarray | None = None   # the function coarse_dec decomposes
+    coarse_fn: np.ndarray | None = None   # the coarse lattice's probes
     fine: Components | None = None
     coarse: Components | None = None
     values: dict = field(default_factory=dict)   # regime -> pair values
@@ -266,18 +266,18 @@ class HalfData:
 
 def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
                   lat_f: DyadicLattice, lat_g: DyadicLattice, r_gap: int,
-                  alpha: float | None = None) -> tuple:
-    """The lattice-only (primary, symmetric) halves of the split of
-    <T f, g> over the lattice pair (lat_f, lat_g); f and g play no part.
-    The primary half pairs lat_f's cubes, as the finer ones, with the
-    adjoint kernel; the symmetric half swaps the roles.
+                  alpha: float, t1_A: float) -> tuple:
+    """The (primary, symmetric) halves of the split of <T f, g> over the
+    lattice pair (lat_f, lat_g), with every regime's per-pair weights and
+    constant; f and g play no part.  The primary half pairs lat_f's cubes,
+    as the finer ones, with the adjoint kernel; the symmetric half swaps
+    the roles.  The diagonal weights of transit son pairs read the testing
+    constant ``t1_A``.
 
     The kernel sups run over all N points, not over supp mu: there a
-    rectangle's sup can be 0, where ``_diagonal_weights`` falls back to
+    rectangle's sup can be 0, where a diagonal weight falls back to
     sqrt(A), so restricting them changed certificates and made some
     looser."""
-    if alpha is None:
-        alpha = alpha_param(kernel.m, kernel.tau)
     rows_f, rows_g = _component_rows(lat_f), _component_rows(lat_g)
     abs_k = np.abs(kernel.matrix)
     k_sup = abs_k.max(axis=1), abs_k.max(axis=0)     # per row, per column
@@ -292,9 +292,9 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
             rect[lat_f.column[rows_f.piece]].T)
     del rect
     halves = []
-    for fine, coarse, abs_op, op_sup, piece_sup in zip(
-            (rows_f, rows_g), (rows_g, rows_f), (abs_k.T, abs_k),
-            (k_sup[::-1], k_sup), sups):
+    for prefix, fine, coarse, abs_op, op_sup, piece_sup in zip(
+            ("", "sym_"), (rows_f, rows_g), (rows_g, rows_f),
+            (abs_k.T, abs_k), (k_sup[::-1], k_sup), sups):
         dist = cube_reduce(fine.lattice, coarse.lattice.dist, fine.ids,
                            axis=0)
         pairs = classify_pairs(fine, coarse, dist, r_gap, alpha)
@@ -302,11 +302,11 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
             # equal-size pairs appear in both halves; drop them from the
             # symmetric one so the regrouping stays a partition
             pairs = {regime: t.select(t.gap > 0) for regime, t in pairs.items()}
-        half = HalfData(fine_rows=fine, coarse_rows=coarse, pairs=pairs)
+        half = HalfData(prefix, fine, coarse, pairs)
         # piece_sup: sup of |op| over each fine column's rows and each
         # coarse piece's columns; op_sup: over each row and each column
         half.geo = {
-            "sigma1": _diagonal_geometry(half, op_sup, piece_sup),
+            "sigma1": _diagonal_geometry(half, op_sup, piece_sup, t1_A),
             "sigma2": _far_geometry(kernel, half, abs_op),
             "sigma3_term": _terminal_geometry(space, half, op_sup[0]),
             "sigma3_tran": _transit_geometry(kernel, space, half, abs_op,
@@ -318,27 +318,19 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
 @dataclass
 class SigmaSplit:
     """The sigma parts of <T f_good, g_good>: floats for one probe pair,
-    (P,) arrays for a batch.  The batch gathers along the last axis with
-    ``x.take(idx, -1)``: an index after ``...`` would lay the probe axis
-    innermost, and a sum along the last axis keeps each probe's bits only
-    over contiguous rows."""
+    (P,) arrays for a batch.  ``sums`` holds each regime's sum under its
+    report key, ``sigma1`` to ``sym_sigma3_tran``.  The batch gathers along
+    the last axis with ``x.take(idx, -1)``: an index after ``...`` would lay
+    the probe axis innermost, and a sum along the last axis keeps each
+    probe's bits only over contiguous rows."""
     lambda_part: float
-    sigma1: float
-    sigma2: float
-    sigma3_term: float
-    sigma3_tran: float
-    sym_sigma1: float
-    sym_sigma2: float
-    sym_sigma3_term: float
-    sym_sigma3_tran: float
     direct: float                  # <T f_good, g_good> computed densely
-    halves: tuple = ()             # (primary, symmetric) HalfData
+    sums: dict                     # report key -> regime sum
+    halves: tuple                  # (primary, symmetric) HalfData
 
     @property
     def parts(self) -> tuple:
-        return (self.lambda_part, self.sigma1, self.sigma2, self.sigma3_term,
-                self.sigma3_tran, self.sym_sigma1, self.sym_sigma2,
-                self.sym_sigma3_term, self.sym_sigma3_tran)
+        return (self.lambda_part, *self.sums.values())
 
     @property
     def total(self) -> float:
@@ -365,20 +357,16 @@ def _scalar(x):
 def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
                    dec_f: MartingaleDecomposition,
                    dec_g: MartingaleDecomposition,
-                   f: np.ndarray, g: np.ndarray, r_gap: int,
-                   alpha: float | None = None,
-                   geometry: tuple | None = None) -> SigmaSplit:
+                   f: np.ndarray, g: np.ndarray,
+                   geometry: tuple) -> SigmaSplit:
     """Exact regrouping of <T f_good, g_good> into the sigma parts.
 
     f and g are one function each or (P, N) stacks of probes, decomposed
     by dec_f and dec_g; a stack gives (P,) sums, each bit for bit its
     probe's own.  ``geometry`` is the pair_geometry of the two
-    decompositions' lattices; it is built here when not given.  Every
-    product contracts over supp mu, against K on supp mu x supp mu
-    (``on_support``), which the halves keep for the transit products."""
-    if geometry is None:
-        geometry = pair_geometry(kernel, space, dec_f.lattice, dec_g.lattice,
-                                 r_gap, alpha)
+    decompositions' lattices.  Every product contracts over supp mu,
+    against K on supp mu x supp mu (``on_support``), which the halves keep
+    for the transit products."""
     f_good, _ = split_good_bad(dec_f)
     g_good, _ = split_good_bad(dec_g)
     supp, k = on_support(kernel, space)
@@ -398,15 +386,12 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
     comp_f = _stack_components(primary.fine_rows, dec_f)
     comp_g = _stack_components(primary.coarse_rows, dec_g)
     lead = comp_f.phi.shape[:-2]
-    primary = replace(primary, fine_dec=dec_f, coarse_dec=dec_g, coarse_fn=g,
-                      fine=comp_f, coarse=comp_g, supp=supp, op=k.T, values={
-                          regime: np.empty(lead + t.q.shape)
-                          for regime, t in primary.pairs.items()})
-    symmetric = replace(symmetric, fine_dec=dec_g, coarse_dec=dec_f,
-                        coarse_fn=f, fine=comp_g, coarse=comp_f, supp=supp,
-                        op=k, values={
-                            regime: np.empty(lead + t.q.shape)
-                            for regime, t in symmetric.pairs.items()})
+    primary, symmetric = (
+        replace(half, coarse_fn=fn, fine=fine, coarse=coarse, supp=supp,
+                op=op, values={regime: np.empty(lead + t.q.shape)
+                               for regime, t in half.pairs.items()})
+        for half, fn, fine, coarse, op in ((primary, g, comp_f, comp_g, k.T),
+                                           (symmetric, f, comp_g, comp_f, k)))
     # <T Delta_Q f, Delta_R g>_mu for every good pair of rows: rows of the
     # g-lattice, columns of the f-lattice, one probe at a time, as a stack
     # of them would take several times the memory of the probes; each half
@@ -417,11 +402,11 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
                             (symmetric, pair_matrix)):
             for regime, t in half.pairs.items():
                 half.values[regime][p] = value[t.q, t.r]
-    sums = {prefix + regime: _scalar(values.sum(axis=-1))
-            for prefix, half in (("", primary), ("sym_", symmetric))
+    sums = {half.prefix + regime: _scalar(values.sum(axis=-1))
+            for half in (primary, symmetric)
             for regime, values in half.values.items()}
-    return SigmaSplit(lambda_part=_scalar(lambda_part), direct=_scalar(direct),
-                      halves=(primary, symmetric), **sums)
+    return SigmaSplit(_scalar(lambda_part), _scalar(direct), sums,
+                      (primary, symmetric))
 
 
 # ---------------------------------------------------------------------------
@@ -771,15 +756,14 @@ def _terminal_geometry(space, half: HalfData, row_sup) -> dict:
             "multiplicity": mult, "constant": constant * math.sqrt(mult)}
 
 
-def short_range_terminal_bound(split: SigmaSplit, half_index: int = 0):
+def short_range_terminal_bound(split: SigmaSplit, hi: int):
     """Bound the short range sum over pairs whose holding child is terminal.
 
     Groups pairs by the coarse cube and its terminal child, bounds the
     localized image of the coarse component through the kernel sup on the
     group's support, and closes with Cauchy-Schwarz over the orthogonal fine
     components of each group."""
-    half = split.halves[half_index]
-    prefix = "" if half_index == 0 else "sym_"
+    half = split.halves[hi]
     geo = half.geo["sigma3_term"]
     q_rows = half.pairs["sigma3_term"].q
     measured = np.abs(half.values["sigma3_term"].sum(axis=-1))
@@ -788,7 +772,7 @@ def short_range_terminal_bound(split: SigmaSplit, half_index: int = 0):
                               geo["weight"].size))
     dg = np.sqrt(half.coarse.norm_sq.take(geo["r_row"], -1))
     bound = (geo["weight"] * dg * v).sum(axis=-1)
-    return _lemma(prefix + "sigma3_terminal", measured, bound,
+    return _lemma(half.prefix + "sigma3_terminal", measured, bound,
                   "short_range_terminal")
 
 
@@ -922,8 +906,7 @@ def short_range_transit_bound(split: SigmaSplit, hi: int):
     (b).  The coefficients come from the split's geometry.  A batched split
     gives the three checks of each probe in a list per probe."""
     half = split.halves[hi]
-    prefix = "" if hi == 0 else "sym_"
-    space = half.fine_lat.space
+    prefix, space = half.prefix, half.fine_lat.space
     geo = half.geo["sigma3_tran"]
     q, r = half.pairs["sigma3_tran"].q, half.pairs["sigma3_tran"].r
     fine, coarse, supp = half.fine, half.coarse, half.supp
@@ -1019,14 +1002,12 @@ def paraproduct_targets(fine_lat: DyadicLattice, coarse_lat: DyadicLattice,
 
 
 def paraproduct_apply(F: np.ndarray, g: np.ndarray, fine_lat: DyadicLattice,
-                      coarse_lat: DyadicLattice, r_gap: int,
-                      targets: dict | None = None):
+                      coarse_lat: DyadicLattice, r_gap: int):
     """The paraproduct vector sum_Q <g>_(R(Q)) Delta_Q F together with the
     per-target weights a_R = sum ||Delta_Q F||^2 and the orthogonality-based
     norm identity error."""
     space = fine_lat.space
-    if targets is None:
-        targets = paraproduct_targets(fine_lat, coarse_lat, r_gap)
+    targets = paraproduct_targets(fine_lat, coarse_lat, r_gap)
     kept = {q_id: r_id for q_id, r_id in targets.items() if r_id is not None}
     dropped = [q_id for q_id in targets if q_id not in kept]
     dec = decompose(fine_lat, np.asarray(F, dtype=float))
@@ -1191,14 +1172,16 @@ def pseudo_bmo_check(F: np.ndarray, space: MetricMeasureSpace,
 # diagonal part
 
 
-def _diagonal_geometry(half: HalfData, op_sup, piece_sup) -> dict:
+def _diagonal_geometry(half: HalfData, op_sup, piece_sup, t1_A) -> dict:
     """Son-pair weights of every diagonal pair: one entry per (fine son,
-    coarse son), grouped by pair in bucket order. ``w_raw`` is the kernel
-    sup weight where a son is terminal or a leaf, NaN where the testing
-    constant may be used instead. The sons are the pieces of the two
-    component rows; ``piece_sup`` is the sup of |op| over the rows of each
-    fine column (``lat.column``) and the columns of each coarse piece, and
-    ``op_sup`` the sups of |op| over each row and over each column."""
+    coarse son), grouped by pair in bucket order, and the regime constant,
+    their pair norm.  Where a son is terminal or a leaf the weight is the
+    kernel sup over its slab, otherwise the smaller of sqrt(A) and the
+    kernel sup over the son rectangle (sqrt(A) where that sup is 0).  The
+    sons are the pieces of the two component rows; ``piece_sup`` is the
+    sup of |op| over the rows of each fine column (``lat.column``) and the
+    columns of each coarse piece, and ``op_sup`` the sups of |op| over
+    each row and over each column."""
     fine, coarse = half.fine_rows, half.coarse_rows
     f_ids, c_ids = fine.piece, coarse.piece
     # kernel sups over each (fine son, coarse son) rectangle, and over the
@@ -1221,31 +1204,23 @@ def _diagonal_geometry(half: HalfData, op_sup, piece_sup) -> dict:
     w_raw = np.where(fine.piece_stop[f_piece], row_sup[f_piece] * mass,
                      np.where(coarse.piece_stop[c_piece],
                               col_sup[c_piece] * mass, math.nan))
-    return {"f_piece": f_piece, "c_piece": c_piece,
-            "w_rect": rect[f_piece, c_piece] * mass, "w_raw": w_raw}
+    sqrt_a, w_rect = math.sqrt(t1_A), rect[f_piece, c_piece] * mass
+    weight = np.where(np.isnan(w_raw), np.where(
+        w_rect > 0, np.minimum(sqrt_a, w_rect), sqrt_a), w_raw)
+    return {"f_piece": f_piece, "c_piece": c_piece, "weight": weight,
+            "constant": _pair_norm(f_piece, c_piece, weight)}
 
 
-def _diagonal_weights(half: HalfData, t1_A: float) -> np.ndarray:
-    """Son-pair weights: terminal or leaf sons go through the kernel sup,
-    transit son pairs through the testing constant."""
-    geo = half.geo["sigma1"]
-    sqrt_a = math.sqrt(t1_A)
-    w_rect = geo["w_rect"]
-    return np.where(np.isnan(geo["w_raw"]),
-                    np.where(w_rect > 0, np.minimum(sqrt_a, w_rect), sqrt_a),
-                    geo["w_raw"])
-
-
-def diagonal_bound(split: SigmaSplit, half_index: int, t1_A: float):
+def diagonal_bound(split: SigmaSplit, hi: int):
     """Per-pair son splitting of the diagonal sum."""
-    half = split.halves[half_index]
-    prefix = "" if half_index == 0 else "sym_"
+    half = split.halves[hi]
     geo = half.geo["sigma1"]
     measured = np.abs(half.values["sigma1"].sum(axis=-1))
-    bound = (_diagonal_weights(half, t1_A) *
+    bound = (geo["weight"] *
              half.fine.piece_norm.take(geo["f_piece"], -1) *
              half.coarse.piece_norm.take(geo["c_piece"], -1)).sum(axis=-1)
-    return _lemma(prefix + "sigma1_diagonal", measured, bound, "diagonal")
+    return _lemma(half.prefix + "sigma1_diagonal", measured, bound,
+                  "diagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -1308,7 +1283,7 @@ def _far_geometry(kernel, half: HalfData, abs_op) -> dict:
     return {"coef": coef, "far": far, "constant": _pair_norm(q, r, weight)}
 
 
-def _sigma2_probe_check(half: HalfData, prefix: str):
+def _sigma2_probe_check(half: HalfData):
     """Per-probe far-interaction verification over the sigma2 pairs."""
     geo, t = half.geo["sigma2"], half.pairs["sigma2"]
     far = np.flatnonzero(geo["far"])
@@ -1320,7 +1295,7 @@ def _sigma2_probe_check(half: HalfData, prefix: str):
     bound *= geo["coef"][far]
     dr = half.coarse.norm_sq.take(t.r[far], -1)
     bound *= np.sqrt(dr, out=dr)
-    return _lemma(prefix + "sigma2_far", meas, bound.sum(axis=-1),
+    return _lemma(half.prefix + "sigma2_far", meas, bound.sum(axis=-1),
                   "long_range")
 
 
@@ -1331,8 +1306,8 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
     """Run the full certification pipeline and compare the assembled bound
     with the power-iteration operator norm.
 
-    Every constant depends on the lattice pair only, so it is computed once
-    from the pair geometry.  The probes then go through the lemma checks
+    Every regime constant depends on the lattice pair and A only, and comes
+    from pair_geometry.  The probes then go through the lemma checks
     as one (P, N) stack per lattice, in chunks of at most ``PROBE_CELLS``
     (probe x row x point) cells: one decomposition per lattice, one split
     and one call per lemma and half.  Every sum runs along the last axis
@@ -1367,7 +1342,7 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
     probes_f = _probe_functions(space, lat1, n_probes, rng)
     probes_g = _probe_functions(space, lat2, n_probes, rng)
     n_probe = min(len(probes_f), len(probes_g))
-    geometry = pair_geometry(kernel, space, lat1, lat2, r_gap, alpha)
+    geometry = pair_geometry(kernel, space, lat1, lat2, r_gap, alpha, a_t1)
 
     constants = {"A": a_t1, "C_CZ": kernel.C_CZ, "tau": tau, "m": m,
                  "kappa": kappa, "alpha": alpha, "r": r_gap, "S": s_param,
@@ -1379,9 +1354,9 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
     identity = []
     coarse_fns = (probes_g[0], probes_f[0]) if n_probe else \
         (np.zeros(space.n_points),) * 2
-    for half, op, coarse_fn, prefix in zip(
-            geometry, (kernel.matrix.T, kernel.matrix), coarse_fns,
-            ("", "sym_")):
+    for half, op, coarse_fn in zip(geometry, (kernel.matrix.T, kernel.matrix),
+                                   coarse_fns):
+        prefix = half.prefix
         n_near = int((~half.geo["sigma2"]["far"]).sum())
         violations = len(half.geo["sigma3_tran"]["violations"])
         counts.update({prefix + regime + "_pairs": len(t)
@@ -1393,11 +1368,8 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
         if n_near:
             notes.append(f"{prefix or 'primary '}half: {n_near} long "
                          "range pairs needed the sup fallback")
-        diag = half.geo["sigma1"]
-        c_parts[prefix + "sigma1"] = _pair_norm(
-            diag["f_piece"], diag["c_piece"], _diagonal_weights(half, a_t1))
-        for regime in ("sigma2", "sigma3_term", "sigma3_tran"):
-            c_parts[prefix + regime] = half.geo[regime]["constant"]
+        for regime, geo in half.geo.items():
+            c_parts[prefix + regime] = geo["constant"]
         if violations:
             notes.append(f"{prefix or 'primary '}half: {violations} short "
                          "range pairs broke the goodness distance bound")
@@ -1423,16 +1395,14 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
     for at in range(0, n_probe, chunk):
         f, g = probes_f[at:at + chunk], probes_g[at:at + chunk]
         split = split_bilinear(kernel, space, decompose(lat1, f),
-                               decompose(lat2, g), f, g, r_gap, alpha,
-                               geometry)
+                               decompose(lat2, g), f, g, geometry)
         worst_regroup = max(worst_regroup, *split.regroup_error.tolist())
         halves = []
-        for hi, prefix in ((0, ""), (1, "sym_")):
+        for hi, half in enumerate(split.halves):
             tran_checks, _ = short_range_transit_bound(split, hi=hi)
-            halves.append(zip(diagonal_bound(split, hi, a_t1),
+            halves.append(zip(diagonal_bound(split, hi),
                               short_range_terminal_bound(split, hi),
-                              _sigma2_probe_check(split.halves[hi], prefix),
-                              tran_checks))
+                              _sigma2_probe_check(half), tran_checks))
         for pi, per_half in enumerate(zip(*halves), start=at):
             for hi, (diag, term, far, tran) in enumerate(per_half):
                 checks = [diag, term, far] + tran

@@ -44,6 +44,9 @@ class Scenario:
             raise ValueError("delta_bad must lie in (0, 1)")
         if self.tau <= 0 or self.m <= 0:
             raise ValueError("tau and m must be positive")
+        if self.kappa ** (self.tau / 2) == 1.0:
+            raise ValueError(f"tau = {self.tau:g} is too small: kappa^(tau/2) "
+                             "rounds to 1 and the block series diverges")
 
 
 def make_scenario(name: str, **overrides) -> Scenario:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,7 +117,7 @@ def explicit_kernel(space: MetricMeasureSpace, matrix, m: float, tau: float,
                     C_CZ: float | None = None,
                     delta_CZ: float = 0.5) -> KernelSpec:
     matrix = np.asarray(matrix, dtype=float)
-    spec = KernelSpec(matrix, m=m, tau=tau, C_CZ=C_CZ if C_CZ else 1.0,
+    spec = KernelSpec(matrix, m=m, tau=tau, C_CZ=1.0 if C_CZ is None else C_CZ,
                       delta_CZ=delta_CZ, name="explicit")
     if C_CZ is None:
         rep = check_size_and_smoothness(spec, space)
@@ -452,29 +453,62 @@ def kernel_to_json(kernel: KernelSpec) -> dict:
     return doc
 
 
+def _number(doc: dict, key: str, default):
+    """Field ``key`` of a kernel document, a finite number, as a float."""
+    value = doc.get(key, default)
+    if type(value) not in (int, float) or \
+            not abs(value) <= sys.float_info.max:
+        raise ValueError(f"kernel field {key!r} must be a finite number, "
+                         f"not {value!r}")
+    return float(value)
+
+
 def kernel_from_json(doc: dict, space: MetricMeasureSpace) -> KernelSpec:
-    ktype = doc["type"]
-    m = float(doc.get("m", 1.0))
-    tau = float(doc.get("tau", 1.0))
-    delta = float(doc.get("delta_CZ", 0.5))
-    params = doc.get("params", {})
+    """A kernel from its JSON document; a field of the wrong type or out of
+    range raises ValueError naming it."""
+    if not isinstance(doc, dict):
+        raise ValueError("kernel document must be a JSON object")
+    ktype, params = doc.get("type"), doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("kernel field 'params' must be a JSON object")
+    m, tau = _number(doc, "m", 1.0), _number(doc, "tau", 1.0)
+    if m + tau >= 646:
+        raise ValueError("kernel fields 'm' + 'tau' must be below 646, "
+                         "where 3^(m + tau) of the far bound overflows")
+    delta = _number(doc, "delta_CZ", 0.5)
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"kernel field 'delta_CZ' must lie in (0, 1], "
+                         f"not {delta!r}")
     policy = doc.get("diagonal_policy", "zero")
     if policy not in ("zero", "truncate"):
         raise ValueError(f"unknown diagonal policy {policy!r}")
     if ktype == "power":
         return power_kernel(space, m, tau,
-                            amplitude=params.get("amplitude", 1.0),
+                            amplitude=_number(params, "amplitude", 1.0),
                             diagonal_policy=policy, delta_CZ=delta)
     if ktype == "bergman":
         return bergman_kernel(space, m, tau, policy, delta)
     if ktype == "constant":
-        return constant_kernel(space, value=params.get("value", 1.0), m=m,
-                               tau=tau, diagonal_policy=policy)
+        return constant_kernel(space, value=_number(params, "value", 1.0),
+                               m=m, tau=tau, diagonal_policy=policy)
     if ktype == "zero":
         return zero_kernel(space, m=m, tau=tau)
     if ktype == "explicit":
-        return explicit_kernel(space, doc["matrix"], m=m, tau=tau,
-                               C_CZ=doc.get("C_CZ"), delta_CZ=delta)
+        c_cz = doc.get("C_CZ")
+        if c_cz is not None:
+            c_cz = _number(doc, "C_CZ", None)
+            if c_cz < 0:
+                raise ValueError(f"kernel field 'C_CZ' must be at least 0, "
+                                 f"not {c_cz!r}")
+        try:
+            matrix = np.asarray(doc.get("matrix"), dtype=float)
+            if matrix.shape != (space.n_points,) * 2:
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("kernel field 'matrix' must be an N x N array "
+                             "of numbers, N the number of points") from None
+        return explicit_kernel(space, matrix, m=m, tau=tau, C_CZ=c_cz,
+                               delta_CZ=delta)
     raise ValueError(f"unknown kernel type {ktype!r}")
 
 

@@ -223,14 +223,16 @@ def split_good_bad(dec: MartingaleDecomposition):
 def expected_bad_norm(space: MetricMeasureSpace, f: np.ndarray, kappa: float,
                       alpha: float, delta_bad: float, s_param: int,
                       ensemble: int, master_seed: int = 0):
-    """Monte Carlo mean of ||f_bad|| over random lattice pairs.
+    """Monte Carlo mean of ||f_bad|| over random lattice pairs, their seeds
+    drawn in pairs from ``SeedSequence(master_seed)``.
 
     Returns (mean, stderr, check) where check compares the mean against
     delta_bad * ||f|| + 3 * stderr."""
     norms = []
-    for i in range(ensemble):
-        lat1 = build_lattice(space, kappa, seed=hash((master_seed, i, 1)) % 2**32)
-        lat2 = build_lattice(space, kappa, seed=hash((master_seed, i, 2)) % 2**32)
+    seeds = np.random.SeedSequence(master_seed).generate_state(2 * ensemble)
+    for seed1, seed2 in seeds.reshape(ensemble, 2).tolist():
+        lat1 = build_lattice(space, kappa, seed=seed1)
+        lat2 = build_lattice(space, kappa, seed=seed2)
         classify_terminal_transit(lat1)
         classify_all_good_bad(lat1, lat2, alpha, delta_bad, s_param)
         norms.append(space.l2_norm(split_good_bad(decompose(lat1, f))[1]))

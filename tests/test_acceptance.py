@@ -12,13 +12,13 @@ import pytest
 
 from czkit.certify import (alpha_param, block_matrix_bound,
                            block_matrix_spectral, carleson_embedding_check,
-                           certify, far_interaction_bound,
+                           certify, far_interaction_bound, pair_geometry,
                            paraproduct_apply, pseudo_bmo_check,
                            schur_bound_long_range, spectral_norm,
                            split_bilinear, whitney_decomposition)
 from czkit.errors import HypothesisViolated
 from czkit.examples import generate_example
-from czkit.kernels import (apply, bergman_kernel, constant_kernel,
+from czkit.kernels import (apply, bergman_kernel, check_T1, constant_kernel,
                            dense_operator, indicator, operator_norm,
                            power_kernel)
 from czkit.harness import calibrate_S
@@ -113,12 +113,14 @@ def test_criterion_3_sigma_regrouping():
     space, info = generate_example("line_in_plane")
     kern = power_kernel(space, m=info["m"], tau=info["tau"])
     lat1, lat2, r_gap, alpha = _classified_pair(space, info["m"], info["tau"])
+    a_t1 = max(check_T1(kern, space, lat).A for lat in (lat1, lat2))
+    geometry = pair_geometry(kern, space, lat1, lat2, r_gap, alpha, a_t1)
     rng = np.random.default_rng(7)
     ok = True
     for _ in range(5):
         f, g = rng.standard_normal((2, space.n_points))
         split = split_bilinear(kern, space, decompose(lat1, f),
-                               decompose(lat2, g), f, g, r_gap, alpha)
+                               decompose(lat2, g), f, g, geometry)
         scale = max(abs(split.direct), 1.0)
         ok &= split.regroup_error <= 1e-9 * scale
     _report(3, "sigma regrouping", ok)

@@ -61,9 +61,16 @@ def line_setup():
     return space, kern, lat1, lat2, r_gap, alpha
 
 
+def _geometry(space, kern, lat1, lat2, r_gap, alpha):
+    """The pair geometry with certify's testing constant A."""
+    a_t1 = max(check_T1(kern, space, lat).A for lat in (lat1, lat2))
+    return pair_geometry(kern, space, lat1, lat2, r_gap, alpha, a_t1)
+
+
 def _split(space, kern, lat1, lat2, r_gap, alpha, f, g):
-    return split_bilinear(kern, space, decompose(lat1, f),
-                          decompose(lat2, g), f, g, r_gap, alpha)
+    return split_bilinear(kern, space, decompose(lat1, f), decompose(lat2, g),
+                          f, g, _geometry(space, kern, lat1, lat2, r_gap,
+                                          alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +117,8 @@ def test_split_constant_function_lambda_only(line_setup):
     f = np.full(space.n_points, 2.0)
     g = np.random.default_rng(1).standard_normal(space.n_points)
     split = _split(space, kern, lat1, lat2, r_gap, alpha, f, g)
-    assert split.sigma1 == split.sigma2 == 0.0
-    assert split.sigma3_term == split.sigma3_tran == 0.0
+    assert split.sums["sigma1"] == split.sums["sigma2"] == 0.0
+    assert split.sums["sigma3_term"] == split.sums["sigma3_tran"] == 0.0
 
 
 def test_split_zero_kernel(line_setup):
@@ -235,27 +242,31 @@ def test_far_pairs_all_satisfy_long_range_bound():
             space, m=info["m"], tau=info["tau"], s_param=s_param)
         rng = np.random.default_rng(5)
         f, g = rng.standard_normal((2, space.n_points))
-        split = _split(space, kern, lat1, lat2, r_gap, alpha, f, g)
+        dec_f, dec_g = decompose(lat1, f), decompose(lat2, g)
+        split = split_bilinear(kern, space, dec_f, dec_g, f, g, _geometry(
+            space, kern, lat1, lat2, r_gap, alpha))
         checked = 0
         for half_index, half in enumerate(split.halves):
+            fine_dec, coarse_dec = (dec_f, dec_g) if half_index == 0 else \
+                (dec_g, dec_f)
             mexp = kern.m + kern.tau
             for rec, value in zip(half.buckets["sigma2"],
                                   half.values["sigma2"]):
                 if not rec.get("far_ok", True):
                     continue
                 # the pair value straight from its definition
-                dense_q = half.fine_dec.component_vector(rec["q"])
-                dense_r = half.coarse_dec.component_vector(rec["r"])
+                dense_q = fine_dec.component_vector(rec["q"])
+                dense_r = coarse_dec.component_vector(rec["r"])
                 # half.op is on supp mu; the primary half takes K^T
                 op = kern.matrix.T if half_index == 0 else kern.matrix
                 exact = space.inner(op @ (dense_r * space.mu), dense_q)
                 assert value == pytest.approx(exact, rel=1e-9, abs=1e-15)
                 q = half.fine_lat.cubes[rec["q"]]
                 r = half.coarse_lat.cubes[rec["r"]]
-                dq = math.sqrt(half.fine_dec.component_norm_sq(rec["q"])) \
-                    if rec["q"] in half.fine_dec.components else 0.0
-                dr = math.sqrt(half.coarse_dec.component_norm_sq(rec["r"])) \
-                    if rec["r"] in half.coarse_dec.components else 0.0
+                dq = math.sqrt(fine_dec.component_norm_sq(rec["q"])) \
+                    if rec["q"] in fine_dec.components else 0.0
+                dr = math.sqrt(coarse_dec.component_norm_sq(rec["r"])) \
+                    if rec["r"] in coarse_dec.components else 0.0
                 d_big = q.size + r.size + rec["dist"]
                 bound = (kern.C_CZ * 3.0 ** mexp *
                          q.size ** (kern.tau / 2) * r.size ** (kern.tau / 2)
@@ -596,12 +607,11 @@ def test_bmo_tail_oscillation_reads_supp_mu_only():
 
 def test_all_sigma_bounds_hold(line_setup):
     space, kern, lat1, lat2, r_gap, alpha = line_setup
-    a_t1 = max(check_T1(kern, space, lat1).A, check_T1(kern, space, lat2).A)
     rng = np.random.default_rng(9)
     f, g = rng.standard_normal((2, space.n_points))
     split = _split(space, kern, lat1, lat2, r_gap, alpha, f, g)
     for hi in (0, 1):
-        diag = diagonal_bound(split, hi, a_t1)
+        diag = diagonal_bound(split, hi)
         assert diag.passed
         term = short_range_terminal_bound(split, hi)
         assert term.passed
@@ -649,7 +659,8 @@ def test_pair_geometry_needs_good_flags(bare):
         if i not in bare:
             classify_all_good_bad(lat, lats[1 - i], 0.25, 0.25, 2)
     with pytest.raises(ClassificationMissing) as err:
-        pair_geometry(kern, space, *lats, scale_gap(0.5, 0.25, 2))
+        pair_geometry(kern, space, *lats, scale_gap(0.5, 0.25, 2),
+                      alpha_param(kern.m, kern.tau), 1.0)
     assert isinstance(err.value, CzkitError)
     with pytest.raises(ClassificationMissing):
         split_good_bad(decompose(lats[bare[0]], np.ones(space.n_points)))
@@ -878,7 +889,8 @@ def _certificate_geometry(example, params, s_param, seeds=(1, 2)):
         classify_terminal_transit(lat)
         classify_all_good_bad(lat, other, alpha, sc.delta_bad, s_param)
     return kern, space, rep, pair_geometry(
-        kern, space, *lats, scale_gap(sc.kappa, sc.delta_bad, s_param), alpha)
+        kern, space, *lats, scale_gap(sc.kappa, sc.delta_bad, s_param), alpha,
+        rep.constants["A"])
 
 
 def _haar_bases(rows, supp):
@@ -944,11 +956,11 @@ def test_regime_constants_dominate_exact_regime_norms(case):
     # the forms reproduce the split of a probe pair, regime by regime
     f, g = np.random.default_rng(5).standard_normal((2, space.n_points))
     split = split_bilinear(kern, space, decompose(geometry[0].fine_lat, f),
-                           decompose(geometry[0].coarse_lat, g), f, g, None,
-                           geometry=geometry)
+                           decompose(geometry[0].coarse_lat, g), f, g,
+                           geometry)
     for key, form in forms.items():
         assert coords_g(g) @ form @ coords_f(f) == pytest.approx(
-            getattr(split, key), rel=1e-9, abs=1e-15), key
+            split.sums[key], rel=1e-9, abs=1e-15), key
     exact = {key: spectral_norm(form) for key, form in forms.items()}
     const = rep.constants
     for prefix in ("", "sym_"):

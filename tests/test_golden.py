@@ -36,12 +36,14 @@ did not move, nor did the three reports with mu > 0 everywhere.
 """
 
 import hashlib
+import importlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from czkit.certify import certify
+from czkit.certify import certify, pair_geometry
 from czkit.harness import make_scenario, run
 
 GOLDEN = json.loads(
@@ -129,3 +131,33 @@ def test_run_constructs_no_cube(key, monkeypatch):
     with pytest.raises(AssertionError, match="a Cube was constructed"):
         lat.cubes[lat.root_id]
     assert _report_digest(key) == RUN_REPORTS[key][1]
+
+
+@pytest.mark.parametrize("key", sorted(RUN_REPORTS))
+def test_run_report_constants_are_the_geometry_constants(key, monkeypatch):
+    # every regime constant of a report is its half's ``geo`` constant on
+    # the certificate's lattice pair and A, and no diagonal weight of a
+    # transit son pair exceeds sqrt(A)
+    module, calls = importlib.import_module("czkit.certify"), []
+
+    def record(*args):
+        calls.append(args)
+        return pair_geometry(*args)
+
+    monkeypatch.setattr(module, "pair_geometry", record)
+    (example, params, overrides), _ = RUN_REPORTS[key]
+    constants = run(make_scenario(example, example_params=dict(params),
+                                  **overrides)).certificate.constants
+    [(kernel, space, lat_f, lat_g, r_gap, alpha, t1_A)] = calls
+    assert (t1_A, r_gap, alpha) == (constants["A"], constants["r"],
+                                    constants["alpha"])
+    for half in pair_geometry(kernel, space, lat_f, lat_g, r_gap, alpha,
+                              t1_A):
+        assert list(half.geo) == ["sigma1", "sigma2", "sigma3_term",
+                                  "sigma3_tran"]
+        for regime, geo in half.geo.items():
+            assert constants[f"C_{half.prefix}{regime}"] == geo["constant"]
+        diag = half.geo["sigma1"]
+        transit = ~(half.fine_rows.piece_stop[diag["f_piece"]] |
+                    half.coarse_rows.piece_stop[diag["c_piece"]])
+        assert (diag["weight"][transit] <= math.sqrt(t1_A)).all()

@@ -1,10 +1,15 @@
 """Scenario pipeline, calibration, reports and the command line."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from czkit import cli
 from czkit.errors import CalibrationExhausted, UnknownExample
@@ -772,3 +777,96 @@ def test_cli_size_guard(grid_file, monkeypatch, capsys):
     assert "allow-large" in capsys.readouterr().err
     assert cli.main(["verify-space", "--space", grid_file, "--m", "2",
                      "--allow-large"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# kernel documents
+
+
+@pytest.fixture(scope="module")
+def cantor3(tmp_path_factory):
+    """Cantor level 3 as a file, its n_dim, and valid power, bergman and
+    explicit kernel documents with the example's m and tau."""
+    space, info = generate_example("cantor_measure", level=3)
+    root = tmp_path_factory.mktemp("kernel_docs")
+    save_space(space, root / "space.json")
+    base = {"m": info["m"], "tau": info["tau"], "delta_CZ": 0.5}
+    matrix = power_kernel(space, m=info["m"], tau=info["tau"]).matrix
+    docs = {"power": {"type": "power", "params": {"amplitude": 1.0},
+                      "diagonal_policy": "zero", **base},
+            "bergman": {"type": "bergman", **base},
+            "explicit": {"type": "explicit", "matrix": matrix.tolist(),
+                         "C_CZ": 1.0, **base}}
+    return root, str(info["n_dim"]), docs
+
+
+def _certify_kernel(cantor3, doc):
+    """(exit code, stdout, stderr) of ``czkit certify`` in process, on the
+    Cantor level 3 file with ``doc`` as its kernel file."""
+    root, n_dim, _ = cantor3
+    (root / "kernel.json").write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["certify", "--space", str(root / "space.json"),
+                         "--kernel", str(root / "kernel.json"),
+                         "--n-dim", n_dim])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("kind,edit,field", [
+    ("power", lambda doc: [doc], "kernel document"),
+    ("power", lambda doc: {**doc, "params": [1]}, "'params'"),
+    ("power", lambda doc: {**doc, "params": {"amplitude": "a"}},
+     "'amplitude'"),
+    ("explicit", lambda doc: {**doc, "C_CZ": "big"}, "'C_CZ'"),
+    ("explicit", lambda doc: {**doc, "C_CZ": -1}, "'C_CZ'"),
+    ("power", lambda doc: {**doc, "delta_CZ": 2.0}, "'delta_CZ'"),
+], ids=["list", "params-list", "amplitude-string", "C_CZ-string",
+        "C_CZ-negative", "delta_CZ-above-1"])
+def test_cli_bad_kernel_document_is_input_error(cantor3, kind, edit, field):
+    code, out, err = _certify_kernel(cantor3, edit(cantor3[2][kind]))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
+def test_cli_declared_zero_C_CZ_is_kept(cantor3):
+    code, out, _ = _certify_kernel(cantor3,
+                                   {**cantor3[2]["explicit"], "C_CZ": 0})
+    assert code in (0, 1)
+    assert json.loads(out)["certificate"]["constants"]["C_CZ"] == 0.0
+
+
+KERNEL_FIELDS = ("type", "m", "tau", "delta_CZ", "diagonal_policy", "C_CZ",
+                 "matrix", "params", ("params", "amplitude"),
+                 ("params", "value"))
+BAD_VALUES = (None, "a", True, [1.0], {"x": 1.0}, math.nan, math.inf,
+              -math.inf, -1.0, 0.0, 1e308, 10 ** 400, [[1.0, 2.0], [3.0]],
+              [[1.0] * 8] * 7)
+
+
+@given(kind=st.sampled_from(("power", "bergman", "explicit")),
+       op=st.sampled_from(("drop", "set", "wrap")),
+       key=st.sampled_from(KERNEL_FIELDS),
+       value=st.one_of(st.sampled_from(BAD_VALUES), st.floats(),
+                       st.integers()))
+@settings(max_examples=300, deadline=None)
+def test_cli_certify_survives_mutated_kernel_documents(cantor3, kind, op, key,
+                                                       value):
+    # one mutation of a valid document: a dropped key, a value of the
+    # wrong type, shape or range, or the document wrapped in a list
+    doc = copy.deepcopy(cantor3[2][kind])
+    where = doc
+    if isinstance(key, tuple):
+        where = doc.setdefault("params", {})
+        key = key[1]
+    if op == "drop":
+        where.pop(key, None)
+    elif op == "set":
+        where[key] = value
+    else:
+        doc = [doc]
+    code, _, err = _certify_kernel(cantor3, doc)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -23,6 +23,7 @@ from czkit.certify import (_py_floats, alpha_param, block_matrix_bound,
                            schur_bound_long_range, spectral_norm)
 from czkit.errors import MultipleParents, NonTransitEntry, ZeroMassCube
 from czkit.harness import make_scenario
+from czkit.kernels import check_T1
 from czkit.lattice import build_lattice, classify_all_good_bad, \
     classify_terminal_transit, scale_gap
 from conftest import criterion7_instances, criterion8_instances
@@ -232,8 +233,9 @@ def test_lemmas_match_reference_on_builtin_tables(name):
             classify_terminal_transit(lat)
         for lat, other in ((lat1, lat2), (lat2, lat1)):
             classify_all_good_bad(lat, other, alpha, 0.25, s_param)
+        a_t1 = max(check_T1(kern, space, lat).A for lat in (lat1, lat2))
         halves = pair_geometry(kern, space, lat1, lat2,
-                               scale_gap(0.5, 0.25, s_param), alpha)
+                               scale_gap(0.5, 0.25, s_param), alpha, a_t1)
         for half in halves:
             fine, coarse = half.fine_rows, half.coarse_rows
             t = half.pairs["sigma2"]

@@ -30,6 +30,14 @@ SPLIT_FIELDS = ("lambda_part", "direct", "sigma1", "sigma2", "sigma3_term",
                 "sym_sigma3_tran")
 
 
+def split_fields(split) -> dict:
+    """The parts of a split under SPLIT_FIELDS, in that order."""
+    fields = {"lambda_part": split.lambda_part, "direct": split.direct,
+              **split.sums}
+    assert tuple(fields) == SPLIT_FIELDS
+    return fields
+
+
 def _bits(check: LemmaCheck) -> tuple:
     return (check.name, check.ref, check.passed, float(check.measured).hex(),
             float(check.bound).hex())
@@ -47,14 +55,14 @@ def _recorded_splits(monkeypatch) -> list:
     return calls
 
 
-def _checks(split, a_t1: float) -> list:
+def _checks(split) -> list:
     """Per half, the lemma checks of a split in certify's order; for a
     batch, one such list per probe."""
     out = []
-    for hi, prefix in ((0, ""), (1, "sym_")):
-        checks = (diagonal_bound(split, hi, a_t1),
+    for hi, half in enumerate(split.halves):
+        checks = (diagonal_bound(split, hi),
                   short_range_terminal_bound(split, hi),
-                  _sigma2_probe_check(split.halves[hi], prefix))
+                  _sigma2_probe_check(half))
         tran = short_range_transit_bound(split, hi=hi)[0]
         out.append([list(c) + t for *c, t in zip(*checks, tran)]
                    if split.batched else list(checks) + tran)
@@ -64,24 +72,23 @@ def _checks(split, a_t1: float) -> list:
 def _per_probe_lemmas(report, calls) -> list:
     """The lemma list of the per-probe loop over the probes certify split;
     each batch split is also checked against its probes' own splits."""
-    a_t1 = report.constants["A"]
     identity = [c for c in report.lemmas
                 if c.name.endswith("paraproduct_identity")]
     lemmas, worst, pi = [], 0.0, 0
     for args, batch in calls:
         kernel, space, dec_f, dec_g, f, g, *rest = args
         assert f.ndim == 2 and batch.batched
-        batch_checks = _checks(batch, a_t1)
+        batch_checks = _checks(batch)
+        batch_fields = split_fields(batch)
         for p, (f1, g1) in enumerate(zip(f, g)):
             split = split_bilinear(kernel, space, decompose(dec_f.lattice, f1),
                                    decompose(dec_g.lattice, g1), f1, g1, *rest)
-            for name in SPLIT_FIELDS:
-                value = getattr(split, name)
+            for name, value in split_fields(split).items():
                 assert isinstance(value, float)
-                assert value.hex() == float(getattr(batch, name)[p]).hex()
+                assert value.hex() == float(batch_fields[name][p]).hex()
             assert split.regroup_error == batch.regroup_error[p]
             worst = max(worst, split.regroup_error)
-            for hi, checks in enumerate(_checks(split, a_t1)):
+            for hi, checks in enumerate(_checks(split)):
                 assert [_bits(c) for c in batch_checks[hi][p]] == \
                     [_bits(c) for c in checks]
                 if pi:

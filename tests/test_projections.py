@@ -339,7 +339,7 @@ def _check_against_reference(space, seed):
         assert got.tobytes() == ref.tobytes()
 
     targets = paraproduct_targets(lat1, lat2, 2)
-    out, a_r, info = paraproduct_apply(phi, g, lat1, lat2, 2, targets)
+    out, a_r, info = paraproduct_apply(phi, g, lat1, lat2, 2)
     ref_out, ref_a, ref_err = _ref_paraproduct(phi, g, lat1, lat2, targets)
     assert out.tobytes() == ref_out.tobytes()
     assert list(a_r) == list(ref_a)

@@ -29,7 +29,7 @@ from czkit.lattice import (build_lattice, classify_all_good_bad,
                            classify_terminal_transit, cube_reduce, scale_gap)
 from czkit.projections import decompose
 from czkit.space import MetricMeasureSpace
-from test_probe_batch import SPLIT_FIELDS, _cloud
+from test_probe_batch import _cloud, split_fields
 
 lattice_module = importlib.import_module("czkit.lattice")
 BERGMAN_64 = {"n_ring": 64, "n_cluster": 8, "n_boundary": 32}
@@ -60,22 +60,24 @@ def _assert_reads_supp_only(kernel, space, seeds, s_param, n_probes=3):
     for lat, other in (lats, lats[::-1]):
         classify_terminal_transit(lat)
         classify_all_good_bad(lat, other, alpha, 0.25, s_param)
+    a_t1 = 0.0
     for lat in lats:
         t1 = check_T1(kernel, space, lat)
         assert check_T1(bad, space, lat).per_cube == t1.per_cube
         assert math.isfinite(t1.A)
+        a_t1 = max(a_t1, t1.A)
 
-    geometry = pair_geometry(kernel, space, *lats, r_gap, alpha)
+    geometry = pair_geometry(kernel, space, *lats, r_gap, alpha, a_t1)
     rng = np.random.default_rng(seeds[0])
     f, g = rng.standard_normal((2, n_probes, space.n_points))
     split, bad_split = (
         split_bilinear(k, space, decompose(lats[0], f),
-                       decompose(lats[1], g), f, g, r_gap, alpha, geometry)
+                       decompose(lats[1], g), f, g, geometry)
         for k in (kernel, bad))
-    for name in SPLIT_FIELDS:
-        value = getattr(split, name)
+    bad_fields = split_fields(bad_split)
+    for name, value in split_fields(split).items():
         assert np.isfinite(value).all(), name
-        assert _bits(getattr(bad_split, name)) == _bits(value), name
+        assert _bits(bad_fields[name]) == _bits(value), name
     for hi in (0, 1):
         for want, got in zip(short_range_transit_bound(split, hi)[0],
                              short_range_transit_bound(bad_split, hi)[0]):
