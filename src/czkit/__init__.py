@@ -13,10 +13,9 @@ from .kernels import KernelSpec, apply, adjoint_apply, bergman_kernel, \
     bilinear, check_T1, check_d_domination, check_size_and_smoothness, \
     constant_kernel, explicit_kernel, load_kernel, operator_norm, \
     operator_norm_dense, power_kernel, zero_kernel
-from .certify import CertificateReport, alpha_param, block_matrix_bound, \
-    carleson_embedding_check, certify, diagonal_bound, dqr_distance, \
-    far_interaction_bound, paraproduct_apply, pseudo_bmo_check, \
-    schur_bound_long_range, split_bilinear, whitney_decomposition
+from .certify import CertificateReport, alpha_param, \
+    carleson_embedding_check, certify, diagonal_bound, paraproduct_apply, \
+    pseudo_bmo_check, split_bilinear, whitney_decomposition
 from .examples import generate_example
 from .harness import Scenario, calibrate_S, make_scenario, run
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import HypothesisViolated, MultipleParents, NonTransitEntry, \
-    ZeroMassCube
-from .kernels import KernelSpec, on_support, spectral_norm
+from .errors import HypothesisViolated
+from .kernels import KernelSpec, on_support
 from .lattice import UNSET, Cube, DyadicLattice, _ranges, cube_reduce
 from .projections import MartingaleDecomposition, decompose, \
     good_component_ids, split_good_bad
@@ -42,11 +41,6 @@ PERRON_SLOTS = 256
 def alpha_param(m: float, tau: float) -> float:
     """The goodness exponent tau / (2 (tau + m))."""
     return tau / (2.0 * (tau + m))
-
-
-def dqr_distance(space: MetricMeasureSpace, q: Cube, r: Cube) -> float:
-    """Long-range distance scale s(Q) + s(R) + dist(Q, R)."""
-    return q.size + r.size + space.set_dist(q.members, r.members)
 
 
 @dataclass
@@ -410,72 +404,7 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
 
 
 # ---------------------------------------------------------------------------
-# far interaction
-
-
-def far_interaction_bound(kernel: KernelSpec, space: MetricMeasureSpace,
-                          q: Cube, r: Cube, phi: np.ndarray, psi: np.ndarray,
-                          alpha: float | None = None,
-                          op_matrix: np.ndarray | None = None):
-    """Measured |<phi_Q, T psi_R>| against the explicit far bound
-    C_CZ 3^(m+tau) s(Q)^(tau/2) s(R)^(tau/2) / D^(m+tau) sqrt(mu(Q) mu(R))
-    times the two L2 norms.
-
-    phi must vanish off Q with zero mu-mean, psi off R, and the support of
-    psi must stay s(Q)^alpha s(R)^(1-alpha) away from Q; otherwise
-    HypothesisViolated.  Returns (measured, bound, admissible) where
-    admissible reports whether every relevant pair sits in the smoothness
-    regime of the kernel."""
-    if alpha is None:
-        alpha = alpha_param(kernel.m, kernel.tau)
-    mat = kernel.matrix if op_matrix is None else op_matrix
-    mu = space.mu
-    phi = np.asarray(phi, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    supp_phi = np.flatnonzero((phi != 0) & (mu > 0))
-    supp_psi = np.flatnonzero((psi != 0) & (mu > 0))
-    if not np.isin(supp_phi, q.members).all():
-        raise HypothesisViolated("phi does not vanish outside Q")
-    if not np.isin(supp_psi, r.members).all():
-        raise HypothesisViolated("psi does not vanish outside R")
-    mean = float(np.sum(phi * mu))
-    if abs(mean) > 1e-10 * max(space.l2_norm(phi), 1e-30):
-        raise HypothesisViolated("phi must have zero mu-mean")
-    threshold = q.size ** alpha * r.size ** (1 - alpha)
-    d_hyp = space.set_dist(q.members, supp_psi) if supp_psi.size else math.inf
-    if d_hyp < threshold:
-        raise HypothesisViolated(
-            f"support distance {d_hyp:.3g} below threshold {threshold:.3g}")
-
-    measured = abs(space.inner(phi, mat @ (psi * mu)))
-    bound = (_far_coefficient(kernel, q.size, r.size, space.mu_mass(q.members),
-                              space.mu_mass(r.members),
-                              space.set_dist(q.members, r.members)) *
-             space.l2_norm(phi) * space.l2_norm(psi))
-
-    admissible = True
-    if supp_phi.size and supp_psi.size:
-        reach = float(space.rho[q.center, supp_phi].max())
-        closest = float(space.rho[q.center, supp_psi].min())
-        admissible = reach <= kernel.delta_CZ * closest
-    return measured, bound, admissible
-
-
-# ---------------------------------------------------------------------------
-# Schur machinery for the long range sums
-
-
-@dataclass
-class InteractionMatrix:
-    """The nonnegative pair matrix of the long range bound.  Its rows and
-    columns are slots (fine and coarse cubes); gen, size, mass and transit
-    are (rows, columns) array pairs per slot."""
-    entries: np.ndarray        # (nq, nr) nonnegative
-    center_rho: np.ndarray     # representative-point distances
-    gen: tuple
-    size: tuple
-    mass: tuple
-    transit: tuple
+# long range entries and pair norms
 
 
 def long_range_entry(s_q: float, s_r: float, mass_q: float, mass_r: float,
@@ -583,148 +512,6 @@ def _pair_norm(rows, cols, values) -> float:
     return top * math.sqrt(bound * margin)
 
 
-def interaction_matrix(fine: ComponentRows, coarse: ComponentRows,
-                       pairs: PairTable, m: float,
-                       tau: float) -> InteractionMatrix:
-    """The nonnegative pair matrix of the long range bound over ``pairs``, a
-    table of rows of ``fine`` and ``coarse``; one slot per row that a pair
-    names, in row order, which is cube id order.  Component rows are transit
-    cubes."""
-    (qs, i), (rs, j) = (np.unique(at, return_inverse=True)
-                        for at in (pairs.q, pairs.r))
-    entries = np.zeros((qs.size, rs.size))
-    entries[i, j] = long_range_entry(
-        _py_floats(fine.size[pairs.q]), _py_floats(coarse.size[pairs.r]),
-        fine.mass[pairs.q], coarse.mass[pairs.r], _py_floats(pairs.dist), m,
-        tau).astype(float)
-    center_rho = fine.lattice.space.rho[np.ix_(fine.center[qs],
-                                               coarse.center[rs])]
-    return InteractionMatrix(
-        entries, center_rho, (fine.gen[qs], coarse.gen[rs]),
-        (fine.size[qs], coarse.size[rs]), (fine.mass[qs], coarse.mass[rs]),
-        (np.ones(qs.size, dtype=bool), np.ones(rs.size, dtype=bool)))
-
-
-@dataclass
-class SchurReport:
-    lhs: float
-    rhs: float
-    c_schur: float
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs <= self.rhs * (1 + 1e-12)
-
-
-def schur_bound_long_range(mat: InteractionMatrix, a: np.ndarray,
-                           b: np.ndarray, m: float, tau: float) -> SchurReport:
-    """Weighted Schur bound built slice by slice.
-
-    The matrix is cut by generation gap; within a gap, blocks with different
-    coarse generations act on disjoint index sets, so the gap's norm is the
-    worst block.  In each block the entries are compared against the
-    single-scale kernel at the coarse size (fitted constant) whose weighted
-    row/column sums close the estimate.  Every step is an inequality, so the
-    resulting constant dominates the spectral norm of the whole matrix."""
-    if not all(transit.all() for transit in mat.transit):
-        raise NonTransitEntry("interaction entries require transit cubes")
-    if any((mass <= 0).any() for mass in mat.mass):
-        raise NonTransitEntry("transit cubes must carry mu-mass")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    (qg, rg), (qm, rm), (qs, rs) = mat.gen, mat.mass, mat.size
-
-    per_gap = {}
-    gaps = qg[:, None] - rg[None, :]
-    for k in np.unique(gaps[gaps >= 0]).tolist():
-        best = 0.0
-        for j in sorted(set(rg.tolist())):
-            rows = np.flatnonzero(qg == j + k)
-            cols = np.flatnonzero(rg == j)
-            if rows.size == 0 or cols.size == 0:
-                continue
-            sub = mat.entries[np.ix_(rows, cols)]
-            if not sub.any():
-                continue
-            s_r = float(rs[cols[0]])
-            s_q = float(qs[rows[0]])
-            geom = (s_q / s_r) ** (tau / 2)
-            kj = (s_r ** tau /
-                  (s_r + mat.center_rho[np.ix_(rows, cols)]) ** (m + tau))
-            weighted = geom * np.sqrt(np.outer(qm[rows], rm[cols])) * kj
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(sub > 0, sub / weighted, 0.0)
-            c_fit = float(ratios.max())
-            row_sum = float((kj * rm[cols][None, :]).sum(axis=1).max())
-            col_sum = float((kj * qm[rows][:, None]).sum(axis=0).max())
-            bound = geom * c_fit * math.sqrt(row_sum * col_sum)
-            best = max(best, bound)
-        per_gap[k] = best
-    c_schur = float(sum(per_gap.values()))
-    lhs = float(a @ mat.entries @ b)
-    rhs = c_schur * float(np.linalg.norm(a) * np.linalg.norm(b))
-    return SchurReport(lhs, rhs, c_schur)
-
-
-# ---------------------------------------------------------------------------
-# block matrix (short range aggregation)
-
-
-def _block_entries(kappa: float, tau: float, k, mu_q, mu_parent):
-    """The block matrix entries kappa^(tau k / 2) sqrt(mu_q / mu_parent)."""
-    return _scalar_pow(kappa, tau * k / 2.0) * np.sqrt(mu_q / mu_parent)
-
-
-def block_matrix_bound(entries, a: np.ndarray, b: np.ndarray, kappa: float,
-                       tau: float):
-    """Inequality for entries T = kappa^(tau k / 2) sqrt(mu_q / mu_parent)
-    with every fine cube attached to one coarse cube per gap.
-
-    ``entries`` holds the columns (q, r, k, mu_q, mu_parent), one value per
-    entry, with k >= 1; the keys q and r index ``a`` and ``b``.  Returns
-    (lhs, rhs, fitted) where rhs uses the explicit geometric-series
-    constant and fitted is the instance's true slice-norm series (reported,
-    and used instead when child multiplicity inflates a block).  Every sum
-    runs in entry order."""
-    q, r, k, mu_q, mu_parent = (np.asarray(col) for col in entries)
-    if (k < 1).any():
-        raise ValueError("block entries need a gap of at least 1")
-    if (mu_parent <= 0).any() or (mu_q < 0).any():
-        raise ZeroMassCube("block entries need positive parent mass")
-    top, span = int(k.max(initial=0)) + 1, int(r.max(initial=0)) + 1
-    links = np.unique((q * top + k) * span + r) // span   # (q, k) per link
-    twice = links[1:][links[1:] == links[:-1]]
-    if twice.size:
-        raise MultipleParents(f"{twice[0] // top} attached to two cubes at "
-                              f"gap {twice[0] % top}")
-    t = _block_entries(kappa, tau, k, mu_q, mu_parent)
-    lhs = float(sum((t * a[q] * b[r]).tolist()))
-    norm_a = math.sqrt(sum((a * a).tolist()))
-    norm_b = math.sqrt(sum((b * b).tolist()))
-    explicit = 1.0 / (1.0 - kappa ** (tau / 2.0))
-    # the block (r, k) of each entry; per gap its worst block, the gaps in
-    # order of their first entry
-    keys, block = np.unique(r * top + k, return_inverse=True)
-    blk = _scalar_pow(kappa, tau * (keys % top) / 2.0) * np.sqrt(
-        np.bincount(block, weights=mu_q / mu_parent))
-    gaps, first = np.unique(k, return_index=True)
-    per_gap = np.zeros(gaps.size)
-    np.maximum.at(per_gap, np.searchsorted(gaps, keys % top), blk)
-    fitted = float(sum(per_gap[np.argsort(first)].tolist()))
-    rhs = explicit * norm_a * norm_b
-    return lhs, rhs, fitted
-
-
-def block_matrix_spectral(entries, kappa: float, tau: float) -> float:
-    """Dense spectral norm of the block matrix (small-instance oracle);
-    ``entries`` as in ``block_matrix_bound``."""
-    q, r, k, mu_q, mu_parent = (np.asarray(col) for col in entries)
-    (_, i), (_, j) = (np.unique(key, return_inverse=True) for key in (q, r))
-    mat = np.zeros((i.max(initial=-1) + 1, j.max(initial=-1) + 1))
-    mat[i, j] = _block_entries(kappa, tau, k, mu_q, mu_parent)
-    return spectral_norm(mat)
-
-
 # ---------------------------------------------------------------------------
 # short range: terminal part
 
@@ -778,6 +565,12 @@ def short_range_terminal_bound(split: SigmaSplit, hi: int):
 
 # ---------------------------------------------------------------------------
 # short range: transit part
+
+
+def _block_entries(kappa: float, tau: float, k, mu_q, mu_parent):
+    """The block matrix entries kappa^(tau k / 2) sqrt(mu_q / mu_parent) of
+    the short range aggregation."""
+    return _scalar_pow(kappa, tau * k / 2.0) * np.sqrt(mu_q / mu_parent)
 
 
 def _transit_geometry(kernel, space, half: HalfData, abs_op, piece_sup,

@@ -45,18 +45,6 @@ class HypothesisViolated(CzkitError):
     pass
 
 
-class NonTransitEntry(CzkitError):
-    pass
-
-
-class MultipleParents(CzkitError):
-    pass
-
-
-class ZeroMassCube(CzkitError):
-    pass
-
-
 class UnknownExample(CzkitError):
     pass
 

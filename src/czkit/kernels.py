@@ -472,6 +472,10 @@ def kernel_from_json(doc: dict, space: MetricMeasureSpace) -> KernelSpec:
     if not isinstance(params, dict):
         raise ValueError("kernel field 'params' must be a JSON object")
     m, tau = _number(doc, "m", 1.0), _number(doc, "tau", 1.0)
+    for key, value in (("m", m), ("tau", tau)):
+        if value <= 0:
+            raise ValueError(f"kernel field {key!r} must be positive, "
+                             f"not {value!r}")
     if m + tau >= 646:
         raise ValueError("kernel fields 'm' + 'tau' must be below 646, "
                          "where 3^(m + tau) of the far bound overflows")
@@ -500,6 +504,10 @@ def kernel_from_json(doc: dict, space: MetricMeasureSpace) -> KernelSpec:
             if c_cz < 0:
                 raise ValueError(f"kernel field 'C_CZ' must be at least 0, "
                                  f"not {c_cz!r}")
+            if not math.isfinite(c_cz * 3.0 ** (m + tau)):
+                raise ValueError(f"kernel field 'C_CZ' = {c_cz!r} is too "
+                                 "large: C_CZ 3^(m + tau) of the far bound "
+                                 "overflows")
         try:
             matrix = np.asarray(doc.get("matrix"), dtype=float)
             if matrix.shape != (space.n_points,) * 2:

@@ -12,7 +12,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from czkit.certify import InteractionMatrix, long_range_entry
+from czkit.certify import long_range_entry
 from czkit.examples import generate_example
 from czkit.lattice import _ensemble_keys, _generation_range, \
     _lattice_of_orders, build_lattice, classify_terminal_transit, \
@@ -122,12 +122,12 @@ def ensemble_lattices(space, kappa, size: int, master_seed: int) -> list:
             for o in orders]
 
 
-def random_interaction(rng, nq, nr, q_gen_stop, skip) -> InteractionMatrix:
-    """A random long range matrix in the slot structure of the Schur test:
-    per slot a generation (fine slots 2 to q_gen_stop - 1, coarse slots 0
-    to 2), size 0.5^gen and a mass; random center distances; and the long
-    range entry of every pair with gap >= 0, each left out with
-    probability ``skip``.  The entries are scalar Python arithmetic."""
+def random_interaction(rng, nq, nr, q_gen_stop, skip) -> np.ndarray:
+    """A random (nq, nr) long range matrix: per fine slot a generation 2 to
+    q_gen_stop - 1, per coarse slot one 0 to 2, each with size 0.5^gen and a
+    mass; random center distances; and the long range entry of every pair
+    with gap >= 0, each left out with probability ``skip``.  The entries are
+    scalar Python arithmetic."""
     slots = []
     for n, gens in ((nq, (2, q_gen_stop)), (nr, (0, 3))):
         drawn = [(int(rng.integers(*gens)), float(rng.uniform(0.01, 1.0)))
@@ -143,21 +143,18 @@ def random_interaction(rng, nq, nr, q_gen_stop, skip) -> InteractionMatrix:
                 continue
             entries[i, j] = long_range_entry(qs[i], rs[j], qm[i], rm[j],
                                              rho_c[i, j], 1.0, 1.0)
-    return InteractionMatrix(
-        entries, rho_c, *(tuple(map(np.array, pair)) for pair in (
-            (qg, rg), (qs, rs), (qm, rm))),
-        (np.ones(nq, dtype=bool), np.ones(nr, dtype=bool)))
+    return entries
 
 
-def random_blocks(rng, n_coarse, gaps=None) -> tuple:
+def random_blocks(rng, n_coarse) -> tuple:
     """Random block lemma entries ((q, r, k, mu_q, mu_parent), a, b): per
-    coarse key r and gap k (``gaps``, or 1 up to a random 1 to 3 per r), a
-    parent mass split in part among 1 to 4 new fine keys q; a and b are
-    random weights per key."""
+    coarse key r and gap k (1 up to a random 1 to 3 per r), a parent mass
+    split in part among 1 to 4 new fine keys q; a and b are random weights
+    per key."""
     rows, a, b = [], [], []
     for r_key in range(n_coarse):
         b.append(float(rng.uniform(0, 1)))
-        for k in gaps or range(1, int(rng.integers(2, 5))):
+        for k in range(1, int(rng.integers(2, 5))):
             mu_parent = float(rng.uniform(0.1, 1.0))
             fracs = rng.dirichlet(np.ones(int(rng.integers(1, 5)))) * \
                 rng.uniform(0.2, 1.0)
@@ -168,12 +165,12 @@ def random_blocks(rng, n_coarse, gaps=None) -> tuple:
 
 
 def criterion7_instances():
-    """The random instances of acceptance criterion 7: (matrix, a, b)."""
+    """The random instances of acceptance criterion 7: (entries, a, b)."""
     rng = np.random.default_rng(77)
     for _ in range(50):
         nq, nr = int(rng.integers(2, 200)), int(rng.integers(2, 20))
-        mat = random_interaction(rng, nq, nr, 6, 0.4)
-        yield mat, rng.uniform(0, 1, nq), rng.uniform(0, 1, nr)
+        entries = random_interaction(rng, nq, nr, 6, 0.4)
+        yield entries, rng.uniform(0, 1, nq), rng.uniform(0, 1, nr)
 
 
 def criterion8_instances():

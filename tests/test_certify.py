@@ -1,39 +1,36 @@
-"""Certification machinery: sigma split, Schur and block bounds,
-paraproduct, Carleson, pseudo-BMO, end-to-end certificates, and the regime
-constants against the exact norms of their regimes."""
+"""Certification machinery: sigma split, far pairs, paraproduct, Carleson,
+pseudo-BMO, end-to-end certificates, and the regime constants against the
+exact norms of their regimes."""
 
 import dataclasses
 import importlib
+import inspect
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from czkit.certify import (_pair_norm, admissible_bmo_cubes,
-                           alpha_param, block_matrix_bound,
-                           block_matrix_spectral, bmo_tail_constant,
-                           carleson_embedding_check,
-                           certify, diagonal_bound, dqr_distance,
-                           far_interaction_bound, interaction_matrix,
-                           pair_geometry, paraproduct_apply,
-                           paraproduct_targets, pseudo_bmo_check,
-                           schur_bound_long_range, short_range_terminal_bound,
-                           short_range_transit_bound, spectral_norm,
-                           split_bilinear, whitney_decomposition)
-from czkit.errors import (ClassificationMissing, CzkitError,
-                          HypothesisViolated, MultipleParents,
-                          NonTransitEntry)
+from czkit.certify import (_pair_norm, admissible_bmo_cubes, alpha_param,
+                           bmo_tail_constant, carleson_embedding_check,
+                           certify, diagonal_bound, pair_geometry,
+                           paraproduct_apply, paraproduct_targets,
+                           pseudo_bmo_check, short_range_terminal_bound,
+                           short_range_transit_bound, split_bilinear,
+                           whitney_decomposition)
+from czkit.errors import ClassificationMissing, CzkitError
 from czkit.examples import generate_example
-from czkit.harness import make_scenario
+from czkit.harness import make_scenario, run
 from czkit.kernels import (bergman_kernel, check_T1, constant_kernel,
-                           power_kernel, zero_kernel)
-from czkit.lattice import (Cube, build_lattice, classify_all_good_bad,
+                           power_kernel, spectral_norm, zero_kernel)
+from czkit.lattice import (build_lattice, classify_all_good_bad,
                            classify_terminal_transit, scale_gap)
 from czkit.projections import decompose, good_component_ids, split_good_bad
 from czkit.space import dilate
-from conftest import line_space, random_blocks, random_interaction
+from conftest import line_space
 
 KAPPA = 0.5
 DELTA = 0.25
@@ -74,33 +71,7 @@ def _split(space, kern, lat1, lat2, r_gap, alpha, f, g):
 
 
 # ---------------------------------------------------------------------------
-# D(Q, R) and the sigma split
-
-
-def test_dqr_formula():
-    space = line_space(8)
-    q = Cube(id=0, generation=0, members=np.array([0]), center=0,
-             parent=None, size=1.0)
-    r = Cube(id=1, generation=-1, members=np.array([3, 4]), center=3,
-             parent=None, size=2.0)
-    assert dqr_distance(space, q, r) == pytest.approx(1.0 + 2.0 + 3.0)
-
-
-def test_dqr_identical_sets():
-    space = line_space(8)
-    q = Cube(id=0, generation=0, members=np.array([1, 2]), center=1,
-             parent=None, size=1.0)
-    r = Cube(id=1, generation=0, members=np.array([1, 2]), center=2,
-             parent=None, size=1.0)
-    assert dqr_distance(space, q, r) == pytest.approx(2.0)
-
-
-def test_dqr_matches_double_loop(line_setup):
-    space, _, lat1, lat2, _, _ = line_setup
-    q = lat1.cubes[lat1.by_gen[lat1.k_max][0]]
-    r = lat2.cubes[lat2.by_gen[lat2.k_max][-1]]
-    best = min(space.rho[x, y] for x in q.members for y in r.members)
-    assert dqr_distance(space, q, r) == pytest.approx(q.size + r.size + best)
+# the sigma split
 
 
 def test_split_exact_regrouping(line_setup):
@@ -153,75 +124,7 @@ def test_regrouping_of_a_pairing_that_is_exactly_zero(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# far interaction bound
-
-
-def _two_far_cubes():
-    space = line_space(32)
-    q = Cube(id=0, generation=1, members=np.array([0, 1]), center=0,
-             parent=None, size=0.5)
-    r = Cube(id=1, generation=0, members=np.array([28, 29, 30, 31]),
-             center=29, parent=None, size=1.0)
-    return space, q, r
-
-
-def test_far_bound_zero_function():
-    space, q, r = _two_far_cubes()
-    kern = power_kernel(space, m=1.0)
-    psi = np.zeros(32)
-    psi[r.members] = 1.0
-    measured, bound, _ = far_interaction_bound(kern, space, q, r,
-                                               np.zeros(32), psi)
-    assert measured == 0.0 and bound >= 0.0
-
-
-def test_far_bound_constant_kernel_annihilated():
-    space, q, r = _two_far_cubes()
-    kern = constant_kernel(space, 5.0)
-    phi = np.zeros(32)
-    phi[q.members] = [1.0, -1.0]    # zero mean for equal weights
-    psi = np.zeros(32)
-    psi[r.members] = 1.0
-    measured, _, _ = far_interaction_bound(kern, space, q, r, phi, psi,
-                                           op_matrix=np.full((32, 32), 5.0))
-    assert measured == pytest.approx(0.0, abs=1e-12)
-
-
-def test_far_bound_power_kernel_holds():
-    space, q, r = _two_far_cubes()
-    kern = power_kernel(space, m=1.0, tau=1.0)
-    phi = np.zeros(32)
-    phi[q.members] = [1.0, -1.0]
-    psi = np.zeros(32)
-    psi[r.members] = np.random.default_rng(3).standard_normal(4)
-    measured, bound, admissible = far_interaction_bound(kern, space, q, r,
-                                                        phi, psi)
-    assert admissible
-    assert measured <= bound * (1 + 1e-12)
-
-
-def test_far_bound_hypothesis_checks():
-    space, q, r = _two_far_cubes()
-    kern = power_kernel(space, m=1.0)
-    psi = np.zeros(32)
-    psi[r.members] = 1.0
-    bad_support = np.zeros(32)
-    bad_support[10] = 1.0
-    with pytest.raises(HypothesisViolated):
-        far_interaction_bound(kern, space, q, r, bad_support, psi)
-    not_mean_zero = np.zeros(32)
-    not_mean_zero[q.members] = 1.0
-    with pytest.raises(HypothesisViolated):
-        far_interaction_bound(kern, space, q, r, not_mean_zero, psi)
-    phi = np.zeros(32)
-    phi[q.members] = [1.0, -1.0]
-    near_psi = np.zeros(32)
-    near_psi[2] = 1.0
-    near_r = Cube(id=2, generation=0, members=np.array([1, 2]), center=2,
-                  parent=None, size=1.0)
-    near_psi[1] = 1.0
-    with pytest.raises(HypothesisViolated):
-        far_interaction_bound(kern, space, q, near_r, phi, near_psi)
+# far interaction on the long range pairs
 
 
 def test_far_pairs_all_satisfy_long_range_bound():
@@ -278,116 +181,6 @@ def test_far_pairs_all_satisfy_long_range_bound():
                 off_support += int(space.mu[q.center] == 0)
         assert checked > 0
     assert off_support > 0
-
-
-# ---------------------------------------------------------------------------
-# Schur soundness on random structured matrices
-
-
-def test_schur_dominates_spectral_on_random_instances():
-    rng = np.random.default_rng(42)
-    for _ in range(50):
-        mat = random_interaction(rng, int(rng.integers(2, 40)),
-                                 int(rng.integers(2, 12)), 5, 0.3)
-        a = rng.uniform(0, 1, mat.entries.shape[0])
-        b = rng.uniform(0, 1, mat.entries.shape[1])
-        rep = schur_bound_long_range(mat, a, b, 1.0, 1.0)
-        assert rep.lhs <= rep.rhs * (1 + 1e-9) + 1e-15
-        dense = spectral_norm(mat.entries)
-        assert dense <= rep.c_schur * (1 + 1e-9) + 1e-15
-
-
-def test_schur_rejects_non_transit():
-    rng = np.random.default_rng(1)
-    mat = random_interaction(rng, 3, 2, 5, 0.3)
-    mat.transit[0][0] = False
-    with pytest.raises(NonTransitEntry):
-        schur_bound_long_range(mat, np.ones(3), np.ones(2), 1.0, 1.0)
-    mat = random_interaction(rng, 3, 2, 5, 0.3)
-    mat.mass[1][1] = 0.0
-    with pytest.raises(NonTransitEntry):
-        schur_bound_long_range(mat, np.ones(3), np.ones(2), 1.0, 1.0)
-
-
-def test_schur_zero_vectors():
-    rng = np.random.default_rng(2)
-    mat = random_interaction(rng, 4, 3, 5, 0.3)
-    rep = schur_bound_long_range(mat, np.zeros(4), np.ones(3), 1.0, 1.0)
-    assert rep.lhs == 0.0
-
-
-def test_sigma2_matrix_of_cantor_example():
-    space, info = generate_example("cantor_measure")
-    kern = power_kernel(space, m=info["m"], tau=info["tau"])
-    lat1, lat2, r_gap, alpha = _pipeline_setup(space, m=info["m"],
-                                               tau=info["tau"])
-    rng = np.random.default_rng(7)
-    f, g = rng.standard_normal((2, space.n_points))
-    split = _split(space, kern, lat1, lat2, r_gap, alpha, f, g)
-    half = split.halves[0]
-    pairs = half.pairs["sigma2"].select(half.pairs["sigma2"].far_ok)
-    assert len(pairs)
-    mat = interaction_matrix(half.fine_rows, half.coarse_rows, pairs,
-                             kern.m, kern.tau)
-    a, b = map(np.ones, mat.entries.shape)
-    rep = schur_bound_long_range(mat, a, b, kern.m, kern.tau)
-    assert rep.passed
-    assert spectral_norm(mat.entries) <= rep.c_schur * (1 + 1e-9)
-
-
-# ---------------------------------------------------------------------------
-# block matrix lemma
-
-
-def _columns(*entries):
-    """Block lemma entries, given one tuple per entry, as columns."""
-    return [np.array(col) for col in zip(*entries)]
-
-
-def test_block_bound_single_entry():
-    entries = _columns((0, 0, 1, 0.3, 0.5))
-    lhs, rhs, fitted = block_matrix_bound(entries, np.ones(1), np.ones(1),
-                                          KAPPA, 1.0)
-    t = KAPPA ** 0.5 * math.sqrt(0.3 / 0.5)
-    assert lhs == pytest.approx(t)
-    assert lhs <= rhs
-    assert fitted <= 1.0 / (1.0 - KAPPA ** 0.5)
-
-
-def test_block_bound_random_instances():
-    rng = np.random.default_rng(11)
-    explicit = 1.0 / (1.0 - KAPPA ** 0.5)
-    for _ in range(50):
-        entries, a, b = random_blocks(rng, 4, (1, 2, 3))
-        lhs, rhs, fitted = block_matrix_bound(entries, a, b, KAPPA, 1.0)
-        norm_a = math.sqrt(sum(v * v for v in a.tolist()))
-        norm_b = math.sqrt(sum(v * v for v in b.tolist()))
-        assert lhs <= rhs * (1 + 1e-9) + 1e-15
-        assert rhs == pytest.approx(explicit * norm_a * norm_b)
-        # mass-respecting instances stay under the explicit series
-        assert fitted <= explicit + 1e-12
-
-
-def test_block_spectral_comparison():
-    rng = np.random.default_rng(12)
-    explicit = 1.0 / (1.0 - KAPPA ** 0.5)
-    for _ in range(20):
-        entries, _, _ = random_blocks(rng, 3, (1, 2, 3))
-        assert np.unique(entries[0]).size <= 100
-        dense = block_matrix_spectral(entries, KAPPA, 1.0)
-        assert dense <= explicit * (1 + 1e-9)
-
-
-def test_block_multiple_parents_rejected():
-    entries = _columns((0, 0, 1, 0.2, 0.5), (0, 1, 1, 0.2, 0.5))
-    with pytest.raises(MultipleParents):
-        block_matrix_bound(entries, np.ones(1), np.ones(2), KAPPA, 1.0)
-
-
-def test_block_gap_must_be_positive():
-    with pytest.raises(ValueError):
-        block_matrix_bound(_columns((0, 0, 0, 0.2, 0.5)), np.ones(1),
-                           np.ones(1), KAPPA, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -999,3 +792,66 @@ def test_terminal_constant_carries_group_multiplicity():
                        geo["weight"])
     assert (rep.counts["sigma3_term_multiplicity"],
             rep.counts["sym_sigma3_term_multiplicity"]) == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the run path
+
+# functions of certify.py that no run reaches, and why they stay
+UNRUN = {
+    "pseudo_bmo_check": "BMO check, to run in the hypotheses stage",
+    "whitney_decomposition": "BMO check, to run in the hypotheses stage",
+    "admissible_bmo_cubes": "BMO check, to run in the hypotheses stage",
+    "bmo_tail_constant": "BMO check, to run in the hypotheses stage",
+    "HalfData.buckets": "read by benchmarks/layers.py",
+    "PairTable.records": "read by benchmarks/layers.py",
+}
+RUNS = (("uniform_grid", {"n": 9}, {}), ("line_in_plane", {"n": 13}, {}),
+        ("cantor_measure", {"level": 6}, {}), ("bergman_disc_model", {}, {}),
+        ("bergman_disc_model", BERGMAN_64, {"s_param": None,
+                                            "ensemble": 150}))
+
+
+def _defined_functions(path) -> dict:
+    """(first line, name) -> qualified name of every function and method
+    defined in the source file ``path``, nested ones included."""
+    out = {}
+
+    def walk(code, outer):
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType) and \
+                    not const.co_name.startswith("<"):
+                name = outer + const.co_name
+                if const.co_flags & inspect.CO_NEWLOCALS:   # not a class
+                    out[const.co_firstlineno, const.co_name] = name
+                walk(const, name + ".")
+
+    with open(path) as fh:
+        walk(compile(fh.read(), path, "exec"), "")
+    return out
+
+
+def test_every_function_of_certify_runs():
+    # every function of certify.py runs in one of five built-in runs or in
+    # writing their reports, but for the listed ones; code no run reaches
+    # is deleted
+    path = importlib.import_module("czkit.certify").__file__
+    defined = _defined_functions(path)
+    assert set(UNRUN) <= set(defined.values())
+    called = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == path:
+            called.add((code.co_firstlineno, code.co_name))
+
+    scenarios = [make_scenario(name, example_params=params, **overrides)
+                 for name, params, overrides in RUNS]
+    sys.setprofile(profile)
+    try:
+        for scenario in scenarios:
+            run(scenario).to_json()
+    finally:
+        sys.setprofile(None)
+    unrun = {name for key, name in defined.items() if key not in called}
+    assert unrun == set(UNRUN)

@@ -800,16 +800,19 @@ def cantor3(tmp_path_factory):
     return root, str(info["n_dim"]), docs
 
 
-def _certify_kernel(cantor3, doc):
-    """(exit code, stdout, stderr) of ``czkit certify`` in process, on the
-    Cantor level 3 file with ``doc`` as its kernel file."""
+def _kernel_cli(cantor3, doc, command="certify"):
+    """(exit code, stdout, stderr) of ``czkit <command>`` (certify, norm or
+    t1-check) in process, on the Cantor level 3 file with ``doc`` as its
+    kernel file."""
     root, n_dim, _ = cantor3
     (root / "kernel.json").write_text(json.dumps(doc))
+    args = [command, "--space", str(root / "space.json"),
+            "--kernel", str(root / "kernel.json")]
+    if command == "certify":
+        args += ["--n-dim", n_dim]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["certify", "--space", str(root / "space.json"),
-                         "--kernel", str(root / "kernel.json"),
-                         "--n-dim", n_dim])
+        code = cli.main(args)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -824,17 +827,43 @@ def _certify_kernel(cantor3, doc):
 ], ids=["list", "params-list", "amplitude-string", "C_CZ-string",
         "C_CZ-negative", "delta_CZ-above-1"])
 def test_cli_bad_kernel_document_is_input_error(cantor3, kind, edit, field):
-    code, out, err = _certify_kernel(cantor3, edit(cantor3[2][kind]))
+    code, out, err = _kernel_cli(cantor3, edit(cantor3[2][kind]))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
 
 
 def test_cli_declared_zero_C_CZ_is_kept(cantor3):
-    code, out, _ = _certify_kernel(cantor3,
-                                   {**cantor3[2]["explicit"], "C_CZ": 0})
+    code, out, _ = _kernel_cli(cantor3,
+                               {**cantor3[2]["explicit"], "C_CZ": 0})
     assert code in (0, 1)
     assert json.loads(out)["certificate"]["constants"]["C_CZ"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["certify", "norm", "t1-check"])
+@pytest.mark.parametrize("field,value", [("m", -1.0), ("tau", 0.0)])
+def test_cli_nonpositive_m_or_tau_is_input_error(cantor3, command, field,
+                                                 value):
+    # the check is in kernel_from_json, so every command that reads a
+    # kernel file refuses it, not only certify
+    doc = {**cantor3[2]["power"], field: value}
+    code, out, err = _kernel_cli(cantor3, doc, command)
+    assert (code, out) == (2, "")
+    assert err == f"error: kernel field {field!r} must be positive, " \
+        f"not {value!r}\n"
+
+
+def test_cli_C_CZ_keeps_the_far_bound_finite(cantor3):
+    # at 1e308, C_CZ 3^(m + tau) overflows, and inf times a zero component
+    # norm would make the sigma2 far bounds NaN
+    explicit = cantor3[2]["explicit"]
+    code, out, err = _kernel_cli(cantor3, {**explicit, "C_CZ": 1e308})
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'C_CZ'" in err
+    code, out, _ = _kernel_cli(cantor3, {**explicit, "C_CZ": 1e307})
+    assert code == 0
+    json.dumps(json.loads(out), allow_nan=False)
 
 
 KERNEL_FIELDS = ("type", "m", "tau", "delta_CZ", "diagonal_policy", "C_CZ",
@@ -866,7 +895,7 @@ def test_cli_certify_survives_mutated_kernel_documents(cantor3, kind, op, key,
         where[key] = value
     else:
         doc = [doc]
-    code, _, err = _certify_kernel(cantor3, doc)
+    code, _, err = _kernel_cli(cantor3, doc)
     assert code in (0, 1, 2)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1

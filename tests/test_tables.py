@@ -279,7 +279,7 @@ def test_component_rows_match_the_cubes(name, seed):
     classify_all_good_bad(lat1, lat2, alpha_param(1.0, 1.0), 0.25, 1)
     rows = _component_rows(lat1)
     cubes = _good_cubes(lat1)
-    # rows are in increasing cube id order, the slot order of the Schur test
+    # rows are in increasing cube id order
     assert rows.ids.tolist() == sorted(c.id for c in cubes)
     assert rows.ids.tolist() == [c.id for c in cubes]
     assert rows.gen.tolist() == [c.generation for c in cubes]
