@@ -416,10 +416,14 @@ def long_range_entry(s_q: float, s_r: float, mass_q: float, mass_r: float,
 
 def _far_coefficient(kernel, s_q, s_r, mass_q, mass_r, dist):
     """The explicit far bound per unit component norms: C_CZ 3^(m+tau)
-    times the long range entry. Takes scalars or arrays."""
-    return (kernel.C_CZ * 3.0 ** (kernel.m + kernel.tau) *
-            long_range_entry(s_q, s_r, mass_q, mass_r, dist, kernel.m,
-                             kernel.tau))
+    times the long range entry, per pair, as floats.  An overflowed
+    C_CZ 3^(m+tau) times an underflowed entry, inf * 0, counts as inf."""
+    with np.errstate(invalid="ignore"):
+        coef = np.asarray(kernel.C_CZ * 3.0 ** (kernel.m + kernel.tau) *
+                          long_range_entry(s_q, s_r, mass_q, mass_r, dist,
+                                           kernel.m, kernel.tau), dtype=float)
+    coef[np.isnan(coef)] = math.inf
+    return coef
 
 
 def _py_floats(values) -> np.ndarray:
@@ -610,7 +614,7 @@ def _transit_geometry(kernel, space, half: HalfData, abs_op, piece_sup,
         fine.lattice.column[fine.ids[row]], other_piece])
     far_coef = _far_coefficient(
         kernel, _py_floats(fine.size[q]), _py_floats(coarse.size[r]), mass_q,
-        coarse.mass[r], _py_floats(t.dist)).astype(float)
+        coarse.mass[r], _py_floats(t.dist))
     near = ~(d_out >= s_alpha * _scalar_pow(coarse.size, 1 - alpha)[r])
     if near.any():
         # the separation hypothesis failed, so the kernel-decay bound
@@ -1085,9 +1089,11 @@ def _sigma2_probe_check(half: HalfData):
     meas = np.abs(meas, out=meas).sum(axis=-1)
     bound = half.fine.norm_sq.take(t.q[far], -1)
     bound = np.sqrt(bound, out=bound)               # coef * dq * dr
-    bound *= geo["coef"][far]
     dr = half.coarse.norm_sq.take(t.r[far], -1)
-    bound *= np.sqrt(dr, out=dr)
+    with np.errstate(invalid="ignore"):
+        bound *= geo["coef"][far]
+        bound *= np.sqrt(dr, out=dr)
+    bound[np.isnan(bound)] = 0.0    # inf * 0: a zero norm product adds 0
     return _lemma(half.prefix + "sigma2_far", meas, bound.sum(axis=-1),
                   "long_range")
 

@@ -63,7 +63,7 @@ def power_kernel(space: MetricMeasureSpace, m: float, tau: float = 1.0,
     instance so size and smoothness hypotheses certifiably hold."""
     vals = np.where(space.rho > 0, space.rho, np.inf)
     vals **= m
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # KernelSpec refuses inf
         np.divide(amplitude, vals, out=vals)
     vals = _resolve_diagonal(vals, space, diagonal_policy,
                              lambda h: amplitude / h ** m)
@@ -216,7 +216,9 @@ def _smoothness_fit(k: np.ndarray, space: MetricMeasureSpace, m: float,
     distance order from every anchor x.  In that order the admissible y of
     the x' of rank j are a suffix, the columns from ``first[x, j]`` on,
     whose reach fl(delta rho(x,y)) is at least rho(x,x'), and the ranks
-    with a positive distance and a nonempty suffix are consecutive.  The
+    with a positive distance and a nonempty suffix are consecutive.
+    ``_suffix_starts`` finds every ``first`` at once, by merging each
+    row's distances with its reaches in one stable argsort.  The
     fit takes them ``FIT_RANKS`` ranks at a time for every anchor, several
     anchors of like suffix width per block of about ``FIT_CELLS``
     (anchor, rank, y) cells, so only a thin staircase of each block is not
@@ -225,19 +227,14 @@ def _smoothness_fit(k: np.ndarray, space: MetricMeasureSpace, m: float,
     it once by rho(x,x')^tau: fl(u / q) is monotone in u, so this is the
     max of the triple loop's ratios bit for bit, and the +inf rule keeps
     it so when q is 0 or inf."""
-    if not delta > 0:
-        return 0.0                      # no triple is admissible
     supp = np.flatnonzero(space.mu > 0)
+    if not (delta > 0 and supp.size):
+        return 0.0                      # no triple is admissible
     rows = space.rho[:, supp]           # (N, S): anchors by support points
     n, s = rows.shape
     order = np.argsort(rows, axis=1, kind="stable")
     dist = np.take_along_axis(rows, order, axis=1)  # NaN distances last
-    first = np.empty((n, s), dtype=np.int32)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x, row in enumerate(dist):
-            reach = delta * row
-            reach[row <= 0] = -np.inf   # no y at distance 0 is admissible
-            first[x] = np.searchsorted(reach, row)
+    first = _suffix_starts(dist, delta)
     z = (dist <= 0).sum(axis=1)
     end = s - np.isnan(dist).sum(axis=1)
     live = ((first < end[:, None]) & (dist > 0)).sum(axis=1)
@@ -262,6 +259,28 @@ def _smoothness_fit(k: np.ndarray, space: MetricMeasureSpace, m: float,
                 elif ratio != ratio:
                     return math.inf
     return best
+
+
+def _suffix_starts(dist: np.ndarray, delta: float) -> np.ndarray:
+    """first[x, j] = searchsorted(reach[x], dist[x, j], side="left") per
+    sorted row of ``dist`` (NaN last), reach = delta dist, -inf where
+    dist <= 0.  A block of about ``FIT_CELLS`` / 2 cells goes through one
+    stable argsort of each row's queries followed by its reaches, so a
+    reach equal to a query sorts after it, and query j has j queries and
+    first[x, j] reaches before it."""
+    n, s = dist.shape
+    first = np.empty((n, s), dtype=np.int32)
+    block = max(1, FIT_CELLS // (2 * s))
+    for x in range(0, n, block):
+        row = dist[x:x + block]
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = delta * row
+        reach[row <= 0] = -np.inf       # no y at distance 0 is admissible
+        merged = np.argsort(np.concatenate((row, reach), axis=1), axis=1,
+                            kind="stable")
+        first[x:x + block] = np.flatnonzero(merged < s).reshape(-1, s) \
+            % (2 * s) - np.arange(s)
+    return first
 
 
 def _band_max(near, anchor, order, dist, end, first, x, j, e, tau) -> float:
@@ -343,6 +362,15 @@ def on_support(kernel: KernelSpec, space: MetricMeasureSpace) -> tuple:
     return supp, kernel.matrix[np.ix_(supp, supp)]
 
 
+def _scaled(k: np.ndarray) -> tuple:
+    """(K / 2^e, e), 2^e the least power of two above max|K|.  The squares
+    of the norm and of the testing constant are taken of K / 2^e, where
+    they cannot overflow, and scaled back by 4^e: a power of two commutes
+    with every rounding, so a result in range keeps its bits."""
+    e = math.frexp(float(np.abs(k).max(initial=0.0)))[1]
+    return np.ldexp(k, -e), e
+
+
 def check_T1(kernel: KernelSpec, space: MetricMeasureSpace, lattice,
              dilations=(1.2, 1.4, 1.5), lambda_bmo: float = 3.0) -> T1Report:
     """Fit the testing constant A over all lattice cubes and their dilations:
@@ -357,6 +385,7 @@ def check_T1(kernel: KernelSpec, space: MetricMeasureSpace, lattice,
     symmetric there, T* is T and the one product serves both."""
     lams = tuple(dilations) + (lambda_bmo,)
     supp, k = on_support(kernel, space)
+    k, e = _scaled(k)
     mu = space.mu[supp]
     sets = cube_dilations(lattice, lams, supp).reshape(-1, mu.size)
     cids, suffixes = lattice.ids.tolist(), [""] + [f"x{lam}" for lam in lams]
@@ -378,9 +407,10 @@ def check_T1(kernel: KernelSpec, space: MetricMeasureSpace, lattice,
         # paths and move A in its last bits
         chi_mu = np.multiply(sets[block], mu, order="F")
         mass = chi_mu.sum(axis=1).tolist()
-        direct = (np.square(chi_mu @ k.T) @ mu).tolist()
-        adjoint = direct if symmetric else \
-            (np.square(chi_mu @ k) @ mu).tolist()
+        with np.errstate(over="ignore"):    # an A beyond range is inf
+            direct = np.ldexp(np.square(chi_mu @ k.T) @ mu, 2 * e).tolist()
+            adjoint = direct if symmetric else \
+                np.ldexp(np.square(chi_mu @ k) @ mu, 2 * e).tolist()
         per_cube += [(label(s), m_s, d / m_s, a / m_s) for s, m_s, d, a
                      in zip(block, mass, direct, adjoint) if m_s > 0]
     return T1Report(max([0.0] + [r for c in per_cube for r in c[2:]]),
@@ -398,6 +428,7 @@ def operator_norm(kernel: KernelSpec, space: MetricMeasureSpace,
     if tol <= 0:
         raise ValueError("tol must be positive")
     supp, k = on_support(kernel, space)
+    k, e = _scaled(k)
     mu = space.mu[supp]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(space.n_points)[supp]
@@ -405,7 +436,7 @@ def operator_norm(kernel: KernelSpec, space: MetricMeasureSpace,
     if nv == 0 or not np.any(k):
         return 0.0, True
     v /= nv
-    lam_old = 0.0
+    lam_old, converged = 0.0, False
     for _ in range(10000):
         tv = k @ (v * mu)
         lam = float(np.sum(tv * tv * mu))     # Rayleigh quotient of T*T
@@ -414,10 +445,12 @@ def operator_norm(kernel: KernelSpec, space: MetricMeasureSpace,
         if nw == 0:
             return 0.0, True
         v = w / nw
-        if abs(lam - lam_old) <= tol * max(lam, 1e-300):
-            return float(math.sqrt(lam)), True
+        converged = abs(lam - lam_old) <= tol * max(lam, 1e-300)
         lam_old = lam
-    return float(math.sqrt(lam_old)), False
+        if converged:
+            break
+    with np.errstate(over="ignore"):        # a norm beyond range is inf
+        return float(np.ldexp(math.sqrt(lam_old), e)), converged
 
 
 def dense_operator(kernel: KernelSpec, space: MetricMeasureSpace) -> np.ndarray:

@@ -847,19 +847,26 @@ def classify_good_bad(cube: Cube, other: DyadicLattice, alpha: float,
 def classify_all_good_bad(lat: DyadicLattice, other: DyadicLattice,
                           alpha: float, delta_bad: float, s_param: int):
     """Set the good flag on every cube of ``lat`` against ``other``, as
-    ``classify_good_bad`` does: every cube of ``lat`` one probe, scored in
-    one ``_coarsest_hits`` call.  The probes' distances come off
-    ``lat.dist`` when rho is symmetric."""
+    ``classify_good_bad`` does.  Each generation of skeleton marks is
+    scored once per column of a (point, column) distance table, as the min
+    over the marked points (NaN skipped): it lies below a cube's reach
+    exactly when some marked point does.  The table is ``lat.dist`` when
+    rho is symmetric on a shared space, else rho's rows reduced per cube."""
     r_gap = scale_gap(other.kappa, delta_bad, s_param)
     ks, marks = _lattice_marks(other)
-    ids, rho = lat.ids, other.space.rho
-    # rows of rho reduced over each cube: with rho symmetric, the columns
-    # that ``lat.dist`` holds already
-    dists = lat.dist[:, lat.column[ids]].T if lat.space is other.space \
-        and lat.symmetric else cube_reduce(lat, rho, ids, axis=0)
-    hits = _coarsest_hits(marks[:, None], ks, dists, lat.size[ids].tolist(),
-                          lat.gen[ids] - r_gap, other.kappa, alpha)[0]
-    lat.good[ids] = hits < 0
+    ids = lat.ids
+    if lat.space is other.space and lat.symmetric:
+        table, column = lat.dist, lat.column[ids]
+    else:
+        table = cube_reduce(lat, other.space.rho, ids, axis=0).T
+        column = slice(None)
+    s_alpha = np.array([s ** alpha for s in lat.size[ids].tolist()])
+    k_last, bad = lat.gen[ids] - r_gap, np.zeros(ids.size, dtype=bool)
+    for k, mark in zip(ks, marks):
+        near = np.fmin.reduce(table[mark], axis=0, initial=np.inf)[column]
+        bad |= (k <= k_last) & (near < s_alpha *
+                                (other.kappa ** k) ** (1 - alpha))
+    lat.good[ids] = ~bad
 
 
 def ensemble_gaps(members: list, generations, space: MetricMeasureSpace,

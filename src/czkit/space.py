@@ -40,10 +40,10 @@ class MetricMeasureSpace:
         if not self.points:
             self.points = list(range(n))
         if self.resolution_h <= 0.0:
-            pos = np.where(self.rho > 0, self.rho, np.nan)  # fmin skips NaN
-            np.fill_diagonal(pos, np.nan)
-            h = np.fmin.reduce(pos, axis=None, initial=np.nan)
-            self.resolution_h = float(h) if h > 0 else 1.0
+            pos = self.rho > 0                  # NaN is not positive
+            np.fill_diagonal(pos, False)
+            h = float(self.rho.min(where=pos, initial=np.inf))
+            self.resolution_h = h if h < np.inf or pos.any() else 1.0
 
     @property
     def n_points(self) -> int:
@@ -145,11 +145,14 @@ def _euclidean_tiles(coords: np.ndarray, tile: int = 64):
     n, d = coords.shape
     for start in range(0, n, tile):
         block = coords[start:start + tile]
-        rows = np.zeros((len(block), n), coords.dtype)
-        diff = np.empty_like(rows)
+        diff = np.empty((len(block), n), coords.dtype)
+        rows = np.empty_like(diff) if d else np.zeros_like(diff)
         for j in range(d):
             np.subtract(block[:, j, None], coords[:, j], out=diff)
-            rows += np.square(diff, out=diff)
+            if j:
+                rows += np.square(diff, out=diff)
+            else:                       # the first square itself: 0 + a is a
+                np.square(diff, out=rows)
         yield start, np.sqrt(rows)
 
 

@@ -13,6 +13,7 @@ lattice tested generation by generation.  Labels, skeletons, witnesses,
 flags and gaps must be the same bit for bit, over several chunkings of the
 ensemble."""
 
+import copy
 import itertools
 from unittest import mock
 
@@ -220,9 +221,11 @@ def test_bad_flags_match_per_generation_reference(name):
     space, kappa, alpha = _space(name)
     for a, b in PAIRS:
         lats = [build_lattice(space, kappa, seed=s) for s in (a, b)]
+        # a lattice on another space object: rho's rows reduced per cube
+        twin = build_lattice(copy.copy(space), kappa, seed=b)
         for (lat, other), alpha_q, s_param in itertools.product(
-                (lats, lats[::-1]), sorted({alpha, 0.1, 0.25, 0.4}),
-                (1, 2, 4)):
+                (lats, lats[::-1], (lats[0], twin)),
+                sorted({alpha, 0.1, 0.25, 0.4}), (1, 2, 4)):
             _assert_flags_match(lat, other, alpha_q, s_param)
 
 

@@ -866,6 +866,54 @@ def test_cli_C_CZ_keeps_the_far_bound_finite(cantor3):
     json.dumps(json.loads(out), allow_nan=False)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["norm", "t1-check", "certify"])
+@pytest.mark.parametrize("amplitude", [9.51e76, 1e150, 1.28e154, 1e-300])
+def test_cli_power_kernel_norms_survive_extreme_amplitudes(cantor3, command,
+                                                           amplitude):
+    # the squares of the power iteration overflowed from amplitude ~1e77
+    # (norm 0) and those of the testing constant from ~1.3e154 (A inf),
+    # and at 1e-300 they underflowed (norm 0): K = amplitude K_1, so the
+    # norm is the dense one and A is amplitude^2 A_1
+    doc = copy.deepcopy(cantor3[2]["power"])
+    doc["params"]["amplitude"] = amplitude
+    space = load_space(cantor3[0] / "space.json")
+    kernel = power_kernel(space, m=doc["m"], tau=doc["tau"],
+                          amplitude=amplitude)
+    dense = operator_norm_dense(kernel, space)
+    close = pytest.approx(dense, rel=1e-6, abs=0)
+    code, out, _ = _kernel_cli(cantor3, doc, command)
+    assert code == 0
+    if command == "norm":
+        assert float(out.split()[2]) == close
+    elif command == "t1-check":
+        a_1 = json.loads(_kernel_cli(cantor3, cantor3[2]["power"],
+                                     command)[1])["A"]
+        assert json.loads(out)["A"] == pytest.approx(amplitude ** 2 * a_1,
+                                                     rel=1e-12)
+    else:
+        report = json.loads(out)
+        json.dumps(report, allow_nan=False)
+        cert = report["certificate"]
+        assert cert["empirical_norm"] == close
+        assert cert["certified_total"] >= cert["empirical_norm"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tau", [195.0, 600.0])
+def test_cli_overflowed_far_coefficient_gives_an_infinite_bound(cantor3,
+                                                                tau):
+    # C_CZ 3^(m + tau) overflows, and times a zero norm product (tau 195)
+    # or an underflowed long range entry (tau 600) it made NaN bounds: a
+    # zero norm product adds 0, and an infinite coefficient bounds nothing
+    code, out, _ = _kernel_cli(cantor3, {**cantor3[2]["power"], "tau": tau})
+    assert code == 0 and "NaN" not in out
+    cert = json.loads(out)["certificate"]
+    assert cert["verdict"] == "pass"
+    assert cert["certified_total"] == math.inf
+    assert all(lemma["pass"] for lemma in cert["lemmas"])
+
+
 KERNEL_FIELDS = ("type", "m", "tau", "delta_CZ", "diagonal_policy", "C_CZ",
                  "matrix", "params", ("params", "amplitude"),
                  ("params", "value"))
@@ -880,6 +928,7 @@ BAD_VALUES = (None, "a", True, [1.0], {"x": 1.0}, math.nan, math.inf,
        value=st.one_of(st.sampled_from(BAD_VALUES), st.floats(),
                        st.integers()))
 @settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_certify_survives_mutated_kernel_documents(cantor3, kind, op, key,
                                                        value):
     # one mutation of a valid document: a dropped key, a value of the

@@ -278,6 +278,31 @@ def test_size_fit_counts_nan_ratios_as_inf():
     assert explicit_kernel(space, mat, m=2.0, tau=1.0).C_CZ == math.inf
 
 
+@pytest.mark.parametrize("delta", [1.0, 0.5, 0.3, 1e-300])
+@pytest.mark.parametrize("cells", [1, 7, 2 ** 16])
+def test_suffix_starts_match_per_row_searchsorted(delta, cells):
+    # sorted rows on a half-integer grid, so that delta 1 and 0.5 put
+    # reaches equal to queries, with zeros of both signs, negatives, tiny
+    # distances, +inf and NaN; 1 and 7 cells end a block after every row
+    # or every few rows
+    rng = np.random.default_rng(11)
+    for n, s in [(1, 1), (6, 1), (1, 9), (4, 17), (40, 9)]:
+        grid = rng.integers(0, 6, (n, s)) * 0.5
+        special = rng.choice([0.0, -0.0, -1.0, 1e-300, np.inf, np.nan],
+                             (n, s))
+        dist = np.sort(np.where(rng.random((n, s)) < 0.3, special, grid),
+                       axis=1)
+        want = np.empty((n, s), dtype=np.int32)
+        for x, row in enumerate(dist):
+            reach = delta * row
+            reach[row <= 0] = -np.inf
+            want[x] = np.searchsorted(reach, row, side="left")
+        with mock.patch.object(kernels, "FIT_CELLS", cells):
+            got = kernels._suffix_starts(dist, delta)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def _gathered_resolution_h(rho):
     """``resolution_h`` as earlier releases found it: two gathered copies."""
     n = rho.shape[0]
