@@ -520,9 +520,14 @@ def kernel_from_json(doc: dict, space: MetricMeasureSpace) -> KernelSpec:
     if policy not in ("zero", "truncate"):
         raise ValueError(f"unknown diagonal policy {policy!r}")
     if ktype == "power":
-        return power_kernel(space, m, tau,
-                            amplitude=_number(params, "amplitude", 1.0),
-                            diagonal_policy=policy, delta_CZ=delta)
+        amplitude = _number(params, "amplitude", 1.0)
+        try:
+            return power_kernel(space, m, tau, amplitude=amplitude,
+                                diagonal_policy=policy, delta_CZ=delta)
+        except (NonFiniteKernelValue, ArithmeticError):
+            raise ValueError(f"kernel fields 'amplitude' = {amplitude!r} and "
+                             f"'m' = {m!r} overflow: amplitude / rho^m is not "
+                             "finite on every pair") from None
     if ktype == "bergman":
         return bergman_kernel(space, m, tau, policy, delta)
     if ktype == "constant":

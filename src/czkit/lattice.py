@@ -80,23 +80,26 @@ class CubeTable(Mapping):
 class DyadicLattice:
     """A lattice as arrays, one entry per cube id up to the largest: ``gen``,
     ``parent`` (-1: none), ``center``, ``size`` (kappa ** gen) and the flags
-    ``terminal`` and ``good`` (``UNSET``, 0 or 1; all unset when ``flags``
-    is None).  Cube c has the ``n_members[c]`` points
-    ``points[offsets[c]:offsets[c + 1]]``, ascending (input point pts[i] lies
-    in cube owner[i]), and the ``n_children[c]`` children
-    ``child_ids[child_start[c]:child_start[c + 1]]``.  ``ids`` lists the
-    cubes in cube order (id order when built, document order when loaded),
-    and children follow it; ``by_gen[k]`` lists the cubes of generation k
-    and ``labels[k]`` the cube of each point there."""
+    ``terminal`` and ``good`` (``UNSET``, 0 or 1).  Cube c has the
+    ``n_members[c]`` points ``points[offsets[c]:offsets[c + 1]]``, ascending
+    (input point pts[i] lies in cube owner[i]), and the ``n_children[c]``
+    children ``child_ids[child_start[c]:child_start[c + 1]]``.  ``ids``
+    lists the cubes in cube order, and children follow it; ``by_gen[k]``
+    lists the cubes of generation k and ``labels[k]`` the cube of each point
+    there.
+
+    Preconditions, as ``build_lattice`` makes every lattice: each
+    generation partitions the points into cubes that have points, each cube
+    with children holds exactly their points, each child is one generation
+    finer than its parent, and rho equals its transpose.  Only
+    ``verify_lattice_properties`` reads a lattice that breaks them."""
 
     def __init__(self, space: MetricMeasureSpace, kappa: float, seed: int,
-                 ids, gen, parent, center, owner, pts, labels: dict,
-                 flags=None):
+                 ids, gen, parent, center, owner, pts, labels: dict):
         self.space, self.kappa, self.seed, self.labels = \
             space, kappa, seed, labels
         self.ids, self.gen, self.parent, self.center = ids, gen, parent, center
-        self.terminal, self.good = np.full((2, gen.size), UNSET) \
-            if flags is None else flags
+        self.terminal, self.good = np.full((2, gen.size), UNSET)
         self.by_gen = {k: ids[gen[ids] == k].tolist()
                        for k in dict.fromkeys(gen[ids].tolist())}
         self.k_min, self.k_max = min(self.by_gen), max(self.by_gen)
@@ -143,51 +146,27 @@ class DyadicLattice:
         return out
 
     @cached_property
-    def nested(self) -> np.ndarray:
-        """Per cube id: the cube has children, each of a finer generation,
-        and its points are exactly the union of theirs (as sets)."""
-        n, ids = self.space.n_points, self.ids
-        par = ids[self.n_children[ids] > 0]
-        slot, at = _ranges(self.child_start[par], self.n_children[par])
-        kids = self.child_ids[at]
-        # (cube, point) keys of a parent's points, and of its children's
-        # points under the parent's id: a key in one set only breaks it
-        (own, pts), (kid, kid_pts) = map(self.member_entries, (par, kids))
-        broken = np.setxor1d(_distinct(par[own] * n + pts % n),
-                             _distinct(par[slot[kid]] * n + kid_pts % n),
-                             assume_unique=True) // n
-        out = np.zeros(self.gen.size, dtype=bool)
-        out[par] = True
-        out[broken] = False
-        out[par[slot[self.gen[kids] <= self.gen[par[slot]]]]] = False
-        return out
-
-    @cached_property
     def column(self) -> np.ndarray:
         """Column of each cube id in the per-lattice tables; -1 for ids
-        that name no cube.  A ``nested`` cube with one child holds the
-        child's points and shares its column."""
+        that name no cube.  A cube with one child holds the child's points
+        and shares its column."""
         col = np.full(self.gen.size, -1)
         for k in sorted(self.by_gen, reverse=True):
             ids = np.array(self.by_gen[k], dtype=int)
-            one = (self.n_children[ids] == 1) & self.nested[ids]
+            one = self.n_children[ids] == 1
             col[ids[one]] = col[self.child_ids[self.child_start[ids[one]]]]
             col[ids[~one]] = col.max() + 1 + np.arange((~one).sum())
         return col
 
     @cached_property
-    def tree(self):
-        """The plan ``cube_reduce`` follows up the cube tree: None unless
-        the lattice nests (every cube has points, and every cube with
-        children is ``nested``), else (leaves, steps).  ``leaves`` holds
-        (columns, member rows) per member count of the childless cubes;
-        ``steps`` holds (columns, child columns) per generation, fine to
-        coarse, and child count of the cubes with two children or more."""
+    def tree(self) -> tuple:
+        """The plan ``cube_reduce`` follows up the cube tree: (leaves,
+        steps).  ``leaves`` holds (columns, member rows) per member count of
+        the childless cubes; ``steps`` holds (columns, child columns) per
+        generation, fine to coarse, and child count of the cubes with two
+        children or more."""
         ids = self.ids
         count = self.n_children[ids]
-        if not (self.nested[ids[count > 0]].all() and
-                self.n_members[ids].all()):
-            return None
         col, leaf, multi = self.column, ids[count == 0], ids[count > 1]
         return ([(col[leaf[slots]], rows)
                  for slots, rows in member_rows(self, leaf)],
@@ -210,8 +189,7 @@ class DyadicLattice:
     @cached_property
     def dist(self) -> np.ndarray:
         """(N, columns) point-to-cube distances, built once per lattice:
-        ``dist[x, column[c]]`` is min over y in cube c of rho(x, y), +inf
-        for an empty cube."""
+        ``dist[x, column[c]]`` is min over y in cube c of rho(x, y)."""
         return self._dist_diam[0]
 
     @cached_property
@@ -221,42 +199,23 @@ class DyadicLattice:
         return self._dist_diam[1]
 
     @cached_property
-    def symmetric(self) -> bool:
-        """rho equals its transpose, so reducing its rows over a cube gives
-        ``dist``; checked once per lattice."""
-        return bool(np.array_equal(self.space.rho, self.space.rho.T))
-
-    @cached_property
     def _dist_diam(self) -> tuple:
         """``dist`` and ``diam`` from one pass up the cube tree over the rows
-        of rho, which takes no transposed copy of rho as its columns do.
-        The max table at a cube's own points covers the ordered pairs of
-        its points, so diam(Q) is their max; the min table is ``dist``
-        where rho is symmetric, else the columns are reduced too."""
-        rho = self.space.rho
-        cols = np.array(self.column_cubes())
-        held = self.n_members[cols] > 0
-        low, high = cube_reduce(self, rho, cols[held],
+        of rho, which takes no transposed copy of rho as its columns do:
+        rho is symmetric, so the min table is ``dist``.  The max table at a
+        cube's own points covers the ordered pairs of its points, so diam(Q)
+        is their max."""
+        low, high = cube_reduce(self, self.space.rho, self.column_cubes(),
                                 (np.minimum, np.maximum), axis=0)
         diam = np.zeros(self.gen.size)
         big = self.ids[self.n_members[self.ids] > 1]
         if big.size:
             slot, pts = self.member_entries(big)
             count = self.n_members[big]
-            row = np.cumsum(held) - 1           # of each column in high
             diam[big] = np.maximum.reduceat(
-                high[row[self.column[big]][slot], pts],
-                np.cumsum(count) - count)
+                high[self.column[big][slot], pts], np.cumsum(count) - count)
         del high
-        if not self.symmetric:
-            low = cube_reduce(self, rho, cols[held]).T
-        if held.all():
-            dist = np.ascontiguousarray(low.T)
-        else:
-            # an empty cube (of a hand-edited lattice) is at distance inf
-            dist = np.full((rho.shape[0], cols.size), np.inf)
-            dist[:, held] = low.T
-        return dist, diam
+        return np.ascontiguousarray(low.T), diam
 
     @cached_property
     def plan(self):
@@ -271,15 +230,6 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> tuple:
     owner = np.repeat(np.arange(count.size), count)
     offset = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
     return owner, np.repeat(start, count) + offset
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, ascending (``np.unique`` by one sort, without
-    its hash table)."""
-    values = np.sort(values)
-    keep = np.ones(values.size, dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
 
 
 def _grouped(start: np.ndarray, count: np.ndarray, values: np.ndarray,
@@ -308,28 +258,27 @@ def cube_reduce(lat: DyadicLattice, matrix: np.ndarray, ids,
     columns (axis 1) or rows (axis 0) of cube ``ids[j]``.  A tuple of
     ufuncs gives a tuple of results from one pass over ``matrix``.
 
-    The ufuncs of ``TREE_UFUNCS`` (min, max, and, or) on a lattice that
-    nests (``lat.tree``) go up the cube tree when the cubes ``ids`` hold
-    more than N points in all: a table with one row per column
-    (``lat.column``) is filled at the childless cubes from their members,
-    then at the cubes of each generation, fine to coarse, from their
-    children's rows, and the rows of ``ids`` are read off it, in tiles of
+    The ufuncs of ``TREE_UFUNCS`` (min, max, and, or) go up the cube tree
+    (``lat.tree``) when the cubes ``ids`` hold more than N points in all: a
+    table with one row per column (``lat.column``) is filled at the
+    childless cubes from their members, then at the cubes of each
+    generation, fine to coarse, from their children's rows, and the rows of
+    ``ids`` are read off it, in tiles of
     ``REDUCE_CELLS`` matrix cells.  These ufuncs are exact, so every entry
     is the member reduction's, bit for bit, but for the sign of a zero: a
     min or max over +0.0 and -0.0 may give either, as numpy's own
     reductions do.  Otherwise the members of each cube are gathered: for
     cubes of at most N points in all, which is fewer rows than the tree's
-    childless cubes alone; for sums (``np.add``: mu(Q), nu(Q)), so that
-    each keeps the bits of ``matrix[members].sum()``; and on a lattice that
-    does not nest (a hand-edited one), whose children do not make up their
-    parent.  The gather takes the cubes of one generation and member count
-    together, one gather of their rows each; a generation's cubes are
-    disjoint, so no gather is taller than N."""
+    childless cubes alone; and for sums (``np.add``: mu(Q), nu(Q)), so that
+    each keeps the bits of ``matrix[members].sum()``.  The gather takes the
+    cubes of one generation and member count together, one gather of their
+    rows each; a generation's cubes are disjoint, so no gather is taller
+    than N."""
     ufuncs = ufunc if isinstance(ufunc, tuple) else (ufunc,)
     src = np.asarray(matrix)
     ids = np.asarray(ids, dtype=int)
-    tree = lat.tree if all(u in TREE_UFUNCS for u in ufuncs) else None
-    if tree is None or lat.n_members[ids].sum() <= lat.space.n_points:
+    if not all(u in TREE_UFUNCS for u in ufuncs) or \
+            lat.n_members[ids].sum() <= lat.space.n_points:
         if axis == 1:
             src = np.ascontiguousarray(src.T)
         outs = [np.empty((ids.size, src.shape[1]), dtype=src.dtype)
@@ -341,7 +290,7 @@ def cube_reduce(lat: DyadicLattice, matrix: np.ndarray, ids,
         outs = [np.ascontiguousarray(out.T) if axis == 1 else out
                 for out in outs]
     else:
-        leaves, steps = tree
+        leaves, steps = lat.tree
         view = src if axis == 0 else src.T    # members along the rows
         n_cols, cols = lat.column.max() + 1, lat.column[ids]
         outs = [np.empty((ids.size, view.shape[1]) if axis == 0 else
@@ -400,9 +349,13 @@ def _default_k_range(space: MetricMeasureSpace, kappa: float):
 def _generation_range(space: MetricMeasureSpace, kappa: float,
                       k_range: tuple | None):
     """(k_min, k_max) of ``build_lattice``: ``k_range``, or the scales from
-    above diam(X) down to resolution_h."""
+    above diam(X) down to resolution_h.  The entry of every lattice build,
+    where a rho that is not symmetric is refused."""
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie in (0,1)")
+    if not space.symmetric:
+        raise ValueError("lattices need a symmetric metric: rho differs "
+                         "from its transpose")
     if k_range is None:
         k_min, k_max = _default_k_range(space, kappa)
     else:
@@ -418,10 +371,10 @@ def _generation_range(space: MetricMeasureSpace, kappa: float,
 
 
 def _candidates(space: MetricMeasureSpace, kappa: float, gens: range):
-    """Per generation, (table, count): table[x] lists the ids y with rho(x,
-    y) below the scale, nearest first (ties to the lower id), count[x] of
-    them, padded with x; None where some list would hold more than half the
-    points, or none would hold any."""
+    """Per generation, a table: table[x] lists the ids y with rho(x, y)
+    below the scale, nearest first (ties to the lower id), padded with x;
+    None where some list would hold more than half the points, or none
+    would hold any."""
     n = space.n_points
     cands = []
     for k in gens:
@@ -437,21 +390,19 @@ def _candidates(space: MetricMeasureSpace, kappa: float, gens: range):
               np.repeat(np.cumsum(count) - count, count)] = cols
         dist = np.where(np.arange(width) < count[:, None],
                         space.rho[np.arange(n)[:, None], table], np.inf)
-        cands.append((np.take_along_axis(
-            table, dist.argsort(axis=1, kind="stable"), axis=1), count))
+        cands.append(np.take_along_axis(
+            table, dist.argsort(axis=1, kind="stable"), axis=1))
     return cands
 
 
 def _first_listed(net: np.ndarray, si: np.ndarray, xi: np.ndarray, cand):
-    """(near, missed): for each (row si, point xi), the first center of
-    ``net[si]`` in the candidate list of xi (``cand``, see ``_candidates``),
-    and whether the list holds none."""
-    table, count = cand
-    cols = table[xi]
-    hit = net[si[:, None], cols]
-    first = hit.argmax(axis=1)
-    at = np.arange(xi.size)
-    return cols[at, first], ~hit[at, first] | (first >= count[xi])
+    """For each (row si, point xi), the first center of ``net[si]`` in the
+    candidate list of xi (``cand``, see ``_candidates``).  The list holds
+    one: a greedy net leaves no point a scale or more from every center,
+    and rho is symmetric, so a center blocking xi is below the scale from
+    it."""
+    cols = cand[xi]
+    return cols[np.arange(xi.size), net[si[:, None], cols].argmax(axis=1)]
 
 
 def _nearest_in_nets(rho: np.ndarray, net: np.ndarray, si: np.ndarray,
@@ -528,10 +479,10 @@ def _chain_centers(rho: np.ndarray, nearest: np.ndarray, nets: np.ndarray,
     ties to the lowest id, one generation up the center nearest to that
     center, and so on, so that regions nest.  Each step searches once per
     distinct (seed, center): over its candidate list ``cands[t]`` where
-    given (see ``_candidates``; a nearest center below the scale is among
-    them), else, or where the list holds no center, over the columns of
-    every center of the generation, masked to its own net.  A center
-    nearer to itself than to any other point is its own nearest center."""
+    given (see ``_candidates``; the nearest center is among them), else
+    over the columns of every center of the generation, masked to its own
+    net.  A center nearer to itself than to any other point is its own
+    nearest center."""
     n_gens, n_seeds, n = nets.shape
     ctr = np.empty((n_gens,) + heads.shape, dtype=np.int32)
     own = np.diagonal(rho) < nearest
@@ -543,11 +494,10 @@ def _chain_centers(rho: np.ndarray, nearest: np.ndarray, nets: np.ndarray,
         ask &= ~(nets[t] & own)
         si, xi = np.nonzero(ask)
         near = ids.copy()
-        if cands and cands[t] is not None and xi.size:
-            near[si, xi], missed = _first_listed(nets[t], si, xi, cands[t])
-            si, xi = si[missed], xi[missed]
         if xi.size:
-            near[si, xi] = _nearest_in_nets(rho, nets[t], si, xi)
+            near[si, xi] = _first_listed(nets[t], si, xi, cands[t]) \
+                if cands and cands[t] is not None else \
+                _nearest_in_nets(rho, nets[t], si, xi)
         heads = ctr[t] = near[seed_col, heads]
     return ctr
 
@@ -615,7 +565,8 @@ class LatticePropertyReport:
     """The exact properties of a lattice, checked when the report is made,
     and the fitted constants, each fitted on first read
     (``fit_lattice_constants``): a caller that reads ``passed`` only does
-    not pay for the boundary layers."""
+    not pay for the boundary layers.  A lattice that did not pass has no
+    constants: reading one raises ``ValueError``."""
     lattice: DyadicLattice
     partition_ok: bool
     nesting_ok: bool
@@ -628,6 +579,9 @@ class LatticePropertyReport:
 
     @cached_property
     def _constants(self) -> tuple:
+        if not self.passed:
+            raise ValueError("no lattice constants: the lattice fails "
+                             f"{self.failures[0][0]}")
         return fit_lattice_constants(self.lattice)
 
     c_diam = property(lambda self: self._constants[0])
@@ -640,9 +594,9 @@ def verify_lattice_properties(lat: DyadicLattice) -> LatticePropertyReport:
     partitions the points (covered, disjoint), every cube nests in its
     parent and lies under exactly one cube of the generation above.  One
     pass per generation over its cubes' member masks (members, not labels,
-    so a lattice loaded with broken members is checked as it stands).  The
+    so a lattice built with broken members is checked as it stands).  The
     constants c_diam, a0 and c_boundary are fitted when the report's
-    fields are first read."""
+    fields are first read, on a lattice that passed."""
     n, failures = lat.space.n_points, []
     # per cube id: not nested in its parent, not under exactly one label
     nest_bad, lone_bad = np.zeros((2, lat.gen.size), dtype=bool)
@@ -676,14 +630,14 @@ def fit_lattice_constants(lat: DyadicLattice) -> tuple:
     """(c_diam, a0, c_boundary): diam(Q) <= c_diam s(Q), each center at
     least a0 s(Q) from its cube's complement (diam(X) for a full cube), and
     the small-boundary inequality (vi), exponent 1, at the relative
-    thicknesses kappa, kappa^2 and kappa^3.  Complements are read off
-    labels, distances to them off ``lat.dist`` where the cubes are the
-    label classes; nu(Q) from one sum over all cubes, and the boundary
-    layers of every generation and thickness from one ``masked_sums``."""
+    thicknesses kappa, kappa^2 and kappa^3, on a lattice whose generations
+    partition the points.  Complements are read off labels, distances to
+    them off ``lat.dist``; nu(Q) from one sum over all cubes, and the
+    boundary layers of every generation and thickness from one
+    ``masked_sums``."""
     space, n = lat.space, lat.space.n_points
     top = max(space.diam(), space.resolution_h)
     c_diam, a0 = 0.0, math.inf
-    filled = lat.n_members[lat.ids].all()
     nu_mass = np.zeros(lat.gen.size)
     nu_mass[lat.ids] = cube_reduce(lat, space.nu[None, :], lat.ids, np.add)[0]
     layers, t_nu = [], []       # (vi) per generation and thickness
@@ -698,17 +652,11 @@ def fit_lattice_constants(lat: DyadicLattice) -> tuple:
         near[lab == ids[:, None]] = np.inf
         a0 = min(a0, float((np.where(full, top, near.min(axis=1)) /
                             size).min()))
-        # (vi): nu{x in Q : dist(x, X \ Q) <= t * s(Q)} <= C t nu(Q); when
-        # every point lies in one cube of k (labels come from the members),
-        # X \ Q is the union of the others, read off ``lat.dist`` (which
-        # an empty cube leaves undefined)
-        if (np.bincount(pts, minlength=n) == 1).all() and filled:
-            d_out = lat.dist[:, lat.column[ids]]
-            d_out[pts, slot] = np.inf
-            d_out = d_out.min(axis=1)
-        else:
-            d_out = np.where(lab[:, None] == lab[None, :], np.inf,
-                             space.rho).min(axis=1)
+        # (vi): nu{x in Q : dist(x, X \ Q) <= t * s(Q)} <= C t nu(Q), X \ Q
+        # the union of the other cubes of k
+        d_out = lat.dist[:, lat.column[ids]]
+        d_out[pts, slot] = np.inf
+        d_out = d_out.min(axis=1)
         keep = ~full & (nu_mass[ids] > 0)
         inside = lat.member_masks(ids[keep])
         for t in (lat.kappa, lat.kappa ** 2, lat.kappa ** 3):
@@ -763,11 +711,8 @@ def skeleton_by_generation(lat: DyadicLattice) -> dict:
             for k, p in zip(ks, map(np.flatnonzero, marks))}
 
 
-def classify_terminal_transit(lat: DyadicLattice, m: float | None = None):
-    """Flag every cube terminal or transit; the root must come out transit.
-
-    Returns the fitted growth constant of the transit-cube estimate
-    mu(B(center, r)) <= C r^m for r >= s(Q) (only when m is given)."""
+def classify_terminal_transit(lat: DyadicLattice) -> None:
+    """Flag every cube terminal or transit; the root must come out transit."""
     space, ids = lat.space, lat.ids
     # parent inside omega: one reduction of omega over all cubes; slot -1
     # (no parent) stays False
@@ -777,19 +722,6 @@ def classify_terminal_transit(lat: DyadicLattice, m: float | None = None):
     lat.terminal[ids] = in_omega[lat.parent[ids]] | (lat.mass[ids] <= 0.0)
     if lat.terminal[lat.root_id]:
         raise RootTerminal("root cube is terminal; mu carries no mass")
-
-    c_fit = 0.0
-    if m is not None:
-        diam = space.diam()
-        transit = ids[lat.terminal[ids] == 0]
-        for size, center in zip(lat.size[transit].tolist(),
-                                lat.center[transit].tolist()):
-            r = size
-            while r <= max(diam, size):
-                mass = space.mu_mass(space.ball_mask(center, r))
-                c_fit = max(c_fit, mass / r ** m)
-                r *= 2.0
-    return c_fit
 
 
 def scale_gap(kappa: float, delta_bad: float, s_param: int) -> int:
@@ -848,18 +780,15 @@ def classify_all_good_bad(lat: DyadicLattice, other: DyadicLattice,
                           alpha: float, delta_bad: float, s_param: int):
     """Set the good flag on every cube of ``lat`` against ``other``, as
     ``classify_good_bad`` does.  Each generation of skeleton marks is
-    scored once per column of a (point, column) distance table, as the min
-    over the marked points (NaN skipped): it lies below a cube's reach
-    exactly when some marked point does.  The table is ``lat.dist`` when
-    rho is symmetric on a shared space, else rho's rows reduced per cube."""
+    scored once per column of ``lat.dist``, as the min over the marked
+    points (NaN skipped): it lies below a cube's reach exactly when some
+    marked point does.  Both lattices lie on one space."""
+    if lat.space is not other.space:
+        raise ValueError("the two lattices lie on different spaces")
     r_gap = scale_gap(other.kappa, delta_bad, s_param)
     ks, marks = _lattice_marks(other)
     ids = lat.ids
-    if lat.space is other.space and lat.symmetric:
-        table, column = lat.dist, lat.column[ids]
-    else:
-        table = cube_reduce(lat, other.space.rho, ids, axis=0).T
-        column = slice(None)
+    table, column = lat.dist, lat.column[ids]
     s_alpha = np.array([s ** alpha for s in lat.size[ids].tolist()])
     k_last, bad = lat.gen[ids] - r_gap, np.zeros(ids.size, dtype=bool)
     for k, mark in zip(ks, marks):
@@ -914,10 +843,10 @@ def ensemble_gaps(members: list, generations, space: MetricMeasureSpace,
     x, y, pts, starts = space.near_pairs
     if not (ks and x.size):
         return gaps
-    # the points of the near pairs, and the pairs as positions among them
-    chain = _distinct(np.concatenate([x, y]))
-    near = (*np.searchsorted(chain, [x, y]), np.searchsorted(chain, pts),
-            starts)
+    # the points of the near pairs (rho is symmetric, so each pair's second
+    # point is the first of another), and the pairs as positions among them
+    chain = pts
+    near = (*np.searchsorted(chain, [x, y]), np.arange(chain.size), starts)
     rho, nearest = space.rho, space.nearest_other
     scale = [kappa ** k for k in gens]
     # candidate lists, per generation on first use
@@ -997,25 +926,3 @@ def save_lattice(lat: DyadicLattice, path) -> None:
     with open(path, "w") as fh:
         json.dump(lattice_to_json(lat), fh)
 
-
-def lattice_from_json(doc: dict, space: MetricMeasureSpace) -> DyadicLattice:
-    """The lattice of a ``lattice_to_json`` document, cubes in document
-    order; a point listed in two cubes of a generation takes the later one's
-    label."""
-    cubes = [(int(gen["k"]), c) for gen in doc["generations"]
-             for c in gen["cubes"]]
-    ids, *rows = np.array([[UNSET if v is None else v for v in (
-        c["id"], k, c["parent"], c["center"], c.get("terminal"),
-        c.get("good"))] for k, c in cubes], dtype=int).reshape(-1, 6).T
-    # gen, parent, center, terminal, good per id; no parent or flag: UNSET
-    table = np.full((5, ids.max() + 1), UNSET)
-    table[:, ids] = rows
-    members = [np.asarray(c["members"], dtype=int) for _, c in cubes]
-    labels = {k: np.full(space.n_points, -1)
-              for k in dict.fromkeys(rows[0].tolist())}
-    for cid, k, m in zip(ids.tolist(), rows[0].tolist(), members):
-        labels[k][m] = cid
-    return DyadicLattice(space, float(doc["kappa"]), int(doc.get("seed", 0)),
-                         ids, *table[:3],
-                         np.repeat(ids, [m.size for m in members]),
-                         np.concatenate(members), labels, table[3:])

@@ -22,6 +22,10 @@ INF_DISTANCE = math.inf
 
 @dataclass
 class MetricMeasureSpace:
+    """A finite space.  Its lattices and the nets they are drawn from need
+    rho equal to its transpose exactly (``symmetric``): ``space_from_json``
+    refuses any other explicit metric, ``verify_quasi_metric`` fails it
+    and ``build_lattice`` raises on it."""
     rho: np.ndarray            # (N, N) symmetric quasi-distances
     nu: np.ndarray             # (N,) reference weights
     mu: np.ndarray             # (N,) probability weights
@@ -59,11 +63,17 @@ class MetricMeasureSpace:
         return (i, j, *np.unique(i, return_index=True))
 
     @cached_property
+    def symmetric(self) -> bool:
+        """rho equals its transpose, entry for entry; compared once per
+        space."""
+        return bool(np.array_equal(self.rho, self.rho.T))
+
+    @cached_property
     def nearest_other(self) -> np.ndarray:
-        """min over y != x of min(rho(x, y), rho(y, x)), per point x."""
+        """min over y != x of rho(x, y), per point x."""
         off = self.rho.copy()
         np.fill_diagonal(off, np.inf)
-        return np.minimum(off.min(axis=0), off.min(axis=1))
+        return off.min(axis=1)
 
     def diam(self) -> float:
         return float(self.rho.max()) if self.n_points > 1 else 0.0
@@ -172,7 +182,7 @@ def verify_quasi_metric(space: MetricMeasureSpace) -> QuasiMetricReport:
         return QuasiMetricReport(False, (int(i), int(j), -1),
                                  float(rho[i, j]), "non-finite distance")
     # a failing check builds its N x N table only to name the entry
-    if (rho != rho.T).any():
+    if not space.symmetric:
         asym = np.abs(rho - rho.T)
         i, j = np.unravel_index(np.argmax(asym), asym.shape)
         return QuasiMetricReport(False, (int(i), int(j), -1), float(asym[i, j]),
@@ -498,8 +508,11 @@ def space_from_json(doc: dict) -> MetricMeasureSpace:
     for name, values in (("metric", rho), ("nu", nu), ("mu", mu)):
         if not (np.isfinite(values) & (values >= 0)).all():
             raise ValueError(f"{name} entries must be finite and nonnegative")
-    if coords is None and np.abs(rho - rho.T).max() > 1e-12:
-        raise ValueError("explicit metric matrix must be symmetric to 1e-12")
+    if coords is None and not np.array_equal(rho, rho.T):
+        i, j = np.argwhere(rho != rho.T)[0]
+        raise ValueError(f"the explicit metric is not symmetric: the distance "
+                         f"from {points[i]!r} to {points[j]!r} is "
+                         f"{float(rho[i, j])!r}, back {float(rho[j, i])!r}")
     loop = np.flatnonzero(np.diag(rho))
     if loop.size:
         i = loop[0]

@@ -14,9 +14,8 @@ import pytest
 
 from czkit.certify import long_range_entry
 from czkit.examples import generate_example
-from czkit.lattice import _ensemble_keys, _generation_range, \
-    _lattice_of_orders, build_lattice, classify_terminal_transit, \
-    lattice_from_json, lattice_to_json
+from czkit.lattice import DyadicLattice, _ensemble_keys, _generation_range, \
+    _lattice_of_orders, build_lattice, classify_terminal_transit
 from czkit.space import MetricMeasureSpace, space_from_json
 
 
@@ -46,12 +45,14 @@ def grid_space(n: int = 8) -> MetricMeasureSpace:
 
 
 def explicit_space() -> MetricMeasureSpace:
-    """36 random points in the plane under an explicit metric that is
-    symmetric only to 1e-13, with random probability masses."""
+    """36 random points in the plane under an explicit metric, their
+    distances moved by up to 1e-13 (the same both ways), with random
+    probability masses."""
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.0, 8.0, (36, 2))
     rho = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
-    rho += rng.uniform(0.0, 1e-13, rho.shape) * (rho > 0)
+    rho = np.triu(rho + rng.uniform(0.0, 1e-13, rho.shape), 1)
+    rho += rho.T
     n = len(pts)
     return space_from_json({
         "points": list(range(n)), "nu": [1.0] * n,
@@ -60,14 +61,25 @@ def explicit_space() -> MetricMeasureSpace:
 
 
 def edited_lattice(lat, edits: dict):
-    """``lat`` loaded back from its ``lattice_to_json`` document after the
-    fields of cube c were updated by edits[c] (a dict, e.g. members or
-    parent); lattices hold no cube objects to edit in place."""
-    doc = lattice_to_json(lat)
-    for gen in doc["generations"]:
-        for cube in gen["cubes"]:
-            cube.update(edits.get(cube["id"], {}))
-    return lattice_from_json(doc, lat.space)
+    """A ``DyadicLattice`` built by hand as ``lat`` with the members or
+    parent of cube c replaced by edits[c] (a dict); a point listed in two
+    cubes of a generation takes the label of the later one.  Such a lattice
+    may break the preconditions of the lattice code, which
+    ``verify_lattice_properties`` checks."""
+    ids, n = lat.ids, lat.space.n_points
+    parent = lat.parent.copy()
+    members = []
+    for cid in ids.tolist():
+        edit = edits.get(cid, {})
+        parent[cid] = edit.get("parent", parent[cid])
+        members.append(np.asarray(edit.get("members", lat.members(cid)),
+                                  dtype=int))
+    labels = {k: np.full(n, -1) for k in lat.labels}
+    for cid, m in zip(ids.tolist(), members):
+        labels[int(lat.gen[cid])][m] = cid
+    return DyadicLattice(lat.space, lat.kappa, lat.seed, ids, lat.gen, parent,
+                         lat.center, np.repeat(ids, [m.size for m in members]),
+                         np.concatenate(members), labels)
 
 
 def broken_lattice(kind: str):
@@ -198,7 +210,6 @@ def line_example():
 
 @pytest.fixture(scope="session")
 def line_lattice(line_example):
-    space, info = line_example
-    lat = build_lattice(space, kappa=0.5, seed=1)
-    classify_terminal_transit(lat, m=info["m"])
+    lat = build_lattice(line_example[0], kappa=0.5, seed=1)
+    classify_terminal_transit(lat)
     return lat

@@ -13,7 +13,6 @@ lattice tested generation by generation.  Labels, skeletons, witnesses,
 flags and gaps must be the same bit for bit, over several chunkings of the
 ensemble."""
 
-import copy
 import itertools
 from unittest import mock
 
@@ -37,29 +36,9 @@ from test_lattice import _assert_draws_match, _draw_nets_reference
 SEEDS = (2476693647, 1295026582, 3813294786)
 
 
-def _asymmetric_grid(n: int = 7) -> MetricMeasureSpace:
-    """An n x n unit grid whose metric is asymmetric in its last bit: rho(x,
-    y) one ulp above the distance when x < y, one below when x > y.  Axis
-    distances 1, 2 and 4 are scales of kappa = 1/2, so some x lies below a
-    scale from a center c (rho(c, x)) while c lies on it from x."""
-    xs, ys = np.meshgrid(np.arange(n, dtype=float), np.arange(n, dtype=float))
-    pts = np.column_stack([xs.ravel(), ys.ravel()])
-    rho = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
-    upper = np.triu(np.ones(rho.shape, dtype=bool), 1)
-    rho = np.where(upper, np.nextafter(rho, np.inf),
-                   np.where(upper.T, np.nextafter(rho, 0.0), 0.0))
-    m = n * n
-    rng = np.random.default_rng(7)
-    return MetricMeasureSpace(rho=rho, nu=np.ones(m),
-                              mu=rng.dirichlet(np.ones(m)),
-                              omega=np.zeros(m, dtype=bool))
-
-
 def _space(name):
     if name == "explicit":
         return explicit_space(), 0.5, 0.25
-    if name == "asymmetric":
-        return _asymmetric_grid(), 0.5, 0.25
     example, params = {
         "line_n21": ("line_in_plane", {"n": 21}),
         "grid_n25": ("uniform_grid", {"n": 25}),
@@ -72,7 +51,7 @@ def _space(name):
 
 SPACES = ("uniform_grid", "line_in_plane", "cantor_measure",
           "bergman_disc_model", "line_n21", "grid_n25", "bergman_64",
-          "explicit", "asymmetric")
+          "explicit")
 
 
 # ---------------------------------------------------------------------------
@@ -221,31 +200,10 @@ def test_bad_flags_match_per_generation_reference(name):
     space, kappa, alpha = _space(name)
     for a, b in PAIRS:
         lats = [build_lattice(space, kappa, seed=s) for s in (a, b)]
-        # a lattice on another space object: rho's rows reduced per cube
-        twin = build_lattice(copy.copy(space), kappa, seed=b)
         for (lat, other), alpha_q, s_param in itertools.product(
-                (lats, lats[::-1], (lats[0], twin)),
+                (lats, lats[::-1]),
                 sorted({alpha, 0.1, 0.25, 0.4}), (1, 2, 4)):
             _assert_flags_match(lat, other, alpha_q, s_param)
-
-
-def test_asymmetric_metric_runs_the_fallback(monkeypatch):
-    # some points find no center among their candidates below the scale
-    space, kappa, alpha = _space("asymmetric")
-    missed = []
-    real = lattice._first_listed
-
-    def counted(*args):
-        near, miss = real(*args)
-        missed.append(int(miss.sum()))
-        return near, miss
-
-    monkeypatch.setattr(lattice, "_first_listed", counted)
-    probes = _probes(space, kappa, SEEDS[0])
-    gaps = ensemble_gaps(*probe_args(probes), space, kappa, alpha, 8, SEEDS[0])
-    assert sum(missed) > 0
-    assert gaps.tobytes() == _gaps_reference(probes, space, kappa, alpha, 8,
-                                             SEEDS[0]).tobytes()
 
 
 @given(st.integers(2, 30), st.floats(0.2, 0.8), st.integers(0, 2**32 - 1),

@@ -19,7 +19,7 @@ from czkit.examples import generate_example
 from czkit.kernels import (check_T1, kernel_to_json, operator_norm_dense,
                            power_kernel)
 from czkit.lattice import build_lattice
-from czkit.space import dilate, load_space, save_space
+from czkit.space import dilate, load_space, save_space, space_to_json
 from conftest import line_space
 
 
@@ -831,6 +831,49 @@ def test_cli_bad_kernel_document_is_input_error(cantor3, kind, edit, field):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
+
+
+@pytest.mark.parametrize("command", ["norm", "t1-check", "certify"])
+@pytest.mark.parametrize("change", [
+    {"params": {"amplitude": 1e308}}, {"m": 600.0},
+    {"m": 500.0, "diagonal_policy": "truncate"},
+], ids=["amplitude", "m", "m-truncate"])
+def test_cli_overflowing_power_kernel_names_its_fields(cantor3, command,
+                                                       change):
+    # amplitude / rho^m overflows off the diagonal, and on a truncated
+    # diagonal h^m underflows to 0 before amplitude / h^m
+    code, out, err = _kernel_cli(cantor3, {**cantor3[2]["power"], **change},
+                                 command)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: kernel fields 'amplitude' = ")
+    assert err.count("\n") == 1 and "and 'm' = " in err
+
+
+@pytest.mark.parametrize("command", ["verify-space", "build-lattice",
+                                     "decompose", "t1-check", "montecarlo",
+                                     "certify"])
+def test_cli_asymmetric_metric_is_input_error(cantor3, command, tmp_path,
+                                              capsys):
+    # rho[0, 1] 1e-13 above rho[1, 0]: every command refuses the file as it
+    # reads it, before a lattice is built
+    root, n_dim, docs = cantor3
+    space = load_space(root / "space.json")
+    rho = space.rho.copy()
+    rho[0, 1] += 1e-13
+    doc = {**space_to_json(space),
+           "metric": {"type": "explicit", "matrix": rho.tolist()}}
+    (tmp_path / "space.json").write_text(json.dumps(doc))
+    (tmp_path / "kernel.json").write_text(json.dumps(docs["power"]))
+    args = [command, "--space", str(tmp_path / "space.json")]
+    if command in ("t1-check", "certify"):
+        args += ["--kernel", str(tmp_path / "kernel.json")]
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the explicit metric is not symmetric: the "
+                          f"distance from {space.points[0]!r} to "
+                          f"{space.points[1]!r} is ")
+    assert err.count("\n") == 1
 
 
 def test_cli_declared_zero_C_CZ_is_kept(cantor3):

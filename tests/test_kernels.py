@@ -443,9 +443,9 @@ def test_domination_needs_proper_omega(line8):
 # T1 testing condition
 
 
-def _lattice(space, m=1.0):
+def _lattice(space):
     lat = build_lattice(space, kappa=0.5, seed=1)
-    classify_terminal_transit(lat, m=m)
+    classify_terminal_transit(lat)
     return lat
 
 

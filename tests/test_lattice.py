@@ -2,27 +2,32 @@
 
 import dataclasses
 import hashlib
+import importlib
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from czkit import cli
 from czkit.errors import DegenerateScale, LeafCube, RootTerminal
 from czkit.examples import generate_example
+from czkit.harness import make_scenario, run
+from czkit.kernels import kernel_to_json, power_kernel
 from czkit.lattice import (_candidates, _default_k_range, _draw_batch,
                            _draw_orders, build_lattice, classify_all_good_bad,
                            classify_good_bad, classify_terminal_transit,
                            ensemble_gaps, estimate_bad_probability,
-                           lattice_from_json,
                            lattice_to_json, scale_gap, skeleton,
                            skeleton_by_generation, verify_lattice_properties)
-from czkit.space import MetricMeasureSpace
+from czkit.space import MetricMeasureSpace, load_space
 from conftest import (edited_lattice, ensemble_lattices, explicit_space,
                       grid_space, line_space, probe_args)
+from test_certify import RUNS, _defined_functions
 
 ALPHA_11 = 0.25     # goodness exponent for tau = m = 1
 
@@ -59,6 +64,17 @@ def test_two_seeds_both_valid_but_different():
         (lat1.labels[k] == lat2.labels[k]).all()
         for k in lat1.generations() if k in lat2.labels)
     assert not same
+
+
+def test_asymmetric_metric_is_refused_before_any_lattice():
+    # build_lattice and the calibration ensemble share their entry
+    space = grid_space(4)
+    space.rho = space.rho.copy()
+    space.rho[0, 5] = np.nextafter(space.rho[0, 5], 0.0)
+    with pytest.raises(ValueError, match="symmetric metric"):
+        build_lattice(space, kappa=0.5, seed=1)
+    with pytest.raises(ValueError, match="symmetric metric"):
+        ensemble_gaps([np.arange(4)], [1], space, 0.5, ALPHA_11, 4)
 
 
 def test_degenerate_scale_raises():
@@ -443,12 +459,8 @@ def test_terminal_matches_brute_force(line_lattice):
 
 
 def test_root_terminal_raises():
-    mu = np.zeros(4)
-    mu[3] = 1.0
-    space = line_space(4, mu=mu)
-    lat = build_lattice(space, kappa=0.5, seed=0)
-    # hand-restrict the root to a zero-mass region
-    lat = edited_lattice(lat, {lat.root_id: {"members": [0, 1]}})
+    # mu carries no mass, so the root has none
+    lat = build_lattice(line_space(4, mu=np.zeros(4)), kappa=0.5, seed=0)
     with pytest.raises(RootTerminal):
         classify_terminal_transit(lat)
 
@@ -666,43 +678,12 @@ def test_cube_views_are_read_only():
     assert type(lat.root.terminal) is bool and lat.root.good is None
 
 
-def test_json_round_trip_keeps_a_broken_lattice():
-    # cube a also lists the points of b, whose labels keep them: members and
-    # labels disagree, and the document keeps both, with every flag
+def test_classify_all_needs_one_space():
     space = grid_space(5)
-    lat = build_lattice(space, kappa=0.5, seed=4)
-    classify_terminal_transit(lat)
-    classify_all_good_bad(lat, build_lattice(space, kappa=0.5, seed=5),
-                          ALPHA_11, 0.25, 1)
-    k = lat.k_max
-    a, b = lat.by_gen[k][:2]
-    broken = edited_lattice(lat, {a: {"members": np.union1d(
-        lat.members(a), lat.members(b)).tolist()}})
-    assert set(broken.members(a).tolist()) > set(lat.members(a).tolist())
-    assert (broken.labels[k][lat.members(b)] == b).all()
-    doc = lattice_to_json(broken)
-    back = lattice_from_json(doc, space)
-    assert lattice_to_json(back) == doc
-    assert all((back.labels[g] == broken.labels[g]).all()
-               for g in broken.labels)
-    flags = {cid: (c.terminal, c.good) for cid, c in lat.cubes.items()}
-    assert {cid: (c.terminal, c.good) for cid, c in back.cubes.items()} == \
-        flags
-    assert verify_lattice_properties(back).failures == \
-        verify_lattice_properties(broken).failures != []
-
-
-def test_lattice_json_round_trip():
-    space = grid_space(5)
-    lat = build_lattice(space, kappa=0.5, seed=4)
-    classify_terminal_transit(lat)
-    doc = lattice_to_json(lat)
-    back = lattice_from_json(doc, space)
-    assert back.kappa == lat.kappa
-    assert set(back.cubes) == set(lat.cubes)
-    for cid in lat.cubes:
-        assert (back.cubes[cid].members == lat.cubes[cid].members).all()
-        assert back.cubes[cid].terminal == lat.cubes[cid].terminal
+    lat = build_lattice(space, kappa=0.5, seed=1)
+    other = build_lattice(dataclasses.replace(space), kappa=0.5, seed=2)
+    with pytest.raises(ValueError, match="different spaces"):
+        classify_all_good_bad(lat, other, ALPHA_11, 0.25, 1)
 
 
 def test_classify_all_sets_flags():
@@ -711,3 +692,67 @@ def test_classify_all_sets_flags():
     lat2 = build_lattice(space, kappa=0.5, seed=2)
     classify_all_good_bad(lat1, lat2, ALPHA_11, 0.25, 1)
     assert all(c.good is not None for c in lat1.cubes.values())
+
+
+# ---------------------------------------------------------------------------
+# the run path
+
+# functions of lattice.py that no run and no command reaches, and why they
+# stay
+UNRUN = {
+    "classify_good_bad": "per-cube reference of classify_all_good_bad",
+    "skeleton": "per-cube reference of the skeleton marks",
+    "skeleton_by_generation": "per-generation reference of the skeleton "
+                              "marks",
+    "Cube.is_leaf": "part of the cube view tests read",
+    "CubeTable.__iter__": "read by benchmarks/layers.py",
+    "CubeTable.__len__": "part of the Mapping protocol of lat.cubes",
+    "DyadicLattice.root": "the root as a cube view, read by tests",
+    "fit_lattice_constants": "lattice constants, read by tests only",
+    "LatticePropertyReport._constants": "lattice constants, read by tests "
+                                        "only",
+}
+
+
+def test_every_function_of_lattice_runs(tmp_path, capsys):
+    # every function of lattice.py runs in the five built-in runs of
+    # test_every_function_of_certify_runs or in one of the eight commands on
+    # a small space, but for the listed ones; code nothing reaches is deleted
+    path = importlib.import_module("czkit.lattice").__file__
+    defined = _defined_functions(path)
+    assert set(UNRUN) <= set(defined.values())
+    assert not {"lattice_from_json", "DyadicLattice.nested",
+                "DyadicLattice.symmetric"} & set(defined.values())
+    space_file, kernel_file = tmp_path / "space.json", tmp_path / "kernel.json"
+    scenarios = [make_scenario(name, example_params=params, **overrides)
+                 for name, params, overrides in RUNS]
+    called = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == path:
+            called.add((code.co_firstlineno, code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        for scenario in scenarios:
+            run(scenario).to_json()
+        assert cli.main(["generate-example", "cantor_measure", "--params",
+                         '{"level": 4}', "--out", str(space_file)]) == 0
+        kernel_file.write_text(json.dumps(kernel_to_json(power_kernel(
+            load_space(space_file), m=math.log(2) / math.log(3)))))
+        space, kernel = ["--space", str(space_file)], \
+            ["--kernel", str(kernel_file)]
+        for argv in (["verify-space", *space],
+                     ["build-lattice", *space, "--out",
+                      str(tmp_path / "lattice.json")],
+                     ["decompose", *space], ["t1-check", *space, *kernel],
+                     ["norm", *space, *kernel],
+                     ["montecarlo", *space, "--ensemble", "20"],
+                     ["certify", *space, *kernel, "--n-dim", "0.63"]):
+            assert cli.main(argv) in (0, 1), argv
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    unrun = {name for key, name in defined.items() if key not in called}
+    assert unrun == set(UNRUN)

@@ -134,14 +134,10 @@ def test_probes_split_across_chunks(cells, monkeypatch):
     _assert_matches_per_probe_loop(report, calls)
 
 
-def _cloud(rng, n: int, asymmetric: bool) -> MetricMeasureSpace:
-    """n random points in the plane; mu is zero on about a fifth of them,
-    and an asymmetric rho stretches rho(x, y) for x < y by up to 30%."""
+def _cloud(rng, n: int) -> MetricMeasureSpace:
+    """n random points in the plane; mu is zero on about a fifth of them."""
     pts = rng.uniform(0.0, 4.0, (n, 2))
     rho = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
-    if asymmetric:
-        rho = np.where(np.triu(np.ones((n, n), dtype=bool), 1),
-                       rho * rng.uniform(1.0, 1.3, (n, n)), rho)
     mu = rng.uniform(0.1, 1.0, n) * (rng.random(n) < 0.8)
     mu[0] = 1.0
     return MetricMeasureSpace(
@@ -150,13 +146,13 @@ def _cloud(rng, n: int, asymmetric: bool) -> MetricMeasureSpace:
         resolution_h=rho[~np.eye(n, dtype=bool)].min())
 
 
-@given(st.integers(4, 36), st.booleans(), st.integers(1, 2),
-       st.integers(1, 4), st.integers(0, 2**32 - 1))
+@given(st.integers(4, 36), st.integers(1, 2), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_batch_matches_per_probe_loop_on_random_spaces(n, asymmetric, s_param,
-                                                       n_probes, seed):
+def test_batch_matches_per_probe_loop_on_random_spaces(n, s_param, n_probes,
+                                                       seed):
     rng = np.random.default_rng(seed)
-    space = _cloud(rng, n, asymmetric)
+    space = _cloud(rng, n)
     kernel = power_kernel(space, m=1.0, tau=1.0)
     with pytest.MonkeyPatch.context() as patch:
         calls = _recorded_splits(patch)

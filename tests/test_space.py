@@ -39,6 +39,20 @@ def test_asymmetric_rho_rejected():
     assert rep.worst_triple is not None
 
 
+def test_explicit_metric_must_be_exactly_symmetric():
+    # one ulp is enough: lattices need rho equal to its transpose
+    space = line_space(3)
+    doc = space_to_json(space)
+    rho = space.rho.copy()
+    rho[2, 0] = np.nextafter(rho[2, 0], np.inf)
+    doc["metric"]["matrix"] = rho.tolist()
+    with pytest.raises(ValueError, match=r"from 0 to 2 is 2\.0, back "
+                       r"2\.0000000000000004$"):
+        space_from_json(doc)
+    loaded = space_from_json(space_to_json(space))
+    assert loaded.symmetric and verify_quasi_metric(loaded).ok
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_distance_rejected(bad):
     # a NaN compares False, so the symmetry and triangle tests alone pass it
@@ -619,12 +633,12 @@ def test_default_radii_in_range(line8):
 
 
 def test_nearest_other_is_built_once_per_space(monkeypatch):
-    # per point x, min over y != x of min(rho(x, y), rho(y, x)), on an
-    # asymmetric rho; two lattice builds and an ensemble build it once
+    # per point x, min over y != x of rho(x, y); two lattice builds and an
+    # ensemble build it once
     from czkit.lattice import build_lattice, ensemble_gaps
     rng = np.random.default_rng(5)
-    rho = rng.uniform(1.0, 4.0, (9, 9))
-    np.fill_diagonal(rho, 0.0)
+    rho = np.triu(rng.uniform(1.0, 4.0, (9, 9)), 1)
+    rho += rho.T
     space = MetricMeasureSpace(rho=rho, nu=np.ones(9), mu=np.full(9, 1 / 9),
                                omega=np.zeros(9, dtype=bool),
                                resolution_h=1.5)
@@ -638,5 +652,4 @@ def test_nearest_other_is_built_once_per_space(monkeypatch):
                   space, 0.5, 0.25, 4)
     assert built == [1]
     assert space.nearest_other.tolist() == [
-        min(min(rho[x, y], rho[y, x]) for y in range(9) if y != x)
-        for x in range(9)]
+        min(rho[x, y] for y in range(9) if y != x) for x in range(9)]

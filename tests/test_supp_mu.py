@@ -95,7 +95,7 @@ def test_products_read_the_kernel_on_supp_mu_only(name, params):
 
 def _sparse_cloud(rng, n: int) -> MetricMeasureSpace:
     """``_cloud`` with mu zero on at least one point."""
-    space = _cloud(rng, n, asymmetric=False)
+    space = _cloud(rng, n)
     mu = space.mu.copy()
     mu[1 + rng.integers(n - 1)] = 0.0
     space.mu = mu / mu.sum()
@@ -146,7 +146,7 @@ def test_certify_without_probes():
     # holding all four: neither lattice has a cube with 0 < members < N to
     # make an indicator probe, so with no random probe there is none
     seed = 4294967295
-    space = _cloud(np.random.default_rng(seed), 4, asymmetric=False)
+    space = _cloud(np.random.default_rng(seed), 4)
     kernel = power_kernel(space, m=1.0, tau=1.0)
     args = dict(s_param=1, seeds=(295, 302), master_seed=seed)
     rep = certify(kernel, space, n_probes=0, **args)
@@ -168,22 +168,16 @@ def test_compact_is_the_unique_inverse(at):
                                          ("bergman_disc_model", {})])
 def test_dist_and_diam_from_one_pass(name, params):
     # the min and max tables of one pass against two reductions of their
-    # own, for rho symmetric and for its transpose stretched on one side
+    # own
     space = make_scenario(name, example_params=params).space
-    stretched = np.where(np.triu(np.ones(space.rho.shape, bool), 1),
-                         space.rho * 1.25, space.rho)
-    for rho in (space.rho, stretched):
-        other = MetricMeasureSpace(rho=rho, nu=space.nu, mu=space.mu,
-                                   omega=space.omega,
-                                   resolution_h=space.resolution_h)
-        for seed in (1, 2):
-            lat = build_lattice(other, 0.5, seed=seed)
-            assert lat.symmetric == (rho is space.rho)
-            assert np.array_equal(lat.dist, cube_reduce(
-                lat, rho, lat.column_cubes()))
-            assert lat.dist.flags.c_contiguous
-            big = lat.ids[lat.n_members[lat.ids] > 1]
-            want = np.zeros(lat.gen.size)
-            want[big] = [rho[np.ix_(lat.members(c), lat.members(c))].max()
-                         for c in big.tolist()]
-            assert np.array_equal(lat.diam, want)
+    rho = space.rho
+    for seed in (1, 2):
+        lat = build_lattice(space, 0.5, seed=seed)
+        assert np.array_equal(lat.dist, cube_reduce(
+            lat, rho, lat.column_cubes()))
+        assert lat.dist.flags.c_contiguous
+        big = lat.ids[lat.n_members[lat.ids] > 1]
+        want = np.zeros(lat.gen.size)
+        want[big] = [rho[np.ix_(lat.members(c), lat.members(c))].max()
+                     for c in big.tolist()]
+        assert np.array_equal(lat.diam, want)
