@@ -1187,7 +1187,7 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
     probes_f, probes_g = (np.reshape(p[:n_probe], (n_probe, space.n_points))
                           for p in (probes_f, probes_g))
     rows = max(len(h.fine_rows.ids) for h in geometry)
-    chunk = max(1, PROBE_CELLS // (rows * space.n_points))
+    chunk = max(1, PROBE_CELLS // (max(rows, 1) * space.n_points))
     # probe 0 reports every lemma check, later probes only the failed ones
     lemmas = []
     worst_regroup = 0.0

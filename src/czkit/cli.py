@@ -253,13 +253,7 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return 2
         raise
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CzkitError as exc:
+    except (FileNotFoundError, ValueError, CzkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import CertificateReport, alpha_param, certify
-from .errors import CalibrationExhausted, UnknownExample
+from .errors import CalibrationExhausted
 from .examples import generate_example
 from .kernels import KernelSpec, bergman_kernel, check_d_domination, \
     constant_kernel, power_kernel
@@ -52,18 +52,12 @@ class Scenario:
 def make_scenario(name: str, **overrides) -> Scenario:
     example_params = overrides.pop("example_params", {})
     space, info = generate_example(name, **example_params)
-    kind = overrides.pop("kernel_kind", info["kernel"])
     m = overrides.pop("m", info["m"])
     tau = overrides.pop("tau", info["tau"])
     kappa = overrides.pop("kappa", info["kappa"])
-    if kind == "power":
-        kernel = power_kernel(space, m=m, tau=tau)
-    elif kind == "bergman":
-        kernel = bergman_kernel(space, m=m, tau=tau)
-    elif kind == "constant":
-        kernel = constant_kernel(space, value=1.0, m=m, tau=tau)
-    else:
-        raise UnknownExample(f"no kernel builder for kind {kind!r}")
+    build = {"power": power_kernel, "bergman": bergman_kernel,
+             "constant": constant_kernel}[info["kernel"]]
+    kernel = build(space, m=m, tau=tau)
     return Scenario(name=name, space=space, kernel=kernel, m=m, tau=tau,
                     n_dim=info["n_dim"], kappa=kappa, **overrides)
 

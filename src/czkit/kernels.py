@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonFiniteKernelValue
 from .lattice import cube_dilations
-from .space import MetricMeasureSpace, dist_to_complement_all
+from .space import MetricMeasureSpace, _number, dist_to_complement_all
 
 # Testing sets per product in ``check_T1``; bounds its (sets, N) temporaries.
 T1_BLOCK = 64
@@ -126,28 +125,6 @@ def explicit_kernel(space: MetricMeasureSpace, matrix, m: float, tau: float,
 
 
 # ---------------------------------------------------------------------------
-# operator action
-
-
-def apply(kernel: KernelSpec, space: MetricMeasureSpace,
-          f: np.ndarray) -> np.ndarray:
-    """(T f)(x) = sum_y k(x,y) f(y) mu(y)."""
-    return kernel.matrix @ (np.asarray(f) * space.mu)
-
-
-def adjoint_apply(kernel: KernelSpec, space: MetricMeasureSpace,
-                  g: np.ndarray) -> np.ndarray:
-    """Adjoint in L2(mu): kernel transposed."""
-    return kernel.matrix.T @ (np.asarray(g) * space.mu)
-
-
-def bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
-             f: np.ndarray, g: np.ndarray) -> float:
-    """<T f, g>_mu."""
-    return space.inner(apply(kernel, space, f), g)
-
-
-# ---------------------------------------------------------------------------
 # hypothesis checks
 
 
@@ -156,10 +133,6 @@ class SizeSmoothnessReport:
     c_size: float
     c_smooth: float
     declared: float
-
-    @property
-    def passed(self) -> bool:
-        return max(self.c_size, self.c_smooth) <= self.declared * (1 + 1e-12)
 
 
 def check_size_and_smoothness(kernel: KernelSpec,
@@ -344,12 +317,6 @@ class T1Report:
     per_cube: list              # (label, mu, ratio_direct, ratio_adjoint)
 
 
-def indicator(space: MetricMeasureSpace, members: np.ndarray) -> np.ndarray:
-    chi = np.zeros(space.n_points)
-    chi[members] = 1.0
-    return chi
-
-
 def on_support(kernel: KernelSpec, space: MetricMeasureSpace) -> tuple:
     """(supp, K on supp mu x supp mu).  A mu-weighted pairing reads K only
     there: a point off supp mu adds nothing to f mu or to an L2(mu) norm.
@@ -453,13 +420,6 @@ def operator_norm(kernel: KernelSpec, space: MetricMeasureSpace,
         return float(np.ldexp(math.sqrt(lam_old), e)), converged
 
 
-def dense_operator(kernel: KernelSpec, space: MetricMeasureSpace) -> np.ndarray:
-    """The operator as a Euclidean matrix: D^(1/2) K D^(1/2), D = diag(mu).
-    Its spectral norm equals the L2(mu) operator norm."""
-    s = np.sqrt(space.mu)
-    return s[:, None] * kernel.matrix * s[None, :]
-
-
 def spectral_norm(matrix: np.ndarray) -> float:
     """Largest singular value; 0 for an empty matrix."""
     from scipy.linalg import svdvals
@@ -468,32 +428,14 @@ def spectral_norm(matrix: np.ndarray) -> float:
 
 
 def operator_norm_dense(kernel: KernelSpec, space: MetricMeasureSpace) -> float:
-    return spectral_norm(dense_operator(kernel, space))
+    """The L2(mu) operator norm as the spectral norm of the Euclidean matrix
+    D^(1/2) K D^(1/2), D = diag(mu)."""
+    s = np.sqrt(space.mu)
+    return spectral_norm(s[:, None] * kernel.matrix * s[None, :])
 
 
 # ---------------------------------------------------------------------------
 # kernel files
-
-
-def kernel_to_json(kernel: KernelSpec) -> dict:
-    doc = {"type": kernel.name, "m": kernel.m, "tau": kernel.tau,
-           "C_CZ": kernel.C_CZ, "delta_CZ": kernel.delta_CZ,
-           "diagonal_policy": kernel.diagonal_policy}
-    if kernel.name == "explicit":
-        doc["matrix"] = kernel.matrix.tolist()
-    else:
-        doc["params"] = kernel.params
-    return doc
-
-
-def _number(doc: dict, key: str, default):
-    """Field ``key`` of a kernel document, a finite number, as a float."""
-    value = doc.get(key, default)
-    if type(value) not in (int, float) or \
-            not abs(value) <= sys.float_info.max:
-        raise ValueError(f"kernel field {key!r} must be a finite number, "
-                         f"not {value!r}")
-    return float(value)
 
 
 def kernel_from_json(doc: dict, space: MetricMeasureSpace) -> KernelSpec:
@@ -504,7 +446,7 @@ def kernel_from_json(doc: dict, space: MetricMeasureSpace) -> KernelSpec:
     ktype, params = doc.get("type"), doc.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("kernel field 'params' must be a JSON object")
-    m, tau = _number(doc, "m", 1.0), _number(doc, "tau", 1.0)
+    m, tau = (_number(doc, key, 1.0, "kernel") for key in ("m", "tau"))
     for key, value in (("m", m), ("tau", tau)):
         if value <= 0:
             raise ValueError(f"kernel field {key!r} must be positive, "
@@ -512,7 +454,7 @@ def kernel_from_json(doc: dict, space: MetricMeasureSpace) -> KernelSpec:
     if m + tau >= 646:
         raise ValueError("kernel fields 'm' + 'tau' must be below 646, "
                          "where 3^(m + tau) of the far bound overflows")
-    delta = _number(doc, "delta_CZ", 0.5)
+    delta = _number(doc, "delta_CZ", 0.5, "kernel")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"kernel field 'delta_CZ' must lie in (0, 1], "
                          f"not {delta!r}")
@@ -520,7 +462,7 @@ def kernel_from_json(doc: dict, space: MetricMeasureSpace) -> KernelSpec:
     if policy not in ("zero", "truncate"):
         raise ValueError(f"unknown diagonal policy {policy!r}")
     if ktype == "power":
-        amplitude = _number(params, "amplitude", 1.0)
+        amplitude = _number(params, "amplitude", 1.0, "kernel")
         try:
             return power_kernel(space, m, tau, amplitude=amplitude,
                                 diagonal_policy=policy, delta_CZ=delta)
@@ -531,17 +473,15 @@ def kernel_from_json(doc: dict, space: MetricMeasureSpace) -> KernelSpec:
     if ktype == "bergman":
         return bergman_kernel(space, m, tau, policy, delta)
     if ktype == "constant":
-        return constant_kernel(space, value=_number(params, "value", 1.0),
+        return constant_kernel(space,
+                               value=_number(params, "value", 1.0, "kernel"),
                                m=m, tau=tau, diagonal_policy=policy)
     if ktype == "zero":
         return zero_kernel(space, m=m, tau=tau)
     if ktype == "explicit":
         c_cz = doc.get("C_CZ")
         if c_cz is not None:
-            c_cz = _number(doc, "C_CZ", None)
-            if c_cz < 0:
-                raise ValueError(f"kernel field 'C_CZ' must be at least 0, "
-                                 f"not {c_cz!r}")
+            c_cz = _number(doc, "C_CZ", None, "kernel", least=0.0)
             if not math.isfinite(c_cz * 3.0 ** (m + tau)):
                 raise ValueError(f"kernel field 'C_CZ' = {c_cz!r} is too "
                                  "large: C_CZ 3^(m + tau) of the far bound "

@@ -32,6 +32,7 @@ REDUCE_CELLS = 2 ** 18
 # so a cube's value is its children's, whichever points they share.
 TREE_UFUNCS = (np.minimum, np.maximum, np.logical_and, np.logical_or)
 UNSET = -1        # terminal/good flag of a cube not yet classified
+MAX_GENERATIONS = 64  # of a lattice: a certificate's tables grow with them
 
 
 @dataclass(frozen=True)
@@ -362,6 +363,10 @@ def _generation_range(space: MetricMeasureSpace, kappa: float,
         k_min, k_max = k_range
     if k_max < k_min:
         raise DegenerateScale(f"empty generation range {k_min}..{k_max}")
+    if k_max - k_min >= MAX_GENERATIONS:
+        raise ValueError(f"diam {space.diam():g} down to resolution_h "
+                         f"{space.resolution_h:g} is {k_max - k_min + 1} "
+                         f"generations, more than {MAX_GENERATIONS}")
     if kappa ** k_max < space.resolution_h / 2 and k_range is not None:
         # user asked for scales below the resolution; only complain when the
         # whole range is degenerate

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ClassificationMissing, ZeroMass
-from .lattice import UNSET, Cube, DyadicLattice, _ranges, build_lattice, \
+from .lattice import UNSET, DyadicLattice, _ranges, build_lattice, \
     classify_all_good_bad, classify_terminal_transit, member_rows
 from .space import MetricMeasureSpace
 
@@ -95,13 +95,6 @@ class MartingaleDecomposition:
                 zip(plan.ids, plan.start.tolist(), plan.start[1:].tolist())
                 if b > a}
 
-    def component_vector(self, cid: int) -> np.ndarray:
-        return self.dense([cid])[0]
-
-    def component_norm_sq(self, cid: int) -> float:
-        idx, vals = self.components[cid]
-        return float(np.sum(vals ** 2 * self.lattice.space.mu[idx]))
-
     def dense(self, ids) -> np.ndarray:
         """(len(ids), N), per probe: row i is the component of cube ids[i],
         or zero."""
@@ -131,16 +124,6 @@ class MartingaleDecomposition:
     def reconstruct(self) -> np.ndarray:
         ids = self.lattice.plan.ids
         return self.add_to(self.constant(), np.ones(len(ids)))
-
-    def norms_sq(self) -> dict:
-        return {cid: self.component_norm_sq(cid) for cid in self.components}
-
-
-def delta_proj(lat: DyadicLattice, phi: np.ndarray, cube: Cube) -> np.ndarray:
-    """Dense Delta_Q phi (zero off Q)."""
-    if lat.terminal[cube.id] != 0:
-        raise ClassificationMissing("delta projection requires a transit cube")
-    return decompose(lat, phi).dense([cube.id])[0]
 
 
 def decompose(lat: DyadicLattice, phi: np.ndarray) -> MartingaleDecomposition:

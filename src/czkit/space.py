@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyRadiusList, EmptySet, OmegaIsWholeSpace
-
-INF_DISTANCE = math.inf
 
 
 @dataclass
@@ -49,6 +48,13 @@ class MetricMeasureSpace:
             h = float(self.rho.min(where=pos, initial=np.inf))
             self.resolution_h = h if h < np.inf or pos.any() else 1.0
 
+    def __setattr__(self, name, value):
+        # a new rho or resolution_h drops the tables cached from them
+        if name in ("rho", "resolution_h"):
+            for key in ("near_pairs", "symmetric", "nearest_other"):
+                self.__dict__.pop(key, None)
+        super().__setattr__(name, value)
+
     @property
     def n_points(self) -> int:
         return self.rho.shape[0]
@@ -78,39 +84,18 @@ class MetricMeasureSpace:
     def diam(self) -> float:
         return float(self.rho.max()) if self.n_points > 1 else 0.0
 
-    def ball(self, x: int, r: float) -> np.ndarray:
-        """Indices of the open ball {y : rho(x,y) < r}."""
-        return np.flatnonzero(self.rho[x] < r)
-
-    def ball_mask(self, x: int, r: float) -> np.ndarray:
-        return self.rho[x] < r
-
     def mu_mass(self, idx) -> float:
         return float(self.mu[idx].sum())
-
-    def nu_mass(self, idx) -> float:
-        return float(self.nu[idx].sum())
 
     def l2_norm(self, values: np.ndarray) -> float:
         """L2(mu) norm of a function given by per-point values."""
         return float(np.sqrt(np.sum(np.asarray(values) ** 2 * self.mu)))
-
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.sum(np.asarray(u) * np.asarray(v) * self.mu))
 
     def set_diam(self, idx) -> float:
         idx = np.asarray(idx)
         if idx.size <= 1:
             return 0.0
         return float(self.rho[idx][:, idx].max())
-
-    def set_dist(self, idx_a, idx_b) -> float:
-        """min over pairs of rho; inf when either set is empty."""
-        a = np.asarray(idx_a)
-        b = np.asarray(idx_b)
-        if a.size == 0 or b.size == 0:
-            return INF_DISTANCE
-        return float(self.rho[a][:, b].min())
 
 
 @dataclass
@@ -120,10 +105,6 @@ class RegularityReport:
     n_dim: float
     c_doub: float
     degenerate: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return not self.degenerate
 
 
 @dataclass
@@ -204,7 +185,8 @@ def verify_quasi_metric(space: MetricMeasureSpace) -> QuasiMetricReport:
     if bound is not None and bound <= tol:
         return QuasiMetricReport(
             True, None, 0.0, f"euclidean coords: every excess <= {bound!r}")
-    worst_excess, worst = _worst_triangle_excess(rho, space.quasi_const)
+    with np.errstate(over="ignore"):    # K (a + b) beyond range is inf
+        worst_excess, worst = _worst_triangle_excess(rho, space.quasi_const)
     if worst_excess > tol:
         return QuasiMetricReport(False, worst, worst_excess,
                                  "quasi-triangle inequality violation")
@@ -305,14 +287,10 @@ def _worst_triangle_excess(rho: np.ndarray, k_q: float,
     return best, (x, y, z)
 
 
-def default_radii(space: MetricMeasureSpace, exhaustive: bool = False) -> list:
-    """Geometric grid of radii in [resolution_h, diam], ratio 1/2;
-    exhaustive mode returns every distinct positive distance instead."""
+def default_radii(space: MetricMeasureSpace) -> list:
+    """Geometric grid of radii in [resolution_h, diam], ratio 1/2."""
     d = space.diam()
     h = space.resolution_h
-    if exhaustive:
-        vals = np.unique(space.rho[space.rho > 0])
-        return [float(v) for v in vals if h <= v <= d] or [h]
     if d <= h:
         return [h]
     radii = []
@@ -330,7 +308,7 @@ def ball_masses(space: MetricMeasureSpace, radii,
 
     One (points, radii, N) mask holds every ball; ``masked_sums`` adds the
     balls of one member count as C-ordered rows, so each mass has the bits
-    of ``weights[space.ball_mask(x, r)].sum()``."""
+    of ``weights[space.rho[x] < r].sum()``."""
     inside = space.rho[:, None, :] < np.asarray(radii, dtype=float)[:, None]
     weights = np.array([getattr(space, name) for name in measures])
     masses = masked_sums(weights, inside.reshape(-1, space.n_points))
@@ -363,7 +341,8 @@ def check_ahlfors_regularity(space: MetricMeasureSpace, n_dim: float,
     powers = _radius_powers(radii, n_dim)
     if nu_masses is None:
         nu_masses = ball_masses(space, radii, ("nu",))[0]
-    ratios = nu_masses / powers
+    with np.errstate(over="ignore"):    # a ratio beyond range is inf
+        ratios = nu_masses / powers
     degenerate = space.n_points <= 1 or ratios.min() <= 0
     c1 = float(ratios.min())
     c2 = float(ratios.max())
@@ -385,17 +364,11 @@ def check_growth_condition(space: MetricMeasureSpace, m: float,
     powers = _radius_powers(radii, m)
     if mu_masses is None:
         mu_masses = ball_masses(space, radii, ("mu",))[0]
-    c_h = float((mu_masses / powers).max(initial=0.0))
+    with np.errstate(over="ignore"):    # a ratio beyond range is inf
+        c_h = float((mu_masses / powers).max(initial=0.0))
     xs, rs = np.nonzero(mu_masses > powers)
     return c_h, [(x, float(radii[r])) for x, r in zip(xs.tolist(),
                                                       rs.tolist())]
-
-
-def verify_omega_capture(space: MetricMeasureSpace, m: float,
-                         radii=None) -> bool:
-    """True iff every non-Ahlfors ball is contained in omega as a point set."""
-    _, non_ahlfors = check_growth_condition(space, m, radii)
-    return _omega_captures(space, non_ahlfors)
 
 
 def _omega_captures(space: MetricMeasureSpace, non_ahlfors) -> bool:
@@ -432,16 +405,8 @@ def masked_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def dist_to_complement(space: MetricMeasureSpace, x: int) -> float:
-    """d(x): distance to the complement of omega.  Infinite sentinel when
-    omega is the whole space (the domination route is then rejected)."""
-    outside = ~space.omega
-    if not outside.any():
-        return INF_DISTANCE
-    return float(space.rho[x, outside].min())
-
-
 def dist_to_complement_all(space: MetricMeasureSpace) -> np.ndarray:
+    """d(x), the distance to the complement of omega, per point x."""
     outside = ~space.omega
     if not outside.any():
         raise OmegaIsWholeSpace("omega is the whole space; d(x) undefined")
@@ -484,30 +449,69 @@ def space_to_json(space: MetricMeasureSpace) -> dict:
     return doc
 
 
+def _number(doc: dict, key: str, default, kind: str = "space",
+            least: float = -math.inf) -> float:
+    """Field ``key`` of a ``kind`` document, a finite number of at least
+    ``least``, as a float."""
+    value = doc.get(key, default)
+    if type(value) not in (int, float) or \
+            not (abs(value) <= sys.float_info.max and value >= least):
+        floor = "" if least == -math.inf else f" of at least {least:g}"
+        raise ValueError(f"{kind} field {key!r} must be a finite number"
+                         f"{floor}, not {value!r}")
+    return float(value)
+
+
+def _field(doc, key: str, where: str = "space document", array=False):
+    """Field ``key`` of the JSON object ``doc``, as floats with ``array``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in doc:
+        raise ValueError(f"{where} has no field {key!r}")
+    try:
+        return np.asarray(doc[key], dtype=float) if array else doc[key]
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"space field {key!r} must be an array of "
+                         "numbers") from None
+
+
 def space_from_json(doc: dict) -> MetricMeasureSpace:
-    points = list(doc["points"])
-    metric = doc["metric"]
-    if metric["type"] == "euclidean":
-        coords = np.asarray(metric["coords"], dtype=float)
+    """A space from its JSON document; a missing field, or one of the wrong
+    type or out of range, raises ValueError naming it."""
+    points, metric = _field(doc, "points"), _field(doc, "metric")
+    if not (isinstance(points, list) and all(
+            type(p) in (str, int, float) for p in points)
+            and len(set(points)) == len(points)):
+        raise ValueError("space field 'points' must be a list of distinct "
+                         "point ids, each a string or a number")
+    k_q = _number(doc, "quasi_const", 1.0, least=1.0)
+    h = _number(doc, "resolution_h", 0.0, least=0.0)
+    kind = _field(metric, "type", "space field 'metric'")
+    if kind == "euclidean":
+        coords = _field(metric, "coords", "space field 'metric'", True)
         if coords.ndim != 2:
             raise ValueError(
                 "the euclidean coords must be an (N, d) array, one row of d "
                 f"coordinates per point, not an array of shape {coords.shape}")
         if not np.isfinite(coords).all():
             raise ValueError("the euclidean coords have non-finite entries")
-        rho = euclidean_metric(coords)
-    elif metric["type"] == "explicit":
-        rho = np.asarray(metric["matrix"], dtype=float)
+        with np.errstate(over="ignore"):    # an inf distance is refused below
+            rho = euclidean_metric(coords)
+    elif kind == "explicit":
+        rho = _field(metric, "matrix", "space field 'metric'", True)
         coords = None
     else:
-        raise ValueError(f"unknown metric type {metric['type']!r}")
-    n, nu, mu = len(points), *(np.asarray(doc[k], float) for k in ("nu", "mu"))
+        raise ValueError(f"unknown metric type {kind!r}")
+    n, nu, mu = len(points), *(_field(doc, k, array=True) for k in ("nu", "mu"))
     if rho.shape != (n, n) or nu.shape != (n,) or mu.shape != (n,):
         raise ValueError(f"{n} points, {nu.size} nu and {mu.size} mu weights "
                          f"but a {'x'.join(map(str, rho.shape))} metric")
     for name, values in (("metric", rho), ("nu", nu), ("mu", mu)):
         if not (np.isfinite(values) & (values >= 0)).all():
             raise ValueError(f"{name} entries must be finite and nonnegative")
+    if mu.sum() > 1 + 1e-9:     # every bound of a certificate takes mu(X) <= 1
+        raise ValueError(f"space field 'mu' must have a total mass of at most "
+                         f"1, not {float(mu.sum())!r}")
     if coords is None and not np.array_equal(rho, rho.T):
         i, j = np.argwhere(rho != rho.T)[0]
         raise ValueError(f"the explicit metric is not symmetric: the distance "
@@ -525,16 +529,16 @@ def space_from_json(doc: dict) -> MetricMeasureSpace:
                          "but at distance 0")
     index = {p: i for i, p in enumerate(points)}
     omega = np.zeros(len(points), dtype=bool)
-    for p in doc.get("omega", []):
+    ids = doc.get("omega", [])
+    if not isinstance(ids, list):
+        raise ValueError("space field 'omega' must be a list of point ids")
+    for p in ids:
+        if type(p) not in (str, int, float) or p not in index:
+            raise ValueError(f"omega id {p!r} is not a point")
         omega[index[p]] = True
-    return MetricMeasureSpace(
-        rho=rho, nu=nu, mu=mu,
-        omega=omega,
-        quasi_const=float(doc.get("quasi_const", 1.0)),
-        resolution_h=float(doc.get("resolution_h", 0.0)),
-        points=points,
-        coords=coords if metric["type"] == "euclidean" else None,
-    )
+    return MetricMeasureSpace(rho=rho, nu=nu, mu=mu, omega=omega,
+                              quasi_const=k_q, resolution_h=h, points=points,
+                              coords=coords)
 
 
 def load_space(path) -> MetricMeasureSpace:

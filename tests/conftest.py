@@ -1,6 +1,8 @@
 """Shared fixtures: small deterministic spaces and lattices."""
 
+import inspect
 import os
+import types
 
 # Pin BLAS to one thread before numpy is imported. OpenBLAS splits a large
 # product across threads and sums its pieces in a thread-dependent order, so
@@ -17,6 +19,45 @@ from czkit.examples import generate_example
 from czkit.lattice import DyadicLattice, _ensemble_keys, _generation_range, \
     _lattice_of_orders, build_lattice, classify_terminal_transit
 from czkit.space import MetricMeasureSpace, space_from_json
+
+
+# the five built-in runs: (example, its parameters, scenario overrides)
+BERGMAN_64 = {"n_ring": 64, "n_cluster": 8, "n_boundary": 32}
+RUNS = (("uniform_grid", {"n": 9}, {}), ("line_in_plane", {"n": 13}, {}),
+        ("cantor_measure", {"level": 6}, {}), ("bergman_disc_model", {}, {}),
+        ("bergman_disc_model", BERGMAN_64, {"s_param": None,
+                                            "ensemble": 150}))
+
+
+def _defined_functions(path) -> dict:
+    """(first line, name) -> qualified name of every function and method
+    defined in the source file ``path``, nested ones included."""
+    out = {}
+
+    def walk(code, outer):
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType) and \
+                    not const.co_name.startswith("<"):
+                name = outer + const.co_name
+                if const.co_flags & inspect.CO_NEWLOCALS:   # not a class
+                    out[const.co_firstlineno, const.co_name] = name
+                walk(const, name + ".")
+
+    with open(path) as fh:
+        walk(compile(fh.read(), path, "exec"), "")
+    return out
+
+
+def kernel_doc(kernel) -> dict:
+    """The JSON document of a kernel, as ``kernel_from_json`` reads it."""
+    doc = {"type": kernel.name, "m": kernel.m, "tau": kernel.tau,
+           "C_CZ": kernel.C_CZ, "delta_CZ": kernel.delta_CZ,
+           "diagonal_policy": kernel.diagonal_policy}
+    if kernel.name == "explicit":
+        doc["matrix"] = kernel.matrix.tolist()
+    else:
+        doc["params"] = kernel.params
+    return doc
 
 
 def line_space(n: int = 8, omega=(), mu=None) -> MetricMeasureSpace:

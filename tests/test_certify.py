@@ -4,10 +4,7 @@ exact norms of their regimes."""
 
 import dataclasses
 import importlib
-import inspect
 import math
-import sys
-import types
 
 import numpy as np
 import pytest
@@ -23,14 +20,14 @@ from czkit.certify import (_pair_norm, admissible_bmo_cubes, alpha_param,
                            whitney_decomposition)
 from czkit.errors import ClassificationMissing, CzkitError
 from czkit.examples import generate_example
-from czkit.harness import make_scenario, run
+from czkit.harness import make_scenario
 from czkit.kernels import (bergman_kernel, check_T1, constant_kernel,
                            power_kernel, spectral_norm, zero_kernel)
 from czkit.lattice import (build_lattice, classify_all_good_bad,
                            classify_terminal_transit, scale_gap)
 from czkit.projections import decompose, good_component_ids, split_good_bad
 from czkit.space import dilate
-from conftest import line_space
+from conftest import BERGMAN_64, line_space
 
 KAPPA = 0.5
 DELTA = 0.25
@@ -158,18 +155,16 @@ def test_far_pairs_all_satisfy_long_range_bound():
                 if not rec.get("far_ok", True):
                     continue
                 # the pair value straight from its definition
-                dense_q = fine_dec.component_vector(rec["q"])
-                dense_r = coarse_dec.component_vector(rec["r"])
+                dense_q = fine_dec.dense([rec["q"]])[0]
+                dense_r = coarse_dec.dense([rec["r"]])[0]
                 # half.op is on supp mu; the primary half takes K^T
                 op = kern.matrix.T if half_index == 0 else kern.matrix
-                exact = space.inner(op @ (dense_r * space.mu), dense_q)
+                exact = float(np.sum(op @ (dense_r * space.mu) * dense_q *
+                                     space.mu))
                 assert value == pytest.approx(exact, rel=1e-9, abs=1e-15)
                 q = half.fine_lat.cubes[rec["q"]]
                 r = half.coarse_lat.cubes[rec["r"]]
-                dq = math.sqrt(fine_dec.component_norm_sq(rec["q"])) \
-                    if rec["q"] in fine_dec.components else 0.0
-                dr = math.sqrt(coarse_dec.component_norm_sq(rec["r"])) \
-                    if rec["r"] in coarse_dec.components else 0.0
+                dq, dr = space.l2_norm(dense_q), space.l2_norm(dense_r)
                 d_big = q.size + r.size + rec["dist"]
                 bound = (kern.C_CZ * 3.0 ** mexp *
                          q.size ** (kern.tau / 2) * r.size ** (kern.tau / 2)
@@ -731,7 +726,6 @@ def _regime_forms(kern, space, geometry):
                    for u in (u_f, u_g)]
 
 
-BERGMAN_64 = {"n_ring": 64, "n_cluster": 8, "n_boundary": 32}
 SEED_402 = (2476693647, 1295026582)
 ORACLE_CASES = {
     "cantor_level5": ("cantor_measure", {"level": 5}, 2, (1, 2)),
@@ -792,66 +786,3 @@ def test_terminal_constant_carries_group_multiplicity():
                        geo["weight"])
     assert (rep.counts["sigma3_term_multiplicity"],
             rep.counts["sym_sigma3_term_multiplicity"]) == (1, 2)
-
-
-# ---------------------------------------------------------------------------
-# the run path
-
-# functions of certify.py that no run reaches, and why they stay
-UNRUN = {
-    "pseudo_bmo_check": "BMO check, to run in the hypotheses stage",
-    "whitney_decomposition": "BMO check, to run in the hypotheses stage",
-    "admissible_bmo_cubes": "BMO check, to run in the hypotheses stage",
-    "bmo_tail_constant": "BMO check, to run in the hypotheses stage",
-    "HalfData.buckets": "read by benchmarks/layers.py",
-    "PairTable.records": "read by benchmarks/layers.py",
-}
-RUNS = (("uniform_grid", {"n": 9}, {}), ("line_in_plane", {"n": 13}, {}),
-        ("cantor_measure", {"level": 6}, {}), ("bergman_disc_model", {}, {}),
-        ("bergman_disc_model", BERGMAN_64, {"s_param": None,
-                                            "ensemble": 150}))
-
-
-def _defined_functions(path) -> dict:
-    """(first line, name) -> qualified name of every function and method
-    defined in the source file ``path``, nested ones included."""
-    out = {}
-
-    def walk(code, outer):
-        for const in code.co_consts:
-            if isinstance(const, types.CodeType) and \
-                    not const.co_name.startswith("<"):
-                name = outer + const.co_name
-                if const.co_flags & inspect.CO_NEWLOCALS:   # not a class
-                    out[const.co_firstlineno, const.co_name] = name
-                walk(const, name + ".")
-
-    with open(path) as fh:
-        walk(compile(fh.read(), path, "exec"), "")
-    return out
-
-
-def test_every_function_of_certify_runs():
-    # every function of certify.py runs in one of five built-in runs or in
-    # writing their reports, but for the listed ones; code no run reaches
-    # is deleted
-    path = importlib.import_module("czkit.certify").__file__
-    defined = _defined_functions(path)
-    assert set(UNRUN) <= set(defined.values())
-    called = set()
-
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_filename == path:
-            called.add((code.co_firstlineno, code.co_name))
-
-    scenarios = [make_scenario(name, example_params=params, **overrides)
-                 for name, params, overrides in RUNS]
-    sys.setprofile(profile)
-    try:
-        for scenario in scenarios:
-            run(scenario).to_json()
-    finally:
-        sys.setprofile(None)
-    unrun = {name for key, name in defined.items() if key not in called}
-    assert unrun == set(UNRUN)

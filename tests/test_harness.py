@@ -16,11 +16,12 @@ from czkit.errors import CalibrationExhausted, UnknownExample
 from czkit.harness import (Scenario, calibrate_S, make_scenario, run,
                            save_report)
 from czkit.examples import generate_example
-from czkit.kernels import (check_T1, kernel_to_json, operator_norm_dense,
+from czkit.kernels import (check_T1, operator_norm_dense,
                            power_kernel)
 from czkit.lattice import build_lattice
-from czkit.space import dilate, load_space, save_space, space_to_json
-from conftest import line_space
+from czkit.space import dilate, load_space, save_space, space_from_json, \
+    space_to_json
+from conftest import kernel_doc, line_space
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +64,8 @@ def test_make_scenario_kappa_override():
 
 
 def test_make_scenario_kernel_override():
-    sc = make_scenario("uniform_grid", kernel_kind="power", m=1.5, tau=0.5)
+    sc = make_scenario("uniform_grid", m=1.5, tau=0.5)
     assert sc.m == 1.5 and sc.tau == 0.5
-    with pytest.raises(UnknownExample):
-        make_scenario("uniform_grid", kernel_kind="mystery")
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +471,7 @@ def cantor_files(tmp_path_factory):
     kernel = power_kernel(space, m=info["m"], tau=info["tau"])
     root = tmp_path_factory.mktemp("cantor")
     save_space(space, root / "space.json")
-    (root / "kernel.json").write_text(json.dumps(kernel_to_json(kernel)))
+    (root / "kernel.json").write_text(json.dumps(kernel_doc(kernel)))
     return space, kernel, str(root / "space.json"), str(root / "kernel.json")
 
 
@@ -494,7 +493,7 @@ def test_cli_t1_check_counts_sets_on_supp_mu(tmp_path, capsys):
     space, info = generate_example("line_in_plane", n=13)
     save_space(space, tmp_path / "space.json")
     kernel = power_kernel(space, m=info["m"], tau=info["tau"])
-    (tmp_path / "kernel.json").write_text(json.dumps(kernel_to_json(kernel)))
+    (tmp_path / "kernel.json").write_text(json.dumps(kernel_doc(kernel)))
     assert cli.main(["t1-check", "--space", str(tmp_path / "space.json"),
                      "--kernel", str(tmp_path / "kernel.json"),
                      "--seed", "3"]) == 0
@@ -703,6 +702,111 @@ def test_cli_non_finite_space_is_input_error(command, doc, message, tmp_path,
     assert "Traceback" not in err
 
 
+def _cli(args) -> tuple:
+    """(exit code, stdout, stderr) of ``czkit <args>``, in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("quasi_const", math.nan), ("quasi_const", math.inf),
+    ("quasi_const", 0.5), ("quasi_const", "2.5"), ("resolution_h", math.nan),
+    ("resolution_h", -math.inf), ("resolution_h", -1.0)])
+def test_cli_space_constants_must_be_finite_and_in_range(field, value,
+                                                         tmp_path):
+    # rho(a, c) = 5 needs K >= 2.5; K = NaN or inf passed the triple scan
+    # (exit 0), and h = NaN gave C_H 0 and a false triangle violation
+    path = tmp_path / "space.json"
+    args = ["verify-space", "--space", str(path)]
+    spread = {"type": "explicit", "matrix": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}
+    for k_q, code in ((1.0, 1), (2.5, 0)):
+        path.write_text(json.dumps(_three_points(metric=spread,
+                                                 quasi_const=k_q)))
+        assert _cli(args)[0] == code
+    path.write_text(json.dumps(_three_points(metric=spread, **{field: value})))
+    code, out, err = _cli(args)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: space field {field!r} must be ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify-space", "certify"])
+@pytest.mark.parametrize("where,field", [
+    ((), "points"), ((), "metric"), ((), "nu"), ((), "mu"),
+    (("metric",), "type"), (("metric",), "matrix"), (("metric",), "coords")])
+def test_cli_missing_space_field_is_named(command, where, field, tmp_path):
+    # a missing field printed only the KeyError's key, as in "error: 'mu'"
+    doc = _three_points()
+    if field == "coords":
+        doc["metric"] = {"type": "euclidean"}
+    else:
+        (doc[where[0]] if where else doc).pop(field)
+    (tmp_path / "space.json").write_text(json.dumps(doc))
+    (tmp_path / "kernel.json").write_text(json.dumps({"type": "power"}))
+    args = [command, "--space", str(tmp_path / "space.json")]
+    if command == "certify":
+        args += ["--kernel", str(tmp_path / "kernel.json")]
+    code, out, err = _cli(args)
+    assert (code, out) == (2, "")
+    owner = f"space field {where[0]!r}" if where else "space document"
+    assert err == f"error: {owner} has no field {field!r}\n"
+
+
+def test_cli_certify_two_points_without_components(tmp_path):
+    # at distance 1.5 neither lattice has a component cube, and the probe
+    # chunk was cells // (0 rows * N): a ZeroDivisionError
+    (tmp_path / "space.json").write_text(json.dumps({
+        "points": [0, 1], "nu": [1.0, 1.0], "mu": [0.5, 0.5],
+        "metric": {"type": "explicit", "matrix": [[0, 1.5], [1.5, 0]]}}))
+    (tmp_path / "kernel.json").write_text(json.dumps({"type": "power"}))
+    code, out, err = _cli(["certify", "--space", str(tmp_path / "space.json"),
+                           "--kernel", str(tmp_path / "kernel.json")])
+    assert code in (0, 1) and err == ""
+    cert = json.loads(out)["certificate"]
+    assert cert["empirical_norm"] <= cert["certified_total"]
+
+
+@pytest.mark.parametrize("command", ["build-lattice", "decompose",
+                                     "t1-check", "montecarlo"])
+def test_cli_too_many_generations_is_input_error(command, tmp_path):
+    # scales from diam 2 down to 1e-30 are 102 generations at kappa 1/2;
+    # a certificate's tables grow with each, and at 1e154 times the scale
+    # of a few points one ran out of memory
+    (tmp_path / "space.json").write_text(json.dumps(_three_points(
+        resolution_h=1e-30)))
+    (tmp_path / "kernel.json").write_text(json.dumps({"type": "power"}))
+    args = [command, "--space", str(tmp_path / "space.json")]
+    if command == "t1-check":
+        args += ["--kernel", str(tmp_path / "kernel.json")]
+    code, out, err = _cli(args)
+    assert (code, out) == (2, "")
+    assert err == ("error: diam 2 down to resolution_h 1e-30 is 102 "
+                   "generations, more than 64\n")
+
+
+def test_cli_mu_above_one_is_input_error(tmp_path):
+    # every bound of a certificate takes mu(X) <= 1; at mu(x) = 1e308 its
+    # mass products overflowed
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(_three_points(mu=[0.5, 0.25, 0.5])))
+    code, out, err = _cli(["verify-space", "--space", str(path)])
+    assert (code, out, err) == (2, "", "error: space field 'mu' must have a "
+                                "total mass of at most 1, not 1.25\n")
+
+
+@pytest.mark.parametrize("omega,message", [
+    (["a", "z"], "omega id 'z' is not a point"),
+    ([["a"]], "omega id ['a'] is not a point"),
+    ("a", "space field 'omega' must be a list of point ids")])
+def test_cli_bad_omega_id_is_named(omega, message, tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(_three_points(omega=omega)))
+    code, out, err = _cli(["verify-space", "--space", str(path)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["norm", "t1-check"])
 def test_cli_unknown_diagonal_policy_is_input_error(command, grid_file,
                                                     tmp_path, capsys):
@@ -810,10 +914,7 @@ def _kernel_cli(cantor3, doc, command="certify"):
             "--kernel", str(root / "kernel.json")]
     if command == "certify":
         args += ["--n-dim", n_dim]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(args)
-    return code, out.getvalue(), err.getvalue()
+    return _cli(args)
 
 
 @pytest.mark.parametrize("kind,edit,field", [
@@ -988,6 +1089,61 @@ def test_cli_certify_survives_mutated_kernel_documents(cantor3, kind, op, key,
     else:
         doc = [doc]
     code, _, err = _kernel_cli(cantor3, doc)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+SPACE_FIELDS = ("points", "metric", "nu", "mu", "omega", "quasi_const",
+                "resolution_h", ("metric", "type"), ("metric", "coords"),
+                ("metric", "matrix"))
+
+
+@given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       explicit=st.booleans(), op=st.sampled_from(("drop", "set", "entry",
+                                                   "wrap")),
+       key=st.sampled_from(SPACE_FIELDS), at=st.integers(0, 11),
+       value=st.one_of(st.sampled_from(BAD_VALUES), st.floats(),
+                       st.integers()),
+       command=st.sampled_from(("verify-space", "certify")))
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_survives_mutated_space_documents(cantor3, n, seed, explicit, op,
+                                              key, at, value, command):
+    # one mutation of a valid document of n random points in the plane: a
+    # dropped key, a value of the wrong type, shape or range in a field or
+    # in one entry of it, or the document wrapped in a list
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0.0, 4.0, (n, 2))
+    doc = {"points": list(range(n)), "nu": [1.0] * n,
+           "mu": rng.dirichlet(np.ones(n)).tolist(), "omega": [0],
+           "metric": {"type": "euclidean", "coords": coords.tolist()}}
+    if explicit:
+        doc["metric"] = {"type": "explicit",
+                         "matrix": space_from_json(doc).rho.tolist()}
+    where = doc
+    if isinstance(key, tuple):
+        where, key = doc["metric"], key[1]
+    if op == "drop":
+        where.pop(key, None)
+    elif op == "set" or op == "entry" and not isinstance(where.get(key),
+                                                         list):
+        where[key] = value
+    elif op == "entry":
+        cell = where[key]
+        while cell and isinstance(cell[at % len(cell)], list):
+            cell = cell[at % len(cell)]
+        if cell:
+            cell[at % len(cell)] = value
+    else:
+        doc = [doc]
+    root = cantor3[0]
+    (root / "fuzzed_space.json").write_text(json.dumps(doc))
+    (root / "fuzzed_kernel.json").write_text(json.dumps({"type": "power"}))
+    args = [command, "--space", str(root / "fuzzed_space.json")]
+    if command == "certify":
+        args += ["--kernel", str(root / "fuzzed_kernel.json")]
+    code, _, err = _cli(args)
     assert code in (0, 1, 2)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1

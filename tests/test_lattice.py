@@ -2,32 +2,26 @@
 
 import dataclasses
 import hashlib
-import importlib
 import itertools
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from czkit import cli
 from czkit.errors import DegenerateScale, LeafCube, RootTerminal
 from czkit.examples import generate_example
-from czkit.harness import make_scenario, run
-from czkit.kernels import kernel_to_json, power_kernel
 from czkit.lattice import (_candidates, _default_k_range, _draw_batch,
                            _draw_orders, build_lattice, classify_all_good_bad,
                            classify_good_bad, classify_terminal_transit,
                            ensemble_gaps, estimate_bad_probability,
                            lattice_to_json, scale_gap, skeleton,
                            skeleton_by_generation, verify_lattice_properties)
-from czkit.space import MetricMeasureSpace, load_space
+from czkit.space import MetricMeasureSpace
 from conftest import (edited_lattice, ensemble_lattices, explicit_space,
                       grid_space, line_space, probe_args)
-from test_certify import RUNS, _defined_functions
 
 ALPHA_11 = 0.25     # goodness exponent for tau = m = 1
 
@@ -692,67 +686,3 @@ def test_classify_all_sets_flags():
     lat2 = build_lattice(space, kappa=0.5, seed=2)
     classify_all_good_bad(lat1, lat2, ALPHA_11, 0.25, 1)
     assert all(c.good is not None for c in lat1.cubes.values())
-
-
-# ---------------------------------------------------------------------------
-# the run path
-
-# functions of lattice.py that no run and no command reaches, and why they
-# stay
-UNRUN = {
-    "classify_good_bad": "per-cube reference of classify_all_good_bad",
-    "skeleton": "per-cube reference of the skeleton marks",
-    "skeleton_by_generation": "per-generation reference of the skeleton "
-                              "marks",
-    "Cube.is_leaf": "part of the cube view tests read",
-    "CubeTable.__iter__": "read by benchmarks/layers.py",
-    "CubeTable.__len__": "part of the Mapping protocol of lat.cubes",
-    "DyadicLattice.root": "the root as a cube view, read by tests",
-    "fit_lattice_constants": "lattice constants, read by tests only",
-    "LatticePropertyReport._constants": "lattice constants, read by tests "
-                                        "only",
-}
-
-
-def test_every_function_of_lattice_runs(tmp_path, capsys):
-    # every function of lattice.py runs in the five built-in runs of
-    # test_every_function_of_certify_runs or in one of the eight commands on
-    # a small space, but for the listed ones; code nothing reaches is deleted
-    path = importlib.import_module("czkit.lattice").__file__
-    defined = _defined_functions(path)
-    assert set(UNRUN) <= set(defined.values())
-    assert not {"lattice_from_json", "DyadicLattice.nested",
-                "DyadicLattice.symmetric"} & set(defined.values())
-    space_file, kernel_file = tmp_path / "space.json", tmp_path / "kernel.json"
-    scenarios = [make_scenario(name, example_params=params, **overrides)
-                 for name, params, overrides in RUNS]
-    called = set()
-
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_filename == path:
-            called.add((code.co_firstlineno, code.co_name))
-
-    sys.setprofile(profile)
-    try:
-        for scenario in scenarios:
-            run(scenario).to_json()
-        assert cli.main(["generate-example", "cantor_measure", "--params",
-                         '{"level": 4}', "--out", str(space_file)]) == 0
-        kernel_file.write_text(json.dumps(kernel_to_json(power_kernel(
-            load_space(space_file), m=math.log(2) / math.log(3)))))
-        space, kernel = ["--space", str(space_file)], \
-            ["--kernel", str(kernel_file)]
-        for argv in (["verify-space", *space],
-                     ["build-lattice", *space, "--out",
-                      str(tmp_path / "lattice.json")],
-                     ["decompose", *space], ["t1-check", *space, *kernel],
-                     ["norm", *space, *kernel],
-                     ["montecarlo", *space, "--ensemble", "20"],
-                     ["certify", *space, *kernel, "--n-dim", "0.63"]):
-            assert cli.main(argv) in (0, 1), argv
-    finally:
-        sys.setprofile(None)
-    capsys.readouterr()
-    unrun = {name for key, name in defined.items() if key not in called}
-    assert unrun == set(UNRUN)

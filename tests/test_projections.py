@@ -10,7 +10,7 @@ from czkit.errors import ClassificationMissing, ZeroMass
 from czkit.examples import generate_example
 from czkit.lattice import (build_lattice, classify_all_good_bad,
                            classify_terminal_transit)
-from czkit.projections import (decompose, delta_proj, expected_bad_norm,
+from czkit.projections import (decompose, expected_bad_norm,
                                properties_check, split_good_bad)
 from czkit.space import MetricMeasureSpace
 from conftest import explicit_space, grid_space, line_space
@@ -66,7 +66,7 @@ def test_average_zero_mass_raises():
 
 def test_delta_constant_vanishes(grid8):
     lat = _classified(grid8)
-    d = delta_proj(lat, np.full(grid8.n_points, 2.0), lat.root)
+    d = decompose(lat, np.full(grid8.n_points, 2.0)).dense([lat.root_id])[0]
     assert np.abs(d).max() < 1e-12
 
 
@@ -77,7 +77,7 @@ def test_delta_zero_mean_and_support(line_example, line_lattice):
     for cube in line_lattice.cubes.values():
         if cube.terminal or cube.is_leaf:
             continue
-        d = delta_proj(line_lattice, phi, cube)
+        d = decompose(line_lattice, phi).dense([cube.id])[0]
         assert abs(np.sum(d * space.mu)) < 1e-12
         off = np.setdiff1d(np.arange(space.n_points), cube.members)
         if off.size:
@@ -89,7 +89,7 @@ def test_delta_equal_mass_oscillation():
     lat = _classified(space)
     phi = np.array([1.0, -1.0])
     # the root average is zero, so the root projection returns phi on the root
-    d = delta_proj(lat, phi, lat.root)
+    d = decompose(lat, phi).dense([lat.root_id])[0]
     assert np.allclose(d, phi)
 
 
@@ -113,7 +113,8 @@ def test_reconstruction_and_pythagoras_random():
         dec = decompose(lat, phi)
         assert np.abs(dec.reconstruct() - phi).max() <= 1e-10
         total = space.l2_norm(phi) ** 2
-        parts = dec.lambda_part ** 2 + sum(dec.norms_sq().values())
+        parts = dec.lambda_part ** 2 + \
+            float(np.sum(dec.values ** 2 * space.mu[lat.plan.pt]))
         assert abs(total - parts) <= 1e-10 * total
 
 
@@ -127,9 +128,9 @@ def test_decomposition_linearity():
     dp, ds = decompose(lat, phi), decompose(lat, psi)
     assert dec.lambda_part == pytest.approx(a * dp.lambda_part
                                             + b * ds.lambda_part)
-    for cid in dec.components:
-        combo = a * dp.component_vector(cid) + b * ds.component_vector(cid)
-        assert np.allclose(dec.component_vector(cid), combo, atol=1e-12)
+    ids = list(dec.components)
+    combo = a * dp.dense(ids) + b * ds.dense(ids)
+    assert np.allclose(dec.dense(ids), combo, atol=1e-12)
 
 
 def test_components_only_on_transit_cubes(line_lattice):

@@ -81,7 +81,7 @@ def test_cube_pair_distances_and_sups(name, seed):
                       np.maximum, axis=0)
     for a, q in enumerate(qs):
         for b, r in enumerate(rs):
-            assert dist[a, b] == space.set_dist(q.members, r.members)
+            assert dist[a, b] == space.rho[np.ix_(q.members, r.members)].min()
             assert sup[a, b] == mat[np.ix_(q.members, r.members)].max()
 
 
@@ -182,7 +182,8 @@ def _good_cubes(lat):
 
 
 def _reference_pairs(space, fine_lat, coarse_lat, r_gap, alpha):
-    """The per-pair classification: one set_dist per measured pair."""
+    """The per-pair classification: one distance of member sets per
+    measured pair."""
     buckets = {"sigma1": [], "sigma2": [], "sigma3_term": [],
                "sigma3_tran": []}
     coarse_cubes = _good_cubes(coarse_lat)
@@ -194,7 +195,8 @@ def _reference_pairs(space, fine_lat, coarse_lat, r_gap, alpha):
             rec = {"q": q.id, "r": r.id, "gap": gap}
             if gap < r_gap or not (
                     coarse_lat.labels[r.generation][q.members] == r.id).any():
-                d = rec["dist"] = space.set_dist(q.members, r.members)
+                d = rec["dist"] = float(
+                    space.rho[np.ix_(q.members, r.members)].min())
                 if gap < r_gap and d <= r.size:
                     buckets["sigma1"].append(rec)
                 else:
