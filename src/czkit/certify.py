@@ -52,15 +52,13 @@ class LemmaCheck:
     ref: str = ""
 
 
-def _lemma(name: str, measured, bound, ref: str):
-    """A lemma check that passes when measured <= bound up to rounding; one
-    per probe, in a list, when given one value per probe."""
-    if np.ndim(measured):
-        return [_lemma(name, m, b, ref)
-                for m, b in zip(measured.tolist(), bound.tolist())]
-    measured, bound = float(measured), float(bound)
-    return LemmaCheck(name, measured, bound,
-                      measured <= bound * (1 + 1e-9) + 1e-15, ref)
+def _lemma(name: str, measured: np.ndarray, bound: np.ndarray,
+           ref: str) -> list:
+    """One lemma check per probe, each passing when measured <= bound up to
+    rounding."""
+    return [LemmaCheck(name, float(m), float(b),
+                       m <= b * (1 + 1e-9) + 1e-15, ref)
+            for m, b in zip(measured.tolist(), bound.tolist())]
 
 
 def _row_bincount(bins: np.ndarray, weights: np.ndarray,
@@ -194,25 +192,26 @@ def classify_pairs(fine: ComponentRows, coarse: ComponentRows,
 
 @dataclass
 class Components:
-    """The good martingale differences of one probe function on one
-    lattice, one row per ComponentRows row, times mu and zero off the
-    row's cube; every field has a leading probe axis when batched."""
-    phi: np.ndarray                # (rows, N) Delta_Q phi * mu
+    """The norms of the good martingale differences of a (P, N) stack of
+    probes on one lattice, one column per ComponentRows row."""
     norm_sq: np.ndarray            # ||Delta_Q phi||^2 in L2(mu)
     piece_norm: np.ndarray         # L2(mu) norm of each piece
 
 
-def _stack_components(rows: ComponentRows,
-                      dec: MartingaleDecomposition) -> Components:
+def _probe_components(rows: ComponentRows, dec: MartingaleDecomposition,
+                      p: int, comp: Components) -> np.ndarray:
+    """Probe p's good martingale differences, one row per ComponentRows
+    row, times mu and zero off the row's cube; their norms go to row p of
+    ``comp``."""
     mu = rows.lattice.space.mu
-    delta = dec.dense(rows.ids.tolist())
+    delta = replace(dec, values=dec.values[p]).dense(rows.ids.tolist())
     phi = delta * mu
     sq = np.square(delta, out=delta)
     sq *= mu
-    piece_sq = _row_bincount(rows.point_piece.ravel(),
-                             sq.reshape(sq.shape[:-2] + (-1,)),
-                             len(rows.piece) + 1)[..., :-1]
-    return Components(phi, sq.sum(axis=-1), np.sqrt(piece_sq))
+    comp.norm_sq[p] = sq.sum(axis=-1)
+    comp.piece_norm[p] = np.sqrt(np.bincount(
+        rows.point_piece.ravel(), sq.ravel(), len(rows.piece) + 1)[:-1])
+    return phi
 
 
 @dataclass
@@ -223,20 +222,18 @@ class HalfData:
     pair_geometry fills the lattice-only fields once per lattice pair: the
     half's name, the pair tables and, per regime, the per-pair weights of
     its lemma and its constant. split_bilinear copies them for each batch
-    of probes and adds the probe fields, which then lead with the probe
-    axis, and the operator on supp mu."""
+    of probes and adds the probe fields, which lead with the probe axis:
+    the component norms and every product with K that a lemma reads."""
     prefix: str                    # "" (primary) or "sym_": report keys
     fine_rows: ComponentRows
     coarse_rows: ComponentRows
     pairs: dict                    # regime -> PairTable
     geo: dict = field(default_factory=dict)      # regime -> weights, constant
     # probe fields
-    supp: np.ndarray | slice | None = None   # supp mu (``on_support``)
-    op: np.ndarray | None = None   # operator on coarse parts, on supp x supp
-    coarse_fn: np.ndarray | None = None   # the coarse lattice's probes
     fine: Components | None = None
     coarse: Components | None = None
     values: dict = field(default_factory=dict)   # regime -> pair values
+    transit: dict = field(default_factory=dict)  # see _transit_products
     _view: dict = field(default_factory=dict, repr=False)  # see buckets
 
     @property
@@ -311,14 +308,14 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
 
 @dataclass
 class SigmaSplit:
-    """The sigma parts of <T f_good, g_good>: floats for one probe pair,
-    (P,) arrays for a batch.  ``sums`` holds each regime's sum under its
-    report key, ``sigma1`` to ``sym_sigma3_tran``.  The batch gathers along
-    the last axis with ``x.take(idx, -1)``: an index after ``...`` would lay
+    """The sigma parts of <T f_good, g_good> for a batch of probe pairs,
+    as (P,) arrays.  ``sums`` holds each regime's sum under its report
+    key, ``sigma1`` to ``sym_sigma3_tran``.  The batch gathers along the
+    last axis with ``x.take(idx, -1)``: an index after ``...`` would lay
     the probe axis innermost, and a sum along the last axis keeps each
     probe's bits only over contiguous rows."""
-    lambda_part: float
-    direct: float                  # <T f_good, g_good> computed densely
+    lambda_part: np.ndarray
+    direct: np.ndarray             # <T f_good, g_good> computed densely
     sums: dict                     # report key -> regime sum
     halves: tuple                  # (primary, symmetric) HalfData
 
@@ -327,25 +324,16 @@ class SigmaSplit:
         return (self.lambda_part, *self.sums.values())
 
     @property
-    def total(self) -> float:
+    def total(self) -> np.ndarray:
         return sum(self.parts[1:], self.parts[0])
 
     @property
-    def batched(self) -> bool:
-        return np.ndim(self.direct) > 0
-
-    @property
-    def regroup_error(self):
+    def regroup_error(self) -> np.ndarray:
         # |direct| floored at a thousandth of the parts' magnitude: where
         # <T f_good, g_good> is exactly 0 they cancel only up to rounding
         floor = 1e-3 * sum(map(np.abs, self.parts))
         scale = np.maximum(np.maximum(np.abs(self.direct), floor), 1e-30)
-        return _scalar(np.abs(self.total - self.direct) / scale)
-
-
-def _scalar(x):
-    """A 0-d result as a Python float; a batch stays an array."""
-    return float(x) if np.ndim(x) == 0 else x
+        return np.abs(self.total - self.direct) / scale
 
 
 def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
@@ -353,14 +341,17 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
                    dec_g: MartingaleDecomposition,
                    f: np.ndarray, g: np.ndarray,
                    geometry: tuple) -> SigmaSplit:
-    """Exact regrouping of <T f_good, g_good> into the sigma parts.
+    """Exact regrouping of <T f_good, g_good> into the sigma parts, and
+    every product with K that the lemma checks read.
 
-    f and g are one function each or (P, N) stacks of probes, decomposed
-    by dec_f and dec_g; a stack gives (P,) sums, each bit for bit its
-    probe's own.  ``geometry`` is the pair_geometry of the two
-    decompositions' lattices.  Every product contracts over supp mu,
-    against K on supp mu x supp mu (``on_support``), which the halves keep
-    for the transit products."""
+    f and g are (P, N) stacks of probes, decomposed by dec_f and dec_g; the
+    sums are (P,) arrays, each bit for bit its probe's own.  ``geometry``
+    is the pair_geometry of the two decompositions' lattices.  Every
+    product contracts over supp mu, against K on supp mu x supp mu
+    (``on_support``).  One loop over the probes forms each probe's
+    components, then the pair values and the transit products
+    (``_transit_products``) of both halves; only the components' norms
+    outlive it."""
     f_good, _ = split_good_bad(dec_f)
     g_good, _ = split_good_bad(dec_g)
     supp, k = on_support(kernel, space)
@@ -377,30 +368,43 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
     lambda_part = pair(lam_f, g_good) + pair(f_good - lam_f, lam_g)
 
     primary, symmetric = geometry
-    comp_f = _stack_components(primary.fine_rows, dec_f)
-    comp_g = _stack_components(primary.coarse_rows, dec_g)
-    lead = comp_f.phi.shape[:-2]
+    n = len(f)
+    comp_f, comp_g = (Components(np.empty((n, len(rows.ids))),
+                                 np.empty((n, len(rows.piece))))
+                      for rows in (primary.fine_rows, primary.coarse_rows))
     primary, symmetric = (
-        replace(half, coarse_fn=fn, fine=fine, coarse=coarse, supp=supp,
-                op=op, values={regime: np.empty(lead + t.q.shape)
-                               for regime, t in half.pairs.items()})
-        for half, fn, fine, coarse, op in ((primary, g, comp_f, comp_g, k.T),
-                                           (symmetric, f, comp_g, comp_f, k)))
-    # <T Delta_Q f, Delta_R g>_mu for every good pair of rows: rows of the
-    # g-lattice, columns of the f-lattice, one probe at a time, as a stack
-    # of them would take several times the memory of the probes; each half
-    # reads its orientation
-    for p in np.ndindex(lead):
-        pair_matrix = comp_g.phi[p][:, supp] @ k @ comp_f.phi[p][:, supp].T
+        replace(half, fine=fine, coarse=coarse,
+                values={regime: np.empty((n,) + t.q.shape)
+                        for regime, t in half.pairs.items()})
+        for half, fine, coarse in ((primary, comp_f, comp_g),
+                                   (symmetric, comp_g, comp_f)))
+    fill_primary = _transit_products(primary, space, supp, g)
+    fill_symmetric = _transit_products(symmetric, space, supp, f)
+    # one probe at a time, as a stack of components would take several
+    # times the memory of the probes
+    for p in range(n):
+        phi_f = _probe_components(primary.fine_rows, dec_f, p, comp_f)
+        phi_g = _probe_components(primary.coarse_rows, dec_g, p, comp_g)
+        f_rows, g_rows = phi_f[:, supp], phi_g[:, supp]
+        # (Delta_R g mu) K: the left factor of the pair matrix, and the
+        # symmetric half's product with T* Delta_Q
+        g_k = g_rows @ k
+        # <T Delta_Q f, Delta_R g>_mu for every good pair of rows: rows of
+        # the g-lattice, columns of the f-lattice; each half reads its
+        # orientation
+        pair_matrix = g_k @ f_rows.T
         for half, value in ((primary, pair_matrix.T),
                             (symmetric, pair_matrix)):
             for regime, t in half.pairs.items():
                 half.values[regime][p] = value[t.q, t.r]
-    sums = {half.prefix + regime: _scalar(values.sum(axis=-1))
+        if fill_primary:
+            fill_primary(p, phi_f, (f_rows @ k.T).T, g_rows)
+        if fill_symmetric:
+            fill_symmetric(p, phi_g, g_k.T, f_rows)
+    sums = {half.prefix + regime: values.sum(axis=-1)
             for half in (primary, symmetric)
             for regime, values in half.values.items()}
-    return SigmaSplit(_scalar(lambda_part), _scalar(direct), sums,
-                      (primary, symmetric))
+    return SigmaSplit(lambda_part, direct, sums, (primary, symmetric))
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +697,52 @@ def _transit_geometry(kernel, space, half: HalfData, abs_op, piece_sup,
                 mass_q / mass_rq) * ext), "violations": violations}
 
 
+def _transit_products(half: HalfData, space, supp, coarse_fn: np.ndarray):
+    """Fill ``half.transit`` with what its transit checks read, as arrays
+    that lead with the probe axis:
+    - ``on_other``: the coarse component on each other child of R, paired
+      with T* Delta_Q (a);
+    - ``off_t`` and ``off_abs``: T* Delta_Q and |T* Delta_Q| summed with mu
+      off the child of each R_Q, the second only where the ascent chain
+      fails (b);
+    - ``l1``: ||Delta_Q||_L1(mu) per pair (b);
+    - ``c_val``: the average of the coarse lattice's probes ``coarse_fn``
+      on R_Q less that on R (b).
+    Returns the function that forms probe p's products in split_bilinear's
+    loop, from its fine stack phi (rows, N), the product fine_t of op^T with
+    Delta_Q mu on supp mu (one column per fine row) and the coarse stack on
+    supp mu; or None when the half has no transit pairs."""
+    geo, t = half.geo["sigma3_tran"], half.pairs["sigma3_tran"]
+    q, other = t.q, geo["other_pair"]
+    r_col, rq_col = geo["cube_col"].T
+    # a trailing unit axis keeps one GEMV per probe
+    averages = (geo["on_cube"] @ coarse_fn[..., None])[..., 0] / geo["on_mass"]
+    n = len(coarse_fn)
+    half.transit = {
+        "on_other": np.empty((n,) + other.shape),
+        "off_t": np.empty((n, q.size)), "off_abs": np.empty((n, q.size)),
+        "l1": np.empty((n, q.size)),
+        "c_val": averages.take(rq_col, -1) - averages.take(r_col, -1)}
+    if not len(t):
+        return None
+    off_child = (space.mu - geo["on_cube"])[:, supp]
+    point_piece = half.coarse_rows.point_piece[:, supp]
+    points = np.arange(point_piece.shape[1])
+    q_other = q[other]
+
+    def fill(p, phi, fine_t, coarse_phi):
+        piece_phi = np.zeros((len(half.coarse_rows.piece) + 1, points.size))
+        piece_phi[point_piece, points] = coarse_phi
+        out = half.transit
+        out["on_other"][p] = (piece_phi[:-1] @ fine_t)[geo["other_piece"],
+                                                       q_other]
+        out["off_t"][p] = (off_child @ fine_t)[rq_col, q]
+        if not geo["chain"].all():
+            out["off_abs"][p] = (off_child @ np.abs(fine_t))[rq_col, q]
+        out["l1"][p] = np.abs(phi).sum(axis=-1)[q]
+    return fill
+
+
 def short_range_transit_bound(split: SigmaSplit, hi: int):
     """The three estimates of the short range transit sum over half ``hi``
     of the split.
@@ -700,56 +750,30 @@ def short_range_transit_bound(split: SigmaSplit, hi: int):
     (a) interaction with the coarse component outside the holding child,
     via the far bound; (b) the error of extending the child indicator to the
     whole space, via exact ascent sums; (c) the block-matrix aggregation of
-    (b).  The coefficients come from the split's geometry.  A batched split
-    gives the three checks of each probe in a list per probe."""
+    (b).  The coefficients come from the split's geometry and the products
+    from the split (``_transit_products``).  Gives the three checks, one
+    list per estimate with one check per probe, and the hypothesis
+    violations."""
     half = split.halves[hi]
-    prefix, space = half.prefix, half.fine_lat.space
-    geo = half.geo["sigma3_tran"]
+    geo, products = half.geo["sigma3_tran"], half.transit
     q, r = half.pairs["sigma3_tran"].q, half.pairs["sigma3_tran"].r
-    fine, coarse, supp = half.fine, half.coarse, half.supp
+    fine, coarse = half.fine, half.coarse
     dq, dr = (np.sqrt(c.norm_sq.take(at, -1))
               for c, at in ((fine, q), (coarse, r)))
-    other = geo["other_pair"]
-    on_cube = geo["on_cube"]
-    r_col, rq_col = geo["cube_col"].T
-    off_child = (space.mu - on_cube)[:, supp]
-
-    # the products with T* Delta_Q on supp mu, one probe at a time, as a
-    # stack of them (the pieces outnumber the rows) would take several
-    # times the memory of the probes: (a) on the coarse component on every
-    # child of R, (b) off the child of each R_Q, and ||Delta_Q||_L1(mu)
-    lead = fine.phi.shape[:-2]
-    point_piece = half.coarse_rows.point_piece[:, supp]
-    points = np.arange(point_piece.shape[1])
-    piece_phi = np.zeros((len(half.coarse_rows.piece) + 1, points.size))
-    on_other = np.empty(lead + other.shape)
-    off_t, off_abs = np.empty(lead + q.shape), np.empty(lead + q.shape)
-    l1 = np.empty(lead + fine.phi.shape[-2:-1])
-    for p in np.ndindex(lead):
-        # column Q is op^T Delta_Q mu
-        fine_t = (fine.phi[p][:, supp] @ half.op).T
-        piece_phi[point_piece, points] = coarse.phi[p][:, supp]
-        on_other[p] = (piece_phi[:-1] @ fine_t)[geo["other_piece"], q[other]]
-        off_t[p] = (off_child @ fine_t)[rq_col, q]
-        if not geo["chain"].all():
-            off_abs[p] = (off_child @ np.abs(fine_t))[rq_col, q]
-        l1[p] = np.abs(fine.phi[p]).sum(axis=-1)
 
     # (a) the coarse component on every child of R, paired with T* Delta_Q
-    far_v = _row_bincount(other, on_other, q.size)
+    far_v = _row_bincount(geo["other_pair"], products["on_other"], q.size)
     meas_far = np.abs(far_v).sum(axis=-1)
     bound_far = (geo["far_coef"] * dq * dr).sum(axis=-1)
 
     # (b) extension error
-    # a trailing unit axis keeps one GEMV per probe
-    averages = (on_cube @ half.coarse_fn[..., None])[..., 0] / geo["on_mass"]
-    c_val = averages.take(rq_col, -1) - averages.take(r_col, -1)
-    ext_v = c_val * off_t
+    c_val = products["c_val"]
+    ext_v = c_val * products["off_t"]
     meas_ext = np.abs(ext_v).sum(axis=-1)
-    pair_bound = np.abs(c_val) * geo["ext_coef"] * l1.take(q, -1)
+    pair_bound = np.abs(c_val) * geo["ext_coef"] * products["l1"]
     if not geo["chain"].all():
         pair_bound = np.where(geo["chain"], pair_bound,
-                              np.abs(c_val) * off_abs)
+                              np.abs(c_val) * products["off_abs"])
     bound_ext = pair_bound.sum(axis=-1)
 
     # (c) block aggregation of the extension errors
@@ -758,6 +782,7 @@ def short_range_transit_bound(split: SigmaSplit, hi: int):
              np.sqrt(fine.norm_sq.take(np.unique(q), -1).sum(axis=-1)) *
              np.sqrt(coarse.norm_sq.take(np.unique(r), -1).sum(axis=-1)))
 
+    prefix = half.prefix
     checks = [
         _lemma(prefix + "sigma3_transit_far", meas_far, bound_far,
                "short_range_transit_far"),
@@ -766,8 +791,6 @@ def short_range_transit_bound(split: SigmaSplit, hi: int):
         _lemma(prefix + "sigma3_transit_block", lhs_c, rhs_c,
                "short_range_transit_block"),
     ]
-    if split.batched:
-        checks = [list(c) for c in zip(*checks)]
     return checks, {"hypothesis_violations": list(geo["violations"])}
 
 
@@ -1201,10 +1224,9 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
             tran_checks, _ = short_range_transit_bound(split, hi=hi)
             halves.append(zip(diagonal_bound(split, hi),
                               short_range_terminal_bound(split, hi),
-                              _sigma2_probe_check(half), tran_checks))
+                              _sigma2_probe_check(half), *tran_checks))
         for pi, per_half in enumerate(zip(*halves), start=at):
-            for hi, (diag, term, far, tran) in enumerate(per_half):
-                checks = [diag, term, far] + tran
+            for hi, checks in enumerate(map(list, per_half)):
                 if pi > 0:
                     lemmas.extend(chk for chk in checks if not chk.passed)
                 else:

@@ -115,11 +115,11 @@ def test_criterion_3_sigma_regrouping():
     rng = np.random.default_rng(7)
     ok = True
     for _ in range(5):
-        f, g = rng.standard_normal((2, space.n_points))
+        f, g = rng.standard_normal((2, 1, space.n_points))
         split = split_bilinear(kern, space, decompose(lat1, f),
                                decompose(lat2, g), f, g, geometry)
-        scale = max(abs(split.direct), 1.0)
-        ok &= split.regroup_error <= 1e-9 * scale
+        scale = max(abs(split.direct[0]), 1.0)
+        ok &= bool(split.regroup_error[0] <= 1e-9 * scale)
     _report(3, "sigma regrouping", ok)
 
 
@@ -178,18 +178,18 @@ def test_criterion_6_far_interaction():
         kern = power_kernel(space, m=info["m"], tau=info["tau"])
         lat1, lat2, geometry = _geometry(kern, space, s_param)
         rng = np.random.default_rng(3)
-        f = rng.standard_normal(space.n_points)
-        g = rng.standard_normal(space.n_points)
+        f = rng.standard_normal((1, space.n_points))
+        g = rng.standard_normal((1, space.n_points))
         split = split_bilinear(kern, space, decompose(lat1, f),
                                decompose(lat2, g), f, g, geometry)
         pairs = 0
         for half in split.halves:
             t = half.pairs["sigma2"]
             far = t.far_ok
-            dq = np.sqrt(half.fine.norm_sq[t.q[far]])
-            dr = np.sqrt(half.coarse.norm_sq[t.r[far]])
+            dq = np.sqrt(half.fine.norm_sq[0, t.q[far]])
+            dr = np.sqrt(half.coarse.norm_sq[0, t.r[far]])
             bound = half.geo["sigma2"]["coef"][far] * dq * dr
-            measured = np.abs(half.values["sigma2"][far])
+            measured = np.abs(half.values["sigma2"][0, far])
             ok &= bool((measured <= bound * (1 + 1e-9) + 1e-15).all())
             pairs += int(far.sum())
         ok &= pairs > 0

@@ -62,6 +62,8 @@ def _geometry(space, kern, lat1, lat2, r_gap, alpha):
 
 
 def _split(space, kern, lat1, lat2, r_gap, alpha, f, g):
+    """The split of the probe pair (f, g), as a stack of one."""
+    f, g = f[None], g[None]
     return split_bilinear(kern, space, decompose(lat1, f), decompose(lat2, g),
                           f, g, _geometry(space, kern, lat1, lat2, r_gap,
                                           alpha))
@@ -108,7 +110,7 @@ def test_regrouping_of_a_pairing_that_is_exactly_zero(monkeypatch):
 
     def recorded(*args, **kwargs):
         split = real(*args, **kwargs)
-        directs.extend(np.atleast_1d(split.direct).tolist())
+        directs.extend(split.direct.tolist())
         return split
 
     monkeypatch.setattr(module, "split_bilinear", recorded)
@@ -141,7 +143,7 @@ def test_far_pairs_all_satisfy_long_range_bound():
         lat1, lat2, r_gap, alpha = _pipeline_setup(
             space, m=info["m"], tau=info["tau"], s_param=s_param)
         rng = np.random.default_rng(5)
-        f, g = rng.standard_normal((2, space.n_points))
+        f, g = rng.standard_normal((2, 1, space.n_points))
         dec_f, dec_g = decompose(lat1, f), decompose(lat2, g)
         split = split_bilinear(kern, space, dec_f, dec_g, f, g, _geometry(
             space, kern, lat1, lat2, r_gap, alpha))
@@ -151,13 +153,13 @@ def test_far_pairs_all_satisfy_long_range_bound():
                 (dec_g, dec_f)
             mexp = kern.m + kern.tau
             for rec, value in zip(half.buckets["sigma2"],
-                                  half.values["sigma2"]):
+                                  half.values["sigma2"][0]):
                 if not rec.get("far_ok", True):
                     continue
                 # the pair value straight from its definition
-                dense_q = fine_dec.dense([rec["q"]])[0]
-                dense_r = coarse_dec.dense([rec["r"]])[0]
-                # half.op is on supp mu; the primary half takes K^T
+                dense_q = fine_dec.dense([rec["q"]])[0, 0]
+                dense_r = coarse_dec.dense([rec["r"]])[0, 0]
+                # the primary half takes K^T
                 op = kern.matrix.T if half_index == 0 else kern.matrix
                 exact = float(np.sum(op @ (dense_r * space.mu) * dense_q *
                                      space.mu))
@@ -399,12 +401,12 @@ def test_all_sigma_bounds_hold(line_setup):
     f, g = rng.standard_normal((2, space.n_points))
     split = _split(space, kern, lat1, lat2, r_gap, alpha, f, g)
     for hi in (0, 1):
-        diag = diagonal_bound(split, hi)
+        [diag] = diagonal_bound(split, hi)
         assert diag.passed
-        term = short_range_terminal_bound(split, hi)
+        [term] = short_range_terminal_bound(split, hi)
         assert term.passed
         checks, info = short_range_transit_bound(split, hi)
-        for chk in checks:
+        for [chk] in checks:
             assert chk.passed, chk.name
 
 
@@ -741,13 +743,13 @@ def test_regime_constants_dominate_exact_regime_norms(case):
     kern, space, rep, geometry = _certificate_geometry(*ORACLE_CASES[case])
     forms, (coords_f, coords_g) = _regime_forms(kern, space, geometry)
     # the forms reproduce the split of a probe pair, regime by regime
-    f, g = np.random.default_rng(5).standard_normal((2, space.n_points))
+    f, g = np.random.default_rng(5).standard_normal((2, 1, space.n_points))
     split = split_bilinear(kern, space, decompose(geometry[0].fine_lat, f),
                            decompose(geometry[0].coarse_lat, g), f, g,
                            geometry)
     for key, form in forms.items():
-        assert coords_g(g) @ form @ coords_f(f) == pytest.approx(
-            split.sums[key], rel=1e-9, abs=1e-15), key
+        assert coords_g(g[0]) @ form @ coords_f(f[0]) == pytest.approx(
+            split.sums[key][0], rel=1e-9, abs=1e-15), key
     exact = {key: spectral_norm(form) for key, form in forms.items()}
     const = rep.constants
     for prefix in ("", "sym_"):

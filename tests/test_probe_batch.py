@@ -2,7 +2,7 @@
 (P, N) stack of probes, against a copy of the per-probe loop that the batch
 replaced, bit for bit.
 
-The copy runs each probe on its own through the one-function forms of
+The copy runs each probe on its own, as a stack of one, through
 ``decompose``, ``split_bilinear`` and the four lemma checks, and assembles
 the lemma list as the loop did: probe 0 lists every check and each half's
 paraproduct identity, the later probes only their failures, and the
@@ -56,17 +56,13 @@ def _recorded_splits(monkeypatch) -> list:
 
 
 def _checks(split) -> list:
-    """Per half, the lemma checks of a split in certify's order; for a
-    batch, one such list per probe."""
-    out = []
-    for hi, half in enumerate(split.halves):
-        checks = (diagonal_bound(split, hi),
-                  short_range_terminal_bound(split, hi),
-                  _sigma2_probe_check(half))
-        tran = short_range_transit_bound(split, hi=hi)[0]
-        out.append([list(c) + t for *c, t in zip(*checks, tran)]
-                   if split.batched else list(checks) + tran)
-    return out
+    """Per half, one list per probe of the lemma checks of a split, in
+    certify's order."""
+    return [[list(c) for c in zip(diagonal_bound(split, hi),
+                                  short_range_terminal_bound(split, hi),
+                                  _sigma2_probe_check(half),
+                                  *short_range_transit_bound(split, hi=hi)[0])]
+            for hi, half in enumerate(split.halves)]
 
 
 def _per_probe_lemmas(report, calls) -> list:
@@ -77,18 +73,20 @@ def _per_probe_lemmas(report, calls) -> list:
     lemmas, worst, pi = [], 0.0, 0
     for args, batch in calls:
         kernel, space, dec_f, dec_g, f, g, *rest = args
-        assert f.ndim == 2 and batch.batched
+        assert f.ndim == 2
         batch_checks = _checks(batch)
         batch_fields = split_fields(batch)
-        for p, (f1, g1) in enumerate(zip(f, g)):
+        for p, (f1, g1) in enumerate(zip(f[:, None], g[:, None])):
             split = split_bilinear(kernel, space, decompose(dec_f.lattice, f1),
                                    decompose(dec_g.lattice, g1), f1, g1, *rest)
             for name, value in split_fields(split).items():
-                assert isinstance(value, float)
-                assert value.hex() == float(batch_fields[name][p]).hex()
-            assert split.regroup_error == batch.regroup_error[p]
-            worst = max(worst, split.regroup_error)
-            for hi, checks in enumerate(_checks(split)):
+                assert value.shape == (1,)
+                assert float(value[0]).hex() == \
+                    float(batch_fields[name][p]).hex()
+            [regroup] = split.regroup_error.tolist()
+            assert regroup == batch.regroup_error[p]
+            worst = max(worst, regroup)
+            for hi, [checks] in enumerate(_checks(split)):
                 assert [_bits(c) for c in batch_checks[hi][p]] == \
                     [_bits(c) for c in checks]
                 if pi:
