@@ -310,12 +310,16 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
 class SigmaSplit:
     """The sigma parts of <T f_good, g_good> for a batch of probe pairs,
     as (P,) arrays.  ``sums`` holds each regime's sum under its report
-    key, ``sigma1`` to ``sym_sigma3_tran``.  The batch gathers along the
+    key, ``sigma1`` to ``sym_sigma3_tran``.  ``scale`` pairs |K| with
+    |Lambda f| + sum_Q |Delta_Q f| over the good components, and the same
+    of g: it bounds the sum of the magnitudes of the terms of every part
+    and of the direct pairing, and so what each of them can round to.  The batch gathers along the
     last axis with ``x.take(idx, -1)``: an index after ``...`` would lay
     the probe axis innermost, and a sum along the last axis keeps each
     probe's bits only over contiguous rows."""
     lambda_part: np.ndarray
     direct: np.ndarray             # <T f_good, g_good> computed densely
+    scale: np.ndarray              # what the parts can round to
     sums: dict                     # report key -> regime sum
     halves: tuple                  # (primary, symmetric) HalfData
 
@@ -329,11 +333,11 @@ class SigmaSplit:
 
     @property
     def regroup_error(self) -> np.ndarray:
-        # |direct| floored at a thousandth of the parts' magnitude: where
-        # <T f_good, g_good> is exactly 0 they cancel only up to rounding
-        floor = 1e-3 * sum(map(np.abs, self.parts))
-        scale = np.maximum(np.maximum(np.abs(self.direct), floor), 1e-30)
-        return np.abs(self.total - self.direct) / scale
+        # relative to the inputs, not to |direct|: where <T f_good, g_good>
+        # cancels to about 0, as on an antisymmetric K, the parts cancel
+        # only up to rounding
+        return np.abs(self.total - self.direct) / np.maximum(
+            self.scale, np.finfo(float).tiny)
 
 
 def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
@@ -380,12 +384,16 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
                                    (symmetric, comp_g, comp_f)))
     fill_primary = _transit_products(primary, space, supp, g)
     fill_symmetric = _transit_products(symmetric, space, supp, f)
+    abs_k, scale = np.abs(k), np.empty(n)
     # one probe at a time, as a stack of components would take several
     # times the memory of the probes
     for p in range(n):
         phi_f = _probe_components(primary.fine_rows, dec_f, p, comp_f)
         phi_g = _probe_components(primary.coarse_rows, dec_g, p, comp_g)
         f_rows, g_rows = phi_f[:, supp], phi_g[:, supp]
+        f_abs, g_abs = (abs(dec.lambda_part[p]) * mu + np.abs(rows).sum(0)
+                        for dec, rows in ((dec_f, f_rows), (dec_g, g_rows)))
+        scale[p] = g_abs @ abs_k @ f_abs
         # (Delta_R g mu) K: the left factor of the pair matrix, and the
         # symmetric half's product with T* Delta_Q
         g_k = g_rows @ k
@@ -404,7 +412,7 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
     sums = {half.prefix + regime: values.sum(axis=-1)
             for half in (primary, symmetric)
             for regime, values in half.values.items()}
-    return SigmaSplit(lambda_part, direct, sums, (primary, symmetric))
+    return SigmaSplit(lambda_part, direct, scale, sums, (primary, symmetric))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,11 @@ iteration, the sums of the sigma split and the transit products came to
 contract over supp mu only: empirical_norm moved by at most 4e-16
 relative and some lemma measured values by rounding (the regrouping error
 is rounding noise itself); A, every C_* constant and the certified totals
-did not move, nor did the three reports with mu > 0 everywhere.
+did not move, nor did the three reports with mu > 0 everywhere.  All seven
+hashes, and the three golden ``sigma_regrouping`` values, were captured
+again when the regrouping error came to be measured against what the
+parts can round to (``SigmaSplit.scale``) instead of against |direct|:
+that value alone moved, from 5.8e-16 - 1.2e-14 to 4.1e-18 - 1.2e-16.
 """
 
 import hashlib
@@ -75,31 +79,31 @@ BERGMAN_64 = {"n_ring": 64, "n_cluster": 8, "n_boundary": 32}
 RUN_REPORTS = {
     "cantor_level5": (
         ("cantor_measure", {"level": 5}, {}),
-        "ef0aaaee4aa9e04885bc3575b08fee5f67bc06097c3a0320c4e28f1e3ab9dc3e"),
+        "5f7a316f3630baefb0d87bfd1367d9fd8649b9b46084e410dc9bd5bbf9e4ae75"),
     # the benchmark's cantor_pairs size, with sigma2 pairs that need the
     # near-pair sup fallback
     "cantor_level6": (
         ("cantor_measure", {"level": 6}, {}),
-        "61c3300bf69cbe2f6501d3f6987b1f9b972cd25243de5658e00ba64b0142ec42"),
+        "887e684c99d008d2a596a11e6a579fd33c1e63a27a514145d98e50d418853e97"),
     "grid_n9": (
         ("uniform_grid", {"n": 9}, {}),
-        "55187ea0d35bd9b4045ac7a12f6d44ea4e7b7a0741e2e3bc8d1ec1d180965828"),
+        "142abf6ef9fd828224112242ccc38295dfa4c7f83fc7207fa9b3c7f5796525d6"),
     "line_n13": (
         ("line_in_plane", {"n": 13}, {}),
-        "8e16d1f469ad21acc633051c20848680e3cf62252c4f27c1f70cc007646cbaed"),
+        "3b31d057e03f4a44938ed443a0d43d8a85b4a848c2fe459b7011ed1993dda2da"),
     # the benchmark's line_sparse_mu size
     "line_n21": (
         ("line_in_plane", {"n": 21}, {}),
-        "a3af0d8fa2a2734b309245f350ab18becc68392ea2fa5ea72aa0322ed9569154"),
+        "89aa214ba6b84237dbd6a35691915ee5d330dc29ef587815adaa1738a0aa1734"),
     "bergman_default": (
         ("bergman_disc_model", {}, {}),
-        "70da97f7324eac36d6f13aac7a6357368b3f9920ff048363c9d69193346efe8b"),
+        "260e05f3f0c6ac643e58da197f1c696b14cc5483038f6aeec5deeeba74eb4a9e"),
     # calibrated, on the lattice pair of the benchmark's seed-402 find
     "bergman_64_calibrated": (
         ("bergman_disc_model", BERGMAN_64,
          {"s_param": None, "ensemble": 150,
           "seeds": (2476693647, 1295026582), "master_seed": 3813294786}),
-        "b42e4ca953472f2b21b10a3559f36082b106d141839b823113e6b40f7e1ca496"),
+        "44d6ff1b05afa8d58deffaaba16a7518f82078083e871c9d7c707f73572945f7"),
 }
 
 
