@@ -15,7 +15,8 @@ from .kernels import KernelSpec, bergman_kernel, check_T1, \
     operator_norm_dense, power_kernel, zero_kernel
 from .certify import CertificateReport, alpha_param, \
     carleson_embedding_check, certify, diagonal_bound, paraproduct_apply, \
-    pseudo_bmo_check, split_bilinear, whitney_decomposition
+    split_bilinear
+from .lemmas import pseudo_bmo_check, whitney_decomposition
 from .examples import generate_example
 from .harness import Scenario, calibrate_S, make_scenario, run
 

@@ -145,8 +145,8 @@ def cmd_certify(args) -> int:
         space = _load_space(args.space, args.allow_large)
         kernel = load_kernel(args.kernel, space)
         scenario = Scenario(name="custom", space=space, kernel=kernel,
-                            m=kernel.m, tau=kernel.tau, n_dim=args.n_dim,
-                            kappa=args.kappa, delta_bad=args.delta,
+                            n_dim=args.n_dim, kappa=args.kappa,
+                            delta_bad=args.delta,
                             s_param=None if args.calibrate else args.s_param,
                             master_seed=args.seed)
     report = run(scenario)
@@ -255,6 +255,10 @@ def main(argv=None) -> int:
         raise
     except (FileNotFoundError, ValueError, CzkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, FloatingPointError):     # a power of the run
+        print("error: a value of the run is out of the float64 range; "
+              "rescale the space", file=sys.stderr)
         return 2
 
 

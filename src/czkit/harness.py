@@ -24,11 +24,10 @@ from .space import MetricMeasureSpace, _omega_captures, ball_masses, \
 
 @dataclass
 class Scenario:
+    """A run's inputs; m and tau are the kernel's own."""
     name: str
     space: MetricMeasureSpace
     kernel: KernelSpec
-    m: float
-    tau: float
     n_dim: float
     kappa: float = 0.5
     delta_bad: float = 0.25
@@ -42,10 +41,11 @@ class Scenario:
             raise ValueError("kappa must lie in (0, 1)")
         if not 0.0 < self.delta_bad < 1.0:
             raise ValueError("delta_bad must lie in (0, 1)")
-        if self.tau <= 0 or self.m <= 0:
+        m, tau = self.kernel.m, self.kernel.tau
+        if tau <= 0 or m <= 0:
             raise ValueError("tau and m must be positive")
-        if self.kappa ** (self.tau / 2) == 1.0:
-            raise ValueError(f"tau = {self.tau:g} is too small: kappa^(tau/2) "
+        if self.kappa ** (tau / 2) == 1.0:
+            raise ValueError(f"tau = {tau:g} is too small: kappa^(tau/2) "
                              "rounds to 1 and the block series diverges")
 
 
@@ -58,7 +58,7 @@ def make_scenario(name: str, **overrides) -> Scenario:
     build = {"power": power_kernel, "bergman": bergman_kernel,
              "constant": constant_kernel}[info["kernel"]]
     kernel = build(space, m=m, tau=tau)
-    return Scenario(name=name, space=space, kernel=kernel, m=m, tau=tau,
+    return Scenario(name=name, space=space, kernel=kernel,
                     n_dim=info["n_dim"], kappa=kappa, **overrides)
 
 
@@ -144,7 +144,8 @@ def run(scenario: Scenario) -> RunReport:
     qm = verify_quasi_metric(space)
     radii = default_radii(space)
     mu_masses, nu_masses = ball_masses(space, radii)
-    c_h, non_ahlfors = check_growth_condition(space, scenario.m, radii,
+    kernel = scenario.kernel
+    c_h, non_ahlfors = check_growth_condition(space, kernel.m, radii,
                                               mu_masses)
     capture = _omega_captures(space, non_ahlfors)
     reg = check_ahlfors_regularity(space, scenario.n_dim, radii, nu_masses)
@@ -160,7 +161,7 @@ def run(scenario: Scenario) -> RunReport:
                          timings, False)
 
     t0 = time.perf_counter()
-    alpha = alpha_param(scenario.m, scenario.tau)
+    alpha = alpha_param(kernel.m, kernel.tau)
     s_param = scenario.s_param
     if s_param is None:
         cal = calibrate_S(space, scenario.kappa, alpha, scenario.delta_bad,
@@ -195,12 +196,12 @@ def run(scenario: Scenario) -> RunReport:
     timings["decomposition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if scenario.kernel.dominated_by_d:
-        dom = check_d_domination(scenario.kernel, space)
+    if kernel.dominated_by_d:
+        dom = check_d_domination(kernel, space)
         stages["domination"] = {"passed": dom.passed,
                                 "worst_ratio": dom.worst_ratio}
         ok &= dom.passed
-    cert = certify(scenario.kernel, space, kappa=scenario.kappa,
+    cert = certify(kernel, space, kappa=scenario.kappa,
                    delta_bad=scenario.delta_bad, s_param=s_param,
                    seeds=scenario.seeds, master_seed=scenario.master_seed,
                    lattice=lat)

@@ -61,8 +61,10 @@ def power_kernel(space: MetricMeasureSpace, m: float, tau: float = 1.0,
     """k(x,y) = amplitude / rho(x,y)^m with the declared C_CZ fitted on the
     instance so size and smoothness hypotheses certifiably hold."""
     vals = np.where(space.rho > 0, space.rho, np.inf)
-    vals **= m
-    with np.errstate(divide="ignore", over="ignore"):  # KernelSpec refuses inf
+    # a rho^m beyond the float64 range leaves the entry 0; KernelSpec
+    # refuses an inf one
+    with np.errstate(divide="ignore", over="ignore"):
+        vals **= m
         np.divide(amplitude, vals, out=vals)
     vals = _resolve_diagonal(vals, space, diagonal_policy,
                              lambda h: amplitude / h ** m)
@@ -151,7 +153,7 @@ def check_size_and_smoothness(kernel: KernelSpec,
     psi mu, so a mu-null x' or y adds nothing.  The anchor ranges over all
     of X, so every center of every lattice is covered and the fit can
     still run at kernel build.  (The tail oscillation of
-    ``certify.pseudo_bmo_check`` compares two points of supp mu.)  C_CZ
+    ``lemmas.pseudo_bmo_check`` compares two points of supp mu.)  C_CZ
     covers smoothness in both kernel variables: a kernel that is not
     symmetric is fitted again as its transpose, on the same triples."""
     rho = space.rho

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateScale, LeafCube, RootTerminal
-from .space import MetricMeasureSpace, masked_sums
+from .space import MetricMeasureSpace
 
 # Keys (lattice x generation x point) per chunk of ``ensemble_gaps``; bounds
 # its memory.  Lattice i's keys do not depend on it.
@@ -567,11 +567,8 @@ def _lattice_of_orders(space: MetricMeasureSpace, kappa: float, seed: int,
 
 @dataclass
 class LatticePropertyReport:
-    """The exact properties of a lattice, checked when the report is made,
-    and the fitted constants, each fitted on first read
-    (``fit_lattice_constants``): a caller that reads ``passed`` only does
-    not pay for the boundary layers.  A lattice that did not pass has no
-    constants: reading one raises ``ValueError``."""
+    """The exact properties of a lattice, checked when the report is
+    made."""
     lattice: DyadicLattice
     partition_ok: bool
     nesting_ok: bool
@@ -582,26 +579,13 @@ class LatticePropertyReport:
     def passed(self) -> bool:
         return self.partition_ok and self.nesting_ok and self.unique_ancestor_ok
 
-    @cached_property
-    def _constants(self) -> tuple:
-        if not self.passed:
-            raise ValueError("no lattice constants: the lattice fails "
-                             f"{self.failures[0][0]}")
-        return fit_lattice_constants(self.lattice)
-
-    c_diam = property(lambda self: self._constants[0])
-    a0 = property(lambda self: self._constants[1])
-    c_boundary = property(lambda self: self._constants[2])  # small boundary
-
 
 def verify_lattice_properties(lat: DyadicLattice) -> LatticePropertyReport:
     """Check Christ-cube properties (i)-(v) exactly: every generation
     partitions the points (covered, disjoint), every cube nests in its
     parent and lies under exactly one cube of the generation above.  One
     pass per generation over its cubes' member masks (members, not labels,
-    so a lattice built with broken members is checked as it stands).  The
-    constants c_diam, a0 and c_boundary are fitted when the report's
-    fields are first read, on a lattice that passed."""
+    so a lattice built with broken members is checked as it stands)."""
     n, failures = lat.space.n_points, []
     # per cube id: not nested in its parent, not under exactly one label
     nest_bad, lone_bad = np.zeros((2, lat.gen.size), dtype=bool)
@@ -629,47 +613,6 @@ def verify_lattice_properties(lat: DyadicLattice) -> LatticePropertyReport:
             failures.append(("unique_ancestor", cid, None))
     return LatticePropertyReport(lat, partition_ok, not nest_bad.any(),
                                  not lone_bad.any(), failures)
-
-
-def fit_lattice_constants(lat: DyadicLattice) -> tuple:
-    """(c_diam, a0, c_boundary): diam(Q) <= c_diam s(Q), each center at
-    least a0 s(Q) from its cube's complement (diam(X) for a full cube), and
-    the small-boundary inequality (vi), exponent 1, at the relative
-    thicknesses kappa, kappa^2 and kappa^3, on a lattice whose generations
-    partition the points.  Complements are read off labels, distances to
-    them off ``lat.dist``; nu(Q) from one sum over all cubes, and the
-    boundary layers of every generation and thickness from one
-    ``masked_sums``."""
-    space, n = lat.space, lat.space.n_points
-    top = max(space.diam(), space.resolution_h)
-    c_diam, a0 = 0.0, math.inf
-    nu_mass = np.zeros(lat.gen.size)
-    nu_mass[lat.ids] = cube_reduce(lat, space.nu[None, :], lat.ids, np.add)[0]
-    layers, t_nu = [], []       # (vi) per generation and thickness
-    for k in lat.generations():
-        ids, lab = np.array(lat.by_gen[k], dtype=int), lat.labels[k]
-        slot, pts = lat.member_entries(ids)
-        size = lat.size[ids]
-        c_diam = max(c_diam, float((lat.diam[ids] / size).max()))
-        # a0: each center to its cube's complement; a full cube: diam(X)
-        full = lat.n_members[ids] == n
-        near = space.rho[lat.center[ids]]
-        near[lab == ids[:, None]] = np.inf
-        a0 = min(a0, float((np.where(full, top, near.min(axis=1)) /
-                            size).min()))
-        # (vi): nu{x in Q : dist(x, X \ Q) <= t * s(Q)} <= C t nu(Q), X \ Q
-        # the union of the other cubes of k
-        d_out = lat.dist[:, lat.column[ids]]
-        d_out[pts, slot] = np.inf
-        d_out = d_out.min(axis=1)
-        keep = ~full & (nu_mass[ids] > 0)
-        inside = lat.member_masks(ids[keep])
-        for t in (lat.kappa, lat.kappa ** 2, lat.kappa ** 3):
-            layers.append(inside & (d_out <= t * size[keep, None]))
-            t_nu.append(t * nu_mass[ids[keep]])
-
-    layer = masked_sums(space.nu, np.concatenate(layers))
-    return c_diam, a0, float((layer / np.concatenate(t_nu)).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -126,14 +126,26 @@ def euclidean_metric(coords: np.ndarray) -> np.ndarray:
     return out
 
 
+def _coord_shift(coords: np.ndarray) -> int:
+    """The least s >= 0 with every coordinate times 2^-s under 2^500 in
+    magnitude, where no square sum of ``_euclidean_tiles`` can overflow."""
+    return max(math.frexp(float(np.abs(coords).max(initial=0.0)))[1] - 500, 0)
+
+
 def _euclidean_tiles(coords: np.ndarray, tile: int = 64):
     """(start, the rows [start, start + tile) of the Euclidean metric) per
     tile of rows: per pair the squared coordinate differences added in
     coordinate order, then ``sqrt``.  Each entry is computed on its own, so
     the tiling does not change its bits; the temporaries are two tile x N
     arrays of the coords' dtype.  For d <= 7 these are the bits of numpy's
-    ``(diff ** 2).sum(axis=-1)``, which adds fewer than 8 terms in order."""
+    ``(diff ** 2).sum(axis=-1)``, which adds fewer than 8 terms in order.
+    Coords of magnitude 2^500 or more are scaled by 2^-s (``_coord_shift``)
+    and the distances back by 2^s: a power of two scales every rounding
+    alike, and coords below it (s = 0) keep their bits."""
     n, d = coords.shape
+    s = _coord_shift(coords)
+    if s:
+        coords = np.ldexp(coords, -s)
     for start in range(0, n, tile):
         block = coords[start:start + tile]
         diff = np.empty((len(block), n), coords.dtype)
@@ -144,7 +156,7 @@ def _euclidean_tiles(coords: np.ndarray, tile: int = 64):
                 rows += np.square(diff, out=diff)
             else:                       # the first square itself: 0 + a is a
                 np.square(diff, out=rows)
-        yield start, np.sqrt(rows)
+        yield start, np.ldexp(np.sqrt(rows), s)
 
 
 def verify_quasi_metric(space: MetricMeasureSpace) -> QuasiMetricReport:
@@ -200,11 +212,14 @@ def _coordinate_excess_bound(space: MetricMeasureSpace) -> float | None:
     the coords are a finite float64 (N, d) array, 1 <= K < inf and rho is
     float64 and equal to ``euclidean_metric(coords)``.
 
-    Lemma.  Let u = 2^-53, eps = (d + 4) u, e = sqrt(d) 2^-537 and
+    Lemma.  Let u = 2^-53, eps = (d + 4) u, e = sqrt(d) 2^(s - 537), 2^-s
+    the exact scaling of the coords in ``_euclidean_tiles``, and
     M = max rho.  Then every computed excess is at most
     B = 4.1 (eps + u) M + 3.1 e.
 
     Proof.  Let D be the exact Euclidean distance of the coords, a metric.
+    Scaling the coords by 2^-s and the distances back by 2^s is exact, so
+    take s = 0, with 2^s e in place of e for s > 0.
     In round to nearest every operation of ``euclidean_metric`` has a
     relative error of at most u, except that a square in the subnormal
     range has an absolute error of at most 2^-1075 instead (a difference
@@ -247,7 +262,7 @@ def _coordinate_excess_bound(space: MetricMeasureSpace) -> float | None:
     u = 2.0 ** -53
     eps = (d + 4) * u
     return (4.1 * (eps + u) * float(rho.max())
-            + 3.1 * math.sqrt(d) * 2.0 ** -537)
+            + 3.1 * math.sqrt(d) * 2.0 ** (_coord_shift(coords) - 537))
 
 
 def _worst_triangle_excess(rho: np.ndarray, k_q: float,

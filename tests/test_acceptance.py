@@ -12,8 +12,7 @@ import pytest
 
 from czkit.certify import (_block_entries, _pair_norm, alpha_param,
                            carleson_embedding_check, certify, pair_geometry,
-                           paraproduct_apply, pseudo_bmo_check,
-                           split_bilinear, whitney_decomposition)
+                           paraproduct_apply, split_bilinear)
 from czkit.examples import generate_example
 from czkit.kernels import (bergman_kernel, check_T1, constant_kernel,
                            operator_norm, operator_norm_dense, power_kernel,
@@ -22,6 +21,7 @@ from czkit.harness import calibrate_S, make_scenario
 from czkit.lattice import (build_lattice, classify_all_good_bad,
                            classify_terminal_transit,
                            estimate_bad_probability, scale_gap)
+from czkit.lemmas import pseudo_bmo_check, whitney_decomposition
 from czkit.projections import decompose, expected_bad_norm, properties_check
 from conftest import criterion7_instances, criterion8_instances, \
     grid_space, line_space

@@ -11,13 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from czkit.certify import (_pair_norm, admissible_bmo_cubes, alpha_param,
-                           bmo_tail_constant, carleson_embedding_check,
-                           certify, diagonal_bound, pair_geometry,
-                           paraproduct_apply, paraproduct_targets,
-                           pseudo_bmo_check, short_range_terminal_bound,
-                           short_range_transit_bound, split_bilinear,
-                           whitney_decomposition)
+from czkit.certify import (_pair_norm, alpha_param,
+                           carleson_embedding_check, certify, diagonal_bound,
+                           pair_geometry, paraproduct_apply,
+                           paraproduct_targets, short_range_terminal_bound,
+                           short_range_transit_bound, split_bilinear)
 from czkit.errors import ClassificationMissing, CzkitError
 from czkit.examples import generate_example
 from czkit.harness import make_scenario
@@ -26,6 +24,8 @@ from czkit.kernels import (bergman_kernel, check_T1, constant_kernel,
                            zero_kernel)
 from czkit.lattice import (build_lattice, classify_all_good_bad,
                            classify_terminal_transit, scale_gap)
+from czkit.lemmas import (admissible_bmo_cubes, bmo_tail_constant,
+                          pseudo_bmo_check, whitney_decomposition)
 from czkit.projections import decompose, good_component_ids, split_good_bad
 from czkit.space import MetricMeasureSpace, dilate, euclidean_metric
 from conftest import BERGMAN_64, line_space

@@ -2,9 +2,11 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,15 +33,19 @@ from conftest import kernel_doc, line_space
 def test_scenario_parameter_validation():
     space = line_space(4)
     kern = power_kernel(space, m=1.0)
-    good = dict(name="x", space=space, kernel=kern, m=1.0, tau=1.0, n_dim=1.0)
+    good = dict(name="x", space=space, kernel=kern, n_dim=1.0)
     with pytest.raises(ValueError):
         Scenario(kappa=1.5, **good)
     with pytest.raises(ValueError):
         Scenario(delta_bad=0.0, **good)
-    with pytest.raises(ValueError):
-        Scenario(tau=-1.0, **{k: v for k, v in good.items() if k != "tau"})
-    with pytest.raises(ValueError):
-        Scenario(m=0.0, **{k: v for k, v in good.items() if k != "m"})
+    # m and tau are the kernel's
+    for field in ("m", "tau"):
+        with pytest.raises(TypeError):
+            Scenario(**good, **{field: 1.0})
+        bad = dataclasses.replace(kern, **{field: -1.0 if field == "tau"
+                                           else 0.0})
+        with pytest.raises(ValueError, match="must be positive"):
+            Scenario(**{**good, "kernel": bad})
 
 
 def test_make_scenario_each_example():
@@ -65,7 +71,7 @@ def test_make_scenario_kappa_override():
 
 def test_make_scenario_kernel_override():
     sc = make_scenario("uniform_grid", m=1.5, tau=0.5)
-    assert sc.m == 1.5 and sc.tau == 0.5
+    assert sc.kernel.m == 1.5 and sc.kernel.tau == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -794,6 +800,42 @@ def test_cli_mu_above_one_is_input_error(tmp_path):
     code, out, err = _cli(["verify-space", "--space", str(path)])
     assert (code, out, err) == (2, "", "error: space field 'mu' must have a "
                                 "total mass of at most 1, not 1.25\n")
+
+
+def _scaled_cantor(level: int, factor: float) -> dict:
+    """The Cantor space of ``level`` with its coordinates times ``factor``,
+    its resolution left to be read off the metric."""
+    doc = space_to_json(generate_example("cantor_measure", level=level)[0])
+    doc["metric"]["coords"] = (np.array(doc["metric"]["coords"]) *
+                               factor).tolist()
+    del doc["resolution_h"]
+    return doc
+
+
+def test_cli_coordinates_beyond_the_square_range(tmp_path):
+    # squares of coordinate differences above about 1.3e154 overflowed:
+    # Cantor level 3 at 1e160 was refused as "metric entries must be
+    # finite"
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(_scaled_cantor(3, 1e160)))
+    code, out, err = _cli(["verify-space", "--space", str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["quasi_metric"]
+
+
+def test_cli_certify_beyond_the_float_range_is_one_line(tmp_path):
+    # at 1e100 with m = 3 the far coefficients' powers overflow: numpy's
+    # warned and scalar ** ended the run with a traceback
+    (tmp_path / "space.json").write_text(json.dumps(_scaled_cantor(4, 1e100)))
+    (tmp_path / "kernel.json").write_text(json.dumps(
+        {"type": "power", "m": 3, "tau": 1}))
+    args = ["certify", "--space", str(tmp_path / "space.json"), "--kernel",
+            str(tmp_path / "kernel.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _cli(args)
+    assert (code, out, err) == (2, "", "error: a value of the run is out of "
+                                "the float64 range; rescale the space\n")
 
 
 @pytest.mark.parametrize("omega,message", [

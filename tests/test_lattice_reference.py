@@ -5,13 +5,11 @@
 mu(Q) from ``lat.mass``.  The code below is the earlier form, kept as the
 reference: one Python step per cube, with mu(Q) summed from its members.
 Every field of the reports must be the same, the failures in the same
-order and every constant the same float bit for bit, on the built-in
-examples and spaces with cubes of zero nu- or mu-mass; on hand-broken
-lattices the properties and failures must be the same, and the constants
-refused."""
+order and the Carleson constant the same float bit for bit, on the
+built-in examples and spaces with cubes of zero nu- or mu-mass; on
+hand-broken lattices the properties and failures must be the same."""
 
 import dataclasses
-import math
 import tracemalloc
 
 import numpy as np
@@ -23,7 +21,6 @@ from czkit.certify import carleson_embedding_check
 from czkit.errors import RootTerminal
 from czkit.examples import generate_example
 from czkit.lattice import (build_lattice, classify_terminal_transit,
-                           cube_reduce, masked_sums,
                            verify_lattice_properties)
 from czkit.space import MetricMeasureSpace
 from conftest import (broken_lattice, edited_lattice, explicit_space,
@@ -74,30 +71,7 @@ def ref_verify_lattice_properties(lat):
                 unique_ancestor_ok = False
                 failures.append(("unique_ancestor", cid, None))
 
-    ts = [lat.kappa, lat.kappa ** 2, lat.kappa ** 3]
-    c_diam, a0, c_boundary = 0.0, math.inf, 0.0
-    for k in lat.generations():
-        lab = lat.labels[k]
-        d_out = np.where(lab[:, None] == lab[None, :], np.inf,
-                         space.rho).min(axis=1)
-        for cid in lat.by_gen[k]:
-            cube = lat.cubes[cid]
-            c_diam = max(c_diam, space.set_diam(cube.members) / cube.size)
-            if cube.members.size == n:
-                a0 = min(a0, max(space.diam(), space.resolution_h) / cube.size)
-                continue
-            a0 = min(a0, float(space.rho[cube.center, lab != cid].min())
-                     / cube.size)
-            nu_q = space.nu[cube.members].sum()
-            if nu_q <= 0:
-                continue
-            dist_out = d_out[cube.members]
-            for t in ts:
-                layer = space.nu[cube.members[dist_out <= t * cube.size]].sum()
-                c_boundary = max(c_boundary, layer / (t * nu_q))
-
-    return (partition_ok, nesting_ok, unique_ancestor_ok, c_diam, float(a0),
-            c_boundary, failures)
+    return partition_ok, nesting_ok, unique_ancestor_ok, failures
 
 
 def ref_classify_terminal_transit(lat):
@@ -145,60 +119,13 @@ def _hex(x):
 
 
 def assert_same_properties(lat):
-    """The properties and failures against the reference, and the constants
-    too on a lattice that passed; a broken one has none to read."""
+    """The properties and failures against the reference."""
     rep = verify_lattice_properties(lat)
-    ok_p, ok_n, ok_u, c_diam, a0, c_boundary, failures = \
-        ref_verify_lattice_properties(lat)
+    ok_p, ok_n, ok_u, failures = ref_verify_lattice_properties(lat)
     assert (rep.partition_ok, rep.nesting_ok, rep.unique_ancestor_ok) == \
         (ok_p, ok_n, ok_u)
-    if rep.passed:
-        assert [_hex(v) for v in (rep.c_diam, rep.a0, rep.c_boundary)] == \
-            [_hex(v) for v in (c_diam, a0, c_boundary)]
-    else:
-        for name in ("c_diam", "a0", "c_boundary"):
-            with pytest.raises(ValueError, match="no lattice constants"):
-                getattr(rep, name)
     assert rep.failures == failures
     return rep
-
-
-def per_generation_constants(lat):
-    """(c_diam, a0, c_boundary) as ``verify_lattice_properties`` fitted
-    them one generation at a time: nu(Q) from one member sum per
-    generation, the boundary layers from one ``masked_sums`` per
-    generation and thickness."""
-    space, n = lat.space, lat.space.n_points
-    top = max(space.diam(), space.resolution_h)
-    c_diam, a0, c_boundary = 0.0, math.inf, 0.0
-    for k in lat.generations():
-        ids, lab = np.array(lat.by_gen[k], dtype=int), lat.labels[k]
-        slot, pts = lat.member_entries(ids)
-        inside = lat.member_masks(ids)
-        size = lat.size[ids]
-        c_diam = max(c_diam, float((lat.diam[ids] / size).max()))
-        full = lat.n_members[ids] == n
-        near = space.rho[lat.center[ids]]
-        near[lab == ids[:, None]] = np.inf
-        a0 = min(a0, float((np.where(full, top, near.min(axis=1)) /
-                            size).min()))
-        d_out = lat.dist[:, lat.column[ids]]
-        d_out[pts, slot] = np.inf
-        d_out = d_out.min(axis=1)
-        nu_q = cube_reduce(lat, space.nu[None, :], ids, np.add)[0]
-        keep = ~full & (nu_q > 0)
-        for t in (lat.kappa, lat.kappa ** 2, lat.kappa ** 3):
-            layer = masked_sums(space.nu, inside[keep] &
-                                (d_out <= t * size[keep, None]))
-            c_boundary = max(c_boundary, float(
-                (layer / (t * nu_q[keep])).max(initial=0.0)))
-    return c_diam, a0, c_boundary
-
-
-def assert_same_per_generation_constants(lat):
-    rep = verify_lattice_properties(lat)
-    assert [_hex(v) for v in (rep.c_diam, rep.a0, rep.c_boundary)] == \
-        [_hex(v) for v in per_generation_constants(lat)]
 
 
 def assert_same_flags(lat):
@@ -253,16 +180,6 @@ def test_passes_match_per_cube_reference(name, seed):
     assert_same_carleson(lat, dict.fromkeys(lat.by_gen[lat.k_max], 1.0))
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name", sorted(EXAMPLES))
-def test_grouped_constants_match_per_generation_fit(name, seed):
-    # nu(Q) from one sum over all cubes and the boundary layers of every
-    # generation and thickness in one masked_sums keep every bit
-    space, info = _example(name)
-    assert_same_per_generation_constants(
-        build_lattice(space, info["kappa"], seed=seed))
-
-
 @pytest.mark.parametrize("kind,fails", [
     ("overlap", {"disjointness", "nesting", "unique_ancestor"}),
     ("wrong_parent", {"nesting"}),
@@ -304,8 +221,7 @@ def test_property_pass_matches_reference_on_edited_members(name, seed, kind):
 
 def test_passes_match_reference_with_zero_mass_cubes():
     # nu vanishes on the left third and mu on the left half: cubes there
-    # are skipped by the boundary fit, flagged terminal and left out of the
-    # Carleson ratios
+    # are flagged terminal and left out of the Carleson ratios
     n = 12
     space = dataclasses.replace(
         line_space(n, mu=[0.0] * 6 + [1 / 6] * 6),
@@ -328,8 +244,7 @@ def test_passes_match_reference_when_every_cube_is_full():
                                mu=np.ones(1), omega=np.zeros(1, dtype=bool),
                                resolution_h=1.0)
     lat = build_lattice(space, kappa=0.5, seed=0, k_range=(0, 2))
-    rep = assert_same_properties(lat)
-    assert rep.a0 == 1.0 and rep.c_diam == rep.c_boundary == 0.0
+    assert assert_same_properties(lat).passed
     assert_same_flags(lat)
     assert_same_carleson(lat, {lat.root_id: 1.0})
 
@@ -364,12 +279,11 @@ def test_property_and_terminal_passes_memory_peak():
     space, info = generate_example("uniform_grid", n=25)
     lat = build_lattice(space, info["kappa"], seed=1)
     small = build_lattice(line_space(8), 0.5, seed=1)
-    verify_lattice_properties(small).c_boundary
+    verify_lattice_properties(small)
     classify_terminal_transit(small)
     tracemalloc.start()
     try:
-        # the constants are fitted when first read
-        verify_lattice_properties(lat).c_boundary
+        verify_lattice_properties(lat)
         classify_terminal_transit(lat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

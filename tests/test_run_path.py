@@ -20,14 +20,14 @@ from conftest import RUNS, _defined_functions
 BMO = "read by the BMO checks, kept for O2"
 LAYERS = "read by benchmarks/layers.py"
 UNRUN = {
-    "certify": {**dict.fromkeys(("pseudo_bmo_check", "whitney_decomposition",
-                                 "admissible_bmo_cubes", "bmo_tail_constant"),
-                                "a BMO check, kept for O2"),
-                "HalfData.buckets": LAYERS, "PairTable.records": LAYERS},
+    "certify": {"HalfData.buckets": LAYERS, "PairTable.records": LAYERS},
     "cli": {}, "examples": {}, "harness": {},
     "kernels": {"operator_norm_dense": "the correctness gate of "
                 "benchmarks/run.py and the tests' oracle norm",
                 "spectral_norm": "the norm of operator_norm_dense"},
+    "lemmas": dict.fromkeys(("pseudo_bmo_check", "whitney_decomposition",
+                             "admissible_bmo_cubes", "bmo_tail_constant"),
+                            "a BMO check, kept for O2"),
     "lattice": {
         "classify_good_bad": "per-cube reference of classify_all_good_bad",
         "skeleton": "per-cube reference of the skeleton marks",
@@ -35,10 +35,7 @@ UNRUN = {
         "Cube.is_leaf": "part of the cube view benchmarks/layers.py reads",
         "CubeTable.__iter__": LAYERS,
         "CubeTable.__len__": "part of the Mapping protocol of lat.cubes",
-        "DyadicLattice.root": "the root as a cube view",
-        "fit_lattice_constants": "lattice constants, read by tests only",
-        "LatticePropertyReport._constants": "lattice constants, read by "
-                                            "tests only"},
+        "DyadicLattice.root": "the root as a cube view"},
     "projections": {"expected_bad_norm": "acceptance criteria 4 and 5"},
     "space": {"MetricMeasureSpace.mu_mass": BMO,
               "MetricMeasureSpace.set_diam": "read by dilate; " + BMO,

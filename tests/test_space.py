@@ -291,6 +291,23 @@ def test_euclidean_metric_tiles_keep_the_bits(d):
         assert not got.any()
 
 
+@pytest.mark.parametrize("shift", [499, 500, 600, 1000])
+def test_euclidean_metric_of_large_coords_is_scaled_exactly(shift):
+    # coords from 2^500 up are scaled down by a power of two, exactly, so
+    # the squares stay in range; the metric is the unit-scale one scaled
+    # back, bit for bit, and verify_quasi_metric's coordinate bound holds
+    coords = np.random.default_rng(shift).standard_normal((40, 3))
+    coords[0] = 1.5                     # max |coords| in [1, 2)
+    big = np.ldexp(coords, shift)
+    got = euclidean_metric(big)
+    assert np.isfinite(got).all()
+    assert got.tobytes() == np.ldexp(euclidean_metric(coords), shift).tobytes()
+    space = MetricMeasureSpace(rho=got, nu=np.ones(40), mu=np.full(40, 0.025),
+                               omega=np.zeros(40, dtype=bool), coords=big)
+    rep = verify_quasi_metric(space)
+    assert rep.ok and rep.reason.startswith("euclidean coords")
+
+
 def _fall_through_case(case):
     space, _ = generate_example("line_in_plane", n=5)
     if case == "tampered":

@@ -7,10 +7,8 @@ to NaN everywhere else they must come out the same, bit for bit, and
 finite.  The kernel sups of the pair geometry run over all N points on
 purpose, so the geometry is built from the finite kernel.
 
-The lattice constants c_diam, a0 and c_boundary are fitted when first read,
-so a run, which reads ``passed`` only, never fits them; and two rewrites
-keep their bits: the pair norm's index compaction and the one pass that
-builds ``lat.dist`` and ``lat.diam``."""
+Two rewrites keep their bits: the pair norm's index compaction and the
+one pass that builds ``lat.dist`` and ``lat.diam``."""
 
 import copy
 import importlib
@@ -23,7 +21,7 @@ from hypothesis import strategies as st
 
 from czkit.certify import (_compact, alpha_param, certify, pair_geometry,
                            short_range_transit_bound, split_bilinear)
-from czkit.harness import make_scenario, run
+from czkit.harness import make_scenario
 from czkit.kernels import check_T1, operator_norm, power_kernel
 from czkit.lattice import (build_lattice, classify_all_good_bad,
                            classify_terminal_transit, cube_reduce, scale_gap)
@@ -123,22 +121,6 @@ def test_t1_sets_are_told_apart_on_supp_mu():
     assert len(rep.per_cube) == len(on_supp) - 1      # less the empty set
     assert len(rep.per_cube) < len({m.tobytes() for m in
                                     masks.reshape(-1, supp.size)})
-
-
-@pytest.mark.parametrize("name,params", [("line_in_plane", {"n": 21}),
-                                         ("cantor_measure", {"level": 6})])
-def test_run_fits_no_lattice_constant(name, params, monkeypatch):
-    def refuse(lat):
-        raise AssertionError("a lattice constant was fitted")
-
-    monkeypatch.setattr(lattice_module, "fit_lattice_constants", refuse)
-    report = run(make_scenario(name, example_params=params))
-    assert report.stages["lattice"]["passed"] and report.passed
-    rep = lattice_module.verify_lattice_properties(
-        build_lattice(make_scenario(name, example_params=params).space, 0.5))
-    assert rep.passed
-    with pytest.raises(AssertionError, match="lattice constant was fitted"):
-        rep.c_boundary
 
 
 def test_certify_without_probes():

@@ -19,10 +19,9 @@ from czkit.certify import _component_rows, alpha_param, classify_pairs
 from czkit.examples import generate_example
 from czkit.lattice import (TREE_UFUNCS, build_lattice, classify_all_good_bad,
                            classify_good_bad, classify_terminal_transit,
-                           cube_dilations, cube_reduce, masked_sums,
-                           scale_gap)
+                           cube_dilations, cube_reduce, scale_gap)
 from czkit.projections import good_component_ids
-from czkit.space import dilate
+from czkit.space import dilate, masked_sums
 from conftest import explicit_space
 
 EXAMPLES = ("cantor_measure", "uniform_grid", "line_in_plane",
