@@ -312,10 +312,11 @@ class SigmaSplit:
     key, ``sigma1`` to ``sym_sigma3_tran``.  ``scale`` pairs |K| with
     |Lambda f| + sum_Q |Delta_Q f| over the good components, and the same
     of g: it bounds the sum of the magnitudes of the terms of every part
-    and of the direct pairing, and so what each of them can round to.  The batch gathers along the
-    last axis with ``x.take(idx, -1)``: an index after ``...`` would lay
-    the probe axis innermost, and a sum along the last axis keeps each
-    probe's bits only over contiguous rows."""
+    and of the direct pairing, and so what each of them can round to.
+    The batch gathers along the last axis with ``x.take(idx, -1)``: an
+    index after ``...`` would lay the probe axis innermost, and a sum
+    along the last axis keeps each probe's bits only over contiguous
+    rows."""
     lambda_part: np.ndarray
     direct: np.ndarray             # <T f_good, g_good> computed densely
     scale: np.ndarray              # what the parts can round to
