@@ -61,8 +61,7 @@ def power_kernel(space: MetricMeasureSpace, m: float, tau: float = 1.0,
     """k(x,y) = amplitude / rho(x,y)^m with the declared C_CZ fitted on the
     instance so size and smoothness hypotheses certifiably hold."""
     vals = np.where(space.rho > 0, space.rho, np.inf)
-    # a rho^m beyond the float64 range leaves the entry 0; KernelSpec
-    # refuses an inf one
+    # an overflowed rho^m gives an entry of 0; KernelSpec refuses inf
     with np.errstate(divide="ignore", over="ignore"):
         vals **= m
         np.divide(amplitude, vals, out=vals)

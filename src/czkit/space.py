@@ -218,8 +218,9 @@ def _coordinate_excess_bound(space: MetricMeasureSpace) -> float | None:
     B = 4.1 (eps + u) M + 3.1 e.
 
     Proof.  Let D be the exact Euclidean distance of the coords, a metric.
-    Scaling the coords by 2^-s and the distances back by 2^s is exact, so
-    take s = 0, with 2^s e in place of e for s > 0.
+    Scaling rho back by 2^s is exact; scaling the coords by 2^-s moves one
+    only below 2^-1022, by at most 2^-1075, so D by at most sqrt(d)
+    2^-1074, inside the slack of 3.1 e: take s = 0, and 2^s e for e.
     In round to nearest every operation of ``euclidean_metric`` has a
     relative error of at most u, except that a square in the subnormal
     range has an absolute error of at most 2^-1075 instead (a difference
