@@ -24,12 +24,9 @@ import numpy as np
 from .kernels import KernelSpec, on_support
 from .lattice import UNSET, DyadicLattice, _ranges, cube_reduce
 from .projections import MartingaleDecomposition, decompose, \
-    good_component_ids, split_good_bad
+    good_component_ids
 from .space import MetricMeasureSpace, masked_sums
 
-# Cells (probe x row x point) per chunk of the probe batch of ``certify``;
-# bounds its memory.
-PROBE_CELLS = 2 ** 18
 # Largest smaller side of a pair-norm matrix that starts from a dense
 # Perron vector, its dense matrix having at most 4 PERRON_SLOTS^2 cells; up
 # to it the dense start was the faster on every list timed, above it the
@@ -220,9 +217,9 @@ class HalfData:
 
     pair_geometry fills the lattice-only fields once per lattice pair: the
     half's name, the pair tables and, per regime, the per-pair weights of
-    its lemma and its constant. split_bilinear copies them for each batch
-    of probes and adds the probe fields, which lead with the probe axis:
-    the component norms and every product with K that a lemma reads."""
+    its lemma and its constant. split_bilinear adds the probe fields to a
+    copy; they lead with the probe axis: the component norms and every
+    product with K that a lemma reads."""
     prefix: str                    # "" (primary) or "sym_": report keys
     fine_rows: ComponentRows
     coarse_rows: ComponentRows
@@ -246,7 +243,7 @@ class HalfData:
     @property
     def buckets(self) -> dict:
         """regime -> ``PairTable.records``, a view the split does not read;
-        built on first use and shared with the probe copies."""
+        built on first use and shared with split_bilinear's copy."""
         if not self._view:
             ids = self.fine_rows.ids, self.coarse_rows.ids
             self._view.update((k, t.records(*ids))
@@ -307,33 +304,30 @@ def pair_geometry(kernel: KernelSpec, space: MetricMeasureSpace,
 
 @dataclass
 class SigmaSplit:
-    """The sigma parts of <T f_good, g_good> for a batch of probe pairs,
-    as (P,) arrays.  ``sums`` holds each regime's sum under its report
-    key, ``sigma1`` to ``sym_sigma3_tran``.  ``scale`` pairs |K| with
-    |Lambda f| + sum_Q |Delta_Q f| over the good components, and the same
-    of g: it bounds the sum of the magnitudes of the terms of every part
-    and of the direct pairing, and so what each of them can round to.
-    The batch gathers along the last axis with ``x.take(idx, -1)``: an
-    index after ``...`` would lay the probe axis innermost, and a sum
-    along the last axis keeps each probe's bits only over contiguous
-    rows."""
-    lambda_part: np.ndarray
-    direct: np.ndarray             # <T f_good, g_good> computed densely
-    scale: np.ndarray              # what the parts can round to
-    sums: dict                     # report key -> regime sum
+    """The sigma parts of <T f_good, g_good> for a stack of probe pairs:
+    each half's ``values`` holds, per regime, the (P, pairs) pair values,
+    whose sum over the last axis is that regime's part.  The lemma checks
+    gather along the last axis with ``x.take(idx, -1)``: an index after
+    ``...`` would lay the probe axis innermost, and a sum along the last
+    axis keeps each probe's bits only over contiguous rows."""
     halves: tuple                  # (primary, symmetric) HalfData
 
-    @property
-    def total(self) -> np.ndarray:
-        return sum(self.sums.values(), self.lambda_part)
 
-    @property
-    def regroup_error(self) -> np.ndarray:
-        # relative to the inputs, not to |direct|: where <T f_good, g_good>
-        # cancels to about 0, as on an antisymmetric K, the parts cancel
-        # only up to rounding
-        return np.abs(self.total - self.direct) / np.maximum(
-            self.scale, np.finfo(float).tiny)
+def partition_check(geometry: tuple) -> LemmaCheck:
+    """The split of <T f_good, g_good> is exact when every (good f
+    component, good g component) pair lies in exactly one regime of one
+    half: count the primary tables' pairs as (q, r) and the symmetric
+    tables' as (r, q).  Measures the number of pairs not counted exactly
+    once, and passes at 0 only."""
+    primary, symmetric = geometry
+    n_g = len(primary.coarse_rows.ids)
+    keys = [t.q * n_g + t.r for t in primary.pairs.values()] + \
+        [t.r * n_g + t.q for t in symmetric.pairs.values()]
+    count = np.bincount(np.concatenate(keys),
+                        minlength=len(primary.fine_rows.ids) * n_g)
+    miscounted = float((count != 1).sum())
+    return LemmaCheck("sigma_regrouping", miscounted, 0.0, miscounted == 0,
+                      ref="splitting")
 
 
 def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
@@ -341,32 +335,19 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
                    dec_g: MartingaleDecomposition,
                    f: np.ndarray, g: np.ndarray,
                    geometry: tuple) -> SigmaSplit:
-    """Exact regrouping of <T f_good, g_good> into the sigma parts, and
-    every product with K that the lemma checks read.
+    """The pair values of <T f_good, g_good> in every regime, and every
+    product with K that the lemma checks read.
 
-    f and g are (P, N) stacks of probes, decomposed by dec_f and dec_g; the
-    sums are (P,) arrays, each bit for bit its probe's own.  ``geometry``
-    is the pair_geometry of the two decompositions' lattices.  Every
-    product contracts over supp mu, against K on supp mu x supp mu
+    f and g are (P, N) stacks of probes, decomposed by dec_f and dec_g;
+    each probe's values are bit for bit its own.  ``geometry`` is the
+    pair_geometry of the two decompositions' lattices, whose pair tables
+    partition the good pairs (``partition_check``).  Every product
+    contracts over supp mu, against K on supp mu x supp mu
     (``on_support``).  One loop over the probes forms each probe's
     components, then the pair values and the transit products
     (``_transit_products``) of both halves; only the components' norms
     outlive it."""
-    f_good, _ = split_good_bad(dec_f)
-    g_good, _ = split_good_bad(dec_g)
     supp, k = on_support(kernel, space)
-    mu = space.mu[supp]
-
-    def pair(u, v):
-        # <T u, v>_mu; a trailing unit axis keeps one GEMV per probe
-        return ((k @ (u[..., supp] * mu)[..., None])[..., 0] *
-                v[..., supp] * mu).sum(axis=-1)
-
-    direct = pair(f_good, g_good)
-    # the constant parts of both functions, paired against everything else
-    lam_f, lam_g = dec_f.constant(), dec_g.constant()
-    lambda_part = pair(lam_f, g_good) + pair(f_good - lam_f, lam_g)
-
     primary, symmetric = geometry
     n = len(f)
     comp_f, comp_g = (Components(np.empty((n, len(rows.ids))),
@@ -380,16 +361,12 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
                                    (symmetric, comp_g, comp_f)))
     fill_primary = _transit_products(primary, space, supp, g)
     fill_symmetric = _transit_products(symmetric, space, supp, f)
-    abs_k, scale = np.abs(k), np.empty(n)
     # one probe at a time, as a stack of components would take several
     # times the memory of the probes
     for p in range(n):
         phi_f = _probe_components(primary.fine_rows, dec_f, p, comp_f)
         phi_g = _probe_components(primary.coarse_rows, dec_g, p, comp_g)
         f_rows, g_rows = phi_f[:, supp], phi_g[:, supp]
-        f_abs, g_abs = (abs(dec.lambda_part[p]) * mu + np.abs(rows).sum(0)
-                        for dec, rows in ((dec_f, f_rows), (dec_g, g_rows)))
-        scale[p] = g_abs @ abs_k @ f_abs
         # (Delta_R g mu) K: the left factor of the pair matrix, and the
         # symmetric half's product with T* Delta_Q
         g_k = g_rows @ k
@@ -405,10 +382,7 @@ def split_bilinear(kernel: KernelSpec, space: MetricMeasureSpace,
             fill_primary(p, phi_f, (f_rows @ k.T).T, g_rows)
         if fill_symmetric:
             fill_symmetric(p, phi_g, g_k.T, f_rows)
-    sums = {half.prefix + regime: values.sum(axis=-1)
-            for half in (primary, symmetric)
-            for regime, values in half.values.items()}
-    return SigmaSplit(lambda_part, direct, scale, sums, (primary, symmetric))
+    return SigmaSplit((primary, symmetric))
 
 
 # ---------------------------------------------------------------------------
@@ -1011,12 +985,12 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
     with the power-iteration operator norm.
 
     Every regime constant depends on the lattice pair and A only, and comes
-    from pair_geometry.  The probes then go through the lemma checks
-    as one (P, N) stack per lattice, in chunks of at most ``PROBE_CELLS``
-    (probe x row x point) cells: one decomposition per lattice, one split
-    and one call per lemma and half.  Every sum runs along the last axis
-    and every product keeps its per-probe BLAS call, so each probe's checks
-    are bit for bit those of the probe on its own.  ``lattice`` is the
+    from pair_geometry, as does the exactness of the split
+    (``partition_check``).  The probes then go through the lemma checks
+    as one (P, N) stack per lattice: one decomposition per lattice, one
+    split and one call per lemma and half.  Every sum runs along the last
+    axis and every product keeps its per-probe BLAS call, so each probe's
+    checks are bit for bit those of the probe on its own.  ``lattice`` is the
     seeds[0] lattice when the caller has built it already; its terminal
     flags are kept when every cube has one."""
     from .kernels import check_T1, operator_norm
@@ -1088,34 +1062,26 @@ def certify(kernel: KernelSpec, space: MetricMeasureSpace, kappa: float = 0.5,
             prefix + "paraproduct_identity", p_info["identity_error"],
             1e-10, p_info["identity_error"] <= 1e-10, ref="paraproduct"))
 
-    # the probes as (P, N) stacks, in chunks of at most PROBE_CELLS cells
-    probes_f, probes_g = (np.reshape(p[:n_probe], (n_probe, space.n_points))
-                          for p in (probes_f, probes_g))
-    rows = max(len(h.fine_rows.ids) for h in geometry)
-    chunk = max(1, PROBE_CELLS // (max(rows, 1) * space.n_points))
+    # the probes as (P, N) stacks
+    f, g = (np.reshape(p[:n_probe], (n_probe, space.n_points))
+            for p in (probes_f, probes_g))
+    split = split_bilinear(kernel, space, decompose(lat1, f),
+                           decompose(lat2, g), f, g, geometry)
+    halves = []
+    for hi, half in enumerate(split.halves):
+        tran_checks, _ = short_range_transit_bound(split, hi=hi)
+        halves.append(zip(diagonal_bound(split, hi),
+                          short_range_terminal_bound(split, hi),
+                          _sigma2_probe_check(half), *tran_checks))
     # probe 0 reports every lemma check, later probes only the failed ones
     lemmas = []
-    worst_regroup = 0.0
-    for at in range(0, n_probe, chunk):
-        f, g = probes_f[at:at + chunk], probes_g[at:at + chunk]
-        split = split_bilinear(kernel, space, decompose(lat1, f),
-                               decompose(lat2, g), f, g, geometry)
-        worst_regroup = max(worst_regroup, *split.regroup_error.tolist())
-        halves = []
-        for hi, half in enumerate(split.halves):
-            tran_checks, _ = short_range_transit_bound(split, hi=hi)
-            halves.append(zip(diagonal_bound(split, hi),
-                              short_range_terminal_bound(split, hi),
-                              _sigma2_probe_check(half), *tran_checks))
-        for pi, per_half in enumerate(zip(*halves), start=at):
-            for hi, checks in enumerate(map(list, per_half)):
-                if pi > 0:
-                    lemmas.extend(chk for chk in checks if not chk.passed)
-                else:
-                    lemmas.extend(checks + [identity[hi]])
-
-    lemmas.append(LemmaCheck("sigma_regrouping", worst_regroup, 1e-9,
-                             worst_regroup <= 1e-9, ref="splitting"))
+    for pi, per_half in enumerate(zip(*halves)):
+        for hi, checks in enumerate(map(list, per_half)):
+            if pi > 0:
+                lemmas.extend(chk for chk in checks if not chk.passed)
+            else:
+                lemmas.extend(checks + [identity[hi]])
+    lemmas.append(partition_check(geometry))
 
     c_good = sum(c_parts.values())
     certified = c_good / (1.0 - 2.0 * delta_bad)

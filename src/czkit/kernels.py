@@ -61,10 +61,16 @@ def power_kernel(space: MetricMeasureSpace, m: float, tau: float = 1.0,
     """k(x,y) = amplitude / rho(x,y)^m with the declared C_CZ fitted on the
     instance so size and smoothness hypotheses certifiably hold."""
     vals = np.where(space.rho > 0, space.rho, np.inf)
-    # an overflowed rho^m gives an entry of 0; KernelSpec refuses inf
+    over = np.isfinite(vals)
+    # KernelSpec refuses inf
     with np.errstate(divide="ignore", over="ignore"):
         vals **= m
+        over &= np.isinf(vals)
         np.divide(amplitude, vals, out=vals)
+        # where rho^m overflows the quotient can still be in range: take it
+        # in logs there, and keep every other entry's bits
+        vals[over] = np.copysign(np.exp(np.log(abs(amplitude)) - m * np.log(
+            space.rho[over])), amplitude)
     vals = _resolve_diagonal(vals, space, diagonal_policy,
                              lambda h: amplitude / h ** m)
     spec = KernelSpec(vals, m=m, tau=tau, C_CZ=1.0, delta_CZ=delta_CZ,

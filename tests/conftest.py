@@ -16,8 +16,10 @@ import pytest
 
 from czkit.certify import long_range_entry
 from czkit.examples import generate_example
+from czkit.kernels import on_support
 from czkit.lattice import DyadicLattice, _ensemble_keys, _generation_range, \
     _lattice_of_orders, build_lattice, classify_terminal_transit
+from czkit.projections import good_component_ids, split_good_bad
 from czkit.space import MetricMeasureSpace, space_from_json
 
 
@@ -46,6 +48,36 @@ def _defined_functions(path) -> dict:
     with open(path) as fh:
         walk(compile(fh.read(), path, "exec"), "")
     return out
+
+
+def regrouping(kernel, space, dec_f, dec_g, split) -> tuple:
+    """(direct, error) per probe of a split: direct = <T f_good, g_good>_mu,
+    and error = |Lambda part + every regime sum of both halves - direct|
+    over what those terms can round to, (F mu)^T |K| (G mu) on supp mu,
+    F = |Lambda f| + sum_Q |Delta_Q f| over the good components and G the
+    same of g.  The Lambda part pairs the constant parts of f and g against
+    everything else."""
+    supp, k = on_support(kernel, space)
+    mu = space.mu[supp]
+
+    def pair(u, v, k=k):
+        # <T u, v>_mu; a trailing unit axis keeps one GEMV per probe
+        return ((k @ (u[..., supp] * mu)[..., None])[..., 0] *
+                v[..., supp] * mu).sum(axis=-1)
+
+    def magnitude(dec):
+        ids = good_component_ids(dec.lattice).tolist()
+        return np.abs(dec.constant()) + np.abs(dec.dense(ids)).sum(axis=-2)
+
+    (f_good, _), (g_good, _) = split_good_bad(dec_f), split_good_bad(dec_g)
+    lam_f, lam_g = dec_f.constant(), dec_g.constant()
+    direct = pair(f_good, g_good)
+    total = pair(lam_f, g_good) + pair(f_good - lam_f, lam_g) + sum(
+        values.sum(axis=-1) for half in split.halves
+        for values in half.values.values())
+    scale = pair(magnitude(dec_f), magnitude(dec_g), np.abs(k))
+    return direct, np.abs(total - direct) / np.maximum(
+        scale, np.finfo(float).tiny)
 
 
 def kernel_doc(kernel) -> dict:

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from czkit.certify import (_pair_norm, alpha_param,
-                           carleson_embedding_check, certify, diagonal_bound,
-                           pair_geometry, paraproduct_apply,
-                           paraproduct_targets, short_range_terminal_bound,
+                           carleson_embedding_check, certify, classify_pairs,
+                           diagonal_bound, pair_geometry, paraproduct_apply,
+                           paraproduct_targets, partition_check,
+                           short_range_terminal_bound,
                            short_range_transit_bound, split_bilinear)
 from czkit.errors import ClassificationMissing, CzkitError
 from czkit.examples import generate_example
@@ -23,12 +24,13 @@ from czkit.kernels import (bergman_kernel, check_T1, constant_kernel,
                            explicit_kernel, power_kernel, spectral_norm,
                            zero_kernel)
 from czkit.lattice import (build_lattice, classify_all_good_bad,
-                           classify_terminal_transit, scale_gap)
+                           classify_terminal_transit, cube_reduce, scale_gap)
 from czkit.lemmas import (admissible_bmo_cubes, bmo_tail_constant,
                           pseudo_bmo_check, whitney_decomposition)
 from czkit.projections import decompose, good_component_ids, split_good_bad
 from czkit.space import MetricMeasureSpace, dilate, euclidean_metric
-from conftest import BERGMAN_64, line_space
+from conftest import BERGMAN_64, line_space, regrouping
+from test_probe_batch import split_fields
 
 KAPPA = 0.5
 DELTA = 0.25
@@ -76,11 +78,14 @@ def _split(space, kern, lat1, lat2, r_gap, alpha, f, g):
 
 def test_split_exact_regrouping(line_setup):
     space, kern, lat1, lat2, r_gap, alpha = line_setup
-    rng = np.random.default_rng(0)
-    for _ in range(3):
-        f, g = rng.standard_normal((2, space.n_points))
-        split = _split(space, kern, lat1, lat2, r_gap, alpha, f, g)
-        assert split.regroup_error <= 1e-9
+    geometry = _geometry(space, kern, lat1, lat2, r_gap, alpha)
+    check = partition_check(geometry)
+    assert (check.measured, check.bound, check.passed) == (0.0, 0.0, True)
+    f, g = np.random.default_rng(0).standard_normal((2, 3, space.n_points))
+    dec_f, dec_g = decompose(lat1, f), decompose(lat2, g)
+    split = split_bilinear(kern, space, dec_f, dec_g, f, g, geometry)
+    _, error = regrouping(kern, space, dec_f, dec_g, split)
+    assert (error <= 1e-9).all()
 
 
 def test_split_constant_function_lambda_only(line_setup):
@@ -88,38 +93,54 @@ def test_split_constant_function_lambda_only(line_setup):
     f = np.full(space.n_points, 2.0)
     g = np.random.default_rng(1).standard_normal(space.n_points)
     split = _split(space, kern, lat1, lat2, r_gap, alpha, f, g)
-    assert split.sums["sigma1"] == split.sums["sigma2"] == 0.0
-    assert split.sums["sigma3_term"] == split.sums["sigma3_tran"] == 0.0
+    assert all((value == 0.0).all() for value in split_fields(split).values())
 
 
 def test_split_zero_kernel(line_setup):
     space, _, lat1, lat2, r_gap, alpha = line_setup
     kern = zero_kernel(space)
-    rng = np.random.default_rng(2)
-    f, g = rng.standard_normal((2, space.n_points))
-    split = _split(space, kern, lat1, lat2, r_gap, alpha, f, g)
-    assert split.total == pytest.approx(0.0, abs=1e-15)
-    assert split.direct == pytest.approx(0.0, abs=1e-15)
+    f, g = np.random.default_rng(2).standard_normal((2, 1, space.n_points))
+    dec_f, dec_g = decompose(lat1, f), decompose(lat2, g)
+    split = split_bilinear(kern, space, dec_f, dec_g, f, g,
+                           _geometry(space, kern, lat1, lat2, r_gap, alpha))
+    assert all(value == pytest.approx(0.0, abs=1e-15)
+               for value in split_fields(split).values())
+    direct, _ = regrouping(kern, space, dec_f, dec_g, split)
+    assert direct == pytest.approx(0.0, abs=1e-15)
+
+
+def _recorded_regroupings(monkeypatch) -> list:
+    """(direct, error) of every probe pair that certify splits."""
+    module = importlib.import_module("czkit.certify")
+    real, seen = module.split_bilinear, []
+
+    def recorded(kernel, space, dec_f, dec_g, *rest):
+        split = real(kernel, space, dec_f, dec_g, *rest)
+        seen.extend(zip(*regrouping(kernel, space, dec_f, dec_g, split)))
+        return split
+
+    monkeypatch.setattr(module, "split_bilinear", recorded)
+    return seen
+
+
+def _assert_exact_regrouping(rep, seen):
+    """The parts of every split probe pair sum to <T f_good, g_good> up to
+    rounding, and the pair tables partition the good pairs."""
+    assert seen and all(error <= 1e-9 for _, error in seen)
+    [regroup] = [c for c in rep.lemmas if c.name == "sigma_regrouping"]
+    assert (regroup.measured, regroup.bound, regroup.passed) == (0.0, 0.0,
+                                                                 True)
 
 
 def test_regrouping_of_a_pairing_that_is_exactly_zero(monkeypatch):
     # three unit-spaced points, S = 1: one probe pair has <T f_good, g_good>
     # exactly 0 while its nine parts sum to about -2e-17; measured against
     # |direct| alone, the regrouping read 2.1e13 and failed the certificate
-    module = importlib.import_module("czkit.certify")
-    real, directs = module.split_bilinear, []
-
-    def recorded(*args, **kwargs):
-        split = real(*args, **kwargs)
-        directs.extend(split.direct.tolist())
-        return split
-
-    monkeypatch.setattr(module, "split_bilinear", recorded)
+    seen = _recorded_regroupings(monkeypatch)
     space = line_space(3)
     rep = certify(power_kernel(space, m=1), space, s_param=1, n_probes=5)
-    assert 0.0 in directs
-    [regroup] = [c for c in rep.lemmas if c.name == "sigma_regrouping"]
-    assert regroup.passed and regroup.measured <= 1e-9
+    assert 0.0 in [direct for direct, _ in seen]
+    _assert_exact_regrouping(rep, seen)
     assert rep.verdict
 
 
@@ -139,16 +160,58 @@ def _antisymmetric_line(seed):
     return space, explicit_kernel(space, k, m=1.0, tau=1.0)
 
 
-def test_regrouping_on_antisymmetric_kernels():
+def test_regrouping_on_antisymmetric_kernels(monkeypatch):
     # with K = -K^T the indicator probes pair to about 0, and so do all the
     # parts; measured against |direct| or the parts, 7 of these 60 draws
     # read 1.5 to 510 and failed the certificate
+    seen = _recorded_regroupings(monkeypatch)
     for seed in range(60):
         space, kern = _antisymmetric_line(seed)
         rep = certify(kern, space, s_param=2)
-        [regroup] = [c for c in rep.lemmas if c.name == "sigma_regrouping"]
-        assert regroup.measured <= 1e-15, seed
+        _assert_exact_regrouping(rep, seen)
         assert rep.verdict, seed
+        seen.clear()
+
+
+@pytest.mark.parametrize("regime", ["sigma1", "sigma2", "sigma3_tran"])
+def test_certificate_fails_when_a_pair_is_dropped(regime, monkeypatch):
+    # a good pair in no regime leaves its term out of the split, so the
+    # parts no longer sum to <T f_good, g_good>: drop the first pair of one
+    # regime from the primary half, whose tables come first
+    module = importlib.import_module("czkit.certify")
+    real, calls = module.classify_pairs, []
+
+    def dropped(*args):
+        tables = real(*args)
+        calls.append(tables)
+        if len(calls) > 1:
+            return tables
+        keep = np.arange(len(tables[regime])) > 0
+        return {**tables, regime: tables[regime].select(keep)}
+
+    monkeypatch.setattr(module, "classify_pairs", dropped)
+    space, info = generate_example("cantor_measure", level=4)
+    rep = certify(power_kernel(space, m=info["m"], tau=info["tau"]), space,
+                  s_param=1)
+    assert len(calls[0][regime]) > 0
+    [regroup] = [c for c in rep.lemmas if c.name == "sigma_regrouping"]
+    assert regroup.measured == 1.0 and not regroup.passed
+    assert not rep.verdict
+
+
+def test_equal_size_pairs_in_both_halves_are_counted_twice(line_setup):
+    # the symmetric half drops the pairs of equal generations, which the
+    # primary half holds; with them kept, each is counted twice
+    space, kern, lat1, lat2, r_gap, alpha = line_setup
+    primary, symmetric = _geometry(space, kern, lat1, lat2, r_gap, alpha)
+    fine, coarse = symmetric.fine_rows, symmetric.coarse_rows
+    dist = cube_reduce(fine.lattice, coarse.lattice.dist, fine.ids, axis=0)
+    whole = classify_pairs(fine, coarse, dist, r_gap, alpha)
+    equal = sum(int((t.gap == 0).sum()) for t in whole.values())
+    check = partition_check(
+        (primary, dataclasses.replace(symmetric, pairs=whole)))
+    assert equal > 0
+    assert check.measured == equal and not check.passed
 
 
 # ---------------------------------------------------------------------------
@@ -776,9 +839,10 @@ def test_regime_constants_dominate_exact_regime_norms(case):
     split = split_bilinear(kern, space, decompose(geometry[0].fine_lat, f),
                            decompose(geometry[0].coarse_lat, g), f, g,
                            geometry)
+    sums = split_fields(split)
     for key, form in forms.items():
         assert coords_g(g[0]) @ form @ coords_f(f[0]) == pytest.approx(
-            split.sums[key][0], rel=1e-9, abs=1e-15), key
+            sums[key][0], rel=1e-9, abs=1e-15), key
     exact = {key: spectral_norm(form) for key, form in forms.items()}
     const = rep.constants
     for prefix in ("", "sym_"):

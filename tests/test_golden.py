@@ -37,6 +37,11 @@ hashes, and the three golden ``sigma_regrouping`` values, were captured
 again when the regrouping error came to be measured against what the
 parts can round to (``SigmaSplit.scale``) instead of against |direct|:
 that value alone moved, from 5.8e-16 - 1.2e-14 to 4.1e-18 - 1.2e-16.
+All seven hashes, and the three golden ``sigma_regrouping`` values, were
+captured again when that check became an exact count of the good pairs
+the pair tables do not hold exactly once (``certify.partition_check``):
+its measured value went from 5.0e-18 - 1.1e-16 to 0 and its bound from
+1e-9 to 0; a JSON diff of all seven reports showed no other change.
 """
 
 import hashlib
@@ -79,31 +84,31 @@ BERGMAN_64 = {"n_ring": 64, "n_cluster": 8, "n_boundary": 32}
 RUN_REPORTS = {
     "cantor_level5": (
         ("cantor_measure", {"level": 5}, {}),
-        "5f7a316f3630baefb0d87bfd1367d9fd8649b9b46084e410dc9bd5bbf9e4ae75"),
+        "088c227c19fc99cc7742cfa49fc96ed92f39150eb8de90f2d7152a0a1f992691"),
     # the benchmark's cantor_pairs size, with sigma2 pairs that need the
     # near-pair sup fallback
     "cantor_level6": (
         ("cantor_measure", {"level": 6}, {}),
-        "887e684c99d008d2a596a11e6a579fd33c1e63a27a514145d98e50d418853e97"),
+        "82c4030bbddb22f7428b6bbd0f654f207fe6d8f36dcc7d8b97b05e3b95f4bee2"),
     "grid_n9": (
         ("uniform_grid", {"n": 9}, {}),
-        "142abf6ef9fd828224112242ccc38295dfa4c7f83fc7207fa9b3c7f5796525d6"),
+        "64b3b7e10ee2277f77027cb81c036b920e68c63dc594c058d818c65305b17611"),
     "line_n13": (
         ("line_in_plane", {"n": 13}, {}),
-        "3b31d057e03f4a44938ed443a0d43d8a85b4a848c2fe459b7011ed1993dda2da"),
+        "94b102ee39af13ff490e1620691abc5d2424c75ff8b1452522a855a2c59e2487"),
     # the benchmark's line_sparse_mu size
     "line_n21": (
         ("line_in_plane", {"n": 21}, {}),
-        "89aa214ba6b84237dbd6a35691915ee5d330dc29ef587815adaa1738a0aa1734"),
+        "94a2e43332e3123554122ab7e565fed7054925da6fd7901a6f307c3b3b714f61"),
     "bergman_default": (
         ("bergman_disc_model", {}, {}),
-        "260e05f3f0c6ac643e58da197f1c696b14cc5483038f6aeec5deeeba74eb4a9e"),
+        "6ef529cbdd40c50535eb075623e40a6a7c370d21b5347962f6388eac339bfa6b"),
     # calibrated, on the lattice pair of the benchmark's seed-402 find
     "bergman_64_calibrated": (
         ("bergman_disc_model", BERGMAN_64,
          {"s_param": None, "ensemble": 150,
           "seeds": (2476693647, 1295026582), "master_seed": 3813294786}),
-        "44d6ff1b05afa8d58deffaaba16a7518f82078083e871c9d7c707f73572945f7"),
+        "6c4def6452bc594ef57cd92ae43803a4f6328b648c8a215ce6d5c8463016f8e5"),
 }
 
 

@@ -254,6 +254,17 @@ def test_size_fit_counts_nan_ratios_as_inf():
     assert explicit_kernel(space, mat, m=2.0, tau=1.0).C_CZ == math.inf
 
 
+def test_power_kernel_entry_past_an_overflowing_power():
+    # rho^m = 1e321 overflows while amplitude / rho^m = 1e-121 is in range;
+    # the entry was 0. C_CZ may still be inf, as the fit takes raw powers
+    space = line_space(2)
+    space.rho = space.rho * 1e107
+    kern = power_kernel(space, m=3.0, amplitude=1e200)
+    assert kern.matrix[0, 0] == kern.matrix[1, 1] == 0.0
+    assert kern.matrix[0, 1] == kern.matrix[1, 0] == pytest.approx(
+        1e-121, rel=1e-12)
+
+
 @pytest.mark.parametrize("delta", [1.0, 0.5, 0.3, 1e-300])
 @pytest.mark.parametrize("cells", [1, 7, 2 ** 16])
 def test_suffix_starts_match_per_row_searchsorted(delta, cells):

@@ -6,7 +6,7 @@ The copy runs each probe on its own, as a stack of one, through
 ``decompose``, ``split_bilinear`` and the four lemma checks, and assembles
 the lemma list as the loop did: probe 0 lists every check and each half's
 paraproduct identity, the later probes only their failures, and the
-regrouping check closes the list."""
+partition check of the pair tables closes the list."""
 
 import importlib
 
@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from czkit.certify import (LemmaCheck, _sigma2_probe_check, certify,
-                           diagonal_bound, short_range_terminal_bound,
+                           diagonal_bound, partition_check,
+                           short_range_terminal_bound,
                            short_range_transit_bound, split_bilinear)
 from czkit.harness import make_scenario, run
 from czkit.kernels import power_kernel
@@ -25,15 +26,17 @@ from czkit.space import MetricMeasureSpace
 from test_golden import RUN_REPORTS
 
 certify_module = importlib.import_module("czkit.certify")
-SPLIT_FIELDS = ("lambda_part", "direct", "sigma1", "sigma2", "sigma3_term",
-                "sigma3_tran", "sym_sigma1", "sym_sigma2", "sym_sigma3_term",
+SPLIT_FIELDS = ("sigma1", "sigma2", "sigma3_term", "sigma3_tran",
+                "sym_sigma1", "sym_sigma2", "sym_sigma3_term",
                 "sym_sigma3_tran")
 
 
 def split_fields(split) -> dict:
-    """The parts of a split under SPLIT_FIELDS, in that order."""
-    fields = {"lambda_part": split.lambda_part, "direct": split.direct,
-              **split.sums}
+    """The regime sums of a split under SPLIT_FIELDS, in that order: each
+    half's pair values summed over the last axis."""
+    fields = {half.prefix + regime: values.sum(axis=-1)
+              for half in split.halves
+              for regime, values in half.values.items()}
     assert tuple(fields) == SPLIT_FIELDS
     return fields
 
@@ -66,36 +69,30 @@ def _checks(split) -> list:
 
 
 def _per_probe_lemmas(report, calls) -> list:
-    """The lemma list of the per-probe loop over the probes certify split;
-    each batch split is also checked against its probes' own splits."""
+    """The lemma list of the per-probe loop over the probes of certify's one
+    split; that split is also checked against its probes' own splits."""
     identity = [c for c in report.lemmas
                 if c.name.endswith("paraproduct_identity")]
-    lemmas, worst, pi = [], 0.0, 0
-    for args, batch in calls:
-        kernel, space, dec_f, dec_g, f, g, *rest = args
-        assert f.ndim == 2
-        batch_checks = _checks(batch)
-        batch_fields = split_fields(batch)
-        for p, (f1, g1) in enumerate(zip(f[:, None], g[:, None])):
-            split = split_bilinear(kernel, space, decompose(dec_f.lattice, f1),
-                                   decompose(dec_g.lattice, g1), f1, g1, *rest)
-            for name, value in split_fields(split).items():
-                assert value.shape == (1,)
-                assert float(value[0]).hex() == \
-                    float(batch_fields[name][p]).hex()
-            [regroup] = split.regroup_error.tolist()
-            assert regroup == batch.regroup_error[p]
-            worst = max(worst, regroup)
-            for hi, [checks] in enumerate(_checks(split)):
-                assert [_bits(c) for c in batch_checks[hi][p]] == \
-                    [_bits(c) for c in checks]
-                if pi:
-                    lemmas += [c for c in checks if not c.passed]
-                else:
-                    lemmas += checks + [identity[hi]]
-            pi += 1
-    lemmas.append(LemmaCheck("sigma_regrouping", worst, 1e-9, worst <= 1e-9,
-                             ref="splitting"))
+    [(args, batch)] = calls
+    kernel, space, dec_f, dec_g, f, g, geometry = args
+    assert f.ndim == 2
+    batch_checks = _checks(batch)
+    batch_fields = split_fields(batch)
+    lemmas = []
+    for p, (f1, g1) in enumerate(zip(f[:, None], g[:, None])):
+        split = split_bilinear(kernel, space, decompose(dec_f.lattice, f1),
+                               decompose(dec_g.lattice, g1), f1, g1, geometry)
+        for name, value in split_fields(split).items():
+            assert value.shape == (1,)
+            assert float(value[0]).hex() == float(batch_fields[name][p]).hex()
+        for hi, [checks] in enumerate(_checks(split)):
+            assert [_bits(c) for c in batch_checks[hi][p]] == \
+                [_bits(c) for c in checks]
+            if p:
+                lemmas += [c for c in checks if not c.passed]
+            else:
+                lemmas += checks + [identity[hi]]
+    lemmas.append(partition_check(geometry))
     return lemmas
 
 
@@ -110,25 +107,8 @@ def test_batch_matches_per_probe_loop_on_run_reports(key, monkeypatch):
     calls = _recorded_splits(monkeypatch)
     report = run(make_scenario(example, example_params=dict(params),
                                **overrides)).certificate
-    # three random probes and two indicators, in one chunk
-    assert len(calls) == 1 and calls[0][0][4].shape[0] == 5
-    _assert_matches_per_probe_loop(report, calls)
-
-
-@pytest.mark.parametrize("cells", [1, 2 * 78 * 64])
-def test_probes_split_across_chunks(cells, monkeypatch):
-    # on cantor level 6 a probe's largest stack is its 78 component rows on
-    # 64 points: one probe per chunk, then chunks of two
-    sc = make_scenario("cantor_measure", example_params={"level": 6})
-    args = (sc.kernel, sc.space)
-    whole = certify(*args, kappa=sc.kappa, s_param=2)
-    monkeypatch.setattr(certify_module, "PROBE_CELLS", cells)
-    calls = _recorded_splits(monkeypatch)
-    report = certify(*args, kappa=sc.kappa, s_param=2)
-    assert [c[0][4].shape[0] for c in calls] == ([1] * 5 if cells == 1 else
-                                                 [2, 2, 1])
-    assert [_bits(c) for c in report.lemmas] == [_bits(c) for c in
-                                                 whole.lemmas]
+    # three random probes and two indicators, in one split
+    assert calls[0][0][4].shape[0] == 5
     _assert_matches_per_probe_loop(report, calls)
 
 
@@ -157,4 +137,5 @@ def test_batch_matches_per_probe_loop_on_random_spaces(n, s_param, n_probes,
         report = certify(kernel, space, s_param=s_param,
                          seeds=(seed % 1000, seed % 1000 + 7),
                          n_probes=n_probes, master_seed=seed)
+    assert len(calls) == 1              # one split per certificate
     _assert_matches_per_probe_loop(report, calls)

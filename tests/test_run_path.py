@@ -36,7 +36,9 @@ UNRUN = {
         "CubeTable.__iter__": LAYERS,
         "CubeTable.__len__": "part of the Mapping protocol of lat.cubes",
         "DyadicLattice.root": "the root as a cube view"},
-    "projections": {"expected_bad_norm": "acceptance criteria 4 and 5"},
+    "projections": {"expected_bad_norm": "acceptance criteria 4 and 5",
+                    "split_good_bad": "f_bad of expected_bad_norm; the "
+                    "tests' f_good oracle"},
     "space": {"MetricMeasureSpace.mu_mass": BMO,
               "MetricMeasureSpace.set_diam": "read by dilate; " + BMO,
               "dilate": "the reference of cube_dilations; " + BMO},
