@@ -62,13 +62,12 @@ def power_kernel(space: MetricMeasureSpace, m: float, tau: float = 1.0,
     instance so size and smoothness hypotheses certifiably hold."""
     vals = np.where(space.rho > 0, space.rho, np.inf)
     over = np.isfinite(vals)
-    # KernelSpec refuses inf
     with np.errstate(divide="ignore", over="ignore"):
         vals **= m
         over &= np.isinf(vals)
         np.divide(amplitude, vals, out=vals)
-        # where rho^m overflows the quotient can still be in range: take it
-        # in logs there, and keep every other entry's bits
+        # where rho^m overflows, amplitude / rho^m can still be in range:
+        # take it in logs there, which keeps every other entry's bits
         vals[over] = np.copysign(np.exp(np.log(abs(amplitude)) - m * np.log(
             space.rho[over])), amplitude)
     vals = _resolve_diagonal(vals, space, diagonal_policy,
