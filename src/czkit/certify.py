@@ -200,7 +200,7 @@ def _probe_components(rows: ComponentRows, dec: MartingaleDecomposition,
     row, times mu and zero off the row's cube; their norms go to row p of
     ``comp``."""
     mu = rows.lattice.space.mu
-    delta = replace(dec, values=dec.values[p]).dense(rows.ids.tolist())
+    delta = replace(dec, values=dec.values[p]).dense(rows.ids)
     phi = delta * mu
     sq = np.square(delta, out=delta)
     sq *= mu
@@ -771,64 +771,59 @@ def short_range_transit_bound(split: SigmaSplit, hi: int):
 
 
 def paraproduct_targets(fine_lat: DyadicLattice, coarse_lat: DyadicLattice,
-                        r_gap: int) -> dict:
-    """For every good transit component cube, the smallest transit cube of
-    the other lattice that contains it and sits at least r_gap - 1
-    generations coarser.  Cubes whose target degenerates to the root are
-    mapped to the root id (their paraproduct coefficient vanishes for
-    mean-zero data); cubes with no containing cube map to None.  A cube Q
-    lies in one coarse cube of generation g iff the min and the max of the
-    generation-g labels over Q's entries in the fine plan agree."""
-    qs, plan = good_component_ids(fine_lat), fine_lat.plan
-    gens = np.array(sorted(coarse_lat.labels))
+                        r_gap: int, qs: np.ndarray) -> np.ndarray:
+    """For each cube of ``qs`` (``good_component_ids(fine_lat)``), the id of
+    the smallest transit cube of the other lattice that holds it and sits at
+    least r_gap - 1 generations coarser, -1 where none does; the root id
+    where that is the root (its coefficient vanishes for mean-zero data).  A
+    cube Q lies in one coarse cube of generation g iff the min and the max
+    of the generation-g labels over Q's entries in the fine plan agree."""
+    plan, gens = fine_lat.plan, np.array(sorted(coarse_lat.labels))
     labels = np.column_stack([coarse_lat.labels[g] for g in gens])[plan.pt]
-    rows = [plan.slot[q] for q in qs.tolist()]
-    lo, hi = (ufunc.reduceat(labels, plan.start[:-1], axis=0)[rows]
+    lo, hi = (ufunc.reduceat(labels, plan.start[:-1], axis=0)[plan.slot[qs]]
               for ufunc in (np.minimum, np.maximum))
     # transit per cube id, read as label -1 (no cube) in the last slot
     transit = np.append(coarse_lat.terminal != 1, False)
     top = fine_lat.gen[qs] - r_gap + 1
     ok = (lo == hi) & transit[lo] & (gens <= top[:, None])
-    return {q: int(row[hit][-1]) if hit.any() else None
-            for q, row, hit in zip(qs.tolist(), lo, ok)}
+    # the finest generation that holds Q
+    last = gens.size - 1 - ok[:, ::-1].argmax(axis=1)
+    return np.where(ok.any(axis=1), lo[np.arange(qs.size), last], -1)
 
 
 def paraproduct_apply(F: np.ndarray, g: np.ndarray, fine_lat: DyadicLattice,
                       coarse_lat: DyadicLattice, r_gap: int):
     """The paraproduct vector sum_Q <g>_(R(Q)) Delta_Q F together with the
-    per-target weights a_R = sum ||Delta_Q F||^2 and the orthogonality-based
-    norm identity error."""
-    space = fine_lat.space
-    targets = paraproduct_targets(fine_lat, coarse_lat, r_gap)
-    kept = {q_id: r_id for q_id, r_id in targets.items() if r_id is not None}
-    dropped = [q_id for q_id in targets if q_id not in kept]
+    per-target weights a_R = sum ||Delta_Q F||^2, per coarse cube id, and
+    the orthogonality-based norm identity error."""
+    space, plan, coarse = fine_lat.space, fine_lat.plan, coarse_lat.plan
+    qs = good_component_ids(fine_lat)
+    targets = paraproduct_targets(fine_lat, coarse_lat, r_gap, qs)
+    qs, targets = qs[targets >= 0], targets[targets >= 0]
     dec = decompose(fine_lat, np.asarray(F, dtype=float))
-    norm_sq = (dec.dense(kept) ** 2 * space.mu).sum(axis=1).tolist()
-    g_means = coarse_lat.plan.means(np.asarray(g, dtype=float))
-    lam_g = float(g_means[coarse_lat.plan.root_slot])
-    g_means[coarse_lat.plan.root_slot] = 0.0   # zero mean by assumption
-    coef = g_means[[coarse_lat.plan.slot[r_id] for r_id in kept.values()]]
-    # per fine slot; a zero coefficient adds nothing, so it is left out
-    weight = np.zeros(len(fine_lat.plan.slot) + 1)
-    weight[[fine_lat.plan.slot.get(q_id, -1) for q_id in kept]] = coef
+    norm_sq = (dec.dense(qs) ** 2 * space.mu).sum(axis=1)
+    g_means = coarse.means(np.asarray(g, dtype=float))
+    g_means[coarse.slot[coarse_lat.root_id]] = 0.0   # zero mean by assumption
+    coef = g_means[coarse.slot[targets]]
+    # per component; a zero coefficient adds nothing, so it is left out
+    weight = np.zeros(plan.ids.size)
+    weight[plan.slot[qs]] = coef
     out = dec.add_to(np.zeros(space.n_points), weight)
-    a_r, rhs = {}, 0.0
-    for r_id, c, s in zip(kept.values(), coef.tolist(), norm_sq):
-        a_r[r_id] = a_r.get(r_id, 0.0) + s
+    # bincount adds each cube's terms in pair order
+    a_r = np.bincount(targets, norm_sq, coarse_lat.gen.size)
+    rhs = 0.0
+    for c, s in zip(coef.tolist(), norm_sq.tolist()):
         rhs += c ** 2 * s
     lhs = float(np.sum(out ** 2 * space.mu))
-    scale = max(lhs, rhs, 1e-30)
-    identity_err = abs(lhs - rhs) / scale
-    return out, a_r, {"identity_error": identity_err, "dropped": dropped,
-                      "lambda_g": lam_g, "norm_sq": lhs}
+    return out, a_r, {"identity_error": abs(lhs - rhs) /
+                      max(lhs, rhs, 1e-30)}
 
 
-def carleson_embedding_check(a: dict, lattice: DyadicLattice):
-    """Fitted Carleson constant max_S sum_(R under S) a_R / mu(S).  Subtree
-    sums run bottom up, one ``np.add.at`` per generation adding each cube's
-    children in child order."""
-    subtree = np.zeros(lattice.gen.size)
-    subtree[list(a)] = list(a.values())
+def carleson_embedding_check(a: np.ndarray, lattice: DyadicLattice):
+    """Fitted Carleson constant max_S sum_(R under S) a_R / mu(S), from
+    a_R per cube id.  Subtree sums run bottom up, one ``np.add.at`` per
+    generation adding each cube's children in child order."""
+    subtree = np.array(a, dtype=float)
     ids = lattice.ids
     kids = ids[lattice.parent[ids] >= 0]
     up_gen = lattice.gen[lattice.parent[kids]]

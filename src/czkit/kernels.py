@@ -67,11 +67,16 @@ def power_kernel(space: MetricMeasureSpace, m: float, tau: float = 1.0,
         over &= np.isinf(vals)
         np.divide(amplitude, vals, out=vals)
         # where rho^m overflows, amplitude / rho^m can still be in range:
-        # take it in logs there, which keeps every other entry's bits
-        vals[over] = np.copysign(np.exp(np.log(abs(amplitude)) - m * np.log(
-            space.rho[over])), amplitude)
-    vals = _resolve_diagonal(vals, space, diagonal_policy,
-                             lambda h: amplitude / h ** m)
+        # take it in logs there, which keeps every other entry's bits; the
+        # last log is at resolution_h, for a truncated diagonal whose h^m
+        # (a scalar **, libm's pow, not numpy's) overflows
+        logs = np.log(np.append(space.rho[over], space.resolution_h))
+        logs = np.copysign(np.exp(np.log(abs(amplitude)) - m * logs),
+                           amplitude)
+        vals[over] = logs[:-1]
+        vals = _resolve_diagonal(vals, space, diagonal_policy, lambda h: (
+            amplitude / h ** m if np.isfinite(np.float64(h) ** m) else
+            logs[-1]))
     spec = KernelSpec(vals, m=m, tau=tau, C_CZ=1.0, delta_CZ=delta_CZ,
                       name="power", params={"amplitude": amplitude},
                       diagonal_policy=diagonal_policy)
@@ -367,11 +372,11 @@ def check_T1(kernel: KernelSpec, space: MetricMeasureSpace, lattice,
         cube, family = divmod(s, len(suffixes))
         return f"Q{cids[cube]}{suffixes[family]}"
 
+    # the first set of each distinct bit pattern, in set order; unique over
+    # the rows as void scalars, as unique(axis=0) sorted them ten times slower
     keys = np.packbits(sets, axis=1)
-    first = {}
-    for s, key in enumerate(keys.view(f"V{keys.shape[1]}").ravel().tolist()):
-        first.setdefault(key, s)
-    distinct = list(first.values())
+    distinct = np.sort(np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
+                                 return_index=True)[1]).tolist()
     symmetric = np.array_equal(k, k.T)
     per_cube = []
     for b in range(0, len(distinct), T1_BLOCK):

@@ -737,7 +737,8 @@ def classify_all_good_bad(lat: DyadicLattice, other: DyadicLattice,
     ks, marks = _lattice_marks(other)
     ids = lat.ids
     table, column = lat.dist, lat.column[ids]
-    s_alpha = np.array([s ** alpha for s in lat.size[ids].tolist()])
+    sizes, at = np.unique(lat.size[ids], return_inverse=True)  # ** per size
+    s_alpha = np.array([s ** alpha for s in sizes.tolist()])[at]
     k_last, bad = lat.gen[ids] - r_gap, np.zeros(ids.size, dtype=bool)
     for k, mark in zip(ks, marks):
         near = np.fmin.reduce(table[mark], axis=0, initial=np.inf)[column]

@@ -28,10 +28,11 @@ from .space import MetricMeasureSpace
 class DecompositionPlan:
     """Index arrays of the decomposition on one lattice, from its flags:
     slot i < len(ids) is component cube ids[i] (transit, not a leaf, in cube
-    order), then the other transit cubes and a terminal root; ``groups``
-    holds (slots, members, mu, mass) per member count.  Component i owns
-    entries start[i]:start[i + 1] of the flat arrays, child by child: point
-    ``pt``, ``owner`` i and the child's slot ``child`` (-1: raw increment)."""
+    order), then the other transit cubes and a terminal root (``slot`` per
+    cube id, -1 off the plan); ``groups`` holds (slots, members, mu, mass)
+    per member count.  Component i owns entries start[i]:start[i + 1] of the
+    flat arrays, child by child: point ``pt``, ``owner`` i and the child's
+    slot ``child`` (-1: raw increment)."""
 
     def __init__(self, lat: DyadicLattice):
         if lat.terminal[lat.root_id] == UNSET:
@@ -41,11 +42,9 @@ class DecompositionPlan:
         comps = transit[~leaf]
         cubes = np.concatenate([comps, transit[leaf], [lat.root_id] *
                                 int(lat.terminal[lat.root_id])]).astype(int)
-        self.ids = comps.tolist()
-        self.slot = dict(zip(cubes.tolist(), range(cubes.size)))
-        self.root_slot = self.slot[lat.root_id]
-        slot = np.full(lat.gen.size, -1)
-        slot[cubes] = np.arange(cubes.size)
+        self.ids, self.n_slots = comps, cubes.size
+        self.slot = np.full(lat.gen.size, -1)
+        self.slot[cubes] = np.arange(cubes.size)
         part_owner, at = _ranges(lat.child_start[comps], lat.n_children[comps])
         parts = lat.child_ids[at]
         if (lat.terminal[parts] == UNSET).any():
@@ -54,7 +53,7 @@ class DecompositionPlan:
         entry, self.pt = lat.member_entries(parts)
         self.pt.setflags(write=False)        # components hand out views
         self.owner = part_owner[entry]
-        self.child = np.where(stop, -1, slot[parts])[entry]
+        self.child = np.where(stop, -1, self.slot[parts])[entry]
         self.start = np.searchsorted(self.owner, np.arange(len(comps) + 1))
         self.level = lat.gen[cubes] - lat.k_min
         self.by_level = [np.flatnonzero(self.level[self.owner] == k)
@@ -69,7 +68,7 @@ class DecompositionPlan:
         """mu-average of phi over each slot's cube, per row of a stack phi;
         with ``rows``, slot s averages row rows[s] of the matrix phi."""
         lead = phi.shape[:-1] if rows is None else ()
-        out = np.empty(lead + (len(self.slot),))
+        out = np.empty(lead + (self.n_slots,))
         for slots, members, weight, mass in self.groups:
             vals = phi.take(members, -1) if rows is None else \
                 phi[rows[slots][:, None], members]
@@ -90,17 +89,16 @@ class MartingaleDecomposition:
     @cached_property
     def components(self) -> dict:
         """cube id -> (idx, values), views into the flat arrays."""
-        plan = self.lattice.plan
+        plan, start = self.lattice.plan, self.lattice.plan.start.tolist()
         return {cid: (plan.pt[a:b], self.values[a:b]) for cid, a, b in
-                zip(plan.ids, plan.start.tolist(), plan.start[1:].tolist())
-                if b > a}
+                zip(plan.ids.tolist(), start, start[1:]) if b > a}
 
     def dense(self, ids) -> np.ndarray:
         """(len(ids), N), per probe: row i is the component of cube ids[i],
         or zero."""
         plan = self.lattice.plan
-        row = np.full(len(plan.slot) + 1, len(ids))   # the rest: spare row
-        row[[plan.slot.get(cid, -1) for cid in ids]] = np.arange(len(ids))
+        row = np.full(plan.n_slots + 1, len(ids))   # the rest: spare row
+        row[plan.slot[ids]] = np.arange(len(ids))
         out = np.zeros(self.values.shape[:-1] +
                        (len(ids) + 1, self.lattice.space.n_points))
         out.T[plan.pt, row[plan.owner]] = self.values.T
@@ -133,7 +131,7 @@ def decompose(lat: DyadicLattice, phi: np.ndarray) -> MartingaleDecomposition:
     avg = plan.means(phi)
     values = np.where(plan.child < 0, phi.take(plan.pt, -1),
                       avg.take(plan.child, -1)) - avg.take(plan.owner, -1)
-    lam = avg[..., plan.root_slot]
+    lam = avg[..., plan.slot[lat.root_id]]
     return MartingaleDecomposition(lat, float(lam) if lam.ndim == 0 else lam,
                                    values)
 
@@ -188,7 +186,7 @@ def properties_check(dec: MartingaleDecomposition,
 
 def good_component_ids(lat: DyadicLattice) -> np.ndarray:
     """The good cubes among the components ``lat.plan.ids``, in order."""
-    ids = np.array(lat.plan.ids, dtype=int)
+    ids = lat.plan.ids
     if (lat.good[ids] == UNSET).any():
         raise ClassificationMissing("good/bad flags missing")
     return ids[lat.good[ids] == 1]

@@ -14,7 +14,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from czkit.certify import long_range_entry
+from czkit.certify import long_range_entry, paraproduct_targets
 from czkit.examples import generate_example
 from czkit.kernels import on_support
 from czkit.lattice import DyadicLattice, _ensemble_keys, _generation_range, \
@@ -47,6 +47,22 @@ def _defined_functions(path) -> dict:
 
     with open(path) as fh:
         walk(compile(fh.read(), path, "exec"), "")
+    return out
+
+
+def target_dict(fine_lat, coarse_lat, r_gap) -> dict:
+    """``paraproduct_targets`` as a dict: good component id -> target id,
+    None where there is none."""
+    ids = good_component_ids(fine_lat)
+    targets = paraproduct_targets(fine_lat, coarse_lat, r_gap, ids)
+    return {q: r if r >= 0 else None for q, r in
+            zip(ids.tolist(), targets.tolist())}
+
+
+def per_cube(a: dict, lat) -> np.ndarray:
+    """Carleson weights given as cube id -> a_R, as an array per cube id."""
+    out = np.zeros(lat.gen.size)
+    out[list(a)] = list(a.values())
     return out
 
 

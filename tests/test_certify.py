@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from czkit.certify import (_pair_norm, alpha_param,
                            carleson_embedding_check, certify, classify_pairs,
                            diagonal_bound, pair_geometry, paraproduct_apply,
-                           paraproduct_targets, partition_check,
+                           partition_check,
                            short_range_terminal_bound,
                            short_range_transit_bound, split_bilinear)
-from czkit.errors import ClassificationMissing, CzkitError
+from czkit.errors import ClassificationMissing, CzkitError, \
+    HypothesisViolated
 from czkit.examples import generate_example
 from czkit.harness import make_scenario
 from czkit.kernels import (bergman_kernel, check_T1, constant_kernel,
@@ -29,7 +30,8 @@ from czkit.lemmas import (admissible_bmo_cubes, bmo_tail_constant,
                           pseudo_bmo_check, whitney_decomposition)
 from czkit.projections import decompose, good_component_ids, split_good_bad
 from czkit.space import MetricMeasureSpace, dilate, euclidean_metric
-from conftest import BERGMAN_64, line_space, regrouping
+from conftest import BERGMAN_64, line_space, per_cube, regrouping, \
+    target_dict
 from test_probe_batch import split_fields
 
 KAPPA = 0.5
@@ -282,7 +284,7 @@ def test_paraproduct_constant_symbol(line_setup):
     out, a_r, info = paraproduct_apply(np.ones(space.n_points), g,
                                        lat1, lat2, r_gap)
     assert np.abs(out).max() <= 1e-12
-    assert all(v <= 1e-20 for v in a_r.values())
+    assert all(v <= 1e-20 for v in a_r.tolist())
 
 
 def test_paraproduct_norm_identity(line_setup):
@@ -298,7 +300,7 @@ def test_paraproduct_norm_identity(line_setup):
 
 def test_paraproduct_targets_structure(line_setup):
     space, _, lat1, lat2, r_gap, _ = line_setup
-    targets = paraproduct_targets(lat1, lat2, r_gap)
+    targets = target_dict(lat1, lat2, r_gap)
     for q_id, r_id in targets.items():
         if r_id is None:
             continue
@@ -340,7 +342,7 @@ def test_paraproduct_targets_match_reference(name, seed):
         classify_all_good_bad(lat2, lat1, ALPHA, DELTA, s_param)
         for r_gap in (1, 2, 4):
             for fine, coarse in ((lat1, lat2), (lat2, lat1)):
-                got = paraproduct_targets(fine, coarse, r_gap)
+                got = target_dict(fine, coarse, r_gap)
                 assert got == _reference_targets(fine, coarse, r_gap)
                 assert list(got) == list(_reference_targets(fine, coarse,
                                                             r_gap))
@@ -348,7 +350,7 @@ def test_paraproduct_targets_match_reference(name, seed):
 
 def test_carleson_zero_weights(line_setup):
     _, _, _, lat2, _, _ = line_setup
-    rep = carleson_embedding_check({}, lat2)
+    rep = carleson_embedding_check(per_cube({}, lat2), lat2)
     assert rep["fitted"] == 0.0
 
 
@@ -357,7 +359,7 @@ def test_carleson_mass_weights_telescope():
     lat = build_lattice(space, KAPPA, seed=1)
     classify_terminal_transit(lat)
     a = {cid: space.mu_mass(c.members) for cid, c in lat.cubes.items()}
-    rep = carleson_embedding_check(a, lat)
+    rep = carleson_embedding_check(per_cube(a, lat), lat)
     depth = lat.k_max - lat.k_min + 1
     assert rep["fitted"] == pytest.approx(depth)
 
@@ -374,7 +376,7 @@ def test_carleson_fitted_is_max_ratio(line_setup):
         inside = {c for c, k in lat2.cubes.items()
                   if set(k.members.tolist()) <= set(cube.members.tolist())
                   and k.generation >= cube.generation}
-        total = sum(a_r.get(c, 0.0) for c in inside)
+        total = sum(a_r[c] for c in inside)
         mass = space.mu_mass(cube.members)
         if mass > 0:
             best = max(best, total / mass)
@@ -391,6 +393,26 @@ def test_whitney_cover(line_setup):
         grown = dilate(space, lat2.cubes[cid].members, 1.5)
         assert set(grown.tolist()) <= members
     assert multiplicity >= (1 if selected else 0)
+
+
+def test_whitney_cover_of_a_cube_descends_below_its_children(line_setup):
+    # a child whose 1.5-dilation leaves a non-root cube is replaced by its
+    # own children, so the cover can hold cubes below the children
+    space, _, _, lat2, _, _ = line_setup
+    deeper = 0
+    for cid, cube in lat2.cubes.items():
+        if cid == lat2.root_id or not cube.children:
+            continue
+        selected, multiplicity, frac = whitney_decomposition(space, lat2,
+                                                             cube)
+        members = set(cube.members.tolist())
+        for sid in selected:
+            grown = dilate(space, lat2.cubes[sid].members, 1.5)
+            assert set(grown.tolist()) <= members
+        assert multiplicity >= (1 if selected else 0)
+        assert 0.0 <= frac <= 1.0
+        deeper += any(lat2.cubes[sid].parent != cid for sid in selected)
+    assert deeper > 0
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +485,37 @@ def test_bmo_bergman_proof_split():
     assert rep["near_passed"]
     if not rep["vacuous"]:
         assert rep["fitted"] <= rep["proof_constant"] * (1 + 1e-9)
+
+
+def _bergman_bmo_setup():
+    space, info = generate_example("bergman_disc_model")
+    kern = bergman_kernel(space, m=info["m"], tau=info["tau"])
+    lat = build_lattice(space, KAPPA, seed=1)
+    classify_terminal_transit(lat)
+    return space, kern, lat, kern.matrix.T @ space.mu
+
+
+def test_bmo_refuses_a_dilation_base_below_the_smoothness_regime():
+    # delta_CZ = 1/2 needs lambda >= 1 + 1 / delta_CZ = 3
+    space, kern, lat, F = _bergman_bmo_setup()
+    assert kern.delta_CZ == 0.5
+    with pytest.raises(HypothesisViolated):
+        pseudo_bmo_check(F, space, lat, K=2.0, lambda_bmo=2.5, kernel=kern)
+
+
+def test_bmo_proof_split_fails_under_too_small_constants():
+    # a declared C_CZ below the fit fails the tail part, and a tiny A the
+    # near part; each leaves the other part passing
+    space, kern, lat, F = _bergman_bmo_setup()
+    t1 = check_T1(kern, space, lat, lambda_bmo=3.0)
+    low = dataclasses.replace(kern, C_CZ=kern.C_CZ * 1e-6)
+    rep = pseudo_bmo_check(F, space, lat, K=2.0, lambda_bmo=3.0, kernel=low,
+                           t1_A=t1.A)
+    assert not rep["vacuous"]
+    assert (rep["tail_passed"], rep["near_passed"]) == (False, True)
+    rep = pseudo_bmo_check(F, space, lat, K=2.0, lambda_bmo=3.0, kernel=kern,
+                           t1_A=1e-12 * t1.A)
+    assert (rep["tail_passed"], rep["near_passed"]) == (True, False)
 
 
 def test_bmo_tail_oscillation_reads_supp_mu_only():
@@ -563,6 +616,15 @@ def test_component_cubes_are_walked_once_per_table(monkeypatch):
     space, info = generate_example("cantor_measure", level=4)
     certify(power_kernel(space, m=info["m"], tau=info["tau"]), space)
     assert 0 < len(calls) <= 4
+
+
+def test_certify_refuses_a_lattice_of_another_seed():
+    space, info = generate_example("cantor_measure", level=4)
+    kern = power_kernel(space, m=info["m"], tau=info["tau"])
+    lat = build_lattice(space, KAPPA, seed=5)
+    classify_terminal_transit(lat)
+    with pytest.raises(ValueError, match="not the seeds\\[0\\] lattice"):
+        certify(kern, space, seeds=(1, 2), lattice=lat)
 
 
 def test_constants_depend_on_the_lattice_pair_only():

@@ -774,6 +774,18 @@ def test_cli_certify_two_points_without_components(tmp_path):
     assert cert["empirical_norm"] <= cert["certified_total"]
 
 
+def test_cli_montecarlo_one_generation_is_input_error(tmp_path):
+    # at distance 1.5 the lattice has one generation, so no cube lies below
+    # the root to probe
+    (tmp_path / "space.json").write_text(json.dumps({
+        "points": [0, 1], "nu": [1.0, 1.0], "mu": [0.5, 0.5],
+        "metric": {"type": "explicit", "matrix": [[0, 1.5], [1.5, 0]]}}))
+    code, out, err = _cli(["montecarlo", "--space",
+                           str(tmp_path / "space.json")])
+    assert (code, out) == (2, "")
+    assert err == "error: lattice has a single generation\n"
+
+
 @pytest.mark.parametrize("command", ["build-lattice", "decompose",
                                      "t1-check", "montecarlo"])
 def test_cli_too_many_generations_is_input_error(command, tmp_path):

@@ -1,5 +1,6 @@
 """Kernel families, operator application, testing condition, norms."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from czkit import kernels
+from czkit import harness, kernels
 from czkit.errors import NonFiniteKernelValue, OmegaIsWholeSpace
 from czkit.kernels import (bergman_kernel, check_d_domination,
                            check_size_and_smoothness, check_T1,
@@ -363,6 +364,20 @@ def test_row_passes_match_the_gather_formulas(n, seed, m, diag, share):
                 _copied_kernel(np.full((n, n), value), policy, lambda: value)
 
 
+def test_truncated_diagonal_in_logs_where_h_power_overflows():
+    # resolution_h^3 = 1e321 overflows while amplitude / h^3 = 1e-121 does
+    # not: the diagonal takes the logs that the entry at distance h takes
+    rho = np.array([[0.0, 1e107], [1e107, 0.0]])
+    space = MetricMeasureSpace(rho=rho, nu=np.ones(2), mu=np.full(2, 0.5),
+                               omega=np.zeros(2, dtype=bool))
+    kern = power_kernel(space, m=3.0, amplitude=1e200,
+                        diagonal_policy="truncate")
+    assert space.resolution_h == 1e107
+    assert kern.matrix[0, 1] == pytest.approx(1e-121, rel=1e-12)
+    assert {x.hex() for x in kern.matrix.ravel().tolist()} == \
+        {kern.matrix[0, 1].hex()}
+
+
 @pytest.mark.parametrize("off", [np.inf, 0.0, -1.0, np.nan, 2.0])
 def test_resolution_h_edge_cases(off):
     # +inf as the only positive distance gives inf, no positive one gives
@@ -417,6 +432,24 @@ def test_zero_kernel_dominates(bergman_setup):
     kern = zero_kernel(space)
     kern.dominated_by_d = True
     assert check_d_domination(kern, space).pairwise_ok
+
+
+def test_domination_failure_names_the_worst_pair():
+    # the Bergman kernel meets its bound; one entry at twice the bound is
+    # the worst pair, at ratio 2, and fails the run's domination stage
+    sc = make_scenario("bergman_disc_model")
+    space = sc.space
+    i, j = np.argsort(dist_to_complement_all(space))[-2:].tolist()
+    matrix = sc.kernel.matrix.copy()
+    matrix[i, j] *= 2.0
+    sc.kernel = dataclasses.replace(sc.kernel, matrix=matrix)
+    rep = check_d_domination(sc.kernel, space)
+    assert rep.passed is False
+    assert rep.worst_pair == (i, j)
+    assert rep.worst_ratio == 2.0
+    run = harness.run(sc)
+    assert run.stages["domination"] == {"passed": False, "worst_ratio": 2.0}
+    assert run.passed is False
 
 
 def test_domination_needs_proper_omega(line8):

@@ -24,7 +24,7 @@ from czkit.lattice import (build_lattice, classify_terminal_transit,
                            verify_lattice_properties)
 from czkit.space import MetricMeasureSpace
 from conftest import (broken_lattice, edited_lattice, explicit_space,
-                      line_space)
+                      line_space, per_cube)
 
 SEEDS = (1, 2, 2476693647)
 # the four built-ins (line_in_plane has n = 13), the benchmark's line and
@@ -145,7 +145,7 @@ def assert_same_flags(lat):
 
 
 def assert_same_carleson(lat, a):
-    got = carleson_embedding_check(a, lat)
+    got = carleson_embedding_check(per_cube(a, lat), lat)
     want = ref_carleson_embedding_check(a, lat)
     assert _hex(got["fitted"]) == _hex(want["fitted"])
     assert (got["worst_cube"], got["zero_mass_skipped"]) == \

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from czkit.certify import paraproduct_apply, paraproduct_targets
+from czkit.certify import paraproduct_apply
 from czkit.errors import ClassificationMissing, ZeroMass
 from czkit.examples import generate_example
 from czkit.lattice import (build_lattice, classify_all_good_bad,
@@ -13,7 +13,7 @@ from czkit.lattice import (build_lattice, classify_all_good_bad,
 from czkit.projections import (decompose, expected_bad_norm,
                                properties_check, split_good_bad)
 from czkit.space import MetricMeasureSpace
-from conftest import explicit_space, grid_space, line_space
+from conftest import explicit_space, grid_space, line_space, target_dict
 
 ALPHA_11 = 0.25
 
@@ -45,7 +45,9 @@ def test_average_matches_weighted_sum_oracle():
     lat = _classified(space)
     phi = rng.standard_normal(16)
     means = lat.plan.means(phi)
-    for cid, slot in lat.plan.slot.items():
+    slots = {cid: slot for cid, slot in enumerate(lat.plan.slot.tolist())
+             if slot >= 0}
+    for cid, slot in slots.items():
         members = lat.cubes[cid].members
         expect = (phi[members] * space.mu[members]).sum() / \
             space.mu[members].sum()
@@ -339,10 +341,13 @@ def _check_against_reference(space, seed):
     for got, ref in zip(split_good_bad(dec), _ref_split(lat1, lam, comps)):
         assert got.tobytes() == ref.tobytes()
 
-    targets = paraproduct_targets(lat1, lat2, 2)
+    targets = target_dict(lat1, lat2, 2)
     out, a_r, info = paraproduct_apply(phi, g, lat1, lat2, 2)
     ref_out, ref_a, ref_err = _ref_paraproduct(phi, g, lat1, lat2, targets)
     assert out.tobytes() == ref_out.tobytes()
+    # a_r per cube id, as a dict in first-target order; no weight elsewhere
+    assert not np.delete(a_r, list(ref_a)).any()
+    a_r = {r_id: a_r[r_id] for r_id in targets.values() if r_id is not None}
     assert list(a_r) == list(ref_a)
     assert _bits(*a_r.values()) == _bits(*ref_a.values())
     assert _bits(info["identity_error"]) == _bits(ref_err)
